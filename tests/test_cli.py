@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -99,6 +100,37 @@ def test_fig6_pcc_bounds_and_three_stroke_point(tmp_path):
     assert three[3] < 0.0  # three-stroke cycles anticorrelate
     cfg3 = three_stroke_config_at(0.3, 0.5, 1.0)
     assert abs(three[3] - pcc_three_stroke_exact(cfg3)) < 1e-9
+
+
+# sha256 of the CSV stdout of every table command at reduced sizes; a change
+# here means a published number changed and needs a stated reason.
+PINNED_TABLES = {
+    ("fig1", "points=41"): "9ffe0f30e1407563749026bfddc0a98db668bed7eff791a564679985a1281aa2",
+    ("fig4", "points=3"): "4579726884ca5f54c95e17e37060b27f5894daa3df6d1543cbcec3c554e07f84",
+    ("fig5", "points=24"): "a2624531aec38ff18a0b2e12125de2641b408f94a009fabb8de53fb82269cac3",
+    ("fig5", "horizon=single_cycle", "points=24"): (
+        "536859476d5c2fdb32bd9d5978186b748ee8862ec09ded4070768e842c52fc88"
+    ),
+    ("fig6", "points=24"): "a90ce6b57abc62ccd92bd9bdb5d921299581bcb646ddd41fdc2180b177680c83",
+    ("sweep", "points=40"): "84b572a8dcfb5addaa3c22947edb46c40b045c760d81a3ef4a9ff958483e4bd5",
+    ("sweep", "regime=markov", "points=40"): (
+        "3ad0a630d1e46ccd976a9744e2d0c4059b6f6e66539fbd4d3e8be71549d34dd6"
+    ),
+    ("micro-report", "n_max=30", "points=9"): (
+        "d86a9d62d299f5cb6178d0399fab208d1f7c9c2f873033190f2fe04722dd7fa7"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_TABLES), ids=lambda c: "-".join(c))
+def test_csv_tables_are_pinned(case, capsys):
+    command, *overrides = case
+    argv = [command]
+    for pair in overrides:
+        argv += ["--set", pair]
+    assert cli.main(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == PINNED_TABLES[case]
 
 
 def test_default_parameters_pin_the_reference_figures():
