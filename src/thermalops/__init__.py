@@ -25,12 +25,15 @@ from .errors import (
     ThermalOpsError,
     TruncationError,
     ZeroHeatError,
+    ZeroWorkError,
     ZeroVarianceError,
 )
 from .maps import (
+    Cycle,
     GibbsStochasticMatrix,
     PopulationVector,
     ThermalOpParams,
+    WorkStroke,
     apply_map,
     build_map,
     eto,

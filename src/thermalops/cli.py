@@ -17,14 +17,13 @@ import argparse
 import json
 import math
 import sys
-import warnings
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import __version__
 from .errors import ThermalOpsError
-from .fcs import intercycle_pcc, tilted_map_otto, tilted_map_three_stroke
+from .fcs import intercycle_pcc
 from .maps import eto_vs_thermalization_scan
 from .microscopic import JC_KINDS, FockTruncation, eto_approximation_report
 from .optimize import (
@@ -37,8 +36,7 @@ from .optimize import (
     work_at,
     work_efficiency_curve,
 )
-from .otto import MARKOV, NONMARKOV, otto_steady_state
-from .three_stroke import three_stroke_report, three_stroke_steady_state
+from .otto import MARKOV, NONMARKOV
 from .verify import run_suites
 
 ENGINE_CODES = {NONMARKOV: 0, MARKOV: 1, "three_stroke": 2}
@@ -86,18 +84,16 @@ def _run_fig5(p):
 
 def _run_fig6(p):
     grid = _log_grid(p["omega_lo"], p["omega_hi"], p["points"])
+    engines = [
+        (NONMARKOV, otto_config_at(p["eta"], p["eta_C"], p["T_H"], w, NONMARKOV)) for w in grid
+    ]
+    engines.append(("three_stroke", three_stroke_config_at(p["eta"], p["eta_C"], p["T_H"])))
     rows = []
-    for omega_H in grid:
-        cfg = otto_config_at(p["eta"], p["eta_C"], p["T_H"], omega_H, NONMARKOV)
-        pcc = intercycle_pcc(tilted_map_otto(cfg), otto_steady_state(cfg))
-        w = work_at(p["eta"], p["eta_C"], p["T_H"], omega_H, NONMARKOV)
-        rows.append([ENGINE_CODES[NONMARKOV], omega_H, w, pcc])
-    cfg3 = three_stroke_config_at(p["eta"], p["eta_C"], p["T_H"])
-    pcc3 = intercycle_pcc(tilted_map_three_stroke(cfg3), three_stroke_steady_state(cfg3))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        w3 = three_stroke_report(cfg3).W / p["T_H"]
-    rows.append([ENGINE_CODES["three_stroke"], cfg3.omega, w3, pcc3])
+    for engine, cfg in engines:
+        cycle = cfg.cycle()
+        points, W, _ = cycle.run()
+        pcc = intercycle_pcc(cycle, points[0])
+        rows.append([ENGINE_CODES[engine], cycle.strokes[0].omega, W / p["T_H"], pcc])
     return ["engine", "omega_H", "W", "pcc"], rows
 
 

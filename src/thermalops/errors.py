@@ -32,6 +32,10 @@ class ZeroHeatError(ThermalOpsError):
     """Efficiency is undefined because the hot-bath heat vanishes."""
 
 
+class ZeroWorkError(ThermalOpsError):
+    """Variance-to-work ratio is undefined because the work mean vanishes."""
+
+
 class CountingOverflowError(ThermalOpsError):
     """Counting-field evaluation would exceed the floating-point exponent
     budget."""

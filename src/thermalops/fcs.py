@@ -1,16 +1,11 @@
 """Full counting statistics of the work generated over repeated cycles.
 
-The per-cycle propagator is tilted with a real counting field ``chi`` that
-tags every elementary energy exchange of the work strokes:
-
-* Otto:          ``P(chi) = B_-(chi) L_C B_+(chi) L_H`` with
-  ``B_+- = diag(1, exp(+-chi * (omega_H - omega_C)))``, so a trajectory
-  picks up ``+Delta`` when the qubit is excited after heating and
-  ``-Delta`` when it is excited after cooling.
-* three-stroke:  ``P(chi) = L_C X(chi) L_H`` with the tilted flip
-  ``X(chi) = [[0, exp(chi * omega)], [exp(-chi * omega), 0]]``, i.e.
-  ``+omega`` per cycle if the qubit is inverted before the flip and
-  ``-omega`` otherwise.
+The per-cycle propagator ``P(chi)`` composes an engine's stroke tuple
+(``maps.Cycle``) in cycle order and weights every work-stroke transition
+that releases ``k`` work quanta by ``exp(k * chi * quantum)``: the Otto
+quenches tag an excitation after heating with ``+Delta`` and one after
+cooling with ``-Delta``; the three-stroke flip releases ``+omega`` from an
+inverted qubit and ``-omega`` otherwise.
 
 ``G_N(chi) = ln(1^T P(chi)^N p1)`` is then the cumulant generating function
 of the N-cycle work, evaluated from the cyclostationary state ``p1``.
@@ -19,7 +14,8 @@ obtained by fourth-order central differences with one Richardson level at
 step ``h = 1e-3 / Delta``.  The stencil is evaluated in extended precision
 (``numpy.longdouble``) so that differencing noise stays orders of magnitude
 below the 1e-8/1e-9 tolerances the statistics are verified against; the
-scheme itself is validated against an exact trajectory-enumeration oracle.
+scheme itself is validated against an exact trajectory-enumeration oracle,
+which walks the same stroke tuple.
 
 In the infinite-cycle limit the scaled cumulants follow from
 ``g(chi) = ln lambda_0(chi)`` with ``lambda_0`` the dominant eigenvalue of
@@ -34,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -46,12 +42,9 @@ from .errors import (
     NonPrimitiveMapError,
     ZeroVarianceError,
 )
-from .maps import PopulationVector
-from .otto import OttoConfig, otto_steady_state
-from .three_stroke import ThreeStrokeConfig, three_stroke_steady_state
-
-OTTO = "otto"
-THREE_STROKE = "three_stroke"
+from .maps import Cycle, PopulationVector, WorkStroke, require_count
+from .otto import EngineConfig, OttoConfig
+from .three_stroke import ThreeStrokeConfig
 
 FD_STEP = 1e-3  # finite-difference step in units of 1/work-quantum
 EXP_BUDGET = 600.0  # |chi| * N * Delta beyond this would overflow binary64
@@ -59,55 +52,16 @@ ENUM_MAX_CYCLES = 12
 
 _LD = np.longdouble
 
-EngineConfig = Union[OttoConfig, ThreeStrokeConfig]
-
-
-@dataclass(frozen=True, eq=False)
-class TiltedMap:
-    """Counting-field-dependent cycle map for one engine configuration."""
-
-    kind: str
-    config: EngineConfig
-    quantum: float
-    l_hot: np.ndarray
-    l_cold: np.ndarray
-
-    def matrix(self, chi: float, dtype=np.float64) -> np.ndarray:
-        """Evaluate the tilted 2x2 matrix at counting field ``chi``.
-
-        At ``chi = 0`` this is the untilted (column-stochastic) cycle map;
-        entries are nonnegative for every real ``chi``.
-        """
-        chi = dtype(chi)
-        up = np.exp(chi * dtype(self.quantum))
-        down = np.exp(-chi * dtype(self.quantum))
-        hot = self.l_hot.astype(dtype)
-        cold = self.l_cold.astype(dtype)
-        if self.kind == OTTO:
-            hot[1, :] *= up  # tag excitation after the heat stroke
-            out = cold @ hot
-            out[1, :] *= down  # tag excitation after the cool stroke
-            return out
-        flip = np.zeros((2, 2), dtype=dtype)
-        flip[0, 1] = up
-        flip[1, 0] = down
-        return cold @ flip @ hot
+# The counting-field view of a cycle: ``TiltedMap.matrix(chi)`` is P(chi).
+TiltedMap = Cycle
 
 
 def tilted_map_otto(cfg: OttoConfig) -> TiltedMap:
-    return TiltedMap(
-        OTTO, cfg, cfg.work_quantum, cfg.hot_map().as_array(), cfg.cold_map().as_array()
-    )
+    return cfg.cycle()
 
 
 def tilted_map_three_stroke(cfg: ThreeStrokeConfig) -> TiltedMap:
-    return TiltedMap(
-        THREE_STROKE,
-        cfg,
-        cfg.work_quantum,
-        cfg.hot_map().as_array(),
-        cfg.cold_map().as_array(),
-    )
+    return cfg.cycle()
 
 
 def _matpow(m: np.ndarray, n: int) -> np.ndarray:
@@ -122,12 +76,6 @@ def _matpow(m: np.ndarray, n: int) -> np.ndarray:
     return result
 
 
-def _check_n(n) -> int:
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidParameterError(f"cycle count must be a positive integer, got {n!r}")
-    return int(n)
-
-
 def _gf_ld(tmap: TiltedMap, p1: PopulationVector, n: int, chi) -> np.longdouble:
     m = tmap.matrix(chi, dtype=_LD)
     vec = _matpow(m, n) @ p1.as_array().astype(_LD)
@@ -136,7 +84,7 @@ def _gf_ld(tmap: TiltedMap, p1: PopulationVector, n: int, chi) -> np.longdouble:
 
 def cumulant_gf(tmap: TiltedMap, p1: PopulationVector, n: int, chi: float) -> float:
     """N-cycle cumulant generating function ``G_N(chi)``; zero at ``chi = 0``."""
-    n = _check_n(n)
+    n = require_count(n, 1, "cycle count")
     if abs(chi) * n * tmap.quantum > EXP_BUDGET:
         raise CountingOverflowError(
             f"|chi| * N * Delta = {abs(chi) * n * tmap.quantum:.3g} exceeds "
@@ -188,7 +136,7 @@ def _clamped_variance(raw, scale: float) -> float:
 
 def work_moments(tmap: TiltedMap, p1: PopulationVector, n: int) -> WorkStatistics:
     """Finite-N work mean and variance from derivatives of ``G_N`` at 0."""
-    n = _check_n(n)
+    n = require_count(n, 1, "cycle count")
     h = FD_STEP / tmap.quantum
     d1, d2 = _fd_derivatives(lambda chi: _gf_ld(tmap, p1, n, chi), h)
     mean = float(d1)
@@ -252,60 +200,43 @@ class WorkDistribution:
         return math.fsum((w - mu) ** 2 * p for w, p in self.support)
 
 
-def _otto_cycle_branches(cfg: OttoConfig):
-    hot = cfg.hot_map().as_array()
-    cold = cfg.cold_map().as_array()
-    # (source, mid, end, probability, work quanta): work counts excitation
-    # after heating minus excitation after cooling.
+def _cycle_branches(cycle: Cycle):
+    """(source, end, probability, work quanta) of every stroke-boundary
+    path through one cycle with nonzero probability."""
     branches = []
     for src in (0, 1):
-        for mid in (0, 1):
-            for end in (0, 1):
-                prob = hot[mid, src] * cold[end, mid]
-                if prob != 0.0:
-                    branches.append((src, end, prob, (mid == 1) - (end == 1)))
-    return branches
-
-
-def _three_stroke_cycle_branches(cfg: ThreeStrokeConfig):
-    hot = cfg.hot_map().as_array()
-    cold = cfg.cold_map().as_array()
-    branches = []
-    for src in (0, 1):
-        for heated in (0, 1):
-            flipped = 1 - heated
-            for end in (0, 1):
-                prob = hot[heated, src] * cold[end, flipped]
-                if prob != 0.0:
-                    branches.append((src, end, prob, 1 if heated == 1 else -1))
+        paths = [(src, 1.0, 0.0)]
+        for stroke in cycle.strokes:
+            if isinstance(stroke, WorkStroke):
+                k = [w / cycle.quantum for w in stroke.released]
+                paths = [(1 - s if stroke.flip else s, prob, dk + k[s]) for s, prob, dk in paths]
+            else:
+                paths = [(t, prob * stroke.m[t, s], dk) for s, prob, dk in paths for t in (0, 1)]
+        branches += [(src, end, prob, dk) for end, prob, dk in paths if prob != 0.0]
     return branches
 
 
 def enumerate_work_distribution(cfg: EngineConfig, n: int) -> WorkDistribution:
     """Exact N-cycle work distribution by trajectory enumeration.
 
-    Walks every stroke-boundary state sequence with transition probabilities
-    taken directly from the hot/cold maps (and the flip), accumulating the
-    per-path work; sequences are aggregated by (state, accumulated work)
-    cycle by cycle, which preserves the exact path weights.  Serves as the
-    independent oracle for the counting-field machinery and is capped at
-    ``n <= 12``.
+    Walks every stroke-boundary state sequence of the cycle's stroke tuple,
+    with transition probabilities taken directly from the heat maps and the
+    work strokes' permutations, accumulating the per-path work quanta;
+    sequences are aggregated by (state, accumulated work) cycle by cycle,
+    which preserves the exact path weights.  Serves as the independent
+    oracle for the counting-field machinery and is capped at ``n <= 12``.
     """
-    n = _check_n(n)
+    n = require_count(n, 1, "cycle count")
     if n > ENUM_MAX_CYCLES:
         raise EnumerationSizeError(
             f"enumeration capped at {ENUM_MAX_CYCLES} cycles, got {n}"
         )
-    if isinstance(cfg, OttoConfig):
-        p1 = otto_steady_state(cfg)
-        branches = _otto_cycle_branches(cfg)
-        quantum = cfg.work_quantum
-    elif isinstance(cfg, ThreeStrokeConfig):
-        p1 = three_stroke_steady_state(cfg)
-        branches = _three_stroke_cycle_branches(cfg)
-        quantum = cfg.work_quantum
-    else:
+    if not isinstance(cfg, EngineConfig):
         raise InvalidParameterError(f"unsupported config type {type(cfg).__name__}")
+    cycle = cfg.cycle()
+    p1 = cycle.steady_state()
+    branches = _cycle_branches(cycle)
+    quantum = cycle.quantum
 
     measure = {(0, 0): p1.p_g, (1, 0): p1.p_e}
     for _ in range(n):

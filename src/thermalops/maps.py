@@ -18,6 +18,12 @@ measured in units of the reference temperature.  Coherences are taken to be
 fully dephased after every operation, so population vectors are a complete
 state description here.
 
+An engine cycle is an ordered tuple of two-level strokes (``Cycle``): heat
+strokes are Gibbs-stochastic maps, work strokes (``WorkStroke``) permute
+the levels at frozen populations while the gap changes.  The cycle map,
+its steady state, the populations at the stroke boundaries, the work and
+the heats all follow from that tuple.
+
 All types are immutable after construction and all operations are pure
 functions; everything is safe for concurrent read-only use.
 """
@@ -98,12 +104,9 @@ class ThermalOpParams:
     lam: float
 
     def __post_init__(self):
-        if self.omega <= 0.0:
-            raise InvalidParameterError(f"omega must be > 0, got {self.omega}")
-        if self.beta <= 0.0:
-            raise InvalidParameterError(f"beta must be > 0, got {self.beta}")
-        if not 0.0 <= self.lam <= 1.0:
-            raise InvalidParameterError(f"lam must lie in [0, 1], got {self.lam}")
+        require_descending(omega=self.omega)
+        require_descending(beta=self.beta)
+        require_unit_interval(lam=self.lam)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,10 +146,33 @@ class GibbsStochasticMatrix:
         return np.array(self.m)
 
 
+def require_descending(**values: float) -> None:
+    """Require ``v1 > v2 > ... > 0`` in keyword order (one value: ``v > 0``).
+    NaN fails the comparisons and bools are rejected, not read as 0 or 1."""
+    vals = tuple(values.values())
+    for a, b in zip(vals, vals[1:] + (0.0,)):
+        if isinstance(a, bool) or not a > b:
+            raise InvalidParameterError(f"need {' > '.join(values)} > 0, got {vals}")
+
+
+def require_unit_interval(**values: float) -> None:
+    """Require every value to lie in [0, 1]; NaN and bools fail."""
+    for name, v in values.items():
+        if isinstance(v, bool) or not 0.0 <= v <= 1.0:
+            raise InvalidParameterError(f"{name} must lie in [0, 1], got {v}")
+
+
+def require_count(n, minimum: int, name: str) -> int:
+    """Require an integer ``n >= minimum``; bools are rejected."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < minimum:
+        raise InvalidParameterError(f"{name} must be an integer >= {minimum}, got {n!r}")
+    return int(n)
+
+
 def thermal_population(omega: float, beta: float) -> PopulationVector:
     """Gibbs populations of a qubit with gap ``omega`` at inverse
     temperature ``beta``."""
-    if omega <= 0.0 or beta <= 0.0:
+    if not (omega > 0.0 and beta > 0.0):
         raise InvalidParameterError(
             f"omega and beta must be > 0, got omega={omega}, beta={beta}"
         )
@@ -200,6 +226,88 @@ def stationary_population(m: np.ndarray) -> PopulationVector:
     up = arr[1, 0]
     down = arr[0, 1]
     return PopulationVector.from_raw([down / (up + down), up / (up + down)])
+
+
+@dataclass(frozen=True)
+class WorkStroke:
+    """Unitary work stroke: the gap changes from ``omega_in`` to
+    ``omega_out`` at frozen populations, keeping the levels (a quench) or
+    swapping them (``flip``)."""
+
+    omega_in: float
+    omega_out: float
+    flip: bool = False
+
+    @property
+    def released(self) -> tuple[float, float]:
+        """Work released by each source level ``j``: ``E_in[j] - E_out[i]``
+        for the level ``i`` it ends on, with level energies ``(0, omega)``."""
+        if self.flip:
+            return -self.omega_out, self.omega_in
+        return 0.0, self.omega_in - self.omega_out
+
+    def apply(self, p: PopulationVector) -> PopulationVector:
+        return PopulationVector(p.p_e, p.p_g) if self.flip else p
+
+
+@dataclass(frozen=True, eq=False)
+class Cycle:
+    """Engine cycle: heat strokes (Gibbs-stochastic maps) and work strokes
+    in order, starting with a heat stroke at point 1, plus the work quantum
+    that every work-stroke transition releases a multiple of."""
+
+    strokes: tuple
+    quantum: float
+
+    def matrix(self, chi: float = 0.0, dtype=np.float64) -> np.ndarray:
+        """Cycle map ``S_k @ ... @ S_1`` with every work-stroke transition
+        weighted by ``exp(chi * released work)``; column-stochastic at
+        ``chi = 0``.  Work strokes are row scalings and permutations, so
+        the only dense products are those between heat strokes."""
+        chi = dtype(chi)
+        m = None
+        for stroke in self.strokes:
+            if isinstance(stroke, WorkStroke):
+                for j, w in enumerate(stroke.released):
+                    if chi and w:
+                        m[j] *= np.exp(chi * w)
+                if stroke.flip:
+                    m = m[::-1]
+            elif m is None:
+                m = stroke.m.astype(dtype)  # owned, so work strokes scale it in place
+            else:
+                m = stroke.m.astype(dtype, copy=False) @ m
+        return m
+
+    def steady_state(self) -> PopulationVector:
+        """Cyclostationary populations at point 1."""
+        return stationary_population(self.matrix())
+
+    def run(self) -> tuple[list[PopulationVector], float, list[float]]:
+        """One steady cycle: the populations entering each stroke, the work
+        released and the heat absorbed in each heat stroke.
+
+        Points after the last heat stroke are reached backwards from point 1,
+        so the cycle closes exactly.  A work stroke entered with excited
+        population ``p_e`` releases ``k_g + (k_e - k_g) * p_e`` quanta.
+        """
+        strokes, n = self.strokes, len(self.strokes)
+        last = max(i for i, s in enumerate(strokes) if not isinstance(s, WorkStroke))
+        points = [self.steady_state()] * n  # overwritten from point 2 on
+        for i in range(1, last + 1):
+            prev, p = strokes[i - 1], points[i - 1]
+            points[i] = prev.apply(p) if isinstance(prev, WorkStroke) else apply_map(prev, p)
+        for i in range(n - 1, last, -1):
+            points[i] = strokes[i].apply(points[(i + 1) % n])
+        quanta, heats = 0.0, []
+        for i, stroke in enumerate(strokes):
+            p_in, p_out = points[i], points[(i + 1) % n]
+            if isinstance(stroke, WorkStroke):
+                k_g, k_e = (w / self.quantum for w in stroke.released)
+                quanta += k_g + (k_e - k_g) * p_in.p_e
+            else:
+                heats.append(stroke.omega * (p_out.p_e - p_in.p_e))
+        return points, self.quantum * quanta, heats
 
 
 def eto_vs_thermalization_scan(

@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConsistencyError, InvalidParameterError, TruncationError
-from .maps import eto
+from .maps import eto, require_count, require_descending
 
 INTENSITY_DEPENDENT = "intensity_dependent"
 STANDARD = "standard"
@@ -53,10 +53,10 @@ class FockTruncation:
     tail_bound: float = 1e-10
 
     def __post_init__(self):
-        if not isinstance(self.n_max, (int, np.integer)) or self.n_max < 0:
-            raise InvalidParameterError(f"n_max must be a nonnegative integer, got {self.n_max}")
-        if self.omega <= 0.0 or self.beta <= 0.0:
-            raise InvalidParameterError("omega and beta must be > 0")
+        require_count(self.n_max, 0, "n_max")
+        require_descending(omega=self.omega)
+        require_descending(beta=self.beta)
+        require_descending(tail_bound=self.tail_bound)
         if self.tail_weight > self.tail_bound:
             raise TruncationError(
                 f"thermal tail weight {self.tail_weight:.3e} beyond n_max={self.n_max} "

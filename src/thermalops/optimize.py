@@ -26,15 +26,12 @@ from .errors import (
     InvalidParameterError,
     MultimodalScanWarning,
     NoInteriorMaximumWarning,
+    ZeroWorkError,
 )
-from .fcs import (
-    scaled_cumulants,
-    tilted_map_otto,
-    tilted_map_three_stroke,
-    work_moments,
-)
-from .otto import MARKOV, NONMARKOV, REGIMES, OttoConfig, otto_cycle_report, otto_steady_state
-from .three_stroke import ThreeStrokeConfig, three_stroke_report, three_stroke_steady_state
+from .fcs import scaled_cumulants, work_moments
+from .maps import require_descending
+from .otto import MARKOV, NONMARKOV, REGIMES, EngineConfig, OttoConfig, otto_cycle_report
+from .three_stroke import ThreeStrokeConfig, three_stroke_report
 
 THREE_STROKE_ENGINE = "three_stroke"
 ENGINES = (NONMARKOV, MARKOV, THREE_STROKE_ENGINE)
@@ -65,8 +62,7 @@ class ScanSpec:
             raise InvalidParameterError(
                 f"need 0 < eta < eta_C < 1, got eta={self.eta}, eta_C={self.eta_C}"
             )
-        if self.T_H <= 0.0:
-            raise InvalidParameterError(f"T_H must be > 0, got {self.T_H}")
+        require_descending(T_H=self.T_H)
         if not 0.0 < self.omega_lo < self.omega_hi:
             raise InvalidParameterError("need 0 < omega_lo < omega_hi")
         if self.regime not in REGIMES:
@@ -268,21 +264,19 @@ def work_efficiency_curve(
     return rows
 
 
-def _otto_point(cfg: OttoConfig, horizon: str) -> tuple[float, float]:
-    tmap = tilted_map_otto(cfg)
+def _fluctuation_point(cfg: EngineConfig, horizon: str) -> tuple[float, float]:
+    """Work mean and variance-to-mean ratio of one engine at the horizon."""
+    cycle = cfg.cycle()
     if horizon == SINGLE_CYCLE:
-        stats = work_moments(tmap, otto_steady_state(cfg), 1)
-        return stats.mean, stats.ratio
-    mean, var = scaled_cumulants(tmap)
-    return mean, var / mean
-
-
-def _three_stroke_point(cfg: ThreeStrokeConfig, horizon: str) -> tuple[float, float]:
-    tmap = tilted_map_three_stroke(cfg)
-    if horizon == SINGLE_CYCLE:
-        stats = work_moments(tmap, three_stroke_steady_state(cfg), 1)
-        return stats.mean, stats.ratio
-    mean, var = scaled_cumulants(tmap)
+        stats = work_moments(cycle, cycle.steady_state(), 1)
+        mean, var = stats.mean, stats.variance
+    else:
+        mean, var = scaled_cumulants(cycle)
+    if mean == 0.0:
+        raise ZeroWorkError(
+            f"{horizon} work mean vanishes at gap {cycle.strokes[0].omega:.6g}; "
+            "variance-to-mean ratio undefined"
+        )
     return mean, var / mean
 
 
@@ -313,10 +307,10 @@ def fluctuation_curve(
         rows = np.empty((grid.size, 3))
         for i, omega_H in enumerate(grid):
             cfg = otto_config_at(eta, eta_C, T_H, omega_H, regime)
-            mean, ratio = _otto_point(cfg, horizon)
+            mean, ratio = _fluctuation_point(cfg, horizon)
             rows[i] = (omega_H, mean / T_H, ratio / T_H)
         out[regime] = rows
     cfg3 = three_stroke_config_at(eta, eta_C, T_H)
-    mean, ratio = _three_stroke_point(cfg3, horizon)
+    mean, ratio = _fluctuation_point(cfg3, horizon)
     out[THREE_STROKE_ENGINE] = np.array([cfg3.omega, mean / T_H, ratio / T_H])
     return out

@@ -1,10 +1,11 @@
 """Steady-state analysis of the four-stroke Otto cycle.
 
-The cycle alternates two heat strokes with two gap quenches: heat at gap
-``omega_H`` (point 1 -> 2), shift the gap down to ``omega_C`` at frozen
-populations (2 -> 3, work out), cool at ``omega_C`` (3 -> 4), shift the gap
-back up (4 -> 1, work in).  Heat strokes are thermal operations, so the
-cyclostationary state solves ``L_C L_H p1 = p1``.
+The cycle is the stroke tuple (heat at ``omega_H``, quench to ``omega_C``,
+cool at ``omega_C``, quench back): points 1 -> 2 -> 3 -> 4 -> 1.  Heat
+strokes are thermal operations and quenches keep the populations, so the
+cyclostationary state solves ``L_C L_H p1 = p1``; populations, work and
+heats follow from the tuple (``maps.Cycle``).  ``EngineConfig`` holds the
+parameters and checks that the Otto and three-stroke configs share.
 
 Sign conventions: ``Q_H = omega_H * (p_e2 - p_e1)`` is positive when heat
 flows into the qubit, ``Q_C = omega_C * (p_e4 - p_e3)`` is negative in
@@ -21,13 +22,15 @@ from dataclasses import dataclass
 
 from .errors import InvalidParameterError, NotAnEngineWarning, RegimeMismatchError
 from .maps import (
+    Cycle,
     GibbsStochasticMatrix,
     PopulationVector,
     ThermalOpParams,
-    apply_map,
+    WorkStroke,
     build_map,
     full_thermalization_lambda,
-    stationary_population,
+    require_descending,
+    require_unit_interval,
 )
 
 MARKOV = "markov"
@@ -37,9 +40,39 @@ REGIMES = (MARKOV, NONMARKOV)
 _REGIME_TOL = 1e-12
 
 
+class EngineConfig:
+    """Checks, inverse temperatures and heat maps shared by the engine
+    configs: frozen dataclasses with fields ``T_H``, ``T_C``, ``lambda_H``,
+    ``lambda_C`` and the gaps named in ``GAPS`` (hot gap first, cold gap
+    last), which build their stroke tuple in ``cycle()``."""
+
+    GAPS: tuple[str, ...] = ()
+
+    def __post_init__(self):
+        require_descending(**{name: getattr(self, name) for name in self.GAPS})
+        require_descending(T_H=self.T_H, T_C=self.T_C)
+        require_unit_interval(lambda_H=self.lambda_H, lambda_C=self.lambda_C)
+
+    @property
+    def beta_H(self) -> float:
+        return 1.0 / self.T_H
+
+    @property
+    def beta_C(self) -> float:
+        return 1.0 / self.T_C
+
+    def hot_map(self) -> GibbsStochasticMatrix:
+        return build_map(ThermalOpParams(getattr(self, self.GAPS[0]), self.beta_H, self.lambda_H))
+
+    def cold_map(self) -> GibbsStochasticMatrix:
+        return build_map(ThermalOpParams(getattr(self, self.GAPS[-1]), self.beta_C, self.lambda_C))
+
+
 @dataclass(frozen=True)
-class OttoConfig:
+class OttoConfig(EngineConfig):
     """Otto-cycle parameters: gaps, bath temperatures, coupling strengths."""
+
+    GAPS = ("omega_H", "omega_C")
 
     omega_H: float
     omega_C: float
@@ -47,20 +80,6 @@ class OttoConfig:
     T_C: float
     lambda_H: float
     lambda_C: float
-
-    def __post_init__(self):
-        if not (self.omega_H > self.omega_C > 0.0):
-            raise InvalidParameterError(
-                f"need omega_H > omega_C > 0, got ({self.omega_H}, {self.omega_C})"
-            )
-        if not (self.T_H > self.T_C > 0.0):
-            raise InvalidParameterError(
-                f"need T_H > T_C > 0, got ({self.T_H}, {self.T_C})"
-            )
-        for name in ("lambda_H", "lambda_C"):
-            lam = getattr(self, name)
-            if not 0.0 <= lam <= 1.0:
-                raise InvalidParameterError(f"{name} must lie in [0, 1], got {lam}")
 
     @classmethod
     def nonmarkov(cls, omega_H, omega_C, T_H, T_C) -> "OttoConfig":
@@ -80,14 +99,6 @@ class OttoConfig:
         )
 
     @property
-    def beta_H(self) -> float:
-        return 1.0 / self.T_H
-
-    @property
-    def beta_C(self) -> float:
-        return 1.0 / self.T_C
-
-    @property
     def work_quantum(self) -> float:
         """Energy exchanged per counted event, ``omega_H - omega_C``."""
         return self.omega_H - self.omega_C
@@ -100,11 +111,17 @@ class OttoConfig:
     def carnot_efficiency(self) -> float:
         return 1.0 - self.T_C / self.T_H
 
-    def hot_map(self) -> GibbsStochasticMatrix:
-        return build_map(ThermalOpParams(self.omega_H, self.beta_H, self.lambda_H))
-
-    def cold_map(self) -> GibbsStochasticMatrix:
-        return build_map(ThermalOpParams(self.omega_C, self.beta_C, self.lambda_C))
+    def cycle(self) -> Cycle:
+        """Heat at omega_H, quench to omega_C, cool, quench back."""
+        return Cycle(
+            (
+                self.hot_map(),
+                WorkStroke(self.omega_H, self.omega_C),
+                self.cold_map(),
+                WorkStroke(self.omega_C, self.omega_H),
+            ),
+            self.work_quantum,
+        )
 
 
 @dataclass(frozen=True)
@@ -123,20 +140,13 @@ class OttoCycleReport:
 
 def otto_steady_state(cfg: OttoConfig) -> PopulationVector:
     """Cyclostationary populations at point 1 (start of the heat stroke)."""
-    composed = cfg.cold_map().m @ cfg.hot_map().m
-    return stationary_population(composed)
+    return cfg.cycle().steady_state()
 
 
 def otto_cycle_report(cfg: OttoConfig) -> OttoCycleReport:
     """Full steady-cycle report: populations, work, heats, efficiency."""
-    p1 = otto_steady_state(cfg)
-    p2 = apply_map(cfg.hot_map(), p1)
-    p3 = p2  # gap quench leaves populations frozen
-    p4 = p1
-    W = (cfg.omega_H - cfg.omega_C) * (p3.p_e - p1.p_e)
-    Q_H = cfg.omega_H * (p2.p_e - p1.p_e)
-    Q_C = cfg.omega_C * (p4.p_e - p3.p_e)
-    eta = 1.0 - cfg.omega_C / cfg.omega_H
+    points, W, (Q_H, Q_C) = cfg.cycle().run()
+    eta = cfg.efficiency
     if eta >= cfg.carnot_efficiency:
         warnings.warn(
             f"efficiency {eta:.6g} is not below the Carnot value "
@@ -144,7 +154,7 @@ def otto_cycle_report(cfg: OttoConfig) -> OttoCycleReport:
             NotAnEngineWarning,
             stacklevel=2,
         )
-    return OttoCycleReport(p1, p2, p3, p4, W, Q_H, Q_C, eta)
+    return OttoCycleReport(*points, W, Q_H, Q_C, eta)
 
 
 def _nonmarkov_populations(a: float, b: float) -> tuple[float, float]:

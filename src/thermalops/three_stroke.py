@@ -1,11 +1,12 @@
 """Three-stroke engine: heat, coherent population flip, cool, at fixed gap.
 
-The work stroke is an exact population swap (the qubit is flipped), so a
-cycle generates work ``W = omega * (2 p_e2 - 1)``: positive only when the
-heat stroke produces population inversion.  Since Markovian thermal
-operations cannot invert a non-inverted state, the engine runs only in the
-non-Markovian regime.  Sign conventions match the Otto module and the first
-law ``W = Q_H + Q_C`` holds exactly.
+The cycle is the stroke tuple (heat, flip, cool) at one gap ``omega``.  The
+flip swaps the populations, so a cycle generates work
+``W = omega * (2 p_e2 - 1)``: positive only when the heat stroke produces
+population inversion.  Since Markovian thermal operations cannot invert a
+non-inverted state, the engine runs only in the non-Markovian regime.
+Sign conventions match the Otto module and the first law ``W = Q_H + Q_C``
+holds exactly.
 """
 
 from __future__ import annotations
@@ -15,18 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, NotAnEngineWarning, RegimeMismatchError, ZeroHeatError
-from .maps import (
-    GibbsStochasticMatrix,
-    PopulationVector,
-    ThermalOpParams,
-    apply_map,
-    build_map,
-    full_thermalization_lambda,
-    stationary_population,
-)
+from .errors import NotAnEngineWarning, RegimeMismatchError, ZeroHeatError
+from .maps import Cycle, PopulationVector, WorkStroke, full_thermalization_lambda
+from .otto import EngineConfig
 
-SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])  # population map of the flip
 SWAP.setflags(write=False)
 
 _REGIME_TOL = 1e-12
@@ -34,24 +28,14 @@ _HEAT_TOL = 1e-14
 
 
 @dataclass(frozen=True)
-class ThreeStrokeConfig:
+class ThreeStrokeConfig(EngineConfig):
+    GAPS = ("omega",)
+
     omega: float
     T_H: float
     T_C: float
     lambda_H: float
     lambda_C: float
-
-    def __post_init__(self):
-        if self.omega <= 0.0:
-            raise InvalidParameterError(f"omega must be > 0, got {self.omega}")
-        if not (self.T_H > self.T_C > 0.0):
-            raise InvalidParameterError(
-                f"need T_H > T_C > 0, got ({self.T_H}, {self.T_C})"
-            )
-        for name in ("lambda_H", "lambda_C"):
-            lam = getattr(self, name)
-            if not 0.0 <= lam <= 1.0:
-                raise InvalidParameterError(f"{name} must lie in [0, 1], got {lam}")
 
     @classmethod
     def nonmarkov(cls, omega, T_H, T_C) -> "ThreeStrokeConfig":
@@ -68,23 +52,16 @@ class ThreeStrokeConfig:
         )
 
     @property
-    def beta_H(self) -> float:
-        return 1.0 / self.T_H
-
-    @property
-    def beta_C(self) -> float:
-        return 1.0 / self.T_C
-
-    @property
     def work_quantum(self) -> float:
         """Every flip exchanges exactly one quantum ``omega``."""
         return self.omega
 
-    def hot_map(self) -> GibbsStochasticMatrix:
-        return build_map(ThermalOpParams(self.omega, self.beta_H, self.lambda_H))
-
-    def cold_map(self) -> GibbsStochasticMatrix:
-        return build_map(ThermalOpParams(self.omega, self.beta_C, self.lambda_C))
+    def cycle(self) -> Cycle:
+        """Heat, flip, cool."""
+        return Cycle(
+            (self.hot_map(), WorkStroke(self.omega, self.omega, flip=True), self.cold_map()),
+            self.work_quantum,
+        )
 
     def requires_eto(self):
         if abs(self.lambda_H - 1.0) > _REGIME_TOL or abs(self.lambda_C - 1.0) > _REGIME_TOL:
@@ -109,17 +86,11 @@ class ThreeStrokeReport:
 
 def three_stroke_steady_state(cfg: ThreeStrokeConfig) -> PopulationVector:
     """Cyclostationary populations at point 1 (start of the heat stroke)."""
-    composed = cfg.cold_map().m @ SWAP @ cfg.hot_map().m
-    return stationary_population(composed)
+    return cfg.cycle().steady_state()
 
 
 def three_stroke_report(cfg: ThreeStrokeConfig) -> ThreeStrokeReport:
-    p1 = three_stroke_steady_state(cfg)
-    p2 = apply_map(cfg.hot_map(), p1)
-    p3 = PopulationVector(p2.p_e, p2.p_g)  # the flip swaps populations
-    W = cfg.omega * (2.0 * p2.p_e - 1.0)
-    Q_H = cfg.omega * (p2.p_e - p1.p_e)
-    Q_C = cfg.omega * (p1.p_e - p3.p_e)
+    points, W, (Q_H, Q_C) = cfg.cycle().run()
     if abs(Q_H) < _HEAT_TOL * cfg.omega:
         raise ZeroHeatError("Q_H vanishes; efficiency undefined")
     eta = W / Q_H
@@ -130,4 +101,4 @@ def three_stroke_report(cfg: ThreeStrokeConfig) -> ThreeStrokeReport:
             NotAnEngineWarning,
             stacklevel=2,
         )
-    return ThreeStrokeReport(p1, p2, p3, W, Q_H, Q_C, eta)
+    return ThreeStrokeReport(*points, W, Q_H, Q_C, eta)

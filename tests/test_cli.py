@@ -133,6 +133,19 @@ def test_csv_tables_are_pinned(case, capsys):
     assert digest == PINNED_TABLES[case]
 
 
+@pytest.mark.parametrize("horizon", ["single_cycle", "infinite"])
+def test_fig5_vanishing_work_mean_is_a_validation_error(horizon, capsys):
+    # beyond omega_H ~ 40 T_H the work mean underflows to exactly 0, so the
+    # variance-to-mean ratio is undefined
+    argv = ["fig5", "--set", f"horizon={horizon}", "--set", "omega_lo=40", "--set", "omega_hi=41"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("thermalops fig5: ")
+    assert "work mean vanishes" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_default_parameters_pin_the_reference_figures():
     assert cli.COMMANDS["fig1"][0]["omega_over_T1"] == 0.5
     assert cli.COMMANDS["fig4"][0]["eta_C"] == 0.5

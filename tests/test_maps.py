@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,18 +7,25 @@ import pytest
 from thermalops import (
     ConsistencyError,
     DegenerateCycleError,
+    FockTruncation,
     GibbsStochasticMatrix,
     InvalidParameterError,
+    OttoConfig,
     PopulationVector,
+    ScanSpec,
     ThermalOpParams,
+    ThreeStrokeConfig,
     apply_map,
     build_map,
     eto,
     eto_vs_thermalization_scan,
     full_thermalization_lambda,
     is_markovian,
+    otto_steady_state,
     stationary_population,
     thermal_population,
+    tilted_map_otto,
+    work_moments,
 )
 
 LN2 = math.log(2.0)
@@ -170,3 +178,41 @@ def test_scan_rejects_bad_grid():
         eto_vs_thermalization_scan(0.5, [1.0, -2.0])
     with pytest.raises(InvalidParameterError):
         eto_vs_thermalization_scan(-0.5, [1.0])
+
+
+# One valid instance of every config dataclass; each float field in turn is
+# set to NaN, which must fail at construction rather than later.
+VALID_CONFIGS = [
+    ThermalOpParams(1.0, 1.0, 0.5),
+    OttoConfig(1.0, 0.7, 1.0, 0.5, 1.0, 1.0),
+    ThreeStrokeConfig(1.0, 1.0, 0.5, 1.0, 1.0),
+    FockTruncation(n_max=30, omega=1.0, beta=1.0),
+    ScanSpec(0.3, 0.5, 1.0, "nonmarkov"),
+]
+NAN_CASES = [
+    (cfg, f.name)
+    for cfg in VALID_CONFIGS
+    for f in dataclasses.fields(cfg)
+    if f.type == "float"
+]
+
+
+@pytest.mark.parametrize(
+    "cfg,field", NAN_CASES, ids=[f"{type(c).__name__}.{name}" for c, name in NAN_CASES]
+)
+def test_nan_fields_are_rejected_at_construction(cfg, field):
+    with pytest.raises(InvalidParameterError):
+        dataclasses.replace(cfg, **{field: math.nan})
+
+
+def test_bools_are_not_read_as_numbers():
+    cfg = OttoConfig(1.0, 0.7, 1.0, 0.5, 1.0, 1.0)
+    with pytest.raises(InvalidParameterError):
+        dataclasses.replace(cfg, omega_H=True)
+    with pytest.raises(InvalidParameterError):
+        ThermalOpParams(1.0, 1.0, True)
+    with pytest.raises(InvalidParameterError):
+        FockTruncation(n_max=True, omega=1.0, beta=1.0, tail_bound=1.0)
+    tmap = tilted_map_otto(cfg)
+    with pytest.raises(InvalidParameterError):
+        work_moments(tmap, otto_steady_state(cfg), True)
