@@ -1,5 +1,6 @@
 import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from thermalops import (
     work_at,
     work_efficiency_curve,
 )
-from thermalops.optimize import _golden_max, three_stroke_config_at
+from thermalops.cli import COMMANDS, _log_grid
+from thermalops.optimize import _golden_max, otto_config_at, three_stroke_config_at
 from thermalops.three_stroke import three_stroke_report
 
 
@@ -44,6 +46,48 @@ def test_work_at_carnot_point_vanishes():
 def test_work_vanishes_with_the_gap():
     for regime in ("markov", "nonmarkov"):
         assert abs(work_at(0.3, 0.5, 1.0, 1e-6, regime)) < 1e-5
+
+
+def exact_otto_work(cfg, prec: int = 50) -> Decimal:
+    """Otto work of the config's binary64 fields evaluated in decimal at
+    ``prec`` digits: both heat maps, their product ``L_C L_H``, its fixed
+    point ``p1`` and ``W = (omega_H - omega_C) * (p_e2 - p_e1)``."""
+    with localcontext() as ctx:
+        ctx.prec = prec
+        w_H, w_C, T_H, T_C, l_H, l_C = (
+            Decimal(x)
+            for x in (cfg.omega_H, cfg.omega_C, cfg.T_H, cfg.T_C, cfg.lambda_H, cfg.lambda_C)
+        )
+
+        def heat(omega, T, lam):
+            q = (-omega / T).exp()
+            return [[1 - lam * q, lam], [lam * q, 1 - lam]]
+
+        hot, cold = heat(w_H, T_H, l_H), heat(w_C, T_C, l_C)
+        cyc = [[sum(cold[i][k] * hot[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
+        up, down = cyc[1][0], cyc[0][1]
+        p_e1 = up / (up + down)
+        p_e2 = hot[1][0] * (1 - p_e1) + hot[1][1] * p_e1
+        return (w_H - w_C) * (p_e2 - p_e1)
+
+
+def round12(x: Decimal) -> str:
+    """``x`` rounded to 12 significant digits, printed as the CSV prints."""
+    return f"{float(f'{x:.11e}'):.12g}"
+
+
+@pytest.mark.parametrize("regime", ["nonmarkov", "markov"])
+@pytest.mark.parametrize("points", [40, 200])  # the pinned and the default sweep
+def test_work_at_prints_the_exact_rounding_on_the_sweep_grids(regime, points):
+    p = COMMANDS["sweep"][0]
+    wrong = []
+    for w in _log_grid(p["omega_lo"], p["omega_hi"], points):
+        cfg = otto_config_at(p["eta"], p["eta_C"], p["T_H"], w, regime)
+        exact = round12(exact_otto_work(cfg) / Decimal(p["T_H"]))
+        got = f"{work_at(p['eta'], p['eta_C'], p['T_H'], w, regime):.12g}"
+        if got != exact:
+            wrong.append((float(w), got, exact))
+    assert not wrong
 
 
 def test_nonmarkov_beats_markov_pointwise():
