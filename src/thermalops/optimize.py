@@ -30,7 +30,7 @@ from .errors import (
 )
 from .fcs import scaled_cumulants, work_moments
 from .maps import require_descending
-from .otto import MARKOV, NONMARKOV, REGIMES, EngineConfig, OttoConfig, otto_cycle_report
+from .otto import MARKOV, NONMARKOV, REGIMES, EngineConfig, OttoConfig, otto_work
 from .three_stroke import ThreeStrokeConfig, three_stroke_report
 
 THREE_STROKE_ENGINE = "three_stroke"
@@ -102,11 +102,7 @@ def work_at(eta: float, eta_C: float, T_H: float, omega_H: float, regime: str) -
         raise InvalidParameterError(f"need 0 < eta <= eta_C < 1, got {eta}, {eta_C}")
     if omega_H <= 0.0:
         raise InvalidParameterError(f"omega_H must be > 0, got {omega_H}")
-    cfg = otto_config_at(eta, eta_C, T_H, omega_H, regime)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # eta = eta_C probes are intentional
-        report = otto_cycle_report(cfg)
-    return report.W / T_H
+    return otto_work(otto_config_at(eta, eta_C, T_H, omega_H, regime)) / T_H
 
 
 def _golden_max(f, lo: float, hi: float, xtol: float = _XTOL):

@@ -20,7 +20,12 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from .errors import InvalidParameterError, NotAnEngineWarning, RegimeMismatchError
+from .errors import (
+    DegenerateCycleError,
+    InvalidParameterError,
+    NotAnEngineWarning,
+    RegimeMismatchError,
+)
 from .maps import (
     Cycle,
     GibbsStochasticMatrix,
@@ -155,6 +160,44 @@ def otto_cycle_report(cfg: OttoConfig) -> OttoCycleReport:
             stacklevel=2,
         )
     return OttoCycleReport(*points, W, Q_H, Q_C, eta)
+
+
+def otto_work(cfg: OttoConfig) -> float:
+    """Work per steady cycle in closed form, for any couplings.
+
+    With ``q = exp(-beta * omega)`` and ``r = 1 - lam * q`` per bath, the
+    fixed point of ``L_C L_H`` has rates ``up = l_C q_C r_H + (1 - l_C) l_H q_H``
+    and ``down = r_C l_H + l_C (1 - l_H)``; since ``q_H down - up =
+    l_C (q_H - q_C)``,
+
+        W = (omega_H - omega_C) * l_H * l_C * (q_H - q_C) / (up + down).
+
+    No step cancels: ``r`` and ``q_H - q_C`` are formed with ``expm1``, and
+    every other term is a sum of non-negative parts.  Agrees with
+    ``otto_cycle_report(cfg).W``, which differences populations instead.
+    Raises ``DegenerateCycleError`` when ``up + down == 0`` (no coupling on
+    either stroke), where the cycle map is the identity.
+    """
+    if math.isinf(cfg.omega_H):
+        raise InvalidParameterError("the work of an infinite gap is not a number")
+    a = cfg.beta_H * cfg.omega_H
+    b = cfg.beta_C * cfg.omega_C
+    l_H, l_C = cfg.lambda_H, cfg.lambda_C
+    q_H, q_C = math.exp(-a), math.exp(-b)
+    r_H = (1.0 - l_H) - l_H * math.expm1(-a)
+    r_C = (1.0 - l_C) - l_C * math.expm1(-b)
+    rate = l_C * q_C * r_H + (1.0 - l_C) * l_H * q_H + r_C * l_H + l_C * (1.0 - l_H)
+    if rate == 0.0:
+        raise DegenerateCycleError(
+            "cycle map is the identity; fixed point not unique"
+        )
+    # q_H - q_C scaled by the larger of the two; a zero q (beta = inf) makes
+    # a - b undefined but bounds the difference by 0
+    if a <= b:
+        dq = -q_H * math.expm1(a - b) if q_H else 0.0
+    else:
+        dq = q_C * math.expm1(b - a) if q_C else 0.0
+    return cfg.work_quantum * l_H * (l_C * dq / rate)
 
 
 def _nonmarkov_populations(a: float, b: float) -> tuple[float, float]:
