@@ -114,7 +114,7 @@ PINNED_TABLES = {
     ("fig6", "points=24"): "a90ce6b57abc62ccd92bd9bdb5d921299581bcb646ddd41fdc2180b177680c83",
     ("sweep", "points=40"): "84b572a8dcfb5addaa3c22947edb46c40b045c760d81a3ef4a9ff958483e4bd5",
     ("sweep", "regime=markov", "points=40"): (
-        "3ad0a630d1e46ccd976a9744e2d0c4059b6f6e66539fbd4d3e8be71549d34dd6"
+        "e84d725397f30d71a9e77b9bd5fb16a4ea68880b3cb482f703f37dd93d571faf"
     ),
     ("micro-report", "n_max=30", "points=9"): (
         "d86a9d62d299f5cb6178d0399fab208d1f7c9c2f873033190f2fe04722dd7fa7"
