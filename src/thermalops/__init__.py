@@ -51,6 +51,7 @@ from .otto import (
     analytic_populations,
     otto_cycle_report,
     otto_steady_state,
+    otto_work,
 )
 from .three_stroke import (
     ThreeStrokeConfig,

@@ -7,6 +7,10 @@ cyclostationary state solves ``L_C L_H p1 = p1``; populations, work and
 heats follow from the tuple (``maps.Cycle``).  ``EngineConfig`` holds the
 parameters and checks that the Otto and three-stroke configs share.
 
+``otto_work`` gives the steady-cycle work in closed form for any
+couplings; the gap scans use it, and ``otto_cycle_report`` stays the full
+report and the reference it is tested against.
+
 Sign conventions: ``Q_H = omega_H * (p_e2 - p_e1)`` is positive when heat
 flows into the qubit, ``Q_C = omega_C * (p_e4 - p_e3)`` is negative in
 engine operation, and the first law reads ``W = Q_H + Q_C`` exactly.  The
@@ -175,24 +179,23 @@ def otto_work(cfg: OttoConfig) -> float:
     No step cancels: ``r`` and ``q_H - q_C`` are formed with ``expm1``, and
     every other term is a sum of non-negative parts.  Agrees with
     ``otto_cycle_report(cfg).W``, which differences populations instead.
-    Raises ``DegenerateCycleError`` when ``up + down == 0`` (no coupling on
-    either stroke), where the cycle map is the identity.
+    Raises ``DegenerateCycleError`` when ``up + down == 0`` (both couplings
+    0), where the cycle map is the identity, as the stroke path does.
     """
     if math.isinf(cfg.omega_H):
         raise InvalidParameterError("the work of an infinite gap is not a number")
-    a = cfg.beta_H * cfg.omega_H
-    b = cfg.beta_C * cfg.omega_C
+    # beta * omega would round twice, and overflow for a subnormal T
+    a = cfg.omega_H / cfg.T_H
+    b = cfg.omega_C / cfg.T_C
     l_H, l_C = cfg.lambda_H, cfg.lambda_C
     q_H, q_C = math.exp(-a), math.exp(-b)
     r_H = (1.0 - l_H) - l_H * math.expm1(-a)
     r_C = (1.0 - l_C) - l_C * math.expm1(-b)
     rate = l_C * q_C * r_H + (1.0 - l_C) * l_H * q_H + r_C * l_H + l_C * (1.0 - l_H)
     if rate == 0.0:
-        raise DegenerateCycleError(
-            "cycle map is the identity; fixed point not unique"
-        )
-    # q_H - q_C scaled by the larger of the two; a zero q (beta = inf) makes
-    # a - b undefined but bounds the difference by 0
+        raise DegenerateCycleError("cycle map is the identity; fixed point not unique")
+    # q_H - q_C as a multiple of the larger q; when that q underflows to 0,
+    # a - b may be inf - inf, but the difference is 0
     if a <= b:
         dq = -q_H * math.expm1(a - b) if q_H else 0.0
     else:

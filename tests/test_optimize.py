@@ -4,15 +4,21 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from thermalops import (
     BisectionError,
+    DegenerateCycleError,
     InvalidParameterError,
     MultimodalScanWarning,
     NoInteriorMaximumWarning,
+    OttoConfig,
     ScanSpec,
+    full_thermalization_lambda,
     fluctuation_curve,
     maximize_work,
+    otto_work,
     three_stroke_omega_for_eta,
     work_at,
     work_efficiency_curve,
@@ -88,6 +94,116 @@ def test_work_at_prints_the_exact_rounding_on_the_sweep_grids(regime, points):
         if got != exact:
             wrong.append((float(w), got, exact))
     assert not wrong
+
+
+def converged_exact_work(cfg) -> Decimal:
+    """``exact_otto_work`` at a precision that outlasts its cancellation:
+    doubled from 50 digits until two non-zero evaluations agree to 30
+    digits (a zero can be the whole value cancelling).  At the last, 400
+    digits, the error is below ``1e-390 * (omega_H - omega_C)`` either way."""
+    prev = None
+    for prec in (50, 100, 200, 400):
+        try:
+            w = exact_otto_work(cfg, prec)
+        except ArithmeticError:  # both q rounded to 1: the rates are 0 / 0
+            continue
+        if w and prev is not None and abs(w - prev) <= Decimal("1e-30") * abs(w):
+            break
+        prev = w
+    return w
+
+
+def conditioning(cfg) -> float:
+    """Relative condition number of ``q_H - q_C`` under relative errors in
+    ``a = omega_H / T_H`` and ``b = omega_C / T_C``:
+    ``(a q_H + b q_C) / |q_H - q_C|``, which is ``(a + b) / |a - b|`` as
+    ``a -> b``."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a = Decimal(cfg.omega_H) / Decimal(cfg.T_H)
+        b = Decimal(cfg.omega_C) / Decimal(cfg.T_C)
+        q_H, q_C = (-a).exp(), (-b).exp()
+        if q_H == q_C:
+            return math.inf
+        return float((a * q_H + b * q_C) / abs(q_H - q_C))
+
+
+def log_uniform(lo: float, hi: float):
+    return st.floats(lo, hi).map(lambda e: 10.0**e)
+
+
+# fractions in (0, 1): anywhere, far below one, or just below one
+_FRACTION = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    log_uniform(-12.0, 0.0),
+    log_uniform(-16.0, -1.0).map(lambda x: 1.0 - x),
+)
+
+
+def _couplings(omega: float, T: float):
+    markov = full_thermalization_lambda(omega, 1.0 / T)
+    return st.one_of(
+        st.sampled_from([0.0, 1.0, markov, *(math.nextafter(markov, x) for x in (0.0, 1.0))]),
+        st.floats(0.0, 1.0),
+        log_uniform(-320.0, 0.0),
+    )
+
+
+@st.composite
+def otto_configs(draw):
+    """Otto configs over the whole domain: a = omega_H / T_H from 1e-200 to
+    1e5, T_C -> T_H and T_C << T_H, omega_C -> omega_H and omega_C << omega_H
+    (with a > b + 709 on the refrigerator side), couplings at 0, 1, the Markov
+    threshold and down to subnormal."""
+    T_H = draw(log_uniform(-100.0, 100.0))
+    T_C = T_H * draw(_FRACTION)
+    omega_H = T_H * draw(st.one_of(log_uniform(-12.0, 3.0), log_uniform(-200.0, 5.0)))
+    omega_C = omega_H * draw(_FRACTION)
+    lambda_H = draw(_couplings(omega_H, T_H))
+    # a fraction can round T_C or omega_C to 0; OttoConfig then rejects them
+    lambda_C = draw(_couplings(omega_C, T_C)) if T_C > 0.0 and omega_C > 0.0 else 1.0
+    try:
+        return OttoConfig(omega_H, omega_C, T_H, T_C, lambda_H, lambda_C)
+    except InvalidParameterError:  # rounding closed the gap or the temperature ratio
+        return OttoConfig.nonmarkov(1.0, 0.5, 1.0, 0.6)
+
+
+_EPS = 2.0**-52
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(otto_configs())
+@example(OttoConfig(800.0, 1e-3, 1.0, 0.5, 1.0, 1.0))  # a > b + 709
+@example(OttoConfig(1.0, 0.7, 1.0, math.nextafter(1.0, 0.0), 1.0, 0.3))  # T_C -> T_H
+@example(OttoConfig(1e-150, 2e-151, 1.0, 0.5, 1.0, 1.0))  # tiny gaps
+@example(OttoConfig.markov(3.0, 1.0, 2.0, 0.5))  # couplings at the Markov threshold
+@example(OttoConfig(2.0, 1.0, 1.0, 0.6, 1e-12, 1e-300))  # couplings near 0
+def test_otto_work_matches_the_exact_model(cfg):
+    # a and b carry one rounding each, exp and expm1 one more, the sums of
+    # non-negative rates a few: 8 ulp per condition unit.  Below 2**-1000
+    # (times the work quantum) the float result is subnormal or the oracle
+    # stops refining, and only the absolute error counts.
+    if cfg.lambda_H == cfg.lambda_C == 0.0:
+        with pytest.raises(DegenerateCycleError):
+            otto_work(cfg)
+        return
+    got = otto_work(cfg)
+    assert math.isfinite(got)
+    exact = converged_exact_work(cfg)
+    err = abs(Decimal(got) - exact)
+    if err > Decimal((cfg.work_quantum + 1.0) * 2.0**-1000):
+        assert exact and err / abs(exact) <= 8 * _EPS * (1 + conditioning(cfg))
+
+
+@pytest.mark.parametrize("regime", ["nonmarkov", "markov"])
+def test_otto_work_edges(regime):
+    # beta = 1/T overflows to inf for a subnormal T: every q is 0, no NaN
+    assert work_at(0.3, 0.5, 1e-320, 1.0, regime) == 0.0
+    assert math.isfinite(otto_work(OttoConfig(1.0, 0.5, 1e-320, 5e-321, 0.4, 0.9)))
+    with pytest.raises(DegenerateCycleError):
+        otto_work(OttoConfig(1.0, 0.5, 1.0, 0.5, 0.0, 0.0))
+    with pytest.raises(InvalidParameterError):
+        otto_work(OttoConfig(math.inf, 0.5, 1.0, 0.5, 1.0, 1.0))
 
 
 def test_nonmarkov_beats_markov_pointwise():

@@ -14,6 +14,7 @@ from thermalops import (
     apply_map,
     otto_cycle_report,
     otto_steady_state,
+    otto_work,
 )
 
 LN2 = math.log(2.0)
@@ -187,3 +188,19 @@ def test_analytic_populations_regime_mismatch():
         analytic_populations(markov_config(LN2, LN4), "nonmarkov")
     with pytest.raises(InvalidParameterError):
         analytic_populations(cfg, "something")
+
+
+@pytest.mark.parametrize(
+    "cfg, fraction", [(eto_config(LN2, LN4), 2.0 / 7.0), (markov_config(LN2, LN4), 2.0 / 15.0)]
+)
+def test_otto_work_ln2_ln4(cfg, fraction):
+    assert math.isclose(otto_work(cfg), fraction * cfg.work_quantum, rel_tol=1e-15)
+
+
+def test_otto_work_matches_the_stroke_cycle_random():
+    # the stroke path differences O(1) populations: a few ulp of the quantum
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        a, b = rng.uniform(0.05, 5.0), rng.uniform(0.05, 5.0)
+        cfg = config_for(a, b, rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0))
+        assert abs(otto_work(cfg) - quiet_report(cfg).W) <= 4e-16 * cfg.work_quantum
