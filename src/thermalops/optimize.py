@@ -4,9 +4,11 @@ Fixing the efficiency ``eta`` and the Carnot efficiency ``eta_C`` pins
 ``omega_C = (1 - eta) * omega_H`` and ``T_C = (1 - eta_C) * T_H``, leaving
 the single gap ``omega_H`` free; the work-per-cycle (in units of k_B T_H)
 is maximized over it by a log-spaced coarse scan followed by golden-section
-refinement.  The three-stroke engine has no free gap once (eta, eta_C) is
-chosen: its gap is recovered by inverting the monotone efficiency curve on
-the engine branch with bisection.
+refinement.  Each gap is evaluated with the closed-form Otto work
+(``otto.otto_work``), not by running the stroke cycle.  The three-stroke
+engine has no free gap once (eta, eta_C) is chosen: its gap is recovered
+by inverting the monotone efficiency curve on the engine branch with
+bisection.
 
 All scans are deterministic: identical inputs produce bit-identical
 outputs.
@@ -93,7 +95,8 @@ def otto_config_at(
 
 
 def work_at(eta: float, eta_C: float, T_H: float, omega_H: float, regime: str) -> float:
-    """Otto work-per-cycle in units of k_B T_H at the given gap.
+    """Otto work-per-cycle in units of k_B T_H at the given gap, in closed
+    form (``otto.otto_work``).
 
     ``eta = eta_C`` is admitted (it gives W = 0) so that the Carnot
     endpoint can be probed directly.
@@ -185,6 +188,23 @@ def _three_stroke_work(omega: float, beta_H: float, beta_C: float) -> float:
     return omega * (2.0 / (math.exp(beta_H * omega) + math.exp(-beta_C * omega)) - 1.0)
 
 
+def _bisect(below_edge, lo: float, hi: float) -> float:
+    """Midpoint of the final bracket of a bisection on [lo, hi] for the
+    point where ``below_edge`` turns false; stops at the first step that
+    leaves the bracket unchanged (every later step would too), or after 200."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if below_edge(mid):
+            if mid == lo:
+                break
+            lo = mid
+        else:
+            if mid == hi:
+                break
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def three_stroke_omega_for_eta(eta: float, eta_C: float, T_H: float) -> float:
     """Gap at which the three-stroke engine runs at efficiency ``eta``.
 
@@ -205,28 +225,14 @@ def three_stroke_omega_for_eta(eta: float, eta_C: float, T_H: float) -> float:
         hi *= 2.0
         if hi > 1e9 * T_H:
             raise BisectionError("failed to bracket the zero-work gap")
-    lo = 1e-12 * T_H
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _three_stroke_work(mid, beta_H, beta_C) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    omega_max = 0.5 * (lo + hi)
+    omega_max = _bisect(lambda w: _three_stroke_work(w, beta_H, beta_C) > 0.0, 1e-12 * T_H, hi)
 
     probes = np.logspace(math.log10(omega_max) - 6.0, math.log10(omega_max), 32)
     etas = [_three_stroke_eta(w, beta_H, beta_C) for w in probes]
     if any(b > a + 1e-12 for a, b in zip(etas, etas[1:])):
         raise BisectionError("efficiency is not monotone on the engine branch")
 
-    lo, hi = 1e-12 * T_H, omega_max
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _three_stroke_eta(mid, beta_H, beta_C) > eta:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _bisect(lambda w: _three_stroke_eta(w, beta_H, beta_C) > eta, 1e-12 * T_H, omega_max)
 
 
 def three_stroke_config_at(eta: float, eta_C: float, T_H: float) -> ThreeStrokeConfig:
