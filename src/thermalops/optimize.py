@@ -31,7 +31,7 @@ from .errors import (
     ZeroWorkError,
 )
 from .fcs import scaled_cumulants, work_moments
-from .maps import require_descending
+from .maps import require_count, require_descending
 from .otto import MARKOV, NONMARKOV, REGIMES, EngineConfig, OttoConfig, otto_work
 from .three_stroke import ThreeStrokeConfig, three_stroke_report
 
@@ -65,12 +65,13 @@ class ScanSpec:
                 f"need 0 < eta < eta_C < 1, got eta={self.eta}, eta_C={self.eta_C}"
             )
         require_descending(T_H=self.T_H)
-        if not 0.0 < self.omega_lo < self.omega_hi:
-            raise InvalidParameterError("need 0 < omega_lo < omega_hi")
+        if not 0.0 < self.omega_lo < self.omega_hi < math.inf:
+            raise InvalidParameterError(
+                f"need 0 < omega_lo < omega_hi < inf, got ({self.omega_lo}, {self.omega_hi})"
+            )
         if self.regime not in REGIMES:
             raise InvalidParameterError(f"regime must be one of {REGIMES}")
-        if self.grid_size < 3:
-            raise InvalidParameterError("grid_size must be at least 3")
+        require_count(self.grid_size, 3, "grid_size")
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,14 @@ def test_scan_spec_validation():
         ScanSpec(0.3, 0.5, 1.0, "markov", omega_lo=2.0, omega_hi=1.0)
 
 
+@pytest.mark.parametrize("field, value", [("grid_size", 200.0), ("omega_hi", math.inf)])
+def test_scan_spec_rejects_bad_scan_inputs(field, value):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way
+        with pytest.raises(InvalidParameterError):
+            ScanSpec(0.3, 0.5, 1.0, "markov", **{field: value})
+
+
 def test_work_at_carnot_point_vanishes():
     assert abs(work_at(0.5, 0.5, 1.0, 1.3, "markov")) < 1e-14
     assert abs(work_at(0.5, 0.5, 1.0, 1.3, "nonmarkov")) < 1e-14
