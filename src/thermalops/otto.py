@@ -191,7 +191,7 @@ def otto_work(cfg: OttoConfig) -> float:
     q_H, q_C = math.exp(-a), math.exp(-b)
     r_H = (1.0 - l_H) - l_H * math.expm1(-a)
     r_C = (1.0 - l_C) - l_C * math.expm1(-b)
-    rate = l_C * q_C * r_H + (1.0 - l_C) * l_H * q_H + r_C * l_H + l_C * (1.0 - l_H)
+    rate = l_C * q_C * r_H + (1.0 - l_C) * l_H * q_H + r_C * l_H + l_C * (1.0 - l_H)  # up + down
     if rate == 0.0:
         raise DegenerateCycleError("cycle map is the identity; fixed point not unique")
     # q_H - q_C as a multiple of the larger q; when that q underflows to 0,
