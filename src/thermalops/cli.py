@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 validation error, 2 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -43,16 +44,17 @@ ENGINE_CODES = {NONMARKOV: 0, MARKOV: 1, "three_stroke": 2}
 KIND_CODES = {kind: i for i, kind in enumerate(JC_KINDS)}
 
 
-def _log_grid(lo: float, hi: float, points: int) -> np.ndarray:
-    if not 0.0 < lo < hi:
-        raise ThermalOpsError(f"need 0 < lo < hi, got ({lo}, {hi})")
-    if points < 2:
-        raise ThermalOpsError(f"need at least 2 grid points, got {points}")
-    return np.logspace(math.log10(lo), math.log10(hi), points)
+def _log_grid(p, lo: str, hi: str) -> np.ndarray:
+    """``p["points"]`` log-spaced values from ``p[lo]`` to ``p[hi]``."""
+    if not 0.0 < p[lo] < p[hi] < math.inf:
+        raise ThermalOpsError(f"need 0 < {lo} < {hi} < inf, got {lo}={p[lo]}, {hi}={p[hi]}")
+    if p["points"] < 2:
+        raise ThermalOpsError(f"need at least 2 grid points, got {p['points']}")
+    return np.logspace(math.log10(p[lo]), math.log10(p[hi]), p["points"])
 
 
 def _run_fig1(p):
-    grid = _log_grid(p["t2_min"], p["t2_max"], p["points"])
+    grid = _log_grid(p, "t2_min", "t2_max")
     rows = eto_vs_thermalization_scan(p["omega_over_T1"], grid)
     return ["t2_over_t1", "p_e_eto", "p_e_thermalization"], rows.tolist()
 
@@ -73,7 +75,7 @@ def _run_fig4(p):
 def _run_fig5(p):
     if p["horizon"] not in HORIZONS:
         raise ThermalOpsError(f"horizon must be one of {HORIZONS}, got {p['horizon']!r}")
-    grid = _log_grid(p["omega_lo"], p["omega_hi"], p["points"])
+    grid = _log_grid(p, "omega_lo", "omega_hi")
     data = fluctuation_curve(p["eta"], p["eta_C"], p["T_H"], p["horizon"], grid)
     rows = []
     for engine in (NONMARKOV, MARKOV):
@@ -83,7 +85,7 @@ def _run_fig5(p):
 
 
 def _run_fig6(p):
-    grid = _log_grid(p["omega_lo"], p["omega_hi"], p["points"])
+    grid = _log_grid(p, "omega_lo", "omega_hi")
     engines = [
         (NONMARKOV, otto_config_at(p["eta"], p["eta_C"], p["T_H"], w, NONMARKOV)) for w in grid
     ]
@@ -100,7 +102,7 @@ def _run_fig6(p):
 def _run_sweep(p):
     if p["regime"] not in REGIMES:
         raise ThermalOpsError(f"regime must be one of {REGIMES}, got {p['regime']!r}")
-    grid = _log_grid(p["omega_lo"], p["omega_hi"], p["points"])
+    grid = _log_grid(p, "omega_lo", "omega_hi")
     rows = [
         [w, work_at(p["eta"], p["eta_C"], p["T_H"], w, p["regime"])] for w in grid
     ]
@@ -108,6 +110,10 @@ def _run_sweep(p):
 
 
 def _run_micro_report(p):
+    if not (0.0 < p["J"] < math.inf and 0.0 <= p["jt_max"] < math.inf):
+        raise ThermalOpsError(
+            f"need 0 < J < inf and 0 <= jt_max < inf, got J={p['J']}, jt_max={p['jt_max']}"
+        )
     tr = FockTruncation(
         n_max=p["n_max"], omega=1.0, beta=p["beta_omega"], tail_bound=p["tail_bound"]
     )
@@ -262,6 +268,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="thermalops",

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from thermalops import cli
 from thermalops.fcs import pcc_three_stroke_exact
 from thermalops.optimize import three_stroke_config_at
-from thermalops.verify import suite_gibbs_fixed_point
+from thermalops.verify import closed_form_vs_dense, suite_gibbs_fixed_point
 
 
 def run(tmp_path, *argv):
@@ -144,6 +145,52 @@ def test_fig5_vanishing_work_mean_is_a_validation_error(horizon, capsys):
     assert captured.err.startswith("thermalops fig5: ")
     assert "work mean vanishes" in captured.err
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command, key, other", [("sweep", "omega_hi", "omega_lo"), ("fig1", "t2_max", "t2_min")]
+)
+def test_infinite_grid_bound_is_a_validation_error(command, key, other, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([command, "--set", f"{key}=inf"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"thermalops {command}: need 0 < {other} < {key} < inf")
+    assert f"{key}=inf" in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("setting", ["J=0", "J=-1", "J=inf", "jt_max=inf", "jt_max=nan"])
+def test_micro_report_rejects_bad_coupling_and_horizon(setting, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["micro-report", "--set", setting]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("thermalops micro-report: need 0 < J < inf and 0 <= jt_max")
+    assert captured.err.count("\n") == 1
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_micro_report_reaches_hot_baths(capsys):
+    # n_max = 2400 is far beyond what a dense 4802-dimensional evolution allows
+    argv = ["micro-report", "--set", "beta_omega=0.01", "--set", "n_max=2400"]
+    assert cli.main(argv + ["--set", "points=17"]) == 0
+    _, rows = parse_csv(capsys.readouterr().out)
+    assert rows.shape == (34, 3)
+    assert ((rows[:, 2] >= 0.0) & (rows[:, 2] <= 1.0 + 1e-12)).all()
+    half_rabi = (rows[:, 0] == 0) & np.isclose(rows[:, 1], 1.6)
+    assert rows[half_rabi, 2] < 0.01  # J t = 1.6 is 0.03 past the exact swap
+
+
+def test_verify_closed_form_against_dense():
+    record = closed_form_vs_dense()
+    assert (record.suite, record.check) == ("microscopic-eto", "closed-form-vs-dense")
+    assert record.passed and record.bound == 1e-14
 
 
 def test_default_parameters_pin_the_reference_figures():

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from thermalops import (
     ConsistencyError,
@@ -19,6 +21,7 @@ from thermalops import (
     jc_unitary,
     swap_unitary,
 )
+from thermalops.microscopic import INTENSITY_DEPENDENT, JC_KINDS, STANDARD
 
 LN2 = math.log(2.0)
 
@@ -161,6 +164,18 @@ def test_jc_validation():
         jc_unitary(1.0, 0.1, tr, "dispersive")
     with pytest.raises(InvalidParameterError):
         induced_population_map(np.eye(3), tr)
+    bad = [
+        (1.0, -0.1, "standard"),
+        (1.0, 0.1, "dispersive"),
+        (1.0, math.inf, "standard"),
+        (1.0, math.nan, "intensity_dependent"),
+        (math.inf, 0.0, "standard"),
+        (math.nan, 0.1, "intensity_dependent"),
+    ]
+    for J, t, kind in bad:
+        for fn in (jc_evolution_map, jc_unitary):
+            with pytest.raises(InvalidParameterError):
+                fn(J, t, tr, kind)
 
 
 def test_joint_state_validation():
@@ -188,3 +203,40 @@ def test_report_table_shape_and_endpoints():
     assert report["intensity_dependent"][idx, 1] < 1e-8
     with pytest.raises(InvalidParameterError):
         eto_approximation_report(1.0, tr, [])
+
+
+# J t at rest, at half Rabi (where the intensity-dependent map is the ETO),
+# and generic angles where every standard-coupling sector sits elsewhere.
+_JT = st.one_of(st.sampled_from([0.0, math.pi / 2.0]), st.floats(0.0, 50.0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(JC_KINDS),
+    n_max=st.integers(0, 120),
+    beta_omega=st.floats(0.05, 20.0),
+    J=st.floats(0.1, 3.0),
+    jt=_JT,
+)
+@example(kind=STANDARD, n_max=0, beta_omega=1.0, J=1.0, jt=1.2)  # no sector at all
+@example(kind=STANDARD, n_max=7, beta_omega=0.05, J=1.0, jt=1.2)  # boundary weight ~ 1/8
+@example(kind=INTENSITY_DEPENDENT, n_max=120, beta_omega=0.05, J=1.0, jt=math.pi / 2.0)
+def test_closed_form_map_matches_dense_dilation(kind, n_max, beta_omega, J, jt):
+    tr = loose(n_max, beta_omega)
+    t = jt / J
+    closed = jc_evolution_map(J, t, tr, kind)
+    dense = induced_population_map(jc_unitary(J, t, tr, kind), tr)
+    assert np.abs(closed.m - dense.m).max() <= 1e-15
+    assert abs(closed.column_defect - dense.column_defect) <= 1e-15
+    assert closed.column_defect <= 1e-12
+
+
+def test_hot_bath_beyond_the_dense_range():
+    # n_max = 5000 would need a 10002 x 10002 complex evolution per column
+    tr = FockTruncation(5000, 1.0, 0.005)
+    half_rabi = jc_evolution_map(1.0, math.pi / 2.0, tr, INTENSITY_DEPENDENT)
+    assert eto_deviation(half_rabi, tr) < 1e-8
+    for kind in JC_KINDS:
+        induced = jc_evolution_map(1.0, 1.2, tr, kind)
+        assert induced.column_defect < 1e-12
+        assert (induced.m >= 0.0).all()

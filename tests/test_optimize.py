@@ -95,7 +95,7 @@ def round12(x: Decimal) -> str:
 def test_work_at_prints_the_exact_rounding_on_the_sweep_grids(regime, points):
     p = COMMANDS["sweep"][0]
     wrong = []
-    for w in _log_grid(p["omega_lo"], p["omega_hi"], points):
+    for w in _log_grid({**p, "points": points}, "omega_lo", "omega_hi"):
         cfg = otto_config_at(p["eta"], p["eta_C"], p["T_H"], w, regime)
         exact = round12(exact_otto_work(cfg) / Decimal(p["T_H"]))
         got = f"{work_at(p['eta'], p['eta_C'], p['T_H'], w, regime):.12g}"
