@@ -123,15 +123,60 @@ PINNED_TABLES = {
 }
 
 
-@pytest.mark.parametrize("case", list(PINNED_TABLES), ids=lambda c: "-".join(c))
-def test_csv_tables_are_pinned(case, capsys):
+# sha256 of the JSON stdout at reduced sizes.  JSON carries full binary64
+# values, so these also catch ulp-level drift that the 12-digit CSV rounds
+# away.
+PINNED_JSON = {
+    ("fig4", "points=3"): "3c6c08d773e70cc28f20b74cc23961b92019e1ef195971f91d2b8ecde58a48d4",
+    ("fig5", "points=24"): "ae58e08086dbef14b1a0251ee3678c8bef5c7997d1795de13818cf38f3d87156",
+    ("fig5", "horizon=single_cycle", "points=24"): (
+        "7be67f6a1b5598a236dbca5a6925a0dd2ebc47aa4c01904379719c3e7cf53ec2"
+    ),
+    ("fig6", "points=24"): "71b55395946177a6727298d98a49145a5602e7de871d7a582b3b6eac7ae98a6a",
+    ("sweep", "points=40"): "a54c15f4af00823b784cd2288137fdeeeacf590fadc4de707a858728482a2849",
+    ("sweep", "regime=markov", "points=40"): (
+        "b778a24e6a11df088fb00d95cc9304387e1fb818fba4894d68ada58320d5b8ff"
+    ),
+}
+
+# sha256 of the verify stdout per (suite, format): the observed values are
+# printed to 6 digits in text and in full in JSON.
+PINNED_VERIFY = {
+    ("all", "text"): "240e58cc4a5444c9dfd50597c4482b867309e7495981c978ee823361f7e17f22",
+    ("all", "json"): "b4a7efb706e940233a5f5c0b88eb1ff1f6358ccde8dae55e24e134db22d301b1",
+    ("first-law", "text"): "fc7d5b021ed3c6c7dd6642a3be039dc2e5d3603a5b813868faca9d8c411801b2",
+    ("first-law", "json"): "4746fc206b1659559ffa6c8721c7c41ce6bb22ea9e3bedc12e267db1d892bad2",
+}
+
+
+def stdout_digest(argv, capsys) -> str:
+    assert cli.main(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+def table_argv(case, fmt):
     command, *overrides = case
-    argv = [command]
+    argv = [command, "--format", fmt]
     for pair in overrides:
         argv += ["--set", pair]
-    assert cli.main(argv) == 0
-    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == PINNED_TABLES[case]
+    return argv
+
+
+@pytest.mark.parametrize("case", list(PINNED_TABLES), ids=lambda c: "-".join(c))
+def test_csv_tables_are_pinned(case, capsys):
+    assert stdout_digest(table_argv(case, "csv"), capsys) == PINNED_TABLES[case]
+
+
+@pytest.mark.parametrize("case", list(PINNED_JSON), ids=lambda c: "-".join(c))
+def test_json_tables_are_pinned(case, capsys):
+    assert stdout_digest(table_argv(case, "json"), capsys) == PINNED_JSON[case]
+
+
+@pytest.mark.parametrize("case", list(PINNED_VERIFY), ids=lambda c: "-".join(c))
+def test_verify_output_is_pinned(case, capsys):
+    suite, fmt = case
+    argv = ["verify", "--suite", suite, "--format", fmt]
+    assert stdout_digest(argv, capsys) == PINNED_VERIFY[case]
 
 
 @pytest.mark.parametrize("horizon", ["single_cycle", "infinite"])
