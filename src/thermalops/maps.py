@@ -24,6 +24,11 @@ the levels at frozen populations while the gap changes.  The cycle map,
 its steady state, the populations at the stroke boundaries, the work and
 the heats all follow from that tuple.
 
+Every value is checked once, where it enters: a ``GibbsStochasticMatrix``
+built from a user's matrix gets the full numpy check, while ``build_map``
+forms and checks its four entries as floats, with the same tolerances, and
+wraps them without checking again.
+
 All types are immutable after construction and all operations are pure
 functions; everything is safe for concurrent read-only use.
 """
@@ -142,6 +147,13 @@ class GibbsStochasticMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "m", arr)
 
+    @classmethod
+    def _trusted(cls, m: np.ndarray, omega: float, beta: float) -> "GibbsStochasticMatrix":
+        """Wrap a read-only matrix whose checks the caller has already made."""
+        self = object.__new__(cls)
+        self.__dict__.update(m=m, omega=omega, beta=beta)
+        return self
+
     def as_array(self) -> np.ndarray:
         return np.array(self.m)
 
@@ -169,29 +181,57 @@ def require_count(n, minimum: int, name: str) -> int:
     return int(n)
 
 
-def thermal_population(omega: float, beta: float) -> PopulationVector:
-    """Gibbs populations of a qubit with gap ``omega`` at inverse
-    temperature ``beta``."""
+def _boltzmann_factor(omega: float, beta: float) -> float:
+    """``exp(-beta * omega)``, for ``omega, beta > 0``."""
     if not (omega > 0.0 and beta > 0.0):
         raise InvalidParameterError(
             f"omega and beta must be > 0, got omega={omega}, beta={beta}"
         )
-    q = math.exp(-beta * omega)
+    return math.exp(-beta * omega)
+
+
+def thermal_population(omega: float, beta: float) -> PopulationVector:
+    """Gibbs populations of a qubit with gap ``omega`` at inverse
+    temperature ``beta``."""
+    q = _boltzmann_factor(omega, beta)
     return PopulationVector(1.0 / (1.0 + q), q / (1.0 + q))
 
 
 def full_thermalization_lambda(omega: float, beta: float) -> float:
     """Interaction strength at which the operation fully thermalizes the
-    qubit; also the Markovianity threshold."""
-    return thermal_population(omega, beta).p_g
+    qubit; also the Markovianity threshold.  Equals the Gibbs ground-state
+    population ``thermal_population(omega, beta).p_g``."""
+    return 1.0 / (1.0 + _boltzmann_factor(omega, beta))
 
 
 def build_map(params: ThermalOpParams) -> GibbsStochasticMatrix:
-    """Population map of the thermal operation with the given parameters."""
-    q = math.exp(-params.beta * params.omega)
-    lam = params.lam
-    m = (1.0 - lam) * np.eye(2) + lam * np.array([[1.0 - q, 1.0], [q, 0.0]])
-    return GibbsStochasticMatrix(m, params.omega, params.beta)
+    """Population map of the thermal operation with the given parameters.
+
+    The entries of ``(1 - lam) * I + lam * [[1 - q, 1], [q, 0]]`` are formed
+    as floats in that operation order (``(1 - lam) * 1 == 1 - lam`` and
+    ``(1 - lam) * 0 == 0`` exactly, since ``0 <= 1 - lam``), so they are
+    bitwise the entries of the numpy expression, signed zeros included.
+    They then pass the checks of ``GibbsStochasticMatrix``, on floats.
+    """
+    omega, beta, lam = params.omega, params.beta, params.lam
+    q = math.exp(-beta * omega)
+    keep = 1.0 - lam
+    entries = (keep + lam * (1.0 - q), 0.0 + lam, 0.0 + lam * q, keep + lam * 0.0)
+    if min(entries) < -STOCHASTIC_TOL or max(entries) > 1.0 + STOCHASTIC_TOL:
+        raise InvalidParameterError("matrix entries must lie in [0, 1]")
+    m00, m01, m10, m11 = (min(max(x, 0.0), 1.0) for x in entries)
+    cols = (m00 + m10, m01 + m11)
+    if abs(cols[0] - 1.0) > STOCHASTIC_TOL or abs(cols[1] - 1.0) > STOCHASTIC_TOL:
+        raise InvalidParameterError(f"columns must sum to 1 within {STOCHASTIC_TOL}, got {cols}")
+    g_g, g_e = 1.0 / (1.0 + q), q / (1.0 + q)
+    residual = max(abs(m00 * g_g + m01 * g_e - g_g), abs(m10 * g_g + m11 * g_e - g_e))
+    if residual > STOCHASTIC_TOL:
+        raise InvalidParameterError(
+            f"Gibbs populations are not a fixed point (residual {residual:.3e})"
+        )
+    m = np.array([[m00, m01], [m10, m11]])
+    m.setflags(write=False)
+    return GibbsStochasticMatrix._trusted(m, omega, beta)
 
 
 def eto(omega: float, beta: float) -> GibbsStochasticMatrix:
@@ -218,13 +258,16 @@ def stationary_population(m: np.ndarray) -> PopulationVector:
     when the matrix is numerically the identity and the fixed point is not
     unique.
     """
-    arr = np.asarray(m, dtype=float)
-    if np.abs(arr - np.eye(2)).max() < DEGENERACY_TOL:
+    (stay_g, down), (up, stay_e) = np.asarray(m, dtype=float).tolist()
+    if (
+        abs(stay_g - 1.0) < DEGENERACY_TOL
+        and abs(down) < DEGENERACY_TOL
+        and abs(up) < DEGENERACY_TOL
+        and abs(stay_e - 1.0) < DEGENERACY_TOL
+    ):
         raise DegenerateCycleError(
             "cycle map is the identity within tolerance; fixed point not unique"
         )
-    up = arr[1, 0]
-    down = arr[0, 1]
     return PopulationVector.from_raw([down / (up + down), up / (up + down)])
 
 

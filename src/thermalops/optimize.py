@@ -31,8 +31,8 @@ from .errors import (
     ZeroWorkError,
 )
 from .fcs import scaled_cumulants, work_moments
-from .maps import require_count, require_descending
-from .otto import MARKOV, NONMARKOV, REGIMES, EngineConfig, OttoConfig, otto_work
+from .maps import full_thermalization_lambda, require_count, require_descending
+from .otto import MARKOV, NONMARKOV, REGIMES, EngineConfig, OttoConfig, _otto_work
 from .three_stroke import ThreeStrokeConfig, three_stroke_report
 
 THREE_STROKE_ENGINE = "three_stroke"
@@ -99,14 +99,26 @@ def work_at(eta: float, eta_C: float, T_H: float, omega_H: float, regime: str) -
     """Otto work-per-cycle in units of k_B T_H at the given gap, in closed
     form (``otto.otto_work``).
 
-    ``eta = eta_C`` is admitted (it gives W = 0) so that the Carnot
-    endpoint can be probed directly.
+    Makes the checks of ``otto_config_at`` on the scalars, without building
+    the config, and evaluates the same work.  ``eta = eta_C`` is admitted
+    (it gives W = 0) so that the Carnot endpoint can be probed directly.
     """
     if not 0.0 < eta <= eta_C < 1.0:
         raise InvalidParameterError(f"need 0 < eta <= eta_C < 1, got {eta}, {eta_C}")
     if omega_H <= 0.0:
         raise InvalidParameterError(f"omega_H must be > 0, got {omega_H}")
-    return otto_work(otto_config_at(eta, eta_C, T_H, omega_H, regime)) / T_H
+    if regime not in REGIMES:
+        raise InvalidParameterError(f"regime must be one of {REGIMES}, got {regime!r}")
+    omega_C = (1.0 - eta) * omega_H
+    T_C = (1.0 - eta_C) * T_H
+    require_descending(omega_H=omega_H, omega_C=omega_C)
+    require_descending(T_H=T_H, T_C=T_C)
+    if regime == NONMARKOV:
+        l_H = l_C = 1.0
+    else:
+        l_H = full_thermalization_lambda(omega_H, 1.0 / T_H)
+        l_C = full_thermalization_lambda(omega_C, 1.0 / T_C)
+    return _otto_work(omega_H, omega_C, T_H, T_C, l_H, l_C) / T_H
 
 
 def _golden_max(f, lo: float, hi: float, xtol: float = _XTOL):
@@ -140,7 +152,8 @@ def maximize_work(spec: ScanSpec) -> OptimumRecord:
     record is marked unconverged; if a second local maximum ties the best
     one within ``1e-6`` it is refined as well and the larger value wins.
     """
-    grid = np.logspace(math.log10(spec.omega_lo), math.log10(spec.omega_hi), spec.grid_size)
+    # Python floats: the same binary64 values, cheaper scalar arithmetic
+    grid = np.logspace(math.log10(spec.omega_lo), math.log10(spec.omega_hi), spec.grid_size).tolist()
     values = np.array(
         [work_at(spec.eta, spec.eta_C, spec.T_H, w, spec.regime) for w in grid]
     )

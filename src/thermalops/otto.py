@@ -182,12 +182,19 @@ def otto_work(cfg: OttoConfig) -> float:
     Raises ``DegenerateCycleError`` when ``up + down == 0`` (both couplings
     0), where the cycle map is the identity, as the stroke path does.
     """
-    if math.isinf(cfg.omega_H):
+    return _otto_work(cfg.omega_H, cfg.omega_C, cfg.T_H, cfg.T_C, cfg.lambda_H, cfg.lambda_C)
+
+
+def _otto_work(
+    omega_H: float, omega_C: float, T_H: float, T_C: float, l_H: float, l_C: float
+) -> float:
+    """``otto_work`` on the fields of an ``OttoConfig`` that the caller has
+    already checked."""
+    if math.isinf(omega_H):
         raise InvalidParameterError("the work of an infinite gap is not a number")
     # beta * omega would round twice, and overflow for a subnormal T
-    a = cfg.omega_H / cfg.T_H
-    b = cfg.omega_C / cfg.T_C
-    l_H, l_C = cfg.lambda_H, cfg.lambda_C
+    a = omega_H / T_H
+    b = omega_C / T_C
     q_H, q_C = math.exp(-a), math.exp(-b)
     r_H = (1.0 - l_H) - l_H * math.expm1(-a)
     r_C = (1.0 - l_C) - l_C * math.expm1(-b)
@@ -200,7 +207,7 @@ def otto_work(cfg: OttoConfig) -> float:
         dq = -q_H * math.expm1(a - b) if q_H else 0.0
     else:
         dq = q_C * math.expm1(b - a) if q_C else 0.0
-    return cfg.work_quantum * l_H * (l_C * dq / rate)
+    return (omega_H - omega_C) * l_H * (l_C * dq / rate)
 
 
 def _nonmarkov_populations(a: float, b: float) -> tuple[float, float]:
