@@ -44,13 +44,18 @@ ENGINE_CODES = {NONMARKOV: 0, MARKOV: 1, "three_stroke": 2}
 KIND_CODES = {kind: i for i, kind in enumerate(JC_KINDS)}
 
 
+def _points(p, minimum: int) -> int:
+    """``p["points"]``, required to be at least ``minimum``."""
+    if p["points"] < minimum:
+        raise ThermalOpsError(f"need points >= {minimum}, got points={p['points']}")
+    return p["points"]
+
+
 def _log_grid(p, lo: str, hi: str) -> np.ndarray:
     """``p["points"]`` log-spaced values from ``p[lo]`` to ``p[hi]``."""
     if not 0.0 < p[lo] < p[hi] < math.inf:
         raise ThermalOpsError(f"need 0 < {lo} < {hi} < inf, got {lo}={p[lo]}, {hi}={p[hi]}")
-    if p["points"] < 2:
-        raise ThermalOpsError(f"need at least 2 grid points, got {p['points']}")
-    return np.logspace(math.log10(p[lo]), math.log10(p[hi]), p["points"])
+    return np.logspace(math.log10(p[lo]), math.log10(p[hi]), _points(p, 2))
 
 
 def _run_fig1(p):
@@ -60,7 +65,7 @@ def _run_fig1(p):
 
 
 def _run_fig4(p):
-    etas = np.linspace(p["eta_min"], p["eta_max"], p["points"])
+    etas = np.linspace(p["eta_min"], p["eta_max"], _points(p, 1))
     curves = {
         engine: work_efficiency_curve(p["eta_C"], p["T_H"], engine, etas)
         for engine in ENGINES
@@ -117,7 +122,7 @@ def _run_micro_report(p):
     tr = FockTruncation(
         n_max=p["n_max"], omega=1.0, beta=p["beta_omega"], tail_bound=p["tail_bound"]
     )
-    times = np.linspace(0.0, p["jt_max"] / p["J"], p["points"])
+    times = np.linspace(0.0, p["jt_max"] / p["J"], _points(p, 1))
     report = eto_approximation_report(p["J"], tr, times)
     rows = []
     for kind in JC_KINDS:

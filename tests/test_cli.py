@@ -217,6 +217,25 @@ def test_micro_report_rejects_bad_coupling_and_horizon(setting, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "command, points, minimum",
+    [
+        ("fig4", -1, 1),
+        ("fig4", 0, 1),
+        ("micro-report", -1, 1),
+        ("micro-report", 0, 1),
+        ("sweep", 1, 2),
+    ],
+)
+def test_too_few_points_is_a_validation_error(command, points, minimum, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main([command, "--set", f"points={points}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"thermalops {command}: need points >= {minimum}, got points={points}\n"
+
+
 def test_parser_is_built_once():
     assert cli._build_parser() is cli._build_parser()
 
