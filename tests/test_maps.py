@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from thermalops import (
     ConsistencyError,
@@ -143,6 +145,50 @@ def test_population_vector_validation():
     assert math.isclose(fixed.p_g + fixed.p_e, 1.0, abs_tol=1e-12)
     with pytest.raises(ConsistencyError):
         PopulationVector.from_raw([0.5 + 1e-8, 0.5 + 1e-8])
+
+
+def numpy_map(omega: float, beta: float, lam: float) -> np.ndarray:
+    """The family as one numpy expression, clipped into [0, 1] as the full
+    ``GibbsStochasticMatrix`` check stores it."""
+    q = math.exp(-beta * omega)
+    m = (1.0 - lam) * np.eye(2) + lam * np.array([[1.0 - q, 1.0], [q, 0.0]])
+    return np.clip(m, 0.0, 1.0)
+
+
+@st.composite
+def map_params(draw):
+    """beta * omega from 1e-300 to 1e4 (q underflows to 0 beyond ~745),
+    split between omega and beta; lam anywhere, at 0, -0.0 and 1, and at
+    the Markov threshold and one ulp either side."""
+    log_x = draw(st.floats(-300.0, 4.0))
+    share = draw(st.floats(0.0, 1.0))
+    omega, beta = 10.0 ** (share * log_x), 10.0 ** ((1.0 - share) * log_x)
+    threshold = full_thermalization_lambda(omega, beta)
+    lam = draw(
+        st.one_of(
+            st.sampled_from(
+                [0.0, -0.0, 1.0, threshold, *(math.nextafter(threshold, x) for x in (0.0, 1.0))]
+            ),
+            st.floats(0.0, 1.0),
+        )
+    )
+    return omega, beta, lam
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(map_params())
+@example((1.0, 1e4, 1.0))  # q underflows to 0
+@example((1.0, 1e-300, -0.0))
+@example((1.0, LN2, 2.0 / 3.0))
+def test_build_map_is_the_checked_numpy_map(params):
+    omega, beta, lam = params
+    m = build_map(ThermalOpParams(omega, beta, lam))
+    expected = numpy_map(omega, beta, lam)
+    assert m.m.tobytes() == expected.tobytes()  # bitwise, signed zeros included
+    assert not m.m.flags.writeable
+    assert (m.omega, m.beta) == (omega, beta)
+    np.testing.assert_array_equal(GibbsStochasticMatrix(m.m, omega, beta).m, m.m)
+    assert full_thermalization_lambda(omega, beta) == thermal_population(omega, beta).p_g
 
 
 def test_gibbs_stochastic_matrix_rejects_non_gibbs():

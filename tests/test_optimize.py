@@ -214,6 +214,34 @@ def test_otto_work_edges():
         otto_work(OttoConfig(math.inf, 0.5, 1.0, 0.5, 1.0, 1.0))
 
 
+@pytest.mark.parametrize("regime", ["nonmarkov", "markov"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        (0.3, 0.5, math.nan, 1.0),
+        (0.3, 0.5, 0.0, 1.0),
+        (0.3, 0.5, math.inf, 1.0),
+        (0.3, 0.5, True, 1.0),
+        (0.3, 0.5, 1.0, math.nan),
+        (0.3, 0.5, 1.0, True),
+        (0.6, 0.7, 1.0, 5e-324),  # omega_C = 0.4 * omega_H underflows to 0
+        (0.6, 0.5, 1.0, 1.0),  # eta > eta_C
+    ],
+    ids=["T_H-nan", "T_H-0", "T_H-inf", "T_H-bool", "omega_H-nan", "omega_H-bool",
+         "omega_C-underflow", "eta-above-carnot"],
+)
+def test_work_at_rejects_bad_scalars(args, regime):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError):
+            work_at(*args, regime)
+
+
+def test_work_at_rejects_an_unknown_regime():
+    with pytest.raises(InvalidParameterError):
+        work_at(0.3, 0.5, 1.0, 1.0, "diesel")
+
+
 def test_nonmarkov_beats_markov_pointwise():
     for omega_H in np.logspace(-2, 1, 25):
         assert work_at(0.3, 0.5, 1.0, omega_H, "nonmarkov") > work_at(
