@@ -217,9 +217,12 @@ def build_map(params: ThermalOpParams) -> GibbsStochasticMatrix:
     q = math.exp(-beta * omega)
     keep = 1.0 - lam
     entries = (keep + lam * (1.0 - q), 0.0 + lam, 0.0 + lam * q, keep + lam * 0.0)
-    if min(entries) < -STOCHASTIC_TOL or max(entries) > 1.0 + STOCHASTIC_TOL:
+    lo, hi = min(entries), max(entries)
+    if lo < -STOCHASTIC_TOL or hi > 1.0 + STOCHASTIC_TOL:
         raise InvalidParameterError("matrix entries must lie in [0, 1]")
-    m00, m01, m10, m11 = (min(max(x, 0.0), 1.0) for x in entries)
+    if lo < 0.0 or hi > 1.0:
+        entries = tuple(min(max(x, 0.0), 1.0) for x in entries)
+    m00, m01, m10, m11 = entries
     cols = (m00 + m10, m01 + m11)
     if abs(cols[0] - 1.0) > STOCHASTIC_TOL or abs(cols[1] - 1.0) > STOCHASTIC_TOL:
         raise InvalidParameterError(f"columns must sum to 1 within {STOCHASTIC_TOL}, got {cols}")

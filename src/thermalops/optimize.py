@@ -5,10 +5,11 @@ Fixing the efficiency ``eta`` and the Carnot efficiency ``eta_C`` pins
 the single gap ``omega_H`` free; the work-per-cycle (in units of k_B T_H)
 is maximized over it by a log-spaced coarse scan followed by golden-section
 refinement.  Each gap is evaluated with the closed-form Otto work
-(``otto.otto_work``), not by running the stroke cycle.  The three-stroke
-engine has no free gap once (eta, eta_C) is chosen: its gap is recovered
-by inverting the monotone efficiency curve on the engine branch with
-bisection.
+(``otto.otto_work``), not by running the stroke cycle: ``work_at`` checks
+its scalars once and computes on Python floats, without building an
+``OttoConfig``.  The three-stroke engine has no free gap once (eta, eta_C)
+is chosen: its gap is recovered by inverting the monotone efficiency curve
+on the engine branch with bisection.
 
 All scans are deterministic: identical inputs produce bit-identical
 outputs.
