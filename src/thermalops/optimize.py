@@ -83,17 +83,35 @@ class OptimumRecord:
     evaluations: int
 
 
+def _otto_fields(
+    eta: float, eta_C: float, T_H: float, omega_H: float, regime: str
+) -> tuple[float, float, float, float, float, float]:
+    """Checked ``OttoConfig`` fields with (eta, eta_C) pinned."""
+    if regime not in REGIMES:
+        raise InvalidParameterError(f"regime must be one of {REGIMES}, got {regime!r}")
+    omega_C = (1.0 - eta) * omega_H
+    T_C = (1.0 - eta_C) * T_H
+    require_descending(omega_H=omega_H, omega_C=omega_C)
+    require_descending(T_H=T_H, T_C=T_C)
+    if regime == NONMARKOV:
+        return omega_H, omega_C, T_H, T_C, 1.0, 1.0
+    return (
+        omega_H,
+        omega_C,
+        T_H,
+        T_C,
+        full_thermalization_lambda(omega_H, 1.0 / T_H),
+        full_thermalization_lambda(omega_C, 1.0 / T_C),
+    )
+
+
 def otto_config_at(
     eta: float, eta_C: float, T_H: float, omega_H: float, regime: str
 ) -> OttoConfig:
-    """Otto configuration with (eta, eta_C) pinned; omegas in k_B T_H units."""
-    omega_C = (1.0 - eta) * omega_H
-    T_C = (1.0 - eta_C) * T_H
-    if regime == NONMARKOV:
-        return OttoConfig.nonmarkov(omega_H, omega_C, T_H, T_C)
-    if regime == MARKOV:
-        return OttoConfig.markov(omega_H, omega_C, T_H, T_C)
-    raise InvalidParameterError(f"regime must be one of {REGIMES}, got {regime!r}")
+    """Otto configuration with (eta, eta_C) pinned; omegas in k_B T_H units.
+    Both couplings are 1 (``nonmarkov``) or at full thermalization
+    (``markov``)."""
+    return OttoConfig(*_otto_fields(eta, eta_C, T_H, omega_H, regime))
 
 
 def work_at(eta: float, eta_C: float, T_H: float, omega_H: float, regime: str) -> float:
@@ -108,18 +126,7 @@ def work_at(eta: float, eta_C: float, T_H: float, omega_H: float, regime: str) -
         raise InvalidParameterError(f"need 0 < eta <= eta_C < 1, got {eta}, {eta_C}")
     if omega_H <= 0.0:
         raise InvalidParameterError(f"omega_H must be > 0, got {omega_H}")
-    if regime not in REGIMES:
-        raise InvalidParameterError(f"regime must be one of {REGIMES}, got {regime!r}")
-    omega_C = (1.0 - eta) * omega_H
-    T_C = (1.0 - eta_C) * T_H
-    require_descending(omega_H=omega_H, omega_C=omega_C)
-    require_descending(T_H=T_H, T_C=T_C)
-    if regime == NONMARKOV:
-        l_H = l_C = 1.0
-    else:
-        l_H = full_thermalization_lambda(omega_H, 1.0 / T_H)
-        l_C = full_thermalization_lambda(omega_C, 1.0 / T_C)
-    return _otto_work(omega_H, omega_C, T_H, T_C, l_H, l_C) / T_H
+    return _otto_work(*_otto_fields(eta, eta_C, T_H, omega_H, regime)) / T_H
 
 
 def _golden_max(f, lo: float, hi: float, xtol: float = _XTOL):
@@ -153,8 +160,8 @@ def maximize_work(spec: ScanSpec) -> OptimumRecord:
     record is marked unconverged; if a second local maximum ties the best
     one within ``1e-6`` it is refined as well and the larger value wins.
     """
-    # Python floats: the same binary64 values, cheaper scalar arithmetic
-    grid = np.logspace(math.log10(spec.omega_lo), math.log10(spec.omega_hi), spec.grid_size).tolist()
+    grid = np.logspace(math.log10(spec.omega_lo), math.log10(spec.omega_hi), spec.grid_size)
+    grid = grid.tolist()  # the same binary64 values; Python float arithmetic is cheaper
     values = np.array(
         [work_at(spec.eta, spec.eta_C, spec.T_H, w, spec.regime) for w in grid]
     )
