@@ -24,10 +24,10 @@ the levels at frozen populations while the gap changes.  The cycle map,
 its steady state, the populations at the stroke boundaries, the work and
 the heats all follow from that tuple.
 
-Every value is checked once, where it enters: a ``GibbsStochasticMatrix``
-built from a user's matrix gets the full numpy check, while ``build_map``
-forms and checks its four entries as floats, with the same tolerances, and
-wraps them without checking again.
+Every value is checked once, where it enters, and 2x2 work is done on
+Python floats: a ``GibbsStochasticMatrix`` built from a user's matrix and
+a map from ``build_map`` pass the same float checks of their four entries;
+``build_map`` then wraps its entries without checking them again.
 
 All types are immutable after construction and all operations are pure
 functions; everything is safe for concurrent read-only use.
@@ -130,26 +130,12 @@ class GibbsStochasticMatrix:
         arr = np.asarray(self.m, dtype=float)
         if arr.shape != (2, 2):
             raise InvalidParameterError(f"expected a 2x2 matrix, got shape {arr.shape}")
-        if arr.min() < -STOCHASTIC_TOL or arr.max() > 1.0 + STOCHASTIC_TOL:
-            raise InvalidParameterError("matrix entries must lie in [0, 1]")
-        arr = np.clip(arr, 0.0, 1.0)
-        colsums = arr.sum(axis=0)
-        if np.abs(colsums - 1.0).max() > STOCHASTIC_TOL:
-            raise InvalidParameterError(
-                f"columns must sum to 1 within {STOCHASTIC_TOL}, got {colsums}"
-            )
-        gibbs = thermal_population(self.omega, self.beta).as_array()
-        residual = np.abs(arr @ gibbs - gibbs).max()
-        if residual > STOCHASTIC_TOL:
-            raise InvalidParameterError(
-                f"Gibbs populations are not a fixed point (residual {residual:.3e})"
-            )
-        arr.setflags(write=False)
-        object.__setattr__(self, "m", arr)
+        m = _gibbs_stochastic_array(*arr.ravel().tolist(), self.omega, self.beta)
+        object.__setattr__(self, "m", m)
 
     @classmethod
     def _trusted(cls, m: np.ndarray, omega: float, beta: float) -> "GibbsStochasticMatrix":
-        """Wrap a read-only matrix whose checks the caller has already made."""
+        """Wrap a read-only matrix from ``_gibbs_stochastic_array``."""
         self = object.__new__(cls)
         self.__dict__.update(m=m, omega=omega, beta=beta)
         return self
@@ -204,28 +190,24 @@ def full_thermalization_lambda(omega: float, beta: float) -> float:
     return 1.0 / (1.0 + _boltzmann_factor(omega, beta))
 
 
-def build_map(params: ThermalOpParams) -> GibbsStochasticMatrix:
-    """Population map of the thermal operation with the given parameters.
-
-    The entries of ``(1 - lam) * I + lam * [[1 - q, 1], [q, 0]]`` are formed
-    as floats in that operation order (``(1 - lam) * 1 == 1 - lam`` and
-    ``(1 - lam) * 0 == 0`` exactly, since ``0 <= 1 - lam``), so they are
-    bitwise the entries of the numpy expression, signed zeros included.
-    They then pass the checks of ``GibbsStochasticMatrix``, on floats.
-    """
-    omega, beta, lam = params.omega, params.beta, params.lam
-    q = math.exp(-beta * omega)
-    keep = 1.0 - lam
-    entries = (keep + lam * (1.0 - q), 0.0 + lam, 0.0 + lam * q, keep + lam * 0.0)
+def _gibbs_stochastic_array(
+    m00: float, m01: float, m10: float, m11: float, omega: float, beta: float
+) -> np.ndarray:
+    """Read-only 2x2 matrix of the given entries after the checks of
+    ``GibbsStochasticMatrix``: entries in [0, 1] within ``STOCHASTIC_TOL``
+    (then clipped into it), columns summing to 1 and the Gibbs populations
+    at ``(omega, beta)`` a fixed point, both within ``STOCHASTIC_TOL``.
+    A NaN entry fails the column sums."""
+    entries = (m00, m01, m10, m11)
     lo, hi = min(entries), max(entries)
     if lo < -STOCHASTIC_TOL or hi > 1.0 + STOCHASTIC_TOL:
         raise InvalidParameterError("matrix entries must lie in [0, 1]")
     if lo < 0.0 or hi > 1.0:
-        entries = tuple(min(max(x, 0.0), 1.0) for x in entries)
-    m00, m01, m10, m11 = entries
+        m00, m01, m10, m11 = (min(max(x, 0.0), 1.0) for x in entries)
     cols = (m00 + m10, m01 + m11)
-    if abs(cols[0] - 1.0) > STOCHASTIC_TOL or abs(cols[1] - 1.0) > STOCHASTIC_TOL:
+    if not (abs(cols[0] - 1.0) <= STOCHASTIC_TOL and abs(cols[1] - 1.0) <= STOCHASTIC_TOL):
         raise InvalidParameterError(f"columns must sum to 1 within {STOCHASTIC_TOL}, got {cols}")
+    q = _boltzmann_factor(omega, beta)
     g_g, g_e = 1.0 / (1.0 + q), q / (1.0 + q)
     residual = max(abs(m00 * g_g + m01 * g_e - g_g), abs(m10 * g_g + m11 * g_e - g_e))
     if residual > STOCHASTIC_TOL:
@@ -234,6 +216,24 @@ def build_map(params: ThermalOpParams) -> GibbsStochasticMatrix:
         )
     m = np.array([[m00, m01], [m10, m11]])
     m.setflags(write=False)
+    return m
+
+
+def build_map(params: ThermalOpParams) -> GibbsStochasticMatrix:
+    """Population map of the thermal operation with the given parameters.
+
+    The entries of ``(1 - lam) * I + lam * [[1 - q, 1], [q, 0]]`` are formed
+    as floats in that operation order (``(1 - lam) * 1 == 1 - lam`` and
+    ``(1 - lam) * 0 == 0`` exactly, since ``0 <= 1 - lam``), so they are
+    bitwise the entries of the numpy expression, signed zeros included.
+    They are checked once, by the same code as a user's matrix.
+    """
+    omega, beta, lam = params.omega, params.beta, params.lam
+    q = math.exp(-beta * omega)
+    keep = 1.0 - lam
+    m = _gibbs_stochastic_array(
+        keep + lam * (1.0 - q), 0.0 + lam, 0.0 + lam * q, keep + lam * 0.0, omega, beta
+    )
     return GibbsStochasticMatrix._trusted(m, omega, beta)
 
 

@@ -191,6 +191,60 @@ def test_build_map_is_the_checked_numpy_map(params):
     assert full_thermalization_lambda(omega, beta) == thermal_population(omega, beta).p_g
 
 
+def numpy_checked(m: np.ndarray, omega: float, beta: float):
+    """The checks of ``GibbsStochasticMatrix`` as numpy reductions: the
+    clipped matrix, or None where a check fails."""
+    tol = 1e-12
+    if m.min() < -tol or m.max() > 1.0 + tol:
+        return None
+    m = np.clip(m, 0.0, 1.0)
+    if np.abs(m.sum(axis=0) - 1.0).max() > tol:
+        return None
+    gibbs = thermal_population(omega, beta).as_array()
+    if np.abs(m @ gibbs - gibbs).max() > tol:
+        return None
+    return m
+
+
+# Entry perturbations around the tolerance edges and beyond.
+NUDGES = st.sampled_from([0.0, 1e-13, -1e-13, 5e-13, -5e-13, 2e-12, -2e-12, 1e-9, -1e-9, 0.1])
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(map_params(), st.tuples(NUDGES, NUDGES, NUDGES, NUDGES))
+@example((1.0, LN2, 1.0), (-1e-13, 0.0, 1e-13, 0.0))  # clipped back into [0, 1]
+@example((1.0, LN2, 0.5), (0.0, 0.0, 0.0, -2e-12))  # entry out of range
+@example((1.0, LN2, 0.5), (1e-9, 0.0, 0.0, 0.0))  # column sum off
+@example((1.0, LN2, 0.5), (1e-13, -1e-13, -1e-13, 1e-13))  # columns sum to 1, Gibbs off
+def test_user_matrix_check_matches_numpy(params, nudges):
+    omega, beta, lam = params
+    m = build_map(ThermalOpParams(omega, beta, lam)).m + np.reshape(nudges, (2, 2))
+    expected = numpy_checked(m, omega, beta)
+    if expected is None:
+        with pytest.raises(InvalidParameterError):
+            GibbsStochasticMatrix(m, omega, beta)
+    else:
+        checked = GibbsStochasticMatrix(m, omega, beta).m
+        assert checked.tobytes() == expected.tobytes()
+        assert not checked.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "m, omega, beta",
+    [
+        (np.eye(3), 1.0, 1.0),  # not 2x2
+        (np.array([[math.nan, 0.0], [0.0, 1.0]]), 1.0, 1.0),
+        (np.array([[1.0, math.nan], [0.0, 1.0]]), 1.0, 1.0),
+        (np.eye(2), 0.0, 1.0),
+        (np.eye(2), 1.0, math.nan),
+    ],
+    ids=["shape", "nan-first", "nan-later", "omega-0", "beta-nan"],
+)
+def test_gibbs_stochastic_matrix_rejects_bad_input(m, omega, beta):
+    with pytest.raises(InvalidParameterError):
+        GibbsStochasticMatrix(m, omega, beta)
+
+
 def test_gibbs_stochastic_matrix_rejects_non_gibbs():
     with pytest.raises(InvalidParameterError):
         GibbsStochasticMatrix(np.array([[0.9, 0.3], [0.1, 0.7]]), 1.0, LN2)
