@@ -32,8 +32,16 @@ from .errors import (
     ZeroWorkError,
 )
 from .fcs import scaled_cumulants, work_moments
-from .maps import full_thermalization_lambda, require_count, require_descending
-from .otto import MARKOV, NONMARKOV, REGIMES, EngineConfig, OttoConfig, _otto_work
+from .maps import require_count, require_descending
+from .otto import (
+    MARKOV,
+    NONMARKOV,
+    REGIMES,
+    EngineConfig,
+    OttoConfig,
+    _otto_work,
+    _pinned_fields,
+)
 from .three_stroke import ThreeStrokeConfig, three_stroke_report
 
 THREE_STROKE_ENGINE = "three_stroke"
@@ -83,35 +91,15 @@ class OptimumRecord:
     evaluations: int
 
 
-def _otto_fields(
-    eta: float, eta_C: float, T_H: float, omega_H: float, regime: str
-) -> tuple[float, float, float, float, float, float]:
-    """Checked ``OttoConfig`` fields with (eta, eta_C) pinned."""
-    if regime not in REGIMES:
-        raise InvalidParameterError(f"regime must be one of {REGIMES}, got {regime!r}")
-    omega_C = (1.0 - eta) * omega_H
-    T_C = (1.0 - eta_C) * T_H
-    require_descending(omega_H=omega_H, omega_C=omega_C)
-    require_descending(T_H=T_H, T_C=T_C)
-    if regime == NONMARKOV:
-        return omega_H, omega_C, T_H, T_C, 1.0, 1.0
-    return (
-        omega_H,
-        omega_C,
-        T_H,
-        T_C,
-        full_thermalization_lambda(omega_H, 1.0 / T_H),
-        full_thermalization_lambda(omega_C, 1.0 / T_C),
-    )
-
-
 def otto_config_at(
     eta: float, eta_C: float, T_H: float, omega_H: float, regime: str
 ) -> OttoConfig:
     """Otto configuration with (eta, eta_C) pinned; omegas in k_B T_H units.
     Both couplings are 1 (``nonmarkov``) or at full thermalization
     (``markov``)."""
-    return OttoConfig(*_otto_fields(eta, eta_C, T_H, omega_H, regime))
+    omega_C = (1.0 - eta) * omega_H
+    T_C = (1.0 - eta_C) * T_H
+    return OttoConfig(*_pinned_fields(omega_H, omega_C, T_H, T_C, regime))
 
 
 def work_at(eta: float, eta_C: float, T_H: float, omega_H: float, regime: str) -> float:
@@ -124,9 +112,11 @@ def work_at(eta: float, eta_C: float, T_H: float, omega_H: float, regime: str) -
     """
     if not 0.0 < eta <= eta_C < 1.0:
         raise InvalidParameterError(f"need 0 < eta <= eta_C < 1, got {eta}, {eta_C}")
-    if omega_H <= 0.0:
-        raise InvalidParameterError(f"omega_H must be > 0, got {omega_H}")
-    return _otto_work(*_otto_fields(eta, eta_C, T_H, omega_H, regime)) / T_H
+    omega_C = (1.0 - eta) * omega_H
+    T_C = (1.0 - eta_C) * T_H
+    require_descending(omega_H=omega_H, omega_C=omega_C)
+    require_descending(T_H=T_H, T_C=T_C)
+    return _otto_work(*_pinned_fields(omega_H, omega_C, T_H, T_C, regime)) / T_H
 
 
 def _golden_max(f, lo: float, hi: float, xtol: float = _XTOL):

@@ -93,19 +93,12 @@ class OttoConfig(EngineConfig):
     @classmethod
     def nonmarkov(cls, omega_H, omega_C, T_H, T_C) -> "OttoConfig":
         """Both heat strokes are extremal thermal operations."""
-        return cls(omega_H, omega_C, T_H, T_C, 1.0, 1.0)
+        return cls(*_pinned_fields(omega_H, omega_C, T_H, T_C, NONMARKOV))
 
     @classmethod
     def markov(cls, omega_H, omega_C, T_H, T_C) -> "OttoConfig":
         """Both heat strokes fully thermalize the qubit."""
-        return cls(
-            omega_H,
-            omega_C,
-            T_H,
-            T_C,
-            full_thermalization_lambda(omega_H, 1.0 / T_H),
-            full_thermalization_lambda(omega_C, 1.0 / T_C),
-        )
+        return cls(*_pinned_fields(omega_H, omega_C, T_H, T_C, MARKOV))
 
     @property
     def work_quantum(self) -> float:
@@ -131,6 +124,26 @@ class OttoConfig(EngineConfig):
             ),
             self.work_quantum,
         )
+
+
+def _pinned_fields(
+    omega_H: float, omega_C: float, T_H: float, T_C: float, regime: str
+) -> tuple[float, float, float, float, float, float]:
+    """``OttoConfig`` fields with both couplings set by the regime: 1
+    (``nonmarkov``) or at full thermalization (``markov``).  The gaps and
+    temperatures are checked by the caller."""
+    if regime == NONMARKOV:
+        return omega_H, omega_C, T_H, T_C, 1.0, 1.0
+    if regime == MARKOV:
+        return (
+            omega_H,
+            omega_C,
+            T_H,
+            T_C,
+            full_thermalization_lambda(omega_H, 1.0 / T_H),
+            full_thermalization_lambda(omega_C, 1.0 / T_C),
+        )
+    raise InvalidParameterError(f"regime must be one of {REGIMES}, got {regime!r}")
 
 
 @dataclass(frozen=True)
