@@ -1,36 +1,30 @@
 """Full counting statistics of the work generated over repeated cycles.
 
-The per-cycle propagator ``P(chi)`` composes an engine's stroke tuple
-(``maps.Cycle``) in cycle order and weights every work-stroke transition
-that releases ``k`` work quanta by ``exp(k * chi * quantum)``: the Otto
-quenches tag an excitation after heating with ``+Delta`` and one after
-cooling with ``-Delta``; the three-stroke flip releases ``+omega`` from an
-inverted qubit and ``-omega`` otherwise.
+The tilted cycle map ``P(chi)`` composes an engine's stroke tuple
+(``maps.Cycle``) and weights every work-stroke transition that releases
+``k`` work quanta by ``exp(k * chi * quantum)``; ``G_N(chi) =
+ln(1^T P(chi)^N p)`` is the cumulant generating function of the N-cycle
+work from the cyclostationary state ``p``.
 
-``G_N(chi) = ln(1^T P(chi)^N p1)`` is then the cumulant generating function
-of the N-cycle work, evaluated from the cyclostationary state ``p1``.
-Finite-N mean and variance are its first two derivatives at ``chi = 0``,
-obtained by fourth-order central differences with one Richardson level at
-step ``h = 1e-3 / Delta``.  The stencil is evaluated in extended precision
-(``numpy.longdouble``) so that differencing noise stays orders of magnitude
-below the 1e-8/1e-9 tolerances the statistics are verified against; the
-scheme itself is validated against an exact trajectory-enumeration oracle,
-which walks the same stroke tuple.
-
-In the infinite-cycle limit the scaled cumulants follow from
-``g(chi) = ln lambda_0(chi)`` with ``lambda_0`` the dominant eigenvalue of
-the tilted map, available in closed form for 2x2 matrices.  The classic
-branch-switching failure cannot occur here: the off-diagonal entries stay
-strictly positive for every real ``chi`` whenever the untilted map is
-primitive, so the larger root is globally continuous; degeneracy at
-``chi = 0`` is rejected instead of silently picking a branch.
+Mean and variance need only ``M = P(0)`` and its exact derivatives ``M'``
+and ``M''`` in ``chi * quantum`` at 0, carried through the stroke tuple: a
+heat stroke left-multiplies all three, a work stroke adds ``k M`` to row
+``j`` of ``M'`` and ``2k M' + k^2 M`` to row ``j`` of ``M''``.  A 2x2
+column-stochastic ``M`` is ``p 1^T + mu (I - p 1^T)`` with
+``mu = tr M - 1``, so with ``m = 1^T M' p``, ``v1 = 1^T M'' p - m^2`` and
+``c = 1^T M' (M' p - m p)`` the N-cycle mean is ``N m``, the variance
+``N v1 + 2 c S_N`` with ``S_N = sum_{d=1}^{N-1} (N - d) mu^(d-1)``, the
+scaled variance ``v1 + 2 c / (1 - mu)`` and the intercycle Pearson
+coefficient ``c / v1``: the 2x2 case of Flindt et al., PRL 100, 150601
+(2008).  ``1 - mu`` is the sum of the off-diagonal entries, which does not
+cancel at small gaps.  An exact trajectory-enumeration oracle, which walks
+the same stroke tuple, checks all of it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -42,15 +36,12 @@ from .errors import (
     NonPrimitiveMapError,
     ZeroVarianceError,
 )
-from .maps import Cycle, PopulationVector, WorkStroke, require_count
+from .maps import Cycle, PopulationVector, WorkStroke, require_count, stationary_population
 from .otto import EngineConfig, OttoConfig
 from .three_stroke import ThreeStrokeConfig
 
-FD_STEP = 1e-3  # finite-difference step in units of 1/work-quantum
 EXP_BUDGET = 600.0  # |chi| * N * Delta beyond this would overflow binary64
 ENUM_MAX_CYCLES = 12
-
-_LD = np.longdouble
 
 # The counting-field view of a cycle: ``TiltedMap.matrix(chi)`` is P(chi).
 TiltedMap = Cycle
@@ -64,24 +55,6 @@ def tilted_map_three_stroke(cfg: ThreeStrokeConfig) -> TiltedMap:
     return cfg.cycle()
 
 
-def _matpow(m: np.ndarray, n: int) -> np.ndarray:
-    """Binary-exponentiation matrix power (dtype-preserving)."""
-    result = np.eye(2, dtype=m.dtype)
-    base = m
-    while n:
-        if n & 1:
-            result = base @ result
-        base = base @ base
-        n >>= 1
-    return result
-
-
-def _gf_ld(tmap: TiltedMap, p1: PopulationVector, n: int, chi) -> np.longdouble:
-    m = tmap.matrix(chi, dtype=_LD)
-    vec = _matpow(m, n) @ p1.as_array().astype(_LD)
-    return np.log(vec.sum())
-
-
 def cumulant_gf(tmap: TiltedMap, p1: PopulationVector, n: int, chi: float) -> float:
     """N-cycle cumulant generating function ``G_N(chi)``; zero at ``chi = 0``."""
     n = require_count(n, 1, "cycle count")
@@ -90,29 +63,63 @@ def cumulant_gf(tmap: TiltedMap, p1: PopulationVector, n: int, chi: float) -> fl
             f"|chi| * N * Delta = {abs(chi) * n * tmap.quantum:.3g} exceeds "
             f"the exponent budget {EXP_BUDGET}"
         )
-    return float(_gf_ld(tmap, p1, n, chi))
+    vec = np.linalg.matrix_power(tmap.matrix(chi), n) @ p1.as_array()
+    return float(np.log(vec.sum()))
 
 
-def _fd_derivatives(f: Callable[[float], np.longdouble], h: float):
-    """First and second derivative of ``f`` at 0.
+def _derivative_maps(tmap: TiltedMap) -> np.ndarray:
+    """``(M, M', M'')``, the cycle map and its derivatives in ``chi *
+    quantum`` at 0, stacked on the first axis."""
+    stack = None
+    for stroke in tmap.strokes:
+        if isinstance(stroke, WorkStroke):
+            for j, w in enumerate(stroke.released):
+                k = w / tmap.quantum
+                stack[2, j] += 2.0 * k * stack[1, j] + k * k * stack[0, j]
+                stack[1, j] += k * stack[0, j]
+            if stroke.flip:
+                stack = stack[:, ::-1]
+        elif stack is None:
+            stack = np.zeros((3, 2, 2))
+            stack[0] = stroke.m
+        else:
+            stack = stroke.m @ stack
+    return stack
 
-    Fourth-order central stencils at steps ``h`` and ``h/2`` combined with
-    one Richardson level; ``f(0)`` is evaluated, not assumed to vanish.
-    """
-    h = _LD(h)
-    f0 = f(0.0)
-    fp1, fm1 = f(h), f(-h)
-    fp2, fm2 = f(2.0 * h), f(-2.0 * h)
-    fph, fmh = f(h / 2.0), f(-h / 2.0)
 
-    d1_h = (-fp2 + 8.0 * fp1 - 8.0 * fm1 + fm2) / (12.0 * h)
-    d1_h2 = (-fp1 + 8.0 * fph - 8.0 * fmh + fm1) / (6.0 * h)
-    d2_h = (-fp2 + 16.0 * fp1 - 30.0 * f0 + 16.0 * fm1 - fm2) / (12.0 * h * h)
-    d2_h2 = (-fp1 + 16.0 * fph - 30.0 * f0 + 16.0 * fmh - fm1) / (3.0 * h * h)
+def _spectral_terms(stack: np.ndarray, p: PopulationVector):
+    """``(m, v1, c, 1 - mu)`` of the cycle, in work quanta."""
+    m0, d1, d2 = stack
+    p = p.as_array()
+    r = d1.sum(axis=0)  # 1^T M'
+    m = float(r @ p)
+    v1 = float(d2.sum(axis=0) @ p) - m * m
+    c = float(r @ (d1 @ p - m * p))
+    return m, v1, c, float(m0[0, 1] + m0[1, 0])
 
-    d1 = (16.0 * d1_h2 - d1_h) / 15.0
-    d2 = (16.0 * d2_h2 - d2_h) / 15.0
-    return d1, d2
+
+def _pair_sum(n: int, g: float) -> float:
+    """``S_N = sum_{d=1}^{N-1} (N - d) mu^(d-1)`` with ``mu = 1 - g``, which
+    is ``(N g - 1 + mu^N) / g^2`` in closed form."""
+    if n * g < 1.0:
+        # sum_{k>=2} C(N, k) (-g)^(k-2): each term is below a third of the last
+        total, term, k = 0.0, n * (n - 1) / 2, 2
+        while total + term != total:
+            total += term
+            term *= -g * (n - k) / (k + 1)
+            k += 1
+        return total
+    if g < 1.0:
+        return (n * g + math.expm1(n * math.log1p(-g))) / (g * g)
+    return (n * g - 1.0 + (1.0 - g) ** n) / (g * g)
+
+
+def _checked_variance(var: float, scale: float) -> float:
+    """``var`` with rounding below zero cleared; a negative value beyond
+    ``1e-9 * scale`` is a logic error."""
+    if var < -1e-9 * scale:
+        raise ConsistencyError(f"work variance came out negative: {var:.3e}")
+    return max(var, 0.0)
 
 
 @dataclass(frozen=True)
@@ -125,50 +132,35 @@ class WorkStatistics:
     ratio: float  # variance / mean, in energy units
 
 
-def _clamped_variance(raw, scale: float) -> float:
-    var = float(raw)
-    if var < 0.0:
-        if var < -1e-9 * max(scale, 1e-300):
-            raise ConsistencyError(f"work variance came out negative: {var:.3e}")
-        var = 0.0
-    return var
-
-
 def work_moments(tmap: TiltedMap, p1: PopulationVector, n: int) -> WorkStatistics:
-    """Finite-N work mean and variance from derivatives of ``G_N`` at 0."""
+    """Finite-N work mean ``N m`` and variance ``N v1 + 2 c S_N``."""
     n = require_count(n, 1, "cycle count")
-    h = FD_STEP / tmap.quantum
-    d1, d2 = _fd_derivatives(lambda chi: _gf_ld(tmap, p1, n, chi), h)
-    mean = float(d1)
-    variance = _clamped_variance(d2, n * tmap.quantum**2)
+    m, v1, c, g = _spectral_terms(_derivative_maps(tmap), p1)
+    quantum = tmap.quantum
+    mean = n * (m * quantum)
+    variance = _checked_variance(n * v1 + 2.0 * c * _pair_sum(n, g), n) * quantum**2
+    if not math.isfinite(variance):
+        raise CountingOverflowError(f"the {n}-cycle work variance overflows binary64")
     ratio = variance / mean if mean != 0.0 else math.nan
     return WorkStatistics(n, mean, variance, ratio)
 
 
-def _log_dominant_eigenvalue(tmap: TiltedMap, chi) -> np.longdouble:
-    m = tmap.matrix(chi, dtype=_LD)
-    half_trace = (m[0, 0] + m[1, 1]) / 2.0
-    half_gap = np.sqrt(((m[0, 0] - m[1, 1]) / 2.0) ** 2 + m[0, 1] * m[1, 0])
-    return np.log(half_trace + half_gap)
-
-
 def scaled_cumulants(tmap: TiltedMap) -> tuple[float, float]:
-    """Infinite-cycle work mean and variance per cycle.
+    """Infinite-cycle work mean ``m`` and variance ``v1 + 2 c / (1 - mu)``
+    per cycle.
 
-    Derivatives of ``ln lambda_0(chi)`` at 0, with ``lambda_0`` the larger
-    root of the 2x2 characteristic polynomial.  Requires the untilted map
-    to be primitive (all entries of its square strictly positive); a
-    degenerate dominant eigenvalue raises ``NonPrimitiveMapError``.
+    Requires the untilted map to be primitive (all entries of its square
+    strictly positive); a degenerate dominant eigenvalue (``mu = 1``)
+    raises ``NonPrimitiveMapError``.
     """
-    m0 = tmap.matrix(0.0)
+    stack = _derivative_maps(tmap)
+    m0 = stack[0]
     if not (m0 @ m0 > 0.0).all():
         raise NonPrimitiveMapError("untilted cycle map squared has zero entries")
-    gap = math.sqrt(((m0[0, 0] - m0[1, 1]) / 2.0) ** 2 + m0[0, 1] * m0[1, 0])
-    if 2.0 * gap < 1e-12:
+    m, v1, c, g = _spectral_terms(stack, stationary_population(m0))
+    if g < 1e-12:
         raise NonPrimitiveMapError("dominant eigenvalue degenerate at chi = 0")
-    h = FD_STEP / tmap.quantum
-    d1, d2 = _fd_derivatives(lambda chi: _log_dominant_eigenvalue(tmap, chi), h)
-    return float(d1), _clamped_variance(d2, tmap.quantum**2)
+    return m * tmap.quantum, _checked_variance(v1 + 2.0 * c / g, 1.0) * tmap.quantum**2
 
 
 @dataclass(frozen=True)
@@ -261,18 +253,13 @@ def enumerate_work_distribution(cfg: EngineConfig, n: int) -> WorkDistribution:
 
 
 def intercycle_pcc(tmap: TiltedMap, p1: PopulationVector) -> float:
-    """Pearson correlation coefficient of the work in two successive cycles.
-
-    Uses the covariance identity ``Var_2 = 2 Var_1 + 2 Cov``, i.e.
-    ``PCC = Var_2 / (2 Var_1) - 1``; always in [-1, 1].
-    """
-    stats1 = work_moments(tmap, p1, 1)
-    if stats1.variance < 1e-14:
-        raise ZeroVarianceError(
-            f"single-cycle variance {stats1.variance:.3e} too small for a PCC"
-        )
-    stats2 = work_moments(tmap, p1, 2)
-    pcc = stats2.variance / (2.0 * stats1.variance) - 1.0
+    """Pearson correlation coefficient of the work in two successive
+    cycles, ``Cov / Var_1 = c / v1``; always in [-1, 1]."""
+    _, v1, c, _ = _spectral_terms(_derivative_maps(tmap), p1)
+    variance = _checked_variance(v1, 1.0) * tmap.quantum**2
+    if variance < 1e-14:
+        raise ZeroVarianceError(f"single-cycle variance {variance:.3e} too small for a PCC")
+    pcc = c / v1
     if not -1.0 - 1e-9 <= pcc <= 1.0 + 1e-9:
         raise ConsistencyError(f"PCC {pcc} outside [-1, 1] beyond tolerance")
     return min(max(pcc, -1.0), 1.0)

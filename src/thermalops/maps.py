@@ -257,11 +257,15 @@ def stationary_population(m: np.ndarray) -> PopulationVector:
     """Unique fixed point of a 2x2 column-stochastic matrix.
 
     Computed in closed form from the off-diagonal entries,
-    ``p_e = m[e,g] / (m[e,g] + m[g,e])``.  Raises ``DegenerateCycleError``
-    when the matrix is numerically the identity and the fixed point is not
-    unique.
+    ``p_e = m[e,g] / (m[e,g] + m[g,e])``.  Raises ``InvalidParameterError``
+    for a non-finite entry or a column sum off 1 by more than
+    ``STOCHASTIC_TOL``, and ``DegenerateCycleError`` when the matrix is
+    numerically the identity and the fixed point is not unique.
     """
     (stay_g, down), (up, stay_e) = np.asarray(m, dtype=float).tolist()
+    cols = (stay_g + up, down + stay_e)  # NaN and inf fail the test below
+    if not (abs(cols[0] - 1.0) <= STOCHASTIC_TOL and abs(cols[1] - 1.0) <= STOCHASTIC_TOL):
+        raise InvalidParameterError(f"columns must sum to 1 within {STOCHASTIC_TOL}, got {cols}")
     if (
         abs(stay_g - 1.0) < DEGENERACY_TOL
         and abs(down) < DEGENERACY_TOL
@@ -305,12 +309,11 @@ class Cycle:
     strokes: tuple
     quantum: float
 
-    def matrix(self, chi: float = 0.0, dtype=np.float64) -> np.ndarray:
+    def matrix(self, chi: float = 0.0) -> np.ndarray:
         """Cycle map ``S_k @ ... @ S_1`` with every work-stroke transition
         weighted by ``exp(chi * released work)``; column-stochastic at
         ``chi = 0``.  Work strokes are row scalings and permutations, so
         the only dense products are those between heat strokes."""
-        chi = dtype(chi)
         m = None
         for stroke in self.strokes:
             if isinstance(stroke, WorkStroke):
@@ -320,9 +323,9 @@ class Cycle:
                 if stroke.flip:
                     m = m[::-1]
             elif m is None:
-                m = stroke.m.astype(dtype)  # owned, so work strokes scale it in place
+                m = stroke.m.copy()  # owned, so work strokes scale it in place
             else:
-                m = stroke.m.astype(dtype, copy=False) @ m
+                m = stroke.m @ m
         return m
 
     def steady_state(self) -> PopulationVector:

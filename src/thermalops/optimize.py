@@ -115,7 +115,6 @@ def work_at(eta: float, eta_C: float, T_H: float, omega_H: float, regime: str) -
     omega_C = (1.0 - eta) * omega_H
     T_C = (1.0 - eta_C) * T_H
     require_descending(omega_H=omega_H, omega_C=omega_C)
-    require_descending(T_H=T_H, T_C=T_C)
     return _otto_work(*_pinned_fields(omega_H, omega_C, T_H, T_C, regime)) / T_H
 
 
@@ -228,6 +227,7 @@ def three_stroke_omega_for_eta(eta: float, eta_C: float, T_H: float) -> float:
         raise BisectionError(
             f"target efficiency {eta} outside the attainable range (0, {eta_C})"
         )
+    require_descending(T_H=T_H)
     beta_H = 1.0 / T_H
     beta_C = 1.0 / ((1.0 - eta_C) * T_H)
 

@@ -130,8 +130,10 @@ def _pinned_fields(
     omega_H: float, omega_C: float, T_H: float, T_C: float, regime: str
 ) -> tuple[float, float, float, float, float, float]:
     """``OttoConfig`` fields with both couplings set by the regime: 1
-    (``nonmarkov``) or at full thermalization (``markov``).  The gaps and
-    temperatures are checked by the caller."""
+    (``nonmarkov``) or at full thermalization (``markov``).  The
+    temperatures are checked here, before they divide; the gaps by the
+    caller."""
+    require_descending(T_H=T_H, T_C=T_C)
     if regime == NONMARKOV:
         return omega_H, omega_C, T_H, T_C, 1.0, 1.0
     if regime == MARKOV:

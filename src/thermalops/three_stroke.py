@@ -17,7 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAnEngineWarning, RegimeMismatchError, ZeroHeatError
-from .maps import Cycle, PopulationVector, WorkStroke, full_thermalization_lambda
+from .maps import (
+    Cycle, PopulationVector, WorkStroke, full_thermalization_lambda, require_descending
+)
 from .otto import EngineConfig
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])  # population map of the flip
@@ -43,6 +45,7 @@ class ThreeStrokeConfig(EngineConfig):
 
     @classmethod
     def markov(cls, omega, T_H, T_C) -> "ThreeStrokeConfig":
+        require_descending(T_H=T_H, T_C=T_C)  # before 1 / T
         return cls(
             omega,
             T_H,

@@ -140,8 +140,8 @@ def suite_oracle_equivalence(
                 worst_mean = max(worst_mean, abs(stats.mean - dist.mean()) / abs(dist.mean()))
                 worst_var = max(worst_var, abs(stats.variance - dist.variance()) / dist.variance())
     return [
-        CheckRecord("oracle-equivalence", "mean", worst_mean, 1e-8),
-        CheckRecord("oracle-equivalence", "variance", worst_var, 1e-8),
+        CheckRecord("oracle-equivalence", "mean", worst_mean, 1e-12),
+        CheckRecord("oracle-equivalence", "variance", worst_var, 1e-12),
     ]
 
 

@@ -8,7 +8,8 @@ import pytest
 
 from thermalops import cli
 from thermalops.fcs import pcc_three_stroke_exact
-from thermalops.optimize import three_stroke_config_at
+from thermalops.optimize import otto_config_at, three_stroke_config_at
+from thermalops.otto import otto_work
 from thermalops.verify import closed_form_vs_dense, suite_gibbs_fixed_point
 
 
@@ -179,17 +180,42 @@ def test_verify_output_is_pinned(case, capsys):
     assert stdout_digest(argv, capsys) == PINNED_VERIFY[case]
 
 
-@pytest.mark.parametrize("horizon", ["single_cycle", "infinite"])
+VANISHING_WORK_MESSAGES = {
+    "single_cycle": "work mean vanishes",
+    "infinite": "untilted cycle map squared has zero entries",
+}
+
+
+@pytest.mark.parametrize("horizon", list(VANISHING_WORK_MESSAGES))
 def test_fig5_vanishing_work_mean_is_a_validation_error(horizon, capsys):
-    # beyond omega_H ~ 40 T_H the work mean underflows to exactly 0, so the
-    # variance-to-mean ratio is undefined
-    argv = ["fig5", "--set", f"horizon={horizon}", "--set", "omega_lo=40", "--set", "omega_hi=41"]
+    # at omega_H ~ 1100 T_H the Boltzmann factor exp(-omega_H / T_H)
+    # underflows to 0: the work mean is exactly 0 and the cycle map is not
+    # primitive, so neither ratio is defined
+    argv = [
+        "fig5", "--set", f"horizon={horizon}", "--set", "omega_lo=1100", "--set", "omega_hi=1101"
+    ]
     assert cli.main(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("thermalops fig5: ")
-    assert "work mean vanishes" in captured.err
+    assert VANISHING_WORK_MESSAGES[horizon] in captured.err
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("horizon", ["single_cycle", "infinite"])
+def test_fig5_tiny_work_mean_is_the_cycle_work(horizon, capsys):
+    # near omega_H ~ 40 T_H the work is about 1e-17, far below the
+    # populations it is the difference of; the counting statistics still
+    # give the closed-form cycle work
+    argv = ["fig5", "--format", "json", "--set", f"horizon={horizon}"]
+    argv += ["--set", "omega_lo=36", "--set", "omega_hi=41", "--set", "points=6"]
+    assert cli.main(argv) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    for code, omega_H, w, _ in rows[:-1]:
+        regime = ("nonmarkov", "markov")[int(code)]
+        expected = otto_work(otto_config_at(0.3, 0.5, 1.0, omega_H, regime))
+        assert 0.0 < expected < 3e-15
+        assert math.isclose(w, expected, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,12 @@
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from thermalops import (
     ConsistencyError,
@@ -21,6 +24,7 @@ from thermalops import (
     intercycle_pcc,
     otto_cycle_report,
     otto_steady_state,
+    otto_work,
     pcc_three_stroke_exact,
     scaled_cumulants,
     three_stroke_report,
@@ -29,6 +33,7 @@ from thermalops import (
     tilted_map_three_stroke,
     work_moments,
 )
+from thermalops.fcs import _pair_sum
 from thermalops.three_stroke import SWAP
 
 LN2 = math.log(2.0)
@@ -192,8 +197,70 @@ def test_moments_match_enumeration():
             for n in (1, 2, 3, 4):
                 dist = enumerate_work_distribution(cfg, n)
                 stats = work_moments(tmap, p1, n)
-                assert math.isclose(stats.mean, dist.mean(), rel_tol=1e-8)
-                assert math.isclose(stats.variance, dist.variance(), rel_tol=1e-8)
+                assert math.isclose(stats.mean, dist.mean(), rel_tol=1e-12)
+                assert math.isclose(stats.variance, dist.variance(), rel_tol=1e-12)
+
+
+def exact_pair_sum(n, g):
+    """``sum_{d=1}^{n-1} (n - d) mu^(d-1)`` at ``mu = 1 - g``, in rationals."""
+    mu = 1 - Fraction(g)
+    total = Fraction(0)
+    for d in range(n - 1, 0, -1):  # Horner, highest power of mu first
+        total = total * mu + (n - d)
+    return total
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(
+    n=st.integers(1, 300),
+    g=st.one_of(st.floats(0.0, 2.0), st.floats(1e-12, 1e-1).map(lambda x: x * x)),
+)
+@example(n=1, g=0.5)
+@example(n=5, g=0.0)  # mu = 1: n (n - 1) / 2
+@example(n=300, g=1.0 / 300.0)  # n g at 1: the series meets expm1
+@example(n=300, g=math.nextafter(1.0 / 300.0, 0.0))
+@example(n=300, g=0.999)  # smallest positive mu
+@example(n=299, g=2.0)  # mu = -1
+@example(n=300, g=1.5)
+def test_pair_sum_matches_exact_rationals(n, g):
+    expected = exact_pair_sum(n, g)
+    assert abs(Fraction(_pair_sum(n, g)) - expected) <= 2e-15 * expected
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(
+    engine=st.sampled_from([random_otto, random_three_stroke]),
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 10**18),
+)
+@example(engine=random_otto, seed=0, n=10**18)
+def test_work_moments_are_finite_at_large_n(engine, seed, n):
+    cfg = engine(np.random.default_rng(seed))
+    tmap, p1 = tilted_and_steady(cfg)
+    stats = work_moments(tmap, p1, n)
+    mean, _ = scaled_cumulants(tmap)
+    assert math.isfinite(stats.mean) and math.isfinite(stats.variance)
+    assert stats.variance >= 0.0
+    assert math.isclose(stats.mean, n * mean, rel_tol=1e-14)
+
+
+def test_work_moments_at_a_billion_cycles():
+    cfg = OttoConfig(1.0, 0.7, 1.0, 0.5, 1.0, 1.0)
+    tmap, p1 = tilted_and_steady(cfg)
+    n = 10**9
+    stats = work_moments(tmap, p1, n)
+    assert math.isfinite(stats.variance)
+    assert math.isclose(stats.mean, n * otto_work(cfg), rel_tol=1e-12)
+    _, scaled_var = scaled_cumulants(tmap)
+    assert math.isclose(stats.variance / n, scaled_var, rel_tol=1e-8)
+
+
+def test_work_moments_overflow_is_typed():
+    # S_N ~ N / (1 - mu) with 1 - mu ~ 2e-3 at this gap: Var_N exceeds binary64
+    tmap, p1 = tilted_and_steady(OttoConfig.nonmarkov(1e-3, 7e-4, 1.0, 0.5))
+    assert math.isfinite(work_moments(tmap, p1, 10**300).variance)
+    with pytest.raises(CountingOverflowError):
+        work_moments(tmap, p1, 10**307)
 
 
 def test_distribution_mean_is_n_times_cycle_work():

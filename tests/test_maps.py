@@ -250,6 +250,13 @@ def test_gibbs_stochastic_matrix_rejects_non_gibbs():
         GibbsStochasticMatrix(np.array([[0.9, 0.3], [0.1, 0.7]]), 1.0, LN2)
 
 
+@pytest.mark.parametrize("m", [[[math.nan, 0.5], [0.5, 0.5]], [[0.9, 0.5], [0.5, 0.5]]])
+def test_stationary_population_rejects_non_stochastic_input(m):
+    # both have the off-diagonal entries of a valid map, which alone fix p
+    with pytest.raises(InvalidParameterError):
+        stationary_population(np.array(m))
+
+
 def test_stationary_population_of_identity_is_degenerate():
     with pytest.raises(DegenerateCycleError):
         stationary_population(np.eye(2))

@@ -10,12 +10,14 @@ from thermalops import (
     NotAnEngineWarning,
     OttoConfig,
     RegimeMismatchError,
+    ThreeStrokeConfig,
     analytic_populations,
     apply_map,
     otto_cycle_report,
     otto_steady_state,
     otto_work,
 )
+from thermalops.optimize import otto_config_at, three_stroke_config_at
 
 LN2 = math.log(2.0)
 LN4 = math.log(4.0)
@@ -49,6 +51,23 @@ def test_config_validation():
         OttoConfig(1.0, 0.5, 0.5, 1.0, 1.0, 1.0)  # T_C > T_H
     with pytest.raises(InvalidParameterError):
         OttoConfig(1.0, 0.5, 1.0, 0.5, 1.5, 1.0)
+
+
+@pytest.mark.parametrize(
+    "make, args",
+    [
+        (OttoConfig.markov, (1.0, 0.5, 1.0, 0.0)),
+        (otto_config_at, (0.3, 0.5, 0.0, 1.0, "markov")),
+        (ThreeStrokeConfig.markov, (1.0, 1.0, 0.0)),
+        (ThreeStrokeConfig.markov, (1.0, 0.0, 0.5)),
+        (three_stroke_config_at, (0.3, 0.5, 0.0)),
+    ],
+    ids=["otto-markov", "otto-at", "three-stroke-T_C", "three-stroke-T_H", "three-stroke-at"],
+)
+def test_zero_temperature_is_a_parameter_error(make, args):
+    # the Markov couplings and the three-stroke gap divide by T
+    with pytest.raises(InvalidParameterError):
+        make(*args)
 
 
 def test_eto_steady_state_ln2_ln4():
