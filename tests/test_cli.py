@@ -109,9 +109,9 @@ def test_fig6_pcc_bounds_and_three_stroke_point(tmp_path):
 PINNED_TABLES = {
     ("fig1", "points=41"): "9ffe0f30e1407563749026bfddc0a98db668bed7eff791a564679985a1281aa2",
     ("fig4", "points=3"): "4579726884ca5f54c95e17e37060b27f5894daa3df6d1543cbcec3c554e07f84",
-    ("fig5", "points=24"): "a2624531aec38ff18a0b2e12125de2641b408f94a009fabb8de53fb82269cac3",
+    ("fig5", "points=24"): "a1bf9bbe1ce8a13efdaa161b4e73b39762c35312e9238dad9e02b45350c7fcba",
     ("fig5", "horizon=single_cycle", "points=24"): (
-        "536859476d5c2fdb32bd9d5978186b748ee8862ec09ded4070768e842c52fc88"
+        "a5518134ba4ea1e7bf910aedb6d28539d066a2dcc4e69351a67e81e78a226988"
     ),
     ("fig6", "points=24"): "a90ce6b57abc62ccd92bd9bdb5d921299581bcb646ddd41fdc2180b177680c83",
     ("sweep", "points=40"): "84b572a8dcfb5addaa3c22947edb46c40b045c760d81a3ef4a9ff958483e4bd5",
@@ -129,9 +129,9 @@ PINNED_TABLES = {
 # away.
 PINNED_JSON = {
     ("fig4", "points=3"): "3c6c08d773e70cc28f20b74cc23961b92019e1ef195971f91d2b8ecde58a48d4",
-    ("fig5", "points=24"): "ae58e08086dbef14b1a0251ee3678c8bef5c7997d1795de13818cf38f3d87156",
+    ("fig5", "points=24"): "1640c1fa9651a367389fe09563001de76bc9f1c97c8506f6dbc72aa8e4883e9b",
     ("fig5", "horizon=single_cycle", "points=24"): (
-        "7be67f6a1b5598a236dbca5a6925a0dd2ebc47aa4c01904379719c3e7cf53ec2"
+        "5d9580069aa8450d78371ec49ced9c1274523a59c8dbcf2e165ed749f8443d48"
     ),
     ("fig6", "points=24"): "71b55395946177a6727298d98a49145a5602e7de871d7a582b3b6eac7ae98a6a",
     ("sweep", "points=40"): "a54c15f4af00823b784cd2288137fdeeeacf590fadc4de707a858728482a2849",
