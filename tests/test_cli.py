@@ -113,7 +113,7 @@ PINNED_TABLES = {
     ("fig5", "horizon=single_cycle", "points=24"): (
         "a5518134ba4ea1e7bf910aedb6d28539d066a2dcc4e69351a67e81e78a226988"
     ),
-    ("fig6", "points=24"): "a90ce6b57abc62ccd92bd9bdb5d921299581bcb646ddd41fdc2180b177680c83",
+    ("fig6", "points=24"): "0d9d62fdbf9c5c490776badb91f1ea83c03fc6c33b21fc591b3d8990e2ef7071",
     ("sweep", "points=40"): "84b572a8dcfb5addaa3c22947edb46c40b045c760d81a3ef4a9ff958483e4bd5",
     ("sweep", "regime=markov", "points=40"): (
         "e84d725397f30d71a9e77b9bd5fb16a4ea68880b3cb482f703f37dd93d571faf"
@@ -133,7 +133,7 @@ PINNED_JSON = {
     ("fig5", "horizon=single_cycle", "points=24"): (
         "5d9580069aa8450d78371ec49ced9c1274523a59c8dbcf2e165ed749f8443d48"
     ),
-    ("fig6", "points=24"): "71b55395946177a6727298d98a49145a5602e7de871d7a582b3b6eac7ae98a6a",
+    ("fig6", "points=24"): "8e5a2d31473727d601cf902106d0a80f638cfc6722b92c5eb50332f3488f7919",
     ("sweep", "points=40"): "a54c15f4af00823b784cd2288137fdeeeacf590fadc4de707a858728482a2849",
     ("sweep", "regime=markov", "points=40"): (
         "b778a24e6a11df088fb00d95cc9304387e1fb818fba4894d68ada58320d5b8ff"
