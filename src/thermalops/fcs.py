@@ -24,6 +24,7 @@ the same stroke tuple, checks all of it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,6 +136,8 @@ class WorkStatistics:
 def work_moments(tmap: TiltedMap, p1: PopulationVector, n: int) -> WorkStatistics:
     """Finite-N work mean ``N m`` and variance ``N v1 + 2 c S_N``."""
     n = require_count(n, 1, "cycle count")
+    if n > sys.float_info.max:
+        raise CountingOverflowError("cycle count beyond the binary64 range")
     m, v1, c, g = _spectral_terms(_derivative_maps(tmap), p1)
     quantum = tmap.quantum
     mean = n * (m * quantum)

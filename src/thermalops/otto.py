@@ -130,7 +130,8 @@ def _pinned_fields(
     omega_H: float, omega_C: float, T_H: float, T_C: float, regime: str
 ) -> tuple[float, float, float, float, float, float]:
     """``OttoConfig`` fields with both couplings set by the regime: 1
-    (``nonmarkov``) or at full thermalization (``markov``).  The
+    (``nonmarkov``) or at full thermalization (``markov``); the
+    three-stroke config takes its couplings from here too.  The
     temperatures are checked here, before they divide; the gaps by the
     caller."""
     require_descending(T_H=T_H, T_C=T_C)

@@ -17,10 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotAnEngineWarning, RegimeMismatchError, ZeroHeatError
-from .maps import (
-    Cycle, PopulationVector, WorkStroke, full_thermalization_lambda, require_descending
-)
-from .otto import EngineConfig
+from .maps import Cycle, PopulationVector, WorkStroke
+from .otto import MARKOV, EngineConfig, _pinned_fields
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])  # population map of the flip
 SWAP.setflags(write=False)
@@ -45,14 +43,8 @@ class ThreeStrokeConfig(EngineConfig):
 
     @classmethod
     def markov(cls, omega, T_H, T_C) -> "ThreeStrokeConfig":
-        require_descending(T_H=T_H, T_C=T_C)  # before 1 / T
-        return cls(
-            omega,
-            T_H,
-            T_C,
-            full_thermalization_lambda(omega, 1.0 / T_H),
-            full_thermalization_lambda(omega, 1.0 / T_C),
-        )
+        """Both heat strokes fully thermalize the qubit, as in ``OttoConfig.markov``."""
+        return cls(omega, T_H, T_C, *_pinned_fields(omega, omega, T_H, T_C, MARKOV)[4:])
 
     @property
     def work_quantum(self) -> float:

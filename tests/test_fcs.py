@@ -219,7 +219,7 @@ def exact_pair_sum(n, g):
 @example(n=5, g=0.0)  # mu = 1: n (n - 1) / 2
 @example(n=300, g=1.0 / 300.0)  # n g at 1: the series meets expm1
 @example(n=300, g=math.nextafter(1.0 / 300.0, 0.0))
-@example(n=300, g=0.999)  # smallest positive mu
+@example(n=300, g=0.999)  # mu = 0.001, just inside the expm1 branch
 @example(n=299, g=2.0)  # mu = -1
 @example(n=300, g=1.5)
 def test_pair_sum_matches_exact_rationals(n, g):
@@ -261,6 +261,8 @@ def test_work_moments_overflow_is_typed():
     assert math.isfinite(work_moments(tmap, p1, 10**300).variance)
     with pytest.raises(CountingOverflowError):
         work_moments(tmap, p1, 10**307)
+    with pytest.raises(CountingOverflowError):
+        work_moments(tmap, p1, 10**309)  # not even a float
 
 
 def test_distribution_mean_is_n_times_cycle_work():
