@@ -31,10 +31,10 @@ from .optimize import (
     ENGINES,
     HORIZONS,
     REGIMES,
+    _work_curve,
     fluctuation_curve,
     otto_config_at,
     three_stroke_config_at,
-    work_at,
     work_efficiency_curve,
 )
 from .otto import MARKOV, NONMARKOV
@@ -108,10 +108,8 @@ def _run_sweep(p):
     if p["regime"] not in REGIMES:
         raise ThermalOpsError(f"regime must be one of {REGIMES}, got {p['regime']!r}")
     grid = _log_grid(p, "omega_lo", "omega_hi")
-    rows = [
-        [w, work_at(p["eta"], p["eta_C"], p["T_H"], w, p["regime"])] for w in grid
-    ]
-    return ["omega_H", "W"], rows
+    work = _work_curve(p["eta"], p["eta_C"], p["T_H"], p["regime"])
+    return ["omega_H", "W"], [[w, work(w)] for w in grid.tolist()]
 
 
 def _run_micro_report(p):

@@ -36,6 +36,7 @@ from .errors import (
     InvalidParameterError,
     NonPrimitiveMapError,
     ZeroVarianceError,
+    ZeroWorkError,
 )
 from .maps import Cycle, PopulationVector, WorkStroke, require_count, stationary_population
 from .otto import EngineConfig, OttoConfig
@@ -134,7 +135,10 @@ class WorkStatistics:
 
 
 def work_moments(tmap: TiltedMap, p1: PopulationVector, n: int) -> WorkStatistics:
-    """Finite-N work mean ``N m`` and variance ``N v1 + 2 c S_N``."""
+    """Finite-N work mean ``N m`` and variance ``N v1 + 2 c S_N``.
+
+    Raises ``ZeroWorkError`` when the mean is exactly 0, where the
+    variance-to-mean ratio is undefined."""
     n = require_count(n, 1, "cycle count")
     if n > sys.float_info.max:
         raise CountingOverflowError("cycle count beyond the binary64 range")
@@ -144,8 +148,12 @@ def work_moments(tmap: TiltedMap, p1: PopulationVector, n: int) -> WorkStatistic
     variance = _checked_variance(n * v1 + 2.0 * c * _pair_sum(n, g), n) * quantum**2
     if not math.isfinite(variance):
         raise CountingOverflowError(f"the {n}-cycle work variance overflows binary64")
-    ratio = variance / mean if mean != 0.0 else math.nan
-    return WorkStatistics(n, mean, variance, ratio)
+    if mean == 0.0:
+        raise ZeroWorkError(
+            f"{n}-cycle work mean vanishes at gap {tmap.strokes[0].omega:.6g}; "
+            "variance-to-mean ratio undefined"
+        )
+    return WorkStatistics(n, mean, variance, variance / mean)
 
 
 def scaled_cumulants(tmap: TiltedMap) -> tuple[float, float]:

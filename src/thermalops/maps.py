@@ -74,10 +74,10 @@ class PopulationVector:
     def from_raw(cls, values: Iterable[float]) -> "PopulationVector":
         """Build from possibly drifted raw values.
 
-        Drift up to ``DRIFT_RENORM`` is accepted, drift up to ``DRIFT_FAIL``
-        is clamped into [0, 1] and renormalized, anything larger raises
-        ``ConsistencyError`` since it indicates a logic bug rather than
-        rounding.
+        Values outside [0, 1] are clamped into it.  Drift up to
+        ``DRIFT_RENORM`` is accepted after that, drift up to ``DRIFT_FAIL``
+        is also renormalized, anything larger raises ``ConsistencyError``
+        since it indicates a logic bug rather than rounding.
         """
         p_g, p_e = (float(v) for v in values)
         overshoot = max(0.0, -p_g, -p_e, p_g - 1.0, p_e - 1.0)
@@ -87,9 +87,10 @@ class PopulationVector:
                 f"population drift {drift:.3e} exceeds {DRIFT_FAIL}: "
                 f"raw values ({p_g}, {p_e})"
             )
-        if drift > DRIFT_RENORM:
+        if overshoot > 0.0:  # min and max keep a NaN, which the constructor rejects
             p_g = min(max(p_g, 0.0), 1.0)
             p_e = min(max(p_e, 0.0), 1.0)
+        if drift > DRIFT_RENORM:
             total = p_g + p_e
             if total <= 0.0:
                 raise ConsistencyError("populations vanished, cannot renormalize")
@@ -228,7 +229,12 @@ def build_map(params: ThermalOpParams) -> GibbsStochasticMatrix:
     bitwise the entries of the numpy expression, signed zeros included.
     They are checked once, by the same code as a user's matrix.
     """
-    omega, beta, lam = params.omega, params.beta, params.lam
+    return _build_map(params.omega, params.beta, params.lam)
+
+
+def _build_map(omega: float, beta: float, lam: float) -> GibbsStochasticMatrix:
+    """``build_map`` on values its caller has checked as ``ThermalOpParams``
+    would."""
     q = math.exp(-beta * omega)
     keep = 1.0 - lam
     m = _gibbs_stochastic_array(

@@ -5,11 +5,13 @@ Fixing the efficiency ``eta`` and the Carnot efficiency ``eta_C`` pins
 the single gap ``omega_H`` free; the work-per-cycle (in units of k_B T_H)
 is maximized over it by a log-spaced coarse scan followed by golden-section
 refinement.  Each gap is evaluated with the closed-form Otto work
-(``otto.otto_work``), not by running the stroke cycle: ``work_at`` checks
-its scalars once and computes on Python floats, without building an
-``OttoConfig``.  The three-stroke engine has no free gap once (eta, eta_C)
-is chosen: its gap is recovered by inverting the monotone efficiency curve
-on the engine branch with bisection.
+(``otto.otto_work``), not by running the stroke cycle, on Python floats and
+without building an ``OttoConfig``.  A scan checks ``eta``, ``eta_C``, the
+temperatures and the regime once, in ``_work_curve``, and each gap only for
+``omega_H > omega_C > 0``; ``work_at`` is the same curve at one gap, and
+``sweep`` rows evaluate it too.  The three-stroke engine has no free gap
+once (eta, eta_C) is chosen: its gap is recovered by inverting the monotone
+efficiency curve on the engine branch with bisection.
 
 All scans are deterministic: identical inputs produce bit-identical
 outputs.
@@ -39,6 +41,7 @@ from .otto import (
     REGIMES,
     EngineConfig,
     OttoConfig,
+    _coupling_rule,
     _otto_work,
     _pinned_fields,
 )
@@ -110,12 +113,27 @@ def work_at(eta: float, eta_C: float, T_H: float, omega_H: float, regime: str) -
     the config, and evaluates the same work.  ``eta = eta_C`` is admitted
     (it gives W = 0) so that the Carnot endpoint can be probed directly.
     """
+    return _work_curve(eta, eta_C, T_H, regime)(omega_H)
+
+
+def _work_curve(eta: float, eta_C: float, T_H: float, regime: str):
+    """``work_at`` as a function of ``omega_H`` alone, for a scan over the
+    gap: ``eta``, ``eta_C``, the temperatures and the regime are checked
+    here, once, and each gap only for ``omega_H > omega_C > 0``, which also
+    fails for NaN, a bool or an ``omega_C`` that underflows to 0."""
     if not 0.0 < eta <= eta_C < 1.0:
         raise InvalidParameterError(f"need 0 < eta <= eta_C < 1, got {eta}, {eta_C}")
-    omega_C = (1.0 - eta) * omega_H
     T_C = (1.0 - eta_C) * T_H
-    require_descending(omega_H=omega_H, omega_C=omega_C)
-    return _otto_work(*_pinned_fields(omega_H, omega_C, T_H, T_C, regime)) / T_H
+    couplings = _coupling_rule(T_H, T_C, regime)
+    keep = 1.0 - eta
+
+    def work(omega_H: float) -> float:
+        omega_C = keep * omega_H
+        if isinstance(omega_H, bool) or not omega_H > omega_C > 0.0:
+            raise InvalidParameterError(f"need omega_H > omega_C > 0, got {(omega_H, omega_C)}")
+        return _otto_work(omega_H, omega_C, T_H, T_C, *couplings(omega_H, omega_C)) / T_H
+
+    return work
 
 
 def _golden_max(f, lo: float, hi: float, xtol: float = _XTOL):
@@ -151,9 +169,8 @@ def maximize_work(spec: ScanSpec) -> OptimumRecord:
     """
     grid = np.logspace(math.log10(spec.omega_lo), math.log10(spec.omega_hi), spec.grid_size)
     grid = grid.tolist()  # the same binary64 values; Python float arithmetic is cheaper
-    values = np.array(
-        [work_at(spec.eta, spec.eta_C, spec.T_H, w, spec.regime) for w in grid]
-    )
+    f = _work_curve(spec.eta, spec.eta_C, spec.T_H, spec.regime)
+    values = np.array([f(w) for w in grid])
     evals = spec.grid_size
     best = int(values.argmax())
 
@@ -180,7 +197,6 @@ def maximize_work(spec: ScanSpec) -> OptimumRecord:
         to_refine.append(peaks[1])
 
     x_star, w_star = grid[best], values[best]
-    f = lambda w: work_at(spec.eta, spec.eta_C, spec.T_H, w, spec.regime)
     for idx in to_refine:
         lo = grid[max(idx - 1, 0)]
         hi = grid[min(idx + 1, spec.grid_size - 1)]
@@ -283,9 +299,8 @@ def _fluctuation_point(cfg: EngineConfig, horizon: str) -> tuple[float, float]:
     cycle = cfg.cycle()
     if horizon == SINGLE_CYCLE:
         stats = work_moments(cycle, cycle.steady_state(), 1)
-        mean, var = stats.mean, stats.variance
-    else:
-        mean, var = scaled_cumulants(cycle)
+        return stats.mean, stats.ratio
+    mean, var = scaled_cumulants(cycle)
     if mean == 0.0:
         raise ZeroWorkError(
             f"{horizon} work mean vanishes at gap {cycle.strokes[0].omega:.6g}; "

@@ -34,9 +34,9 @@ from .maps import (
     Cycle,
     GibbsStochasticMatrix,
     PopulationVector,
-    ThermalOpParams,
     WorkStroke,
-    build_map,
+    _build_map,
+    build_map,  # noqa: F401  (bench/tests/test_bench.py reads thermalops.otto.build_map)
     full_thermalization_lambda,
     require_descending,
     require_unit_interval,
@@ -70,11 +70,12 @@ class EngineConfig:
     def beta_C(self) -> float:
         return 1.0 / self.T_C
 
+    # the fields were checked in __post_init__, so the maps skip ThermalOpParams
     def hot_map(self) -> GibbsStochasticMatrix:
-        return build_map(ThermalOpParams(getattr(self, self.GAPS[0]), self.beta_H, self.lambda_H))
+        return _build_map(getattr(self, self.GAPS[0]), self.beta_H, self.lambda_H)
 
     def cold_map(self) -> GibbsStochasticMatrix:
-        return build_map(ThermalOpParams(getattr(self, self.GAPS[-1]), self.beta_C, self.lambda_C))
+        return _build_map(getattr(self, self.GAPS[-1]), self.beta_C, self.lambda_C)
 
 
 @dataclass(frozen=True)
@@ -126,27 +127,29 @@ class OttoConfig(EngineConfig):
         )
 
 
+def _coupling_rule(T_H: float, T_C: float, regime: str):
+    """The couplings ``(lambda_H, lambda_C)`` of the regime as a function of
+    the gaps ``(omega_H, omega_C)``: 1 and 1 (``nonmarkov``) or full
+    thermalization at each bath (``markov``), for the Otto and the
+    three-stroke configs and the gap scans.  The temperatures, before they
+    divide, and the regime are checked here, once; the gaps by the caller."""
+    require_descending(T_H=T_H, T_C=T_C)
+    if regime == NONMARKOV:
+        return lambda omega_H, omega_C: (1.0, 1.0)
+    if regime == MARKOV:
+        beta_H, beta_C = 1.0 / T_H, 1.0 / T_C
+        return lambda omega_H, omega_C: (
+            full_thermalization_lambda(omega_H, beta_H),
+            full_thermalization_lambda(omega_C, beta_C),
+        )
+    raise InvalidParameterError(f"regime must be one of {REGIMES}, got {regime!r}")
+
+
 def _pinned_fields(
     omega_H: float, omega_C: float, T_H: float, T_C: float, regime: str
 ) -> tuple[float, float, float, float, float, float]:
-    """``OttoConfig`` fields with both couplings set by the regime: 1
-    (``nonmarkov``) or at full thermalization (``markov``); the
-    three-stroke config takes its couplings from here too.  The
-    temperatures are checked here, before they divide; the gaps by the
-    caller."""
-    require_descending(T_H=T_H, T_C=T_C)
-    if regime == NONMARKOV:
-        return omega_H, omega_C, T_H, T_C, 1.0, 1.0
-    if regime == MARKOV:
-        return (
-            omega_H,
-            omega_C,
-            T_H,
-            T_C,
-            full_thermalization_lambda(omega_H, 1.0 / T_H),
-            full_thermalization_lambda(omega_C, 1.0 / T_C),
-        )
-    raise InvalidParameterError(f"regime must be one of {REGIMES}, got {regime!r}")
+    """``OttoConfig`` fields with both couplings set by ``_coupling_rule``."""
+    return omega_H, omega_C, T_H, T_C, *_coupling_rule(T_H, T_C, regime)(omega_H, omega_C)
 
 
 @dataclass(frozen=True)

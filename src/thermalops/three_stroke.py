@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NotAnEngineWarning, RegimeMismatchError, ZeroHeatError
 from .maps import Cycle, PopulationVector, WorkStroke
-from .otto import MARKOV, EngineConfig, _pinned_fields
+from .otto import MARKOV, EngineConfig, _coupling_rule
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])  # population map of the flip
 SWAP.setflags(write=False)
@@ -44,7 +44,7 @@ class ThreeStrokeConfig(EngineConfig):
     @classmethod
     def markov(cls, omega, T_H, T_C) -> "ThreeStrokeConfig":
         """Both heat strokes fully thermalize the qubit, as in ``OttoConfig.markov``."""
-        return cls(omega, T_H, T_C, *_pinned_fields(omega, omega, T_H, T_C, MARKOV)[4:])
+        return cls(omega, T_H, T_C, *_coupling_rule(T_H, T_C, MARKOV)(omega, omega))
 
     @property
     def work_quantum(self) -> float:

@@ -232,6 +232,19 @@ def test_infinite_grid_bound_is_a_validation_error(command, key, other, capsys):
     assert captured.err.count("\n") == 1
 
 
+def test_sweep_gap_underflow_is_a_validation_error(capsys):
+    # the first gap is the smallest subnormal: omega_C = 0.4 * omega_H rounds
+    # to 0 inside the row loop, after the scalars were checked
+    argv = ["sweep", "--set", "omega_lo=5e-324", "--set", "eta=0.6", "--set", "eta_C=0.7"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("thermalops sweep: need omega_H > omega_C > 0")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("setting", ["J=0", "J=-1", "J=inf", "jt_max=inf", "jt_max=nan"])
 def test_micro_report_rejects_bad_coupling_and_horizon(setting, capsys):
     with warnings.catch_warnings():

@@ -19,6 +19,7 @@ from thermalops import (
     ThreeStrokeConfig,
     WorkDistribution,
     ZeroVarianceError,
+    ZeroWorkError,
     cumulant_gf,
     enumerate_work_distribution,
     intercycle_pcc,
@@ -263,6 +264,14 @@ def test_work_moments_overflow_is_typed():
         work_moments(tmap, p1, 10**307)
     with pytest.raises(CountingOverflowError):
         work_moments(tmap, p1, 10**309)  # not even a float
+
+
+def test_vanishing_work_mean_is_typed():
+    # exp(-1100) underflows to 0 at both baths: the work mean is exactly 0
+    tmap, p1 = tilted_and_steady(OttoConfig.nonmarkov(1100.0, 770.0, 1.0, 0.5))
+    for n in (1, 7):
+        with pytest.raises(ZeroWorkError, match="work mean vanishes"):
+            work_moments(tmap, p1, n)
 
 
 def test_distribution_mean_is_n_times_cycle_work():

@@ -147,6 +147,22 @@ def test_population_vector_validation():
         PopulationVector.from_raw([0.5 + 1e-8, 0.5 + 1e-8])
 
 
+@pytest.mark.parametrize(
+    "raw, expected",
+    [
+        ([-1e-13, 1.0 + 1e-13], (0.0, 1.0)),
+        ([1.0 + 5e-13, -5e-13], (1.0, 0.0)),
+        ([1.0000000000000002, 0.0], (1.0, 0.0)),  # one ulp above 1
+        ([0.0, 1.0000000000000002], (0.0, 1.0)),
+    ],
+)
+def test_population_vector_clamps_tiny_overshoots(raw, expected):
+    # drift within DRIFT_RENORM is accepted without renormalizing, but values
+    # outside [0, 1] are still clamped into it
+    p = PopulationVector.from_raw(raw)
+    assert (p.p_g, p.p_e) == expected
+
+
 def numpy_map(omega: float, beta: float, lam: float) -> np.ndarray:
     """The family as one numpy expression, clipped into [0, 1] as the full
     ``GibbsStochasticMatrix`` check stores it."""

@@ -23,7 +23,8 @@ from thermalops import (
     work_at,
     work_efficiency_curve,
 )
-from thermalops.cli import COMMANDS, _log_grid
+from thermalops import optimize
+from thermalops.cli import COMMANDS, _log_grid, _run_sweep
 from thermalops.optimize import _golden_max, otto_config_at, three_stroke_config_at
 from thermalops.three_stroke import three_stroke_report
 
@@ -268,16 +269,63 @@ def test_maximize_work_warns_on_endpoint_maximum():
     assert not rec.converged
 
 
+def checked_config_work(eta, eta_C, T_H, omega_H, regime) -> str:
+    """The work through a checked ``OttoConfig``, as ``float.hex`` (which
+    tells the signed zeros apart)."""
+    cfg = otto_config_at(eta, eta_C, T_H, omega_H, regime)
+    if regime == "markov":  # full thermalization at each bath, at beta = 1 / T
+        assert cfg.lambda_H == full_thermalization_lambda(cfg.omega_H, 1.0 / cfg.T_H)
+        assert cfg.lambda_C == full_thermalization_lambda(cfg.omega_C, 1.0 / cfg.T_C)
+    return (otto_work(cfg) / T_H).hex()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    regime=st.sampled_from(["nonmarkov", "markov"]),
+    eta_C=st.floats(1e-6, 1.0 - 1e-6),
+    eta_share=st.one_of(st.just(1.0), st.floats(1e-6, 1.0)),  # eta = eta_C is admitted
+    T_H=log_uniform(-3.0, 3.0),
+    omega_H=log_uniform(-300.0, 4.0),
+)
+@example(regime="nonmarkov", eta_C=0.5, eta_share=0.6, T_H=1e-3, omega_H=1e4)
+@example(regime="markov", eta_C=0.5, eta_share=1.0, T_H=1e3, omega_H=1e-300)
+@example(regime="markov", eta_C=1.0 - 1e-6, eta_share=1.0 - 2**-53, T_H=1.0, omega_H=1e-300)
+def test_scans_are_the_checked_config_path(regime, eta_C, eta_share, T_H, omega_H):
+    # every gap a scan or a sweep evaluates is bitwise the work of the
+    # checked config at that gap
+    eta = eta_C * eta_share
+    p = {**COMMANDS["sweep"][0], "eta": eta, "eta_C": eta_C, "T_H": T_H, "regime": regime}
+    _, rows = _run_sweep({**p, "omega_lo": omega_H, "omega_hi": 8.0 * omega_H, "points": 5})
+    for w, W in rows:
+        assert W.hex() == checked_config_work(eta, eta_C, T_H, w, regime)
+    if eta == eta_C:
+        return
+    seen, real_curve = [], optimize._work_curve
+
+    def recording_curve(*scalars):
+        work = real_curve(*scalars)
+        return lambda w: seen.append((w, work(w))) or seen[-1][1]
+
+    spec = ScanSpec(eta, eta_C, T_H, regime, omega_lo=omega_H, omega_hi=8.0 * omega_H, grid_size=7)
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        mp.setattr(optimize, "_work_curve", recording_curve)
+        warnings.simplefilter("ignore")  # endpoint and tie warnings are not at issue
+        rec = maximize_work(spec)
+    assert len(seen) == rec.evaluations
+    for w, W in seen:
+        assert W.hex() == checked_config_work(eta, eta_C, T_H, w, regime)
+
+
 def test_maximize_work_refines_tied_peaks(monkeypatch):
     # two separated local maxima within 1e-6 of each other: both get
     # refined and the larger one wins
-    def bimodal(eta, eta_C, T_H, omega_H, regime):
+    def bimodal(omega_H):
         x = math.log(omega_H)
         peak_a = math.exp(-50.0 * (x - math.log(1.0)) ** 2)
         peak_b = (1.0 - 5e-7) * math.exp(-50.0 * (x - math.log(4.0)) ** 2)
         return peak_a + peak_b
 
-    monkeypatch.setattr("thermalops.optimize.work_at", bimodal)
+    monkeypatch.setattr("thermalops.optimize._work_curve", lambda eta, eta_C, T_H, regime: bimodal)
     spec = ScanSpec(0.3, 0.5, 1.0, "nonmarkov", omega_lo=0.25, omega_hi=16.0, grid_size=60)
     with pytest.warns(MultimodalScanWarning):
         rec = maximize_work(spec)
