@@ -304,7 +304,12 @@ def test_scans_are_the_checked_config_path(regime, eta_C, eta_share, T_H, omega_
 
     def recording_curve(*scalars):
         work = real_curve(*scalars)
-        return lambda w: seen.append((w, work(w))) or seen[-1][1]
+
+        def recorded(w):
+            seen.append((w, work(w)))
+            return seen[-1][1]
+
+        return recorded
 
     spec = ScanSpec(eta, eta_C, T_H, regime, omega_lo=omega_H, omega_hi=8.0 * omega_H, grid_size=7)
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
