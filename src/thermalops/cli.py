@@ -92,7 +92,8 @@ def _run_fig5(p):
 def _run_fig6(p):
     grid = _log_grid(p, "omega_lo", "omega_hi")
     engines = [
-        (NONMARKOV, otto_config_at(p["eta"], p["eta_C"], p["T_H"], w, NONMARKOV)) for w in grid
+        (NONMARKOV, otto_config_at(p["eta"], p["eta_C"], p["T_H"], w, NONMARKOV))
+        for w in grid.tolist()
     ]
     engines.append(("three_stroke", three_stroke_config_at(p["eta"], p["eta_C"], p["T_H"])))
     rows = []

@@ -38,7 +38,7 @@ from .errors import (
     ZeroVarianceError,
     ZeroWorkError,
 )
-from .maps import Cycle, PopulationVector, WorkStroke, require_count, stationary_population
+from .maps import Cycle, PopulationVector, WorkStroke, _compose, _fixed_point, require_count
 from .otto import EngineConfig, OttoConfig
 from .three_stroke import ThreeStrokeConfig
 
@@ -69,35 +69,36 @@ def cumulant_gf(tmap: TiltedMap, p1: PopulationVector, n: int, chi: float) -> fl
     return float(np.log(vec.sum()))
 
 
-def _derivative_maps(tmap: TiltedMap) -> np.ndarray:
+def _derivative_maps(tmap: TiltedMap) -> tuple[list[float], list[float], list[float]]:
     """``(M, M', M'')``, the cycle map and its derivatives in ``chi *
-    quantum`` at 0, stacked on the first axis."""
-    stack = None
+    quantum`` at 0, as row-major float entries."""
+    m0 = None
     for stroke in tmap.strokes:
         if isinstance(stroke, WorkStroke):
             for j, w in enumerate(stroke.released):
                 k = w / tmap.quantum
-                stack[2, j] += 2.0 * k * stack[1, j] + k * k * stack[0, j]
-                stack[1, j] += k * stack[0, j]
+                for i in (2 * j, 2 * j + 1):  # the entries of row j
+                    d2[i] += 2.0 * k * d1[i] + k * k * m0[i]
+                    d1[i] += k * m0[i]
             if stroke.flip:
-                stack = stack[:, ::-1]
-        elif stack is None:
-            stack = np.zeros((3, 2, 2))
-            stack[0] = stroke.m
+                m0, d1, d2 = m0[2:] + m0[:2], d1[2:] + d1[:2], d2[2:] + d2[:2]
+        elif m0 is None:
+            m0, d1, d2 = list(stroke._entries), [0.0] * 4, [0.0] * 4
         else:
-            stack = stroke.m @ stack
-    return stack
+            m0, d1, d2 = (list(_compose(stroke._entries, x)) for x in (m0, d1, d2))
+    return m0, d1, d2
 
 
-def _spectral_terms(stack: np.ndarray, p: PopulationVector):
+def _spectral_terms(maps, p: PopulationVector):
     """``(m, v1, c, 1 - mu)`` of the cycle, in work quanta."""
-    m0, d1, d2 = stack
-    p = p.as_array()
-    r = d1.sum(axis=0)  # 1^T M'
-    m = float(r @ p)
-    v1 = float(d2.sum(axis=0) @ p) - m * m
-    c = float(r @ (d1 @ p - m * p))
-    return m, v1, c, float(m0[0, 1] + m0[1, 0])
+    m0, d1, d2 = maps
+    p_g, p_e = p.p_g, p.p_e
+    r_g, r_e = d1[0] + d1[2], d1[1] + d1[3]  # 1^T M'
+    m = r_g * p_g + r_e * p_e
+    v1 = (d2[0] + d2[2]) * p_g + (d2[1] + d2[3]) * p_e - m * m
+    x_g = (d1[0] * p_g + d1[1] * p_e) - m * p_g  # M' p - m p
+    x_e = (d1[2] * p_g + d1[3] * p_e) - m * p_e
+    return m, v1, r_g * x_g + r_e * x_e, m0[1] + m0[2]
 
 
 def _pair_sum(n: int, g: float) -> float:
@@ -164,11 +165,11 @@ def scaled_cumulants(tmap: TiltedMap) -> tuple[float, float]:
     strictly positive); a degenerate dominant eigenvalue (``mu = 1``)
     raises ``NonPrimitiveMapError``.
     """
-    stack = _derivative_maps(tmap)
-    m0 = stack[0]
-    if not (m0 @ m0 > 0.0).all():
+    maps = _derivative_maps(tmap)
+    m0 = maps[0]
+    if not all(x > 0.0 for x in _compose(m0, m0)):
         raise NonPrimitiveMapError("untilted cycle map squared has zero entries")
-    m, v1, c, g = _spectral_terms(stack, stationary_population(m0))
+    m, v1, c, g = _spectral_terms(maps, _fixed_point(*m0))
     if g < 1e-12:
         raise NonPrimitiveMapError("dominant eigenvalue degenerate at chi = 0")
     return m * tmap.quantum, _checked_variance(v1 + 2.0 * c / g, 1.0) * tmap.quantum**2
@@ -214,7 +215,8 @@ def _cycle_branches(cycle: Cycle):
                 k = [w / cycle.quantum for w in stroke.released]
                 paths = [(1 - s if stroke.flip else s, prob, dk + k[s]) for s, prob, dk in paths]
             else:
-                paths = [(t, prob * stroke.m[t, s], dk) for s, prob, dk in paths for t in (0, 1)]
+                m = stroke._entries
+                paths = [(t, prob * m[2 * t + s], dk) for s, prob, dk in paths for t in (0, 1)]
         branches += [(src, end, prob, dk) for end, prob, dk in paths if prob != 0.0]
     return branches
 

@@ -27,7 +27,14 @@ the heats all follow from that tuple.
 Every value is checked once, where it enters, and 2x2 work is done on
 Python floats: a ``GibbsStochasticMatrix`` built from a user's matrix and
 a map from ``build_map`` pass the same float checks of their four entries;
-``build_map`` then wraps its entries without checking them again.
+``build_map`` then wraps its entries without checking them again.  A map
+keeps its checked entries as a float tuple, and the cycle product, the
+steady state, the stroke-boundary populations and ``apply_map`` compute on
+those floats (``_compose``, ``_fixed_point``); the numpy array ``m`` is
+only the public, read-only view.  Each Python float operation rounds once,
+so these results are the same on every platform, where a numpy 2x2
+product may take a fused multiply-add or not depending on the BLAS kernel
+the CPU dispatches to.
 
 All types are immutable after construction and all operations are pure
 functions; everything is safe for concurrent read-only use.
@@ -120,7 +127,8 @@ class GibbsStochasticMatrix:
     """2x2 column-stochastic matrix with the Gibbs populations as fixed point.
 
     Entry ``m[i, j]`` is the transition probability from source level ``j``
-    to target level ``i``, ordering (ground, excited).
+    to target level ``i``, ordering (ground, excited).  ``_entries`` holds
+    the checked entries ``(m[0, 0], m[0, 1], m[1, 0], m[1, 1])`` as floats.
     """
 
     m: np.ndarray
@@ -131,14 +139,15 @@ class GibbsStochasticMatrix:
         arr = np.asarray(self.m, dtype=float)
         if arr.shape != (2, 2):
             raise InvalidParameterError(f"expected a 2x2 matrix, got shape {arr.shape}")
-        m = _gibbs_stochastic_array(*arr.ravel().tolist(), self.omega, self.beta)
-        object.__setattr__(self, "m", m)
+        entries = _gibbs_stochastic_entries(*arr.ravel().tolist(), self.omega, self.beta)
+        object.__setattr__(self, "m", _read_only(entries))
+        object.__setattr__(self, "_entries", entries)
 
     @classmethod
-    def _trusted(cls, m: np.ndarray, omega: float, beta: float) -> "GibbsStochasticMatrix":
-        """Wrap a read-only matrix from ``_gibbs_stochastic_array``."""
+    def _trusted(cls, entries: tuple, omega: float, beta: float) -> "GibbsStochasticMatrix":
+        """Wrap entries from ``_gibbs_stochastic_entries``."""
         self = object.__new__(cls)
-        self.__dict__.update(m=m, omega=omega, beta=beta)
+        self.__dict__.update(m=_read_only(entries), _entries=entries, omega=omega, beta=beta)
         return self
 
     def as_array(self) -> np.ndarray:
@@ -191,20 +200,21 @@ def full_thermalization_lambda(omega: float, beta: float) -> float:
     return 1.0 / (1.0 + _boltzmann_factor(omega, beta))
 
 
-def _gibbs_stochastic_array(
+def _gibbs_stochastic_entries(
     m00: float, m01: float, m10: float, m11: float, omega: float, beta: float
-) -> np.ndarray:
-    """Read-only 2x2 matrix of the given entries after the checks of
-    ``GibbsStochasticMatrix``: entries in [0, 1] within ``STOCHASTIC_TOL``
-    (then clipped into it), columns summing to 1 and the Gibbs populations
-    at ``(omega, beta)`` a fixed point, both within ``STOCHASTIC_TOL``.
-    A NaN entry fails the column sums."""
+) -> tuple[float, float, float, float]:
+    """The given entries after the checks of ``GibbsStochasticMatrix``:
+    entries in [0, 1] within ``STOCHASTIC_TOL`` (then clipped into it),
+    columns summing to 1 and the Gibbs populations at ``(omega, beta)`` a
+    fixed point, both within ``STOCHASTIC_TOL``.  A NaN entry fails the
+    column sums."""
     entries = (m00, m01, m10, m11)
     lo, hi = min(entries), max(entries)
     if lo < -STOCHASTIC_TOL or hi > 1.0 + STOCHASTIC_TOL:
         raise InvalidParameterError("matrix entries must lie in [0, 1]")
     if lo < 0.0 or hi > 1.0:
-        m00, m01, m10, m11 = (min(max(x, 0.0), 1.0) for x in entries)
+        entries = tuple(min(max(x, 0.0), 1.0) for x in entries)
+        m00, m01, m10, m11 = entries
     cols = (m00 + m10, m01 + m11)
     if not (abs(cols[0] - 1.0) <= STOCHASTIC_TOL and abs(cols[1] - 1.0) <= STOCHASTIC_TOL):
         raise InvalidParameterError(f"columns must sum to 1 within {STOCHASTIC_TOL}, got {cols}")
@@ -215,7 +225,12 @@ def _gibbs_stochastic_array(
         raise InvalidParameterError(
             f"Gibbs populations are not a fixed point (residual {residual:.3e})"
         )
-    m = np.array([[m00, m01], [m10, m11]])
+    return entries
+
+
+def _read_only(entries: tuple) -> np.ndarray:
+    """Read-only 2x2 array of row-major entries."""
+    m = np.array(entries).reshape(2, 2)
     m.setflags(write=False)
     return m
 
@@ -237,10 +252,10 @@ def _build_map(omega: float, beta: float, lam: float) -> GibbsStochasticMatrix:
     would."""
     q = math.exp(-beta * omega)
     keep = 1.0 - lam
-    m = _gibbs_stochastic_array(
+    entries = _gibbs_stochastic_entries(
         keep + lam * (1.0 - q), 0.0 + lam, 0.0 + lam * q, keep + lam * 0.0, omega, beta
     )
-    return GibbsStochasticMatrix._trusted(m, omega, beta)
+    return GibbsStochasticMatrix._trusted(entries, omega, beta)
 
 
 def eto(omega: float, beta: float) -> GibbsStochasticMatrix:
@@ -250,7 +265,8 @@ def eto(omega: float, beta: float) -> GibbsStochasticMatrix:
 
 def apply_map(m: GibbsStochasticMatrix, p: PopulationVector) -> PopulationVector:
     """Propagate populations through one thermal operation."""
-    return PopulationVector.from_raw(m.m @ p.as_array())
+    stay_g, down, up, stay_e = m._entries
+    return PopulationVector.from_raw((stay_g * p.p_g + down * p.p_e, up * p.p_g + stay_e * p.p_e))
 
 
 def is_markovian(params: ThermalOpParams) -> bool:
@@ -269,6 +285,11 @@ def stationary_population(m: np.ndarray) -> PopulationVector:
     numerically the identity and the fixed point is not unique.
     """
     (stay_g, down), (up, stay_e) = np.asarray(m, dtype=float).tolist()
+    return _fixed_point(stay_g, down, up, stay_e)
+
+
+def _fixed_point(stay_g: float, down: float, up: float, stay_e: float) -> PopulationVector:
+    """``stationary_population`` of the row-major entries."""
     cols = (stay_g + up, down + stay_e)  # NaN and inf fail the test below
     if not (abs(cols[0] - 1.0) <= STOCHASTIC_TOL and abs(cols[1] - 1.0) <= STOCHASTIC_TOL):
         raise InvalidParameterError(f"columns must sum to 1 within {STOCHASTIC_TOL}, got {cols}")
@@ -282,6 +303,13 @@ def stationary_population(m: np.ndarray) -> PopulationVector:
             "cycle map is the identity within tolerance; fixed point not unique"
         )
     return PopulationVector.from_raw([down / (up + down), up / (up + down)])
+
+
+def _compose(left: tuple, right: tuple) -> tuple[float, float, float, float]:
+    """The 2x2 product ``left @ right`` of row-major entry tuples."""
+    a, b, c, d = left
+    e, f, g, h = right
+    return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
 
 
 @dataclass(frozen=True)
@@ -318,25 +346,30 @@ class Cycle:
     def matrix(self, chi: float = 0.0) -> np.ndarray:
         """Cycle map ``S_k @ ... @ S_1`` with every work-stroke transition
         weighted by ``exp(chi * released work)``; column-stochastic at
-        ``chi = 0``.  Work strokes are row scalings and permutations, so
-        the only dense products are those between heat strokes."""
+        ``chi = 0``."""
+        return np.array(self._product(chi)).reshape(2, 2)
+
+    def _product(self, chi: float = 0.0) -> tuple[float, float, float, float]:
+        """``matrix(chi)`` as row-major floats.  Work strokes are row
+        scalings and permutations, so the only products are those between
+        heat strokes."""
         m = None
         for stroke in self.strokes:
             if isinstance(stroke, WorkStroke):
-                for j, w in enumerate(stroke.released):
-                    if chi and w:
-                        m[j] *= np.exp(chi * w)
-                if stroke.flip:
-                    m = m[::-1]
+                a, b, c, d = m
+                if chi:
+                    s_g, s_e = (math.exp(chi * w) for w in stroke.released)
+                    a, b, c, d = a * s_g, b * s_g, c * s_e, d * s_e
+                m = (c, d, a, b) if stroke.flip else (a, b, c, d)
             elif m is None:
-                m = stroke.m.copy()  # owned, so work strokes scale it in place
+                m = stroke._entries
             else:
-                m = stroke.m @ m
+                m = _compose(stroke._entries, m)
         return m
 
     def steady_state(self) -> PopulationVector:
         """Cyclostationary populations at point 1."""
-        return stationary_population(self.matrix())
+        return _fixed_point(*self._product())
 
     def run(self) -> tuple[list[PopulationVector], float, list[float]]:
         """One steady cycle: the populations entering each stroke, the work
@@ -354,15 +387,16 @@ class Cycle:
             points[i] = prev.apply(p) if isinstance(prev, WorkStroke) else apply_map(prev, p)
         for i in range(n - 1, last, -1):
             points[i] = strokes[i].apply(points[(i + 1) % n])
-        quanta, heats = 0.0, []
+        quantum, quanta, heats = self.quantum, 0.0, []
         for i, stroke in enumerate(strokes):
             p_in, p_out = points[i], points[(i + 1) % n]
             if isinstance(stroke, WorkStroke):
-                k_g, k_e = (w / self.quantum for w in stroke.released)
+                w_g, w_e = stroke.released
+                k_g, k_e = w_g / quantum, w_e / quantum
                 quanta += k_g + (k_e - k_g) * p_in.p_e
             else:
                 heats.append(stroke.omega * (p_out.p_e - p_in.p_e))
-        return points, self.quantum * quanta, heats
+        return points, quantum * quanta, heats
 
 
 def eto_vs_thermalization_scan(

@@ -61,6 +61,9 @@ class EngineConfig:
         require_descending(**{name: getattr(self, name) for name in self.GAPS})
         require_descending(T_H=self.T_H, T_C=self.T_C)
         require_unit_interval(lambda_H=self.lambda_H, lambda_C=self.lambda_C)
+        for name in (self.GAPS[0], "T_H"):  # the largest gap and temperature
+            if getattr(self, name) == math.inf:
+                raise InvalidParameterError(f"{name} must be finite, got inf")
 
     @property
     def beta_H(self) -> float:
@@ -209,8 +212,6 @@ def _otto_work(
 ) -> float:
     """``otto_work`` on the fields of an ``OttoConfig`` that the caller has
     already checked."""
-    if math.isinf(omega_H):
-        raise InvalidParameterError("the work of an infinite gap is not a number")
     # beta * omega would round twice, and overflow for a subnormal T
     a = omega_H / T_H
     b = omega_C / T_C

@@ -14,14 +14,9 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NotAnEngineWarning, RegimeMismatchError, ZeroHeatError
 from .maps import Cycle, PopulationVector, WorkStroke
 from .otto import MARKOV, EngineConfig, _coupling_rule
-
-SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])  # population map of the flip
-SWAP.setflags(write=False)
 
 _REGIME_TOL = 1e-12
 _HEAT_TOL = 1e-14

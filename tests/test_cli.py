@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import pytest
 from thermalops import cli
 from thermalops.fcs import pcc_three_stroke_exact
 from thermalops.optimize import otto_config_at, three_stroke_config_at
-from thermalops.otto import otto_work
+from thermalops.cli import ENGINE_CODES
+from thermalops.otto import OttoConfig, otto_work
 from thermalops.verify import closed_form_vs_dense, suite_gibbs_fixed_point
 
 
@@ -178,6 +180,122 @@ def test_verify_output_is_pinned(case, capsys):
     suite, fmt = case
     argv = ["verify", "--suite", suite, "--format", fmt]
     assert stdout_digest(argv, capsys) == PINNED_VERIFY[case]
+
+
+# --- decimal oracle for the counting-statistics tables ---
+
+
+def _series_product(a, b):
+    """Product of two power series in chi, truncated after chi^2."""
+    return a[0] * b[0], a[0] * b[1] + a[1] * b[0], a[0] * b[2] + a[1] * b[1] + a[2] * b[0]
+
+
+def _series_matmul(left, right):
+    return [
+        [
+            tuple(map(sum, zip(*(_series_product(left[i][k], right[k][j]) for k in range(2)))))
+            for j in range(2)
+        ]
+        for i in range(2)
+    ]
+
+
+def _series_constant(x):
+    return x, Decimal(0), Decimal(0)
+
+
+def _decimal_heat(omega, T, lam):
+    q = (-omega / T).exp()
+    return [
+        [_series_constant(1 - lam * q), _series_constant(lam)],
+        [_series_constant(lam * q), _series_constant(1 - lam)],
+    ]
+
+
+def _decimal_tilt(k_g, k_e, flip=False):
+    """``diag(exp(chi k))`` as series, with the rows swapped for a flip."""
+    zero = _series_constant(Decimal(0))
+    rows = [
+        [(Decimal(1), Decimal(k_g), Decimal(k_g * k_g) / 2), zero],
+        [zero, (Decimal(1), Decimal(k_e), Decimal(k_e * k_e) / 2)],
+    ]
+    return rows[::-1] if flip else rows
+
+
+def decimal_counting_terms(cfg):
+    """``(m, v1, c, 1 - mu, quantum)`` of the config's binary64 fields at 60
+    digits.  The tilted cycle map is multiplied out as 2x2 matrices of power
+    series in the counting field (heat, tilt, heat, tilt for the Otto cycle;
+    heat, tilt and flip, heat for the three-stroke engine), so ``M``, ``M'``
+    and ``M''`` are its coefficients and no stroke-tuple code is shared."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        if isinstance(cfg, OttoConfig):
+            w_H, w_C = Decimal(cfg.omega_H), Decimal(cfg.omega_C)
+            hot = _decimal_heat(w_H, Decimal(cfg.T_H), Decimal(cfg.lambda_H))
+            cold = _decimal_heat(w_C, Decimal(cfg.T_C), Decimal(cfg.lambda_C))
+            tilted = _series_matmul(cold, _series_matmul(_decimal_tilt(0, 1), hot))
+            tilted, quantum = _series_matmul(_decimal_tilt(0, -1), tilted), w_H - w_C
+        else:
+            omega = Decimal(cfg.omega)
+            hot = _decimal_heat(omega, Decimal(cfg.T_H), Decimal(cfg.lambda_H))
+            cold = _decimal_heat(omega, Decimal(cfg.T_C), Decimal(cfg.lambda_C))
+            tilted = _series_matmul(cold, _series_matmul(_decimal_tilt(-1, 1, flip=True), hot))
+            quantum = omega
+        m0 = [[e[0] for e in row] for row in tilted]
+        d1 = [[e[1] for e in row] for row in tilted]
+        d2 = [[2 * e[2] for e in row] for row in tilted]
+        g = m0[0][1] + m0[1][0]
+        p = (m0[0][1] / g, m0[1][0] / g)
+        r1 = [d1[0][j] + d1[1][j] for j in range(2)]
+        m = r1[0] * p[0] + r1[1] * p[1]
+        v1 = sum((d2[0][j] + d2[1][j]) * p[j] for j in range(2)) - m * m
+        c = sum(r1[i] * (d1[i][0] * p[0] + d1[i][1] * p[1] - m * p[i]) for i in range(2))
+        return m, v1, c, g, quantum
+
+
+def json_rows(argv, capsys):
+    assert cli.main([*argv, "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)["rows"]
+
+
+def row_config(command, code, omega_H):
+    p = cli.COMMANDS[command][0]
+    if code == ENGINE_CODES["three_stroke"]:
+        return three_stroke_config_at(p["eta"], p["eta_C"], p["T_H"])
+    regime = next(name for name, value in ENGINE_CODES.items() if value == code)
+    return otto_config_at(p["eta"], p["eta_C"], p["T_H"], omega_H, regime)
+
+
+@pytest.mark.parametrize("horizon", ["infinite", "single_cycle"])
+def test_fig5_matches_a_decimal_evaluation(horizon, capsys):
+    # W and the variance-to-mean ratio within 6e-13 relative of the model at
+    # 60 digits.  The float path rounds beta = 1 / T, and its mean 1^T M' p
+    # differences O(1) populations, which costs most at the smallest Markov
+    # gaps.
+    rows = json_rows(["fig5", "--set", f"horizon={horizon}", "--set", "points=24"], capsys)
+    assert len(rows) == 49
+    T_H = Decimal(cli.COMMANDS["fig5"][0]["T_H"])
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for code, omega_H, w, ratio in rows:
+            m, v1, c, g, quantum = decimal_counting_terms(row_config("fig5", code, omega_H))
+            variance = v1 if horizon == "single_cycle" else v1 + 2 * c / g
+            exact_w, exact_ratio = m * quantum / T_H, variance * quantum / m / T_H
+            assert abs(Decimal(w) / exact_w - 1) <= Decimal("6e-13"), (code, omega_H)
+            assert abs(Decimal(ratio) / exact_ratio - 1) <= Decimal("6e-13"), (code, omega_H)
+
+
+def test_fig6_matches_a_decimal_evaluation(capsys):
+    rows = json_rows(["fig6", "--set", "points=24"], capsys)
+    assert len(rows) == 25
+    T_H = Decimal(cli.COMMANDS["fig6"][0]["T_H"])
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for code, omega_H, w, pcc in rows:
+            m, v1, c, _, quantum = decimal_counting_terms(row_config("fig6", code, omega_H))
+            assert abs(Decimal(w) / (m * quantum / T_H) - 1) <= Decimal("6e-13"), omega_H
+            assert abs(Decimal(pcc) - c / v1) <= Decimal("2.2e-16"), omega_H
 
 
 VANISHING_WORK_MESSAGES = {

@@ -35,10 +35,10 @@ from thermalops import (
     work_moments,
 )
 from thermalops.fcs import _pair_sum
-from thermalops.three_stroke import SWAP
 
 LN2 = math.log(2.0)
 LN4 = math.log(4.0)
+SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])  # population map of the three-stroke flip
 
 
 def otto_config(a, b, lambda_H=1.0, lambda_C=1.0):

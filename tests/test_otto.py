@@ -54,6 +54,21 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize(
+    "fields",
+    [
+        (1.0, 0.5, math.inf, 1.0, 1.0, 1.0),  # otto_work gave 0.5, the report raised
+        (math.inf, 0.5, 2.0, 1.0, 1.0, 1.0),  # the report gave W = nan
+    ],
+    ids=["T_H-inf", "omega_H-inf"],
+)
+def test_infinite_fields_are_rejected_at_construction(fields):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError, match="must be finite"):
+            OttoConfig(*fields)
+
+
+@pytest.mark.parametrize(
     "make, args",
     [
         (OttoConfig.markov, (1.0, 0.5, 1.0, 0.0)),

@@ -40,6 +40,17 @@ def test_config_validation():
         ThreeStrokeConfig(1.0, 1.0, 0.5, 1.0, 1.7)
 
 
+@pytest.mark.parametrize(
+    "fields", [(math.inf, 1.0, 0.5, 1.0, 1.0), (1.0, math.inf, 0.5, 1.0, 1.0)], ids=["omega", "T_H"]
+)
+def test_infinite_fields_are_rejected_at_construction(fields):
+    # an infinite gap made the report's W and Q_H NaN
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError, match="must be finite"):
+            ThreeStrokeConfig(*fields)
+
+
 def test_steady_state_example():
     cfg = eto_config(math.log(1.2), math.log(4.0))
     assert math.isclose(three_stroke_steady_state(cfg).p_e, 1.0 / 5.8, abs_tol=1e-14)
