@@ -131,9 +131,9 @@ PINNED_TABLES = {
 # away.
 PINNED_JSON = {
     ("fig4", "points=3"): "3c6c08d773e70cc28f20b74cc23961b92019e1ef195971f91d2b8ecde58a48d4",
-    ("fig5", "points=24"): "1640c1fa9651a367389fe09563001de76bc9f1c97c8506f6dbc72aa8e4883e9b",
+    ("fig5", "points=24"): "cc9a15c25d16f572ef9076564127b35c4409e377dfb9c919fe1bf0db0a3b73e9",
     ("fig5", "horizon=single_cycle", "points=24"): (
-        "5d9580069aa8450d78371ec49ced9c1274523a59c8dbcf2e165ed749f8443d48"
+        "b376b4a982d69ca9510581b1c6f203c55a4b57ff929b3d9d448146d4651cb762"
     ),
     ("fig6", "points=24"): "8e5a2d31473727d601cf902106d0a80f638cfc6722b92c5eb50332f3488f7919",
     ("sweep", "points=40"): "a54c15f4af00823b784cd2288137fdeeeacf590fadc4de707a858728482a2849",
