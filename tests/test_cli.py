@@ -135,7 +135,7 @@ PINNED_JSON = {
     ("fig5", "horizon=single_cycle", "points=24"): (
         "b376b4a982d69ca9510581b1c6f203c55a4b57ff929b3d9d448146d4651cb762"
     ),
-    ("fig6", "points=24"): "8e5a2d31473727d601cf902106d0a80f638cfc6722b92c5eb50332f3488f7919",
+    ("fig6", "points=24"): "c48d31669e3e7b7c5948048e4241cf8ea6115a0595ddb9ca9538bba28d8ed1c9",
     ("sweep", "points=40"): "a54c15f4af00823b784cd2288137fdeeeacf590fadc4de707a858728482a2849",
     ("sweep", "regime=markov", "points=40"): (
         "b778a24e6a11df088fb00d95cc9304387e1fb818fba4894d68ada58320d5b8ff"
