@@ -145,10 +145,10 @@ PINNED_JSON = {
 # sha256 of the verify stdout per (suite, format): the observed values are
 # printed to 6 digits in text and in full in JSON.
 PINNED_VERIFY = {
-    ("all", "text"): "135d5eaa6db7c9287e2658dd68a34da53d6dd72cc0425b62906ed08116aa83cb",
-    ("all", "json"): "0911e0fa036373af09f8f67479df7de4c7d87a5d3ca40ebd5b37cf0a7f1e56f8",
-    ("first-law", "text"): "fc7d5b021ed3c6c7dd6642a3be039dc2e5d3603a5b813868faca9d8c411801b2",
-    ("first-law", "json"): "4746fc206b1659559ffa6c8721c7c41ce6bb22ea9e3bedc12e267db1d892bad2",
+    ("all", "text"): "2cac55a17de2350c0965c8c6bf54151927d52821301579a78700c83c4052547c",
+    ("all", "json"): "ccdb43d75ca47d294b051c1c9648cbf7a9ad7b649c226ca01fba653fab2f655e",
+    ("first-law", "text"): "9b69e9df7a8b33ebcf789b291ecf0c88ed8e61bf450a2618ea8cec0df1b75bf0",
+    ("first-law", "json"): "f06db3d813c6b00cdbfc69f393dfad79d165918230572cca9955e94eb3e689ba",
 }
 
 
