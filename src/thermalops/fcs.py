@@ -19,6 +19,10 @@ coefficient ``c / v1``: the 2x2 case of Flindt et al., PRL 100, 150601
 (2008).  ``1 - mu`` is the sum of the off-diagonal entries, which does not
 cancel at small gaps.  An exact trajectory-enumeration oracle, which walks
 the same stroke tuple, checks all of it.
+
+``M``, ``M'`` and ``M''`` are row-major Python floats, composed by the same
+2x2 kernel as the cycle map (``maps._compose``) from the checked entries of
+the heat maps, so they round the same way on every platform.
 """
 
 from __future__ import annotations
