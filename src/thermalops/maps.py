@@ -27,14 +27,10 @@ the heats all follow from that tuple.
 Every value is checked once, where it enters, and 2x2 work is done on
 Python floats: a ``GibbsStochasticMatrix`` built from a user's matrix and
 a map from ``build_map`` pass the same float checks of their four entries;
-``build_map`` then wraps its entries without checking them again.  A map
-keeps its checked entries as a float tuple, and the cycle product, the
-steady state, the stroke-boundary populations and ``apply_map`` compute on
-those floats (``_compose``, ``_fixed_point``); the numpy array ``m`` is
-only the public, read-only view.  Each Python float operation rounds once,
-so these results are the same on every platform, where a numpy 2x2
-product may take a fused multiply-add or not depending on the BLAS kernel
-the CPU dispatches to.
+``build_map`` then wraps its entries without checking them again.  The
+cycle product, its fixed point, ``Cycle.run`` and ``apply_map`` compute on
+a map's checked float entries (``_compose``, ``_fixed_point``), which round
+alike on every platform; a numpy 2x2 product may use a fused multiply-add.
 
 All types are immutable after construction and all operations are pure
 functions; everything is safe for concurrent read-only use.
