@@ -17,8 +17,10 @@ column-stochastic ``M`` is ``p 1^T + mu (I - p 1^T)`` with
 scaled variance ``v1 + 2 c / (1 - mu)`` and the intercycle Pearson
 coefficient ``c / v1``: the 2x2 case of Flindt et al., PRL 100, 150601
 (2008).  ``1 - mu`` is the sum of the off-diagonal entries, which does not
-cancel at small gaps.  An exact trajectory-enumeration oracle, which walks
-the same stroke tuple, checks all of it.
+cancel at small gaps.  ``p`` is the fixed point of that ``M`` in all three
+statistics; a ``p1`` a caller passes is checked against it.  An exact
+trajectory-enumeration oracle, which walks the same stroke tuple, checks
+all of it.
 
 ``M``, ``M'`` and ``M''`` are row-major Python floats, composed by the same
 2x2 kernel as the cycle map (``maps._compose``) from the checked entries of
@@ -42,7 +44,15 @@ from .errors import (
     ZeroVarianceError,
     ZeroWorkError,
 )
-from .maps import Cycle, PopulationVector, WorkStroke, _compose, _fixed_point, require_count
+from .maps import (
+    DRIFT_RENORM,
+    Cycle,
+    PopulationVector,
+    WorkStroke,
+    _compose,
+    _fixed_point,
+    require_count,
+)
 from .otto import EngineConfig, OttoConfig
 from .three_stroke import ThreeStrokeConfig
 
@@ -93,10 +103,13 @@ def _derivative_maps(tmap: TiltedMap) -> tuple[list[float], list[float], list[fl
     return m0, d1, d2
 
 
-def _spectral_terms(maps, p: PopulationVector):
-    """``(m, v1, c, 1 - mu)`` of the cycle, in work quanta."""
+def _spectral_terms(maps, p1: PopulationVector | None = None):
+    """``(m, v1, c, 1 - mu)`` of the cycle, in work quanta, in its steady
+    state, the fixed point of ``M``; a ``p1`` must be that state."""
     m0, d1, d2 = maps
-    p_g, p_e = p.p_g, p.p_e
+    p_g, p_e = _fixed_point(*m0)
+    if p1 is not None and not abs(p1.p_e - p_e) <= DRIFT_RENORM:
+        raise InvalidParameterError(f"p1 is not the steady state: p_e {p1.p_e!r}, not {p_e!r}")
     r_g, r_e = d1[0] + d1[2], d1[1] + d1[3]  # 1^T M'
     m = r_g * p_g + r_e * p_e
     v1 = (d2[0] + d2[2]) * p_g + (d2[1] + d2[3]) * p_e - m * m
@@ -140,7 +153,8 @@ class WorkStatistics:
 
 
 def work_moments(tmap: TiltedMap, p1: PopulationVector, n: int) -> WorkStatistics:
-    """Finite-N work mean ``N m`` and variance ``N v1 + 2 c S_N``.
+    """Finite-N work mean ``N m`` and variance ``N v1 + 2 c S_N`` from the
+    steady state, which ``p1`` must be, to ``DRIFT_RENORM`` in ``p_e``.
 
     Raises ``ZeroWorkError`` when the mean is exactly 0, where the
     variance-to-mean ratio is undefined."""
@@ -173,7 +187,7 @@ def scaled_cumulants(tmap: TiltedMap) -> tuple[float, float]:
     m0 = maps[0]
     if not all(x > 0.0 for x in _compose(m0, m0)):
         raise NonPrimitiveMapError("untilted cycle map squared has zero entries")
-    m, v1, c, g = _spectral_terms(maps, _fixed_point(*m0))
+    m, v1, c, g = _spectral_terms(maps)
     if g < 1e-12:
         raise NonPrimitiveMapError("dominant eigenvalue degenerate at chi = 0")
     return m * tmap.quantum, _checked_variance(v1 + 2.0 * c / g, 1.0) * tmap.quantum**2
@@ -271,7 +285,8 @@ def enumerate_work_distribution(cfg: EngineConfig, n: int) -> WorkDistribution:
 
 def intercycle_pcc(tmap: TiltedMap, p1: PopulationVector) -> float:
     """Pearson correlation coefficient of the work in two successive
-    cycles, ``Cov / Var_1 = c / v1``; always in [-1, 1]."""
+    cycles, ``Cov / Var_1 = c / v1``, from the steady state as in
+    ``work_moments``; always in [-1, 1]."""
     _, v1, c, _ = _spectral_terms(_derivative_maps(tmap), p1)
     variance = _checked_variance(v1, 1.0) * tmap.quantum**2
     if variance < 1e-14:

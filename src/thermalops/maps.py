@@ -281,11 +281,11 @@ def stationary_population(m: np.ndarray) -> PopulationVector:
     numerically the identity and the fixed point is not unique.
     """
     (stay_g, down), (up, stay_e) = np.asarray(m, dtype=float).tolist()
-    return _fixed_point(stay_g, down, up, stay_e)
+    return PopulationVector.from_raw(_fixed_point(stay_g, down, up, stay_e))
 
 
-def _fixed_point(stay_g: float, down: float, up: float, stay_e: float) -> PopulationVector:
-    """``stationary_population`` of the row-major entries."""
+def _fixed_point(stay_g: float, down: float, up: float, stay_e: float) -> tuple[float, float]:
+    """``stationary_population`` of the row-major entries, as ``(p_g, p_e)``."""
     cols = (stay_g + up, down + stay_e)  # NaN and inf fail the test below
     if not (abs(cols[0] - 1.0) <= STOCHASTIC_TOL and abs(cols[1] - 1.0) <= STOCHASTIC_TOL):
         raise InvalidParameterError(f"columns must sum to 1 within {STOCHASTIC_TOL}, got {cols}")
@@ -298,7 +298,7 @@ def _fixed_point(stay_g: float, down: float, up: float, stay_e: float) -> Popula
         raise DegenerateCycleError(
             "cycle map is the identity within tolerance; fixed point not unique"
         )
-    return PopulationVector.from_raw([down / (up + down), up / (up + down)])
+    return down / (up + down), up / (up + down)
 
 
 def _compose(left: tuple, right: tuple) -> tuple[float, float, float, float]:
@@ -365,7 +365,7 @@ class Cycle:
 
     def steady_state(self) -> PopulationVector:
         """Cyclostationary populations at point 1."""
-        return _fixed_point(*self._product())
+        return PopulationVector.from_raw(_fixed_point(*self._product()))
 
     def run(self) -> tuple[list[PopulationVector], float, list[float]]:
         """One steady cycle: the populations entering each stroke, the work

@@ -175,15 +175,9 @@ def _check_jc(J: float, t: float, kind: str) -> None:
         raise InvalidParameterError(f"time must be finite and >= 0, got {t}")
 
 
-def _sector_coupling(n: int, J: float, kind: str) -> float:
-    # sector n couples |g,n> with |e,n-1>
-    if kind == INTENSITY_DEPENDENT:
-        return J
-    return J * math.sqrt(n)
-
-
 def _sector_angles(J: float, t: float, tr: FockTruncation, kind: str) -> np.ndarray:
-    """Rabi angles ``g_n t`` of the sectors n = 1 .. n_max, vectorized."""
+    """Rabi angles ``g_n t`` of the sectors n = 1 .. n_max; sector n couples
+    ``|g,n>`` with ``|e,n-1>``."""
     if kind == INTENSITY_DEPENDENT:
         return np.full(tr.n_max, J * t)
     return J * np.sqrt(np.arange(1, tr.n_levels)) * t
@@ -199,8 +193,7 @@ def jc_unitary(J: float, t: float, tr: FockTruncation, kind: str) -> np.ndarray:
     """
     _check_jc(J, t, kind)
     u = np.eye(tr.dim, dtype=complex)
-    for n in range(1, tr.n_levels):
-        theta = _sector_coupling(n, J, kind) * t
+    for n, theta in enumerate(_sector_angles(J, t, tr, kind).tolist(), start=1):
         i, j = tr.index(0, n), tr.index(1, n - 1)
         c, s = math.cos(theta), math.sin(theta)
         u[i, i] = c

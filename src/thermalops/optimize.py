@@ -38,12 +38,10 @@ from .maps import require_count, require_descending
 from .otto import (
     MARKOV,
     NONMARKOV,
-    REGIMES,
     EngineConfig,
     OttoConfig,
     _coupling_rule,
     _otto_work,
-    _pinned_fields,
 )
 from .three_stroke import ThreeStrokeConfig, three_stroke_report
 
@@ -76,13 +74,11 @@ class ScanSpec:
             raise InvalidParameterError(
                 f"need 0 < eta < eta_C < 1, got eta={self.eta}, eta_C={self.eta_C}"
             )
-        require_descending(T_H=self.T_H)
+        _coupling_rule(self.T_H, (1.0 - self.eta_C) * self.T_H, self.regime)  # T_H, regime
         if not 0.0 < self.omega_lo < self.omega_hi < math.inf:
             raise InvalidParameterError(
                 f"need 0 < omega_lo < omega_hi < inf, got ({self.omega_lo}, {self.omega_hi})"
             )
-        if self.regime not in REGIMES:
-            raise InvalidParameterError(f"regime must be one of {REGIMES}")
         require_count(self.grid_size, 3, "grid_size")
 
 
@@ -98,11 +94,10 @@ def otto_config_at(
     eta: float, eta_C: float, T_H: float, omega_H: float, regime: str
 ) -> OttoConfig:
     """Otto configuration with (eta, eta_C) pinned; omegas in k_B T_H units.
-    Both couplings are 1 (``nonmarkov``) or at full thermalization
-    (``markov``)."""
+    The couplings are those ``otto._coupling_rule`` gives the regime."""
     omega_C = (1.0 - eta) * omega_H
     T_C = (1.0 - eta_C) * T_H
-    return OttoConfig(*_pinned_fields(omega_H, omega_C, T_H, T_C, regime))
+    return OttoConfig._in_regime(regime, T_H, T_C, omega_H, omega_C)
 
 
 def work_at(eta: float, eta_C: float, T_H: float, omega_H: float, regime: str) -> float:

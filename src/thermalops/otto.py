@@ -11,6 +11,10 @@ parameters and checks that the Otto and three-stroke configs share.
 couplings; the gap scans use it, and ``otto_cycle_report`` stays the full
 report and the reference it is tested against.
 
+``_coupling_rule`` is the one statement of a regime's couplings: the
+regime constructors (``EngineConfig._in_regime``) and the gap scans take
+them from it, and the closed forms check a config against it.
+
 Sign conventions: ``Q_H = omega_H * (p_e2 - p_e1)`` is positive when heat
 flows into the qubit, ``Q_C = omega_C * (p_e4 - p_e3)`` is negative in
 engine operation, and the first law reads ``W = Q_H + Q_C`` exactly.  The
@@ -49,11 +53,28 @@ REGIMES = (MARKOV, NONMARKOV)
 _REGIME_TOL = 1e-12
 
 
+def _coupling_rule(T_H: float, T_C: float, regime: str):
+    """The couplings ``(lambda_H, lambda_C)`` of the regime as a function of
+    the gaps ``(omega_H, omega_C)``: 1 and 1 (``nonmarkov``) or full
+    thermalization at each bath (``markov``).  The temperatures, before they
+    divide, and the regime are checked here, once; the gaps by the caller."""
+    require_descending(T_H=T_H, T_C=T_C)
+    if regime == NONMARKOV:
+        return lambda omega_H, omega_C: (1.0, 1.0)
+    if regime == MARKOV:
+        beta_H, beta_C = 1.0 / T_H, 1.0 / T_C
+        return lambda omega_H, omega_C: (
+            full_thermalization_lambda(omega_H, beta_H),
+            full_thermalization_lambda(omega_C, beta_C),
+        )
+    raise InvalidParameterError(f"regime must be one of {REGIMES}, got {regime!r}")
+
+
 class EngineConfig:
-    """Checks, inverse temperatures and heat maps shared by the engine
-    configs: frozen dataclasses with fields ``T_H``, ``T_C``, ``lambda_H``,
-    ``lambda_C`` and the gaps named in ``GAPS`` (hot gap first, cold gap
-    last), which build their stroke tuple in ``cycle()``."""
+    """Checks, inverse temperatures, heat maps and regime couplings shared by
+    the engine configs: frozen dataclasses with fields ``T_H``, ``T_C``,
+    ``lambda_H``, ``lambda_C`` and the gaps named in ``GAPS`` (hot gap first,
+    cold gap last), which build their stroke tuple in ``cycle()``."""
 
     GAPS: tuple[str, ...] = ()
 
@@ -80,6 +101,19 @@ class EngineConfig:
     def cold_map(self) -> GibbsStochasticMatrix:
         return _build_map(getattr(self, self.GAPS[-1]), self.beta_C, self.lambda_C)
 
+    @classmethod
+    def _in_regime(cls, regime: str, T_H: float, T_C: float, *gaps: float):
+        """The config with the couplings of ``regime`` at these gaps."""
+        return cls(*gaps, T_H, T_C, *_coupling_rule(T_H, T_C, regime)(gaps[0], gaps[-1]))
+
+    def _require_regime(self, regime: str) -> None:
+        """Raise ``RegimeMismatchError`` unless the couplings are those of
+        ``regime`` at the config's own gaps, within ``_REGIME_TOL``."""
+        gaps = (getattr(self, self.GAPS[0]), getattr(self, self.GAPS[-1]))
+        lam_H, lam_C = _coupling_rule(self.T_H, self.T_C, regime)(*gaps)
+        if max(abs(self.lambda_H - lam_H), abs(self.lambda_C - lam_C)) > _REGIME_TOL:
+            raise RegimeMismatchError(f"{regime} regime requires couplings {(lam_H, lam_C)}")
+
 
 @dataclass(frozen=True)
 class OttoConfig(EngineConfig):
@@ -97,12 +131,12 @@ class OttoConfig(EngineConfig):
     @classmethod
     def nonmarkov(cls, omega_H, omega_C, T_H, T_C) -> "OttoConfig":
         """Both heat strokes are extremal thermal operations."""
-        return cls(*_pinned_fields(omega_H, omega_C, T_H, T_C, NONMARKOV))
+        return cls._in_regime(NONMARKOV, T_H, T_C, omega_H, omega_C)
 
     @classmethod
     def markov(cls, omega_H, omega_C, T_H, T_C) -> "OttoConfig":
         """Both heat strokes fully thermalize the qubit."""
-        return cls(*_pinned_fields(omega_H, omega_C, T_H, T_C, MARKOV))
+        return cls._in_regime(MARKOV, T_H, T_C, omega_H, omega_C)
 
     @property
     def work_quantum(self) -> float:
@@ -128,31 +162,6 @@ class OttoConfig(EngineConfig):
             ),
             self.work_quantum,
         )
-
-
-def _coupling_rule(T_H: float, T_C: float, regime: str):
-    """The couplings ``(lambda_H, lambda_C)`` of the regime as a function of
-    the gaps ``(omega_H, omega_C)``: 1 and 1 (``nonmarkov``) or full
-    thermalization at each bath (``markov``), for the Otto and the
-    three-stroke configs and the gap scans.  The temperatures, before they
-    divide, and the regime are checked here, once; the gaps by the caller."""
-    require_descending(T_H=T_H, T_C=T_C)
-    if regime == NONMARKOV:
-        return lambda omega_H, omega_C: (1.0, 1.0)
-    if regime == MARKOV:
-        beta_H, beta_C = 1.0 / T_H, 1.0 / T_C
-        return lambda omega_H, omega_C: (
-            full_thermalization_lambda(omega_H, beta_H),
-            full_thermalization_lambda(omega_C, beta_C),
-        )
-    raise InvalidParameterError(f"regime must be one of {REGIMES}, got {regime!r}")
-
-
-def _pinned_fields(
-    omega_H: float, omega_C: float, T_H: float, T_C: float, regime: str
-) -> tuple[float, float, float, float, float, float]:
-    """``OttoConfig`` fields with both couplings set by ``_coupling_rule``."""
-    return omega_H, omega_C, T_H, T_C, *_coupling_rule(T_H, T_C, regime)(omega_H, omega_C)
 
 
 @dataclass(frozen=True)
@@ -230,41 +239,21 @@ def _otto_work(
     return (omega_H - omega_C) * l_H * (l_C * dq / rate)
 
 
-def _nonmarkov_populations(a: float, b: float) -> tuple[float, float]:
-    # a = beta_H * omega_H, b = beta_C * omega_C; expm1 keeps small-gap
-    # accuracy, the exp(-x) form avoids overflow for large exponents.
-    if a + b < 700.0:
-        denom = math.expm1(a + b)
-        return math.expm1(a) / denom, math.expm1(b) / denom
-    x_h, x_c = math.exp(-a), math.exp(-b)
-    denom = 1.0 - x_c * x_h
-    return x_c * (1.0 - x_h) / denom, x_h * (1.0 - x_c) / denom
-
-
 def analytic_populations(cfg: OttoConfig, regime: str) -> tuple[float, float]:
     """Closed-form excited-state populations (p_e1, p_e3) for the two
     reference regimes.
 
-    ``markov`` requires both couplings at their full-thermalization values
-    (points 1 and 3 are then thermal at the cold and hot bath); ``nonmarkov``
-    requires extremal operations on both strokes.  Serves as an independent
-    check on the steady-state solver.
+    The couplings must be those of the regime: full thermalization
+    (``markov``; points 1 and 3 are then thermal at the cold and hot bath)
+    or extremal operations on both strokes (``nonmarkov``).  Serves as an
+    independent check on the steady-state solver.
     """
-    a = cfg.beta_H * cfg.omega_H
-    b = cfg.beta_C * cfg.omega_C
+    cfg._require_regime(regime)
+    a, b = cfg.beta_H * cfg.omega_H, cfg.beta_C * cfg.omega_C
+    q_H, q_C = math.exp(-a), math.exp(-b)
     if regime == MARKOV:
-        expected_H = full_thermalization_lambda(cfg.omega_H, cfg.beta_H)
-        expected_C = full_thermalization_lambda(cfg.omega_C, cfg.beta_C)
-        if (
-            abs(cfg.lambda_H - expected_H) > _REGIME_TOL
-            or abs(cfg.lambda_C - expected_C) > _REGIME_TOL
-        ):
-            raise RegimeMismatchError(
-                "markov regime requires full-thermalization coupling strengths"
-            )
-        return 1.0 / (1.0 + math.exp(b)), 1.0 / (1.0 + math.exp(a))
-    if regime == NONMARKOV:
-        if abs(cfg.lambda_H - 1.0) > _REGIME_TOL or abs(cfg.lambda_C - 1.0) > _REGIME_TOL:
-            raise RegimeMismatchError("nonmarkov regime requires lambda = 1 on both strokes")
-        return _nonmarkov_populations(a, b)
-    raise InvalidParameterError(f"unknown regime {regime!r}, expected one of {REGIMES}")
+        return q_C / (1.0 + q_C), q_H / (1.0 + q_H)
+    # (e^a - 1) / (e^(a+b) - 1) and (e^b - 1) / (e^(a+b) - 1); -expm1 of a
+    # negative argument keeps small gaps accurate and cannot overflow
+    denom = -math.expm1(-(a + b))
+    return q_C * -math.expm1(-a) / denom, q_H * -math.expm1(-b) / denom

@@ -14,11 +14,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .errors import NotAnEngineWarning, RegimeMismatchError, ZeroHeatError
+from .errors import NotAnEngineWarning, ZeroHeatError
 from .maps import Cycle, PopulationVector, WorkStroke
-from .otto import MARKOV, EngineConfig, _coupling_rule
+from .otto import MARKOV, NONMARKOV, EngineConfig
 
-_REGIME_TOL = 1e-12
 _HEAT_TOL = 1e-14
 
 
@@ -34,12 +33,12 @@ class ThreeStrokeConfig(EngineConfig):
 
     @classmethod
     def nonmarkov(cls, omega, T_H, T_C) -> "ThreeStrokeConfig":
-        return cls(omega, T_H, T_C, 1.0, 1.0)
+        return cls._in_regime(NONMARKOV, T_H, T_C, omega)
 
     @classmethod
     def markov(cls, omega, T_H, T_C) -> "ThreeStrokeConfig":
         """Both heat strokes fully thermalize the qubit, as in ``OttoConfig.markov``."""
-        return cls(omega, T_H, T_C, *_coupling_rule(T_H, T_C, MARKOV)(omega, omega))
+        return cls._in_regime(MARKOV, T_H, T_C, omega)
 
     @property
     def work_quantum(self) -> float:
@@ -54,11 +53,8 @@ class ThreeStrokeConfig(EngineConfig):
         )
 
     def requires_eto(self):
-        if abs(self.lambda_H - 1.0) > _REGIME_TOL or abs(self.lambda_C - 1.0) > _REGIME_TOL:
-            raise RegimeMismatchError(
-                "closed-form expressions hold only for extremal operations "
-                "(lambda = 1 on both strokes)"
-            )
+        """Closed forms hold only for extremal operations (``nonmarkov``)."""
+        self._require_regime(NONMARKOV)
 
 
 @dataclass(frozen=True)

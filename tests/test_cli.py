@@ -298,6 +298,27 @@ def test_fig6_matches_a_decimal_evaluation(capsys):
             assert abs(Decimal(pcc) - c / v1) <= Decimal("2.2e-16"), omega_H
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["fig5", "--set", "horizon=never"],
+            "horizon must be one of ('single_cycle', 'infinite'), got 'never'",
+        ),
+        (
+            ["sweep", "--set", "regime=diesel"],
+            "regime must be one of ('markov', 'nonmarkov'), got 'diesel'",
+        ),
+    ],
+)
+def test_bad_horizon_and_regime_messages(argv, message, capsys):
+    # one check each, in the library; the CLI reports its message
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"thermalops {argv[0]}: {message}\n"
+
+
 VANISHING_WORK_MESSAGES = {
     "single_cycle": "work mean vanishes",
     "infinite": "untilted cycle map squared has zero entries",

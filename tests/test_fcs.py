@@ -11,10 +11,12 @@ from hypothesis import strategies as st
 from thermalops import (
     ConsistencyError,
     CountingOverflowError,
+    DegenerateCycleError,
     EnumerationSizeError,
     InvalidParameterError,
     NonPrimitiveMapError,
     OttoConfig,
+    PopulationVector,
     RegimeMismatchError,
     ThreeStrokeConfig,
     WorkDistribution,
@@ -264,6 +266,38 @@ def test_work_moments_overflow_is_typed():
         work_moments(tmap, p1, 10**307)
     with pytest.raises(CountingOverflowError):
         work_moments(tmap, p1, 10**309)  # not even a float
+
+
+def test_statistics_reject_a_p1_that_is_not_the_steady_state():
+    # from the ground state the 3-cycle mean is 0.14596 and the PCC 0.1493,
+    # not the stationary 3 * W and 0.1944 that the closed form gives
+    cfg = OttoConfig.nonmarkov(1.0, 0.7, 1.0, 0.5)
+    tmap, steady = tilted_and_steady(cfg)
+    ground = PopulationVector(1.0, 0.0)
+    with pytest.raises(InvalidParameterError, match="not the steady state"):
+        work_moments(tmap, ground, 3)
+    with pytest.raises(InvalidParameterError, match="not the steady state"):
+        intercycle_pcc(tmap, ground)
+    assert math.isclose(work_moments(tmap, steady, 3).mean, 3.0 * otto_work(cfg), rel_tol=1e-14)
+    assert math.isclose(intercycle_pcc(tmap, steady), 0.19435777017457537, rel_tol=1e-15)
+    # a copy within DRIFT_RENORM = 1e-12 in p_e is checked, not used
+    near = PopulationVector(steady.p_g + 8e-13, steady.p_e - 8e-13)
+    assert work_moments(tmap, near, 3) == work_moments(tmap, steady, 3)
+    assert intercycle_pcc(tmap, near) == intercycle_pcc(tmap, steady)
+    far = PopulationVector(steady.p_g + 2e-12, steady.p_e - 2e-12)
+    with pytest.raises(InvalidParameterError):
+        work_moments(tmap, far, 3)
+    with pytest.raises(InvalidParameterError):
+        intercycle_pcc(tmap, far)
+
+
+def test_identity_cycle_statistics_are_degenerate():
+    tmap = tilted_map_otto(OttoConfig(1.0, 0.5, 1.0, 0.5, 0.0, 0.0))  # identity cycle map
+    p1 = PopulationVector(0.5, 0.5)
+    with pytest.raises(DegenerateCycleError):
+        work_moments(tmap, p1, 2)
+    with pytest.raises(DegenerateCycleError):
+        intercycle_pcc(tmap, p1)
 
 
 def test_vanishing_work_mean_is_typed():

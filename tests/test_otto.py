@@ -224,6 +224,37 @@ def test_analytic_populations_regime_mismatch():
         analytic_populations(cfg, "something")
 
 
+def test_regime_check_is_the_coupling_rule():
+    # configs built through the coupling rule pass at any gaps and
+    # temperatures; a coupling moved by 2e-12 or a wrong regime does not
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        T_H = 10.0 ** rng.uniform(-3.0, 3.0)
+        omega_H = T_H * 10.0 ** rng.uniform(-3.0, 1.5)
+        args = (omega_H, omega_H * rng.uniform(0.1, 0.9), T_H, T_H * rng.uniform(0.1, 0.9))
+        for regime in ("markov", "nonmarkov"):
+            cfg = getattr(OttoConfig, regime)(*args)
+            analytic_populations(cfg, regime)
+            shifted = OttoConfig(*args, cfg.lambda_H, cfg.lambda_C - 2e-12)
+            with pytest.raises(RegimeMismatchError):
+                analytic_populations(shifted, regime)
+    omega, T_H, T_C = 0.8, 1.0, 0.4
+    ThreeStrokeConfig.nonmarkov(omega, T_H, T_C).requires_eto()
+    for cfg in (
+        ThreeStrokeConfig.markov(omega, T_H, T_C),
+        ThreeStrokeConfig(omega, T_H, T_C, 1.0, 1.0 - 2e-12),
+    ):
+        with pytest.raises(RegimeMismatchError):
+            cfg.requires_eto()
+
+
+def test_analytic_populations_at_huge_gaps():
+    # exp(beta * omega) overflowed in the Markov closed form
+    for regime in ("markov", "nonmarkov"):
+        cfg = getattr(OttoConfig, regime)(1000.0, 800.0, 1.0, 0.5)
+        assert analytic_populations(cfg, regime) == (0.0, 0.0)
+
+
 @pytest.mark.parametrize(
     "cfg, fraction", [(eto_config(LN2, LN4), 2.0 / 7.0), (markov_config(LN2, LN4), 2.0 / 15.0)]
 )
