@@ -74,12 +74,13 @@ def tilted_map_three_stroke(cfg: ThreeStrokeConfig) -> TiltedMap:
 def cumulant_gf(tmap: TiltedMap, p1: PopulationVector, n: int, chi: float) -> float:
     """N-cycle cumulant generating function ``G_N(chi)``; zero at ``chi = 0``."""
     n = require_count(n, 1, "cycle count")
+    m = tmap.matrix(chi)
     if abs(chi) * n * tmap.quantum > EXP_BUDGET:
         raise CountingOverflowError(
             f"|chi| * N * Delta = {abs(chi) * n * tmap.quantum:.3g} exceeds "
             f"the exponent budget {EXP_BUDGET}"
         )
-    vec = np.linalg.matrix_power(tmap.matrix(chi), n) @ p1.as_array()
+    vec = np.linalg.matrix_power(m, n) @ p1.as_array()
     return float(np.log(vec.sum()))
 
 
@@ -288,9 +289,8 @@ def intercycle_pcc(tmap: TiltedMap, p1: PopulationVector) -> float:
     cycles, ``Cov / Var_1 = c / v1``, from the steady state as in
     ``work_moments``; always in [-1, 1]."""
     _, v1, c, _ = _spectral_terms(_derivative_maps(tmap), p1)
-    variance = _checked_variance(v1, 1.0) * tmap.quantum**2
-    if variance < 1e-14:
-        raise ZeroVarianceError(f"single-cycle variance {variance:.3e} too small for a PCC")
+    if _checked_variance(v1, 1.0) < 1e-14:
+        raise ZeroVarianceError(f"single-cycle variance {v1:.3e} quanta^2 too small for a PCC")
     pcc = c / v1
     if not -1.0 - 1e-9 <= pcc <= 1.0 + 1e-9:
         raise ConsistencyError(f"PCC {pcc} outside [-1, 1] beyond tolerance")

@@ -44,7 +44,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConsistencyError, DegenerateCycleError, InvalidParameterError
+from .errors import (
+    ConsistencyError,
+    CountingOverflowError,
+    DegenerateCycleError,
+    InvalidParameterError,
+)
 
 # Probability drift below RENORM is accepted as-is, between RENORM and FAIL
 # it is clamped and renormalized, above FAIL it is treated as a logic bug.
@@ -342,8 +347,14 @@ class Cycle:
     def matrix(self, chi: float = 0.0) -> np.ndarray:
         """Cycle map ``S_k @ ... @ S_1`` with every work-stroke transition
         weighted by ``exp(chi * released work)``; column-stochastic at
-        ``chi = 0``."""
-        return np.array(self._product(chi)).reshape(2, 2)
+        ``chi = 0``.  Raises ``InvalidParameterError`` for a non-finite
+        ``chi`` and ``CountingOverflowError`` when a weight overflows."""
+        if not math.isfinite(chi):
+            raise InvalidParameterError(f"counting field must be finite, got {chi}")
+        try:
+            return np.array(self._product(chi)).reshape(2, 2)
+        except OverflowError:
+            raise CountingOverflowError(f"exp(chi * work) overflows at chi = {chi}") from None
 
     def _product(self, chi: float = 0.0) -> tuple[float, float, float, float]:
         """``matrix(chi)`` as row-major floats.  Work strokes are row

@@ -4,7 +4,9 @@ Fixing the efficiency ``eta`` and the Carnot efficiency ``eta_C`` pins
 ``omega_C = (1 - eta) * omega_H`` and ``T_C = (1 - eta_C) * T_H``, leaving
 the single gap ``omega_H`` free; the work-per-cycle (in units of k_B T_H)
 is maximized over it by a log-spaced coarse scan followed by golden-section
-refinement.  Each gap is evaluated with the closed-form Otto work
+refinement to ``1e-8 * T_H``; fig4 (``work_efficiency_curve``) scans the
+window ``[1e-3, 20] * T_H``, so its rows do not depend on the unit of
+energy.  Each gap is evaluated with the closed-form Otto work
 (``otto.otto_work``), not by running the stroke cycle, on Python floats and
 without building an ``OttoConfig``.  A scan checks ``eta``, ``eta_C``, the
 temperatures and the regime once, in ``_work_curve``, and each gap only for
@@ -93,8 +95,9 @@ class OptimumRecord:
 def otto_config_at(
     eta: float, eta_C: float, T_H: float, omega_H: float, regime: str
 ) -> OttoConfig:
-    """Otto configuration with (eta, eta_C) pinned; omegas in k_B T_H units.
-    The couplings are those ``otto._coupling_rule`` gives the regime."""
+    """Otto configuration with (eta, eta_C) pinned; ``omega_H`` and the
+    gaps of the config are absolute energies, like ``T_H``.  The couplings
+    are those ``otto._coupling_rule`` gives the regime."""
     omega_C = (1.0 - eta) * omega_H
     T_C = (1.0 - eta_C) * T_H
     return OttoConfig._in_regime(regime, T_H, T_C, omega_H, omega_C)
@@ -132,13 +135,14 @@ def _work_curve(eta: float, eta_C: float, T_H: float, regime: str):
 
 
 def _golden_max(f, lo: float, hi: float, xtol: float = _XTOL):
-    """Golden-section maximization on [lo, hi]; returns (x, f(x), evals)."""
+    """Golden-section maximization on [lo, hi] until the bracket is ``xtol``
+    wide or an inner point rounds onto its end; returns (x, f(x), evals)."""
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = f(c), f(d)
     evals = 2
-    while b - a > xtol:
+    while b - a > xtol and a < c and d < b:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -157,7 +161,7 @@ def maximize_work(spec: ScanSpec) -> OptimumRecord:
     """Maximize the Otto work-per-cycle over the gap range.
 
     Log-spaced coarse scan, then golden-section refinement of the
-    bracketing interval to ``1e-8`` absolute in ``omega_H``.  If the best
+    bracketing interval to ``1e-8 * T_H`` in ``omega_H``.  If the best
     coarse point sits at a range endpoint a warning is issued and the
     record is marked unconverged; if a second local maximum ties the best
     one within ``1e-6`` it is refined as well and the larger value wins.
@@ -195,7 +199,7 @@ def maximize_work(spec: ScanSpec) -> OptimumRecord:
     for idx in to_refine:
         lo = grid[max(idx - 1, 0)]
         hi = grid[min(idx + 1, spec.grid_size - 1)]
-        x, fx, used = _golden_max(f, lo, hi)
+        x, fx, used = _golden_max(f, lo, hi, _XTOL * spec.T_H)
         evals += used
         if fx > w_star:
             x_star, w_star = x, fx
@@ -268,8 +272,9 @@ def work_efficiency_curve(
 ) -> np.ndarray:
     """Work-per-cycle (k_B T_H units) vs efficiency for one engine.
 
-    Otto rows maximize over the gap at each efficiency; three-stroke rows
-    invert the efficiency for the gap and evaluate the closed cycle.
+    Otto rows maximize over the gap in ``[1e-3 * T_H, 20 * T_H]`` at each
+    efficiency; three-stroke rows invert the efficiency for the gap and
+    evaluate the closed cycle.
     """
     etas = np.asarray(list(eta_grid), dtype=float)
     if etas.size == 0 or not ((etas > 0.0) & (etas < eta_C)).all():
@@ -284,7 +289,7 @@ def work_efficiency_curve(
                 warnings.simplefilter("ignore")
                 w = three_stroke_report(cfg).W / T_H
         else:
-            w = maximize_work(ScanSpec(eta, eta_C, T_H, engine)).W_star
+            w = maximize_work(ScanSpec(eta, eta_C, T_H, engine, 1e-3 * T_H, 20.0 * T_H)).W_star
         rows[i] = (eta, w)
     return rows
 

@@ -259,8 +259,8 @@ def json_rows(argv, capsys):
     return json.loads(capsys.readouterr().out)["rows"]
 
 
-def row_config(command, code, omega_H):
-    p = cli.COMMANDS[command][0]
+def row_config(command, code, omega_H, **overrides):
+    p = {**cli.COMMANDS[command][0], **overrides}
     if code == ENGINE_CODES["three_stroke"]:
         return three_stroke_config_at(p["eta"], p["eta_C"], p["T_H"])
     regime = next(name for name, value in ENGINE_CODES.items() if value == code)
@@ -296,6 +296,41 @@ def test_fig6_matches_a_decimal_evaluation(capsys):
             m, v1, c, _, quantum = decimal_counting_terms(row_config("fig6", code, omega_H))
             assert abs(Decimal(w) / (m * quantum / T_H) - 1) <= Decimal("6e-13"), omega_H
             assert abs(Decimal(pcc) - c / v1) <= Decimal("2.2e-16"), omega_H
+
+
+@pytest.mark.parametrize("T_H", [1e-8, 1e3])
+def test_rescaled_fig6_matches_a_decimal_evaluation(T_H, capsys):
+    # The fig6 engines with every energy scaled by T_H.  The zero-variance
+    # guard reads work quanta, so every row is returned (at T_H = 1e-8 the
+    # guard in energy units refused them all).  The PCC bound is the worst
+    # error of the default 120-point table at T_H = 1, 3.4e-16; the 24-point
+    # table at T_H = 1 stays within 2.2e-16, this one at T_H = 1e-8 within
+    # 2.4e-16.
+    window = [f"T_H={T_H!r}", f"omega_lo={1e-3 * T_H!r}", f"omega_hi={10.0 * T_H!r}", "points=24"]
+    rows = json_rows(["fig6", *(arg for kv in window for arg in ("--set", kv))], capsys)
+    assert len(rows) == 25
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for code, omega_H, w, pcc in rows:
+            cfg = row_config("fig6", code, omega_H, T_H=T_H)
+            m, v1, c, _, quantum = decimal_counting_terms(cfg)
+            assert abs(Decimal(w) / (m * quantum / Decimal(T_H)) - 1) <= Decimal("6e-13")
+            assert abs(Decimal(pcc) - c / v1) <= Decimal("3.5e-16"), omega_H
+
+
+@pytest.mark.parametrize("T_H", ["100", "1e-6"])
+def test_fig4_does_not_depend_on_the_unit_of_energy(T_H, capsys):
+    # the gap window and the golden-section tolerance scale with T_H, so the
+    # table in units of T_H is the T_H = 1 table up to rounding
+    base = json_rows(["fig4"], capsys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no scan-edge warning either
+        rows = json_rows(["fig4", "--set", f"T_H={T_H}"], capsys)
+    assert len(rows) == len(base) == 24
+    for a, b in zip(base, rows):
+        assert a[0] == b[0]
+        for k, rel_tol in ((1, 1e-14), (2, 1e-14), (3, 1e-13)):
+            assert math.isclose(b[k], a[k], rel_tol=rel_tol), (T_H, a[0], k)
 
 
 @pytest.mark.parametrize(

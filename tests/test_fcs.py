@@ -300,6 +300,25 @@ def test_identity_cycle_statistics_are_degenerate():
         intercycle_pcc(tmap, p1)
 
 
+@pytest.mark.parametrize("chi", [math.nan, math.inf, -math.inf])
+def test_non_finite_counting_field_is_a_parameter_error(chi):
+    tmap, p1 = tilted_and_steady(OttoConfig.nonmarkov(1.0, 0.5, 1.0, 0.5))
+    with pytest.raises(InvalidParameterError, match="counting field must be finite"):
+        tmap.matrix(chi)
+    with pytest.raises(InvalidParameterError, match="counting field must be finite"):
+        cumulant_gf(tmap, p1, 3, chi)
+
+
+def test_counting_weight_overflow_is_typed():
+    # exp(2000 * 0.5) is beyond binary64
+    tmap = tilted_map_otto(OttoConfig(1.0, 0.5, 1.0, 0.5, 1.0, 1.0))
+    with pytest.raises(CountingOverflowError):
+        tmap.matrix(2000.0)
+    with pytest.raises(CountingOverflowError):
+        tmap.matrix(-2000.0)
+    assert np.isfinite(tmap.matrix(1400.0)).all()
+
+
 def test_vanishing_work_mean_is_typed():
     # exp(-1100) underflows to 0 at both baths: the work mean is exactly 0
     tmap, p1 = tilted_and_steady(OttoConfig.nonmarkov(1100.0, 770.0, 1.0, 0.5))
@@ -428,6 +447,15 @@ def test_pcc_covariance_identity_from_paths():
     var2 = work_moments(tmap, p1, 2).variance
     assert math.isclose(var2, 2.0 * var1 + 2.0 * cov, rel_tol=1e-8)
     assert math.isclose(intercycle_pcc(tmap, p1), cov / var1, abs_tol=1e-8)
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e3])
+def test_pcc_does_not_depend_on_the_unit_of_energy(scale):
+    # the zero-variance guard reads the variance in work quanta, so a
+    # rescaled engine keeps its PCC
+    cfg = OttoConfig.nonmarkov(1.0 * scale, 0.7 * scale, 1.0 * scale, 0.5 * scale)
+    tmap, p1 = tilted_and_steady(cfg)
+    assert math.isclose(intercycle_pcc(tmap, p1), 0.19435777017457537, rel_tol=1e-15)
 
 
 def test_zero_variance_guard():

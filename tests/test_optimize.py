@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 from decimal import Decimal, localcontext
 
@@ -23,6 +26,7 @@ from thermalops import (
     work_at,
     work_efficiency_curve,
 )
+import thermalops
 from thermalops import optimize
 from thermalops.cli import COMMANDS, _log_grid, _run_sweep
 from thermalops.optimize import _golden_max, otto_config_at, three_stroke_config_at
@@ -319,6 +323,34 @@ def test_scans_are_the_checked_config_path(regime, eta_C, eta_share, T_H, omega_
     assert len(seen) == rec.evaluations
     for w, W in seen:
         assert W.hex() == checked_config_work(eta, eta_C, T_H, w, regime)
+
+
+EXTREME_SCANS = """
+import warnings
+from thermalops import ScanSpec, maximize_work
+warnings.simplefilter("ignore")
+for spec in (
+    ScanSpec(0.3, 0.5, 1e9, "nonmarkov", omega_lo=1e6, omega_hi=2e10),
+    ScanSpec(0.3, 0.5, 1.0, "nonmarkov", omega_lo=1e8, omega_hi=2e9),
+):
+    print(repr(maximize_work(spec).W_star))
+"""
+
+
+def test_maximize_work_returns_at_extreme_gaps():
+    # At T_H = 1e9 the floats near the optimal gap are 2.4e-7 apart, and
+    # near 1e8 they are 1.5e-8 apart: a fixed 1e-8 bracket width was never
+    # reached.  A subprocess with a timeout turns a hang into a failure.
+    src = os.path.dirname(os.path.dirname(thermalops.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-c", EXTREME_SCANS], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    w_huge, w_flat = (float(line) for line in done.stdout.split())
+    reference = maximize_work(ScanSpec(0.3, 0.5, 1.0, "nonmarkov", 1e-3, 20.0)).W_star
+    assert math.isclose(w_huge, reference, rel_tol=1e-14)
+    assert w_flat == 0.0  # exp(-1e8) underflows: no work anywhere in the window
 
 
 def test_maximize_work_refines_tied_peaks(monkeypatch):
