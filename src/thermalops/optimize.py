@@ -76,7 +76,7 @@ class ScanSpec:
             raise InvalidParameterError(
                 f"need 0 < eta < eta_C < 1, got eta={self.eta}, eta_C={self.eta_C}"
             )
-        _coupling_rule(self.T_H, (1.0 - self.eta_C) * self.T_H, self.regime)  # T_H, regime
+        _coupling_rule(self.T_H, (1.0 - self.eta_C) * self.T_H, self.regime)  # checks T_H, regime
         if not 0.0 < self.omega_lo < self.omega_hi < math.inf:
             raise InvalidParameterError(
                 f"need 0 < omega_lo < omega_hi < inf, got ({self.omega_lo}, {self.omega_hi})"
