@@ -301,11 +301,10 @@ def test_fig6_matches_a_decimal_evaluation(capsys):
 @pytest.mark.parametrize("T_H", [1e-8, 1e3])
 def test_rescaled_fig6_matches_a_decimal_evaluation(T_H, capsys):
     # The fig6 engines with every energy scaled by T_H.  The zero-variance
-    # guard reads work quanta, so every row is returned (at T_H = 1e-8 the
-    # guard in energy units refused them all).  The PCC bound is the worst
-    # error of the default 120-point table at T_H = 1, 3.4e-16; the 24-point
-    # table at T_H = 1 stays within 2.2e-16, this one at T_H = 1e-8 within
-    # 2.4e-16.
+    # guard reads work quanta, so every row is returned.  The PCC bound is
+    # the worst error of the default 120-point table at T_H = 1, 3.4e-16;
+    # the 24-point table at T_H = 1 stays within 2.2e-16, this one at
+    # T_H = 1e-8 within 2.4e-16.
     window = [f"T_H={T_H!r}", f"omega_lo={1e-3 * T_H!r}", f"omega_hi={10.0 * T_H!r}", "points=24"]
     rows = json_rows(["fig6", *(arg for kv in window for arg in ("--set", kv))], capsys)
     assert len(rows) == 25

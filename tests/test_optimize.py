@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import thermalops
 from thermalops import (
     BisectionError,
     DegenerateCycleError,
@@ -26,7 +27,6 @@ from thermalops import (
     work_at,
     work_efficiency_curve,
 )
-import thermalops
 from thermalops import optimize
 from thermalops.cli import COMMANDS, _log_grid, _run_sweep
 from thermalops.optimize import _golden_max, otto_config_at, three_stroke_config_at
@@ -339,8 +339,8 @@ for spec in (
 
 def test_maximize_work_returns_at_extreme_gaps():
     # At T_H = 1e9 the floats near the optimal gap are 2.4e-7 apart, and
-    # near 1e8 they are 1.5e-8 apart: a fixed 1e-8 bracket width was never
-    # reached.  A subprocess with a timeout turns a hang into a failure.
+    # near 1e8 they are 1.5e-8 apart, so no bracket shrinks to 1e-8 there.
+    # A subprocess with a timeout turns a hang into a failure.
     src = os.path.dirname(os.path.dirname(thermalops.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run(

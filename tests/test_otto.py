@@ -249,7 +249,7 @@ def test_regime_check_is_the_coupling_rule():
 
 
 def test_analytic_populations_at_huge_gaps():
-    # exp(beta * omega) overflowed in the Markov closed form
+    # exp(beta * omega) is beyond binary64 here; both populations underflow to 0
     for regime in ("markov", "nonmarkov"):
         cfg = getattr(OttoConfig, regime)(1000.0, 800.0, 1.0, 0.5)
         assert analytic_populations(cfg, regime) == (0.0, 0.0)
