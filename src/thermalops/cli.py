@@ -29,13 +29,13 @@ from .maps import eto_vs_thermalization_scan
 from .microscopic import JC_KINDS, FockTruncation, eto_approximation_report
 from .optimize import (
     ENGINES,
+    _otto_fields,
     _work_curve,
     fluctuation_curve,
-    otto_config_at,
     three_stroke_config_at,
     work_efficiency_curve,
 )
-from .otto import MARKOV, NONMARKOV
+from .otto import MARKOV, NONMARKOV, _otto_cycle
 from .verify import run_suites
 
 ENGINE_CODES = {NONMARKOV: 0, MARKOV: 1, "three_stroke": 2}
@@ -87,14 +87,11 @@ def _run_fig5(p):
 
 def _run_fig6(p):
     grid = _log_grid(p, "omega_lo", "omega_hi")
-    engines = [
-        (NONMARKOV, otto_config_at(p["eta"], p["eta_C"], p["T_H"], w, NONMARKOV))
-        for w in grid.tolist()
-    ]
-    engines.append(("three_stroke", three_stroke_config_at(p["eta"], p["eta_C"], p["T_H"])))
+    fields = _otto_fields(p["eta"], p["eta_C"], p["T_H"], NONMARKOV)
+    engines = [(NONMARKOV, _otto_cycle(*fields(w))) for w in grid.tolist()]
+    engines.append(("three_stroke", three_stroke_config_at(p["eta"], p["eta_C"], p["T_H"]).cycle()))
     rows = []
-    for engine, cfg in engines:
-        cycle = cfg.cycle()
+    for engine, cycle in engines:
         points, W, _ = cycle.run()
         pcc = intercycle_pcc(cycle, points[0])
         rows.append([ENGINE_CODES[engine], cycle.strokes[0].omega, W / p["T_H"], pcc])

@@ -153,9 +153,9 @@ class WorkStatistics:
     ratio: float  # variance / mean, in energy units
 
 
-def work_moments(tmap: TiltedMap, p1: PopulationVector, n: int) -> WorkStatistics:
+def work_moments(tmap: TiltedMap, p1: PopulationVector | None, n: int) -> WorkStatistics:
     """Finite-N work mean ``N m`` and variance ``N v1 + 2 c S_N`` from the
-    steady state, which ``p1`` must be, to ``DRIFT_RENORM`` in ``p_e``.
+    steady state, which ``p1`` must be (to ``DRIFT_RENORM`` in ``p_e``) or None.
 
     Raises ``ZeroWorkError`` when the mean is exactly 0, where the
     variance-to-mean ratio is undefined."""

@@ -27,7 +27,8 @@ the heats all follow from that tuple.
 Every value is checked once, where it enters, and 2x2 work is done on
 Python floats: a ``GibbsStochasticMatrix`` built from a user's matrix and
 a map from ``build_map`` pass the same float checks of their four entries;
-``build_map`` then wraps its entries without checking them again.  The
+``build_map`` then wraps its entries without checking them again.  A
+map's array ``m`` is built on first access from the checked entries.  The
 cycle product, its fixed point, ``Cycle.run`` and ``apply_map`` compute on
 a map's checked float entries (``_compose``, ``_fixed_point``), which round
 alike on every platform; a numpy 2x2 product may use a fused multiply-add.
@@ -87,7 +88,7 @@ class PopulationVector:
         is also renormalized, anything larger raises ``ConsistencyError``
         since it indicates a logic bug rather than rounding.
         """
-        p_g, p_e = (float(v) for v in values)
+        p_g, p_e = map(float, values)
         overshoot = max(0.0, -p_g, -p_e, p_g - 1.0, p_e - 1.0)
         drift = max(overshoot, abs(p_g + p_e - 1.0))
         if drift > DRIFT_FAIL:
@@ -130,6 +131,7 @@ class GibbsStochasticMatrix:
     Entry ``m[i, j]`` is the transition probability from source level ``j``
     to target level ``i``, ordering (ground, excited).  ``_entries`` holds
     the checked entries ``(m[0, 0], m[0, 1], m[1, 0], m[1, 1])`` as floats.
+    ``m`` is a read-only array of them, built on first access.
     """
 
     m: np.ndarray
@@ -141,18 +143,28 @@ class GibbsStochasticMatrix:
         if arr.shape != (2, 2):
             raise InvalidParameterError(f"expected a 2x2 matrix, got shape {arr.shape}")
         entries = _gibbs_stochastic_entries(*arr.ravel().tolist(), self.omega, self.beta)
-        object.__setattr__(self, "m", _read_only(entries))
-        object.__setattr__(self, "_entries", entries)
+        del self.__dict__["m"]  # rebuilt from the checked entries
+        self.__dict__["_entries"] = entries
 
-    @classmethod
-    def _trusted(cls, entries: tuple, omega: float, beta: float) -> "GibbsStochasticMatrix":
-        """Wrap entries from ``_gibbs_stochastic_entries``."""
-        self = object.__new__(cls)
-        self.__dict__.update(m=_read_only(entries), _entries=entries, omega=omega, beta=beta)
-        return self
+    def __getattr__(self, name: str):
+        if name != "m":  # m is built on its first access
+            raise AttributeError(name)
+        m = self.__dict__["m"] = self.as_array()
+        m.setflags(write=False)
+        return m
+
+    def __getstate__(self) -> dict:  # a copied m would be writable; rebuild it
+        return {k: v for k, v in self.__dict__.items() if k != "m"}
 
     def as_array(self) -> np.ndarray:
-        return np.array(self.m)
+        return np.array(self._entries).reshape(2, 2)
+
+
+def _unchecked(cls, **fields):
+    """The frozen dataclass ``cls`` holding ``fields`` that passed its checks."""
+    self = object.__new__(cls)
+    self.__dict__.update(fields)
+    return self
 
 
 def require_descending(**values: float) -> None:
@@ -229,13 +241,6 @@ def _gibbs_stochastic_entries(
     return entries
 
 
-def _read_only(entries: tuple) -> np.ndarray:
-    """Read-only 2x2 array of row-major entries."""
-    m = np.array(entries).reshape(2, 2)
-    m.setflags(write=False)
-    return m
-
-
 def build_map(params: ThermalOpParams) -> GibbsStochasticMatrix:
     """Population map of the thermal operation with the given parameters.
 
@@ -256,7 +261,7 @@ def _build_map(omega: float, beta: float, lam: float) -> GibbsStochasticMatrix:
     entries = _gibbs_stochastic_entries(
         keep + lam * (1.0 - q), 0.0 + lam, 0.0 + lam * q, keep + lam * 0.0, omega, beta
     )
-    return GibbsStochasticMatrix._trusted(entries, omega, beta)
+    return _unchecked(GibbsStochasticMatrix, _entries=entries, omega=omega, beta=beta)
 
 
 def eto(omega: float, beta: float) -> GibbsStochasticMatrix:
@@ -332,7 +337,8 @@ class WorkStroke:
         return 0.0, self.omega_in - self.omega_out
 
     def apply(self, p: PopulationVector) -> PopulationVector:
-        return PopulationVector(p.p_e, p.p_g) if self.flip else p
+        # a checked vector with its levels swapped needs no second check
+        return _unchecked(PopulationVector, p_g=p.p_e, p_e=p.p_g) if self.flip else p
 
 
 @dataclass(frozen=True, eq=False)
@@ -395,8 +401,7 @@ class Cycle:
         for i in range(n - 1, last, -1):
             points[i] = strokes[i].apply(points[(i + 1) % n])
         quantum, quanta, heats = self.quantum, 0.0, []
-        for i, stroke in enumerate(strokes):
-            p_in, p_out = points[i], points[(i + 1) % n]
+        for stroke, p_in, p_out in zip(strokes, points, points[1:] + points[:1]):
             if isinstance(stroke, WorkStroke):
                 w_g, w_e = stroke.released
                 k_g, k_e = w_g / quantum, w_e / quantum

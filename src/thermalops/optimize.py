@@ -36,13 +36,13 @@ from .errors import (
     ZeroWorkError,
 )
 from .fcs import scaled_cumulants, work_moments
-from .maps import require_count, require_descending
+from .maps import Cycle, require_count, require_descending
 from .otto import (
     MARKOV,
     NONMARKOV,
-    EngineConfig,
     OttoConfig,
     _coupling_rule,
+    _otto_cycle,
     _otto_work,
 )
 from .three_stroke import ThreeStrokeConfig, three_stroke_report
@@ -115,23 +115,29 @@ def work_at(eta: float, eta_C: float, T_H: float, omega_H: float, regime: str) -
 
 
 def _work_curve(eta: float, eta_C: float, T_H: float, regime: str):
-    """``work_at`` as a function of ``omega_H`` alone, for a scan over the
-    gap: ``eta``, ``eta_C``, the temperatures and the regime are checked
-    here, once, and each gap only for ``omega_H > omega_C > 0``, which also
-    fails for NaN, a bool or an ``omega_C`` that underflows to 0."""
+    """``work_at`` as a function of ``omega_H`` alone (``_otto_fields``)."""
+    fields = _otto_fields(eta, eta_C, T_H, regime)
+    return lambda omega_H: _otto_work(*fields(omega_H)) / T_H
+
+
+def _otto_fields(eta: float, eta_C: float, T_H: float, regime: str):
+    """The fields of ``otto_config_at`` as a function of ``omega_H`` alone:
+    ``eta``, ``eta_C``, the temperatures and the regime are checked here,
+    once, and each gap only for ``omega_H > omega_C > 0``, which also fails
+    for NaN, a bool or an ``omega_C`` that underflows to 0."""
     if not 0.0 < eta <= eta_C < 1.0:
         raise InvalidParameterError(f"need 0 < eta <= eta_C < 1, got {eta}, {eta_C}")
     T_C = (1.0 - eta_C) * T_H
     couplings = _coupling_rule(T_H, T_C, regime)
     keep = 1.0 - eta
 
-    def work(omega_H: float) -> float:
+    def fields(omega_H: float) -> tuple:
         omega_C = keep * omega_H
         if isinstance(omega_H, bool) or not omega_H > omega_C > 0.0:
             raise InvalidParameterError(f"need omega_H > omega_C > 0, got {(omega_H, omega_C)}")
-        return _otto_work(omega_H, omega_C, T_H, T_C, *couplings(omega_H, omega_C)) / T_H
+        return (omega_H, omega_C, T_H, T_C, *couplings(omega_H, omega_C))
 
-    return work
+    return fields
 
 
 def _golden_max(f, lo: float, hi: float, xtol: float = _XTOL):
@@ -294,11 +300,10 @@ def work_efficiency_curve(
     return rows
 
 
-def _fluctuation_point(cfg: EngineConfig, horizon: str) -> tuple[float, float]:
+def _fluctuation_point(cycle: Cycle, horizon: str) -> tuple[float, float]:
     """Work mean and variance-to-mean ratio of one engine at the horizon."""
-    cycle = cfg.cycle()
     if horizon == SINGLE_CYCLE:
-        stats = work_moments(cycle, cycle.steady_state(), 1)
+        stats = work_moments(cycle, None, 1)  # from the steady state it derives
         return stats.mean, stats.ratio
     mean, var = scaled_cumulants(cycle)
     if mean == 0.0:
@@ -333,13 +338,13 @@ def fluctuation_curve(
 
     out: dict[str, np.ndarray] = {}
     for regime in (NONMARKOV, MARKOV):
+        fields = _otto_fields(eta, eta_C, T_H, regime)
         rows = np.empty((grid.size, 3))
         for i, omega_H in enumerate(grid.tolist()):  # Python floats run the cycle faster
-            cfg = otto_config_at(eta, eta_C, T_H, omega_H, regime)
-            mean, ratio = _fluctuation_point(cfg, horizon)
+            mean, ratio = _fluctuation_point(_otto_cycle(*fields(omega_H)), horizon)
             rows[i] = (omega_H, mean / T_H, ratio / T_H)
         out[regime] = rows
     cfg3 = three_stroke_config_at(eta, eta_C, T_H)
-    mean, ratio = _fluctuation_point(cfg3, horizon)
+    mean, ratio = _fluctuation_point(cfg3.cycle(), horizon)
     out[THREE_STROKE_ENGINE] = np.array([cfg3.omega, mean / T_H, ratio / T_H])
     return out

@@ -153,15 +153,17 @@ class OttoConfig(EngineConfig):
 
     def cycle(self) -> Cycle:
         """Heat at omega_H, quench to omega_C, cool, quench back."""
-        return Cycle(
-            (
-                self.hot_map(),
-                WorkStroke(self.omega_H, self.omega_C),
-                self.cold_map(),
-                WorkStroke(self.omega_C, self.omega_H),
-            ),
-            self.work_quantum,
+        return _otto_cycle(
+            self.omega_H, self.omega_C, self.T_H, self.T_C, self.lambda_H, self.lambda_C
         )
+
+
+def _otto_cycle(*fields: float) -> Cycle:
+    """``OttoConfig.cycle`` on fields that the caller has already checked."""
+    omega_H, omega_C, T_H, T_C, l_H, l_C = fields
+    hot, cold = _build_map(omega_H, 1.0 / T_H, l_H), _build_map(omega_C, 1.0 / T_C, l_C)
+    quench, unquench = WorkStroke(omega_H, omega_C), WorkStroke(omega_C, omega_H)
+    return Cycle((hot, quench, cold, unquench), omega_H - omega_C)
 
 
 @dataclass(frozen=True)

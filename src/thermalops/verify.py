@@ -3,7 +3,8 @@
 Each suite aggregates the worst residual observed over a deterministic
 batch of random configurations and reports it against the bound the
 invariant is supposed to hold at.  Seeds are fixed, so a fresh checkout
-always reproduces the same residuals.
+always reproduces the same residuals.  The configurations are drawn in
+blocks that reproduce the stream of scalar ``Generator.uniform`` calls.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from functools import reduce
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from .microscopic import (
     swap_unitary,
 )
 from .otto import OttoConfig, otto_cycle_report
-from .three_stroke import ThreeStrokeConfig, ThreeStrokeReport, three_stroke_report
+from .three_stroke import ThreeStrokeConfig, three_stroke_report
 
 _SEED = 20260810
 
@@ -46,36 +48,37 @@ class CheckRecord:
         return self.observed <= self.bound
 
 
-def _random_otto(rng) -> OttoConfig:
-    a = rng.uniform(0.3, 2.5)  # beta_H * omega_H
-    b = a * rng.uniform(1.15, 2.2)  # beta_C * omega_C
-    t_cold = 0.9 * min(1.0, a / b)
-    return OttoConfig(
-        omega_H=a,
-        omega_C=t_cold * b,
-        T_H=1.0,
-        T_C=t_cold,
-        lambda_H=rng.uniform(0.5, 1.0),
-        lambda_C=rng.uniform(0.5, 1.0),
-    )
+def _draw(rng, count: int, bounds: tuple, build: Callable = lambda *row: row) -> Iterator:
+    """Yield ``count`` values ``build(*row)`` that are not None, for rows of
+    uniforms on ``bounds`` drawn in ``rng.random`` blocks and scaled as numpy's
+    scalar ``uniform`` does (``lo + (hi - lo) * u``).  Only rejected rows are
+    redrawn, so the rows and the final state are those of scalar draws."""
+    spans = [(lo, hi - lo) for lo, hi in bounds]
+    while count > 0:  # blocks of at most 100 rows keep the memory flat
+        for row in rng.random((min(count, 100), len(spans))).tolist():
+            item = build(*[lo + span * u for (lo, span), u in zip(spans, row)])
+            if item is not None:
+                count -= 1
+                yield item
 
 
-def _random_three_stroke(rng, min_bias: float) -> tuple[ThreeStrokeConfig, ThreeStrokeReport]:
-    """A random three-stroke config whose heated excited population is at
-    least ``min_bias / 2`` from 1/2, and its report (run once, for both)."""
-    while True:
-        cfg = ThreeStrokeConfig(
-            omega=rng.uniform(0.3, 2.0),
-            T_H=1.0,
-            T_C=rng.uniform(0.35, 0.85),
-            lambda_H=rng.uniform(0.5, 1.0),
-            lambda_C=rng.uniform(0.5, 1.0),
-        )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # draws outside the engine regime are intended
-            rep = three_stroke_report(cfg)
-        if abs(2.0 * rep.p2.p_e - 1.0) >= min_bias:
-            return cfg, rep
+def _otto_configs(rng, count: int) -> Iterator[OttoConfig]:
+    def build(a, stretch, lambda_H, lambda_C):  # a = beta_H omega_H, a * stretch = beta_C omega_C
+        t_cold = 0.9 * min(1.0, a / (a * stretch))
+        return OttoConfig(a, t_cold * (a * stretch), 1.0, t_cold, lambda_H, lambda_C)
+
+    return _draw(rng, count, ((0.3, 2.5), (1.15, 2.2), (0.5, 1.0), (0.5, 1.0)), build)
+
+
+def _three_stroke_draws(rng, count: int, min_bias: float) -> Iterator[tuple]:
+    """Three-stroke configs and reports with ``|2 p_e2 - 1| >= min_bias``."""
+
+    def build(omega, T_C, lambda_H, lambda_C):
+        cfg = ThreeStrokeConfig(omega, 1.0, T_C, lambda_H, lambda_C)
+        rep = three_stroke_report(cfg)
+        return (cfg, rep) if abs(2.0 * rep.p2.p_e - 1.0) >= min_bias else None
+
+    return _draw(rng, count, ((0.3, 2.0), (0.35, 0.85), (0.5, 1.0), (0.5, 1.0)), build)
 
 
 def suite_gibbs_fixed_point(
@@ -90,10 +93,7 @@ def suite_gibbs_fixed_point(
     """
     rng = np.random.default_rng(seed)
     worst_entry = worst_cols = worst_gibbs = 0.0
-    for _ in range(draws):
-        omega = rng.uniform(0.05, 4.0)
-        beta = rng.uniform(0.05, 4.0)
-        lam = rng.uniform(0.0, 1.0)
+    for omega, beta, lam in _draw(rng, draws, ((0.05, 4.0), (0.05, 4.0), (0.0, 1.0))):
         m = build_map(ThermalOpParams(omega, beta, lam)).as_array()
         if perturb is not None:
             m = perturb(m)
@@ -111,20 +111,16 @@ def suite_gibbs_fixed_point(
 def suite_first_law(draws: int = 1000, seed: int = _SEED) -> list[CheckRecord]:
     """|W - Q_H - Q_C| over random Otto and three-stroke configurations."""
     rng = np.random.default_rng(seed)
-    engines = (
-        ("otto", lambda r: otto_cycle_report(_random_otto(r))),
-        ("three-stroke", lambda r: _random_three_stroke(r, min_bias=1e-6)[1]),
-    )
-    records = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # draws outside the engine regime are intended
-        for name, report in engines:
-            worst = 0.0
-            for _ in range(draws):
-                rep = report(rng)
-                worst = max(worst, abs(rep.W - rep.Q_H - rep.Q_C))
-            records.append(CheckRecord("first-law", name, worst, 1e-12))
-    return records
+        otto = map(otto_cycle_report, _otto_configs(rng, draws))
+        worst_otto = reduce(max, (abs(r.W - r.Q_H - r.Q_C) for r in otto), 0.0)
+        three = (rep for _, rep in _three_stroke_draws(rng, draws, 1e-6))
+        worst_three = reduce(max, (abs(r.W - r.Q_H - r.Q_C) for r in three), 0.0)
+    return [
+        CheckRecord("first-law", "otto", worst_otto, 1e-12),
+        CheckRecord("first-law", "three-stroke", worst_three, 1e-12),
+    ]
 
 
 def suite_oracle_equivalence(
@@ -132,17 +128,19 @@ def suite_oracle_equivalence(
 ) -> list[CheckRecord]:
     """Counting-field moments vs exact trajectory enumeration."""
     rng = np.random.default_rng(seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # draws outside the engine regime are intended
+        configs = [*_otto_configs(rng, configs_per_engine)]
+        configs += [cfg for cfg, _ in _three_stroke_draws(rng, configs_per_engine, 0.05)]
     worst_mean = worst_var = 0.0
-    for draw in (_random_otto, lambda r: _random_three_stroke(r, min_bias=0.05)[0]):
-        for _ in range(configs_per_engine):
-            cfg = draw(rng)
-            cycle = cfg.cycle()
-            p1 = cycle.steady_state()
-            for n in cycles:
-                dist = enumerate_work_distribution(cfg, n)
-                stats = work_moments(cycle, p1, n)
-                worst_mean = max(worst_mean, abs(stats.mean - dist.mean()) / abs(dist.mean()))
-                worst_var = max(worst_var, abs(stats.variance - dist.variance()) / dist.variance())
+    for cfg in configs:
+        cycle = cfg.cycle()
+        p1 = cycle.steady_state()
+        for n in cycles:
+            dist = enumerate_work_distribution(cfg, n)
+            stats = work_moments(cycle, p1, n)
+            worst_mean = max(worst_mean, abs(stats.mean - dist.mean()) / abs(dist.mean()))
+            worst_var = max(worst_var, abs(stats.variance - dist.variance()) / dist.variance())
     return [
         CheckRecord("oracle-equivalence", "mean", worst_mean, 1e-12),
         CheckRecord("oracle-equivalence", "variance", worst_var, 1e-12),
@@ -191,13 +189,6 @@ SUITES: dict[str, Callable[[], list[CheckRecord]]] = {
 
 def run_suites(name: str = "all") -> list[CheckRecord]:
     """Run one named suite, or all of them."""
-    if name == "all":
-        records = []
-        for fn in SUITES.values():
-            records.extend(fn())
-        return records
-    if name not in SUITES:
-        raise InvalidParameterError(
-            f"unknown suite {name!r}; choose from {('all',) + tuple(SUITES)}"
-        )
-    return SUITES[name]()
+    if name != "all" and name not in SUITES:
+        raise InvalidParameterError(f"unknown suite {name!r}; choose from {('all', *SUITES)}")
+    return [r for key, fn in SUITES.items() if name in ("all", key) for r in fn()]

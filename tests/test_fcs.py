@@ -283,6 +283,7 @@ def test_statistics_reject_a_p1_that_is_not_the_steady_state():
     # a copy within DRIFT_RENORM = 1e-12 in p_e is checked, not used
     near = PopulationVector(steady.p_g + 8e-13, steady.p_e - 8e-13)
     assert work_moments(tmap, near, 3) == work_moments(tmap, steady, 3)
+    assert work_moments(tmap, None, 3) == work_moments(tmap, steady, 3)  # no p1, no check
     assert intercycle_pcc(tmap, near) == intercycle_pcc(tmap, steady)
     far = PopulationVector(steady.p_g + 2e-12, steady.p_e - 2e-12)
     with pytest.raises(InvalidParameterError):

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -339,3 +341,42 @@ def test_bools_are_not_read_as_numbers():
     tmap = tilted_map_otto(cfg)
     with pytest.raises(InvalidParameterError):
         work_moments(tmap, otto_steady_state(cfg), True)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_map(ThermalOpParams(1.3, 0.7, 0.4)),
+        lambda: eto(1.3, 0.7),
+        lambda: GibbsStochasticMatrix(np.array([[0.75, 0.5], [0.25, 0.5]]), LN2, 1.0),
+    ],
+    ids=["build_map", "eto", "user"],
+)
+def test_m_is_built_once_on_first_access(make):
+    gsm = make()
+    assert "m" not in vars(gsm)
+    m = gsm.m
+    assert not m.flags.writeable
+    assert m.tobytes() == np.array(gsm._entries).reshape(2, 2).tobytes()
+    assert gsm.m is m
+    arr = gsm.as_array()
+    assert arr.flags.writeable and arr is not m
+    arr[0, 0] = 5.0
+    assert gsm.m[0, 0] != 5.0
+    with pytest.raises(AttributeError):
+        gsm.missing
+    for fresh in (make(), gsm):  # before and after the first access
+        for clone in (copy.deepcopy(fresh), pickle.loads(pickle.dumps(fresh))):
+            assert (clone._entries, clone.omega, clone.beta) == (gsm._entries, gsm.omega, gsm.beta)
+            assert clone.m.tobytes() == m.tobytes()
+            assert not clone.m.flags.writeable
+
+
+def test_user_matrix_keeps_its_checks():
+    with pytest.raises(InvalidParameterError):
+        GibbsStochasticMatrix(np.eye(3), 1.0, 1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        eto(1.0, 1.0).m = np.eye(2)
+    clipped = GibbsStochasticMatrix(np.array([[1.0 + 1e-13, 1.0], [-1e-13, 0.0]]), 1.0, 1e4)
+    assert clipped._entries == (1.0, 1.0, 0.0, 0.0)
+    assert clipped.m.tolist() == [[1.0, 1.0], [0.0, 0.0]]

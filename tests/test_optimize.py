@@ -23,9 +23,11 @@ from thermalops import (
     fluctuation_curve,
     maximize_work,
     otto_work,
+    scaled_cumulants,
     three_stroke_omega_for_eta,
     work_at,
     work_efficiency_curve,
+    work_moments,
 )
 from thermalops import optimize
 from thermalops.cli import COMMANDS, _log_grid, _run_sweep
@@ -446,3 +448,21 @@ def test_fluctuation_curve_validation():
         fluctuation_curve(0.3, 0.5, 1.0, "infinite", [])
     with pytest.raises(InvalidParameterError):
         fluctuation_curve(0.6, 0.5, 1.0, "infinite", [1.0])
+
+
+@pytest.mark.parametrize("horizon", ["single_cycle", "infinite"])
+@pytest.mark.parametrize("T_H", [1.0, 37.0])
+def test_fluctuation_rows_are_the_checked_config_path(horizon, T_H):
+    # the rows are built from floats checked once per table; each must be
+    # bitwise the statistics of the checked config's own cycle
+    data = fluctuation_curve(0.3, 0.5, T_H, horizon, np.logspace(-3.0, 1.3, 17) * T_H)
+    for regime in ("nonmarkov", "markov"):
+        for omega_H, W, ratio in data[regime].tolist():
+            cycle = otto_config_at(0.3, 0.5, T_H, omega_H, regime).cycle()
+            if horizon == "single_cycle":
+                stats = work_moments(cycle, cycle.steady_state(), 1)
+                mean, mean_ratio = stats.mean, stats.ratio
+            else:
+                mean, var = scaled_cumulants(cycle)
+                mean_ratio = var / mean
+            assert (W.hex(), ratio.hex()) == ((mean / T_H).hex(), (mean_ratio / T_H).hex())

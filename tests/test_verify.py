@@ -1,0 +1,125 @@
+"""The verify suites' draws: blocks of uniforms against scalar draws."""
+
+import dataclasses
+import warnings
+
+import numpy as np
+import pytest
+
+from thermalops import cli
+from thermalops.otto import OttoConfig
+from thermalops.three_stroke import ThreeStrokeConfig, three_stroke_report
+from thermalops.verify import _draw, _otto_configs, _three_stroke_draws
+
+
+# The draw loops of the suites as scalar ``rng.uniform`` calls, one value
+# at a time in the order the suites consume them.
+def scalar_otto(rng) -> OttoConfig:
+    a = rng.uniform(0.3, 2.5)  # beta_H * omega_H
+    b = a * rng.uniform(1.15, 2.2)  # beta_C * omega_C
+    t_cold = 0.9 * min(1.0, a / b)
+    return OttoConfig(
+        omega_H=a,
+        omega_C=t_cold * b,
+        T_H=1.0,
+        T_C=t_cold,
+        lambda_H=rng.uniform(0.5, 1.0),
+        lambda_C=rng.uniform(0.5, 1.0),
+    )
+
+
+def scalar_three_stroke(rng, min_bias: float, attempts: list):
+    while True:
+        attempts.append(None)
+        cfg = ThreeStrokeConfig(
+            omega=rng.uniform(0.3, 2.0),
+            T_H=1.0,
+            T_C=rng.uniform(0.35, 0.85),
+            lambda_H=rng.uniform(0.5, 1.0),
+            lambda_C=rng.uniform(0.5, 1.0),
+        )
+        rep = three_stroke_report(cfg)
+        if abs(2.0 * rep.p2.p_e - 1.0) >= min_bias:
+            return cfg, rep
+
+
+def scalar_gibbs(rng) -> tuple:
+    omega = rng.uniform(0.05, 4.0)
+    beta = rng.uniform(0.05, 4.0)
+    lam = rng.uniform(0.0, 1.0)
+    return omega, beta, lam
+
+
+def bits(value) -> list:
+    """Every float of a config, report or row as its exact hex form."""
+    if dataclasses.is_dataclass(value):
+        return bits(dataclasses.astuple(value))
+    if isinstance(value, tuple):
+        return [bits(v) for v in value]
+    return value.hex()
+
+
+def assert_same_stream(block_rng, scalar_rng):
+    assert block_rng.bit_generator.state == scalar_rng.bit_generator.state
+    assert block_rng.random() == scalar_rng.random()
+
+
+@pytest.mark.parametrize("count", [1, 7, 300])
+def test_otto_block_draws_are_the_scalar_draws(count):
+    block, scalar = np.random.default_rng(5), np.random.default_rng(5)
+    drawn = list(_otto_configs(block, count))
+    assert bits(tuple(drawn)) == bits(tuple(scalar_otto(scalar) for _ in range(count)))
+    assert_same_stream(block, scalar)
+
+
+@pytest.mark.parametrize("count", [1, 7, 300])
+def test_gibbs_block_draws_are_the_scalar_draws(count):
+    block, scalar = np.random.default_rng(6), np.random.default_rng(6)
+    drawn = list(_draw(block, count, ((0.05, 4.0), (0.05, 4.0), (0.0, 1.0))))
+    assert bits(tuple(drawn)) == bits(tuple(scalar_gibbs(scalar) for _ in range(count)))
+    assert_same_stream(block, scalar)
+
+
+@pytest.mark.parametrize("min_bias", [1e-6, 0.05, 0.5, 0.8])
+def test_three_stroke_redraws_only_the_rejected_rows(min_bias):
+    # a large min_bias rejects most rows, so the shortfall is redrawn
+    # several times; the rows kept and the generator state after the last
+    # one must still be those of the scalar rejection loop
+    count = 40
+    block, scalar = np.random.default_rng(7), np.random.default_rng(7)
+    attempts = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # rejected draws are mostly not engines
+        drawn = list(_three_stroke_draws(block, count, min_bias))
+        expected = [scalar_three_stroke(scalar, min_bias, attempts) for _ in range(count)]
+    assert bits(tuple(drawn)) == bits(tuple(expected))
+    assert_same_stream(block, scalar)
+    if min_bias >= 0.5:
+        assert len(attempts) > count  # the redraw path ran
+
+
+def test_draws_sharing_a_generator_stay_in_step():
+    # oracle-equivalence draws Otto configs and then three-stroke configs
+    # from one generator: the first helper must not draw past its rows
+    block, scalar = np.random.default_rng(8), np.random.default_rng(8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        drawn = list(_otto_configs(block, 6)) + list(_three_stroke_draws(block, 6, 0.5))
+        expected = [scalar_otto(scalar) for _ in range(6)]
+        expected += [scalar_three_stroke(scalar, 0.5, [])[0] for _ in range(6)]
+    assert bits(tuple(drawn[:6] + [cfg for cfg, _ in drawn[6:]])) == bits(tuple(expected))
+    assert_same_stream(block, scalar)
+
+
+def test_draw_of_nothing_leaves_the_generator_alone():
+    rng = np.random.default_rng(9)
+    state = rng.bit_generator.state
+    assert list(_draw(rng, 0, ((0.0, 1.0),))) == []
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("suite", ["oracle-equivalence", "first-law"])
+def test_engine_suites_leak_no_warning(suite, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["verify", "--suite", suite]) == 0
