@@ -90,12 +90,10 @@ def _run_fig6(p):
     fields = _otto_fields(p["eta"], p["eta_C"], p["T_H"], NONMARKOV)
     engines = [(NONMARKOV, _otto_cycle(*fields(w))) for w in grid.tolist()]
     engines.append(("three_stroke", three_stroke_config_at(p["eta"], p["eta_C"], p["T_H"]).cycle()))
-    rows = []
-    for engine, cycle in engines:
-        points, W, _ = cycle.run()
-        pcc = intercycle_pcc(cycle, points[0])
-        rows.append([ENGINE_CODES[engine], cycle.strokes[0].omega, W / p["T_H"], pcc])
-    return ["engine", "omega_H", "W", "pcc"], rows
+    return ["engine", "omega_H", "W", "pcc"], [
+        [ENGINE_CODES[engine], c.strokes[0].omega, c.work() / p["T_H"], intercycle_pcc(c, None)]
+        for engine, c in engines
+    ]
 
 
 def _run_sweep(p):

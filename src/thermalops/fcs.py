@@ -16,11 +16,12 @@ column-stochastic ``M`` is ``p 1^T + mu (I - p 1^T)`` with
 ``N v1 + 2 c S_N`` with ``S_N = sum_{d=1}^{N-1} (N - d) mu^(d-1)``, the
 scaled variance ``v1 + 2 c / (1 - mu)`` and the intercycle Pearson
 coefficient ``c / v1``: the 2x2 case of Flindt et al., PRL 100, 150601
-(2008).  ``1 - mu`` is the sum of the off-diagonal entries, which does not
-cancel at small gaps.  ``p`` is the fixed point of that ``M`` in all three
-statistics; a ``p1`` a caller passes is checked against it.  An exact
-trajectory-enumeration oracle, which walks the same stroke tuple, checks
-all of it.
+(2008).  ``m`` differences O(1) populations, so the mean is taken from
+``Cycle.work()``; ``m`` only centres ``v1`` and ``c``, which round like it.
+``1 - mu``, the sum of the off-diagonal entries, does not cancel at small
+gaps.  ``p`` is the fixed point of ``M``; a ``p1`` a caller passes is
+checked against it.  An exact trajectory-enumeration oracle, which walks
+the same stroke tuple, checks all of it.
 
 ``M``, ``M'`` and ``M''`` are row-major Python floats, composed by the same
 2x2 kernel as the cycle map (``maps._compose``) from the checked entries of
@@ -105,18 +106,18 @@ def _derivative_maps(tmap: TiltedMap) -> tuple[list[float], list[float], list[fl
 
 
 def _spectral_terms(maps, p1: PopulationVector | None = None):
-    """``(m, v1, c, 1 - mu)`` of the cycle, in work quanta, in its steady
-    state, the fixed point of ``M``; a ``p1`` must be that state."""
+    """``(1^T M'' p, v1, c, 1 - mu)`` of the cycle, in work quanta, in its
+    steady state, the fixed point of ``M``; a ``p1`` must be that state."""
     m0, d1, d2 = maps
     p_g, p_e = _fixed_point(*m0)
     if p1 is not None and not abs(p1.p_e - p_e) <= DRIFT_RENORM:
         raise InvalidParameterError(f"p1 is not the steady state: p_e {p1.p_e!r}, not {p_e!r}")
     r_g, r_e = d1[0] + d1[2], d1[1] + d1[3]  # 1^T M'
-    m = r_g * p_g + r_e * p_e
-    v1 = (d2[0] + d2[2]) * p_g + (d2[1] + d2[3]) * p_e - m * m
+    m = r_g * p_g + r_e * p_e  # the mean, kept to centre v1 and c as they round
+    s2 = (d2[0] + d2[2]) * p_g + (d2[1] + d2[3]) * p_e
     x_g = (d1[0] * p_g + d1[1] * p_e) - m * p_g  # M' p - m p
     x_e = (d1[2] * p_g + d1[3] * p_e) - m * p_e
-    return m, v1, r_g * x_g + r_e * x_e, m0[1] + m0[2]
+    return s2, s2 - m * m, r_g * x_g + r_e * x_e, m0[1] + m0[2]
 
 
 def _pair_sum(n: int, g: float) -> float:
@@ -154,18 +155,15 @@ class WorkStatistics:
 
 
 def work_moments(tmap: TiltedMap, p1: PopulationVector | None, n: int) -> WorkStatistics:
-    """Finite-N work mean ``N m`` and variance ``N v1 + 2 c S_N`` from the
-    steady state, which ``p1`` must be (to ``DRIFT_RENORM`` in ``p_e``) or None.
-
-    Raises ``ZeroWorkError`` when the mean is exactly 0, where the
-    variance-to-mean ratio is undefined."""
+    """Finite-N work mean ``N work()`` and variance ``N v1 + 2 c S_N`` from
+    the steady state, which ``p1`` must be (to ``DRIFT_RENORM`` in ``p_e``) or
+    None.  ``ZeroWorkError`` when the mean is 0: the ratio is undefined."""
     n = require_count(n, 1, "cycle count")
     if n > sys.float_info.max:
         raise CountingOverflowError("cycle count beyond the binary64 range")
-    m, v1, c, g = _spectral_terms(_derivative_maps(tmap), p1)
-    quantum = tmap.quantum
-    mean = n * (m * quantum)
-    variance = _checked_variance(n * v1 + 2.0 * c * _pair_sum(n, g), n) * quantum**2
+    _, v1, c, g = _spectral_terms(_derivative_maps(tmap), p1)
+    mean = n * tmap.work()
+    variance = _checked_variance(n * v1 + 2.0 * c * _pair_sum(n, g), n) * tmap.quantum**2
     if not math.isfinite(variance):
         raise CountingOverflowError(f"the {n}-cycle work variance overflows binary64")
     if mean == 0.0:
@@ -177,21 +175,17 @@ def work_moments(tmap: TiltedMap, p1: PopulationVector | None, n: int) -> WorkSt
 
 
 def scaled_cumulants(tmap: TiltedMap) -> tuple[float, float]:
-    """Infinite-cycle work mean ``m`` and variance ``v1 + 2 c / (1 - mu)``
-    per cycle.
-
-    Requires the untilted map to be primitive (all entries of its square
-    strictly positive); a degenerate dominant eigenvalue (``mu = 1``)
-    raises ``NonPrimitiveMapError``.
-    """
+    """Infinite-cycle work mean ``work()`` and variance ``v1 + 2 c / (1 - mu)``
+    per cycle.  ``NonPrimitiveMapError`` unless the untilted map is primitive
+    (its square strictly positive) with a simple dominant eigenvalue."""
     maps = _derivative_maps(tmap)
     m0 = maps[0]
     if not all(x > 0.0 for x in _compose(m0, m0)):
         raise NonPrimitiveMapError("untilted cycle map squared has zero entries")
-    m, v1, c, g = _spectral_terms(maps)
+    _, v1, c, g = _spectral_terms(maps)
     if g < 1e-12:
         raise NonPrimitiveMapError("dominant eigenvalue degenerate at chi = 0")
-    return m * tmap.quantum, _checked_variance(v1 + 2.0 * c / g, 1.0) * tmap.quantum**2
+    return tmap.work(), _checked_variance(v1 + 2.0 * c / g, 1.0) * tmap.quantum**2
 
 
 @dataclass(frozen=True)
@@ -284,13 +278,13 @@ def enumerate_work_distribution(cfg: EngineConfig, n: int) -> WorkDistribution:
     return WorkDistribution(n, quantum, support)
 
 
-def intercycle_pcc(tmap: TiltedMap, p1: PopulationVector) -> float:
-    """Pearson correlation coefficient of the work in two successive
-    cycles, ``Cov / Var_1 = c / v1``, from the steady state as in
-    ``work_moments``; always in [-1, 1]."""
-    _, v1, c, _ = _spectral_terms(_derivative_maps(tmap), p1)
-    if _checked_variance(v1, 1.0) < 1e-14:
-        raise ZeroVarianceError(f"single-cycle variance {v1:.3e} quanta^2 too small for a PCC")
+def intercycle_pcc(tmap: TiltedMap, p1: PopulationVector | None) -> float:
+    """Pearson coefficient ``Cov / Var_1 = c / v1`` of the work in two
+    successive cycles, in [-1, 1], from the steady state as in ``work_moments``;
+    refused when ``v1`` is not above 1e-14 of the second moment ``1^T M'' p``."""
+    s2, v1, c, _ = _spectral_terms(_derivative_maps(tmap), p1)
+    if not _checked_variance(v1, 1.0) > 1e-14 * s2:
+        raise ZeroVarianceError(f"single-cycle variance {v1:.3e} is rounding noise of {s2:.3e}")
     pcc = c / v1
     if not -1.0 - 1e-9 <= pcc <= 1.0 + 1e-9:
         raise ConsistencyError(f"PCC {pcc} outside [-1, 1] beyond tolerance")

@@ -21,8 +21,8 @@ state description here.
 An engine cycle is an ordered tuple of two-level strokes (``Cycle``): heat
 strokes are Gibbs-stochastic maps, work strokes (``WorkStroke``) permute
 the levels at frozen populations while the gap changes.  The cycle map,
-its steady state, the populations at the stroke boundaries, the work and
-the heats all follow from that tuple.
+its steady state, the stroke-boundary populations and the heats follow
+from that tuple; the work is the engine's closed form (``Cycle.work``).
 
 Every value is checked once, where it enters, and 2x2 work is done on
 Python floats: a ``GibbsStochasticMatrix`` built from a user's matrix and
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -343,12 +343,13 @@ class WorkStroke:
 
 @dataclass(frozen=True, eq=False)
 class Cycle:
-    """Engine cycle: heat strokes (Gibbs-stochastic maps) and work strokes
-    in order, starting with a heat stroke at point 1, plus the work quantum
-    that every work-stroke transition releases a multiple of."""
+    """Engine cycle: heat and work strokes in order from the heat stroke at
+    point 1, the work quantum that every work-stroke transition releases a
+    multiple of, and ``work()``, the engine's closed-form steady work."""
 
     strokes: tuple
     quantum: float
+    work: Callable[[], float]
 
     def matrix(self, chi: float = 0.0) -> np.ndarray:
         """Cycle map ``S_k @ ... @ S_1`` with every work-stroke transition
@@ -385,13 +386,9 @@ class Cycle:
         return PopulationVector.from_raw(_fixed_point(*self._product()))
 
     def run(self) -> tuple[list[PopulationVector], float, list[float]]:
-        """One steady cycle: the populations entering each stroke, the work
-        released and the heat absorbed in each heat stroke.
-
-        Points after the last heat stroke are reached backwards from point 1,
-        so the cycle closes exactly.  A work stroke entered with excited
-        population ``p_e`` releases ``k_g + (k_e - k_g) * p_e`` quanta.
-        """
+        """One steady cycle: the populations entering each stroke (reached
+        backwards from point 1 after the last heat stroke, so the cycle closes
+        exactly), ``work()`` and the heat absorbed in each heat stroke."""
         strokes, n = self.strokes, len(self.strokes)
         last = max(i for i, s in enumerate(strokes) if not isinstance(s, WorkStroke))
         points = [self.steady_state()] * n  # overwritten from point 2 on
@@ -400,15 +397,9 @@ class Cycle:
             points[i] = prev.apply(p) if isinstance(prev, WorkStroke) else apply_map(prev, p)
         for i in range(n - 1, last, -1):
             points[i] = strokes[i].apply(points[(i + 1) % n])
-        quantum, quanta, heats = self.quantum, 0.0, []
-        for stroke, p_in, p_out in zip(strokes, points, points[1:] + points[:1]):
-            if isinstance(stroke, WorkStroke):
-                w_g, w_e = stroke.released
-                k_g, k_e = w_g / quantum, w_e / quantum
-                quanta += k_g + (k_e - k_g) * p_in.p_e
-            else:
-                heats.append(stroke.omega * (p_out.p_e - p_in.p_e))
-        return points, quantum * quanta, heats
+        pairs = zip(strokes, points, points[1:] + points[:1])
+        heats = [s.omega * (q.p_e - p.p_e) for s, p, q in pairs if not isinstance(s, WorkStroke)]
+        return points, self.work(), heats
 
 
 def eto_vs_thermalization_scan(

@@ -13,7 +13,7 @@ temperatures and the regime once, in ``_work_curve``, and each gap only for
 ``omega_H > omega_C > 0``; ``work_at`` is the same curve at one gap, and
 ``sweep`` rows evaluate it too.  The three-stroke engine has no free gap
 once (eta, eta_C) is chosen: its gap is recovered by inverting the monotone
-efficiency curve on the engine branch with bisection.
+efficiency curve on the engine branch, below its zero-work gap, by bisection.
 
 All scans are deterministic: identical inputs produce bit-identical
 outputs.
@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -45,7 +46,7 @@ from .otto import (
     _otto_cycle,
     _otto_work,
 )
-from .three_stroke import ThreeStrokeConfig, three_stroke_report
+from .three_stroke import ThreeStrokeConfig, _three_stroke_work
 
 THREE_STROKE_ENGINE = "three_stroke"
 ENGINES = (NONMARKOV, MARKOV, THREE_STROKE_ENGINE)
@@ -216,10 +217,6 @@ def _three_stroke_eta(omega: float, beta_H: float, beta_C: float) -> float:
     return 1.0 - math.expm1(beta_H * omega) / -math.expm1(-beta_C * omega)
 
 
-def _three_stroke_work(omega: float, beta_H: float, beta_C: float) -> float:
-    return omega * (2.0 / (math.exp(beta_H * omega) + math.exp(-beta_C * omega)) - 1.0)
-
-
 def _bisect(below_edge, lo: float, hi: float) -> float:
     """Midpoint of the final bracket of a bisection on [lo, hi] for the
     point where ``below_edge`` turns false; stops at the first step that
@@ -249,16 +246,17 @@ def three_stroke_omega_for_eta(eta: float, eta_C: float, T_H: float) -> float:
             f"target efficiency {eta} outside the attainable range (0, {eta_C})"
         )
     require_descending(T_H=T_H)
-    beta_H = 1.0 / T_H
-    beta_C = 1.0 / ((1.0 - eta_C) * T_H)
+    T_C = (1.0 - eta_C) * T_H
+    beta_H, beta_C = 1.0 / T_H, 1.0 / T_C
+    work = partial(_three_stroke_work, T_H=T_H, T_C=T_C, l_H=1.0, l_C=1.0)
 
     # zero-work gap: W < 0 beyond it
     hi = T_H
-    while _three_stroke_work(hi, beta_H, beta_C) > 0.0:
+    while work(hi) > 0.0:
         hi *= 2.0
         if hi > 1e9 * T_H:
             raise BisectionError("failed to bracket the zero-work gap")
-    omega_max = _bisect(lambda w: _three_stroke_work(w, beta_H, beta_C) > 0.0, 1e-12 * T_H, hi)
+    omega_max = _bisect(lambda w: work(w) > 0.0, 1e-12 * T_H, hi)
 
     probes = np.logspace(math.log10(omega_max) - 6.0, math.log10(omega_max), 32)
     etas = [_three_stroke_eta(w, beta_H, beta_C) for w in probes]
@@ -280,7 +278,7 @@ def work_efficiency_curve(
 
     Otto rows maximize over the gap in ``[1e-3 * T_H, 20 * T_H]`` at each
     efficiency; three-stroke rows invert the efficiency for the gap and
-    evaluate the closed cycle.
+    evaluate the cycle's closed-form work there.
     """
     etas = np.asarray(list(eta_grid), dtype=float)
     if etas.size == 0 or not ((etas > 0.0) & (etas < eta_C)).all():
@@ -290,10 +288,7 @@ def work_efficiency_curve(
     rows = np.empty((etas.size, 2))
     for i, eta in enumerate(etas):
         if engine == THREE_STROKE_ENGINE:
-            cfg = three_stroke_config_at(eta, eta_C, T_H)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                w = three_stroke_report(cfg).W / T_H
+            w = three_stroke_config_at(eta, eta_C, T_H).cycle().work() / T_H
         else:
             w = maximize_work(ScanSpec(eta, eta_C, T_H, engine, 1e-3 * T_H, 20.0 * T_H)).W_star
         rows[i] = (eta, w)

@@ -3,13 +3,13 @@
 The cycle is the stroke tuple (heat at ``omega_H``, quench to ``omega_C``,
 cool at ``omega_C``, quench back): points 1 -> 2 -> 3 -> 4 -> 1.  Heat
 strokes are thermal operations and quenches keep the populations, so the
-cyclostationary state solves ``L_C L_H p1 = p1``; populations, work and
-heats follow from the tuple (``maps.Cycle``).  ``EngineConfig`` holds the
+cyclostationary state solves ``L_C L_H p1 = p1``; populations and heats
+follow from the tuple (``maps.Cycle``).  ``EngineConfig`` holds the
 parameters and checks that the Otto and three-stroke configs share.
 
 ``otto_work`` gives the steady-cycle work in closed form for any
-couplings; the gap scans use it, and ``otto_cycle_report`` stays the full
-report and the reference it is tested against.
+couplings; the cycle carries it as ``Cycle.work``, so the reports, the
+counting statistics and the gap scans all return this one value.
 
 ``_coupling_rule`` is the one statement of a regime's couplings: the
 regime constructors (``EngineConfig._in_regime``) and the gap scans take
@@ -17,7 +17,7 @@ them from it, and the closed forms check a config against it.
 
 Sign conventions: ``Q_H = omega_H * (p_e2 - p_e1)`` is positive when heat
 flows into the qubit, ``Q_C = omega_C * (p_e4 - p_e3)`` is negative in
-engine operation, and the first law reads ``W = Q_H + Q_C`` exactly.  The
+engine operation, and the first law reads ``W = Q_H + Q_C`` to rounding.  The
 efficiency ``eta = 1 - omega_C / omega_H`` is an algebraic identity of the
 cycle; the setup is an engine (W > 0) only for ``eta < 1 - T_C / T_H``.
 """
@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import (
     DegenerateCycleError,
@@ -163,7 +164,7 @@ def _otto_cycle(*fields: float) -> Cycle:
     omega_H, omega_C, T_H, T_C, l_H, l_C = fields
     hot, cold = _build_map(omega_H, 1.0 / T_H, l_H), _build_map(omega_C, 1.0 / T_C, l_C)
     quench, unquench = WorkStroke(omega_H, omega_C), WorkStroke(omega_C, omega_H)
-    return Cycle((hot, quench, cold, unquench), omega_H - omega_C)
+    return Cycle((hot, quench, cold, unquench), omega_H - omega_C, partial(_otto_work, *fields))
 
 
 @dataclass(frozen=True)
@@ -210,10 +211,9 @@ def otto_work(cfg: OttoConfig) -> float:
         W = (omega_H - omega_C) * l_H * l_C * (q_H - q_C) / (up + down).
 
     No step cancels: ``r`` and ``q_H - q_C`` are formed with ``expm1``, and
-    every other term is a sum of non-negative parts.  Agrees with
-    ``otto_cycle_report(cfg).W``, which differences populations instead.
-    Raises ``DegenerateCycleError`` when ``up + down == 0`` (both couplings
-    0), where the cycle map is the identity, as the stroke path does.
+    every other term is a sum of non-negative parts.  ``cfg.cycle().work()``
+    is this value.  Raises ``DegenerateCycleError`` when ``up + down == 0``
+    (both couplings 0), where the cycle map is the identity.
     """
     return _otto_work(cfg.omega_H, cfg.omega_C, cfg.T_H, cfg.T_C, cfg.lambda_H, cfg.lambda_C)
 

@@ -48,6 +48,10 @@ class CheckRecord:
         return self.observed <= self.bound
 
 
+def _worse(a: float, b: float) -> float:  # a NaN wins; max(0.0, nan) would drop it
+    return a if a != a or a >= b else b
+
+
 def _draw(rng, count: int, bounds: tuple, build: Callable = lambda *row: row) -> Iterator:
     """Yield ``count`` values ``build(*row)`` that are not None, for rows of
     uniforms on ``bounds`` drawn in ``rng.random`` blocks and scaled as numpy's
@@ -97,10 +101,10 @@ def suite_gibbs_fixed_point(
         m = build_map(ThermalOpParams(omega, beta, lam)).as_array()
         if perturb is not None:
             m = perturb(m)
-        worst_entry = max(worst_entry, float(np.maximum(m - 1.0, -m).max()))
-        worst_cols = max(worst_cols, float(np.abs(m.sum(axis=0) - 1.0).max()))
+        worst_entry = _worse(worst_entry, float(np.maximum(m - 1.0, -m).max()))
+        worst_cols = _worse(worst_cols, float(np.abs(m.sum(axis=0) - 1.0).max()))
         g = thermal_population(omega, beta).as_array()
-        worst_gibbs = max(worst_gibbs, float(np.abs(m @ g - g).max()))
+        worst_gibbs = _worse(worst_gibbs, float(np.abs(m @ g - g).max()))
     return [
         CheckRecord("gibbs-fixed-point", "entries-in-range", worst_entry, 1e-12),
         CheckRecord("gibbs-fixed-point", "column-sums", worst_cols, 1e-12),
@@ -114,9 +118,9 @@ def suite_first_law(draws: int = 1000, seed: int = _SEED) -> list[CheckRecord]:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # draws outside the engine regime are intended
         otto = map(otto_cycle_report, _otto_configs(rng, draws))
-        worst_otto = reduce(max, (abs(r.W - r.Q_H - r.Q_C) for r in otto), 0.0)
+        worst_otto = reduce(_worse, (abs(r.W - r.Q_H - r.Q_C) for r in otto), 0.0)
         three = (rep for _, rep in _three_stroke_draws(rng, draws, 1e-6))
-        worst_three = reduce(max, (abs(r.W - r.Q_H - r.Q_C) for r in three), 0.0)
+        worst_three = reduce(_worse, (abs(r.W - r.Q_H - r.Q_C) for r in three), 0.0)
     return [
         CheckRecord("first-law", "otto", worst_otto, 1e-12),
         CheckRecord("first-law", "three-stroke", worst_three, 1e-12),
@@ -139,8 +143,8 @@ def suite_oracle_equivalence(
         for n in cycles:
             dist = enumerate_work_distribution(cfg, n)
             stats = work_moments(cycle, p1, n)
-            worst_mean = max(worst_mean, abs(stats.mean - dist.mean()) / abs(dist.mean()))
-            worst_var = max(worst_var, abs(stats.variance - dist.variance()) / dist.variance())
+            worst_mean = _worse(worst_mean, abs(stats.mean - dist.mean()) / abs(dist.mean()))
+            worst_var = _worse(worst_var, abs(stats.variance - dist.variance()) / dist.variance())
     return [
         CheckRecord("oracle-equivalence", "mean", worst_mean, 1e-12),
         CheckRecord("oracle-equivalence", "variance", worst_var, 1e-12),

@@ -253,7 +253,7 @@ def test_work_moments_at_a_billion_cycles():
     n = 10**9
     stats = work_moments(tmap, p1, n)
     assert math.isfinite(stats.variance)
-    assert math.isclose(stats.mean, n * otto_work(cfg), rel_tol=1e-12)
+    assert stats.mean == n * otto_work(cfg)
     _, scaled_var = scaled_cumulants(tmap)
     assert math.isclose(stats.variance / n, scaled_var, rel_tol=1e-8)
 
@@ -278,13 +278,14 @@ def test_statistics_reject_a_p1_that_is_not_the_steady_state():
         work_moments(tmap, ground, 3)
     with pytest.raises(InvalidParameterError, match="not the steady state"):
         intercycle_pcc(tmap, ground)
-    assert math.isclose(work_moments(tmap, steady, 3).mean, 3.0 * otto_work(cfg), rel_tol=1e-14)
+    assert work_moments(tmap, steady, 3).mean == 3 * otto_work(cfg)
     assert math.isclose(intercycle_pcc(tmap, steady), 0.19435777017457537, rel_tol=1e-15)
     # a copy within DRIFT_RENORM = 1e-12 in p_e is checked, not used
     near = PopulationVector(steady.p_g + 8e-13, steady.p_e - 8e-13)
     assert work_moments(tmap, near, 3) == work_moments(tmap, steady, 3)
     assert work_moments(tmap, None, 3) == work_moments(tmap, steady, 3)  # no p1, no check
     assert intercycle_pcc(tmap, near) == intercycle_pcc(tmap, steady)
+    assert intercycle_pcc(tmap, None) == intercycle_pcc(tmap, steady)  # no p1, no check
     far = PopulationVector(steady.p_g + 2e-12, steady.p_e - 2e-12)
     with pytest.raises(InvalidParameterError):
         work_moments(tmap, far, 3)
@@ -452,8 +453,8 @@ def test_pcc_covariance_identity_from_paths():
 
 @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e3])
 def test_pcc_does_not_depend_on_the_unit_of_energy(scale):
-    # the zero-variance guard reads the variance in work quanta, so a
-    # rescaled engine keeps its PCC
+    # the zero-variance guard compares the variance with the second moment,
+    # both in work quanta, so a rescaled engine keeps its PCC
     cfg = OttoConfig.nonmarkov(1.0 * scale, 0.7 * scale, 1.0 * scale, 0.5 * scale)
     tmap, p1 = tilted_and_steady(cfg)
     assert math.isclose(intercycle_pcc(tmap, p1), 0.19435777017457537, rel_tol=1e-15)
@@ -461,11 +462,28 @@ def test_pcc_does_not_depend_on_the_unit_of_energy(scale):
 
 def test_zero_variance_guard():
     # work is exponentially frozen and the quantum is small, so the
-    # single-cycle variance sits far below the representable threshold
+    # single-cycle variance rounds to exactly 0
     cfg = three_stroke_config(40.0, 80.0, omega=0.01)
     tmap, p1 = tilted_and_steady(cfg)
     with pytest.raises(ZeroVarianceError):
         intercycle_pcc(tmap, p1)
+
+
+def test_zero_variance_guard_reads_the_second_moment():
+    # v1 is 2.0e-15 work quanta squared, below an absolute 1e-14, but equal
+    # to the second moment 1^T M'' p: the mean is negligible, nothing
+    # cancels, and the PCC is the 60-digit value
+    cfg = OttoConfig(
+        31.364907591901385,
+        12.222775616014866,
+        1.0,
+        0.32642271518090704,
+        0.08195794234038645,
+        0.7826854667746651,
+    )
+    tmap, p1 = tilted_and_steady(cfg)
+    assert intercycle_pcc(tmap, p1) == -0.015409463988560464
+    assert intercycle_pcc(tmap, None) == -0.015409463988560464
 
 
 def test_scaled_mean_equals_cycle_work():
@@ -475,7 +493,7 @@ def test_scaled_mean_equals_cycle_work():
             cfg = make(rng)
             tmap, p1 = tilted_and_steady(cfg)
             mean, _ = scaled_cumulants(tmap)
-            assert math.isclose(mean, work_moments(tmap, p1, 1).mean, rel_tol=1e-9)
+            assert mean == work_moments(tmap, p1, 1).mean == tmap.work()  # one closed form
 
 
 def test_markov_scaled_variance_is_single_cycle_variance():

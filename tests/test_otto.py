@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -263,9 +265,15 @@ def test_otto_work_ln2_ln4(cfg, fraction):
 
 
 def test_otto_work_matches_the_stroke_cycle_random():
-    # the stroke path differences O(1) populations: a few ulp of the quantum
+    # one home: the cycle carries the closed form, so the report's W is it
+    # bit for bit, also after a pickle or deep-copy round trip of the cycle
     rng = np.random.default_rng(11)
     for _ in range(300):
         a, b = rng.uniform(0.05, 5.0), rng.uniform(0.05, 5.0)
         cfg = config_for(a, b, rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0))
-        assert abs(otto_work(cfg) - quiet_report(cfg).W) <= 4e-16 * cfg.work_quantum
+        assert otto_work(cfg) == quiet_report(cfg).W
+    cycle = cfg.cycle()
+    for twin in (pickle.loads(pickle.dumps(cycle)), copy.deepcopy(cycle)):
+        assert twin.work() == otto_work(cfg)
+        assert twin.run()[1:] == cycle.run()[1:]
+        assert twin.matrix(0.5).tolist() == cycle.matrix(0.5).tolist()

@@ -1,17 +1,23 @@
 import math
 import warnings
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from thermalops import (
     InvalidParameterError,
     NotAnEngineWarning,
     ThreeStrokeConfig,
     ZeroHeatError,
+    full_thermalization_lambda,
     three_stroke_report,
     three_stroke_steady_state,
 )
+
+EPS = 2.0**-52
 
 
 def eto_config(bh_omega, bc_omega, omega=1.0):
@@ -144,3 +150,60 @@ def test_zero_heat_guard():
     cfg = ThreeStrokeConfig(1.0, 1.0, 0.5, 0.0, 1.0)
     with pytest.raises(ZeroHeatError):
         three_stroke_report(cfg)
+
+
+# --- the closed-form work against a 60-digit evaluation ---
+
+
+def exact_work_and_scale(cfg):
+    """The steady work of the config's binary64 fields at 60 digits, from
+    the fixed point of the populations, and the conditioning scale of the
+    closed form ``-omega (r_H + mu_H r_C) / (1 + mu_H mu_C)``: the terms it
+    adds, each by magnitude, over its denominator.  ``mu = (1 - l) - l q``
+    is itself a difference, so its two terms count by magnitude too."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        omega = Decimal(cfg.omega)
+        (q_H, l_H), (q_C, l_C) = (
+            ((-omega / Decimal(T)).exp(), Decimal(lam))
+            for T, lam in ((cfg.T_H, cfg.lambda_H), (cfg.T_C, cfg.lambda_C))
+        )
+        mu_H, mu_C = 1 - l_H * (1 + q_H), 1 - l_C * (1 + q_C)
+        # p_e -> l q + mu p_e at each bath and p_e -> 1 - p_e at the flip
+        p_e1 = (l_C * q_C + mu_C * (1 - l_H * q_H)) / (1 + mu_C * mu_H)
+        work = omega * (2 * (l_H * q_H + mu_H * p_e1) - 1)
+        r_H, r_C = l_H * (1 - q_H), l_C * (1 - q_C)
+        scale = omega * (r_H + ((1 - l_H) + l_H * q_H) * r_C) / (1 + mu_H * mu_C)
+        return work, scale
+
+
+def couplings(omega, T):
+    """0.05, the Markov threshold, 1, or anywhere between 0.05 and 1."""
+    markov = full_thermalization_lambda(omega, 1.0 / T)
+    return st.one_of(st.sampled_from([0.05, markov, 1.0]), st.floats(0.05, 1.0))
+
+
+@st.composite
+def three_stroke_configs(draw):
+    """Gaps from 1e-6 T_H to 30 T_H, with T_C from 1e-3 T_H to just below T_H."""
+    T_H = 10.0 ** draw(st.floats(-3.0, 3.0))
+    T_C = T_H * draw(st.one_of(st.floats(1e-3, 0.99), st.just(1.0 - 1e-12)))
+    omega = T_H * 10.0 ** draw(st.floats(-6.0, math.log10(30.0)))
+    return ThreeStrokeConfig(omega, T_H, T_C, draw(couplings(omega, T_H)), draw(couplings(omega, T_C)))
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(three_stroke_configs())
+@example(ThreeStrokeConfig.nonmarkov(1e-6, 1.0, 0.5))
+@example(ThreeStrokeConfig.nonmarkov(30.0, 1.0, 0.5))
+@example(ThreeStrokeConfig.markov(1e-6, 1.0, 0.5))
+@example(ThreeStrokeConfig(30.0, 1.0, 0.5, 0.05, 0.05))
+@example(ThreeStrokeConfig.nonmarkov(0.23, 1.0, 0.5))  # near the fig6 point
+def test_closed_form_work_matches_a_decimal_evaluation(cfg):
+    # within 6 ulp of the conditioning scale, which is |W| away from the
+    # zero-work gap; a run of the cycle returns this one value
+    cycle = cfg.cycle()
+    work = cycle.work()
+    exact, scale = exact_work_and_scale(cfg)
+    assert abs(Decimal(work) - exact) <= Decimal(6 * EPS) * scale, (work, exact, scale)
+    assert cycle.run()[1] == work

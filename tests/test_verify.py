@@ -1,12 +1,14 @@
-"""The verify suites' draws: blocks of uniforms against scalar draws."""
+"""The verify suites' draws (blocks of uniforms against scalar draws) and
+what makes their checks fail."""
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
 import pytest
 
-from thermalops import cli
+from thermalops import cli, otto, three_stroke, verify
 from thermalops.otto import OttoConfig
 from thermalops.three_stroke import ThreeStrokeConfig, three_stroke_report
 from thermalops.verify import _draw, _otto_configs, _three_stroke_draws
@@ -123,3 +125,38 @@ def test_engine_suites_leak_no_warning(suite, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert cli.main(["verify", "--suite", suite]) == 0
+
+
+def test_a_nan_residual_fails_its_check(monkeypatch):
+    # max(0.0, nan) is 0.0, so a fold by max would pass a NaN residual
+    records = verify.suite_gibbs_fixed_point(draws=5, perturb=lambda m: m * np.nan)
+    assert len(records) == 3
+    assert all(math.isnan(r.observed) and not r.passed for r in records)
+
+    def nan_work(report):
+        return lambda cfg: dataclasses.replace(report(cfg), W=math.nan)
+
+    monkeypatch.setattr(verify, "otto_cycle_report", nan_work(otto.otto_cycle_report))
+    monkeypatch.setattr(verify, "three_stroke_report", nan_work(three_stroke_report))
+    records = verify.suite_first_law(draws=20)
+    assert all(math.isnan(r.observed) and not r.passed for r in records)
+
+    moments = verify.work_moments
+    monkeypatch.setattr(
+        verify, "work_moments", lambda *args: dataclasses.replace(moments(*args), mean=math.nan)
+    )
+    mean, variance = verify.suite_oracle_equivalence(configs_per_engine=2)
+    assert math.isnan(mean.observed) and not mean.passed
+    assert variance.passed
+
+
+@pytest.mark.parametrize(
+    "module, kernel", [(otto, "_otto_work"), (three_stroke, "_three_stroke_work")]
+)
+def test_first_law_checks_the_closed_form_against_the_heats(module, kernel, monkeypatch):
+    # the work is each engine's closed form and the heats come from the
+    # populations, so moving either formula by 1e-10 relative fails the suite
+    exact = getattr(module, kernel)
+    monkeypatch.setattr(module, kernel, lambda *fields: exact(*fields) * (1.0 + 1e-10))
+    failed = [r.check for r in verify.suite_first_law() if not r.passed]
+    assert failed == ["otto" if module is otto else "three-stroke"]
