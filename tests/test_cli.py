@@ -111,7 +111,7 @@ def test_fig6_pcc_bounds_and_three_stroke_point(tmp_path):
 PINNED_TABLES = {
     ("fig1", "points=41"): "9ffe0f30e1407563749026bfddc0a98db668bed7eff791a564679985a1281aa2",
     ("fig4", "points=3"): "4579726884ca5f54c95e17e37060b27f5894daa3df6d1543cbcec3c554e07f84",
-    ("fig5", "points=24"): "a1bf9bbe1ce8a13efdaa161b4e73b39762c35312e9238dad9e02b45350c7fcba",
+    ("fig5", "points=24"): "c7d5d6020617e23a841153f82b51c9e9c38946e8065d323f318ca82a3ce09e7f",
     ("fig5", "horizon=single_cycle", "points=24"): (
         "a5518134ba4ea1e7bf910aedb6d28539d066a2dcc4e69351a67e81e78a226988"
     ),
