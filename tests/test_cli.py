@@ -113,7 +113,7 @@ PINNED_TABLES = {
     ("fig4", "points=3"): "4579726884ca5f54c95e17e37060b27f5894daa3df6d1543cbcec3c554e07f84",
     ("fig5", "points=24"): "c7d5d6020617e23a841153f82b51c9e9c38946e8065d323f318ca82a3ce09e7f",
     ("fig5", "horizon=single_cycle", "points=24"): (
-        "a5518134ba4ea1e7bf910aedb6d28539d066a2dcc4e69351a67e81e78a226988"
+        "af12401708d8f4a44cc620add7ab7b273e23aacf06a94f95c13adba6e6d2f4d0"
     ),
     ("fig6", "points=24"): "0d9d62fdbf9c5c490776badb91f1ea83c03fc6c33b21fc591b3d8990e2ef7071",
     ("sweep", "points=40"): "84b572a8dcfb5addaa3c22947edb46c40b045c760d81a3ef4a9ff958483e4bd5",
