@@ -133,7 +133,7 @@ PINNED_JSON = {
     ("fig4", "points=3"): "c42f10d85ea06482e60588f1f2ed25c4f6859c6d4f25e88ab60285a0470ded2e",
     ("fig5", "points=24"): "724f0e11e9101490987537baa947314fe5388eee76de5a9588759180dc7252bf",
     ("fig5", "horizon=single_cycle", "points=24"): (
-        "b376b4a982d69ca9510581b1c6f203c55a4b57ff929b3d9d448146d4651cb762"
+        "146d12174bd2d72e4157e1ae38cb50b84508ad92174b88bc05dbbcf7fd3157b7"
     ),
     ("fig6", "points=24"): "c48d31669e3e7b7c5948048e4241cf8ea6115a0595ddb9ca9538bba28d8ed1c9",
     ("sweep", "points=40"): "a54c15f4af00823b784cd2288137fdeeeacf590fadc4de707a858728482a2849",
