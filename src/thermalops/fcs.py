@@ -284,7 +284,7 @@ def intercycle_pcc(tmap: TiltedMap, p1: PopulationVector | None) -> float:
     refused when ``v1`` is not above 1e-14 of the second moment ``1^T M'' p``."""
     s2, v1, c, _ = _spectral_terms(_derivative_maps(tmap), p1)
     if not _checked_variance(v1, 1.0) > 1e-14 * s2:
-        raise ZeroVarianceError(f"single-cycle variance {v1:.3e} is rounding noise of {s2:.3e}")
+        raise ZeroVarianceError(f"single-cycle variance {v1:.3e} is noise beside {s2:.3e} quanta^2")
     pcc = c / v1
     if not -1.0 - 1e-9 <= pcc <= 1.0 + 1e-9:
         raise ConsistencyError(f"PCC {pcc} outside [-1, 1] beyond tolerance")
