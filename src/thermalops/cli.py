@@ -29,6 +29,7 @@ from .maps import eto_vs_thermalization_scan
 from .microscopic import JC_KINDS, FockTruncation, eto_approximation_report
 from .optimize import (
     ENGINES,
+    _logspace,
     _otto_fields,
     _work_curve,
     fluctuation_curve,
@@ -49,11 +50,11 @@ def _points(p, minimum: int) -> int:
     return p["points"]
 
 
-def _log_grid(p, lo: str, hi: str) -> np.ndarray:
+def _log_grid(p, lo: str, hi: str) -> list[float]:
     """``p["points"]`` log-spaced values from ``p[lo]`` to ``p[hi]``."""
     if not 0.0 < p[lo] < p[hi] < math.inf:
         raise ThermalOpsError(f"need 0 < {lo} < {hi} < inf, got {lo}={p[lo]}, {hi}={p[hi]}")
-    return np.logspace(math.log10(p[lo]), math.log10(p[hi]), _points(p, 2))
+    return _logspace(p[lo], p[hi], _points(p, 2))
 
 
 def _run_fig1(p):
@@ -88,7 +89,7 @@ def _run_fig5(p):
 def _run_fig6(p):
     grid = _log_grid(p, "omega_lo", "omega_hi")
     fields = _otto_fields(p["eta"], p["eta_C"], p["T_H"], NONMARKOV)
-    engines = [(NONMARKOV, _otto_cycle(*fields(w))) for w in grid.tolist()]
+    engines = [(NONMARKOV, _otto_cycle(*fields(w))) for w in grid]
     engines.append(("three_stroke", three_stroke_config_at(p["eta"], p["eta_C"], p["T_H"]).cycle()))
     return ["engine", "omega_H", "W", "pcc"], [
         [ENGINE_CODES[engine], c.strokes[0].omega, c.work() / p["T_H"], intercycle_pcc(c, None)]
@@ -99,7 +100,7 @@ def _run_fig6(p):
 def _run_sweep(p):
     grid = _log_grid(p, "omega_lo", "omega_hi")
     work = _work_curve(p["eta"], p["eta_C"], p["T_H"], p["regime"])
-    return ["omega_H", "W"], [[w, work(w)] for w in grid.tolist()]
+    return ["omega_H", "W"], [[w, work(w)] for w in grid]
 
 
 def _run_micro_report(p):
@@ -244,7 +245,7 @@ def _render_verify_json(records) -> str:
             {
                 "suite": r.suite,
                 "check": r.check,
-                "observed": r.observed,
+                "observed": r.observed if math.isfinite(r.observed) else None,  # JSON has no NaN
                 "bound": r.bound,
                 "passed": r.passed,
             }

@@ -139,10 +139,7 @@ class GibbsStochasticMatrix:
     beta: float
 
     def __post_init__(self):
-        arr = np.asarray(self.m, dtype=float)
-        if arr.shape != (2, 2):
-            raise InvalidParameterError(f"expected a 2x2 matrix, got shape {arr.shape}")
-        entries = _gibbs_stochastic_entries(*arr.ravel().tolist(), self.omega, self.beta)
+        entries = _gibbs_stochastic_entries(*_entries_2x2(self.m), self.omega, self.beta)
         del self.__dict__["m"]  # rebuilt from the checked entries
         self.__dict__["_entries"] = entries
 
@@ -286,12 +283,19 @@ def stationary_population(m: np.ndarray) -> PopulationVector:
 
     Computed in closed form from the off-diagonal entries,
     ``p_e = m[e,g] / (m[e,g] + m[g,e])``.  Raises ``InvalidParameterError``
-    for a non-finite entry or a column sum off 1 by more than
-    ``STOCHASTIC_TOL``, and ``DegenerateCycleError`` when the matrix is
-    numerically the identity and the fixed point is not unique.
+    for a shape other than 2x2, a non-finite entry or a column sum off 1 by
+    more than ``STOCHASTIC_TOL``, and ``DegenerateCycleError`` when the
+    matrix is numerically the identity and the fixed point is not unique.
     """
-    (stay_g, down), (up, stay_e) = np.asarray(m, dtype=float).tolist()
-    return PopulationVector.from_raw(_fixed_point(stay_g, down, up, stay_e))
+    return PopulationVector.from_raw(_fixed_point(*_entries_2x2(m)))
+
+
+def _entries_2x2(m) -> list[float]:
+    """Row-major entries of a 2x2 matrix; other shapes raise ``InvalidParameterError``."""
+    arr = np.asarray(m, dtype=float)
+    if arr.shape != (2, 2):
+        raise InvalidParameterError(f"expected a 2x2 matrix, got shape {arr.shape}")
+    return arr.ravel().tolist()
 
 
 def _fixed_point(stay_g: float, down: float, up: float, stay_e: float) -> tuple[float, float]:

@@ -3,17 +3,18 @@
 Fixing the efficiency ``eta`` and the Carnot efficiency ``eta_C`` pins
 ``omega_C = (1 - eta) * omega_H`` and ``T_C = (1 - eta_C) * T_H``, leaving
 the single gap ``omega_H`` free; the work-per-cycle (in units of k_B T_H)
-is maximized over it by a log-spaced coarse scan followed by golden-section
-refinement to ``1e-8 * T_H``; fig4 (``work_efficiency_curve``) scans the
-window ``[1e-3, 20] * T_H``, so its rows do not depend on the unit of
-energy.  Each gap is evaluated with the closed-form Otto work
-(``otto.otto_work``), not by running the stroke cycle, on Python floats and
-without building an ``OttoConfig``.  A scan checks ``eta``, ``eta_C``, the
-temperatures and the regime once, in ``_work_curve``, and each gap only for
+is maximized over it by a log-spaced coarse scan on Python floats followed
+by golden-section refinement to ``1e-8 * T_H``; fig4
+(``work_efficiency_curve``) scans the window ``[1e-3, 20] * T_H``, so its
+rows do not depend on the unit of energy.  Each gap is evaluated with the
+closed-form Otto work (``otto.otto_work``) without building an
+``OttoConfig``.  A scan checks ``eta``, ``eta_C``, the temperatures and the
+regime once, in ``_work_curve``, and each gap only for
 ``omega_H > omega_C > 0``; ``work_at`` is the same curve at one gap, and
 ``sweep`` rows evaluate it too.  The three-stroke engine has no free gap
-once (eta, eta_C) is chosen: its gap is recovered by inverting the monotone
-efficiency curve on the engine branch, below its zero-work gap, by bisection.
+once (eta, eta_C) is chosen: its zero-work gap lies below ``ln 2 * T_H``,
+its efficiency falls strictly below that gap, and one bisection there
+finds the gap at ``eta``.
 
 All scans are deterministic: identical inputs produce bit-identical
 outputs.
@@ -24,7 +25,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -37,7 +37,7 @@ from .errors import (
     ZeroWorkError,
 )
 from .fcs import scaled_cumulants, work_moments
-from .maps import Cycle, require_count, require_descending
+from .maps import Cycle, require_count
 from .otto import (
     MARKOV,
     NONMARKOV,
@@ -164,106 +164,100 @@ def _golden_max(f, lo: float, hi: float, xtol: float = _XTOL):
     return d, fd, evals
 
 
+def _logspace(lo: float, hi: float, n: int) -> list[float]:
+    """``n`` log-spaced floats from ``lo`` to ``hi``: the one log grid of
+    the gap scan and of the CLI tables."""
+    return np.logspace(math.log10(lo), math.log10(hi), n).tolist()
+
+
 def maximize_work(spec: ScanSpec) -> OptimumRecord:
     """Maximize the Otto work-per-cycle over the gap range.
 
     Log-spaced coarse scan, then golden-section refinement of the
     bracketing interval to ``1e-8 * T_H`` in ``omega_H``.  If the best
     coarse point sits at a range endpoint a warning is issued and the
-    record is marked unconverged; if a second local maximum ties the best
-    one within ``1e-6`` it is refined as well and the larger value wins.
+    record is marked unconverged; if the best interior peak other than that
+    point comes within ``1e-6`` of it, the peak is refined too and the
+    larger value wins.
     """
-    grid = np.logspace(math.log10(spec.omega_lo), math.log10(spec.omega_hi), spec.grid_size)
-    grid = grid.tolist()  # the same binary64 values; Python float arithmetic is cheaper
+    n = spec.grid_size
+    grid = _logspace(spec.omega_lo, spec.omega_hi, n)
     f = _work_curve(spec.eta, spec.eta_C, spec.T_H, spec.regime)
-    values = np.array([f(w) for w in grid])
-    evals = spec.grid_size
-    best = int(values.argmax())
+    values = [f(w) for w in grid]
+    best = max(range(n), key=values.__getitem__)  # the first maximum, like argmax
+    rival = max(
+        (i for i in range(1, n - 1) if i != best and values[i - 1] <= values[i] >= values[i + 1]),
+        key=values.__getitem__,
+        default=None,
+    )
 
-    interior = (values[1:-1] >= values[:-2]) & (values[1:-1] >= values[2:])
-    peaks = sorted(np.flatnonzero(interior) + 1, key=lambda i: -values[i])
-
-    converged = True
-    if best in (0, spec.grid_size - 1):
+    converged = 0 < best < n - 1
+    if not converged:
         warnings.warn(
             f"coarse-scan maximum at range endpoint omega_H={grid[best]:.6g}; "
             "widen [omega_lo, omega_hi]",
             NoInteriorMaximumWarning,
             stacklevel=2,
         )
-        converged = False
 
-    to_refine = [best] if best not in peaks else [peaks[0]]
-    if len(peaks) >= 2 and values[peaks[0]] - values[peaks[1]] <= _PEAK_TIE_TOL:
+    to_refine = [best]
+    if rival is not None and values[best] - values[rival] <= _PEAK_TIE_TOL:
         warnings.warn(
             "two near-degenerate coarse-scan maxima; refining both",
             MultimodalScanWarning,
             stacklevel=2,
         )
-        to_refine.append(peaks[1])
+        to_refine.append(rival)
 
-    x_star, w_star = grid[best], values[best]
+    x_star, w_star, evals = grid[best], values[best], n
     for idx in to_refine:
         lo = grid[max(idx - 1, 0)]
-        hi = grid[min(idx + 1, spec.grid_size - 1)]
+        hi = grid[min(idx + 1, n - 1)]
         x, fx, used = _golden_max(f, lo, hi, _XTOL * spec.T_H)
         evals += used
         if fx > w_star:
             x_star, w_star = x, fx
-    return OptimumRecord(float(x_star), float(w_star), converged, evals)
-
-
-def _three_stroke_eta(omega: float, beta_H: float, beta_C: float) -> float:
-    return 1.0 - math.expm1(beta_H * omega) / -math.expm1(-beta_C * omega)
+    return OptimumRecord(x_star, w_star, converged, evals)
 
 
 def _bisect(below_edge, lo: float, hi: float) -> float:
     """Midpoint of the final bracket of a bisection on [lo, hi] for the
-    point where ``below_edge`` turns false; stops at the first step that
-    leaves the bracket unchanged (every later step would too), or after 200."""
+    point where ``below_edge`` turns false; stops once the midpoint rounds
+    onto an end of the bracket (every later step would too), or after 200."""
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if below_edge(mid):
-            if mid == lo:
-                break
             lo = mid
         else:
-            if mid == hi:
-                break
             hi = mid
     return 0.5 * (lo + hi)
 
 
 def three_stroke_omega_for_eta(eta: float, eta_C: float, T_H: float) -> float:
-    """Gap at which the three-stroke engine runs at efficiency ``eta``.
-
-    The efficiency decreases monotonically from ``eta_C`` (gap -> 0) to 0
-    at the zero-work gap; the target is found by bisection on that branch.
-    Monotonicity is verified on a coarse grid each call.
+    """Gap at which the three-stroke engine runs at efficiency ``eta``: one
+    bisection finds the zero-work gap in ``[1e-12, 1] * T_H``, a second the
+    gap below it where the efficiency falls to ``eta``.  Both are sound:
+    - with ``x = exp(-omega/T_H)`` and ``y = exp(-omega/T_C) < x``, the ETO
+      work vanishes where ``1 - 2x + xy = 0``, so at ``x = 1/(2 - y) > 1/2``:
+      the zero-work gap lies below ``ln 2 * T_H``, and ``W(T_H) < 0``;
+    - with ``a = omega/T_H`` and ``kappa = T_H/T_C``, ``d/da ln[(e^a - 1)/
+      (1 - e^(-kappa a))] = 1/(1 - e^(-a)) - kappa/(e^(kappa a) - 1) >
+      1/a - 1/a = 0``, so ``eta`` falls strictly on the whole branch.
     """
     if not 0.0 < eta < eta_C < 1.0:
         raise BisectionError(
             f"target efficiency {eta} outside the attainable range (0, {eta_C})"
         )
-    require_descending(T_H=T_H)
     T_C = (1.0 - eta_C) * T_H
+    _coupling_rule(T_H, T_C, NONMARKOV)  # checks the temperatures
     beta_H, beta_C = 1.0 / T_H, 1.0 / T_C
-    work = partial(_three_stroke_work, T_H=T_H, T_C=T_C, l_H=1.0, l_C=1.0)
-
-    # zero-work gap: W < 0 beyond it
-    hi = T_H
-    while work(hi) > 0.0:
-        hi *= 2.0
-        if hi > 1e9 * T_H:
-            raise BisectionError("failed to bracket the zero-work gap")
-    omega_max = _bisect(lambda w: work(w) > 0.0, 1e-12 * T_H, hi)
-
-    probes = np.logspace(math.log10(omega_max) - 6.0, math.log10(omega_max), 32)
-    etas = [_three_stroke_eta(w, beta_H, beta_C) for w in probes]
-    if any(b > a + 1e-12 for a, b in zip(etas, etas[1:])):
-        raise BisectionError("efficiency is not monotone on the engine branch")
-
-    return _bisect(lambda w: _three_stroke_eta(w, beta_H, beta_C) > eta, 1e-12 * T_H, omega_max)
+    lo = 1e-12 * T_H
+    omega_max = _bisect(lambda w: _three_stroke_work(w, T_H, T_C, 1.0, 1.0) > 0.0, lo, T_H)
+    return _bisect(
+        lambda w: 1.0 - math.expm1(beta_H * w) / -math.expm1(-beta_C * w) > eta, lo, omega_max
+    )
 
 
 def three_stroke_config_at(eta: float, eta_C: float, T_H: float) -> ThreeStrokeConfig:
@@ -286,7 +280,7 @@ def work_efficiency_curve(
     if engine not in ENGINES:
         raise InvalidParameterError(f"engine must be one of {ENGINES}, got {engine!r}")
     rows = np.empty((etas.size, 2))
-    for i, eta in enumerate(etas):
+    for i, eta in enumerate(etas.tolist()):
         if engine == THREE_STROKE_ENGINE:
             w = three_stroke_config_at(eta, eta_C, T_H).cycle().work() / T_H
         else:

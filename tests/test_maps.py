@@ -275,6 +275,12 @@ def test_stationary_population_rejects_non_stochastic_input(m):
         stationary_population(np.array(m))
 
 
+@pytest.mark.parametrize("m", [np.eye(3), [[0.5, 0.5, 0.5, 0.5]], [0.5, 0.5, 0.5, 0.5]])
+def test_stationary_population_rejects_a_shape_other_than_2x2(m):
+    with pytest.raises(InvalidParameterError, match="2x2"):
+        stationary_population(m)
+
+
 def test_stationary_population_of_identity_is_degenerate():
     with pytest.raises(DegenerateCycleError):
         stationary_population(np.eye(2))

@@ -32,7 +32,7 @@ from thermalops import (
 from thermalops import optimize
 from thermalops.cli import COMMANDS, _log_grid, _run_sweep
 from thermalops.optimize import _golden_max, otto_config_at, three_stroke_config_at
-from thermalops.three_stroke import three_stroke_report
+from thermalops.three_stroke import _three_stroke_work, three_stroke_report
 
 
 def test_golden_section_on_synthetic_unimodal():
@@ -261,7 +261,7 @@ def test_maximize_work_improves_on_grid_and_is_deterministic():
     rec1 = maximize_work(spec)
     rec2 = maximize_work(spec)
     assert rec1 == rec2  # bit-identical rerun
-    grid = np.logspace(math.log10(spec.omega_lo), math.log10(spec.omega_hi), spec.grid_size)
+    grid = optimize._logspace(spec.omega_lo, spec.omega_hi, spec.grid_size)
     best_coarse = max(work_at(0.3, 0.5, 1.0, w, "nonmarkov") for w in grid)
     assert rec1.W_star >= best_coarse - 1e-12
     assert rec1.converged
@@ -372,6 +372,32 @@ def test_maximize_work_refines_tied_peaks(monkeypatch):
     assert abs(rec.omega_H_star - 1.0) < 1e-6
 
 
+def test_maximize_work_refines_a_peak_that_ties_an_endpoint(monkeypatch):
+    # the coarse maximum is the rising right end, 5e-7 above the coarse
+    # sample of an interior peak whose refined maximum is 1: the peak is
+    # refined too and wins
+    spec = ScanSpec(0.3, 0.5, 1.0, "nonmarkov", omega_lo=0.25, omega_hi=16.0, grid_size=60)
+    centre = 0.25 * 64.0 ** (20.3 / 59)  # 0.3 of a grid step above the 21st point
+
+    def peak(omega_H):
+        return math.exp(-50.0 * math.log(omega_H / centre) ** 2)
+
+    end_value = peak(0.25 * 64.0 ** (20 / 59)) + 5e-7
+
+    def curve(omega_H):
+        ramp = max(0.0, math.log2(omega_H / 8.0))
+        return peak(omega_H) + end_value * ramp**4
+
+    monkeypatch.setattr("thermalops.optimize._work_curve", lambda eta, eta_C, T_H, regime: curve)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rec = maximize_work(spec)
+    assert {type(w.message) for w in caught} == {NoInteriorMaximumWarning, MultimodalScanWarning}
+    assert not rec.converged
+    assert abs(rec.W_star - 1.0) < 1e-10
+    assert abs(rec.omega_H_star - centre) < 1e-6
+
+
 def test_three_stroke_inversion_hits_target_efficiency():
     for eta in (0.1, 0.3, 0.45):
         cfg = three_stroke_config_at(eta, 0.5, 1.0)
@@ -385,6 +411,35 @@ def test_three_stroke_inversion_rejects_unattainable_target():
         three_stroke_omega_for_eta(0.6, 0.5, 1.0)
     with pytest.raises(BisectionError):
         three_stroke_omega_for_eta(0.5, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("T_H", [math.inf, math.nan, -1.0, True])
+def test_three_stroke_inversion_rejects_bad_temperatures(T_H):
+    with pytest.raises(InvalidParameterError):
+        three_stroke_omega_for_eta(0.3, 0.5, T_H)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(eta_C=st.floats(1e-6, 1.0 - 1e-6), T_H=log_uniform(-300.0, 300.0))
+@example(eta_C=1e-6, T_H=1e-300)
+@example(eta_C=1.0 - 1e-6, T_H=1e300)
+def test_three_stroke_branch_needs_no_runtime_probe(eta_C, T_H):
+    # the two facts that three_stroke_omega_for_eta proves and does not
+    # check at run time: the ETO work is negative at T_H, so [1e-12, 1] * T_H
+    # brackets the zero-work gap, and the efficiency never steps up below it
+    T_C = (1.0 - eta_C) * T_H
+    assert _three_stroke_work(T_H, T_H, T_C, 1.0, 1.0) < 0.0
+    omega_max = optimize._bisect(
+        lambda w: _three_stroke_work(w, T_H, T_C, 1.0, 1.0) > 0.0, 1e-12 * T_H, T_H
+    )
+    # the gap tends to ln 2 * T_H as T_C -> 0; the bisection lands within ulps of it
+    assert omega_max < (1.0 + 1e-15) * math.log(2.0) * T_H
+    beta_H, beta_C = 1.0 / T_H, 1.0 / T_C
+    etas = [
+        1.0 - math.expm1(beta_H * w) / -math.expm1(-beta_C * w)
+        for w in optimize._logspace(1e-6 * omega_max, omega_max, 32)
+    ]
+    assert all(b <= a + 1e-12 for a, b in zip(etas, etas[1:]))
 
 
 def test_three_stroke_point_is_reproducible():

@@ -2,8 +2,10 @@
 what makes their checks fail."""
 
 import dataclasses
+import json
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -148,6 +150,21 @@ def test_a_nan_residual_fails_its_check(monkeypatch):
     mean, variance = verify.suite_oracle_equivalence(configs_per_engine=2)
     assert math.isnan(mean.observed) and not mean.passed
     assert variance.passed
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_verify_json_writes_null_for_a_non_finite_residual(bad, monkeypatch, capsys):
+    suite = partial(verify.suite_gibbs_fixed_point, draws=5, perturb=lambda m: m * bad)
+    monkeypatch.setitem(verify.SUITES, "gibbs-fixed-point", suite)
+    assert cli.main(["verify", "--suite", "gibbs-fixed-point", "--format", "json"]) == 2
+    doc = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    assert doc["ok"] is False
+    assert [c["observed"] for c in doc["checks"]] == [None, None, None]
+    assert not any(c["passed"] for c in doc["checks"])
 
 
 @pytest.mark.parametrize(
