@@ -252,11 +252,10 @@ def three_stroke_omega_for_eta(eta: float, eta_C: float, T_H: float) -> float:
         )
     T_C = (1.0 - eta_C) * T_H
     _coupling_rule(T_H, T_C, NONMARKOV)  # checks the temperatures
-    beta_H, beta_C = 1.0 / T_H, 1.0 / T_C
     lo = 1e-12 * T_H
     omega_max = _bisect(lambda w: _three_stroke_work(w, T_H, T_C, 1.0, 1.0) > 0.0, lo, T_H)
     return _bisect(
-        lambda w: 1.0 - math.expm1(beta_H * w) / -math.expm1(-beta_C * w) > eta, lo, omega_max
+        lambda w: 1.0 - math.expm1(w / T_H) / -math.expm1(-w / T_C) > eta, lo, omega_max
     )
 
 

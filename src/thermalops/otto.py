@@ -42,7 +42,6 @@ from .maps import (
     WorkStroke,
     _build_map,
     build_map,  # noqa: F401  (bench/tests/test_bench.py reads thermalops.otto.build_map)
-    full_thermalization_lambda,
     require_descending,
     require_unit_interval,
 )
@@ -57,16 +56,18 @@ _REGIME_TOL = 1e-12
 def _coupling_rule(T_H: float, T_C: float, regime: str):
     """The couplings ``(lambda_H, lambda_C)`` of the regime as a function of
     the gaps ``(omega_H, omega_C)``: 1 and 1 (``nonmarkov``) or full
-    thermalization at each bath (``markov``).  The temperatures, before they
-    divide, and the regime are checked here, once; the gaps by the caller."""
+    thermalization at each bath (``markov``), ``1 / (1 + exp(-omega / T))``:
+    ``omega / T`` rounds once and, unlike ``1 / T`` at a subnormal ``T``,
+    overflows only where ``exp(-omega / T)`` underflows anyway.  The
+    temperatures, before they divide, and the regime are checked here, once;
+    the gaps by the caller."""
     require_descending(T_H=T_H, T_C=T_C)
     if regime == NONMARKOV:
         return lambda omega_H, omega_C: (1.0, 1.0)
     if regime == MARKOV:
-        beta_H, beta_C = 1.0 / T_H, 1.0 / T_C
         return lambda omega_H, omega_C: (
-            full_thermalization_lambda(omega_H, beta_H),
-            full_thermalization_lambda(omega_C, beta_C),
+            1.0 / (1.0 + math.exp(-omega_H / T_H)),
+            1.0 / (1.0 + math.exp(-omega_C / T_C)),
         )
     raise InvalidParameterError(f"regime must be one of {REGIMES}, got {regime!r}")
 

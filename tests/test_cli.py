@@ -332,6 +332,21 @@ def test_fig4_does_not_depend_on_the_unit_of_energy(T_H, capsys):
             assert math.isclose(b[k], a[k], rel_tol=rel_tol), (T_H, a[0], k)
 
 
+def test_fig4_at_a_subnormal_T_H_is_the_unit_table(capsys):
+    # 1 / T_H overflows at T_H = 1e-310; the Markov couplings and the
+    # three-stroke efficiency take omega / T, so every column is the T_H = 1
+    # table up to the precision of the subnormal gap window (1.8e-11 seen)
+    base = json_rows(["fig4"], capsys)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = json_rows(["fig4", "--set", "T_H=1e-310"], capsys)
+    assert len(rows) == len(base) == 24
+    for a, b in zip(base, rows):
+        assert a[0] == b[0]
+        for k in (1, 2, 3):
+            assert math.isclose(b[k], a[k], rel_tol=1e-9), (a[0], k)
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

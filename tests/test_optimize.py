@@ -279,9 +279,9 @@ def checked_config_work(eta, eta_C, T_H, omega_H, regime) -> str:
     """The work through a checked ``OttoConfig``, as ``float.hex`` (which
     tells the signed zeros apart)."""
     cfg = otto_config_at(eta, eta_C, T_H, omega_H, regime)
-    if regime == "markov":  # full thermalization at each bath, at beta = 1 / T
-        assert cfg.lambda_H == full_thermalization_lambda(cfg.omega_H, 1.0 / cfg.T_H)
-        assert cfg.lambda_C == full_thermalization_lambda(cfg.omega_C, 1.0 / cfg.T_C)
+    if regime == "markov":  # full thermalization at each bath, from omega / T
+        assert cfg.lambda_H == 1.0 / (1.0 + math.exp(-cfg.omega_H / cfg.T_H))
+        assert cfg.lambda_C == 1.0 / (1.0 + math.exp(-cfg.omega_C / cfg.T_C))
     return (otto_work(cfg) / T_H).hex()
 
 
@@ -434,9 +434,8 @@ def test_three_stroke_branch_needs_no_runtime_probe(eta_C, T_H):
     )
     # the gap tends to ln 2 * T_H as T_C -> 0; the bisection lands within ulps of it
     assert omega_max < (1.0 + 1e-15) * math.log(2.0) * T_H
-    beta_H, beta_C = 1.0 / T_H, 1.0 / T_C
     etas = [
-        1.0 - math.expm1(beta_H * w) / -math.expm1(-beta_C * w)
+        1.0 - math.expm1(w / T_H) / -math.expm1(-w / T_C)
         for w in optimize._logspace(1e-6 * omega_max, omega_max, 32)
     ]
     assert all(b <= a + 1e-12 for a, b in zip(etas, etas[1:]))
