@@ -31,6 +31,7 @@ from thermalops import (
     tilted_map_otto,
     work_moments,
 )
+from thermalops.maps import require_count
 
 LN2 = math.log(2.0)
 
@@ -309,6 +310,21 @@ def test_scan_rejects_bad_grid():
         eto_vs_thermalization_scan(0.5, [1.0, -2.0])
     with pytest.raises(InvalidParameterError):
         eto_vs_thermalization_scan(-0.5, [1.0])
+
+
+@pytest.mark.parametrize("n", [3, np.int64(3), np.int32(3), np.uint8(3)])
+def test_require_count_accepts_python_and_numpy_integers(n):
+    got = require_count(n, 1, "n")
+    assert got == 3 and type(got) is int
+
+
+@pytest.mark.parametrize(
+    "n", [True, np.True_, 3.0, np.float64(3.0), "3", 0, np.int64(0)],
+    ids=["bool", "numpy-bool", "float", "numpy-float", "str", "zero", "numpy-zero"],
+)
+def test_require_count_rejects_bools_floats_and_small_counts(n):
+    with pytest.raises(InvalidParameterError):
+        require_count(n, 1, "n")
 
 
 # One valid instance of every config dataclass; each float field in turn is
