@@ -20,21 +20,20 @@ import math
 import sys
 from typing import Optional, Sequence
 
-import numpy as np
-
 from . import __version__
 from .errors import ThermalOpsError
 from .fcs import intercycle_pcc
-from .maps import eto_vs_thermalization_scan
+from .maps import _eto_vs_thermalization_rows
 from .microscopic import JC_KINDS, FockTruncation, eto_approximation_report
 from .optimize import (
     ENGINES,
+    _fluctuation_rows,
+    _linspace,
     _logspace,
     _otto_fields,
     _work_curve,
-    fluctuation_curve,
+    _work_efficiency_rows,
     three_stroke_config_at,
-    work_efficiency_curve,
 )
 from .otto import MARKOV, NONMARKOV, _otto_cycle
 from .verify import run_suites
@@ -59,18 +58,17 @@ def _log_grid(p, lo: str, hi: str) -> list[float]:
 
 def _run_fig1(p):
     grid = _log_grid(p, "t2_min", "t2_max")
-    rows = eto_vs_thermalization_scan(p["omega_over_T1"], grid)
-    return ["t2_over_t1", "p_e_eto", "p_e_thermalization"], rows.tolist()
+    rows = _eto_vs_thermalization_rows(p["omega_over_T1"], grid)
+    return ["t2_over_t1", "p_e_eto", "p_e_thermalization"], rows
 
 
 def _run_fig4(p):
-    etas = np.linspace(p["eta_min"], p["eta_max"], _points(p, 1))
+    etas = _linspace(p["eta_min"], p["eta_max"], _points(p, 1))
     curves = {
-        engine: work_efficiency_curve(p["eta_C"], p["T_H"], engine, etas)
-        for engine in ENGINES
+        engine: _work_efficiency_rows(p["eta_C"], p["T_H"], engine, etas) for engine in ENGINES
     }
     rows = [
-        [eta, curves[NONMARKOV][i, 1], curves[MARKOV][i, 1], curves["three_stroke"][i, 1]]
+        [eta, curves[NONMARKOV][i][1], curves[MARKOV][i][1], curves["three_stroke"][i][1]]
         for i, eta in enumerate(etas)
     ]
     return ["eta", "W_nonmarkov", "W_markov", "W_three_stroke"], rows
@@ -78,11 +76,11 @@ def _run_fig4(p):
 
 def _run_fig5(p):
     grid = _log_grid(p, "omega_lo", "omega_hi")
-    data = fluctuation_curve(p["eta"], p["eta_C"], p["T_H"], p["horizon"], grid)
+    data = _fluctuation_rows(p["eta"], p["eta_C"], p["T_H"], p["horizon"], grid)
     rows = []
     for engine in (NONMARKOV, MARKOV):
-        rows.extend([ENGINE_CODES[engine], *r] for r in data[engine].tolist())
-    rows.append([ENGINE_CODES["three_stroke"], *data["three_stroke"].tolist()])
+        rows.extend([ENGINE_CODES[engine], *r] for r in data[engine])
+    rows.append([ENGINE_CODES["three_stroke"], *data["three_stroke"]])
     return ["engine", "omega_H", "W", "variance_over_mean"], rows
 
 
@@ -111,7 +109,7 @@ def _run_micro_report(p):
     tr = FockTruncation(
         n_max=p["n_max"], omega=1.0, beta=p["beta_omega"], tail_bound=p["tail_bound"]
     )
-    times = np.linspace(0.0, p["jt_max"] / p["J"], _points(p, 1))
+    times = _linspace(0.0, p["jt_max"] / p["J"], _points(p, 1))
     report = eto_approximation_report(p["J"], tr, times)
     rows = []
     for kind in JC_KINDS:

@@ -34,8 +34,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     ConsistencyError,
     CountingOverflowError,
@@ -52,6 +50,7 @@ from .maps import (
     WorkStroke,
     _compose,
     _fixed_point,
+    _LazyNumpy,
     require_count,
 )
 from .otto import EngineConfig, OttoConfig
@@ -59,6 +58,8 @@ from .three_stroke import ThreeStrokeConfig
 
 EXP_BUDGET = 600.0  # |chi| * N * Delta beyond this would overflow binary64
 ENUM_MAX_CYCLES = 12
+
+np = _LazyNumpy(globals())
 
 # The counting-field view of a cycle: ``TiltedMap.matrix(chi)`` is P(chi).
 TiltedMap = Cycle

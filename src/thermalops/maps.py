@@ -32,6 +32,7 @@ map's array ``m`` is built on first access from the checked entries.  The
 cycle product, its fixed point, ``Cycle.run`` and ``apply_map`` compute on
 a map's checked float entries (``_compose``, ``_fixed_point``), which round
 alike on every platform; a numpy 2x2 product may use a fused multiply-add.
+numpy is imported only by the array accessors, on first use (``_LazyNumpy``).
 
 All types are immutable after construction and all operations are pure
 functions; everything is safe for concurrent read-only use.
@@ -43,8 +44,6 @@ import math
 import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
-
-import numpy as np
 
 from .errors import (
     ConsistencyError,
@@ -60,6 +59,24 @@ DRIFT_FAIL = 1e-9
 
 STOCHASTIC_TOL = 1e-12
 DEGENERACY_TOL = 1e-12
+
+
+class _LazyNumpy:
+    """Stands in for ``numpy`` under the name ``np`` in a module namespace.
+    The first attribute lookup imports numpy and puts the module itself in
+    its place, so every later ``np.<name>`` is a plain global lookup."""
+
+    def __init__(self, namespace: dict):
+        self._namespace = namespace
+
+    def __getattr__(self, name: str):
+        import numpy
+
+        self._namespace["np"] = numpy
+        return getattr(numpy, name)
+
+
+np = _LazyNumpy(globals())
 
 
 @dataclass(frozen=True)
@@ -420,15 +437,22 @@ def eto_vs_thermalization_scan(
     Returns an array with rows (T2/T1, p_e after ETO, p_e after
     thermalization); T1 = 1 sets the unit.
     """
+    return np.array(_eto_vs_thermalization_rows(omega_over_T1, t2_over_t1_grid))
+
+
+def _eto_vs_thermalization_rows(
+    omega_over_T1: float, t2_over_t1_grid: Sequence[float]
+) -> list[list[float]]:
+    """The rows of ``eto_vs_thermalization_scan`` as lists of floats."""
     if omega_over_T1 <= 0.0:
         raise InvalidParameterError("omega_over_T1 must be > 0")
-    grid = np.asarray(list(t2_over_t1_grid), dtype=float)
-    if grid.size == 0 or grid.min() <= 0.0:
+    grid = [float(t2) for t2 in t2_over_t1_grid]
+    if not grid or not all(t2 > 0.0 for t2 in grid):  # NaN fails too
         raise InvalidParameterError("temperature grid entries must be > 0")
     initial = thermal_population(omega_over_T1, 1.0)
-    rows = np.empty((grid.size, 3))
-    for i, t2 in enumerate(grid):
+    rows = []
+    for t2 in grid:
         beta2 = 1.0 / t2
         after_eto = apply_map(eto(omega_over_T1, beta2), initial)
-        rows[i] = (t2, after_eto.p_e, thermal_population(omega_over_T1, beta2).p_e)
+        rows.append([t2, after_eto.p_e, thermal_population(omega_over_T1, beta2).p_e])
     return rows

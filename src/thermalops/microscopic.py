@@ -38,16 +38,16 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import ConsistencyError, InvalidParameterError, TruncationError
-from .maps import eto, require_count, require_descending
+from .maps import _LazyNumpy, eto, require_count, require_descending
 
 INTENSITY_DEPENDENT = "intensity_dependent"
 STANDARD = "standard"
 JC_KINDS = (INTENSITY_DEPENDENT, STANDARD)
 
 _STATE_TOL = 1e-10
+
+np = _LazyNumpy(globals())
 
 
 @dataclass(frozen=True)

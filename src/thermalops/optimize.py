@@ -27,8 +27,6 @@ import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .errors import (
     BisectionError,
     InvalidParameterError,
@@ -37,7 +35,7 @@ from .errors import (
     ZeroWorkError,
 )
 from .fcs import scaled_cumulants, work_moments
-from .maps import Cycle, require_count
+from .maps import Cycle, _LazyNumpy, require_count
 from .otto import (
     MARKOV,
     NONMARKOV,
@@ -58,6 +56,8 @@ HORIZONS = (SINGLE_CYCLE, INFINITE)
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _XTOL = 1e-8
 _PEAK_TIE_TOL = 1e-6
+
+np = _LazyNumpy(globals())
 
 
 @dataclass(frozen=True)
@@ -164,10 +164,29 @@ def _golden_max(f, lo: float, hi: float, xtol: float = _XTOL):
     return d, fd, evals
 
 
+def _linspace(start: float, stop: float, num: int) -> list[float]:
+    """``num >= 1`` evenly spaced floats from ``start`` to ``stop``, rounded
+    as ``numpy.linspace`` rounds them: ``i * step + start`` with the last
+    point ``stop``, or ``(i / (num - 1)) * (stop - start) + start`` when the
+    step underflows to 0.  One point is ``0 * (stop - start) + start``, so
+    a NaN or infinite ``stop`` still shows."""
+    delta = stop - start
+    if num == 1:
+        return [0.0 * delta + start]
+    div = num - 1
+    step = delta / div
+    if step == 0.0:
+        return [i / div * delta + start for i in range(div)] + [stop]
+    return [i * step + start for i in range(div)] + [stop]
+
+
 def _logspace(lo: float, hi: float, n: int) -> list[float]:
     """``n`` log-spaced floats from ``lo`` to ``hi``: the one log grid of
-    the gap scan and of the CLI tables."""
-    return np.logspace(math.log10(lo), math.log10(hi), n).tolist()
+    the gap scan and of the CLI tables.  Each point is ``math.pow(10, y)``
+    on ``_linspace`` exponents, which rounds every point of the default
+    grids correctly; ``numpy.logspace`` takes a SIMD power that depends on
+    the CPU."""
+    return [math.pow(10.0, y) for y in _linspace(math.log10(lo), math.log10(hi), n)]
 
 
 def maximize_work(spec: ScanSpec) -> OptimumRecord:
@@ -273,18 +292,25 @@ def work_efficiency_curve(
     efficiency; three-stroke rows invert the efficiency for the gap and
     evaluate the cycle's closed-form work there.
     """
-    etas = np.asarray(list(eta_grid), dtype=float)
-    if etas.size == 0 or not ((etas > 0.0) & (etas < eta_C)).all():
+    return np.array(_work_efficiency_rows(eta_C, T_H, engine, eta_grid))
+
+
+def _work_efficiency_rows(
+    eta_C: float, T_H: float, engine: str, eta_grid: Sequence[float]
+) -> list[list[float]]:
+    """The rows ``(eta, W)`` of ``work_efficiency_curve`` as lists of floats."""
+    etas = [float(eta) for eta in eta_grid]
+    if not etas or not all(0.0 < eta < eta_C for eta in etas):  # NaN fails too
         raise InvalidParameterError("eta grid must lie strictly inside (0, eta_C)")
     if engine not in ENGINES:
         raise InvalidParameterError(f"engine must be one of {ENGINES}, got {engine!r}")
-    rows = np.empty((etas.size, 2))
-    for i, eta in enumerate(etas.tolist()):
+    rows = []
+    for eta in etas:
         if engine == THREE_STROKE_ENGINE:
             w = three_stroke_config_at(eta, eta_C, T_H).cycle().work() / T_H
         else:
             w = maximize_work(ScanSpec(eta, eta_C, T_H, engine, 1e-3 * T_H, 20.0 * T_H)).W_star
-        rows[i] = (eta, w)
+        rows.append([eta, w])
     return rows
 
 
@@ -316,23 +342,35 @@ def fluctuation_curve(
     ``"three_stroke"``.  Energies are in units of k_B T_H.  ``horizon``
     selects single-cycle statistics or the infinite-cycle scaled limit.
     """
+    rows = _fluctuation_rows(eta, eta_C, T_H, horizon, omega_H_grid)
+    return {key: np.array(value) for key, value in rows.items()}
+
+
+def _fluctuation_rows(
+    eta: float,
+    eta_C: float,
+    T_H: float,
+    horizon: str,
+    omega_H_grid: Sequence[float],
+) -> dict[str, list]:
+    """``fluctuation_curve`` with lists of floats for rows."""
     if horizon not in HORIZONS:
         raise InvalidParameterError(f"horizon must be one of {HORIZONS}, got {horizon!r}")
     if not 0.0 < eta < eta_C < 1.0:
         raise InvalidParameterError("need 0 < eta < eta_C < 1")
-    grid = np.asarray(list(omega_H_grid), dtype=float)
-    if grid.size == 0 or grid.min() <= 0.0:
+    grid = [float(omega_H) for omega_H in omega_H_grid]
+    if not grid or not all(omega_H > 0.0 for omega_H in grid):  # NaN fails too
         raise InvalidParameterError("omega_H grid entries must be > 0")
 
-    out: dict[str, np.ndarray] = {}
+    out: dict[str, list] = {}
     for regime in (NONMARKOV, MARKOV):
         fields = _otto_fields(eta, eta_C, T_H, regime)
-        rows = np.empty((grid.size, 3))
-        for i, omega_H in enumerate(grid.tolist()):  # Python floats run the cycle faster
+        rows = []
+        for omega_H in grid:
             mean, ratio = _fluctuation_point(_otto_cycle(*fields(omega_H)), horizon)
-            rows[i] = (omega_H, mean / T_H, ratio / T_H)
+            rows.append([omega_H, mean / T_H, ratio / T_H])
         out[regime] = rows
     cfg3 = three_stroke_config_at(eta, eta_C, T_H)
     mean, ratio = _fluctuation_point(cfg3.cycle(), horizon)
-    out[THREE_STROKE_ENGINE] = np.array([cfg3.omega, mean / T_H, ratio / T_H])
+    out[THREE_STROKE_ENGINE] = [cfg3.omega, mean / T_H, ratio / T_H]
     return out

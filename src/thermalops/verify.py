@@ -15,11 +15,9 @@ from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Iterable, Iterator, Optional
 
-import numpy as np
-
 from .errors import InvalidParameterError
 from .fcs import enumerate_work_distribution, work_moments
-from .maps import ThermalOpParams, build_map, thermal_population
+from .maps import ThermalOpParams, _LazyNumpy, build_map, thermal_population
 from .microscopic import (
     INTENSITY_DEPENDENT,
     STANDARD,
@@ -34,6 +32,8 @@ from .otto import OttoConfig, otto_cycle_report
 from .three_stroke import ThreeStrokeConfig, three_stroke_report
 
 _SEED = 20260810
+
+np = _LazyNumpy(globals())
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,16 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
+import thermalops
 from thermalops import cli
 from thermalops.fcs import pcc_three_stroke_exact
 from thermalops.optimize import otto_config_at, three_stroke_config_at
@@ -180,6 +184,60 @@ def test_verify_output_is_pinned(case, capsys):
     suite, fmt = case
     argv = ["verify", "--suite", suite, "--format", fmt]
     assert stdout_digest(argv, capsys) == PINNED_VERIFY[case]
+
+
+# Runs CLI commands in a fresh interpreter and prints, per command, its
+# exit code, the sha256 of its stdout, whether numpy is loaded and whether
+# every layer module is; then which layer modules hold numpy itself as np.
+IMPORT_PATH_PROBE = """
+import hashlib, io, json, sys
+from contextlib import redirect_stdout
+
+LAYERS = ("cli", "optimize", "otto", "three_stroke", "maps", "fcs", "microscopic", "verify")
+
+
+def loaded():
+    return "numpy" in sys.modules, all(f"thermalops.{name}" in sys.modules for name in LAYERS)
+
+
+import thermalops.cli
+
+report = [["import", 0, "", *loaded()]]
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = thermalops.cli.main(argv)
+    report.append([" ".join(argv), code, hashlib.sha256(out.getvalue().encode()).hexdigest(), *loaded()])
+numpy = sys.modules.get("numpy")
+report.append([n for n in LAYERS if getattr(sys.modules[f"thermalops.{n}"], "np", None) is numpy])
+print(json.dumps(report))
+"""
+
+
+def test_table_commands_run_without_numpy():
+    # import, fig1, fig4, fig5, fig6 and sweep at defaults load no numpy and
+    # every layer module; micro-report and verify import it where they need
+    # it, on first use, and still print their pinned output
+    tables = [[name] for name in ("fig1", "fig4", "fig5", "fig6", "sweep")]
+    micro = ("micro-report", "n_max=30", "points=9")
+    argvs = [*tables, table_argv(micro, "csv"), ["verify", "--suite", "all"]]
+    src = os.path.dirname(os.path.dirname(thermalops.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_PATH_PROBE, json.dumps(argvs)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    *runs, holding_numpy = json.loads(done.stdout)
+    for command, code, _, numpy_loaded, layers_loaded in runs[:6]:
+        assert (command, code, numpy_loaded, layers_loaded) == (command, 0, False, True)
+    (_, micro_code, micro_digest, *_), (_, verify_code, verify_digest, *_) = runs[6:]
+    assert (micro_code, micro_digest) == (0, PINNED_TABLES[micro])
+    assert (verify_code, verify_digest) == (0, PINNED_VERIFY[("all", "text")])
+    # the first use put numpy itself in place of the stand-in
+    assert {"maps", "microscopic", "verify"} <= set(holding_numpy)
 
 
 # --- decimal oracle for the counting-statistics tables ---

@@ -312,6 +312,18 @@ def test_scan_rejects_bad_grid():
         eto_vs_thermalization_scan(-0.5, [1.0])
 
 
+@pytest.mark.parametrize("grid", [[], [1.0, math.nan], [math.nan, 1.0], np.array([2.0, 0.0])])
+def test_scan_rejects_an_empty_nan_or_nonpositive_grid(grid):
+    with pytest.raises(InvalidParameterError):
+        eto_vs_thermalization_scan(0.5, grid)
+
+
+def test_scan_rows_are_an_array_of_the_grid():
+    rows = eto_vs_thermalization_scan(0.5, np.array([0.5, 2.0]))
+    assert isinstance(rows, np.ndarray) and rows.shape == (2, 3)
+    assert rows[:, 0].tolist() == [0.5, 2.0]
+
+
 @pytest.mark.parametrize("n", [3, np.int64(3), np.int32(3), np.uint8(3)])
 def test_require_count_accepts_python_and_numpy_integers(n):
     got = require_count(n, 1, "n")

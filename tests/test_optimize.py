@@ -268,6 +268,39 @@ def test_maximize_work_improves_on_grid_and_is_deterministic():
     assert rec1.evaluations >= spec.grid_size
 
 
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(start=st.floats(), stop=st.floats(), num=st.integers(1, 300))
+@example(start=0.0, stop=5e-324, num=4)  # the step underflows: numpy scales i / (num - 1)
+@example(start=-0.0, stop=1.0, num=1)
+@example(start=0.02, stop=math.inf, num=1)  # one point keeps a bad stop visible
+@example(start=0.02, stop=0.48, num=24)  # the fig4 default
+def test_linspace_is_numpys_bit_for_bit(start, stop, num):
+    with np.errstate(all="ignore"):
+        expected = np.linspace(start, stop, num).tolist()
+    assert [x.hex() for x in optimize._linspace(start, stop, num)] == [x.hex() for x in expected]
+
+
+def ulp_error(x: float, exponent: float) -> Decimal:
+    """``|x - 10**exponent|`` in ulps of ``x``, the power taken at 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        return abs(Decimal(x) - Decimal(10) ** Decimal(exponent)) / Decimal(math.ulp(x))
+
+
+@pytest.mark.parametrize(
+    "lo, hi, points",
+    [(0.01, 1000.0, 241), (1e-3, 20.0, 120), (1e-3, 10.0, 120), (1e-3, 20.0, 200)],
+    ids=["fig1", "fig5", "fig6", "sweep-and-scan"],
+)
+def test_logspace_rounds_each_point_correctly(lo, hi, points):
+    # libm's pow is within 0.5 ulp on the default grids, where numpy's
+    # SIMD power reaches 0.61 ulp (fig1) on some CPUs
+    exponents = optimize._linspace(math.log10(lo), math.log10(hi), points)
+    grid = optimize._logspace(lo, hi, points)
+    assert len(grid) == points
+    assert max(ulp_error(x, y) for x, y in zip(grid, exponents)) <= Decimal("0.5")
+
+
 def test_maximize_work_warns_on_endpoint_maximum():
     spec = ScanSpec(0.3, 0.5, 1.0, "nonmarkov", omega_lo=1e-3, omega_hi=1e-2, grid_size=20)
     with pytest.warns(NoInteriorMaximumWarning):
@@ -465,6 +498,26 @@ def test_work_efficiency_curve_validation():
         work_efficiency_curve(0.5, 1.0, "nonmarkov", [0.3, 0.6])
     with pytest.raises(InvalidParameterError):
         work_efficiency_curve(0.5, 1.0, "diesel", [0.3])
+
+
+def test_public_scans_are_arrays_of_the_table_rows():
+    etas = [0.1, 0.3]
+    curve = work_efficiency_curve(0.5, 1.0, "markov", np.array(etas))
+    assert isinstance(curve, np.ndarray) and curve.shape == (2, 2)
+    assert curve.tolist() == optimize._work_efficiency_rows(0.5, 1.0, "markov", etas)
+    data = fluctuation_curve(0.3, 0.5, 1.0, "infinite", np.array([0.5, 1.0]))
+    assert all(isinstance(v, np.ndarray) for v in data.values())
+    assert data["three_stroke"].shape == (3,)
+    rows = optimize._fluctuation_rows(0.3, 0.5, 1.0, "infinite", [0.5, 1.0])
+    assert {key: value.tolist() for key, value in data.items()} == rows
+
+
+@pytest.mark.parametrize("bad", [math.nan, -1.0, 0.0])
+def test_scans_reject_a_nan_or_nonpositive_grid_entry(bad):
+    with pytest.raises(InvalidParameterError):
+        work_efficiency_curve(0.5, 1.0, "markov", [0.3, bad])
+    with pytest.raises(InvalidParameterError):
+        fluctuation_curve(0.3, 0.5, 1.0, "infinite", [1.0, bad])
 
 
 def test_single_cycle_ratio_scales_away_at_small_gap():
