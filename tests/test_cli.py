@@ -140,7 +140,7 @@ PINNED_JSON = {
         "146d12174bd2d72e4157e1ae38cb50b84508ad92174b88bc05dbbcf7fd3157b7"
     ),
     ("fig6", "points=24"): "e15db7e0312e96e8e17aa0652ae91701017c08e9b21076c3c2cca7251794c888",
-    ("sweep", "points=40"): "a54c15f4af00823b784cd2288137fdeeeacf590fadc4de707a858728482a2849",
+    ("sweep", "points=40"): "8514518032404d5ab3604ca09e956a8f73d39d535b64830e241493788839fe03",
     ("sweep", "regime=markov", "points=40"): (
         "b778a24e6a11df088fb00d95cc9304387e1fb818fba4894d68ada58320d5b8ff"
     ),
