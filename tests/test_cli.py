@@ -142,7 +142,7 @@ PINNED_JSON = {
     ("fig6", "points=24"): "e15db7e0312e96e8e17aa0652ae91701017c08e9b21076c3c2cca7251794c888",
     ("sweep", "points=40"): "8514518032404d5ab3604ca09e956a8f73d39d535b64830e241493788839fe03",
     ("sweep", "regime=markov", "points=40"): (
-        "b778a24e6a11df088fb00d95cc9304387e1fb818fba4894d68ada58320d5b8ff"
+        "0f69c32f11ac1d7ad12532b5ca88e50a8e457a71322d62bea079a117dc40a5f8"
     ),
 }
 
