@@ -598,9 +598,9 @@ def test_json_output_round_trip(tmp_path):
     assert len(payload["rows"]) == 11
     # binary64 round-trip: recompute one row exactly
     from thermalops import eto_vs_thermalization_scan
+    from thermalops.optimize import _logspace
 
-    grid = np.logspace(math.log10(0.01), 3.0, 11)
-    expected = eto_vs_thermalization_scan(0.5, grid)
+    expected = eto_vs_thermalization_scan(0.5, _logspace(0.01, 1000.0, 11))
     assert payload["rows"][3] == list(expected[3])
 
 

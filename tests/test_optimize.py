@@ -494,8 +494,9 @@ def test_work_efficiency_curve_ordering_and_endpoint():
 
 
 def test_work_efficiency_curve_validation():
-    with pytest.raises(InvalidParameterError):
-        work_efficiency_curve(0.5, 1.0, "nonmarkov", [0.3, 0.6])
+    for grid in ([0.3, 0.6], [0.3, math.nan], [0.3, 0.0]):
+        with pytest.raises(InvalidParameterError):
+            work_efficiency_curve(0.5, 1.0, "nonmarkov", grid)
     with pytest.raises(InvalidParameterError):
         work_efficiency_curve(0.5, 1.0, "diesel", [0.3])
 
@@ -510,14 +511,6 @@ def test_public_scans_are_arrays_of_the_table_rows():
     assert data["three_stroke"].shape == (3,)
     rows = optimize._fluctuation_rows(0.3, 0.5, 1.0, "infinite", [0.5, 1.0])
     assert {key: value.tolist() for key, value in data.items()} == rows
-
-
-@pytest.mark.parametrize("bad", [math.nan, -1.0, 0.0])
-def test_scans_reject_a_nan_or_nonpositive_grid_entry(bad):
-    with pytest.raises(InvalidParameterError):
-        work_efficiency_curve(0.5, 1.0, "markov", [0.3, bad])
-    with pytest.raises(InvalidParameterError):
-        fluctuation_curve(0.3, 0.5, 1.0, "infinite", [1.0, bad])
 
 
 def test_single_cycle_ratio_scales_away_at_small_gap():
@@ -551,8 +544,9 @@ def test_three_stroke_point_below_otto_curves_in_the_long_run():
 def test_fluctuation_curve_validation():
     with pytest.raises(InvalidParameterError):
         fluctuation_curve(0.3, 0.5, 1.0, "sometimes", [1.0])
-    with pytest.raises(InvalidParameterError):
-        fluctuation_curve(0.3, 0.5, 1.0, "infinite", [])
+    for grid in ([], [1.0, math.nan], [1.0, -1.0]):
+        with pytest.raises(InvalidParameterError):
+            fluctuation_curve(0.3, 0.5, 1.0, "infinite", grid)
     with pytest.raises(InvalidParameterError):
         fluctuation_curve(0.6, 0.5, 1.0, "infinite", [1.0])
 
