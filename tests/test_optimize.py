@@ -1,5 +1,7 @@
+import hashlib
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -386,6 +388,46 @@ def test_maximize_work_returns_at_extreme_gaps():
     reference = maximize_work(ScanSpec(0.3, 0.5, 1.0, "nonmarkov", 1e-3, 20.0)).W_star
     assert math.isclose(w_huge, reference, rel_tol=1e-14)
     assert w_flat == 0.0  # exp(-1e8) underflows: no work anywhere in the window
+
+
+def seeded_scan_specs(count: int = 400, seed: int = 15) -> list:
+    """Seeded ``ScanSpec``s over the scan's domain: both regimes, ``T_H``
+    from subnormal to 1e300, ``eta_C`` from 1e-6 to 1 - 1e-6, ``eta`` in
+    ``(0, eta_C)``, windows anywhere in ``[1e-4, 1e5] * T_H`` and grid sizes
+    3 to 300."""
+    rng = random.Random(seed)
+    specs = []
+    for _ in range(count):
+        eta_C = rng.choice([1e-6, 1.0 - 1e-6, rng.uniform(1e-6, 1.0 - 1e-6)])
+        T_H = rng.choice([1e-310, 1e-300, 1e-3, 1.0, 1e9, 1e300])
+        omega_lo = T_H * 10.0 ** rng.uniform(-4.0, 1.0)
+        specs.append(
+            ScanSpec(
+                eta_C * rng.uniform(1e-6, 1.0 - 1e-6),
+                eta_C,
+                T_H,
+                rng.choice(["nonmarkov", "markov"]),
+                omega_lo,
+                omega_lo * 10.0 ** rng.uniform(0.1, 4.0),
+                rng.randint(3, 300),
+            )
+        )
+    return specs
+
+
+# sha256 of every seeded scan's optimum, as float.hex, and convergence flag;
+# ``evaluations`` is left out
+SEEDED_SCANS_SHA256 = "b20b563e6520a385f74dd97c54bf42df1ecd4ec3bf9adc4f61ab9458e945ad18"
+
+
+def test_maximize_work_pins_seeded_scans():
+    lines = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for spec in seeded_scan_specs():
+            rec = maximize_work(spec)
+            lines.append(f"{rec.omega_H_star.hex()} {rec.W_star.hex()} {rec.converged}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SEEDED_SCANS_SHA256
 
 
 def test_maximize_work_refines_tied_peaks(monkeypatch):
