@@ -17,7 +17,6 @@ from .errors import (
     DegenerateCycleError,
     EnumerationSizeError,
     InvalidParameterError,
-    MultimodalScanWarning,
     NoInteriorMaximumWarning,
     NonPrimitiveMapError,
     NotAnEngineWarning,

@@ -73,7 +73,3 @@ class NoInteriorMaximumWarning(UserWarning):
     """Coarse scan placed the maximum at a range endpoint; the search range
     is probably too narrow."""
 
-
-class MultimodalScanWarning(UserWarning):
-    """Coarse scan found two near-degenerate local maxima; both were
-    refined."""

@@ -30,7 +30,6 @@ from typing import Sequence
 from .errors import (
     BisectionError,
     InvalidParameterError,
-    MultimodalScanWarning,
     NoInteriorMaximumWarning,
     ZeroWorkError,
 )
@@ -55,7 +54,6 @@ HORIZONS = (SINGLE_CYCLE, INFINITE)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _XTOL = 1e-8
-_PEAK_TIE_TOL = 1e-6
 
 np = _LazyNumpy(globals())
 
@@ -87,6 +85,11 @@ class ScanSpec:
 
 @dataclass(frozen=True)
 class OptimumRecord:
+    """Result of ``maximize_work``: the refined gap and work (in units of
+    k_B T_H); ``converged`` is false when the best coarse point was a range
+    endpoint, so the maximum may lie outside the window; ``evaluations``
+    counts the coarse points and the golden-section evaluations."""
+
     omega_H_star: float
     W_star: float
     converged: bool
@@ -192,24 +195,33 @@ def _logspace(lo: float, hi: float, n: int) -> list[float]:
 def maximize_work(spec: ScanSpec) -> OptimumRecord:
     """Maximize the Otto work-per-cycle over the gap range.
 
-    Log-spaced coarse scan, then golden-section refinement of the
-    bracketing interval to ``1e-8 * T_H`` in ``omega_H``.  If the best
-    coarse point sits at a range endpoint a warning is issued and the
-    record is marked unconverged; if the best interior peak other than that
-    point comes within ``1e-6`` of it, the peak is refined too and the
-    larger value wins.
+    Log-spaced coarse scan, then one golden-section refinement of the two
+    grid steps around the best coarse point, to ``1e-8 * T_H`` in
+    ``omega_H``.  If that point is a range endpoint, only its one step is
+    refined, a ``NoInteriorMaximumWarning`` is issued and the record is
+    marked unconverged.
+
+    One refinement suffices: at fixed (eta, eta_C) the work of either
+    regime is strictly log-concave in ``a = omega_H / T_H``, so it has
+    exactly one maximum, and the best coarse point brackets it.  With
+    ``kappa = (1 - eta) / (1 - eta_C) > 1``, so that ``omega_C / T_C =
+    kappa a``, and ``phi(y) = (y / sinh y)**2``, which lies in (0, 1) and
+    falls as ``y`` grows:
+    - ``nonmarkov``: ``W / T_H = eta a sinh((kappa - 1) a/2) / sinh((kappa
+      + 1) a/2)``, so ``(ln W)'' = [phi((kappa + 1) a/2) - phi((kappa - 1)
+      a/2) - 1] / a**2 < 0``;
+    - ``markov``: ``W / T_H = eta a [1/(1 + e^a) - 1/(1 + e^(kappa a))]``,
+      so ``ln W = ln a + a + ln(e^((kappa - 1) a) - 1) - ln(1 + e^a) -
+      ln(1 + e^(kappa a)) + const``, a sum of concave terms.
+    Rounding can tie neighbouring coarse values, or, where ``W * T_H`` is a
+    few subnormal quanta, break their order; the optimum then moves by
+    about that rounding.
     """
     n = spec.grid_size
     grid = _logspace(spec.omega_lo, spec.omega_hi, n)
     f = _work_curve(spec.eta, spec.eta_C, spec.T_H, spec.regime)
     values = [f(w) for w in grid]
     best = max(range(n), key=values.__getitem__)  # the first maximum, like argmax
-    rival = max(
-        (i for i in range(1, n - 1) if i != best and values[i - 1] <= values[i] >= values[i + 1]),
-        key=values.__getitem__,
-        default=None,
-    )
-
     converged = 0 < best < n - 1
     if not converged:
         warnings.warn(
@@ -218,25 +230,11 @@ def maximize_work(spec: ScanSpec) -> OptimumRecord:
             NoInteriorMaximumWarning,
             stacklevel=2,
         )
-
-    to_refine = [best]
-    if rival is not None and values[best] - values[rival] <= _PEAK_TIE_TOL:
-        warnings.warn(
-            "two near-degenerate coarse-scan maxima; refining both",
-            MultimodalScanWarning,
-            stacklevel=2,
-        )
-        to_refine.append(rival)
-
-    x_star, w_star, evals = grid[best], values[best], n
-    for idx in to_refine:
-        lo = grid[max(idx - 1, 0)]
-        hi = grid[min(idx + 1, n - 1)]
-        x, fx, used = _golden_max(f, lo, hi, _XTOL * spec.T_H)
-        evals += used
-        if fx > w_star:
-            x_star, w_star = x, fx
-    return OptimumRecord(x_star, w_star, converged, evals)
+    lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, n - 1)]
+    x, fx, evals = _golden_max(f, lo, hi, _XTOL * spec.T_H)
+    if fx > values[best]:
+        return OptimumRecord(x, fx, converged, n + evals)
+    return OptimumRecord(grid[best], values[best], converged, n + evals)
 
 
 def _bisect(below_edge, lo: float, hi: float) -> float:
