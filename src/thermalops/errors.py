@@ -55,9 +55,9 @@ class EnumerationSizeError(ThermalOpsError):
     """Requested cycle count exceeds the exact-enumeration budget."""
 
 
-class BisectionError(ThermalOpsError):
-    """Root bracketing or monotonicity assumptions of a scalar solve
-    failed."""
+class BisectionError(InvalidParameterError):
+    """The target of a scalar solve is out of its reach: an efficiency
+    outside ``(0, eta_C)`` for the three-stroke gap inversion."""
 
 
 class TruncationError(ThermalOpsError):

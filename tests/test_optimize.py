@@ -463,10 +463,11 @@ def test_three_stroke_inversion_hits_target_efficiency():
 
 
 def test_three_stroke_inversion_rejects_unattainable_target():
-    with pytest.raises(BisectionError):
-        three_stroke_omega_for_eta(0.6, 0.5, 1.0)
-    with pytest.raises(BisectionError):
-        three_stroke_omega_for_eta(0.5, 0.5, 1.0)
+    # an out-of-range eta is a bad parameter like any other
+    for eta in (0.6, 0.5):
+        with pytest.raises(BisectionError) as caught:
+            three_stroke_omega_for_eta(eta, 0.5, 1.0)
+        assert isinstance(caught.value, InvalidParameterError)
 
 
 @pytest.mark.parametrize("T_H", [math.inf, math.nan, -1.0, True])
