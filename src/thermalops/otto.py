@@ -234,9 +234,10 @@ def _otto_work(
     if rate == 0.0:
         raise DegenerateCycleError("cycle map is the identity; fixed point not unique")
     # q_H - q_C as a multiple of the larger q; when that q underflows to 0,
-    # a - b may be inf - inf, but the difference is 0
+    # a - b may be inf - inf, but the difference is 0.  At a == b (the
+    # Carnot point) 0.0 - makes it +0.0, where -q_H * 0.0 would be -0.0.
     if a <= b:
-        dq = -q_H * math.expm1(a - b) if q_H else 0.0
+        dq = 0.0 - q_H * math.expm1(a - b) if q_H else 0.0
     else:
         dq = q_C * math.expm1(b - a) if q_C else 0.0
     return (omega_H - omega_C) * l_H * (l_C * dq / rate)

@@ -61,8 +61,10 @@ def test_scan_spec_rejects_bad_scan_inputs(field, value):
 
 
 def test_work_at_carnot_point_vanishes():
-    assert abs(work_at(0.5, 0.5, 1.0, 1.3, "markov")) < 1e-14
-    assert abs(work_at(0.5, 0.5, 1.0, 1.3, "nonmarkov")) < 1e-14
+    for regime in ("markov", "nonmarkov"):
+        W = work_at(0.5, 0.5, 1.0, 1.3, regime)
+        assert abs(W) < 1e-14
+        assert math.copysign(1.0, W) == 1.0  # +0.0, not -0.0
 
 
 def test_work_vanishes_with_the_gap():
