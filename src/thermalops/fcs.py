@@ -66,10 +66,12 @@ TiltedMap = Cycle
 
 
 def tilted_map_otto(cfg: OttoConfig) -> TiltedMap:
+    """The Otto cycle as a tilted map; its quantum is ``omega_H - omega_C``."""
     return cfg.cycle()
 
 
 def tilted_map_three_stroke(cfg: ThreeStrokeConfig) -> TiltedMap:
+    """The three-stroke cycle as a tilted map; its quantum is ``omega``."""
     return cfg.cycle()
 
 

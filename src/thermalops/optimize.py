@@ -2,19 +2,19 @@
 
 Fixing the efficiency ``eta`` and the Carnot efficiency ``eta_C`` pins
 ``omega_C = (1 - eta) * omega_H`` and ``T_C = (1 - eta_C) * T_H``, leaving
-the single gap ``omega_H`` free; the work-per-cycle (in units of k_B T_H)
-is maximized over it by a log-spaced coarse scan on Python floats followed
-by golden-section refinement to ``1e-8 * T_H``; fig4
-(``work_efficiency_curve``) scans the window ``[1e-3, 20] * T_H``, so its
-rows do not depend on the unit of energy.  Each gap is evaluated with the
-closed-form Otto work (``otto.otto_work``) without building an
-``OttoConfig``.  A scan checks ``eta``, ``eta_C``, the temperatures and the
-regime once, in ``_work_curve``, and each gap only for
-``omega_H > omega_C > 0``; ``work_at`` is the same curve at one gap, and
-``sweep`` rows evaluate it too.  The three-stroke engine has no free gap
-once (eta, eta_C) is chosen: its zero-work gap lies below ``ln 2 * T_H``,
-its efficiency falls strictly below that gap, and one bisection there
-finds the gap at ``eta``.
+the single gap ``omega_H`` free.  The work-per-cycle (in units of k_B T_H)
+is log-concave in it, so a log-spaced coarse scan on Python floats and one
+golden-section refinement of the best point's bracket, to ``1e-8 * T_H``,
+find its one maximum (``maximize_work``); fig4 (``work_efficiency_curve``)
+scans the window ``[1e-3, 20] * T_H``, so its rows do not depend on the
+unit of energy.  Each gap is evaluated with the closed-form Otto work
+(``otto.otto_work``) without building an ``OttoConfig``.  A scan checks
+``eta``, ``eta_C``, the temperatures and the regime once, in
+``_work_curve``, and each gap only for ``omega_H > omega_C > 0``;
+``work_at`` is the same curve at one gap, and ``sweep`` rows evaluate it
+too.  The three-stroke engine has no free gap once (eta, eta_C) is
+chosen: its zero-work gap lies below ``ln 2 * T_H``, its efficiency falls
+strictly below that gap, and one bisection there finds the gap at ``eta``.
 
 All scans are deterministic: identical inputs produce bit-identical
 outputs.
@@ -85,10 +85,9 @@ class ScanSpec:
 
 @dataclass(frozen=True)
 class OptimumRecord:
-    """Result of ``maximize_work``: the refined gap and work (in units of
-    k_B T_H); ``converged`` is false when the best coarse point was a range
-    endpoint, so the maximum may lie outside the window; ``evaluations``
-    counts the coarse points and the golden-section evaluations."""
+    """``maximize_work``'s refined gap and work (units of k_B T_H);
+    ``converged`` is false when the best coarse point was a range endpoint,
+    and ``evaluations`` counts coarse and golden-section evaluations."""
 
     omega_H_star: float
     W_star: float
@@ -101,7 +100,8 @@ def otto_config_at(
 ) -> OttoConfig:
     """Otto configuration with (eta, eta_C) pinned; ``omega_H`` and the
     gaps of the config are absolute energies, like ``T_H``.  The couplings
-    are those ``otto._coupling_rule`` gives the regime."""
+    are those ``otto._coupling_rule`` gives the regime.  ``eta`` and
+    ``eta_C`` each lie in (0, 1); ``eta > eta_C`` gives a refrigerator."""
     omega_C = (1.0 - eta) * omega_H
     T_C = (1.0 - eta_C) * T_H
     return OttoConfig._in_regime(regime, T_H, T_C, omega_H, omega_C)
@@ -109,12 +109,10 @@ def otto_config_at(
 
 def work_at(eta: float, eta_C: float, T_H: float, omega_H: float, regime: str) -> float:
     """Otto work-per-cycle in units of k_B T_H at the given gap, in closed
-    form (``otto.otto_work``).
-
-    Makes the checks of ``otto_config_at`` on the scalars, without building
-    the config, and evaluates the same work.  ``eta = eta_C`` is admitted
-    (it gives W = 0) so that the Carnot endpoint can be probed directly.
-    """
+    form (``otto.otto_work``), for ``0 < eta <= eta_C < 1``: the engine side
+    of ``otto_config_at`` and the Carnot point (W = +0.0).  Makes the checks
+    of ``otto_config_at`` on the scalars, without building the config, and
+    evaluates the same work."""
     return _work_curve(eta, eta_C, T_H, regime)(omega_H)
 
 
@@ -193,29 +191,26 @@ def _logspace(lo: float, hi: float, n: int) -> list[float]:
 
 
 def maximize_work(spec: ScanSpec) -> OptimumRecord:
-    """Maximize the Otto work-per-cycle over the gap range.
+    """Maximize the Otto work-per-cycle over the gap range: a log-spaced
+    coarse scan, then one golden-section refinement, to ``1e-8 * T_H`` in
+    ``omega_H``, of the grid steps next to the best coarse point.  If that
+    point is a range endpoint a ``NoInteriorMaximumWarning`` is issued and
+    the record is marked unconverged.
 
-    Log-spaced coarse scan, then one golden-section refinement of the two
-    grid steps around the best coarse point, to ``1e-8 * T_H`` in
-    ``omega_H``.  If that point is a range endpoint, only its one step is
-    refined, a ``NoInteriorMaximumWarning`` is issued and the record is
-    marked unconverged.
-
-    One refinement suffices: at fixed (eta, eta_C) the work of either
-    regime is strictly log-concave in ``a = omega_H / T_H``, so it has
-    exactly one maximum, and the best coarse point brackets it.  With
-    ``kappa = (1 - eta) / (1 - eta_C) > 1``, so that ``omega_C / T_C =
-    kappa a``, and ``phi(y) = (y / sinh y)**2``, which lies in (0, 1) and
-    falls as ``y`` grows:
-    - ``nonmarkov``: ``W / T_H = eta a sinh((kappa - 1) a/2) / sinh((kappa
-      + 1) a/2)``, so ``(ln W)'' = [phi((kappa + 1) a/2) - phi((kappa - 1)
-      a/2) - 1] / a**2 < 0``;
+    One refinement suffices: at fixed (eta, eta_C) the work is strictly
+    log-concave in ``a = omega_H / T_H``, so it has one maximum, which the
+    best coarse point brackets.  With ``kappa = (1 - eta) / (1 - eta_C) >
+    1`` (``omega_C / T_C = kappa a``) and ``phi(y) = (y / sinh y)**2``,
+    which lies in (0, 1) and falls as ``y`` grows:
+    - ``nonmarkov``: ``W / T_H = eta a sinh((kappa-1) a/2) / sinh((kappa+1)
+      a/2)`` and ``(ln W)'' = [phi((kappa+1) a/2) - phi((kappa-1) a/2) - 1]
+      / a**2 < 0``;
     - ``markov``: ``W / T_H = eta a [1/(1 + e^a) - 1/(1 + e^(kappa a))]``,
-      so ``ln W = ln a + a + ln(e^((kappa - 1) a) - 1) - ln(1 + e^a) -
-      ln(1 + e^(kappa a)) + const``, a sum of concave terms.
-    Rounding can tie neighbouring coarse values, or, where ``W * T_H`` is a
-    few subnormal quanta, break their order; the optimum then moves by
-    about that rounding.
+      so ``ln W = ln a + a + ln(e^((kappa-1) a) - 1) - ln(1 + e^a) - ln(1 +
+      e^(kappa a)) + const``, a sum of concave terms.
+    Rounding can tie neighbouring coarse values, or break their order where
+    ``W * T_H`` is a few subnormal quanta; the optimum then moves by about
+    that rounding.
     """
     n = spec.grid_size
     grid = _logspace(spec.omega_lo, spec.omega_hi, n)

@@ -25,6 +25,8 @@ _HEAT_TOL = 1e-14
 
 @dataclass(frozen=True)
 class ThreeStrokeConfig(EngineConfig):
+    """Three-stroke parameters: gap, bath temperatures, coupling strengths."""
+
     GAPS = ("omega",)
 
     omega: float
@@ -35,6 +37,7 @@ class ThreeStrokeConfig(EngineConfig):
 
     @classmethod
     def nonmarkov(cls, omega, T_H, T_C) -> "ThreeStrokeConfig":
+        """Both heat strokes are extremal thermal operations."""
         return cls._in_regime(NONMARKOV, T_H, T_C, omega)
 
     @classmethod
@@ -94,6 +97,8 @@ def three_stroke_steady_state(cfg: ThreeStrokeConfig) -> PopulationVector:
 
 
 def three_stroke_report(cfg: ThreeStrokeConfig) -> ThreeStrokeReport:
+    """Full steady-cycle report: populations, work, heats, ``eta = W / Q_H``;
+    ``ZeroHeatError`` if ``|Q_H| < 1e-14 * omega``, a warning if ``W <= 0``."""
     points, W, (Q_H, Q_C) = cfg.cycle().run()
     if abs(Q_H) < _HEAT_TOL * cfg.omega:
         raise ZeroHeatError("Q_H vanishes; efficiency undefined")
