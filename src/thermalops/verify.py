@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import InvalidParameterError
 from .fcs import enumerate_work_distribution, work_moments
-from .maps import ThermalOpParams, _LazyNumpy, build_map, thermal_population
+from .maps import ThermalOpParams, _entries_2x2, _LazyNumpy, build_map, thermal_population
 from .microscopic import (
     INTENSITY_DEPENDENT,
     STANDARD,
@@ -85,6 +85,21 @@ def _three_stroke_draws(rng, count: int, min_bias: float) -> Iterator[tuple]:
     return _draw(rng, count, ((0.3, 2.0), (0.35, 0.85), (0.5, 1.0), (0.5, 1.0)), build)
 
 
+def _gibbs_residuals(
+    m00: float, m01: float, m10: float, m11: float, g_g: float, g_e: float
+) -> tuple[float, float, float]:
+    """Entry-range, column-sum and fixed-point residuals of one map's
+    row-major entries against its Gibbs populations ``(g_g, g_e)``, folded
+    with ``_worse`` so that a NaN in any entry is the residual."""
+    entry = _worse(
+        _worse(max(m00 - 1.0, -m00), max(m01 - 1.0, -m01)),
+        _worse(max(m10 - 1.0, -m10), max(m11 - 1.0, -m11)),
+    )
+    cols = _worse(abs((m00 + m10) - 1.0), abs((m01 + m11) - 1.0))
+    gibbs = _worse(abs(m00 * g_g + m01 * g_e - g_g), abs(m10 * g_g + m11 * g_e - g_e))
+    return entry, cols, gibbs
+
+
 def suite_gibbs_fixed_point(
     draws: int = 1000,
     seed: int = _SEED,
@@ -92,19 +107,28 @@ def suite_gibbs_fixed_point(
 ) -> list[CheckRecord]:
     """Column-stochasticity and Gibbs fixed point of randomly drawn maps.
 
+    Each draw builds ``build_map(ThermalOpParams(omega, beta, lam))`` and
+    measures, on its checked float entries and the ``thermal_population``
+    floats, how far an entry lies outside [0, 1], how far a column sum is
+    from 1 and how far the Gibbs populations move (``_gibbs_residuals``).
+    Only the seeded draws use numpy.  The float products round alike on
+    every platform, where a numpy 2x2 product may fuse a multiply-add.
+
     ``perturb`` (tests only) lets a caller corrupt each matrix before the
-    residuals are measured, to demonstrate that the suite actually bites.
+    residuals are measured, to demonstrate that the suite actually bites:
+    it receives a fresh writable 2x2 array of the map's entries and returns
+    the 2x2 array whose entries are measured in their place.
     """
     rng = np.random.default_rng(seed)
     worst_entry = worst_cols = worst_gibbs = 0.0
     for omega, beta, lam in _draw(rng, draws, ((0.05, 4.0), (0.05, 4.0), (0.0, 1.0))):
-        m = build_map(ThermalOpParams(omega, beta, lam)).as_array()
-        if perturb is not None:
-            m = perturb(m)
-        worst_entry = _worse(worst_entry, float(np.maximum(m - 1.0, -m).max()))
-        worst_cols = _worse(worst_cols, float(np.abs(m.sum(axis=0) - 1.0).max()))
-        g = thermal_population(omega, beta).as_array()
-        worst_gibbs = _worse(worst_gibbs, float(np.abs(m @ g - g).max()))
+        m = build_map(ThermalOpParams(omega, beta, lam))
+        entries = m._entries if perturb is None else _entries_2x2(perturb(m.as_array()))
+        g = thermal_population(omega, beta)
+        entry, cols, gibbs = _gibbs_residuals(*entries, g.p_g, g.p_e)
+        worst_entry = _worse(worst_entry, entry)
+        worst_cols = _worse(worst_cols, cols)
+        worst_gibbs = _worse(worst_gibbs, gibbs)
     return [
         CheckRecord("gibbs-fixed-point", "entries-in-range", worst_entry, 1e-12),
         CheckRecord("gibbs-fixed-point", "column-sums", worst_cols, 1e-12),

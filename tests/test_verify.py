@@ -4,13 +4,16 @@ what makes their checks fail."""
 import dataclasses
 import json
 import math
+import types
 import warnings
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
 import pytest
 
-from thermalops import cli, otto, three_stroke, verify
+from thermalops import cli, maps, otto, three_stroke, verify
+from thermalops.maps import ThermalOpParams, build_map, thermal_population
 from thermalops.otto import OttoConfig
 from thermalops.three_stroke import ThreeStrokeConfig, three_stroke_report
 from thermalops.verify import _draw, _otto_configs, _three_stroke_draws
@@ -150,6 +153,49 @@ def test_a_nan_residual_fails_its_check(monkeypatch):
     mean, variance = verify.suite_oracle_equivalence(configs_per_engine=2)
     assert math.isnan(mean.observed) and not mean.passed
     assert variance.passed
+
+
+def test_gibbs_residuals_match_their_oracles():
+    # the suite's per-draw float residuals against the numpy array forms it
+    # used before (entry range and column sums, bit for bit) and against an
+    # exact evaluation of the same float entries (fixed point, within 2 ulp
+    # of 1: numpy's 2x2 product may fuse a multiply-add, so it is no oracle)
+    rng = np.random.default_rng(verify._SEED)
+    worst = [0.0, 0.0, 0.0]
+    for omega, beta, lam in _draw(rng, 1000, ((0.05, 4.0), (0.05, 4.0), (0.0, 1.0))):
+        m = build_map(ThermalOpParams(omega, beta, lam))
+        g = thermal_population(omega, beta)
+        entry, cols, gibbs = verify._gibbs_residuals(*m._entries, g.p_g, g.p_e)
+        arr = m.as_array()
+        assert entry.hex() == float(np.maximum(arr - 1.0, -arr).max()).hex()
+        assert cols.hex() == float(np.abs(arr.sum(axis=0) - 1.0).max()).hex()
+        m00, m01, m10, m11 = map(Fraction, m._entries)
+        g_g, g_e = Fraction(g.p_g), Fraction(g.p_e)
+        exact = max(abs(m00 * g_g + m01 * g_e - g_g), abs(m10 * g_g + m11 * g_e - g_e))
+        assert abs(Fraction(gibbs) - exact) <= 2 * Fraction(math.ulp(1.0))
+        worst = [max(w, r) for w, r in zip(worst, (entry, cols, gibbs))]
+    records = verify.suite_gibbs_fixed_point()
+    assert [r.observed for r in records] == worst
+
+
+def test_gibbs_suite_uses_numpy_only_for_its_draws(monkeypatch):
+    # without perturb, the suite reads the checked entries: no array is built
+    monkeypatch.setattr(verify, "np", types.SimpleNamespace(random=np.random))
+    monkeypatch.setattr(maps, "np", types.SimpleNamespace())
+    assert all(r.passed for r in verify.suite_gibbs_fixed_point(draws=50))
+
+
+@pytest.mark.parametrize("i, j", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_a_nan_in_one_entry_fails_every_check(i, j):
+    # every check reads every entry; Python's max(0.0, nan) is 0.0, so a
+    # fold by max would drop a NaN that is not its first argument
+    def poison(m):
+        m[i, j] = math.nan
+        return m
+
+    records = verify.suite_gibbs_fixed_point(draws=5, perturb=poison)
+    assert [r.check for r in records] == ["entries-in-range", "column-sums", "fixed-point-residual"]
+    assert all(math.isnan(r.observed) and not r.passed for r in records)
 
 
 def _refuse_constant(name):
