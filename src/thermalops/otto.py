@@ -253,7 +253,7 @@ def analytic_populations(cfg: OttoConfig, regime: str) -> tuple[float, float]:
     independent check on the steady-state solver.
     """
     cfg._require_regime(regime)
-    a, b = cfg.beta_H * cfg.omega_H, cfg.beta_C * cfg.omega_C
+    a, b = cfg.omega_H / cfg.T_H, cfg.omega_C / cfg.T_C  # 1 / T overflows for a subnormal T
     q_H, q_C = math.exp(-a), math.exp(-b)
     if regime == MARKOV:
         return q_C / (1.0 + q_C), q_H / (1.0 + q_H)

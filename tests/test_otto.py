@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from thermalops import (
     DegenerateCycleError,
@@ -255,6 +257,21 @@ def test_analytic_populations_at_huge_gaps():
     for regime in ("markov", "nonmarkov"):
         cfg = getattr(OttoConfig, regime)(1000.0, 800.0, 1.0, 0.5)
         assert analytic_populations(cfg, regime) == (0.0, 0.0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(T_H=st.floats(-300.0, 300.0).map(lambda e: 10.0**e))
+@example(T_H=1e-300)
+@example(T_H=1e300)
+@example(T_H=1e-310)  # subnormal: 1 / T_H is inf
+def test_analytic_populations_are_scale_covariant(T_H):
+    # the populations depend on omega / T only, so scaling every gap and
+    # temperature by T_H changes nothing beyond the rounding of the fields
+    for regime in ("markov", "nonmarkov"):
+        make = getattr(OttoConfig, regime)
+        unit = analytic_populations(make(1.0, 0.6, 1.0, 0.5), regime)
+        scaled = analytic_populations(make(T_H, 0.6 * T_H, T_H, 0.5 * T_H), regime)
+        assert all(math.isclose(x, y, rel_tol=1e-12) for x, y in zip(scaled, unit))
 
 
 @pytest.mark.parametrize(
