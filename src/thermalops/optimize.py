@@ -182,12 +182,20 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
 
 
 def _logspace(lo: float, hi: float, n: int) -> list[float]:
-    """``n`` log-spaced floats from ``lo`` to ``hi``: the one log grid of
-    the gap scan and of the CLI tables.  Each point is ``math.pow(10, y)``
-    on ``_linspace`` exponents, which rounds every point of the default
-    grids correctly; ``numpy.logspace`` takes a SIMD power that depends on
-    the CPU."""
-    return [math.pow(10.0, y) for y in _linspace(math.log10(lo), math.log10(hi), n)]
+    """``n >= 2`` log-spaced floats from ``lo`` to ``hi``, for ``0 < lo < hi``:
+    the one log grid of the gap scan and of the CLI tables.  The ends are
+    ``lo`` and ``hi`` themselves (``10**log10(20.0)`` rounds to
+    ``20.000000000000004``).  Each inner point is ``math.pow(10, y)`` on
+    ``_linspace`` exponents, which rounds every point of the default grids
+    correctly; ``numpy.logspace`` takes a SIMD power that depends on the
+    CPU.  In a window a few ulps wide the powers may round outside
+    ``[lo, hi]``; they are then clamped into it.  They rise with ``y``, so
+    only the points next to the ends can leave the window."""
+    grid = [math.pow(10.0, y) for y in _linspace(math.log10(lo), math.log10(hi), n)]
+    grid[0], grid[-1] = lo, hi
+    if grid[1] < lo or grid[-2] > hi:
+        return [min(max(x, lo), hi) for x in grid]
+    return grid
 
 
 def maximize_work(spec: ScanSpec) -> OptimumRecord:

@@ -9,7 +9,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import thermalops
@@ -297,11 +297,31 @@ def ulp_error(x: float, exponent: float) -> Decimal:
 )
 def test_logspace_rounds_each_point_correctly(lo, hi, points):
     # libm's pow is within 0.5 ulp on the default grids, where numpy's
-    # SIMD power reaches 0.61 ulp (fig1) on some CPUs
+    # SIMD power reaches 0.61 ulp (fig1) on some CPUs; the ends are exact
     exponents = optimize._linspace(math.log10(lo), math.log10(hi), points)
     grid = optimize._logspace(lo, hi, points)
     assert len(grid) == points
-    assert max(ulp_error(x, y) for x, y in zip(grid, exponents)) <= Decimal("0.5")
+    assert (grid[0], grid[-1]) == (lo, hi)
+    inner = zip(grid[1:-1], exponents[1:-1])
+    assert max(ulp_error(x, y) for x, y in inner) <= Decimal("0.5")
+
+
+positive_floats = st.floats(min_value=5e-324, max_value=1.7e308)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(ends=st.tuples(positive_floats, positive_floats), n=st.integers(2, 300))
+@example(ends=(1e-3, 20.0), n=3)  # 10**log10(20.0) is 20.000000000000004
+@example(ends=(1.2345e300, math.nextafter(1.2345e300, math.inf)), n=5)
+@example(ends=(5e-324, 1e-323), n=7)
+@example(ends=(5e-324, 1.7e308), n=300)
+def test_logspace_starts_at_lo_ends_at_hi_and_never_decreases(ends, n):
+    lo, hi = sorted(ends)
+    assume(lo < hi)
+    grid = optimize._logspace(lo, hi, n)
+    assert len(grid) == n
+    assert (grid[0], grid[-1]) == (lo, hi)
+    assert all(a <= b for a, b in zip(grid, grid[1:]))
 
 
 def test_maximize_work_warns_on_endpoint_maximum():
