@@ -140,9 +140,9 @@ PINNED_JSON = {
         "146d12174bd2d72e4157e1ae38cb50b84508ad92174b88bc05dbbcf7fd3157b7"
     ),
     ("fig6", "points=24"): "e15db7e0312e96e8e17aa0652ae91701017c08e9b21076c3c2cca7251794c888",
-    ("sweep", "points=40"): "8514518032404d5ab3604ca09e956a8f73d39d535b64830e241493788839fe03",
+    ("sweep", "points=40"): "ec4b123d0709a4a5c5d0d9f5b08fdd32e13c2edf33c091b8a117cfc10e0fb467",
     ("sweep", "regime=markov", "points=40"): (
-        "0f69c32f11ac1d7ad12532b5ca88e50a8e457a71322d62bea079a117dc40a5f8"
+        "656e36d2301b397ec15fff508a029b4ab9be7cd5962303300784dfff3fbb8b4b"
     ),
 }
 
