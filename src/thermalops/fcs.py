@@ -6,26 +6,33 @@ The tilted cycle map ``P(chi)`` composes an engine's stroke tuple
 ln(1^T P(chi)^N p)`` is the cumulant generating function of the N-cycle
 work from the cyclostationary state ``p``.
 
-Mean and variance need only ``M = P(0)`` and its exact derivatives ``M'``
-and ``M''`` in ``chi * quantum`` at 0, carried through the stroke tuple: a
-heat stroke left-multiplies all three, a work stroke adds ``k M`` to row
-``j`` of ``M'`` and ``2k M' + k^2 M`` to row ``j`` of ``M''``.  A 2x2
-column-stochastic ``M`` is ``p 1^T + mu (I - p 1^T)`` with
-``mu = tr M - 1``, so with ``m = 1^T M' p``, ``v1 = 1^T M'' p - m^2`` and
-``c = 1^T M' (M' p - m p)`` the N-cycle mean is ``N m``, the variance
-``N v1 + 2 c S_N`` with ``S_N = sum_{d=1}^{N-1} (N - d) mu^(d-1)``, the
-scaled variance ``v1 + 2 c / (1 - mu)`` and the intercycle Pearson
-coefficient ``c / v1``: the 2x2 case of Flindt et al., PRL 100, 150601
-(2008).  ``m`` differences O(1) populations, so the mean is taken from
-``Cycle.work()``; ``m`` only centres ``v1`` and ``c``, which round like it.
-``1 - mu``, the sum of the off-diagonal entries, does not cancel at small
-gaps.  ``p`` is the fixed point of ``M``; a ``p1`` a caller passes is
-checked against it.  An exact trajectory-enumeration oracle, which walks
-the same stroke tuple, checks all of it.
+Mean and variance are closed forms over the cycle shape both engines
+build: heat map ``H``, a work stroke, heat map ``C`` and an optional second
+work stroke.  With ``x = H p``, the cell ``(a, b)``, level ``a`` after ``H``
+and ``b`` after ``C``, has probability ``P_ab = x_a C[b][a']`` (``a'`` is
+``a`` after the first work stroke) and releases ``K_ab = k1[a] + k2[b]``
+work quanta.  The single-cycle variance is ``v1 = sum_{i<j} P_i P_j (K_i -
+K_j)^2`` and ``J = sum P_i P_j (K_i - K_j)``, over a cell ``i`` that ends
+the cycle in g and a cell ``j`` that ends it in e, is ``Cov(k, 1{end = g})``.
+The mean work from g less that from e is ``-det H (d1 + s d2 det C)``, with
+``d = k[1] - k[0]``, ``s = -1`` when the first work stroke flips, and
+``det = m11 - m10``, so ``c = -det H (d1 + s d2 det C) J`` is the covariance
+of successive cycles.  Nothing is centred on the mean: no term of ``v1`` is
+negative, and ``J`` rounds to a few ulp of its pair terms.  Nor does ``1 -
+mu``, the sum of the off-diagonal entries of the cycle map ``M`` (``mu = tr
+M - 1``), cancel.  The N-cycle
+mean is ``N work()``, the variance ``N v1 + 2 c S_N`` with ``S_N =
+sum_{d=1}^{N-1} (N - d) mu^(d-1)``, the scaled variance ``v1 + 2 c / (1 -
+mu)`` and the intercycle Pearson coefficient ``c / v1``: the 2x2 case of
+Flindt et al., PRL 100, 150601 (2008), summed pairwise as in Chan, Golub &
+LeVeque, Am. Stat. 37, 242 (1983).  ``p`` is the fixed point of ``M``; a
+``p1`` a caller passes is checked against it.  An exact
+trajectory-enumeration oracle, which walks the same stroke tuple, checks
+all of it.
 
-``M``, ``M'`` and ``M''`` are row-major Python floats, composed by the same
-2x2 kernel as the cycle map (``maps._compose``) from the checked entries of
-the heat maps, so they round the same way on every platform.
+The closed forms read the checked float entries of the heat maps, and ``M``
+is composed by the cycle's 2x2 kernel (``maps._compose``), so they round the
+same way on every platform.
 """
 
 from __future__ import annotations
@@ -46,6 +53,7 @@ from .errors import (
 from .maps import (
     DRIFT_RENORM,
     Cycle,
+    GibbsStochasticMatrix,
     PopulationVector,
     WorkStroke,
     _compose,
@@ -88,39 +96,47 @@ def cumulant_gf(tmap: TiltedMap, p1: PopulationVector, n: int, chi: float) -> fl
     return float(np.log(vec.sum()))
 
 
-def _derivative_maps(tmap: TiltedMap) -> tuple[list[float], list[float], list[float]]:
-    """``(M, M', M'')``, the cycle map and its derivatives in ``chi *
-    quantum`` at 0, as row-major float entries."""
-    m0 = None
-    for stroke in tmap.strokes:
-        if isinstance(stroke, WorkStroke):
-            for j, w in enumerate(stroke.released):
-                k = w / tmap.quantum
-                for i in (2 * j, 2 * j + 1):  # the entries of row j
-                    d2[i] += 2.0 * k * d1[i] + k * k * m0[i]
-                    d1[i] += k * m0[i]
-            if stroke.flip:
-                m0, d1, d2 = m0[2:] + m0[:2], d1[2:] + d1[:2], d2[2:] + d2[:2]
-        elif m0 is None:
-            m0, d1, d2 = list(stroke._entries), [0.0] * 4, [0.0] * 4
-        else:
-            m0, d1, d2 = (list(_compose(stroke._entries, x)) for x in (m0, d1, d2))
-    return m0, d1, d2
+_HEAT_WORK_HEAT = (GibbsStochasticMatrix, WorkStroke, GibbsStochasticMatrix)
+_CYCLE_SHAPES = (_HEAT_WORK_HEAT, _HEAT_WORK_HEAT + (WorkStroke,))
 
 
-def _spectral_terms(maps, p1: PopulationVector | None = None):
-    """``(1^T M'' p, v1, c, 1 - mu)`` of the cycle, in work quanta, in its
-    steady state, the fixed point of ``M``; a ``p1`` must be that state."""
-    m0, d1, d2 = maps
+def _spectral_terms(tmap: TiltedMap, m0: tuple, p1: PopulationVector | None = None):
+    """``(v1, c, 1 - mu)`` of the cycle, in work quanta, in its steady state,
+    the fixed point of ``m0 = tmap._product()``; a ``p1`` must be that state.
+    ``InvalidParameterError`` for a cycle of any shape but (heat, work, heat)
+    or (heat, work, heat, work)."""
+    if tuple(map(type, tmap.strokes)) not in _CYCLE_SHAPES:
+        raise InvalidParameterError("counting statistics need (heat, work, heat[, work]) strokes")
+    hot, first, cold, *last = tmap.strokes
     p_g, p_e = _fixed_point(*m0)
     if p1 is not None and not abs(p1.p_e - p_e) <= DRIFT_RENORM:
         raise InvalidParameterError(f"p1 is not the steady state: p_e {p1.p_e!r}, not {p_e!r}")
-    r_g, r_e = d1[0] + d1[2], d1[1] + d1[3]  # 1^T M'
-    m = r_g * p_g + r_e * p_e  # the mean, kept to centre v1 and c as they round
-    s2 = (d2[0] + d2[2]) * p_g + (d2[1] + d2[3]) * p_e
-    x_g = (d1[0] * p_g + d1[1] * p_e) - m * p_g  # M' p - m p
-    x_e = (d1[2] * p_g + d1[3] * p_e) - m * p_e
-    return s2, s2 - m * m, r_g * x_g + r_e * x_e, m0[1] + m0[2]
+    h00, h01, h10, h11 = hot._entries
+    c00, c01, c10, c11 = cold._entries
+    x_g, x_e = h00 * p_g + h01 * p_e, h10 * p_g + h11 * p_e  # after the hot stroke
+    (k1_g, k1_e), (k2_g, k2_e) = first.released, last[0].released if last else (0.0, 0.0)
+    q = tmap.quantum
+    k1_g, k1_e, k2_g, k2_e = k1_g / q, k1_e / q, k2_g / q, k2_e / q
+    # Cell (a, b): level a after the hot stroke and b after the cold one,
+    # with probability x_a t[b][a] and k1[a] + k2[b] quanta.  Row b = 0 of t
+    # and k2 is the level that ends the cycle in g.
+    t = (c01, c00, c11, c10) if first.flip else (c00, c01, c10, c11)
+    k2 = (k2_g, k2_e)
+    if last and last[0].flip:
+        t, k2 = t[2:] + t[:2], k2[::-1]
+    P0, P1, P2, P3 = x_g * t[0], x_e * t[1], x_g * t[2], x_e * t[3]
+    K0, K1, K2, K3 = k1_g + k2[0], k1_e + k2[0], k1_g + k2[1], k1_e + k2[1]
+    d01, d02, d03, d12, d13, d23 = K0 - K1, K0 - K2, K0 - K3, K1 - K2, K1 - K3, K2 - K3
+    # every pair of cells once, so no term is negative and nothing is centred
+    v1 = P0 * P1 * (d01 * d01) + P0 * P2 * (d02 * d02) + P0 * P3 * (d03 * d03)
+    v1 = v1 + P1 * P2 * (d12 * d12) + P1 * P3 * (d13 * d13) + P2 * P3 * (d23 * d23)
+    # Cov(k, 1{end = g}): every pair of a cell ending in g and one ending in e
+    J = P0 * P2 * d02 + P0 * P3 * d03 + P1 * P2 * d12 + P1 * P3 * d13
+    # det = m11 - m10 is (1 - lam) - lam q, which does not cancel as
+    # m00 - m01 = (1 - q) - 1 would for the ETO
+    d2 = (k2_e - k2_g) * (c11 - c10)
+    gap = -(h11 - h10) * ((k1_e - k1_g) + (-d2 if first.flip else d2))  # a_g - a_e
+    return v1, gap * J, m0[1] + m0[2]
 
 
 def _pair_sum(n: int, g: float) -> float:
@@ -139,12 +155,16 @@ def _pair_sum(n: int, g: float) -> float:
     return (n * g - 1.0 + (1.0 - g) ** n) / (g * g)
 
 
-def _checked_variance(var: float, scale: float) -> float:
-    """``var`` with rounding below zero cleared; a negative value beyond
-    ``1e-9 * scale`` is a logic error."""
+def _checked_variance(var: float, scale: float, quantum: float) -> float:
+    """``var`` quanta squared in energy squared, with rounding below zero
+    cleared: a ``var`` below ``-1e-9 * scale`` is a logic error, and a result
+    beyond binary64 a ``CountingOverflowError``."""
     if var < -1e-9 * scale:
         raise ConsistencyError(f"work variance came out negative: {var:.3e}")
-    return max(var, 0.0)
+    energy = max(var, 0.0) * (quantum * quantum)
+    if not math.isfinite(energy):
+        raise CountingOverflowError(f"work variance {var:.3e} quanta^2 overflows binary64")
+    return energy
 
 
 @dataclass(frozen=True)
@@ -164,11 +184,9 @@ def work_moments(tmap: TiltedMap, p1: PopulationVector | None, n: int) -> WorkSt
     n = require_count(n, 1, "cycle count")
     if n > sys.float_info.max:
         raise CountingOverflowError("cycle count beyond the binary64 range")
-    _, v1, c, g = _spectral_terms(_derivative_maps(tmap), p1)
+    v1, c, g = _spectral_terms(tmap, tmap._product(), p1)
     mean = n * tmap.work()
-    variance = _checked_variance(n * v1 + 2.0 * c * _pair_sum(n, g), n) * tmap.quantum**2
-    if not math.isfinite(variance):
-        raise CountingOverflowError(f"the {n}-cycle work variance overflows binary64")
+    variance = _checked_variance(n * v1 + 2.0 * c * _pair_sum(n, g), n, tmap.quantum)
     if mean == 0.0:
         raise ZeroWorkError(
             f"{n}-cycle work mean vanishes at gap {tmap.strokes[0].omega:.6g}; "
@@ -181,14 +199,13 @@ def scaled_cumulants(tmap: TiltedMap) -> tuple[float, float]:
     """Infinite-cycle work mean ``work()`` and variance ``v1 + 2 c / (1 - mu)``
     per cycle.  ``NonPrimitiveMapError`` unless the untilted map is primitive
     (its square strictly positive) with a simple dominant eigenvalue."""
-    maps = _derivative_maps(tmap)
-    m0 = maps[0]
+    m0 = tmap._product()
     if not all(x > 0.0 for x in _compose(m0, m0)):
         raise NonPrimitiveMapError("untilted cycle map squared has zero entries")
-    _, v1, c, g = _spectral_terms(maps)
+    v1, c, g = _spectral_terms(tmap, m0)
     if g < 1e-12:
         raise NonPrimitiveMapError("dominant eigenvalue degenerate at chi = 0")
-    return tmap.work(), _checked_variance(v1 + 2.0 * c / g, 1.0) * tmap.quantum**2
+    return tmap.work(), _checked_variance(v1 + 2.0 * c / g, 1.0, tmap.quantum)
 
 
 @dataclass(frozen=True)
@@ -284,10 +301,10 @@ def enumerate_work_distribution(cfg: EngineConfig, n: int) -> WorkDistribution:
 def intercycle_pcc(tmap: TiltedMap, p1: PopulationVector | None) -> float:
     """Pearson coefficient ``Cov / Var_1 = c / v1`` of the work in two
     successive cycles, in [-1, 1], from the steady state as in ``work_moments``;
-    refused when ``v1`` is not above 1e-14 of the second moment ``1^T M'' p``."""
-    s2, v1, c, _ = _spectral_terms(_derivative_maps(tmap), p1)
-    if not _checked_variance(v1, 1.0) > 1e-14 * s2:
-        raise ZeroVarianceError(f"single-cycle variance {v1:.3e} is noise beside {s2:.3e} quanta^2")
+    ``ZeroVarianceError`` when ``v1`` is 0."""
+    v1, c, _ = _spectral_terms(tmap, tmap._product(), p1)
+    if v1 == 0.0:
+        raise ZeroVarianceError("single-cycle work variance is 0; the PCC is undefined")
     pcc = c / v1
     if not -1.0 - 1e-9 <= pcc <= 1.0 + 1e-9:
         raise ConsistencyError(f"PCC {pcc} outside [-1, 1] beyond tolerance")
@@ -296,6 +313,6 @@ def intercycle_pcc(tmap: TiltedMap, p1: PopulationVector | None) -> float:
 
 def pcc_three_stroke_exact(cfg: ThreeStrokeConfig) -> float:
     """Closed-form intercycle PCC of the three-stroke engine with extremal
-    operations: ``-exp(-(beta_C + beta_H) * omega)``."""
+    operations: ``-exp(-(omega / T_C + omega / T_H))``."""
     cfg.requires_eto()
-    return -math.exp(-(cfg.beta_C + cfg.beta_H) * cfg.omega)
+    return -math.exp(-(cfg.omega / cfg.T_C + cfg.omega / cfg.T_H))

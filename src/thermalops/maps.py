@@ -157,7 +157,8 @@ class GibbsStochasticMatrix:
     beta: float
 
     def __post_init__(self):
-        entries = _gibbs_stochastic_entries(*_entries_2x2(self.m), self.omega, self.beta)
+        q = _boltzmann_factor(self.omega, self.beta)
+        entries = _gibbs_stochastic_entries(*_entries_2x2(self.m), q)
         del self.__dict__["m"]  # rebuilt from the checked entries
         self.__dict__["_entries"] = entries
 
@@ -232,13 +233,13 @@ def full_thermalization_lambda(omega: float, beta: float) -> float:
 
 
 def _gibbs_stochastic_entries(
-    m00: float, m01: float, m10: float, m11: float, omega: float, beta: float
+    m00: float, m01: float, m10: float, m11: float, q: float
 ) -> tuple[float, float, float, float]:
     """The given entries after the checks of ``GibbsStochasticMatrix``:
     entries in [0, 1] within ``STOCHASTIC_TOL`` (then clipped into it),
-    columns summing to 1 and the Gibbs populations at ``(omega, beta)`` a
-    fixed point, both within ``STOCHASTIC_TOL``.  A NaN entry fails the
-    column sums."""
+    columns summing to 1 and the Gibbs populations of the Boltzmann factor
+    ``q`` a fixed point, both within ``STOCHASTIC_TOL``.  A NaN entry fails
+    the column sums."""
     entries = (m00, m01, m10, m11)
     lo, hi = min(entries), max(entries)
     if lo < -STOCHASTIC_TOL or hi > 1.0 + STOCHASTIC_TOL:
@@ -249,7 +250,6 @@ def _gibbs_stochastic_entries(
     cols = (m00 + m10, m01 + m11)
     if not (abs(cols[0] - 1.0) <= STOCHASTIC_TOL and abs(cols[1] - 1.0) <= STOCHASTIC_TOL):
         raise InvalidParameterError(f"columns must sum to 1 within {STOCHASTIC_TOL}, got {cols}")
-    q = _boltzmann_factor(omega, beta)
     g_g, g_e = 1.0 / (1.0 + q), q / (1.0 + q)
     residual = max(abs(m00 * g_g + m01 * g_e - g_g), abs(m10 * g_g + m11 * g_e - g_e))
     if residual > STOCHASTIC_TOL:
@@ -268,16 +268,15 @@ def build_map(params: ThermalOpParams) -> GibbsStochasticMatrix:
     bitwise the entries of the numpy expression, signed zeros included.
     They are checked once, by the same code as a user's matrix.
     """
-    return _build_map(params.omega, params.beta, params.lam)
+    return _build_map(params.omega, params.beta, params.lam, math.exp(-params.beta * params.omega))
 
 
-def _build_map(omega: float, beta: float, lam: float) -> GibbsStochasticMatrix:
+def _build_map(omega: float, beta: float, lam: float, q: float) -> GibbsStochasticMatrix:
     """``build_map`` on values its caller has checked as ``ThermalOpParams``
-    would."""
-    q = math.exp(-beta * omega)
+    would, with the Boltzmann factor ``q`` of ``omega`` at ``beta``."""
     keep = 1.0 - lam
     entries = _gibbs_stochastic_entries(
-        keep + lam * (1.0 - q), 0.0 + lam, 0.0 + lam * q, keep + lam * 0.0, omega, beta
+        keep + lam * (1.0 - q), 0.0 + lam, 0.0 + lam * q, keep + lam * 0.0, q
     )
     return _unchecked(GibbsStochasticMatrix, _entries=entries, omega=omega, beta=beta)
 

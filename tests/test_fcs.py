@@ -37,6 +37,7 @@ from thermalops import (
     work_moments,
 )
 from thermalops.fcs import _pair_sum
+from thermalops.maps import Cycle
 
 LN2 = math.log(2.0)
 LN4 = math.log(4.0)
@@ -266,6 +267,12 @@ def test_work_moments_overflow_is_typed():
         work_moments(tmap, p1, 10**307)
     with pytest.raises(CountingOverflowError):
         work_moments(tmap, p1, 10**309)  # not even a float
+    # a quantum of 3e299: one cycle's variance, in energy squared, is beyond binary64
+    huge = tilted_map_otto(OttoConfig.nonmarkov(1e300, 0.7e300, 1e300, 0.5e300))
+    with pytest.raises(CountingOverflowError):
+        work_moments(huge, None, 1)
+    with pytest.raises(CountingOverflowError):
+        scaled_cumulants(huge)
 
 
 def test_statistics_reject_a_p1_that_is_not_the_steady_state():
@@ -453,37 +460,47 @@ def test_pcc_covariance_identity_from_paths():
 
 @pytest.mark.parametrize("scale", [1e-8, 1.0, 1e3])
 def test_pcc_does_not_depend_on_the_unit_of_energy(scale):
-    # the zero-variance guard compares the variance with the second moment,
-    # both in work quanta, so a rescaled engine keeps its PCC
+    # the cell sums are in work quanta, so a rescaled engine keeps its PCC
     cfg = OttoConfig.nonmarkov(1.0 * scale, 0.7 * scale, 1.0 * scale, 0.5 * scale)
     tmap, p1 = tilted_and_steady(cfg)
     assert math.isclose(intercycle_pcc(tmap, p1), 0.19435777017457537, rel_tol=1e-15)
 
 
 def test_zero_variance_guard():
-    # work is exponentially frozen and the quantum is small, so the
-    # single-cycle variance rounds to exactly 0
-    cfg = three_stroke_config(40.0, 80.0, omega=0.01)
-    tmap, p1 = tilted_and_steady(cfg)
+    # every Boltzmann factor underflows, so each cycle releases -1 quantum
+    # and the single-cycle variance is exactly 0
+    tmap, p1 = tilted_and_steady(ThreeStrokeConfig.nonmarkov(800.0, 1.0, 0.5))
     with pytest.raises(ZeroVarianceError):
         intercycle_pcc(tmap, p1)
 
 
-def test_zero_variance_guard_reads_the_second_moment():
-    # v1 is 2.0e-15 work quanta squared, below an absolute 1e-14, but equal
-    # to the second moment 1^T M'' p: the mean is negligible, nothing
-    # cancels, and the PCC is the 60-digit value
-    cfg = OttoConfig(
-        31.364907591901385,
-        12.222775616014866,
-        1.0,
-        0.32642271518090704,
-        0.08195794234038645,
-        0.7826854667746651,
-    )
+def test_frozen_three_stroke_pcc_is_the_closed_form():
+    # work is exponentially frozen and the quantum is small: v1 is 1.7e-17
+    # quanta squared, no longer refused as noise beside the second moment
+    cfg = three_stroke_config(40.0, 80.0, omega=0.01)
     tmap, p1 = tilted_and_steady(cfg)
-    assert intercycle_pcc(tmap, p1) == -0.015409463988560464
-    assert intercycle_pcc(tmap, None) == -0.015409463988560464
+    exact = pcc_three_stroke_exact(cfg)
+    assert math.isclose(exact, -7.667648073722e-53, rel_tol=1e-12)
+    assert math.isclose(intercycle_pcc(tmap, p1), exact, rel_tol=1e-14)
+
+
+def test_statistics_reject_other_cycle_shapes():
+    cfg = OttoConfig.nonmarkov(1.0, 0.7, 1.0, 0.5)
+    hot, quench, cold, unquench = cfg.cycle().strokes
+    for strokes in (
+        (hot, cold, quench),
+        (hot, quench, cold, unquench, quench),
+        (hot, quench, hot, quench, cold, unquench),
+    ):
+        tmap = Cycle(strokes, cfg.work_quantum, cfg.cycle().work)
+        assert all(x > 0.0 for x in (tmap.matrix() @ tmap.matrix()).flat)  # primitive
+        for statistic in (
+            lambda: work_moments(tmap, None, 3),
+            lambda: scaled_cumulants(tmap),
+            lambda: intercycle_pcc(tmap, None),
+        ):
+            with pytest.raises(InvalidParameterError, match="heat, work, heat"):
+                statistic()
 
 
 def test_scaled_mean_equals_cycle_work():
