@@ -142,9 +142,9 @@ PINNED_TABLES = {
 # away.
 PINNED_JSON = {
     ("fig4", "points=3"): "c42f10d85ea06482e60588f1f2ed25c4f6859c6d4f25e88ab60285a0470ded2e",
-    ("fig5", "points=24"): "5331e8c4196912131fefe930a561591b2d67639478fdc6e0ab7f6afaeecd1017",
+    ("fig5", "points=24"): "1ba8b1e2a348643d8d0b49b1718d750f98d7a2b253ec1302ee6d08e85122ab4e",
     ("fig5", "horizon=single_cycle", "points=24"): (
-        "6ab65f6d482e6b93ae64ad92ed4a4623ca875c26e9bbd01e2312a3fa115ae880"
+        "975b885ad2819b56fc346cbf0b9378f54387958023128c32f4a744537d3c133e"
     ),
     ("fig6", "points=24"): "e15db7e0312e96e8e17aa0652ae91701017c08e9b21076c3c2cca7251794c888",
     ("sweep", "points=40"): "ec4b123d0709a4a5c5d0d9f5b08fdd32e13c2edf33c091b8a117cfc10e0fb467",
