@@ -146,7 +146,7 @@ PINNED_JSON = {
     ("fig5", "horizon=single_cycle", "points=24"): (
         "975b885ad2819b56fc346cbf0b9378f54387958023128c32f4a744537d3c133e"
     ),
-    ("fig6", "points=24"): "e15db7e0312e96e8e17aa0652ae91701017c08e9b21076c3c2cca7251794c888",
+    ("fig6", "points=24"): "b060b69926b0a8b895050cfeeeb2f4068d803875588f4a3cbc8edd1e227e73a1",
     ("sweep", "points=40"): "ec4b123d0709a4a5c5d0d9f5b08fdd32e13c2edf33c091b8a117cfc10e0fb467",
     ("sweep", "regime=markov", "points=40"): (
         "656e36d2301b397ec15fff508a029b4ab9be7cd5962303300784dfff3fbb8b4b"
