@@ -20,15 +20,14 @@ The mean work from g less that from e is ``-det H (d1 + s d2 det C)``, with
 of successive cycles.  Nothing is centred on the mean: no term of ``v1`` is
 negative, and ``J`` rounds to a few ulp of its pair terms.  Nor does ``1 -
 mu``, the sum of the off-diagonal entries of the cycle map ``M`` (``mu = tr
-M - 1``), cancel.  The N-cycle
-mean is ``N work()``, the variance ``N v1 + 2 c S_N`` with ``S_N =
-sum_{d=1}^{N-1} (N - d) mu^(d-1)``, the scaled variance ``v1 + 2 c / (1 -
-mu)`` and the intercycle Pearson coefficient ``c / v1``: the 2x2 case of
-Flindt et al., PRL 100, 150601 (2008), summed pairwise as in Chan, Golub &
-LeVeque, Am. Stat. 37, 242 (1983).  ``p`` is the fixed point of ``M``; a
-``p1`` a caller passes is checked against it.  An exact
-trajectory-enumeration oracle, which walks the same stroke tuple, checks
-all of it.
+M - 1``), cancel.  The N-cycle mean is ``N work()``, the variance ``N v1 +
+2 c S_N`` with ``S_N = sum_{d=1}^{N-1} (N - d) mu^(d-1)``, the scaled
+variance ``v1 + 2 c / (1 - mu)`` and the intercycle Pearson coefficient
+``c / v1``: the 2x2 case of Flindt et al., PRL 100, 150601 (2008), summed
+pairwise as in Chan, Golub & LeVeque, Am. Stat. 37, 242 (1983).  ``p`` is
+the fixed point of ``M``; a ``p1`` a caller passes is checked against it.
+An exact trajectory-enumeration oracle, which walks the same stroke tuple,
+checks all of it.
 
 The closed forms read the checked float entries of the heat maps, and ``M``
 is composed by the cycle's 2x2 kernel (``maps._compose``), so they round the
@@ -127,7 +126,8 @@ def _spectral_terms(tmap: TiltedMap, m0: tuple, p1: PopulationVector | None = No
     P0, P1, P2, P3 = x_g * t[0], x_e * t[1], x_g * t[2], x_e * t[3]
     K0, K1, K2, K3 = k1_g + k2[0], k1_e + k2[0], k1_g + k2[1], k1_e + k2[1]
     d01, d02, d03, d12, d13, d23 = K0 - K1, K0 - K2, K0 - K3, K1 - K2, K1 - K3, K2 - K3
-    # every pair of cells once, so no term is negative and nothing is centred
+    # every pair of cells once, so no term is negative and nothing is centred;
+    # written out, as sum() compensates from Python 3.12 on and would move bits
     v1 = P0 * P1 * (d01 * d01) + P0 * P2 * (d02 * d02) + P0 * P3 * (d03 * d03)
     v1 = v1 + P1 * P2 * (d12 * d12) + P1 * P3 * (d13 * d13) + P2 * P3 * (d23 * d23)
     # Cov(k, 1{end = g}): every pair of a cell ending in g and one ending in e

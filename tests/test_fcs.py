@@ -475,8 +475,8 @@ def test_zero_variance_guard():
 
 
 def test_frozen_three_stroke_pcc_is_the_closed_form():
-    # work is exponentially frozen and the quantum is small: v1 is 1.7e-17
-    # quanta squared, no longer refused as noise beside the second moment
+    # work is exponentially frozen and the quantum is small, so v1 is only
+    # 1.7e-17 quanta squared; nothing cancels, and the PCC is the closed form
     cfg = three_stroke_config(40.0, 80.0, omega=0.01)
     tmap, p1 = tilted_and_steady(cfg)
     exact = pcc_three_stroke_exact(cfg)

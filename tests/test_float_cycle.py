@@ -119,9 +119,8 @@ def exact_counting_terms(cycle):
     hot, first, cold, *last = cycle.strokes
     h = [Fraction(x) for x in hot._entries]
     t = [Fraction(x) for x in cold._entries]
-    m = h[2:] + h[:2] if first.flip else h  # the cycle map, exactly
-    m = [t[0] * m[0] + t[1] * m[2], t[0] * m[1] + t[1] * m[3], t[2] * m[0] + t[3] * m[2],
-         t[2] * m[1] + t[3] * m[3]]  # fmt: skip
+    rows = h[2:] + h[:2] if first.flip else h  # after the first work stroke
+    m = [t[2 * i] * rows[j] + t[2 * i + 1] * rows[2 + j] for i in (0, 1) for j in (0, 1)]
     closing = last[0] if last else WorkStroke(1.0, 1.0)  # a stroke releasing nothing
     if closing.flip:
         m = m[2:] + m[:2]
@@ -130,7 +129,7 @@ def exact_counting_terms(cycle):
     x = (h[0] * p[0] + h[1] * p[1], h[2] * p[0] + h[3] * p[1])
     quantum = Fraction(cycle.quantum)
     k1 = [Fraction(w) / quantum for w in first.released]
-    k2 = [Fraction(w) / quantum for w in closing.released] if last else [Fraction(0)] * 2
+    k2 = [Fraction(w) / quantum for w in closing.released]
     cells = [
         (x[a] * t[2 * b + (a ^ first.flip)], k1[a] + k2[b], b ^ closing.flip)
         for a in (0, 1)
@@ -138,9 +137,9 @@ def exact_counting_terms(cycle):
     ]
     pairs = [(i, j) for n, i in enumerate(cells) for j in cells[n + 1 :]]
     v1 = sum(P * Q * (K - L) ** 2 for (P, K, _), (Q, L, _) in pairs)
-    across = [(P * Q * (K - L)) for (P, K, e), (Q, L, f) in pairs if e != f]
-    signs = [1 if e == 0 else -1 for (_, _, e), (_, _, f) in pairs if e != f]
-    J = sum(s * term for s, term in zip(signs, across))
+    # the pairs of a cell ending in g and one ending in e, oriented g to e
+    across = [(1 - 2 * e) * P * Q * (K - L) for (P, K, e), (Q, L, f) in pairs if e != f]
+    J = sum(across)
     det_c = t[3] - t[2]
     shift = (k2[1] - k2[0]) * det_c * (-1 if first.flip else 1)
     gap = -(h[3] - h[2]) * ((k1[1] - k1[0]) + shift)
