@@ -177,21 +177,21 @@ def decimal_pcc(cfg) -> Decimal:
             for stroke in cycle.strokes:
                 if isinstance(stroke, WorkStroke):
                     k = [Decimal(w) / quantum for w in stroke.released]
-                    paths = [(s ^ stroke.flip, pr, dk + k[s]) for s, pr, dk in paths]
+                    paths = [(s ^ stroke.flip, prob, dk + k[s]) for s, prob, dk in paths]
                 else:
                     m = next(maps)
-                    paths = [(t, pr * m[t][s], dk) for s, pr, dk in paths for t in (0, 1)]
+                    paths = [(t, prob * m[t][s], dk) for s, prob, dk in paths for t in (0, 1)]
             return paths
 
         one = {src: branches(src) for src in (0, 1)}
-        up = sum(pr for end, pr, _ in one[0] if end == 1)
-        down = sum(pr for end, pr, _ in one[1] if end == 0)
+        up = sum(prob for end, prob, _ in one[0] if end == 1)
+        down = sum(prob for end, prob, _ in one[1] if end == 0)
         start = (down / (up + down), up / (up + down))
         two = [
-            (start[s] * pr * pr2, k, k2)
+            (start[s] * prob * prob2, k, k2)
             for s in (0, 1)
-            for end, pr, k in one[s]
-            for _, pr2, k2 in one[end]
+            for end, prob, k in one[s]
+            for _, prob2, k2 in one[end]
         ]
         mean1 = sum(w * k for w, k, _ in two)
         mean2 = sum(w * k2 for w, _, k2 in two)
@@ -297,7 +297,9 @@ def test_float_cycle_matches_the_numpy_oracle(cfg, x):
 @example(OttoConfig(1.0, 0.5, 1.0, 0.5, 0.0, 1.0))  # identity heat stroke
 # a centred v1 of these entries is 2.7e-17; the exact one is 1.39e-22
 @example(
-    ThreeStrokeConfig(12610.38650953651, 400.4332524456435, 397.3236650375562, 1.0, 1.654467757557153e-09)
+    ThreeStrokeConfig(
+        12610.38650953651, 400.4332524456435, 397.3236650375562, 1.0, 1.654467757557153e-09
+    )
 )
 def test_counting_terms_are_the_exact_cell_sums_of_the_entries(cfg):
     cycle = cfg.cycle()
