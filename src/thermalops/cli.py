@@ -113,7 +113,7 @@ def _run_micro_report(p):
     report = eto_approximation_report(p["J"], tr, times)
     rows = []
     for kind in JC_KINDS:
-        rows.extend([KIND_CODES[kind], *r] for r in report[kind].tolist())
+        rows.extend([KIND_CODES[kind], *r] for r in report[kind])
     return ["kind", "Jt", "deviation_from_eto"], rows
 
 

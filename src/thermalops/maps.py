@@ -394,6 +394,8 @@ class Cycle:
         m = None
         for stroke in self.strokes:
             if isinstance(stroke, WorkStroke):
+                if m is None:
+                    raise InvalidParameterError("a cycle must start with a heat stroke")
                 a, b, c, d = m
                 if chi:
                     s_g, s_e = (math.exp(chi * w) for w in stroke.released)

@@ -222,9 +222,9 @@ print(json.dumps(report))
 
 
 def test_table_commands_run_without_numpy():
-    # import, fig1, fig4, fig5, fig6 and sweep at defaults load no numpy and
-    # every layer module; micro-report and verify import it where they need
-    # it, on first use, and still print their pinned output
+    # import, fig1, fig4, fig5, fig6 and sweep at defaults and micro-report
+    # load no numpy and every layer module; verify imports it where it needs
+    # it, on first use; micro-report and verify print their pinned output
     tables = [[name] for name in ("fig1", "fig4", "fig5", "fig6", "sweep")]
     micro = ("micro-report", "n_max=30", "points=9")
     argvs = [*tables, table_argv(micro, "csv"), ["verify", "--suite", "all"]]
@@ -238,7 +238,7 @@ def test_table_commands_run_without_numpy():
     )
     assert done.returncode == 0, done.stderr
     *runs, holding_numpy = json.loads(done.stdout)
-    for command, code, _, numpy_loaded, layers_loaded in runs[:6]:
+    for command, code, _, numpy_loaded, layers_loaded in runs[:7]:
         assert (command, code, numpy_loaded, layers_loaded) == (command, 0, False, True)
     (_, micro_code, micro_digest, *_), (_, verify_code, verify_digest, *_) = runs[6:]
     assert (micro_code, micro_digest) == (0, PINNED_TABLES[micro])
@@ -566,6 +566,16 @@ def test_micro_report_reaches_hot_baths(capsys):
     assert ((rows[:, 2] >= 0.0) & (rows[:, 2] <= 1.0 + 1e-12)).all()
     half_rabi = (rows[:, 0] == 0) & np.isclose(rows[:, 1], 1.6)
     assert rows[half_rabi, 2] < 0.01  # J t = 1.6 is 0.03 past the exact swap
+
+
+def test_micro_report_at_zero_temperature(capsys):
+    # beta_omega = inf: the mode is in the vacuum, where the weight
+    # exp(-inf * 0) = nan once stopped the command with exit code 1
+    argv = ["micro-report", "--set", "beta_omega=inf", "--set", "n_max=3", "--set", "points=3"]
+    assert cli.main(argv) == 0
+    _, rows = parse_csv(capsys.readouterr().out)
+    assert rows.shape == (6, 3)
+    assert np.isfinite(rows).all()
 
 
 def closed_form_vs_dense() -> CheckRecord:

@@ -503,6 +503,15 @@ def test_statistics_reject_other_cycle_shapes():
                 statistic()
 
 
+def test_cycle_starting_with_a_work_stroke_is_rejected():
+    cfg = OttoConfig.nonmarkov(1.0, 0.7, 1.0, 0.5)
+    hot, quench, cold, unquench = cfg.cycle().strokes
+    tmap = Cycle((quench, hot, unquench, cold), cfg.work_quantum, cfg.cycle().work)
+    for method in (tmap.steady_state, tmap.run, tmap.matrix):
+        with pytest.raises(InvalidParameterError, match="start with a heat stroke"):
+            method()
+
+
 def test_scaled_mean_equals_cycle_work():
     rng = np.random.default_rng(22)
     for make in (random_otto, random_three_stroke):
