@@ -151,6 +151,9 @@ PINNED_JSON = {
     ("sweep", "regime=markov", "points=40"): (
         "656e36d2301b397ec15fff508a029b4ab9be7cd5962303300784dfff3fbb8b4b"
     ),
+    ("micro-report", "n_max=30", "points=9"): (
+        "5599719595baeaf79802af2e267ef71bbc872bf523f3e4b50d45d56765e98f8e"
+    ),
 }
 
 # sha256 of the verify stdout per (suite, format): the observed values are
