@@ -173,6 +173,8 @@ def test_jc_validation():
         (1.0, math.nan, "intensity_dependent"),
         (math.inf, 0.0, "standard"),
         (math.nan, 0.1, "intensity_dependent"),
+        (1e200, 1e200, "intensity_dependent"),  # J t overflows
+        (1e154, 1e154, "standard"),  # J t is finite, J sqrt(5) t is not
     ]
     for J, t, kind in bad:
         for fn in (jc_evolution_map, jc_unitary):
