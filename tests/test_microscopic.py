@@ -241,7 +241,7 @@ def mp_jc_map(J, t, tr, kind):
 
 # Over 3000 seeded random draws of this domain the worst entry error was
 # 3.8e-16 (standard) and 3.6e-16 (intensity-dependent), most of it the
-# rounding of the angle J t itself where sin(2 J t) is near -1.
+# rounding of the angle J t itself where |sin(2 J t)| is near 1.
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(
     kind=st.sampled_from(JC_KINDS),
