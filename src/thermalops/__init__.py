@@ -11,7 +11,6 @@ Jaynes-Cummings verification of the extremal operation.  Units: hbar = k_B
 __version__ = "0.1.0"
 
 from .errors import (
-    BisectionError,
     ConsistencyError,
     CountingOverflowError,
     DegenerateCycleError,
@@ -59,7 +58,6 @@ from .three_stroke import (
     three_stroke_steady_state,
 )
 from .fcs import (
-    TiltedMap,
     WorkDistribution,
     WorkStatistics,
     cumulant_gf,

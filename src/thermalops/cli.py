@@ -23,17 +23,17 @@ from typing import Optional, Sequence
 from . import __version__
 from .errors import ThermalOpsError
 from .fcs import intercycle_pcc
-from .maps import _eto_vs_thermalization_rows
+from .maps import eto_vs_thermalization_scan
 from .microscopic import JC_KINDS, FockTruncation, eto_approximation_report
 from .optimize import (
     ENGINES,
-    _fluctuation_rows,
     _linspace,
     _logspace,
     _otto_fields,
     _work_curve,
-    _work_efficiency_rows,
+    fluctuation_curve,
     three_stroke_config_at,
+    work_efficiency_curve,
 )
 from .otto import MARKOV, NONMARKOV, _otto_cycle
 from .verify import run_suites
@@ -58,14 +58,14 @@ def _log_grid(p, lo: str, hi: str) -> list[float]:
 
 def _run_fig1(p):
     grid = _log_grid(p, "t2_min", "t2_max")
-    rows = _eto_vs_thermalization_rows(p["omega_over_T1"], grid)
+    rows = eto_vs_thermalization_scan(p["omega_over_T1"], grid)
     return ["t2_over_t1", "p_e_eto", "p_e_thermalization"], rows
 
 
 def _run_fig4(p):
     etas = _linspace(p["eta_min"], p["eta_max"], _points(p, 1))
     curves = {
-        engine: _work_efficiency_rows(p["eta_C"], p["T_H"], engine, etas) for engine in ENGINES
+        engine: work_efficiency_curve(p["eta_C"], p["T_H"], engine, etas) for engine in ENGINES
     }
     rows = [
         [eta, curves[NONMARKOV][i][1], curves[MARKOV][i][1], curves["three_stroke"][i][1]]
@@ -76,7 +76,7 @@ def _run_fig4(p):
 
 def _run_fig5(p):
     grid = _log_grid(p, "omega_lo", "omega_hi")
-    data = _fluctuation_rows(p["eta"], p["eta_C"], p["T_H"], p["horizon"], grid)
+    data = fluctuation_curve(p["eta"], p["eta_C"], p["T_H"], p["horizon"], grid)
     rows = []
     for engine in (NONMARKOV, MARKOV):
         rows.extend([ENGINE_CODES[engine], *r] for r in data[engine])

@@ -55,11 +55,6 @@ class EnumerationSizeError(ThermalOpsError):
     """Requested cycle count exceeds the exact-enumeration budget."""
 
 
-class BisectionError(InvalidParameterError):
-    """The target of a scalar solve is out of its reach: an efficiency
-    outside ``(0, eta_C)`` for the three-stroke gap inversion."""
-
-
 class TruncationError(ThermalOpsError):
     """Fock-space truncation is too small for the requested thermal tail
     bound."""

@@ -6,12 +6,12 @@ The tilted cycle map ``P(chi)`` composes an engine's stroke tuple
 ln(1^T P(chi)^N p)`` is the cumulant generating function of the N-cycle
 work from the cyclostationary state ``p``.
 
-Mean and variance are closed forms over the cycle shape both engines
-build: heat map ``H``, a work stroke, heat map ``C`` and an optional second
-work stroke.  With ``x = H p``, the cell ``(a, b)``, level ``a`` after ``H``
-and ``b`` after ``C``, has probability ``P_ab = x_a C[b][a']`` (``a'`` is
-``a`` after the first work stroke) and releases ``K_ab = k1[a] + k2[b]``
-work quanta.  The single-cycle variance is ``v1 = sum_{i<j} P_i P_j (K_i -
+Mean and variance are closed forms over the two cycle shapes that
+``Cycle`` admits: heat map ``H``, a work stroke, heat map ``C`` and an
+optional second work stroke.  With ``x = H p``, the cell ``(a, b)``, level
+``a`` after ``H`` and ``b`` after ``C``, has probability ``P_ab = x_a
+C[b][a']`` (``a'`` is ``a`` after the first work stroke) and releases
+``K_ab = k1[a] + k2[b]`` work quanta.  The single-cycle variance is ``v1 = sum_{i<j} P_i P_j (K_i -
 K_j)^2`` and ``J = sum P_i P_j (K_i - K_j)``, over a cell ``i`` that ends
 the cycle in g and a cell ``j`` that ends it in e, is ``Cov(k, 1{end = g})``.
 The mean work from g less that from e is ``-det H (d1 + s d2 det C)``, with
@@ -52,7 +52,6 @@ from .errors import (
 from .maps import (
     DRIFT_RENORM,
     Cycle,
-    GibbsStochasticMatrix,
     PopulationVector,
     WorkStroke,
     _compose,
@@ -68,21 +67,18 @@ ENUM_MAX_CYCLES = 12
 
 np = _LazyNumpy(globals())
 
-# The counting-field view of a cycle: ``TiltedMap.matrix(chi)`` is P(chi).
-TiltedMap = Cycle
 
-
-def tilted_map_otto(cfg: OttoConfig) -> TiltedMap:
+def tilted_map_otto(cfg: OttoConfig) -> Cycle:
     """The Otto cycle as a tilted map; its quantum is ``omega_H - omega_C``."""
     return cfg.cycle()
 
 
-def tilted_map_three_stroke(cfg: ThreeStrokeConfig) -> TiltedMap:
+def tilted_map_three_stroke(cfg: ThreeStrokeConfig) -> Cycle:
     """The three-stroke cycle as a tilted map; its quantum is ``omega``."""
     return cfg.cycle()
 
 
-def cumulant_gf(tmap: TiltedMap, p1: PopulationVector, n: int, chi: float) -> float:
+def cumulant_gf(tmap: Cycle, p1: PopulationVector, n: int, chi: float) -> float:
     """N-cycle cumulant generating function ``G_N(chi)``; zero at ``chi = 0``."""
     n = require_count(n, 1, "cycle count")
     m = tmap.matrix(chi)
@@ -95,17 +91,9 @@ def cumulant_gf(tmap: TiltedMap, p1: PopulationVector, n: int, chi: float) -> fl
     return float(np.log(vec.sum()))
 
 
-_HEAT_WORK_HEAT = (GibbsStochasticMatrix, WorkStroke, GibbsStochasticMatrix)
-_CYCLE_SHAPES = (_HEAT_WORK_HEAT, _HEAT_WORK_HEAT + (WorkStroke,))
-
-
-def _spectral_terms(tmap: TiltedMap, m0: tuple, p1: PopulationVector | None = None):
+def _spectral_terms(tmap: Cycle, m0: tuple, p1: PopulationVector | None = None):
     """``(v1, c, 1 - mu)`` of the cycle, in work quanta, in its steady state,
-    the fixed point of ``m0 = tmap._product()``; a ``p1`` must be that state.
-    ``InvalidParameterError`` for a cycle of any shape but (heat, work, heat)
-    or (heat, work, heat, work)."""
-    if tuple(map(type, tmap.strokes)) not in _CYCLE_SHAPES:
-        raise InvalidParameterError("counting statistics need (heat, work, heat[, work]) strokes")
+    the fixed point of ``m0 = tmap._product()``; a ``p1`` must be that state."""
     hot, first, cold, *last = tmap.strokes
     p_g, p_e = _fixed_point(*m0)
     if p1 is not None and not abs(p1.p_e - p_e) <= DRIFT_RENORM:
@@ -177,7 +165,7 @@ class WorkStatistics:
     ratio: float  # variance / mean, in energy units
 
 
-def work_moments(tmap: TiltedMap, p1: PopulationVector | None, n: int) -> WorkStatistics:
+def work_moments(tmap: Cycle, p1: PopulationVector | None, n: int) -> WorkStatistics:
     """Finite-N work mean ``N work()`` and variance ``N v1 + 2 c S_N`` from
     the steady state, which ``p1`` must be (to ``DRIFT_RENORM`` in ``p_e``) or
     None.  ``ZeroWorkError`` when the mean is 0: the ratio is undefined."""
@@ -195,7 +183,7 @@ def work_moments(tmap: TiltedMap, p1: PopulationVector | None, n: int) -> WorkSt
     return WorkStatistics(n, mean, variance, variance / mean)
 
 
-def scaled_cumulants(tmap: TiltedMap) -> tuple[float, float]:
+def scaled_cumulants(tmap: Cycle) -> tuple[float, float]:
     """Infinite-cycle work mean ``work()`` and variance ``v1 + 2 c / (1 - mu)``
     per cycle.  ``NonPrimitiveMapError`` unless the untilted map is primitive
     (its square strictly positive) with a simple dominant eigenvalue."""
@@ -298,7 +286,7 @@ def enumerate_work_distribution(cfg: EngineConfig, n: int) -> WorkDistribution:
     return WorkDistribution(n, quantum, support)
 
 
-def intercycle_pcc(tmap: TiltedMap, p1: PopulationVector | None) -> float:
+def intercycle_pcc(tmap: Cycle, p1: PopulationVector | None) -> float:
     """Pearson coefficient ``Cov / Var_1 = c / v1`` of the work in two
     successive cycles, in [-1, 1], from the steady state as in ``work_moments``;
     ``ZeroVarianceError`` when ``v1`` is 0."""

@@ -20,9 +20,12 @@ state description here.
 
 An engine cycle is an ordered tuple of two-level strokes (``Cycle``): heat
 strokes are Gibbs-stochastic maps, work strokes (``WorkStroke``) permute
-the levels at frozen populations while the gap changes.  The cycle map,
-its steady state, the stroke-boundary populations and the heats follow
-from that tuple; the work is the engine's closed form (``Cycle.work``).
+the levels at frozen populations while the gap changes.  Two shapes
+exist, (heat, work, heat) for the three-stroke engine and (heat, work,
+heat, work) for the Otto engine; ``Cycle`` checks the shape when it is
+built.  The cycle map, its steady state, the stroke-boundary populations
+and the heats follow from that tuple; the work is the engine's closed form
+(``Cycle.work``).
 
 Every value is checked once, where it enters, and 2x2 work is done on
 Python floats: a ``GibbsStochasticMatrix`` built from a user's matrix and
@@ -364,16 +367,38 @@ class WorkStroke:
         # a checked vector with its levels swapped needs no second check
         return _unchecked(PopulationVector, p_g=p.p_e, p_e=p.p_g) if self.flip else p
 
+    def _after(self, m: tuple, chi: float) -> tuple[float, float, float, float]:
+        """The row-major map ``m`` followed by this stroke, each transition
+        weighted by ``exp(chi * released work)``: a row scaling, then a
+        permutation."""
+        a, b, c, d = m
+        if chi:
+            s_g, s_e = (math.exp(chi * w) for w in self.released)
+            a, b, c, d = a * s_g, b * s_g, c * s_e, d * s_e
+        return (c, d, a, b) if self.flip else (a, b, c, d)
+
+
+_SHAPES = (
+    (GibbsStochasticMatrix, WorkStroke, GibbsStochasticMatrix),
+    (GibbsStochasticMatrix, WorkStroke, GibbsStochasticMatrix, WorkStroke),
+)
+
 
 @dataclass(frozen=True, eq=False)
 class Cycle:
-    """Engine cycle: heat and work strokes in order from the heat stroke at
-    point 1, the work quantum that every work-stroke transition releases a
-    multiple of, and ``work()``, the engine's closed-form steady work."""
+    """Engine cycle: the strokes from point 1, a tuple (heat, work, heat) or
+    (heat, work, heat, work), the work quantum that every work-stroke
+    transition releases a multiple of, and ``work()``, the engine's
+    closed-form steady work.  Any other stroke tuple raises
+    ``InvalidParameterError`` here, so no method checks the shape again."""
 
     strokes: tuple
     quantum: float
     work: Callable[[], float]
+
+    def __post_init__(self):
+        if not isinstance(self.strokes, tuple) or tuple(map(type, self.strokes)) not in _SHAPES:
+            raise InvalidParameterError("a cycle is (heat, work, heat) or (heat, work, heat, work)")
 
     def matrix(self, chi: float = 0.0) -> np.ndarray:
         """Cycle map ``S_k @ ... @ S_1`` with every work-stroke transition
@@ -389,62 +414,40 @@ class Cycle:
 
     def _product(self, chi: float = 0.0) -> tuple[float, float, float, float]:
         """``matrix(chi)`` as row-major floats.  Work strokes are row
-        scalings and permutations, so the only products are those between
-        heat strokes."""
-        m = None
-        for stroke in self.strokes:
-            if isinstance(stroke, WorkStroke):
-                if m is None:
-                    raise InvalidParameterError("a cycle must start with a heat stroke")
-                a, b, c, d = m
-                if chi:
-                    s_g, s_e = (math.exp(chi * w) for w in stroke.released)
-                    a, b, c, d = a * s_g, b * s_g, c * s_e, d * s_e
-                m = (c, d, a, b) if stroke.flip else (a, b, c, d)
-            elif m is None:
-                m = stroke._entries
-            else:
-                m = _compose(stroke._entries, m)
-        return m
+        scalings and permutations, so the only product is the one between
+        the heat strokes."""
+        hot, first, cold, *last = self.strokes
+        m = _compose(cold._entries, first._after(hot._entries, chi))
+        return last[0]._after(m, chi) if last else m
 
     def steady_state(self) -> PopulationVector:
         """Cyclostationary populations at point 1."""
         return PopulationVector.from_raw(_fixed_point(*self._product()))
 
     def run(self) -> tuple[list[PopulationVector], float, list[float]]:
-        """One steady cycle: the populations entering each stroke (reached
-        backwards from point 1 after the last heat stroke, so the cycle closes
-        exactly), ``work()`` and the heat absorbed in each heat stroke."""
-        strokes, n = self.strokes, len(self.strokes)
-        last = max(i for i, s in enumerate(strokes) if not isinstance(s, WorkStroke))
-        points = [self.steady_state()] * n  # overwritten from point 2 on
-        for i in range(1, last + 1):
-            prev, p = strokes[i - 1], points[i - 1]
-            points[i] = prev.apply(p) if isinstance(prev, WorkStroke) else apply_map(prev, p)
-        for i in range(n - 1, last, -1):
-            points[i] = strokes[i].apply(points[(i + 1) % n])
-        pairs = zip(strokes, points, points[1:] + points[:1])
-        heats = [s.omega * (q.p_e - p.p_e) for s, p, q in pairs if not isinstance(s, WorkStroke)]
-        return points, self.work(), heats
+        """One steady cycle: the populations entering each stroke, ``work()``
+        and the heat absorbed in each heat stroke.  The point after the cold
+        stroke is the last work stroke undone from point 1 (a work stroke is
+        its own inverse), so the cycle closes exactly."""
+        hot, first, cold, *last = self.strokes
+        p1 = self.steady_state()
+        p2 = apply_map(hot, p1)
+        p3 = first.apply(p2)
+        p4 = last[0].apply(p1) if last else p1
+        heats = [hot.omega * (p2.p_e - p1.p_e), cold.omega * (p4.p_e - p3.p_e)]
+        return [p1, p2, p3] + [p4] * len(last), self.work(), heats
 
 
 def eto_vs_thermalization_scan(
     omega_over_T1: float, t2_over_t1_grid: Sequence[float]
-) -> np.ndarray:
+) -> list[list[float]]:
     """Excited-state population after one ETO vs. after full thermalization.
 
     The qubit starts in the thermal state at temperature T1 and a single
     operation at temperature T2 is applied, for each T2 in the grid.
-    Returns an array with rows (T2/T1, p_e after ETO, p_e after
-    thermalization); T1 = 1 sets the unit.
+    Returns rows (T2/T1, p_e after ETO, p_e after thermalization) as lists
+    of floats; T1 = 1 sets the unit.
     """
-    return np.array(_eto_vs_thermalization_rows(omega_over_T1, t2_over_t1_grid))
-
-
-def _eto_vs_thermalization_rows(
-    omega_over_T1: float, t2_over_t1_grid: Sequence[float]
-) -> list[list[float]]:
-    """The rows of ``eto_vs_thermalization_scan`` as lists of floats."""
     if omega_over_T1 <= 0.0:
         raise InvalidParameterError("omega_over_T1 must be > 0")
     grid = [float(t2) for t2 in t2_over_t1_grid]

@@ -17,7 +17,9 @@ chosen: its zero-work gap lies below ``ln 2 * T_H``, its efficiency falls
 strictly below that gap, and one bisection there finds the gap at ``eta``.
 
 All scans are deterministic: identical inputs produce bit-identical
-outputs.
+outputs.  ``work_efficiency_curve`` and ``fluctuation_curve`` return their
+rows as lists of Python floats, the rows the CLI prints; nothing here
+imports numpy.
 """
 
 from __future__ import annotations
@@ -27,14 +29,9 @@ import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import (
-    BisectionError,
-    InvalidParameterError,
-    NoInteriorMaximumWarning,
-    ZeroWorkError,
-)
+from .errors import InvalidParameterError, NoInteriorMaximumWarning, ZeroWorkError
 from .fcs import scaled_cumulants, work_moments
-from .maps import Cycle, _LazyNumpy, require_count, require_descending
+from .maps import Cycle, require_count, require_descending
 from .otto import (
     MARKOV,
     NONMARKOV,
@@ -54,8 +51,6 @@ HORIZONS = (SINGLE_CYCLE, INFINITE)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _XTOL = 1e-8
-
-np = _LazyNumpy(globals())
 
 
 @dataclass(frozen=True)
@@ -267,7 +262,7 @@ def three_stroke_omega_for_eta(eta: float, eta_C: float, T_H: float) -> float:
       1/a - 1/a = 0``, so ``eta`` falls strictly on the whole branch.
     """
     if not 0.0 < eta < eta_C < 1.0:
-        raise BisectionError(
+        raise InvalidParameterError(
             f"target efficiency {eta} outside the attainable range (0, {eta_C})"
         )
     T_C = (1.0 - eta_C) * T_H
@@ -286,20 +281,14 @@ def three_stroke_config_at(eta: float, eta_C: float, T_H: float) -> ThreeStrokeC
 
 def work_efficiency_curve(
     eta_C: float, T_H: float, engine: str, eta_grid: Sequence[float]
-) -> np.ndarray:
-    """Work-per-cycle (k_B T_H units) vs efficiency for one engine.
+) -> list[list[float]]:
+    """Work-per-cycle (k_B T_H units) vs efficiency for one engine, as rows
+    ``[eta, W]`` of floats.
 
     Otto rows maximize over the gap in ``[1e-3 * T_H, 20 * T_H]`` at each
     efficiency; three-stroke rows invert the efficiency for the gap and
     evaluate the cycle's closed-form work there.
     """
-    return np.array(_work_efficiency_rows(eta_C, T_H, engine, eta_grid))
-
-
-def _work_efficiency_rows(
-    eta_C: float, T_H: float, engine: str, eta_grid: Sequence[float]
-) -> list[list[float]]:
-    """The rows ``(eta, W)`` of ``work_efficiency_curve`` as lists of floats."""
     etas = [float(eta) for eta in eta_grid]
     if not etas or not all(0.0 < eta < eta_C for eta in etas):  # NaN fails too
         raise InvalidParameterError("eta grid must lie strictly inside (0, eta_C)")
@@ -335,26 +324,15 @@ def fluctuation_curve(
     T_H: float,
     horizon: str,
     omega_H_grid: Sequence[float],
-) -> dict[str, np.ndarray]:
+) -> dict[str, list]:
     """Work vs variance-to-work ratio at fixed (eta, eta_C).
 
-    Returns, per Otto regime, rows ``(omega_H, W, ratio)`` parametrized by
-    the gap grid, plus the single three-stroke point under the key
-    ``"three_stroke"``.  Energies are in units of k_B T_H.  ``horizon``
-    selects single-cycle statistics or the infinite-cycle scaled limit.
+    Returns, per Otto regime, rows ``[omega_H, W, ratio]`` of floats
+    parametrized by the gap grid, plus the single three-stroke point, one
+    such row, under the key ``"three_stroke"``.  Energies are in units of
+    k_B T_H.  ``horizon`` selects single-cycle statistics or the
+    infinite-cycle scaled limit.
     """
-    rows = _fluctuation_rows(eta, eta_C, T_H, horizon, omega_H_grid)
-    return {key: np.array(value) for key, value in rows.items()}
-
-
-def _fluctuation_rows(
-    eta: float,
-    eta_C: float,
-    T_H: float,
-    horizon: str,
-    omega_H_grid: Sequence[float],
-) -> dict[str, list]:
-    """``fluctuation_curve`` with lists of floats for rows."""
     if horizon not in HORIZONS:
         raise InvalidParameterError(f"horizon must be one of {HORIZONS}, got {horizon!r}")
     if not 0.0 < eta < eta_C < 1.0:

@@ -41,6 +41,7 @@ from .maps import (
     PopulationVector,
     WorkStroke,
     _build_map,
+    _unchecked,
     build_map,  # noqa: F401  (bench/tests/test_bench.py reads thermalops.otto.build_map)
     require_descending,
     require_unit_interval,
@@ -159,11 +160,13 @@ class OttoConfig(EngineConfig):
 
 
 def _otto_cycle(*fields: float) -> Cycle:
-    """``OttoConfig.cycle`` on fields that the caller has already checked."""
+    """``OttoConfig.cycle`` on fields that the caller has already checked;
+    the strokes have the Otto shape, so ``Cycle``'s check of it is skipped."""
     omega_H, omega_C, T_H, T_C, l_H, l_C = fields
     hot, cold = _heat_map(omega_H, T_H, l_H), _heat_map(omega_C, T_C, l_C)
-    quench, unquench = WorkStroke(omega_H, omega_C), WorkStroke(omega_C, omega_H)
-    return Cycle((hot, quench, cold, unquench), omega_H - omega_C, partial(_otto_work, *fields))
+    strokes = (hot, WorkStroke(omega_H, omega_C), cold, WorkStroke(omega_C, omega_H))
+    work = partial(_otto_work, *fields)
+    return _unchecked(Cycle, strokes=strokes, quantum=omega_H - omega_C, work=work)
 
 
 @dataclass(frozen=True)

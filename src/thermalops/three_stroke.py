@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import partial
 
 from .errors import DegenerateCycleError, NotAnEngineWarning, ZeroHeatError
-from .maps import Cycle, PopulationVector, WorkStroke
+from .maps import Cycle, PopulationVector, WorkStroke, _unchecked
 from .otto import MARKOV, NONMARKOV, EngineConfig
 
 _HEAT_TOL = 1e-14
@@ -51,10 +51,11 @@ class ThreeStrokeConfig(EngineConfig):
         return self.omega
 
     def cycle(self) -> Cycle:
-        """Heat, flip, cool."""
+        """Heat, flip, cool: a shape ``Cycle`` admits, so its check is skipped."""
         strokes = (self.hot_map(), WorkStroke(self.omega, self.omega, flip=True), self.cold_map())
         fields = (self.omega, self.T_H, self.T_C, self.lambda_H, self.lambda_C)
-        return Cycle(strokes, self.work_quantum, partial(_three_stroke_work, *fields))
+        work = partial(_three_stroke_work, *fields)
+        return _unchecked(Cycle, strokes=strokes, quantum=self.work_quantum, work=work)
 
     def requires_eto(self):
         """Closed forms hold only for extremal operations (``nonmarkov``)."""

@@ -240,7 +240,7 @@ def test_criterion_7_quantified_comparison():
 
         grid = [record.omega_H_star]
         data = fluctuation_curve(0.3, 0.5, 1.0, "infinite", grid)
-        excess = data["nonmarkov"][0, 2] / data["three_stroke"][2] - 1.0
+        excess = data["nonmarkov"][0][2] / data["three_stroke"][2] - 1.0
         print(f"  work ratio {work_ratio:.3f}, fluctuation excess {100 * excess:.1f}%")
         assert 3.0 <= work_ratio <= 5.0
         assert 0.0 <= excess <= 0.20
@@ -251,8 +251,8 @@ def test_criterion_8_fig5_qualitative_shape():
         grid = [1e-3]
         single = fluctuation_curve(0.3, 0.5, 1.0, "single_cycle", grid)
         infinite = fluctuation_curve(0.3, 0.5, 1.0, "infinite", grid)
-        ratio_1 = single["nonmarkov"][0, 2]
-        ratio_inf = infinite["nonmarkov"][0, 2]
+        ratio_1 = single["nonmarkov"][0][2]
+        ratio_inf = infinite["nonmarkov"][0][2]
         print(f"  single-cycle ratio {ratio_1:.6e}, scaled ratio {ratio_inf:.4f}")
         assert ratio_inf > 10.0 * ratio_1
         # Known red: the small-gap expansion gives ratio_1 -> 1.749 * omega_H

@@ -250,6 +250,43 @@ def test_table_commands_run_without_numpy():
     assert {"maps", "microscopic", "verify"} <= set(holding_numpy)
 
 
+# Calls the three public scans in a fresh interpreter and prints their rows
+# and whether numpy is loaded afterwards.
+SCAN_PROBE = """
+import json, sys
+from thermalops import eto_vs_thermalization_scan, fluctuation_curve, work_efficiency_curve
+
+fig1 = eto_vs_thermalization_scan(0.5, [0.5, 2.0])
+fig4 = work_efficiency_curve(0.5, 1.0, "markov", [0.1, 0.3])
+fig5 = fluctuation_curve(0.3, 0.5, 1.0, "infinite", [0.5, 1.0])
+rows = [*fig1, *fig4, *fig5["nonmarkov"], *fig5["markov"], fig5["three_stroke"]]
+floats = all(type(row) is list and all(type(x) is float for x in row) for row in rows)
+print(json.dumps([fig1, fig4, fig5, floats, "numpy" in sys.modules]))
+"""
+
+
+def test_public_scans_return_float_rows_without_numpy():
+    src = os.path.dirname(os.path.dirname(thermalops.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", SCAN_PROBE],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    fig1, fig4, fig5, floats, numpy_loaded = json.loads(done.stdout)
+    assert (floats, numpy_loaded) == (True, False)
+    # each table's first column is its grid, row by row
+    assert [row[0] for row in fig1] == [0.5, 2.0] and all(len(row) == 3 for row in fig1)
+    assert [row[0] for row in fig4] == [0.1, 0.3] and all(len(row) == 2 for row in fig4)
+    assert sorted(fig5) == ["markov", "nonmarkov", "three_stroke"]
+    for regime in ("nonmarkov", "markov"):
+        assert [row[0] for row in fig5[regime]] == [0.5, 1.0]
+        assert all(len(row) == 3 for row in fig5[regime])
+    assert len(fig5["three_stroke"]) == 3
+
+
 # --- decimal oracle for the counting-statistics tables ---
 
 

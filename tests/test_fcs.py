@@ -484,32 +484,18 @@ def test_frozen_three_stroke_pcc_is_the_closed_form():
     assert math.isclose(intercycle_pcc(tmap, p1), exact, rel_tol=1e-14)
 
 
-def test_statistics_reject_other_cycle_shapes():
-    cfg = OttoConfig.nonmarkov(1.0, 0.7, 1.0, 0.5)
-    hot, quench, cold, unquench = cfg.cycle().strokes
-    for strokes in (
-        (hot, cold, quench),
-        (hot, quench, cold, unquench, quench),
-        (hot, quench, hot, quench, cold, unquench),
-    ):
-        tmap = Cycle(strokes, cfg.work_quantum, cfg.cycle().work)
-        assert all(x > 0.0 for x in (tmap.matrix() @ tmap.matrix()).flat)  # primitive
-        for statistic in (
-            lambda: work_moments(tmap, None, 3),
-            lambda: scaled_cumulants(tmap),
-            lambda: intercycle_pcc(tmap, None),
-        ):
-            with pytest.raises(InvalidParameterError, match="heat, work, heat"):
-                statistic()
-
-
-def test_cycle_starting_with_a_work_stroke_is_rejected():
-    cfg = OttoConfig.nonmarkov(1.0, 0.7, 1.0, 0.5)
-    hot, quench, cold, unquench = cfg.cycle().strokes
-    tmap = Cycle((quench, hot, unquench, cold), cfg.work_quantum, cfg.cycle().work)
-    for method in (tmap.steady_state, tmap.run, tmap.matrix):
-        with pytest.raises(InvalidParameterError, match="start with a heat stroke"):
-            method()
+# Strokes by index into the Otto cycle (hot, quench, cold, unquench); "raw"
+# is the hot map's entries as a nested list in place of the map.
+@pytest.mark.parametrize(
+    "order",
+    [(), (1, 0, 3, 2), (0, 2, 1), (0, 1, 2, 3, 1), (0, 1, 0, 1, 2, 3), ("raw", 1, 2, 3)],
+    ids=["empty", "work-stroke-first", "heat-heat-work", "five", "six", "raw-list-heat-map"],
+)
+def test_cycle_of_another_shape_is_rejected_when_built(order):
+    cycle = OttoConfig.nonmarkov(1.0, 0.7, 1.0, 0.5).cycle()
+    pick = dict(enumerate(cycle.strokes), raw=cycle.strokes[0].m.tolist())
+    with pytest.raises(InvalidParameterError, match="heat, work, heat"):
+        Cycle(tuple(pick[i] for i in order), cycle.quantum, cycle.work)
 
 
 def test_scaled_mean_equals_cycle_work():
