@@ -322,6 +322,13 @@ def test_scan_rejects_bad_grid():
         eto_vs_thermalization_scan(-0.5, [1.0])
 
 
+def test_scan_rows_are_an_array_of_the_grid():
+    # a 2-D table of rows, one per grid point, whose first column is the grid
+    rows = eto_vs_thermalization_scan(0.5, np.array([0.5, 2.0]))
+    assert [len(row) for row in rows] == [3, 3]
+    assert [row[0] for row in rows] == [0.5, 2.0]
+
+
 @pytest.mark.parametrize("n", [3, np.int64(3), np.int32(3), np.uint8(3)])
 def test_require_count_accepts_python_and_numpy_integers(n):
     got = require_count(n, 1, "n")

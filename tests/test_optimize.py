@@ -546,13 +546,18 @@ def test_work_efficiency_curve_validation():
         work_efficiency_curve(0.5, 1.0, "diesel", [0.3])
 
 
-def test_scans_take_a_numpy_grid():
-    # a numpy grid gives the rows of the same list grid, in Python floats
+def test_public_scans_are_arrays_of_the_table_rows():
+    # a numpy grid gives the table rows of the same list grid, in Python floats
     fig1 = eto_vs_thermalization_scan(0.5, np.array([0.5, 2.0]))
     fig4 = work_efficiency_curve(0.5, 1.0, "markov", np.array([0.1, 0.3]))
+    fig5 = fluctuation_curve(0.3, 0.5, 1.0, "infinite", np.array([0.5, 1.0]))
     assert fig1 == eto_vs_thermalization_scan(0.5, [0.5, 2.0])
     assert fig4 == work_efficiency_curve(0.5, 1.0, "markov", [0.1, 0.3])
-    assert {type(x) for row in fig1 + fig4 for x in row} == {float}
+    assert fig5 == fluctuation_curve(0.3, 0.5, 1.0, "infinite", [0.5, 1.0])
+    assert [len(row) for row in fig4] == [2, 2]
+    assert len(fig5["three_stroke"]) == 3
+    tables = [fig1, fig4, fig5["nonmarkov"], fig5["markov"]]
+    assert {type(x) for table in tables for row in table for x in row} == {float}
 
 
 def test_single_cycle_ratio_scales_away_at_small_gap():
