@@ -2,18 +2,20 @@
 
 The tilted cycle map ``P(chi)`` composes an engine's stroke tuple
 (``maps.Cycle``) and weights every work-stroke transition that releases
-``k`` work quanta by ``exp(k * chi * quantum)``; ``G_N(chi) =
-ln(1^T P(chi)^N p)`` is the cumulant generating function of the N-cycle
-work from the cyclostationary state ``p``.
+``k`` work quanta by ``exp(k * chi * quantum)``, where ``quantum`` is the
+work of the first work stroke from the excited level (``Cycle.quantum``);
+``G_N(chi) = ln(1^T P(chi)^N p)`` is the cumulant generating function of
+the N-cycle work from the cyclostationary state ``p``.
 
-Mean and variance are closed forms over the two cycle shapes that
-``Cycle`` admits: heat map ``H``, a work stroke, heat map ``C`` and an
-optional second work stroke.  With ``x = H p``, the cell ``(a, b)``, level
-``a`` after ``H`` and ``b`` after ``C``, has probability ``P_ab = x_a
-C[b][a']`` (``a'`` is ``a`` after the first work stroke) and releases
-``K_ab = k1[a] + k2[b]`` work quanta.  The single-cycle variance is ``v1 = sum_{i<j} P_i P_j (K_i -
-K_j)^2`` and ``J = sum P_i P_j (K_i - K_j)``, over a cell ``i`` that ends
-the cycle in g and a cell ``j`` that ends it in e, is ``Cov(k, 1{end = g})``.
+Mean and variance are closed forms over the two cycles that ``Cycle``
+admits: heat map ``H``, a work stroke, heat map ``C`` and, for the Otto
+engine, a second work stroke that keeps the levels.  With ``x = H p``,
+the cell ``(a, b)``, level ``a`` after ``H`` and ``b`` after ``C``, has
+probability ``P_ab = x_a C[b][a']`` (``a'`` is ``a`` after the first work
+stroke) and releases ``K_ab = k1[a] + k2[b]`` work quanta.  The
+single-cycle variance is ``v1 = sum_{i<j} P_i P_j (K_i - K_j)^2`` and
+``J = sum P_i P_j (K_i - K_j)``, over a cell ``i`` that ends the cycle in
+g and a cell ``j`` that ends it in e, is ``Cov(k, 1{end = g})``.
 The mean work from g less that from e is ``-det H (d1 + s d2 det C)``, with
 ``d = k[1] - k[0]``, ``s = -1`` when the first work stroke flips, and
 ``det = m11 - m10``, so ``c = -det H (d1 + s d2 det C) J`` is the covariance
@@ -105,14 +107,11 @@ def _spectral_terms(tmap: Cycle, m0: tuple, p1: PopulationVector | None = None):
     q = tmap.quantum
     k1_g, k1_e, k2_g, k2_e = k1_g / q, k1_e / q, k2_g / q, k2_e / q
     # Cell (a, b): level a after the hot stroke and b after the cold one,
-    # with probability x_a t[b][a] and k1[a] + k2[b] quanta.  Row b = 0 of t
-    # and k2 is the level that ends the cycle in g.
+    # with probability x_a t[b][a] and k1[a] + k2[b] quanta; the Otto quench
+    # back keeps the levels, so b = 0 is the level that ends the cycle in g.
     t = (c01, c00, c11, c10) if first.flip else (c00, c01, c10, c11)
-    k2 = (k2_g, k2_e)
-    if last and last[0].flip:
-        t, k2 = t[2:] + t[:2], k2[::-1]
     P0, P1, P2, P3 = x_g * t[0], x_e * t[1], x_g * t[2], x_e * t[3]
-    K0, K1, K2, K3 = k1_g + k2[0], k1_e + k2[0], k1_g + k2[1], k1_e + k2[1]
+    K0, K1, K2, K3 = k1_g + k2_g, k1_e + k2_g, k1_g + k2_e, k1_e + k2_e
     d01, d02, d03, d12, d13, d23 = K0 - K1, K0 - K2, K0 - K3, K1 - K2, K1 - K3, K2 - K3
     # every pair of cells once, so no term is negative and nothing is centred;
     # written out, as sum() compensates from Python 3.12 on and would move bits

@@ -20,12 +20,15 @@ state description here.
 
 An engine cycle is an ordered tuple of two-level strokes (``Cycle``): heat
 strokes are Gibbs-stochastic maps, work strokes (``WorkStroke``) permute
-the levels at frozen populations while the gap changes.  Two shapes
-exist, (heat, work, heat) for the three-stroke engine and (heat, work,
-heat, work) for the Otto engine; ``Cycle`` checks the shape when it is
-built.  The cycle map, its steady state, the stroke-boundary populations
-and the heats follow from that tuple; the work is the engine's closed form
-(``Cycle.work``).
+the levels at frozen populations while the gap changes.  ``Cycle`` admits
+(heat, quench down, heat, quench back) for the Otto engine and (heat,
+flip, heat) at one gap for the three-stroke engine, and checks when it is
+built that the work strokes link the heat maps' gaps.  Everything follows
+from the tuple: the cycle map, its steady state and points, the heats, the
+work quantum and the closed-form work (``Cycle.work``), which reads each
+heat map's gap, coupling and ``beta_omega``, the exponent of its Boltzmann
+factor.  Engines form ``beta_omega`` as ``omega / T``, which rounds once
+and stays finite at a subnormal ``T``, where ``1 / T`` overflows.
 
 Every value is checked once, where it enters, and 2x2 work is done on
 Python floats: a ``GibbsStochasticMatrix`` built from a user's matrix and
@@ -46,7 +49,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import (
     ConsistencyError,
@@ -61,7 +64,6 @@ DRIFT_RENORM = 1e-12
 DRIFT_FAIL = 1e-9
 
 STOCHASTIC_TOL = 1e-12
-DEGENERACY_TOL = 1e-12
 
 
 class _LazyNumpy:
@@ -150,18 +152,23 @@ class GibbsStochasticMatrix:
     """2x2 column-stochastic matrix with the Gibbs populations as fixed point.
 
     Entry ``m[i, j]`` is the transition probability from source level ``j``
-    to target level ``i``, ordering (ground, excited).  ``_entries`` holds
-    the checked entries ``(m[0, 0], m[0, 1], m[1, 0], m[1, 1])`` as floats.
-    ``m`` is a read-only array of them, built on first access.
+    to target level ``i``, ordering (ground, excited), and the Boltzmann
+    factor is ``q = exp(-beta_omega)``.  ``_entries`` holds the checked
+    entries ``(m[0, 0], m[0, 1], m[1, 0], m[1, 1])`` as floats; ``m[0, 1]``
+    is the coupling ``lam``.  ``m`` is a read-only array of them, built on
+    first access.
     """
 
     m: np.ndarray
     omega: float
-    beta: float
+    beta_omega: float
 
     def __post_init__(self):
-        q = _boltzmann_factor(self.omega, self.beta)
-        entries = _gibbs_stochastic_entries(*_entries_2x2(self.m), q)
+        if not (self.omega > 0.0 and self.beta_omega >= 0.0):  # NaN fails too
+            raise InvalidParameterError(
+                f"need omega > 0 and beta_omega >= 0, got {self.omega}, {self.beta_omega}"
+            )
+        entries = _gibbs_stochastic_entries(*_entries_2x2(self.m), math.exp(-self.beta_omega))
         del self.__dict__["m"]  # rebuilt from the checked entries
         self.__dict__["_entries"] = entries
 
@@ -271,17 +278,19 @@ def build_map(params: ThermalOpParams) -> GibbsStochasticMatrix:
     bitwise the entries of the numpy expression, signed zeros included.
     They are checked once, by the same code as a user's matrix.
     """
-    return _build_map(params.omega, params.beta, params.lam, math.exp(-params.beta * params.omega))
+    return _build_map(params.omega, params.beta * params.omega, params.lam)
 
 
-def _build_map(omega: float, beta: float, lam: float, q: float) -> GibbsStochasticMatrix:
+def _build_map(omega: float, beta_omega: float, lam: float) -> GibbsStochasticMatrix:
     """``build_map`` on values its caller has checked as ``ThermalOpParams``
-    would, with the Boltzmann factor ``q`` of ``omega`` at ``beta``."""
+    would, with the exponent ``beta_omega`` of the Boltzmann factor formed
+    by the caller: ``beta * omega``, or ``omega / T`` for an engine."""
+    q = math.exp(-beta_omega)
     keep = 1.0 - lam
     entries = _gibbs_stochastic_entries(
         keep + lam * (1.0 - q), 0.0 + lam, 0.0 + lam * q, keep + lam * 0.0, q
     )
-    return _unchecked(GibbsStochasticMatrix, _entries=entries, omega=omega, beta=beta)
+    return _unchecked(GibbsStochasticMatrix, _entries=entries, omega=omega, beta_omega=beta_omega)
 
 
 def eto(omega: float, beta: float) -> GibbsStochasticMatrix:
@@ -307,8 +316,8 @@ def stationary_population(m: np.ndarray) -> PopulationVector:
     Computed in closed form from the off-diagonal entries,
     ``p_e = m[e,g] / (m[e,g] + m[g,e])``.  Raises ``InvalidParameterError``
     for a shape other than 2x2, a non-finite entry or a column sum off 1 by
-    more than ``STOCHASTIC_TOL``, and ``DegenerateCycleError`` when the
-    matrix is numerically the identity and the fixed point is not unique.
+    more than ``STOCHASTIC_TOL``, and ``DegenerateCycleError`` when both
+    off-diagonal entries are 0 and the fixed point is not unique.
     """
     return PopulationVector.from_raw(_fixed_point(*_entries_2x2(m)))
 
@@ -326,16 +335,10 @@ def _fixed_point(stay_g: float, down: float, up: float, stay_e: float) -> tuple[
     cols = (stay_g + up, down + stay_e)  # NaN and inf fail the test below
     if not (abs(cols[0] - 1.0) <= STOCHASTIC_TOL and abs(cols[1] - 1.0) <= STOCHASTIC_TOL):
         raise InvalidParameterError(f"columns must sum to 1 within {STOCHASTIC_TOL}, got {cols}")
-    if (
-        abs(stay_g - 1.0) < DEGENERACY_TOL
-        and abs(down) < DEGENERACY_TOL
-        and abs(up) < DEGENERACY_TOL
-        and abs(stay_e - 1.0) < DEGENERACY_TOL
-    ):
-        raise DegenerateCycleError(
-            "cycle map is the identity within tolerance; fixed point not unique"
-        )
-    return down / (up + down), up / (up + down)
+    rate = up + down
+    if rate == 0.0:
+        raise DegenerateCycleError("cycle map is the identity; fixed point not unique")
+    return down / rate, up / rate
 
 
 def _compose(left: tuple, right: tuple) -> tuple[float, float, float, float]:
@@ -386,19 +389,40 @@ _SHAPES = (
 
 @dataclass(frozen=True, eq=False)
 class Cycle:
-    """Engine cycle: the strokes from point 1, a tuple (heat, work, heat) or
-    (heat, work, heat, work), the work quantum that every work-stroke
-    transition releases a multiple of, and ``work()``, the engine's
-    closed-form steady work.  Any other stroke tuple raises
-    ``InvalidParameterError`` here, so no method checks the shape again."""
+    """Engine cycle: the strokes from point 1.  A tuple other than (hot, quench
+    to the smaller cold gap, cold, quench back) or (hot, flip, cold) at one
+    gap raises ``InvalidParameterError`` here, so no method checks it again."""
 
     strokes: tuple
-    quantum: float
-    work: Callable[[], float]
 
     def __post_init__(self):
         if not isinstance(self.strokes, tuple) or tuple(map(type, self.strokes)) not in _SHAPES:
             raise InvalidParameterError("a cycle is (heat, work, heat) or (heat, work, heat, work)")
+        hot, first, cold, *last = self.strokes
+        w_H, w_C = hot.omega, cold.omega
+        if last:
+            linked = w_H > w_C and (first, last[0]) == (WorkStroke(w_H, w_C), WorkStroke(w_C, w_H))
+        else:
+            linked = w_H == w_C and first == WorkStroke(w_H, w_C, flip=True)
+        if not linked:
+            raise InvalidParameterError(
+                "work strokes must quench omega_H > omega_C and back, or flip at one gap"
+            )
+
+    @property
+    def quantum(self) -> float:
+        """``omega_H - omega_C`` or ``omega``, the work the first work stroke
+        releases from e; every work-stroke transition releases a multiple."""
+        return self.strokes[1].released[1]
+
+    def work(self) -> float:
+        """Steady work per cycle: the engine's closed form in each heat map's
+        gap, exponent ``beta_omega`` and coupling ``m[0, 1]``."""
+        hot, _, cold, *last = self.strokes
+        a, b, l_H, l_C = hot.beta_omega, cold.beta_omega, hot._entries[1], cold._entries[1]
+        if last:
+            return _otto_work(hot.omega, cold.omega, a, b, l_H, l_C)
+        return _three_stroke_work(hot.omega, a, b, l_H, l_C)
 
     def matrix(self, chi: float = 0.0) -> np.ndarray:
         """Cycle map ``S_k @ ... @ S_1`` with every work-stroke transition
@@ -426,16 +450,50 @@ class Cycle:
 
     def run(self) -> tuple[list[PopulationVector], float, list[float]]:
         """One steady cycle: the populations entering each stroke, ``work()``
-        and the heat absorbed in each heat stroke.  The point after the cold
-        stroke is the last work stroke undone from point 1 (a work stroke is
-        its own inverse), so the cycle closes exactly."""
+        and the heat absorbed in each heat stroke.  The Otto quench back
+        keeps the populations, so the point after the cold stroke is point
+        1 and the cycle closes exactly."""
         hot, first, cold, *last = self.strokes
         p1 = self.steady_state()
         p2 = apply_map(hot, p1)
         p3 = first.apply(p2)
-        p4 = last[0].apply(p1) if last else p1
-        heats = [hot.omega * (p2.p_e - p1.p_e), cold.omega * (p4.p_e - p3.p_e)]
-        return [p1, p2, p3] + [p4] * len(last), self.work(), heats
+        heats = [hot.omega * (p2.p_e - p1.p_e), cold.omega * (p1.p_e - p3.p_e)]
+        return [p1, p2, p3] + [p1] * len(last), self.work(), heats
+
+
+def _otto_work(w_H: float, w_C: float, a: float, b: float, l_H: float, l_C: float) -> float:
+    """``otto.otto_work`` at gaps ``w_H``, ``w_C`` on checked values, with the
+    exponents ``a = w_H / T_H`` and ``b = w_C / T_C``."""
+    q_H, q_C = math.exp(-a), math.exp(-b)
+    r_H = (1.0 - l_H) - l_H * math.expm1(-a)
+    r_C = (1.0 - l_C) - l_C * math.expm1(-b)
+    rate = l_C * q_C * r_H + (1.0 - l_C) * l_H * q_H + r_C * l_H + l_C * (1.0 - l_H)  # up + down
+    if rate == 0.0:
+        raise DegenerateCycleError("cycle map is the identity; fixed point not unique")
+    # q_H - q_C as a multiple of the larger q; when that q underflows to 0,
+    # a - b may be inf - inf, but the difference is 0.  At a == b (the
+    # Carnot point) 0.0 - makes it +0.0, where -q_H * 0.0 would be -0.0.
+    if a <= b:
+        dq = 0.0 - q_H * math.expm1(a - b) if q_H else 0.0
+    else:
+        dq = q_C * math.expm1(b - a) if q_C else 0.0
+    return (w_H - w_C) * l_H * (l_C * dq / rate)
+
+
+def _three_stroke_work(omega: float, a: float, b: float, l_H: float, l_C: float) -> float:
+    """Three-stroke work on checked values, any couplings, ``a = omega / T_H``,
+    ``b = omega / T_C``: heat maps ``x = 2 p_e - 1`` to ``mu x - r`` (``mu =
+    (1 - l) - l q``, ``r = -l expm1(-a)``) and the flip to ``-x``, so ``W =
+    -omega (r_H + mu_H r_C) / (1 + mu_H mu_C)``.  Only the numerator cancels."""
+    r_H, r_C, q_H = -l_H * math.expm1(-a), -l_C * math.expm1(-b), math.exp(-a)
+    mu_H = (1.0 - l_H) - l_H * q_H
+    if mu_H >= 0.0:  # 1 + mu_H mu_C = (1 - mu_H) + mu_H (1 + mu_C)
+        den = l_H * (1.0 + q_H) + mu_H * (2.0 * (1.0 - l_C) + r_C)
+    else:  # (1 + mu_H) - mu_H (1 - mu_C)
+        den = (2.0 * (1.0 - l_H) + r_H) - mu_H * (l_C * (1.0 + math.exp(-b)))
+    if den == 0.0:
+        raise DegenerateCycleError("cycle map is the identity; fixed point not unique")
+    return -omega * (r_H + mu_H * r_C) / den
 
 
 def eto_vs_thermalization_scan(

@@ -31,16 +31,9 @@ from typing import Sequence
 
 from .errors import InvalidParameterError, NoInteriorMaximumWarning, ZeroWorkError
 from .fcs import scaled_cumulants, work_moments
-from .maps import Cycle, require_count, require_descending
-from .otto import (
-    MARKOV,
-    NONMARKOV,
-    OttoConfig,
-    _coupling_rule,
-    _otto_cycle,
-    _otto_work,
-)
-from .three_stroke import ThreeStrokeConfig, _three_stroke_work
+from .maps import Cycle, _otto_work, _three_stroke_work, require_count, require_descending
+from .otto import MARKOV, NONMARKOV, OttoConfig, _coupling_rule, _otto_cycle
+from .three_stroke import ThreeStrokeConfig
 
 THREE_STROKE_ENGINE = "three_stroke"
 ENGINES = (NONMARKOV, MARKOV, THREE_STROKE_ENGINE)
@@ -118,7 +111,9 @@ def _work_curve(eta: float, eta_C: float, T_H: float, regime: str):
 
 
 def _otto_fields(eta: float, eta_C: float, T_H: float, regime: str):
-    """The fields of ``otto_config_at`` as a function of ``omega_H`` alone:
+    """What ``_otto_cycle`` and ``maps._otto_work`` take for the config of
+    ``otto_config_at``, ``(omega_H, omega_C, omega_H / T_H, omega_C / T_C,
+    lambda_H, lambda_C)``, as a function of ``omega_H`` alone:
     ``eta``, ``eta_C``, the temperatures and the regime are checked here,
     once, and each gap only for ``omega_H > omega_C > 0``, which also fails
     for NaN, a bool or an ``omega_C`` that underflows to 0."""
@@ -132,7 +127,7 @@ def _otto_fields(eta: float, eta_C: float, T_H: float, regime: str):
         omega_C = keep * omega_H
         if isinstance(omega_H, bool) or not omega_H > omega_C > 0.0:
             raise InvalidParameterError(f"need omega_H > omega_C > 0, got {(omega_H, omega_C)}")
-        return (omega_H, omega_C, T_H, T_C, *couplings(omega_H, omega_C))
+        return (omega_H, omega_C, omega_H / T_H, omega_C / T_C, *couplings(omega_H, omega_C))
 
     return fields
 
@@ -268,7 +263,7 @@ def three_stroke_omega_for_eta(eta: float, eta_C: float, T_H: float) -> float:
     T_C = (1.0 - eta_C) * T_H
     _coupling_rule(T_H, T_C, NONMARKOV)  # checks the temperatures
     lo = 1e-12 * T_H
-    omega_max = _bisect(lambda w: _three_stroke_work(w, T_H, T_C, 1.0, 1.0) > 0.0, lo, T_H)
+    omega_max = _bisect(lambda w: _three_stroke_work(w, w / T_H, w / T_C, 1.0, 1.0) > 0.0, lo, T_H)
     return _bisect(
         lambda w: 1.0 - math.expm1(w / T_H) / -math.expm1(-w / T_C) > eta, lo, omega_max
     )

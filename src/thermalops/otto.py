@@ -8,8 +8,10 @@ follow from the tuple (``maps.Cycle``).  ``EngineConfig`` holds the
 parameters and checks that the Otto and three-stroke configs share.
 
 ``otto_work`` gives the steady-cycle work in closed form for any
-couplings; the cycle carries it as ``Cycle.work``, so the reports, the
-counting statistics and the gap scans all return this one value.
+couplings; ``Cycle.work`` evaluates the same kernel (``maps._otto_work``)
+from the heat maps' gaps, exponents ``omega / T`` and couplings, so the
+reports, the counting statistics and the gap scans all return this one
+value.
 
 ``_coupling_rule`` is the one statement of a regime's couplings: the
 regime constructors (``EngineConfig._in_regime``) and the gap scans take
@@ -27,20 +29,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
 
-from .errors import (
-    DegenerateCycleError,
-    InvalidParameterError,
-    NotAnEngineWarning,
-    RegimeMismatchError,
-)
+from .errors import InvalidParameterError, NotAnEngineWarning, RegimeMismatchError
 from .maps import (
     Cycle,
     GibbsStochasticMatrix,
     PopulationVector,
     WorkStroke,
     _build_map,
+    _otto_work,
     _unchecked,
     build_map,  # noqa: F401  (bench/tests/test_bench.py reads thermalops.otto.build_map)
     require_descending,
@@ -73,12 +70,6 @@ def _coupling_rule(T_H: float, T_C: float, regime: str):
     raise InvalidParameterError(f"regime must be one of {REGIMES}, got {regime!r}")
 
 
-def _heat_map(omega: float, T: float, lam: float) -> GibbsStochasticMatrix:
-    """The heat map of every engine, on checked fields.  ``omega / T`` rounds
-    once and stays finite at a subnormal ``T``, where ``1 / T`` overflows."""
-    return _build_map(omega, 1.0 / T, lam, math.exp(-(omega / T)))
-
-
 class EngineConfig:
     """Checks, heat maps and regime couplings shared by the engine configs:
     frozen dataclasses with fields ``T_H``, ``T_C``, ``lambda_H``,
@@ -95,12 +86,15 @@ class EngineConfig:
             if getattr(self, name) == math.inf:
                 raise InvalidParameterError(f"{name} must be finite, got inf")
 
-    # the fields were checked in __post_init__, so the maps skip ThermalOpParams
+    # the fields were checked in __post_init__, so the maps skip ThermalOpParams;
+    # omega / T stays finite at a subnormal T, where 1 / T overflows
     def hot_map(self) -> GibbsStochasticMatrix:
-        return _heat_map(getattr(self, self.GAPS[0]), self.T_H, self.lambda_H)
+        omega = getattr(self, self.GAPS[0])
+        return _build_map(omega, omega / self.T_H, self.lambda_H)
 
     def cold_map(self) -> GibbsStochasticMatrix:
-        return _heat_map(getattr(self, self.GAPS[-1]), self.T_C, self.lambda_C)
+        omega = getattr(self, self.GAPS[-1])
+        return _build_map(omega, omega / self.T_C, self.lambda_C)
 
     @classmethod
     def _in_regime(cls, regime: str, T_H: float, T_C: float, *gaps: float):
@@ -140,11 +134,6 @@ class OttoConfig(EngineConfig):
         return cls._in_regime(MARKOV, T_H, T_C, omega_H, omega_C)
 
     @property
-    def work_quantum(self) -> float:
-        """Energy exchanged per counted event, ``omega_H - omega_C``."""
-        return self.omega_H - self.omega_C
-
-    @property
     def efficiency(self) -> float:
         return 1.0 - self.omega_C / self.omega_H
 
@@ -154,19 +143,19 @@ class OttoConfig(EngineConfig):
 
     def cycle(self) -> Cycle:
         """Heat at omega_H, quench to omega_C, cool, quench back."""
-        return _otto_cycle(
-            self.omega_H, self.omega_C, self.T_H, self.T_C, self.lambda_H, self.lambda_C
-        )
+        w_H, w_C = self.omega_H, self.omega_C
+        return _otto_cycle(w_H, w_C, w_H / self.T_H, w_C / self.T_C, self.lambda_H, self.lambda_C)
 
 
-def _otto_cycle(*fields: float) -> Cycle:
-    """``OttoConfig.cycle`` on fields that the caller has already checked;
-    the strokes have the Otto shape, so ``Cycle``'s check of it is skipped."""
-    omega_H, omega_C, T_H, T_C, l_H, l_C = fields
-    hot, cold = _heat_map(omega_H, T_H, l_H), _heat_map(omega_C, T_C, l_C)
+def _otto_cycle(
+    omega_H: float, omega_C: float, a: float, b: float, l_H: float, l_C: float
+) -> Cycle:
+    """``OttoConfig.cycle`` on checked fields, with ``a = omega_H / T_H`` and
+    ``b = omega_C / T_C``; the strokes link the gaps, so ``Cycle``'s check
+    of them is skipped."""
+    hot, cold = _build_map(omega_H, a, l_H), _build_map(omega_C, b, l_C)
     strokes = (hot, WorkStroke(omega_H, omega_C), cold, WorkStroke(omega_C, omega_H))
-    work = partial(_otto_work, *fields)
-    return _unchecked(Cycle, strokes=strokes, quantum=omega_H - omega_C, work=work)
+    return _unchecked(Cycle, strokes=strokes)
 
 
 @dataclass(frozen=True)
@@ -205,7 +194,7 @@ def otto_cycle_report(cfg: OttoConfig) -> OttoCycleReport:
 def otto_work(cfg: OttoConfig) -> float:
     """Work per steady cycle in closed form, for any couplings.
 
-    With ``q = exp(-beta * omega)`` and ``r = 1 - lam * q`` per bath, the
+    With ``q = exp(-omega / T)`` and ``r = 1 - lam * q`` per bath, the
     fixed point of ``L_C L_H`` has rates ``up = l_C q_C r_H + (1 - l_C) l_H q_H``
     and ``down = r_C l_H + l_C (1 - l_H)``; since ``q_H down - up =
     l_C (q_H - q_C)``,
@@ -214,34 +203,12 @@ def otto_work(cfg: OttoConfig) -> float:
 
     No step cancels: ``r`` and ``q_H - q_C`` are formed with ``expm1``, and
     every other term is a sum of non-negative parts.  ``cfg.cycle().work()``
-    is this value.  Raises ``DegenerateCycleError`` when ``up + down == 0``
-    (both couplings 0), where the cycle map is the identity.
+    evaluates the same kernel, ``maps._otto_work``.  Raises
+    ``DegenerateCycleError`` when ``up + down == 0`` (both couplings 0),
+    where the cycle map is the identity.
     """
-    return _otto_work(cfg.omega_H, cfg.omega_C, cfg.T_H, cfg.T_C, cfg.lambda_H, cfg.lambda_C)
-
-
-def _otto_work(
-    omega_H: float, omega_C: float, T_H: float, T_C: float, l_H: float, l_C: float
-) -> float:
-    """``otto_work`` on the fields of an ``OttoConfig`` that the caller has
-    already checked."""
-    # beta * omega would round twice, and overflow for a subnormal T
-    a = omega_H / T_H
-    b = omega_C / T_C
-    q_H, q_C = math.exp(-a), math.exp(-b)
-    r_H = (1.0 - l_H) - l_H * math.expm1(-a)
-    r_C = (1.0 - l_C) - l_C * math.expm1(-b)
-    rate = l_C * q_C * r_H + (1.0 - l_C) * l_H * q_H + r_C * l_H + l_C * (1.0 - l_H)  # up + down
-    if rate == 0.0:
-        raise DegenerateCycleError("cycle map is the identity; fixed point not unique")
-    # q_H - q_C as a multiple of the larger q; when that q underflows to 0,
-    # a - b may be inf - inf, but the difference is 0.  At a == b (the
-    # Carnot point) 0.0 - makes it +0.0, where -q_H * 0.0 would be -0.0.
-    if a <= b:
-        dq = 0.0 - q_H * math.expm1(a - b) if q_H else 0.0
-    else:
-        dq = q_C * math.expm1(b - a) if q_C else 0.0
-    return (omega_H - omega_C) * l_H * (l_C * dq / rate)
+    w_H, w_C = cfg.omega_H, cfg.omega_C
+    return _otto_work(w_H, w_C, w_H / cfg.T_H, w_C / cfg.T_C, cfg.lambda_H, cfg.lambda_C)
 
 
 def analytic_populations(cfg: OttoConfig, regime: str) -> tuple[float, float]:

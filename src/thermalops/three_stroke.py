@@ -4,19 +4,18 @@ The cycle is the stroke tuple (heat, flip, cool) at one gap ``omega``.  The
 flip swaps the populations, so a cycle generates work
 ``W = omega * (2 p_e2 - 1)``: positive only when the heat stroke produces
 population inversion.  Since Markovian thermal operations cannot invert a
-non-inverted state, the engine runs only in the non-Markovian regime.  The
-cycle carries that work in closed form (``_three_stroke_work``, any
-couplings).  Signs match the Otto module; ``W = Q_H + Q_C`` to rounding.
+non-inverted state, the engine runs only in the non-Markovian regime.
+``Cycle.work`` evaluates that work in closed form, for any couplings, from
+the heat maps (``maps._three_stroke_work``).  Signs match the Otto module;
+``W = Q_H + Q_C`` to rounding.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
 
-from .errors import DegenerateCycleError, NotAnEngineWarning, ZeroHeatError
+from .errors import NotAnEngineWarning, ZeroHeatError
 from .maps import Cycle, PopulationVector, WorkStroke, _unchecked
 from .otto import MARKOV, NONMARKOV, EngineConfig
 
@@ -45,38 +44,14 @@ class ThreeStrokeConfig(EngineConfig):
         """Both heat strokes fully thermalize the qubit, as in ``OttoConfig.markov``."""
         return cls._in_regime(MARKOV, T_H, T_C, omega)
 
-    @property
-    def work_quantum(self) -> float:
-        """Every flip exchanges exactly one quantum ``omega``."""
-        return self.omega
-
     def cycle(self) -> Cycle:
-        """Heat, flip, cool: a shape ``Cycle`` admits, so its check is skipped."""
+        """Heat, flip, cool: the strokes link the gap, so ``Cycle``'s check is skipped."""
         strokes = (self.hot_map(), WorkStroke(self.omega, self.omega, flip=True), self.cold_map())
-        fields = (self.omega, self.T_H, self.T_C, self.lambda_H, self.lambda_C)
-        work = partial(_three_stroke_work, *fields)
-        return _unchecked(Cycle, strokes=strokes, quantum=self.work_quantum, work=work)
+        return _unchecked(Cycle, strokes=strokes)
 
     def requires_eto(self):
         """Closed forms hold only for extremal operations (``nonmarkov``)."""
         self._require_regime(NONMARKOV)
-
-
-def _three_stroke_work(omega: float, T_H: float, T_C: float, l_H: float, l_C: float) -> float:
-    """Steady work on checked fields, any couplings: heat maps ``x = 2 p_e - 1``
-    to ``mu x - r`` (``mu = (1 - l) - l q``, ``r = -l expm1(-omega / T)``) and
-    the flip to ``-x``, so ``W = -omega (r_H + mu_H r_C) / (1 + mu_H mu_C)``.
-    The denominator adds non-negative parts, so only the numerator cancels."""
-    a, b = omega / T_H, omega / T_C
-    r_H, r_C, q_H = -l_H * math.expm1(-a), -l_C * math.expm1(-b), math.exp(-a)
-    mu_H = (1.0 - l_H) - l_H * q_H
-    if mu_H >= 0.0:  # 1 + mu_H mu_C = (1 - mu_H) + mu_H (1 + mu_C)
-        den = l_H * (1.0 + q_H) + mu_H * (2.0 * (1.0 - l_C) + r_C)
-    else:  # (1 + mu_H) - mu_H (1 - mu_C)
-        den = (2.0 * (1.0 - l_H) + r_H) - mu_H * (l_C * (1.0 + math.exp(-b)))
-    if den == 0.0:
-        raise DegenerateCycleError("cycle map is the identity; fixed point not unique")
-    return -omega * (r_H + mu_H * r_C) / den
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ import ast
 import importlib
 import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import thermalops
@@ -22,6 +23,7 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 def bench_module(name: str):
     spec = importlib.util.spec_from_file_location(f"bench_{name}", BENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
@@ -62,3 +64,52 @@ def test_the_quickstart_and_the_closed_form_check_call_existing_names():
     assert imports
     for module, name in imports:
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+def test_the_quickstart_reads_existing_attributes_of_what_it_gets_back(monkeypatch):
+    # ``tmap.quantum`` and the like: an attribute that the quickstart reads
+    # off an object a package call returned, which the name checks above miss
+    quickstart = bench_function("workloads.py", "run_quickstart")
+    made_by = {  # variable -> the package call whose result it holds
+        target.id: node.value.func.attr
+        for node in ast.walk(quickstart)
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Call)
+        and isinstance(node.value.func, ast.Attribute)
+        and isinstance(node.value.func.value, ast.Name)
+        and node.value.func.value.id == "to"
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    reads = {
+        (n.value.id, n.attr)
+        for n in ast.walk(quickstart)
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id in made_by
+    }
+    expected = {("tmap", "quantum"), ("report", "W"), ("stats", "mean"), ("stats", "variance")}
+    assert expected | {("dist", "mean"), ("dist", "variance")} <= reads
+
+    returned = {}
+
+    def recording(name):
+        call = getattr(thermalops, name)
+
+        def recorded(*args, **kwargs):
+            out = call(*args, **kwargs)
+            returned.setdefault(name, []).append(out)
+            return out
+
+        return recorded
+
+    for name in {made_by[var] for var, _ in reads}:
+        monkeypatch.setattr(thermalops, name, recording(name))
+    workloads = bench_module("workloads")
+    for engine, config in [
+        (workloads.OTTO, (1.0, 0.7, 1.0, 0.5, 1.0, 1.0)),
+        (workloads.THREE_STROKE, (0.3, 1.0, 0.5, 1.0, 1.0)),
+    ]:
+        workloads.run_quickstart(workloads.Quickstart(engine, config, 3))
+    for var, attr in sorted(reads):
+        assert returned[made_by[var]], made_by[var]
+        for obj in returned[made_by[var]]:
+            assert hasattr(obj, attr), f"{var}.{attr}"

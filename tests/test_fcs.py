@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import warnings
@@ -5,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from thermalops import (
@@ -24,6 +25,7 @@ from thermalops import (
     ZeroWorkError,
     cumulant_gf,
     enumerate_work_distribution,
+    eto,
     intercycle_pcc,
     otto_cycle_report,
     otto_steady_state,
@@ -37,7 +39,7 @@ from thermalops import (
     work_moments,
 )
 from thermalops.fcs import _pair_sum
-from thermalops.maps import Cycle
+from thermalops.maps import Cycle, WorkStroke
 
 LN2 = math.log(2.0)
 LN4 = math.log(4.0)
@@ -88,7 +90,7 @@ def brute_force_paths(cfg, n):
     cold = cfg.cold_map().as_array()
     is_otto = isinstance(cfg, OttoConfig)
     _, p1 = tilted_and_steady(cfg)
-    quantum = cfg.work_quantum
+    quantum = cfg.cycle().quantum
     paths = []
     for start, p0 in ((0, p1.p_g), (1, p1.p_e)):
         for choices in itertools.product(range(4), repeat=n):
@@ -484,18 +486,86 @@ def test_frozen_three_stroke_pcc_is_the_closed_form():
     assert math.isclose(intercycle_pcc(tmap, p1), exact, rel_tol=1e-14)
 
 
-# Strokes by index into the Otto cycle (hot, quench, cold, unquench); "raw"
-# is the hot map's entries as a nested list in place of the map.
-@pytest.mark.parametrize(
-    "order",
-    [(), (1, 0, 3, 2), (0, 2, 1), (0, 1, 2, 3, 1), (0, 1, 0, 1, 2, 3), ("raw", 1, 2, 3)],
-    ids=["empty", "work-stroke-first", "heat-heat-work", "five", "six", "raw-list-heat-map"],
+# An Otto cycle's hot and cold maps and work strokes, and the three-stroke flip
+HOT, COLD = eto(1.0, 1.0), eto(0.7, 2.0)
+DOWN, UP, FLIP = WorkStroke(1.0, 0.7), WorkStroke(0.7, 1.0), WorkStroke(1.0, 1.0, flip=True)
+QUENCH_0 = WorkStroke(1.0, 1.0)  # a quench that releases nothing
+SHAPE, LINK = "heat, work, heat", "quench omega_H > omega_C and back, or flip"
+NOT_CYCLES = {
+    "empty": ((), SHAPE),
+    "work-stroke-first": ((DOWN, HOT, UP, COLD), SHAPE),
+    "heat-heat-work": ((HOT, COLD, DOWN), SHAPE),
+    "five": ((HOT, DOWN, COLD, UP, DOWN), SHAPE),
+    "six": ((HOT, DOWN, HOT, DOWN, COLD, UP), SHAPE),
+    "raw-list-heat-map": ((HOT.m.tolist(), DOWN, COLD, UP), SHAPE),
+    "gap-mismatch": ((HOT, WorkStroke(1.0, 0.6), COLD, WorkStroke(0.6, 1.0)), LINK),
+    "otto-first-flip": ((HOT, WorkStroke(1.0, 0.7, flip=True), COLD, UP), LINK),
+    "otto-last-flip": ((HOT, DOWN, COLD, WorkStroke(0.7, 1.0, flip=True)), LINK),
+    "three-stroke-quench": ((HOT, QUENCH_0, eto(1.0, 2.0)), LINK),
+    "three-stroke-gaps-differ": ((HOT, FLIP, COLD), LINK),
+    "omega-H-below-omega-C": ((COLD, UP, HOT, DOWN), LINK),
+    "omega-H-equals-omega-C": ((HOT, QUENCH_0, eto(1.0, 2.0), QUENCH_0), LINK),
+}
+
+
+@pytest.mark.parametrize("strokes, match", NOT_CYCLES.values(), ids=NOT_CYCLES.keys())
+def test_cycle_of_another_shape_is_rejected_when_built(strokes, match):
+    assert Cycle((HOT, DOWN, COLD, UP)).quantum == 1.0 - 0.7  # the linked tuples build
+    assert Cycle((HOT, FLIP, eto(1.0, 2.0))).quantum == 1.0
+    with pytest.raises(InvalidParameterError, match=match):
+        Cycle(strokes)
+
+
+TEMPERATURES = st.one_of(
+    st.sampled_from([5e-324, 1e-310]), st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
 )
-def test_cycle_of_another_shape_is_rejected_when_built(order):
-    cycle = OttoConfig.nonmarkov(1.0, 0.7, 1.0, 0.5).cycle()
-    pick = dict(enumerate(cycle.strokes), raw=cycle.strokes[0].m.tolist())
-    with pytest.raises(InvalidParameterError, match="heat, work, heat"):
-        Cycle(tuple(pick[i] for i in order), cycle.quantum, cycle.work)
+COUPLINGS = st.one_of(st.sampled_from([0.0, -0.0, 1.0, "threshold"]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def engine_configs(draw):
+    """Otto and three-stroke configs, temperatures down to subnormal, with
+    each coupling 0 (either sign), at the Markov threshold, 1 or between."""
+    T_H = draw(TEMPERATURES)
+    T_C, omega_H = T_H * draw(st.floats(0.01, 0.99)), 10.0 ** draw(st.floats(-5.0, 5.0))
+    omega_C = omega_H * draw(st.floats(0.01, 0.99))
+    assume(T_H > T_C > 0.0 and omega_H > omega_C > 0.0)
+    otto = draw(st.booleans())
+    make = OttoConfig if otto else ThreeStrokeConfig
+    gaps = (omega_H, omega_C) if otto else (omega_H,)
+    markov = make.markov(*gaps, T_H, T_C)
+    l_H, l_C = draw(COUPLINGS), draw(COUPLINGS)
+    l_H = markov.lambda_H if l_H == "threshold" else l_H
+    l_C = markov.lambda_C if l_C == "threshold" else l_C
+    return make(*gaps, T_H, T_C, l_H, l_C)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(engine_configs())
+@example(OttoConfig.nonmarkov(1e-310, 0.7e-310, 1e-310, 0.5e-310))  # subnormal T
+@example(OttoConfig(1.0, 0.7, 1e-320, 5e-321, -0.0, 1.0))  # -0.0 reads as +0.0
+@example(OttoConfig(1.0, 0.7, 1.0, 0.5, 0.0, -0.0))
+@example(OttoConfig.markov(3.0, 1.0, 2.0, 0.5))
+@example(ThreeStrokeConfig.markov(1e-300, 1e-310, 5e-324))
+@example(ThreeStrokeConfig(1.0, 1.0, 0.5, -0.0, 1.0))
+def test_a_cycle_rebuilt_from_its_strokes_is_the_builders(cfg):
+    # quantum and work() are read off the strokes alone, so a checked cycle
+    # of the builder's strokes gives the builder's values and otto_work's
+    assert [f.name for f in dataclasses.fields(Cycle)] == ["strokes"]
+    built = cfg.cycle()
+    cycle = Cycle(built.strokes)
+    otto = isinstance(cfg, OttoConfig)
+    assert cycle.quantum == built.quantum == (cfg.omega_H - cfg.omega_C if otto else cfg.omega)
+    # the coupling is read as the entry 0.0 + lam, which turns -0.0 into +0.0
+    assert all(math.copysign(1.0, heat._entries[1]) == 1.0 for heat in built.strokes[::2])
+    if otto and cfg.lambda_H == cfg.lambda_C == 0.0:  # the identity cycle map
+        for c in (cycle, built):
+            with pytest.raises(DegenerateCycleError):
+                c.work()
+        return
+    assert cycle.work() == built.work()
+    if otto:
+        assert cycle.work() == otto_work(cfg)
 
 
 def test_scaled_mean_equals_cycle_work():

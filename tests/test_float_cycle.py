@@ -85,25 +85,27 @@ def numpy_run(cycle):
 def exact_work(cfg) -> Decimal:
     """The steady work of the config's binary64 fields at 60 digits.
 
-    A heat stroke maps ``p_e`` to ``l q + mu p_e`` with ``mu = 1 - l (1 + q)``
-    and the flip maps it to ``1 - p_e``; the cyclic fixed point gives the
-    populations entering each work stroke, and the work is their release."""
+    A heat stroke maps ``p_e`` to ``l q + mu p_e`` with ``mu = 1 - u`` and
+    ``u = l (1 + q)``, and the flip maps it to ``1 - p_e``; the cyclic fixed
+    point gives the populations entering each work stroke, and the work is
+    their release.  The Otto denominator ``1 - mu_C mu_H`` is formed as
+    ``u_C + u_H - u_C u_H``, which keeps couplings far below 1e-60."""
     with localcontext() as ctx:
         ctx.prec = 60
 
         def heat(omega, T, lam):
             q, lam = (-Decimal(omega) / Decimal(T)).exp(), Decimal(lam)
-            return lam * q, 1 - lam * (1 + q)  # p_e -> a + mu p_e
+            return lam * q, 1 - lam * (1 + q), lam * (1 + q)  # p_e -> a + mu p_e; u
 
         if isinstance(cfg, OttoConfig):
-            (a_H, mu_H), (a_C, mu_C) = (
+            (a_H, mu_H, u_H), (a_C, mu_C, u_C) = (
                 heat(cfg.omega_H, cfg.T_H, cfg.lambda_H),
                 heat(cfg.omega_C, cfg.T_C, cfg.lambda_C),
             )
-            p_e1 = (a_C + mu_C * a_H) / (1 - mu_C * mu_H)
+            p_e1 = (a_C + mu_C * a_H) / (u_C + u_H - u_C * u_H)
             p_e2 = a_H + mu_H * p_e1
             return (Decimal(cfg.omega_H) - Decimal(cfg.omega_C)) * (p_e2 - p_e1)
-        (a_H, mu_H), (a_C, mu_C) = (
+        (a_H, mu_H, _), (a_C, mu_C, _) = (
             heat(cfg.omega, cfg.T_H, cfg.lambda_H),
             heat(cfg.omega, cfg.T_C, cfg.lambda_C),
         )
@@ -259,6 +261,7 @@ def assert_close(got, expected, scale, ulps):
 @example(ThreeStrokeConfig.nonmarkov(1e-12, 1.0, 0.5), 3.0)
 @example(ThreeStrokeConfig.nonmarkov(900.0, 1.0, 0.5), -1.0)
 @example(OttoConfig(1.0, 0.5, 1.0, 0.5, 0.0, 1.0), 2.0)  # identity heat stroke
+@example(OttoConfig(1.0, 0.5, 1.0, 0.5, 0.0, 1.3776559883204974e-82), 0.0)  # near-identity map
 def test_float_cycle_matches_the_numpy_oracle(cfg, x):
     cycle = cfg.cycle()
     for chi in (0.0, x / cycle.quantum):  # exp(chi * work) is exp(+-x)

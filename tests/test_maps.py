@@ -214,8 +214,8 @@ def test_build_map_is_the_checked_numpy_map(params):
     expected = numpy_map(omega, beta, lam)
     assert m.m.tobytes() == expected.tobytes()  # bitwise, signed zeros included
     assert not m.m.flags.writeable
-    assert (m.omega, m.beta) == (omega, beta)
-    np.testing.assert_array_equal(GibbsStochasticMatrix(m.m, omega, beta).m, m.m)
+    assert (m.omega, m.beta_omega) == (omega, beta * omega)
+    np.testing.assert_array_equal(GibbsStochasticMatrix(m.m, omega, beta * omega).m, m.m)
     assert full_thermalization_lambda(omega, beta) == thermal_population(omega, beta).p_g
 
 
@@ -250,15 +250,15 @@ def test_user_matrix_check_matches_numpy(params, nudges):
     expected = numpy_checked(m, omega, beta)
     if expected is None:
         with pytest.raises(InvalidParameterError):
-            GibbsStochasticMatrix(m, omega, beta)
+            GibbsStochasticMatrix(m, omega, beta * omega)
     else:
-        checked = GibbsStochasticMatrix(m, omega, beta).m
+        checked = GibbsStochasticMatrix(m, omega, beta * omega).m
         assert checked.tobytes() == expected.tobytes()
         assert not checked.flags.writeable
 
 
 @pytest.mark.parametrize(
-    "m, omega, beta",
+    "m, omega, beta_omega",
     [
         (np.eye(3), 1.0, 1.0),  # not 2x2
         (np.array([[math.nan, 0.0], [0.0, 1.0]]), 1.0, 1.0),
@@ -268,9 +268,9 @@ def test_user_matrix_check_matches_numpy(params, nudges):
     ],
     ids=["shape", "nan-first", "nan-later", "omega-0", "beta-nan"],
 )
-def test_gibbs_stochastic_matrix_rejects_bad_input(m, omega, beta):
+def test_gibbs_stochastic_matrix_rejects_bad_input(m, omega, beta_omega):
     with pytest.raises(InvalidParameterError):
-        GibbsStochasticMatrix(m, omega, beta)
+        GibbsStochasticMatrix(m, omega, beta_omega)
 
 
 def test_gibbs_stochastic_matrix_rejects_non_gibbs():
@@ -296,6 +296,21 @@ def test_stationary_population_of_identity_is_degenerate():
         stationary_population(np.eye(2))
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        OttoConfig.nonmarkov(1e-310, 0.7e-310, 1e-310, 0.5e-310),
+        OttoConfig(3e-310, 2e-310, 2e-310, 1e-310, 0.3, 0.8),
+        ThreeStrokeConfig.markov(1e-310, 2e-310, 1e-310),
+    ],
+    ids=["otto-nonmarkov", "otto-couplings", "three-stroke-markov"],
+)
+def test_a_heat_map_at_a_subnormal_T_is_rebuilt_from_its_fields(cfg):
+    # the map keeps omega / T, which is finite where 1 / T overflows, so its
+    # own fields rebuild its entries
+    for h, T in ((cfg.hot_map(), cfg.T_H), (cfg.cold_map(), cfg.T_C)):
+        assert h.beta_omega == h.omega / T and 0.0 < h._entries[2] < 1.0
+        assert GibbsStochasticMatrix(h.m, h.omega, h.beta_omega)._entries == h._entries
 def test_scan_fixed_point_at_equal_temperatures():
     rows = eto_vs_thermalization_scan(0.5, [1.0])
     expected = thermal_population(0.5, 1.0).p_e
@@ -387,7 +402,7 @@ def test_bools_are_not_read_as_numbers():
     [
         lambda: build_map(ThermalOpParams(1.3, 0.7, 0.4)),
         lambda: eto(1.3, 0.7),
-        lambda: GibbsStochasticMatrix(np.array([[0.75, 0.5], [0.25, 0.5]]), LN2, 1.0),
+        lambda: GibbsStochasticMatrix(np.array([[0.75, 0.5], [0.25, 0.5]]), 1.0, LN2),
     ],
     ids=["build_map", "eto", "user"],
 )
@@ -406,7 +421,8 @@ def test_m_is_built_once_on_first_access(make):
         gsm.missing
     for fresh in (make(), gsm):  # before and after the first access
         for clone in (copy.deepcopy(fresh), pickle.loads(pickle.dumps(fresh))):
-            assert (clone._entries, clone.omega, clone.beta) == (gsm._entries, gsm.omega, gsm.beta)
+            fields = (clone._entries, clone.omega, clone.beta_omega)
+            assert fields == (gsm._entries, gsm.omega, gsm.beta_omega)
             assert clone.m.tobytes() == m.tobytes()
             assert not clone.m.flags.writeable
 

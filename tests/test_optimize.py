@@ -33,7 +33,8 @@ from thermalops import (
 from thermalops import optimize
 from thermalops.cli import COMMANDS, _log_grid, _run_sweep
 from thermalops.optimize import _golden_max, otto_config_at, three_stroke_config_at
-from thermalops.three_stroke import _three_stroke_work, three_stroke_report
+from thermalops.maps import _three_stroke_work
+from thermalops.three_stroke import three_stroke_report
 
 
 def test_golden_section_on_synthetic_unimodal():
@@ -209,7 +210,7 @@ def test_otto_work_matches_the_exact_model(cfg):
     assert math.isfinite(got)
     exact = converged_exact_work(cfg)
     err = abs(Decimal(got) - exact)
-    if err > Decimal((cfg.work_quantum + 1.0) * 2.0**-1000):
+    if err > Decimal((cfg.cycle().quantum + 1.0) * 2.0**-1000):
         assert exact and err / abs(exact) <= 8 * _EPS * (1 + conditioning(cfg))
 
 
@@ -506,9 +507,9 @@ def test_three_stroke_branch_needs_no_runtime_probe(eta_C, T_H):
     # check at run time: the ETO work is negative at T_H, so [1e-12, 1] * T_H
     # brackets the zero-work gap, and the efficiency never steps up below it
     T_C = (1.0 - eta_C) * T_H
-    assert _three_stroke_work(T_H, T_H, T_C, 1.0, 1.0) < 0.0
+    assert _three_stroke_work(T_H, T_H / T_H, T_H / T_C, 1.0, 1.0) < 0.0
     omega_max = optimize._bisect(
-        lambda w: _three_stroke_work(w, T_H, T_C, 1.0, 1.0) > 0.0, 1e-12 * T_H, T_H
+        lambda w: _three_stroke_work(w, w / T_H, w / T_C, 1.0, 1.0) > 0.0, 1e-12 * T_H, T_H
     )
     # the gap tends to ln 2 * T_H as T_C -> 0; the bisection lands within ulps of it
     assert omega_max < (1.0 + 1e-15) * math.log(2.0) * T_H

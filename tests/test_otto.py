@@ -104,7 +104,7 @@ def test_eto_report_ln2_ln4():
     rep = quiet_report(cfg)
     assert math.isclose(rep.p1.p_e, 1.0 / 7.0, abs_tol=1e-14)
     assert math.isclose(rep.p3.p_e, 3.0 / 7.0, abs_tol=1e-14)
-    assert math.isclose(rep.W, (2.0 / 7.0) * cfg.work_quantum, abs_tol=1e-14)
+    assert math.isclose(rep.W, (2.0 / 7.0) * cfg.cycle().quantum, abs_tol=1e-14)
 
 
 def test_markov_report_ln2_ln4():
@@ -112,7 +112,7 @@ def test_markov_report_ln2_ln4():
     rep = quiet_report(cfg)
     assert math.isclose(rep.p1.p_e, 1.0 / 5.0, abs_tol=1e-14)
     assert math.isclose(rep.p3.p_e, 1.0 / 3.0, abs_tol=1e-14)
-    assert math.isclose(rep.W, (2.0 / 15.0) * cfg.work_quantum, abs_tol=1e-14)
+    assert math.isclose(rep.W, (2.0 / 15.0) * cfg.cycle().quantum, abs_tol=1e-14)
 
 
 def test_work_strokes_freeze_populations():
@@ -185,6 +185,14 @@ def test_engine_regime_iff_sub_carnot():
 def test_degenerate_cycle_rejected():
     with pytest.raises(DegenerateCycleError):
         otto_steady_state(OttoConfig(1.0, 0.5, 1.0, 0.5, 0.0, 0.0))
+
+
+def test_tiny_couplings_are_not_degenerate():
+    # the cycle map is within 1e-13 of the identity, but its fixed point is
+    # unique; only both couplings 0 (above) leave it undetermined
+    cfg = OttoConfig(1.0, 0.7, 1.0, 0.5, 1e-13, 1e-13)
+    assert quiet_report(cfg).W == otto_work(cfg) == 1.3916646215585132e-15
+    assert otto_steady_state(cfg) == cfg.cycle().steady_state()
 
 
 def test_not_an_engine_warning_above_carnot():
@@ -278,7 +286,7 @@ def test_analytic_populations_are_scale_covariant(T_H):
     "cfg, fraction", [(eto_config(LN2, LN4), 2.0 / 7.0), (markov_config(LN2, LN4), 2.0 / 15.0)]
 )
 def test_otto_work_ln2_ln4(cfg, fraction):
-    assert math.isclose(otto_work(cfg), fraction * cfg.work_quantum, rel_tol=1e-15)
+    assert math.isclose(otto_work(cfg), fraction * cfg.cycle().quantum, rel_tol=1e-15)
 
 
 def test_otto_work_matches_the_stroke_cycle_random():

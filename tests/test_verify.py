@@ -214,12 +214,13 @@ def test_verify_json_writes_null_for_a_non_finite_residual(bad, monkeypatch, cap
 
 
 @pytest.mark.parametrize(
-    "module, kernel", [(otto, "_otto_work"), (three_stroke, "_three_stroke_work")]
+    "engine, kernel", [(otto, "_otto_work"), (three_stroke, "_three_stroke_work")]
 )
-def test_first_law_checks_the_closed_form_against_the_heats(module, kernel, monkeypatch):
-    # the work is each engine's closed form and the heats come from the
-    # populations, so moving either formula by 1e-10 relative fails the suite
-    exact = getattr(module, kernel)
-    monkeypatch.setattr(module, kernel, lambda *fields: exact(*fields) * (1.0 + 1e-10))
+def test_first_law_checks_the_closed_form_against_the_heats(engine, kernel, monkeypatch):
+    # the work is each engine's closed form, which Cycle.work evaluates with
+    # the kernel in maps, and the heats come from the populations, so moving
+    # either kernel by 1e-10 relative fails that engine's record alone
+    exact = getattr(maps, kernel)
+    monkeypatch.setattr(maps, kernel, lambda *values: exact(*values) * (1.0 + 1e-10))
     failed = [r.check for r in verify.suite_first_law() if not r.passed]
-    assert failed == ["otto" if module is otto else "three-stroke"]
+    assert failed == ["otto" if engine is otto else "three-stroke"]
