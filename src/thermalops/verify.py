@@ -1,23 +1,26 @@
 """Cross-module invariant suites behind the ``verify`` CLI command.
 
-Each suite aggregates the worst residual observed over a deterministic
-batch of random configurations and reports it against the bound the
-invariant is supposed to hold at.  Seeds are fixed, so a fresh checkout
-always reproduces the same residuals.  The configurations are drawn in
-blocks that reproduce the stream of scalar ``Generator.uniform`` calls.
+Each suite is a fixed experiment: it aggregates the worst residual
+observed over a batch of random configurations and reports it against the
+bound the invariant is supposed to hold at.  The configurations are
+``random.Random(_SEED).uniform`` draws, one value at a time, so every
+platform and every run reproduces the same residuals.  The suites take no
+arguments, and only ``microscopic-eto`` loads numpy, for its dense
+dilation.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import warnings
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator
 
 from .errors import InvalidParameterError
 from .fcs import enumerate_work_distribution, work_moments
-from .maps import ThermalOpParams, _entries_2x2, _LazyNumpy, build_map, thermal_population
+from .maps import ThermalOpParams, build_map, thermal_population
 from .microscopic import (
     INTENSITY_DEPENDENT,
     FockTruncation,
@@ -30,8 +33,11 @@ from .otto import OttoConfig, otto_cycle_report
 from .three_stroke import ThreeStrokeConfig, three_stroke_report
 
 _SEED = 20260810
-
-np = _LazyNumpy(globals())
+_DRAWS = 1000  # gibbs-fixed-point maps; first-law configs per engine
+_CONFIGS_PER_ENGINE = 6  # oracle-equivalence, each at every count in _CYCLES
+_CYCLES = (1, 2, 3)
+_N_MAX = 60  # microscopic-eto's Fock truncation at beta omega = _BETA_OMEGA
+_BETA_OMEGA = 1.0
 
 
 @dataclass(frozen=True)
@@ -52,16 +58,12 @@ def _worse(a: float, b: float) -> float:  # a NaN wins; max(0.0, nan) would drop
 
 def _draw(rng, count: int, bounds: tuple, build: Callable = lambda *row: row) -> Iterator:
     """Yield ``count`` values ``build(*row)`` that are not None, for rows of
-    uniforms on ``bounds`` drawn in ``rng.random`` blocks and scaled as numpy's
-    scalar ``uniform`` does (``lo + (hi - lo) * u``).  Only rejected rows are
-    redrawn, so the rows and the final state are those of scalar draws."""
-    spans = [(lo, hi - lo) for lo, hi in bounds]
-    while count > 0:  # blocks of at most 100 rows keep the memory flat
-        for row in rng.random((min(count, 100), len(spans))).tolist():
-            item = build(*[lo + span * u for (lo, span), u in zip(spans, row)])
-            if item is not None:
-                count -= 1
-                yield item
+    ``rng.uniform(lo, hi)`` on ``bounds``; a rejected row is drawn again."""
+    while count > 0:
+        item = build(*[rng.uniform(lo, hi) for lo, hi in bounds])
+        if item is not None:
+            count -= 1
+            yield item
 
 
 def _otto_configs(rng, count: int) -> Iterator[OttoConfig]:
@@ -98,32 +100,22 @@ def _gibbs_residuals(
     return entry, cols, gibbs
 
 
-def suite_gibbs_fixed_point(
-    draws: int = 1000,
-    seed: int = _SEED,
-    perturb: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> list[CheckRecord]:
+def suite_gibbs_fixed_point() -> list[CheckRecord]:
     """Column-stochasticity and Gibbs fixed point of randomly drawn maps.
 
-    Each draw builds ``build_map(ThermalOpParams(omega, beta, lam))`` and
-    measures, on its checked float entries and the ``thermal_population``
-    floats, how far an entry lies outside [0, 1], how far a column sum is
-    from 1 and how far the Gibbs populations move (``_gibbs_residuals``).
-    Only the seeded draws use numpy.  The float products round alike on
-    every platform, where a numpy 2x2 product may fuse a multiply-add.
-
-    ``perturb`` (tests only) lets a caller corrupt each matrix before the
-    residuals are measured, to demonstrate that the suite actually bites:
-    it receives a fresh writable 2x2 array of the map's entries and returns
-    the 2x2 array whose entries are measured in their place.
+    Each of ``_DRAWS`` draws builds ``build_map(ThermalOpParams(omega, beta,
+    lam))`` and measures, on its checked float entries and the
+    ``thermal_population`` floats, how far an entry lies outside [0, 1], how
+    far a column sum is from 1 and how far the Gibbs populations move
+    (``_gibbs_residuals``).  The float products round alike on every
+    platform, where a numpy 2x2 product may fuse a multiply-add.
     """
-    rng = np.random.default_rng(seed)
+    rng = random.Random(_SEED)
     worst_entry = worst_cols = worst_gibbs = 0.0
-    for omega, beta, lam in _draw(rng, draws, ((0.05, 4.0), (0.05, 4.0), (0.0, 1.0))):
+    for omega, beta, lam in _draw(rng, _DRAWS, ((0.05, 4.0), (0.05, 4.0), (0.0, 1.0))):
         m = build_map(ThermalOpParams(omega, beta, lam))
-        entries = m._entries if perturb is None else _entries_2x2(perturb(m.as_array()))
         g = thermal_population(omega, beta)
-        entry, cols, gibbs = _gibbs_residuals(*entries, g.p_g, g.p_e)
+        entry, cols, gibbs = _gibbs_residuals(*m._entries, g.p_g, g.p_e)
         worst_entry = _worse(worst_entry, entry)
         worst_cols = _worse(worst_cols, cols)
         worst_gibbs = _worse(worst_gibbs, gibbs)
@@ -134,14 +126,14 @@ def suite_gibbs_fixed_point(
     ]
 
 
-def suite_first_law(draws: int = 1000, seed: int = _SEED) -> list[CheckRecord]:
-    """|W - Q_H - Q_C| over random Otto and three-stroke configurations."""
-    rng = np.random.default_rng(seed)
+def suite_first_law() -> list[CheckRecord]:
+    """|W - Q_H - Q_C| over ``_DRAWS`` random Otto and three-stroke configurations."""
+    rng = random.Random(_SEED)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # draws outside the engine regime are intended
-        otto = map(otto_cycle_report, _otto_configs(rng, draws))
+        otto = map(otto_cycle_report, _otto_configs(rng, _DRAWS))
         worst_otto = reduce(_worse, (abs(r.W - r.Q_H - r.Q_C) for r in otto), 0.0)
-        three = (rep for _, rep in _three_stroke_draws(rng, draws, 1e-6))
+        three = (rep for _, rep in _three_stroke_draws(rng, _DRAWS, 1e-6))
         worst_three = reduce(_worse, (abs(r.W - r.Q_H - r.Q_C) for r in three), 0.0)
     return [
         CheckRecord("first-law", "otto", worst_otto, 1e-12),
@@ -149,20 +141,18 @@ def suite_first_law(draws: int = 1000, seed: int = _SEED) -> list[CheckRecord]:
     ]
 
 
-def suite_oracle_equivalence(
-    configs_per_engine: int = 6, cycles: Iterable[int] = (1, 2, 3), seed: int = _SEED
-) -> list[CheckRecord]:
+def suite_oracle_equivalence() -> list[CheckRecord]:
     """Counting-field moments vs exact trajectory enumeration."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(_SEED)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # draws outside the engine regime are intended
-        configs = [*_otto_configs(rng, configs_per_engine)]
-        configs += [cfg for cfg, _ in _three_stroke_draws(rng, configs_per_engine, 0.05)]
+        configs = [*_otto_configs(rng, _CONFIGS_PER_ENGINE)]
+        configs += [cfg for cfg, _ in _three_stroke_draws(rng, _CONFIGS_PER_ENGINE, 0.05)]
     worst_mean = worst_var = 0.0
     for cfg in configs:
         cycle = cfg.cycle()
         p1 = cycle.steady_state()
-        for n in cycles:
+        for n in _CYCLES:
             dist = enumerate_work_distribution(cfg, n)
             stats = work_moments(cycle, p1, n)
             worst_mean = _worse(worst_mean, abs(stats.mean - dist.mean()) / abs(dist.mean()))
@@ -173,9 +163,9 @@ def suite_oracle_equivalence(
     ]
 
 
-def suite_microscopic_eto(n_max: int = 60, beta_omega: float = 1.0) -> list[CheckRecord]:
+def suite_microscopic_eto() -> list[CheckRecord]:
     """Induced-map recovery of the ETO from the microscopic dilation."""
-    tr = FockTruncation(n_max=n_max, omega=1.0, beta=beta_omega)
+    tr = FockTruncation(n_max=_N_MAX, omega=1.0, beta=_BETA_OMEGA)
     dev_swap = eto_deviation(induced_population_map(swap_unitary(tr), tr), tr)
     dev_jc = eto_deviation(jc_evolution_map(1.0, math.pi / 2.0, tr, INTENSITY_DEPENDENT), tr)
     return [

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import thermalops
-from thermalops import cli
+from thermalops import cli, verify
 from thermalops.fcs import pcc_three_stroke_exact
+from thermalops.maps import GibbsStochasticMatrix, _unchecked, build_map
 from thermalops.optimize import otto_config_at, three_stroke_config_at
 from thermalops.cli import ENGINE_CODES
 from thermalops.otto import OttoConfig, otto_work
@@ -225,12 +226,14 @@ print(json.dumps(report))
 
 
 def test_table_commands_run_without_numpy():
-    # import, fig1, fig4, fig5, fig6 and sweep at defaults and micro-report
-    # load no numpy and every layer module; verify imports it where it needs
-    # it, on first use; micro-report and verify print their pinned output
+    # import, fig1, fig4, fig5, fig6 and sweep at defaults, micro-report and
+    # every verify suite but microscopic-eto load no numpy and every layer
+    # module; that suite's dense dilation imports it on first use;
+    # micro-report and verify print their pinned output
     tables = [[name] for name in ("fig1", "fig4", "fig5", "fig6", "sweep")]
     micro = ("micro-report", "n_max=30", "points=9")
-    argvs = [*tables, table_argv(micro, "csv"), ["verify", "--suite", "all"]]
+    suites = ("gibbs-fixed-point", "first-law", "oracle-equivalence", "all")
+    argvs = [*tables, table_argv(micro, "csv"), *(["verify", "--suite", s] for s in suites)]
     src = os.path.dirname(os.path.dirname(thermalops.__file__))
     done = subprocess.run(
         [sys.executable, "-c", IMPORT_PATH_PROBE, json.dumps(argvs)],
@@ -241,13 +244,14 @@ def test_table_commands_run_without_numpy():
     )
     assert done.returncode == 0, done.stderr
     *runs, holding_numpy = json.loads(done.stdout)
-    for command, code, _, numpy_loaded, layers_loaded in runs[:7]:
+    for command, code, _, numpy_loaded, layers_loaded in runs[:10]:
         assert (command, code, numpy_loaded, layers_loaded) == (command, 0, False, True)
-    (_, micro_code, micro_digest, *_), (_, verify_code, verify_digest, *_) = runs[6:]
+    assert runs[8][2] == PINNED_VERIFY[("first-law", "text")]
+    (_, micro_code, micro_digest, *_), (_, verify_code, verify_digest, *_) = runs[6], runs[10]
     assert (micro_code, micro_digest) == (0, PINNED_TABLES[micro])
     assert (verify_code, verify_digest) == (0, PINNED_VERIFY[("all", "text")])
     # the first use put numpy itself in place of the stand-in
-    assert {"maps", "microscopic", "verify"} <= set(holding_numpy)
+    assert set(holding_numpy) == {"maps", "microscopic"}
 
 
 # Calls the three public scans in a fresh interpreter and prints their rows
@@ -725,14 +729,18 @@ def test_verify_unknown_suite():
     assert cli.main(["verify", "--suite", "vibes"]) == 1
 
 
-def test_verify_detects_injected_perturbation():
+def test_verify_detects_injected_perturbation(monkeypatch):
     # corrupting one matrix entry by 1e-6 must break the fixed-point check
-    def corrupt(m):
-        m = np.array(m)
-        m[0, 0] += 1e-6
-        return m
+    def corrupt(params):
+        m = build_map(params)
+        m00, m01, m10, m11 = m._entries
+        entries = (m00 + 1e-6, m01, m10, m11)
+        return _unchecked(
+            GibbsStochasticMatrix, _entries=entries, omega=m.omega, beta_omega=m.beta_omega
+        )
 
-    records = suite_gibbs_fixed_point(draws=50, perturb=corrupt)
+    monkeypatch.setattr(verify, "build_map", corrupt)
+    records = suite_gibbs_fixed_point()
     by_name = {record.check: record for record in records}
     assert not by_name["fixed-point-residual"].passed
     assert by_name["fixed-point-residual"].observed > 1e-7

@@ -1,128 +1,36 @@
-"""The verify suites' draws (blocks of uniforms against scalar draws) and
-what makes their checks fail."""
+"""What makes the verify suites' checks fail: maps corrupted through a
+stand-in for ``verify.build_map``, reports and moments made NaN, and work
+kernels moved by 1e-10; and the gibbs-fixed-point residuals against their
+array and exact oracles."""
 
 import dataclasses
 import json
 import math
-import types
+import random
 import warnings
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 import pytest
 
 from thermalops import cli, maps, otto, three_stroke, verify
-from thermalops.maps import ThermalOpParams, build_map, thermal_population
-from thermalops.otto import OttoConfig
-from thermalops.three_stroke import ThreeStrokeConfig, three_stroke_report
-from thermalops.verify import _draw, _otto_configs, _three_stroke_draws
+from thermalops.maps import GibbsStochasticMatrix, ThermalOpParams, build_map, thermal_population
+from thermalops.three_stroke import three_stroke_report
+from thermalops.verify import _draw
 
 
-# The draw loops of the suites as scalar ``rng.uniform`` calls, one value
-# at a time in the order the suites consume them.
-def scalar_otto(rng) -> OttoConfig:
-    a = rng.uniform(0.3, 2.5)  # beta_H * omega_H
-    b = a * rng.uniform(1.15, 2.2)  # beta_C * omega_C
-    t_cold = 0.9 * min(1.0, a / b)
-    return OttoConfig(
-        omega_H=a,
-        omega_C=t_cold * b,
-        T_H=1.0,
-        T_C=t_cold,
-        lambda_H=rng.uniform(0.5, 1.0),
-        lambda_C=rng.uniform(0.5, 1.0),
-    )
+def corrupt_maps(monkeypatch, change):
+    """Make ``gibbs-fixed-point`` measure ``change(entries)`` in place of each
+    map's checked entries, wrapped unchecked as a map of the same gap."""
 
-
-def scalar_three_stroke(rng, min_bias: float, attempts: list):
-    while True:
-        attempts.append(None)
-        cfg = ThreeStrokeConfig(
-            omega=rng.uniform(0.3, 2.0),
-            T_H=1.0,
-            T_C=rng.uniform(0.35, 0.85),
-            lambda_H=rng.uniform(0.5, 1.0),
-            lambda_C=rng.uniform(0.5, 1.0),
+    def corrupted(params):
+        m = build_map(params)
+        entries = tuple(change(list(m._entries)))
+        return maps._unchecked(
+            GibbsStochasticMatrix, _entries=entries, omega=m.omega, beta_omega=m.beta_omega
         )
-        rep = three_stroke_report(cfg)
-        if abs(2.0 * rep.p2.p_e - 1.0) >= min_bias:
-            return cfg, rep
 
-
-def scalar_gibbs(rng) -> tuple:
-    omega = rng.uniform(0.05, 4.0)
-    beta = rng.uniform(0.05, 4.0)
-    lam = rng.uniform(0.0, 1.0)
-    return omega, beta, lam
-
-
-def bits(value) -> list:
-    """Every float of a config, report or row as its exact hex form."""
-    if dataclasses.is_dataclass(value):
-        return bits(dataclasses.astuple(value))
-    if isinstance(value, tuple):
-        return [bits(v) for v in value]
-    return value.hex()
-
-
-def assert_same_stream(block_rng, scalar_rng):
-    assert block_rng.bit_generator.state == scalar_rng.bit_generator.state
-    assert block_rng.random() == scalar_rng.random()
-
-
-@pytest.mark.parametrize("count", [1, 7, 300])
-def test_otto_block_draws_are_the_scalar_draws(count):
-    block, scalar = np.random.default_rng(5), np.random.default_rng(5)
-    drawn = list(_otto_configs(block, count))
-    assert bits(tuple(drawn)) == bits(tuple(scalar_otto(scalar) for _ in range(count)))
-    assert_same_stream(block, scalar)
-
-
-@pytest.mark.parametrize("count", [1, 7, 300])
-def test_gibbs_block_draws_are_the_scalar_draws(count):
-    block, scalar = np.random.default_rng(6), np.random.default_rng(6)
-    drawn = list(_draw(block, count, ((0.05, 4.0), (0.05, 4.0), (0.0, 1.0))))
-    assert bits(tuple(drawn)) == bits(tuple(scalar_gibbs(scalar) for _ in range(count)))
-    assert_same_stream(block, scalar)
-
-
-@pytest.mark.parametrize("min_bias", [1e-6, 0.05, 0.5, 0.8])
-def test_three_stroke_redraws_only_the_rejected_rows(min_bias):
-    # a large min_bias rejects most rows, so the shortfall is redrawn
-    # several times; the rows kept and the generator state after the last
-    # one must still be those of the scalar rejection loop
-    count = 40
-    block, scalar = np.random.default_rng(7), np.random.default_rng(7)
-    attempts = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # rejected draws are mostly not engines
-        drawn = list(_three_stroke_draws(block, count, min_bias))
-        expected = [scalar_three_stroke(scalar, min_bias, attempts) for _ in range(count)]
-    assert bits(tuple(drawn)) == bits(tuple(expected))
-    assert_same_stream(block, scalar)
-    if min_bias >= 0.5:
-        assert len(attempts) > count  # the redraw path ran
-
-
-def test_draws_sharing_a_generator_stay_in_step():
-    # oracle-equivalence draws Otto configs and then three-stroke configs
-    # from one generator: the first helper must not draw past its rows
-    block, scalar = np.random.default_rng(8), np.random.default_rng(8)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        drawn = list(_otto_configs(block, 6)) + list(_three_stroke_draws(block, 6, 0.5))
-        expected = [scalar_otto(scalar) for _ in range(6)]
-        expected += [scalar_three_stroke(scalar, 0.5, [])[0] for _ in range(6)]
-    assert bits(tuple(drawn[:6] + [cfg for cfg, _ in drawn[6:]])) == bits(tuple(expected))
-    assert_same_stream(block, scalar)
-
-
-def test_draw_of_nothing_leaves_the_generator_alone():
-    rng = np.random.default_rng(9)
-    state = rng.bit_generator.state
-    assert list(_draw(rng, 0, ((0.0, 1.0),))) == []
-    assert rng.bit_generator.state == state
+    monkeypatch.setattr(verify, "build_map", corrupted)
 
 
 @pytest.mark.parametrize("suite", ["oracle-equivalence", "first-law"])
@@ -134,7 +42,8 @@ def test_engine_suites_leak_no_warning(suite, capsys):
 
 def test_a_nan_residual_fails_its_check(monkeypatch):
     # max(0.0, nan) is 0.0, so a fold by max would pass a NaN residual
-    records = verify.suite_gibbs_fixed_point(draws=5, perturb=lambda m: m * np.nan)
+    corrupt_maps(monkeypatch, lambda entries: [math.nan] * 4)
+    records = verify.suite_gibbs_fixed_point()
     assert len(records) == 3
     assert all(math.isnan(r.observed) and not r.passed for r in records)
 
@@ -143,14 +52,14 @@ def test_a_nan_residual_fails_its_check(monkeypatch):
 
     monkeypatch.setattr(verify, "otto_cycle_report", nan_work(otto.otto_cycle_report))
     monkeypatch.setattr(verify, "three_stroke_report", nan_work(three_stroke_report))
-    records = verify.suite_first_law(draws=20)
+    records = verify.suite_first_law()
     assert all(math.isnan(r.observed) and not r.passed for r in records)
 
     moments = verify.work_moments
     monkeypatch.setattr(
         verify, "work_moments", lambda *args: dataclasses.replace(moments(*args), mean=math.nan)
     )
-    mean, variance = verify.suite_oracle_equivalence(configs_per_engine=2)
+    mean, variance = verify.suite_oracle_equivalence()
     assert math.isnan(mean.observed) and not mean.passed
     assert variance.passed
 
@@ -160,9 +69,9 @@ def test_gibbs_residuals_match_their_oracles():
     # used before (entry range and column sums, bit for bit) and against an
     # exact evaluation of the same float entries (fixed point, within 2 ulp
     # of 1: numpy's 2x2 product may fuse a multiply-add, so it is no oracle)
-    rng = np.random.default_rng(verify._SEED)
+    rng = random.Random(verify._SEED)
     worst = [0.0, 0.0, 0.0]
-    for omega, beta, lam in _draw(rng, 1000, ((0.05, 4.0), (0.05, 4.0), (0.0, 1.0))):
+    for omega, beta, lam in _draw(rng, verify._DRAWS, ((0.05, 4.0), (0.05, 4.0), (0.0, 1.0))):
         m = build_map(ThermalOpParams(omega, beta, lam))
         g = thermal_population(omega, beta)
         entry, cols, gibbs = verify._gibbs_residuals(*m._entries, g.p_g, g.p_e)
@@ -178,22 +87,16 @@ def test_gibbs_residuals_match_their_oracles():
     assert [r.observed for r in records] == worst
 
 
-def test_gibbs_suite_uses_numpy_only_for_its_draws(monkeypatch):
-    # without perturb, the suite reads the checked entries: no array is built
-    monkeypatch.setattr(verify, "np", types.SimpleNamespace(random=np.random))
-    monkeypatch.setattr(maps, "np", types.SimpleNamespace())
-    assert all(r.passed for r in verify.suite_gibbs_fixed_point(draws=50))
-
-
 @pytest.mark.parametrize("i, j", [(0, 0), (0, 1), (1, 0), (1, 1)])
-def test_a_nan_in_one_entry_fails_every_check(i, j):
+def test_a_nan_in_one_entry_fails_every_check(i, j, monkeypatch):
     # every check reads every entry; Python's max(0.0, nan) is 0.0, so a
     # fold by max would drop a NaN that is not its first argument
-    def poison(m):
-        m[i, j] = math.nan
-        return m
+    def poison(entries):
+        entries[2 * i + j] = math.nan
+        return entries
 
-    records = verify.suite_gibbs_fixed_point(draws=5, perturb=poison)
+    corrupt_maps(monkeypatch, poison)
+    records = verify.suite_gibbs_fixed_point()
     assert [r.check for r in records] == ["entries-in-range", "column-sums", "fixed-point-residual"]
     assert all(math.isnan(r.observed) and not r.passed for r in records)
 
@@ -204,8 +107,7 @@ def _refuse_constant(name):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_verify_json_writes_null_for_a_non_finite_residual(bad, monkeypatch, capsys):
-    suite = partial(verify.suite_gibbs_fixed_point, draws=5, perturb=lambda m: m * bad)
-    monkeypatch.setitem(verify.SUITES, "gibbs-fixed-point", suite)
+    corrupt_maps(monkeypatch, lambda entries: [x * bad for x in entries])
     assert cli.main(["verify", "--suite", "gibbs-fixed-point", "--format", "json"]) == 2
     doc = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
     assert doc["ok"] is False
