@@ -83,6 +83,8 @@ def tilted_map_three_stroke(cfg: ThreeStrokeConfig) -> Cycle:
 def cumulant_gf(tmap: Cycle, p1: PopulationVector, n: int, chi: float) -> float:
     """N-cycle cumulant generating function ``G_N(chi)``; zero at ``chi = 0``."""
     n = require_count(n, 1, "cycle count")
+    if n > sys.float_info.max:
+        raise CountingOverflowError("cycle count beyond the binary64 range")
     m = tmap.matrix(chi)
     if abs(chi) * n * tmap.quantum > EXP_BUDGET:
         raise CountingOverflowError(

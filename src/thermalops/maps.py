@@ -315,11 +315,15 @@ def stationary_population(m: np.ndarray) -> PopulationVector:
 
     Computed in closed form from the off-diagonal entries,
     ``p_e = m[e,g] / (m[e,g] + m[g,e])``.  Raises ``InvalidParameterError``
-    for a shape other than 2x2, a non-finite entry or a column sum off 1 by
-    more than ``STOCHASTIC_TOL``, and ``DegenerateCycleError`` when both
-    off-diagonal entries are 0 and the fixed point is not unique.
+    for a shape other than 2x2, a non-finite entry, an entry outside [0, 1]
+    or a column sum off 1 by more than ``STOCHASTIC_TOL``, and
+    ``DegenerateCycleError`` when both off-diagonal entries are 0 and the
+    fixed point is not unique.
     """
-    return PopulationVector.from_raw(_fixed_point(*_entries_2x2(m)))
+    entries = _entries_2x2(m)
+    if any(x < -STOCHASTIC_TOL or x > 1.0 + STOCHASTIC_TOL for x in entries):
+        raise InvalidParameterError(f"matrix entries must lie in [0, 1], got {entries}")
+    return PopulationVector.from_raw(_fixed_point(*entries))
 
 
 def _entries_2x2(m) -> list[float]:

@@ -277,6 +277,14 @@ def test_work_moments_overflow_is_typed():
         scaled_cumulants(huge)
 
 
+def test_cumulant_gf_count_beyond_binary64_is_typed():
+    # |chi| * N * Delta would convert N to a float and raise OverflowError
+    tmap, p1 = tilted_and_steady(OttoConfig.nonmarkov(1.0, 0.7, 1.0, 0.5))
+    for chi in (0.0, 0.1):
+        with pytest.raises(CountingOverflowError, match="binary64"):
+            cumulant_gf(tmap, p1, 10**400, chi)
+
+
 def test_statistics_reject_a_p1_that_is_not_the_steady_state():
     # from the ground state the 3-cycle mean is 0.14596 and the PCC 0.1493,
     # not the stationary 3 * W and 0.1944 that the closed form gives

@@ -285,6 +285,15 @@ def test_stationary_population_rejects_non_stochastic_input(m):
         stationary_population(np.array(m))
 
 
+@pytest.mark.parametrize("m", [[[1.2, 0.3], [-0.2, 0.7]], [[0.7, -0.2], [0.3, 1.2]]])
+def test_stationary_population_rejects_an_entry_outside_the_unit_interval(m):
+    # the columns sum to 1, so only the entry check stands between these
+    # and a fixed point off [0, 1], which PopulationVector.from_raw would
+    # report as an internal ConsistencyError
+    with pytest.raises(InvalidParameterError, match=r"entries must lie in \[0, 1\]"):
+        stationary_population(np.array(m))
+
+
 @pytest.mark.parametrize("m", [np.eye(3), [[0.5, 0.5, 0.5, 0.5]], [0.5, 0.5, 0.5, 0.5]])
 def test_stationary_population_rejects_a_shape_other_than_2x2(m):
     with pytest.raises(InvalidParameterError, match="2x2"):
