@@ -147,6 +147,9 @@ def test_gf_normalization_and_overflow_guard():
         assert abs(cumulant_gf(tmap, p1, n, 0.0)) < 1e-12
     with pytest.raises(CountingOverflowError):
         cumulant_gf(tmap, p1, 50, 1e4 / tmap.quantum)
+    for chi in (0.0, 0.1):  # N is no float: the budget product would raise OverflowError
+        with pytest.raises(CountingOverflowError, match="binary64"):
+            cumulant_gf(tmap, p1, 10**400, chi)
     with pytest.raises(InvalidParameterError):
         cumulant_gf(tmap, p1, 0, 0.1)
 
@@ -275,14 +278,6 @@ def test_work_moments_overflow_is_typed():
         work_moments(huge, None, 1)
     with pytest.raises(CountingOverflowError):
         scaled_cumulants(huge)
-
-
-def test_cumulant_gf_count_beyond_binary64_is_typed():
-    # |chi| * N * Delta would convert N to a float and raise OverflowError
-    tmap, p1 = tilted_and_steady(OttoConfig.nonmarkov(1.0, 0.7, 1.0, 0.5))
-    for chi in (0.0, 0.1):
-        with pytest.raises(CountingOverflowError, match="binary64"):
-            cumulant_gf(tmap, p1, 10**400, chi)
 
 
 def test_statistics_reject_a_p1_that_is_not_the_steady_state():

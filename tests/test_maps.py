@@ -285,11 +285,15 @@ def test_stationary_population_rejects_non_stochastic_input(m):
         stationary_population(np.array(m))
 
 
-@pytest.mark.parametrize("m", [[[1.2, 0.3], [-0.2, 0.7]], [[0.7, -0.2], [0.3, 1.2]]])
+@pytest.mark.parametrize(
+    "m",
+    [[[1.2, 0.3], [-0.2, 0.7]], [[0.7, 1.2], [0.3, -0.2]]],
+    ids=["negative-off-diagonal", "off-diagonal-above-1"],
+)
 def test_stationary_population_rejects_an_entry_outside_the_unit_interval(m):
-    # the columns sum to 1, so only the entry check stands between these
-    # and a fixed point off [0, 1], which PopulationVector.from_raw would
-    # report as an internal ConsistencyError
+    # the columns sum to 1, so only the entry check rejects these: the
+    # first has the fixed point (3, -2), which from_raw reports as an
+    # internal ConsistencyError, and the second the in-range (0.8, 0.2)
     with pytest.raises(InvalidParameterError, match=r"entries must lie in \[0, 1\]"):
         stationary_population(np.array(m))
 
