@@ -7,6 +7,7 @@ import dataclasses
 import json
 import math
 import random
+import types
 import warnings
 from fractions import Fraction
 
@@ -85,6 +86,14 @@ def test_gibbs_residuals_match_their_oracles():
         worst = [max(w, r) for w, r in zip(worst, (entry, cols, gibbs))]
     records = verify.suite_gibbs_fixed_point()
     assert [r.observed for r in records] == worst
+
+
+def test_gibbs_suite_uses_numpy_only_for_its_draws(monkeypatch):
+    # the suite reads the checked entries and draws from random.Random: with
+    # no numpy in maps it builds no array and still passes
+    assert not hasattr(verify, "np")
+    monkeypatch.setattr(maps, "np", types.SimpleNamespace())
+    assert all(r.passed for r in verify.suite_gibbs_fixed_point())
 
 
 @pytest.mark.parametrize("i, j", [(0, 0), (0, 1), (1, 0), (1, 1)])
