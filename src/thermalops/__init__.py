@@ -81,8 +81,6 @@ from .optimize import (
 from .microscopic import (
     FockTruncation,
     InducedMap,
-    JointState,
-    boson_thermal_state,
     eto_approximation_report,
     eto_deviation,
     induced_population_map,

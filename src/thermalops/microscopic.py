@@ -29,8 +29,8 @@ The same block structure gives the induced qubit map directly, on floats:
 the sectors in O(n_max), or in O(1) for the intensity-dependent kind, whose
 sectors share one angle; hot baths with thousands of Fock levels are cheap,
 and ``micro-report`` needs no numpy.  The dense dilation (``jc_unitary``,
-``swap_unitary``, ``JointState``, ``induced_population_map``) is the oracle
-the sector sums are tested and verified against.
+``swap_unitary``, ``induced_population_map``, which reads the map off
+``|U|^2``) is the oracle the sector sums are tested and verified against.
 """
 
 from __future__ import annotations
@@ -89,11 +89,6 @@ class FockTruncation:
         return qubit * self.n_levels + n
 
 
-def boson_thermal_state(tr: FockTruncation) -> np.ndarray:
-    """Diagonal weights of the truncated thermal mode state (renormalized)."""
-    return np.array(_thermal_weights(tr))
-
-
 def _thermal_weights(tr: FockTruncation) -> list[float]:
     """``exp(-beta omega n)``, n = 0 .. n_max, over their ``math.fsum``; the
     ``n = 0`` term is 1, so ``beta = inf`` is the vacuum, not ``nan``."""
@@ -104,32 +99,9 @@ def _thermal_weights(tr: FockTruncation) -> list[float]:
 
 
 @dataclass(frozen=True, eq=False)
-class JointState:
-    """Density matrix on the qubit (x) truncated-mode product space."""
-
-    rho: np.ndarray
-    n_max: int
-
-    def validate(self):
-        if self.rho.shape != (2 * (self.n_max + 1),) * 2:
-            raise ConsistencyError(f"joint state has wrong shape {self.rho.shape}")
-        if np.abs(self.rho - self.rho.conj().T).max() > _STATE_TOL:
-            raise ConsistencyError("joint state is not Hermitian")
-        trace = np.trace(self.rho).real
-        if abs(trace - 1.0) > _STATE_TOL:
-            raise ConsistencyError(f"joint state trace {trace} differs from 1")
-        smallest = np.linalg.eigvalsh(self.rho).min()
-        if smallest < -_STATE_TOL:
-            raise ConsistencyError(f"joint state has negative eigenvalue {smallest:.3e}")
-
-
-@dataclass(frozen=True, eq=False)
 class InducedMap:
-    """Qubit population map extracted from a joint unitary evolution.
-
-    ``column_defect`` records how far the columns fall short of summing to
-    one; for the operators built here it is bounded by the truncation tail.
-    """
+    """Qubit population map extracted from a joint unitary evolution, and how
+    far its columns miss unit sum (``column_defect``, at most ``_STATE_TOL``)."""
 
     m: np.ndarray
     column_defect: float
@@ -154,25 +126,19 @@ def swap_unitary(tr: FockTruncation) -> np.ndarray:
 def induced_population_map(u: np.ndarray, tr: FockTruncation) -> InducedMap:
     """Induced qubit population map of ``rho -> Tr_mode[U rho (x) thermal U+]``.
 
-    Columns are obtained by feeding the qubit basis states through the
-    dilation and reading the diagonal of the reduced qubit state.
+    ``m[i, s]`` sums the evolved diagonal ``|U[k, (s, n)]|^2 w_n`` over ``n``
+    and the block ``k`` of level ``i``; no joint state is formed, and a column
+    off unit sum (a non-unitary or non-finite ``u``) raises ``ConsistencyError``.
     """
     u = np.asarray(u)
     if u.shape != (tr.dim, tr.dim):
         raise InvalidParameterError(f"unitary has wrong shape {u.shape}")
-    weights = boson_thermal_state(tr)
+    w = _thermal_weights(tr)
     m = np.empty((2, 2))
     for src in (0, 1):
-        joint = np.zeros((tr.dim, tr.dim), dtype=complex)
-        block = slice(src * tr.n_levels, (src + 1) * tr.n_levels)
-        joint[block, block] = np.diag(weights)
-        evolved = u @ joint @ u.conj().T
-        JointState(evolved, tr.n_max).validate()
-        diag = np.diag(evolved).real
-        m[0, src] = diag[: tr.n_levels].sum()
-        m[1, src] = diag[tr.n_levels :].sum()
-    defect = float(np.abs(m.sum(axis=0) - 1.0).max())
-    return InducedMap(m, defect)
+        diag = np.abs(u[:, src * tr.n_levels : (src + 1) * tr.n_levels]) ** 2 @ w
+        m[:, src] = diag[: tr.n_levels].sum(), diag[tr.n_levels :].sum()
+    return InducedMap(m, _column_defect(m.ravel().tolist()))
 
 
 def _check_jc(J: float, t: float, tr: FockTruncation, kind: str) -> None:

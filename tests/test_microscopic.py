@@ -12,9 +12,7 @@ from thermalops import (
     ConsistencyError,
     FockTruncation,
     InvalidParameterError,
-    JointState,
     TruncationError,
-    boson_thermal_state,
     eto,
     eto_approximation_report,
     eto_deviation,
@@ -23,7 +21,7 @@ from thermalops import (
     jc_unitary,
     swap_unitary,
 )
-from thermalops.microscopic import INTENSITY_DEPENDENT, JC_KINDS, STANDARD
+from thermalops.microscopic import INTENSITY_DEPENDENT, JC_KINDS, STANDARD, _thermal_weights
 
 LN2 = math.log(2.0)
 
@@ -51,12 +49,12 @@ def test_truncation_validation():
 
 
 def test_boson_thermal_weights_example():
-    weights = boson_thermal_state(FockTruncation(2, 1.0, LN2, tail_bound=0.2))
+    weights = _thermal_weights(FockTruncation(2, 1.0, LN2, tail_bound=0.2))
     np.testing.assert_allclose(weights, [4.0 / 7.0, 2.0 / 7.0, 1.0 / 7.0], atol=1e-15)
 
 
 def test_boson_thermal_vacuum_limit():
-    weights = boson_thermal_state(FockTruncation(8, 1.0, 200.0))
+    weights = _thermal_weights(FockTruncation(8, 1.0, 200.0))
     np.testing.assert_allclose(weights, [1.0] + [0.0] * 8, atol=1e-12)
 
 
@@ -64,7 +62,7 @@ def test_boson_thermal_normalization_random():
     rng = np.random.default_rng(25)
     for _ in range(25):
         tr = loose(int(rng.integers(1, 40)), rng.uniform(0.2, 3.0))
-        assert math.isclose(boson_thermal_state(tr).sum(), 1.0, abs_tol=1e-14)
+        assert math.isclose(np.sum(_thermal_weights(tr)), 1.0, abs_tol=1e-14)
 
 
 def test_swap_unitary_is_involutive_permutation():
@@ -182,14 +180,14 @@ def test_jc_validation():
                 fn(J, t, tr, kind)
 
 
-def test_joint_state_validation():
-    bad_trace = JointState(np.eye(4, dtype=complex), 1)
-    with pytest.raises(ConsistencyError):
-        bad_trace.validate()
-    skew = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
-    skew[0, 1] = 0.3j
-    with pytest.raises(ConsistencyError):
-        JointState(skew, 1).validate()
+@pytest.mark.parametrize(
+    "u",
+    [2.0 * np.eye(4), np.full((4, 4), math.nan), np.diag([math.inf] * 4)],
+    ids=["not-unitary", "nan", "inf"],
+)
+def test_induced_map_rejects_an_evolution_that_loses_the_trace(u):
+    with pytest.raises(ConsistencyError, match="unit sum"):
+        induced_population_map(u, loose(1))
 
 
 def test_report_table_shape_and_endpoints():
@@ -214,7 +212,7 @@ def test_zero_temperature_bath_is_the_vacuum():
     tr = FockTruncation(3, 1.0, math.inf)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert boson_thermal_state(tr).tolist() == [1.0, 0.0, 0.0, 0.0]
+        assert _thermal_weights(tr) == [1.0, 0.0, 0.0, 0.0]
     (row,) = eto_approximation_report(1.0, tr, [math.pi / 2.0])[INTENSITY_DEPENDENT]
     # the swap of the vacuum is the ETO; what is left is cos^2 of the float
     # nearest pi/2, 3.7e-33, the exact model's value at that angle
@@ -284,6 +282,31 @@ def test_closed_form_map_matches_dense_dilation(kind, n_max, beta_omega, J, jt):
     assert np.abs(closed.m - dense.m).max() <= 1e-15
     assert abs(closed.column_defect - dense.column_defect) <= 1e-15
     assert closed.column_defect <= 1e-12
+
+
+def joint_state_map(u, tr):
+    """The induced map by its definition: evolve the joint density matrix
+    ``|s><s| (x) thermal`` densely and sum the diagonal per qubit level."""
+    m = np.empty((2, 2))
+    for s in (0, 1):
+        rho = np.diag(np.kron(np.eye(2)[s], _thermal_weights(tr))).astype(complex)
+        diag = np.diag(u @ rho @ u.conj().T).real
+        m[:, s] = diag[: tr.n_levels].sum(), diag[tr.n_levels :].sum()
+    return m
+
+
+def test_induced_map_is_the_joint_state_definition():
+    rng = np.random.default_rng(2203)
+    for n_max in range(1, 81):
+        tr = loose(n_max, rng.uniform(0.05, 5.0))
+        J, t = rng.uniform(0.1, 3.0), rng.uniform(0.0, 5.0)
+        swap = swap_unitary(tr)
+        assert (induced_population_map(swap, tr).m == joint_state_map(swap, tr)).all()
+        z = rng.normal(size=(tr.dim, tr.dim)) + 1j * rng.normal(size=(tr.dim, tr.dim))
+        random_u, _ = np.linalg.qr(z)
+        jc = [jc_unitary(J, t, tr, kind) for kind in JC_KINDS]
+        for u in (*jc, random_u):
+            assert np.abs(induced_population_map(u, tr).m - joint_state_map(u, tr)).max() <= 1e-15
 
 
 def test_hot_bath_beyond_the_dense_range():
