@@ -109,9 +109,13 @@ class PopulationVector:
         Values outside [0, 1] are clamped into it.  Drift up to
         ``DRIFT_RENORM`` is accepted after that, drift up to ``DRIFT_FAIL``
         is also renormalized, anything larger raises ``ConsistencyError``
-        since it indicates a logic bug rather than rounding.
+        since it indicates a logic bug rather than rounding.  Anything but
+        two real values raises ``InvalidParameterError``.
         """
-        p_g, p_e = map(float, values)
+        try:
+            p_g, p_e = map(float, values)
+        except (TypeError, ValueError) as exc:
+            raise InvalidParameterError(f"expected two real populations: {exc}") from None
         overshoot = max(0.0, -p_g, -p_e, p_g - 1.0, p_e - 1.0)
         drift = max(overshoot, abs(p_g + p_e - 1.0))
         if drift > DRIFT_FAIL:
@@ -315,8 +319,8 @@ def stationary_population(m: np.ndarray) -> PopulationVector:
 
     Computed in closed form from the off-diagonal entries,
     ``p_e = m[e,g] / (m[e,g] + m[g,e])``.  Raises ``InvalidParameterError``
-    for a shape other than 2x2, a non-finite entry, an entry outside [0, 1]
-    or a column sum off 1 by more than ``STOCHASTIC_TOL``, and
+    for anything but a real 2x2 matrix, a non-finite entry, an entry outside
+    [0, 1] or a column sum off 1 by more than ``STOCHASTIC_TOL``, and
     ``DegenerateCycleError`` when both off-diagonal entries are 0 and the
     fixed point is not unique.
     """
@@ -327,10 +331,13 @@ def stationary_population(m: np.ndarray) -> PopulationVector:
 
 
 def _entries_2x2(m) -> list[float]:
-    """Row-major entries of a 2x2 matrix; other shapes raise ``InvalidParameterError``."""
-    arr = np.asarray(m, dtype=float)
-    if arr.shape != (2, 2):
-        raise InvalidParameterError(f"expected a 2x2 matrix, got shape {arr.shape}")
+    """Row-major entries of a real 2x2 matrix; anything else raises ``InvalidParameterError``."""
+    try:  # complex stays complex: a float conversion would drop the imaginary part
+        arr = np.asarray(m, dtype=complex if np.iscomplexobj(m) else float)
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged or not numbers
+        raise InvalidParameterError(f"expected a real 2x2 matrix: {exc}") from None
+    if arr.dtype != float or arr.shape != (2, 2):
+        raise InvalidParameterError(f"expected a real 2x2 matrix, got {arr.dtype} {arr.shape}")
     return arr.ravel().tolist()
 
 

@@ -304,6 +304,34 @@ def test_stationary_population_rejects_a_shape_other_than_2x2(m):
         stationary_population(m)
 
 
+def gibbs_map_at_ln2(m):
+    return GibbsStochasticMatrix(m, 1.0, LN2)
+
+
+@pytest.mark.parametrize("build", [stationary_population, gibbs_map_at_ln2])
+@pytest.mark.parametrize(
+    "m",
+    [
+        [[1.0, 0.0], [0.0]],
+        [["a", "b"], ["c", "d"]],
+        [[0.6 + 0.3j, 0.4], [0.4, 0.6]],
+        np.array([[0.6 + 0.3j, 0.4], [0.4, 0.6]]),  # once read as its real part
+    ],
+    ids=["ragged", "strings", "python-complex", "complex-array"],
+)
+def test_a_matrix_that_is_not_real_2x2_is_rejected(build, m):
+    with pytest.raises(InvalidParameterError, match="real 2x2"):
+        build(m)
+
+
+@pytest.mark.parametrize(
+    "raw", [[0.2, 0.3, 0.5], ["x", 1.0], [0.5j, 0.5]], ids=["three-values", "string", "complex"]
+)
+def test_from_raw_rejects_anything_but_two_reals(raw):
+    with pytest.raises(InvalidParameterError, match="two real populations"):
+        PopulationVector.from_raw(raw)
+
+
 def test_stationary_population_of_identity_is_degenerate():
     with pytest.raises(DegenerateCycleError):
         stationary_population(np.eye(2))
