@@ -3,18 +3,19 @@
 Fixing the efficiency ``eta`` and the Carnot efficiency ``eta_C`` pins
 ``omega_C = (1 - eta) * omega_H`` and ``T_C = (1 - eta_C) * T_H``, leaving
 the single gap ``omega_H`` free.  The work-per-cycle (in units of k_B T_H)
-is log-concave in it, so a log-spaced coarse scan on Python floats and one
-golden-section refinement of the best point's bracket, to ``1e-8 * T_H``,
-find its one maximum (``maximize_work``); fig4 (``work_efficiency_curve``)
-scans the window ``[1e-3, 20] * T_H``, so its rows do not depend on the
-unit of energy.  Each gap is evaluated with the closed-form Otto work
-(``otto.otto_work``) without building an ``OttoConfig``.  A scan checks
-``eta``, ``eta_C``, the temperatures and the regime once, in
-``_work_curve``, and each gap only for ``omega_H > omega_C > 0``;
-``work_at`` is the same curve at one gap, and ``sweep`` rows evaluate it
-too.  The three-stroke engine has no free gap once (eta, eta_C) is
-chosen: its zero-work gap lies below ``ln 2 * T_H``, its efficiency falls
-strictly below that gap, and one bisection there finds the gap at ``eta``.
+is strictly log-concave in ``a = omega_H / T_H``, so its one maximum is
+the one root of the slope of ``ln W``, which has a closed form in each
+regime; ``maximize_work`` bisects the window on the slope's sign, down to
+adjacent floats.  fig4 (``work_efficiency_curve``) searches the window
+``[1e-3, 20] * T_H``, so its rows do not depend on the unit of energy.
+Each gap is evaluated with the closed-form Otto work (``otto.otto_work``)
+without building an ``OttoConfig``.  A scan checks ``eta``, ``eta_C``, the
+temperatures and the regime once, in ``_otto_fields``, and each gap it
+evaluates only for ``omega_H > omega_C > 0``; ``work_at`` is the work
+curve at one gap, and ``sweep`` rows evaluate it too.  The three-stroke
+engine has no free gap once (eta, eta_C) is chosen: its zero-work gap lies
+below ``ln 2 * T_H``, its efficiency falls strictly below that gap, and
+one bisection there finds the gap at ``eta``.
 
 All scans are deterministic: identical inputs produce bit-identical
 outputs.  ``work_efficiency_curve`` and ``fluctuation_curve`` return their
@@ -31,7 +32,7 @@ from typing import Sequence
 
 from .errors import InvalidParameterError, NoInteriorMaximumWarning, ZeroWorkError
 from .fcs import scaled_cumulants, work_moments
-from .maps import Cycle, _otto_work, _three_stroke_work, require_count, require_descending
+from .maps import Cycle, _otto_work, _three_stroke_work, require_descending
 from .otto import MARKOV, NONMARKOV, OttoConfig, _coupling_rule, _otto_cycle
 from .three_stroke import ThreeStrokeConfig
 
@@ -41,9 +42,6 @@ ENGINES = (NONMARKOV, MARKOV, THREE_STROKE_ENGINE)
 SINGLE_CYCLE = "single_cycle"
 INFINITE = "infinite"
 HORIZONS = (SINGLE_CYCLE, INFINITE)
-
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_XTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -56,7 +54,6 @@ class ScanSpec:
     regime: str
     omega_lo: float = 1e-3
     omega_hi: float = 20.0
-    grid_size: int = 200
 
     def __post_init__(self):
         if not 0.0 < self.eta < self.eta_C < 1.0:
@@ -68,14 +65,13 @@ class ScanSpec:
             raise InvalidParameterError(
                 f"need 0 < omega_lo < omega_hi < inf, got ({self.omega_lo}, {self.omega_hi})"
             )
-        require_count(self.grid_size, 3, "grid_size")
 
 
 @dataclass(frozen=True)
 class OptimumRecord:
-    """``maximize_work``'s refined gap and work (units of k_B T_H);
-    ``converged`` is false when the best coarse point was a range endpoint,
-    and ``evaluations`` counts coarse and golden-section evaluations."""
+    """``maximize_work``'s gap and the work there (units of k_B T_H);
+    ``converged`` is false when the maximum sits at a window end, and
+    ``evaluations`` counts the evaluations of the slope of ``ln W``."""
 
     omega_H_star: float
     W_star: float
@@ -132,29 +128,6 @@ def _otto_fields(eta: float, eta_C: float, T_H: float, regime: str):
     return fields
 
 
-def _golden_max(f, lo: float, hi: float, xtol: float = _XTOL):
-    """Golden-section maximization on [lo, hi] until the bracket is ``xtol``
-    wide or an inner point rounds onto its end; returns (x, f(x), evals)."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    evals = 2
-    while b - a > xtol and a < c and d < b:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-        evals += 1
-    if fc > fd:
-        return c, fc, evals
-    return d, fd, evals
-
-
 def _linspace(start: float, stop: float, num: int) -> list[float]:
     """``num >= 1`` evenly spaced floats from ``start`` to ``stop``, rounded
     as ``numpy.linspace`` rounds them: ``i * step + start`` with the last
@@ -189,60 +162,103 @@ def _logspace(lo: float, hi: float, n: int) -> list[float]:
 
 
 def maximize_work(spec: ScanSpec) -> OptimumRecord:
-    """Maximize the Otto work-per-cycle over the gap range: a log-spaced
-    coarse scan, then one golden-section refinement, to ``1e-8 * T_H`` in
-    ``omega_H``, of the grid steps next to the best coarse point.  If that
-    point is a range endpoint a ``NoInteriorMaximumWarning`` is issued and
-    the record is marked unconverged.
+    """Maximize the Otto work-per-cycle over the gap window: the sign of the
+    slope of ``ln W`` at the window ends places the maximum, and one
+    bisection of the window on that sign finds it, down to adjacent floats
+    in ``omega_H``.  A slope that is not positive at ``omega_lo``, or still
+    positive at ``omega_hi``, puts the maximum at that end; a
+    ``NoInteriorMaximumWarning`` is issued and the record, holding the end
+    and its work, is marked unconverged.  Each gap the slope is taken at is
+    checked like a gap the work is evaluated at.
 
-    One refinement suffices: at fixed (eta, eta_C) the work is strictly
-    log-concave in ``a = omega_H / T_H``, so it has one maximum, which the
-    best coarse point brackets.  With ``kappa = (1 - eta) / (1 - eta_C) >
-    1`` (``omega_C / T_C = kappa a``) and ``phi(y) = (y / sinh y)**2``,
-    which lies in (0, 1) and falls as ``y`` grows:
+    The bisection is sound because at fixed (eta, eta_C) the work is
+    strictly log-concave in ``a = omega_H / T_H``: its slope falls through
+    zero once.  With ``kappa = (1 - eta) / (1 - eta_C) > 1`` (``omega_C /
+    T_C = kappa a``) and ``phi(y) = (y / sinh y)**2``, which lies in (0, 1)
+    and falls as ``y`` grows:
     - ``nonmarkov``: ``W / T_H = eta a sinh((kappa-1) a/2) / sinh((kappa+1)
       a/2)`` and ``(ln W)'' = [phi((kappa+1) a/2) - phi((kappa-1) a/2) - 1]
       / a**2 < 0``;
     - ``markov``: ``W / T_H = eta a [1/(1 + e^a) - 1/(1 + e^(kappa a))]``,
       so ``ln W = ln a + a + ln(e^((kappa-1) a) - 1) - ln(1 + e^a) - ln(1 +
       e^(kappa a)) + const``, a sum of concave terms.
-    Rounding can tie neighbouring coarse values, or break their order where
-    ``W * T_H`` is a few subnormal quanta; the optimum then moves by about
-    that rounding.
+    ``_log_work_slope`` gives ``a (ln W)'`` in closed form.
     """
-    n = spec.grid_size
-    grid = _logspace(spec.omega_lo, spec.omega_hi, n)
-    f = _work_curve(spec.eta, spec.eta_C, spec.T_H, spec.regime)
-    values = [f(w) for w in grid]
-    best = max(range(n), key=values.__getitem__)  # the first maximum, like argmax
-    converged = 0 < best < n - 1
-    if not converged:
-        warnings.warn(
-            f"coarse-scan maximum at range endpoint omega_H={grid[best]:.6g}; "
-            "widen [omega_lo, omega_hi]",
-            NoInteriorMaximumWarning,
-            stacklevel=2,
-        )
-    lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, n - 1)]
-    x, fx, evals = _golden_max(f, lo, hi, _XTOL * spec.T_H)
-    if fx > values[best]:
-        return OptimumRecord(x, fx, converged, n + evals)
-    return OptimumRecord(grid[best], values[best], converged, n + evals)
+    fields = _otto_fields(spec.eta, spec.eta_C, spec.T_H, spec.regime)
+    slope = _log_work_slope(spec.regime)
+    evaluations = 0
+
+    def rising(omega_H: float) -> bool:
+        nonlocal evaluations
+        evaluations += 1
+        _, _, a, b, _, _ = fields(omega_H)
+        return slope(a, b) > 0.0
+
+    if not rising(spec.omega_lo):
+        end = spec.omega_lo
+    elif rising(spec.omega_hi):
+        end = spec.omega_hi
+    else:
+        omega_H = _bisect(rising, spec.omega_lo, spec.omega_hi)
+        return OptimumRecord(omega_H, _otto_work(*fields(omega_H)) / spec.T_H, True, evaluations)
+    warnings.warn(
+        f"work maximum at range endpoint omega_H={end:.6g}; widen [omega_lo, omega_hi]",
+        NoInteriorMaximumWarning,
+        stacklevel=2,
+    )
+    return OptimumRecord(end, _otto_work(*fields(end)) / spec.T_H, False, evaluations)
+
+
+def _x_bose(x: float) -> float:
+    """``x / (e^x - 1)``, 1 at ``x = 0`` (a gap that rounds to 0), written
+    with ``exp(-x)`` so that it does not overflow for ``x >= 0``."""
+    return x * math.exp(-x) / -math.expm1(-x) if x else 1.0
+
+
+def _x_fermi(x: float) -> float:
+    """``x / (e^x + 1)`` for ``x >= 0``, written with ``exp(-x)``."""
+    q = math.exp(-x)
+    return x * q / (1.0 + q)
+
+
+def _log_work_slope(regime: str):
+    """``a (ln W)'(a)`` as a function of the exponents ``a = omega_H / T_H``
+    and ``b = omega_C / T_C = kappa a``, for ``W`` of ``maximize_work``'s
+    docstring.  With ``u = (b - a)/2``, ``v = (b + a)/2`` and ``y coth y = y
+    + _x_bose(2y)``, ``y tanh y = y - _x_fermi(2y)``:
+    - ``nonmarkov``: ``ln W = ln a + ln sinh u - ln sinh v + const`` gives
+      ``1 + u coth u - v coth v = 1 - a + _x_bose(b - a) - _x_bose(b + a)``;
+    - ``markov``: ``1/(1 + e^a) - 1/(1 + e^b) = sinh u / (2 cosh(a/2)
+      cosh(b/2))`` gives ``1 + u coth u - (a/2) tanh(a/2) - (b/2) tanh(b/2)
+      = 1 - a + _x_bose(b - a) + _x_fermi(a) + _x_fermi(b)``.
+    ``_x_bose`` lies in (0, 1] and ``_x_fermi`` in [0, 0.28], so the root
+    lies in ``1 < a < 2`` (``nonmarkov``) or ``1 < a < 2.6`` (``markov``),
+    and every term there is O(1): the sign does not cancel.  The ``coth``
+    form would cancel two terms of size ``kappa a / 2`` as ``eta_C -> 1``.
+    Where ``b + a`` overflows the slope is NaN, which the caller reads as
+    falling, as it is there."""
+    if regime == NONMARKOV:
+        return lambda a, b: 1.0 - a + _x_bose(b - a) - _x_bose(b + a)
+    return lambda a, b: 1.0 - a + _x_bose(b - a) + _x_fermi(a) + _x_fermi(b)
 
 
 def _bisect(below_edge, lo: float, hi: float) -> float:
-    """Midpoint of the final bracket of a bisection on [lo, hi] for the
-    point where ``below_edge`` turns false; stops once the midpoint rounds
-    onto an end of the bracket (every later step would too), or after 200."""
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+    """Midpoint of the final bracket of a bisection on [lo, hi], ``0 <= lo <
+    hi < inf``, for the point where ``below_edge`` turns false; stops once
+    the midpoint rounds onto an end of the bracket (every later step would
+    too).  Halving each end keeps ``lo + hi`` from overflowing and, above
+    the subnormals, rounds as ``0.5 * (lo + hi)``; 2100 halvings take any
+    such bracket to adjacent floats (it is at most 2**1024 wide, they are
+    at least 2**-1074 apart)."""
+    for _ in range(2100):
+        mid = 0.5 * lo + 0.5 * hi
         if mid in (lo, hi):
             break
         if below_edge(mid):
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return 0.5 * lo + 0.5 * hi
 
 
 def three_stroke_omega_for_eta(eta: float, eta_C: float, T_H: float) -> float:

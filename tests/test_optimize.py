@@ -7,6 +7,7 @@ import sys
 import warnings
 from decimal import Decimal, localcontext
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -19,6 +20,7 @@ from thermalops import (
     NoInteriorMaximumWarning,
     OttoConfig,
     ScanSpec,
+    ZeroWorkError,
     eto_vs_thermalization_scan,
     full_thermalization_lambda,
     fluctuation_curve,
@@ -32,16 +34,9 @@ from thermalops import (
 )
 from thermalops import optimize
 from thermalops.cli import COMMANDS, _log_grid, _run_sweep
-from thermalops.optimize import _golden_max, otto_config_at, three_stroke_config_at
+from thermalops.optimize import otto_config_at, three_stroke_config_at
 from thermalops.maps import _three_stroke_work
 from thermalops.three_stroke import three_stroke_report
-
-
-def test_golden_section_on_synthetic_unimodal():
-    x, fx, evals = _golden_max(lambda x: -((x - 3.7) ** 2) + 2.0, 1.0, 10.0)
-    assert abs(x - 3.7) < 5e-8
-    assert abs(fx - 2.0) < 1e-14
-    assert evals > 2
 
 
 def test_scan_spec_validation():
@@ -53,7 +48,7 @@ def test_scan_spec_validation():
         ScanSpec(0.3, 0.5, 1.0, "markov", omega_lo=2.0, omega_hi=1.0)
 
 
-@pytest.mark.parametrize("field, value", [("grid_size", 200.0), ("omega_hi", math.inf)])
+@pytest.mark.parametrize("field, value", [("omega_hi", math.inf)])
 def test_scan_spec_rejects_bad_scan_inputs(field, value):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no numpy warning on the way
@@ -265,11 +260,14 @@ def test_maximize_work_improves_on_grid_and_is_deterministic():
     rec1 = maximize_work(spec)
     rec2 = maximize_work(spec)
     assert rec1 == rec2  # bit-identical rerun
-    grid = optimize._logspace(spec.omega_lo, spec.omega_hi, spec.grid_size)
+    grid = optimize._logspace(spec.omega_lo, spec.omega_hi, 200)
     best_coarse = max(work_at(0.3, 0.5, 1.0, w, "nonmarkov") for w in grid)
     assert rec1.W_star >= best_coarse - 1e-12
+    assert rec1.W_star == work_at(0.3, 0.5, 1.0, rec1.omega_H_star, "nonmarkov")
     assert rec1.converged
-    assert rec1.evaluations >= spec.grid_size
+    # the two window ends, then one halving per bit of [1e-3, 20] down to
+    # the spacing of the floats near the optimum
+    assert 2 < rec1.evaluations <= 2 + math.ceil(math.log2(20.0 / math.ulp(1.0)))
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
@@ -326,10 +324,11 @@ def test_logspace_starts_at_lo_ends_at_hi_and_never_decreases(ends, n):
 
 
 def test_maximize_work_warns_on_endpoint_maximum():
-    spec = ScanSpec(0.3, 0.5, 1.0, "nonmarkov", omega_lo=1e-3, omega_hi=1e-2, grid_size=20)
+    spec = ScanSpec(0.3, 0.5, 1.0, "nonmarkov", omega_lo=1e-3, omega_hi=1e-2)
     with pytest.warns(NoInteriorMaximumWarning):
         rec = maximize_work(spec)
     assert not rec.converged
+    assert (rec.omega_H_star, rec.W_star) == (1e-2, work_at(0.3, 0.5, 1.0, 1e-2, "nonmarkov"))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -344,9 +343,9 @@ def test_maximize_work_warns_on_endpoint_maximum():
 @example(regime="markov", eta_C=1.0 - 1e-6, eta_share=1.0 - 1e-6, T_H=1e300)
 @example(regime="nonmarkov", eta_C=1.0 - 1e-6, eta_share=1.0 - 1e-6, T_H=1e300)
 def test_work_curve_rises_then_falls(regime, eta_C, eta_share, T_H):
-    # the premise of the one refinement in maximize_work: the coarse values
-    # on the default window rise to an interior maximum and fall after it
-    # (rounding may tie neighbours).  Closer to eta = 0 or eta = eta_C than
+    # the log-concavity that maximize_work's docstring proves, as seen on a
+    # coarse grid: the values on the default window rise to an interior
+    # maximum and fall after it (rounding may tie neighbours).  Closer to eta = 0 or eta = eta_C than
     # a share of 1e-6, the rounding of omega_C or T_C is a sizeable part of
     # omega_H - omega_C or of kappa - 1, and the coarse values carry it.
     f = optimize._work_curve(eta_C * eta_share, eta_C, T_H, regime)
@@ -355,6 +354,78 @@ def test_work_curve_rises_then_falls(regime, eta_C, eta_share, T_H):
     assert 0 < peak < 199
     assert all(a <= b for a, b in zip(values[:peak], values[1 : peak + 1]))
     assert all(a >= b for a, b in zip(values[peak:], values[peak + 1 :]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(
+    regime=st.sampled_from(["nonmarkov", "markov"]),
+    eta_C=st.floats(1e-6, 1.0 - 1e-6),
+    eta_share=st.one_of(st.floats(1e-6, 1.0 - 1e-6), log_uniform(-6.0, -1.0)),
+    T_H=log_uniform(-300.0, 300.0),
+)
+@example(regime="markov", eta_C=1e-6, eta_share=1e-6, T_H=1e-300)
+@example(regime="nonmarkov", eta_C=1e-6, eta_share=1e-6, T_H=1e-300)
+@example(regime="markov", eta_C=1.0 - 1e-6, eta_share=1.0 - 1e-6, T_H=1e300)
+@example(regime="nonmarkov", eta_C=1.0 - 1e-6, eta_share=1.0 - 1e-6, T_H=1e300)
+def test_bisection_finds_the_one_sign_change_and_beats_the_grid(regime, eta_C, eta_share, T_H):
+    # on the domain of test_work_curve_rises_then_falls the slope of ln W
+    # changes sign once on the default window, and the work at its root is
+    # at least the best of the 200-point grid the optimum used to start
+    # from, to 4 ulp and the rounding of the checked config: omega_C = (1 -
+    # eta) omega_H and omega_C / T_C each round by up to 2**-53, which moves
+    # W by that times (1 - eta) / eta and (1 - eta) / (eta_C - eta).  A grid
+    # point may gain it and the root lose it, so the bound takes it twice.
+    # It matters only where eta or eta_C - eta is near 1e-12 (the corners
+    # below), where it reaches 1.3e-4 relative.
+    eta = eta_C * eta_share
+    fields = optimize._otto_fields(eta, eta_C, T_H, regime)
+    slope = optimize._log_work_slope(regime)
+    grid = optimize._logspace(1e-3 * T_H, 20.0 * T_H, 200)
+    rising = [slope(*fields(w)[2:4]) > 0.0 for w in grid]
+    assert rising[0] and not rising[-1]
+    assert rising == sorted(rising, reverse=True)
+    rec = maximize_work(ScanSpec(eta, eta_C, T_H, regime, 1e-3 * T_H, 20.0 * T_H))
+    assert rec.converged
+    best = max(optimize._work_curve(eta, eta_C, T_H, regime)(w) for w in grid)
+    rounding = 2.0**-52 * (1.0 - eta) * (1.0 / eta + 1.0 / (eta_C - eta)) * best
+    assert rec.W_star >= best - 4 * math.ulp(best) - rounding
+
+
+def mp_optimum(eta: float, eta_C: float, regime: str):
+    """The work-maximal ``a = omega_H / T_H`` and ``W / T_H`` there, at 50
+    digits, for the work written out in ``maximize_work``'s docstring at
+    the binary64 ``eta`` and ``eta_C``: the root in [1e-3, 20] of the
+    numerical derivative of ``ln W``."""
+    with mpmath.workdps(50):
+        eta, eta_C = mpmath.mpf(eta), mpmath.mpf(eta_C)
+        kappa = (1 - eta) / (1 - eta_C)
+        if regime == "nonmarkov":
+
+            def work(a):
+                return eta * a * mpmath.sinh((kappa - 1) * a / 2) / mpmath.sinh((kappa + 1) * a / 2)
+
+        else:
+
+            def work(a):
+                return eta * a * (1 / (1 + mpmath.exp(a)) - 1 / (1 + mpmath.exp(kappa * a)))
+
+        def slope(a):
+            return mpmath.diff(lambda x: mpmath.log(work(x)), a)
+
+        root = mpmath.findroot(slope, (mpmath.mpf("1e-3"), 20), solver="illinois")
+        return root, work(root)
+
+
+@pytest.mark.parametrize("regime", ["nonmarkov", "markov"])
+def test_fig4_optima_match_a_50_digit_oracle(regime):
+    p = COMMANDS["fig4"][0]
+    for eta in optimize._linspace(p["eta_min"], p["eta_max"], p["points"]):
+        spec = ScanSpec(eta, p["eta_C"], p["T_H"], regime, 1e-3 * p["T_H"], 20.0 * p["T_H"])
+        rec = maximize_work(spec)
+        a, W = mp_optimum(eta, p["eta_C"], regime)
+        assert rec.converged and rec.evaluations <= 64
+        assert abs(rec.omega_H_star / p["T_H"] - a) <= 1e-12 * a
+        assert abs(rec.W_star - W) <= 1e-14 * W
 
 
 def checked_config_work(eta, eta_C, T_H, omega_H, regime) -> str:
@@ -388,25 +459,11 @@ def test_scans_are_the_checked_config_path(regime, eta_C, eta_share, T_H, omega_
         assert W.hex() == checked_config_work(eta, eta_C, T_H, w, regime)
     if eta == eta_C:
         return
-    seen, real_curve = [], optimize._work_curve
-
-    def recording_curve(*scalars):
-        work = real_curve(*scalars)
-
-        def recorded(w):
-            seen.append((w, work(w)))
-            return seen[-1][1]
-
-        return recorded
-
-    spec = ScanSpec(eta, eta_C, T_H, regime, omega_lo=omega_H, omega_hi=8.0 * omega_H, grid_size=7)
-    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
-        mp.setattr(optimize, "_work_curve", recording_curve)
+    spec = ScanSpec(eta, eta_C, T_H, regime, omega_lo=omega_H, omega_hi=8.0 * omega_H)
+    with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # the endpoint warning is not at issue
         rec = maximize_work(spec)
-    assert len(seen) == rec.evaluations
-    for w, W in seen:
-        assert W.hex() == checked_config_work(eta, eta_C, T_H, w, regime)
+    assert rec.W_star.hex() == checked_config_work(eta, eta_C, T_H, rec.omega_H_star, regime)
 
 
 EXTREME_SCANS = """
@@ -437,11 +494,33 @@ def test_maximize_work_returns_at_extreme_gaps():
     assert w_flat == 0.0  # exp(-1e8) underflows: no work anywhere in the window
 
 
+@pytest.mark.parametrize(
+    "T_H, omega_lo, omega_hi",
+    [(1.0, 1e-300, 1e300), (1e308, 1e306, 1.7e308)],
+    ids=["600-decades", "ends-sum-past-the-largest-float"],
+)
+def test_maximize_work_bisects_any_finite_window(T_H, omega_lo, omega_hi):
+    # the first window is 2**1000 times wider than the float spacing at the
+    # optimum, the second bisects where omega_lo + omega_hi overflows
+    reference = maximize_work(ScanSpec(0.3, 0.5, 1.0, "nonmarkov"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = maximize_work(ScanSpec(0.3, 0.5, T_H, "nonmarkov", omega_lo, omega_hi))
+    assert rec.converged
+    assert math.isclose(rec.omega_H_star / T_H, reference.omega_H_star, rel_tol=1e-15)
+    assert math.isclose(rec.W_star, reference.W_star, rel_tol=1e-15)
+
+
+def test_maximize_work_checks_the_gaps_it_evaluates():
+    # at omega_lo = 5e-324, omega_C = 0.7 * omega_lo rounds back to omega_lo
+    with pytest.raises(InvalidParameterError, match="omega_H > omega_C"):
+        maximize_work(ScanSpec(0.3, 0.5, 1.0, "nonmarkov", 5e-324, 20.0))
+
+
 def seeded_scan_specs(count: int = 400, seed: int = 15) -> list:
     """Seeded ``ScanSpec``s over the scan's domain: both regimes, ``T_H``
     from subnormal to 1e300, ``eta_C`` from 1e-6 to 1 - 1e-6, ``eta`` in
-    ``(0, eta_C)``, windows anywhere in ``[1e-4, 1e5] * T_H`` and grid sizes
-    3 to 300."""
+    ``(0, eta_C)`` and windows anywhere in ``[1e-4, 1e5] * T_H``."""
     rng = random.Random(seed)
     specs = []
     for _ in range(count):
@@ -456,7 +535,6 @@ def seeded_scan_specs(count: int = 400, seed: int = 15) -> list:
                 rng.choice(["nonmarkov", "markov"]),
                 omega_lo,
                 omega_lo * 10.0 ** rng.uniform(0.1, 4.0),
-                rng.randint(3, 300),
             )
         )
     return specs
@@ -597,6 +675,17 @@ def test_fluctuation_curve_validation():
             fluctuation_curve(0.3, 0.5, 1.0, "infinite", grid)
     with pytest.raises(InvalidParameterError):
         fluctuation_curve(0.6, 0.5, 1.0, "infinite", [1.0])
+
+
+def test_a_carnot_point_in_disguise_has_no_infinite_horizon_ratio():
+    # eta is one ulp below eta_C, but 1 - eta rounds to 1 - eta_C, so
+    # omega_C / T_C is omega_H / T_H: the work is +0.0 on a primitive cycle,
+    # and the scaled mean reaches the ZeroWorkError of _fluctuation_point
+    eta = math.nextafter(0.5, 0.0)
+    assert 1.0 - eta == 1.0 - 0.5
+    with pytest.raises(ZeroWorkError, match="infinite work mean vanishes") as info:
+        fluctuation_curve(eta, 0.5, 1.0, "infinite", [1.0])
+    assert info.traceback[-1].name == "_fluctuation_point"
 
 
 @pytest.mark.parametrize("horizon", ["single_cycle", "infinite"])
