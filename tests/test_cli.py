@@ -142,7 +142,7 @@ PINNED_TABLES = {
 # values, so these also catch ulp-level drift that the 12-digit CSV rounds
 # away.
 PINNED_JSON = {
-    ("fig4", "points=3"): "c42f10d85ea06482e60588f1f2ed25c4f6859c6d4f25e88ab60285a0470ded2e",
+    ("fig4", "points=3"): "75eaedd3c4f072d3615ad6aef5b2837138a5a0bd198ad0efd218af50f51cfa9c",
     ("fig5", "points=24"): "1ba8b1e2a348643d8d0b49b1718d750f98d7a2b253ec1302ee6d08e85122ab4e",
     ("fig5", "horizon=single_cycle", "points=24"): (
         "975b885ad2819b56fc346cbf0b9378f54387958023128c32f4a744537d3c133e"
