@@ -113,7 +113,7 @@ class PopulationVector:
         two real values raises ``InvalidParameterError``.
         """
         try:
-            p_g, p_e = map(float, values)
+            p_g, p_e = map(_real, values)
         except (TypeError, ValueError) as exc:
             raise InvalidParameterError(f"expected two real populations: {exc}") from None
         overshoot = max(0.0, -p_g, -p_e, p_g - 1.0, p_e - 1.0)
@@ -211,6 +211,15 @@ def require_unit_interval(**values: float) -> None:
     for name, v in values.items():
         if isinstance(v, bool) or not 0.0 <= v <= 1.0:
             raise InvalidParameterError(f"{name} must lie in [0, 1], got {v}")
+
+
+def _real(x) -> float:
+    """``float(x)`` of a real ``x``.  A complex one raises ``TypeError``, also
+    a numpy complex scalar, whose ``float`` would drop the imaginary part
+    with only a warning.  A plain ``float`` skips the ABC checks."""
+    if type(x) is not float and isinstance(x, numbers.Complex) and not isinstance(x, numbers.Real):
+        raise TypeError(f"{x!r} is complex")
+    return float(x)
 
 
 def require_count(n, minimum: int, name: str) -> int:
@@ -332,13 +341,23 @@ def stationary_population(m: np.ndarray) -> PopulationVector:
 
 def _entries_2x2(m) -> list[float]:
     """Row-major entries of a real 2x2 matrix; anything else raises ``InvalidParameterError``."""
-    try:  # complex stays complex: a float conversion would drop the imaginary part
-        arr = np.asarray(m, dtype=complex if np.iscomplexobj(m) else float)
-    except (TypeError, ValueError, OverflowError) as exc:  # ragged or not numbers
-        raise InvalidParameterError(f"expected a real 2x2 matrix: {exc}") from None
+    arr = _numeric_array(m, "a real 2x2 matrix")
     if arr.dtype != float or arr.shape != (2, 2):
         raise InvalidParameterError(f"expected a real 2x2 matrix, got {arr.dtype} {arr.shape}")
     return arr.ravel().tolist()
+
+
+def _numeric_array(m, expected: str) -> np.ndarray:
+    """``m`` as a float array, or a complex one if it holds a complex number;
+    a ragged or non-numeric ``m`` raises ``InvalidParameterError``.  An
+    object array is read through its elements, so that a numpy complex
+    scalar in it shows as complex."""
+    if isinstance(m, np.ndarray) and m.dtype == object:
+        m = m.tolist()
+    try:  # complex stays complex: a float conversion would drop the imaginary part
+        return np.asarray(m, dtype=complex if np.iscomplexobj(m) else float)
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged or not numbers
+        raise InvalidParameterError(f"expected {expected}: {exc}") from None
 
 
 def _fixed_point(stay_g: float, down: float, up: float, stay_e: float) -> tuple[float, float]:

@@ -41,7 +41,7 @@ from operator import mul
 from typing import Callable, Sequence
 
 from .errors import ConsistencyError, InvalidParameterError, TruncationError
-from .maps import _LazyNumpy, eto, require_count, require_descending
+from .maps import _LazyNumpy, _numeric_array, eto, require_count, require_descending
 
 INTENSITY_DEPENDENT = "intensity_dependent"
 STANDARD = "standard"
@@ -127,10 +127,11 @@ def induced_population_map(u: np.ndarray, tr: FockTruncation) -> InducedMap:
     """Induced qubit population map of ``rho -> Tr_mode[U rho (x) thermal U+]``.
 
     ``m[i, s]`` sums the evolved diagonal ``|U[k, (s, n)]|^2 w_n`` over ``n``
-    and the block ``k`` of level ``i``; no joint state is formed, and a column
-    off unit sum (a non-unitary or non-finite ``u``) raises ``ConsistencyError``.
+    and the block ``k`` of level ``i``; no joint state is formed.  A ragged,
+    non-numeric or wrongly shaped ``u`` raises ``InvalidParameterError``, a
+    column off unit sum (a non-unitary or non-finite ``u``) ``ConsistencyError``.
     """
-    u = np.asarray(u)
+    u = _numeric_array(u, "a numeric unitary")
     if u.shape != (tr.dim, tr.dim):
         raise InvalidParameterError(f"unitary has wrong shape {u.shape}")
     w = _thermal_weights(tr)

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -316,8 +317,9 @@ def gibbs_map_at_ln2(m):
         [["a", "b"], ["c", "d"]],
         [[0.6 + 0.3j, 0.4], [0.4, 0.6]],
         np.array([[0.6 + 0.3j, 0.4], [0.4, 0.6]]),  # once read as its real part
+        np.array([[np.complex128(0.6 + 0.3j), 0.4], [0.4, 0.6]], dtype=object),  # that too
     ],
-    ids=["ragged", "strings", "python-complex", "complex-array"],
+    ids=["ragged", "strings", "python-complex", "complex-array", "numpy-complex-in-object-array"],
 )
 def test_a_matrix_that_is_not_real_2x2_is_rejected(build, m):
     with pytest.raises(InvalidParameterError, match="real 2x2"):
@@ -325,11 +327,21 @@ def test_a_matrix_that_is_not_real_2x2_is_rejected(build, m):
 
 
 @pytest.mark.parametrize(
-    "raw", [[0.2, 0.3, 0.5], ["x", 1.0], [0.5j, 0.5]], ids=["three-values", "string", "complex"]
+    "raw",
+    [
+        [0.2, 0.3, 0.5],
+        ["x", 1.0],
+        [0.5j, 0.5],
+        [np.complex128(0.5 + 0.1j), 0.5],  # float() once dropped the imaginary part
+        [np.complex64(0.5), 0.5],
+    ],
+    ids=["three-values", "string", "complex", "numpy-complex128", "numpy-complex64"],
 )
 def test_from_raw_rejects_anything_but_two_reals(raw):
-    with pytest.raises(InvalidParameterError, match="two real populations"):
-        PopulationVector.from_raw(raw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning on the way
+        with pytest.raises(InvalidParameterError, match="two real populations"):
+            PopulationVector.from_raw(raw)
 
 
 def test_stationary_population_of_identity_is_degenerate():

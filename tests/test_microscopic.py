@@ -190,6 +190,21 @@ def test_induced_map_rejects_an_evolution_that_loses_the_trace(u):
         induced_population_map(u, loose(1))
 
 
+@pytest.mark.parametrize(
+    "u",
+    [
+        np.full((4, 4), "a"),
+        [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0]],
+        np.full((4, 4), "a", dtype=object),
+        np.eye(3),
+    ],
+    ids=["strings", "ragged", "object-strings", "shape"],
+)
+def test_induced_map_rejects_a_malformed_unitary(u):
+    with pytest.raises(InvalidParameterError):
+        induced_population_map(u, loose(1))
+
+
 def test_report_table_shape_and_endpoints():
     tr = loose(30)
     report = eto_approximation_report(1.0, tr, [1.2, 0.0, math.pi / 2.0])

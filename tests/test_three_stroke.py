@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermalops import (
+    DegenerateCycleError,
     InvalidParameterError,
     NotAnEngineWarning,
     ThreeStrokeConfig,
@@ -207,3 +208,16 @@ def test_closed_form_work_matches_a_decimal_evaluation(cfg):
     exact, scale = exact_work_and_scale(cfg)
     assert abs(Decimal(work) - exact) <= Decimal(6 * EPS) * scale, (work, exact, scale)
     assert cycle.run()[1] == work
+
+
+def test_a_hot_flip_with_an_idle_cold_bath_is_degenerate():
+    # omega / T_H rounds to 0, so the hot ETO is the flip, and the cold bath
+    # is idle: the cycle is flip, flip, identity, the identity.  The
+    # closed-form work reaches its den == 0 guard; the report stops earlier,
+    # at the fixed point
+    cfg = ThreeStrokeConfig(1e-300, 1e300, 1e299, 1.0, 0.0)
+    with pytest.raises(DegenerateCycleError) as info:
+        cfg.cycle().work()
+    assert info.traceback[-1].name == "_three_stroke_work"
+    with pytest.raises(DegenerateCycleError):
+        three_stroke_report(cfg)
