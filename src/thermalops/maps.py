@@ -214,9 +214,7 @@ def require_unit_interval(**values: float) -> None:
 
 
 def _real(x) -> float:
-    """``float(x)`` of a real ``x``.  A complex one raises ``TypeError``, also
-    a numpy complex scalar, whose ``float`` would drop the imaginary part
-    with only a warning.  A plain ``float`` skips the ABC checks."""
+    """``float(x)``, but a complex ``x`` (numpy's would lose ``imag``) raises ``TypeError``."""
     if type(x) is not float and isinstance(x, numbers.Complex) and not isinstance(x, numbers.Real):
         raise TypeError(f"{x!r} is complex")
     return float(x)
@@ -348,12 +346,10 @@ def _entries_2x2(m) -> list[float]:
 
 
 def _numeric_array(m, expected: str) -> np.ndarray:
-    """``m`` as a float array, or a complex one if it holds a complex number;
-    a ragged or non-numeric ``m`` raises ``InvalidParameterError``.  An
-    object array is read through its elements, so that a numpy complex
-    scalar in it shows as complex."""
+    """``m`` as a float array, or complex if it holds a complex number; a
+    ragged or non-numeric ``m`` raises ``InvalidParameterError``."""
     if isinstance(m, np.ndarray) and m.dtype == object:
-        m = m.tolist()
+        m = m.tolist()  # its elements keep their types: a numpy complex one shows
     try:  # complex stays complex: a float conversion would drop the imaginary part
         return np.asarray(m, dtype=complex if np.iscomplexobj(m) else float)
     except (TypeError, ValueError, OverflowError) as exc:  # ragged or not numbers

@@ -56,15 +56,11 @@ class ScanSpec:
     omega_hi: float = 20.0
 
     def __post_init__(self):
-        if not 0.0 < self.eta < self.eta_C < 1.0:
+        if not (0.0 < self.eta < self.eta_C and 0.0 < self.omega_lo < self.omega_hi < math.inf):
             raise InvalidParameterError(
-                f"need 0 < eta < eta_C < 1, got eta={self.eta}, eta_C={self.eta_C}"
+                f"need 0 < eta < eta_C and 0 < omega_lo < omega_hi < inf, got {self}"
             )
-        _coupling_rule(self.T_H, (1.0 - self.eta_C) * self.T_H, self.regime)  # checks T_H, regime
-        if not 0.0 < self.omega_lo < self.omega_hi < math.inf:
-            raise InvalidParameterError(
-                f"need 0 < omega_lo < omega_hi < inf, got ({self.omega_lo}, {self.omega_hi})"
-            )
+        _otto_fields(self.eta, self.eta_C, self.T_H, self.regime)  # checks eta_C < 1, T_H, regime
 
 
 @dataclass(frozen=True)
@@ -146,7 +142,7 @@ def _linspace(start: float, stop: float, num: int) -> list[float]:
 
 def _logspace(lo: float, hi: float, n: int) -> list[float]:
     """``n >= 2`` log-spaced floats from ``lo`` to ``hi``, for ``0 < lo < hi``:
-    the one log grid of the gap scan and of the CLI tables.  The ends are
+    the one log grid of the CLI tables.  The ends are
     ``lo`` and ``hi`` themselves (``10**log10(20.0)`` rounds to
     ``20.000000000000004``).  Each inner point is ``math.pow(10, y)`` on
     ``_linspace`` exponents, which rounds every point of the default grids
@@ -162,102 +158,75 @@ def _logspace(lo: float, hi: float, n: int) -> list[float]:
 
 
 def maximize_work(spec: ScanSpec) -> OptimumRecord:
-    """Maximize the Otto work-per-cycle over the gap window: the sign of the
-    slope of ``ln W`` at the window ends places the maximum, and one
-    bisection of the window on that sign finds it, down to adjacent floats
-    in ``omega_H``.  A slope that is not positive at ``omega_lo``, or still
-    positive at ``omega_hi``, puts the maximum at that end; a
-    ``NoInteriorMaximumWarning`` is issued and the record, holding the end
-    and its work, is marked unconverged.  Each gap the slope is taken at is
-    checked like a gap the work is evaluated at.
+    """Maximize the Otto work-per-cycle over the gap window by one bisection
+    on the sign of the slope of ``ln W`` (``_log_work_slope``), down to
+    adjacent floats in ``omega_H``, checking each gap as ``work_at`` does.
+    A slope not positive at ``omega_lo``, or positive at ``omega_hi``, puts
+    the maximum at that end, which the record holds, marked unconverged,
+    with a ``NoInteriorMaximumWarning``.
 
-    The bisection is sound because at fixed (eta, eta_C) the work is
-    strictly log-concave in ``a = omega_H / T_H``: its slope falls through
-    zero once.  With ``kappa = (1 - eta) / (1 - eta_C) > 1`` (``omega_C /
-    T_C = kappa a``) and ``phi(y) = (y / sinh y)**2``, which lies in (0, 1)
-    and falls as ``y`` grows:
+    The slope falls through zero once: at fixed (eta, eta_C) the work is
+    strictly log-concave in ``a = omega_H / T_H``.  With ``kappa = (1 -
+    eta) / (1 - eta_C) > 1`` (``omega_C / T_C = kappa a``) and ``phi(y) =
+    (y / sinh y)**2``, which lies in (0, 1) and falls as ``y`` grows:
     - ``nonmarkov``: ``W / T_H = eta a sinh((kappa-1) a/2) / sinh((kappa+1)
       a/2)`` and ``(ln W)'' = [phi((kappa+1) a/2) - phi((kappa-1) a/2) - 1]
       / a**2 < 0``;
     - ``markov``: ``W / T_H = eta a [1/(1 + e^a) - 1/(1 + e^(kappa a))]``,
       so ``ln W = ln a + a + ln(e^((kappa-1) a) - 1) - ln(1 + e^a) - ln(1 +
       e^(kappa a)) + const``, a sum of concave terms.
-    ``_log_work_slope`` gives ``a (ln W)'`` in closed form.
     """
     fields = _otto_fields(spec.eta, spec.eta_C, spec.T_H, spec.regime)
     slope = _log_work_slope(spec.regime)
-    evaluations = 0
+    signs = []  # one per slope evaluation
 
     def rising(omega_H: float) -> bool:
-        nonlocal evaluations
-        evaluations += 1
-        _, _, a, b, _, _ = fields(omega_H)
-        return slope(a, b) > 0.0
+        signs.append(slope(*fields(omega_H)[2:4]) > 0.0)
+        return signs[-1]
 
-    if not rising(spec.omega_lo):
-        end = spec.omega_lo
-    elif rising(spec.omega_hi):
-        end = spec.omega_hi
-    else:
-        omega_H = _bisect(rising, spec.omega_lo, spec.omega_hi)
-        return OptimumRecord(omega_H, _otto_work(*fields(omega_H)) / spec.T_H, True, evaluations)
-    warnings.warn(
-        f"work maximum at range endpoint omega_H={end:.6g}; widen [omega_lo, omega_hi]",
-        NoInteriorMaximumWarning,
-        stacklevel=2,
-    )
-    return OptimumRecord(end, _otto_work(*fields(end)) / spec.T_H, False, evaluations)
-
-
-def _x_bose(x: float) -> float:
-    """``x / (e^x - 1)``, 1 at ``x = 0`` (a gap that rounds to 0), written
-    with ``exp(-x)`` so that it does not overflow for ``x >= 0``."""
-    return x * math.exp(-x) / -math.expm1(-x) if x else 1.0
-
-
-def _x_fermi(x: float) -> float:
-    """``x / (e^x + 1)`` for ``x >= 0``, written with ``exp(-x)``."""
-    q = math.exp(-x)
-    return x * q / (1.0 + q)
+    lo, hi = spec.omega_lo, spec.omega_hi
+    omega_H = lo if not rising(lo) else hi if rising(hi) else _bisect(rising, lo, hi)
+    converged = signs[:2] == [True, False]  # rising at lo, falling at hi
+    if not converged:
+        msg = f"work maximum at range endpoint omega_H={omega_H:.6g}; widen [omega_lo, omega_hi]"
+        warnings.warn(msg, NoInteriorMaximumWarning, stacklevel=2)
+    return OptimumRecord(omega_H, _otto_work(*fields(omega_H)) / spec.T_H, converged, len(signs))
 
 
 def _log_work_slope(regime: str):
-    """``a (ln W)'(a)`` as a function of the exponents ``a = omega_H / T_H``
-    and ``b = omega_C / T_C = kappa a``, for ``W`` of ``maximize_work``'s
-    docstring.  With ``u = (b - a)/2``, ``v = (b + a)/2`` and ``y coth y = y
-    + _x_bose(2y)``, ``y tanh y = y - _x_fermi(2y)``:
-    - ``nonmarkov``: ``ln W = ln a + ln sinh u - ln sinh v + const`` gives
-      ``1 + u coth u - v coth v = 1 - a + _x_bose(b - a) - _x_bose(b + a)``;
-    - ``markov``: ``1/(1 + e^a) - 1/(1 + e^b) = sinh u / (2 cosh(a/2)
-      cosh(b/2))`` gives ``1 + u coth u - (a/2) tanh(a/2) - (b/2) tanh(b/2)
-      = 1 - a + _x_bose(b - a) + _x_fermi(a) + _x_fermi(b)``.
-    ``_x_bose`` lies in (0, 1] and ``_x_fermi`` in [0, 0.28], so the root
-    lies in ``1 < a < 2`` (``nonmarkov``) or ``1 < a < 2.6`` (``markov``),
-    and every term there is O(1): the sign does not cancel.  The ``coth``
-    form would cancel two terms of size ``kappa a / 2`` as ``eta_C -> 1``.
-    Where ``b + a`` overflows the slope is NaN, which the caller reads as
-    falling, as it is there."""
+    """``a (ln W)'(a)`` for ``maximize_work``'s ``W``, as a function of ``a``
+    and ``b = omega_C / T_C = kappa a``, with ``u, v = (b - a)/2, (b + a)/2``:
+    ``1 + u coth u - v coth v`` (``nonmarkov``) and ``1 + u coth u - (a/2)
+    tanh(a/2) - (b/2) tanh(b/2)`` (``markov``, as ``1/(1 + e^a) - 1/(1 + e^b)
+    = sinh u / (2 cosh(a/2) cosh(b/2))``).  ``y coth y = y + B(2y)`` and ``y
+    tanh y = y - F(2y)`` give the forms below, where ``B`` lies in (0, 1] and
+    ``F`` in [0, 0.28]: the root lies in ``1 < a < 2.6`` and no term there is
+    large, where the ``coth`` terms cancel at size ``kappa a / 2``.  An
+    overflowing ``b + a`` gives NaN, read as falling, as the slope is."""
+
+    def bose(x: float) -> float:  # B(x) = x / (e^x - 1), 1 at x = 0
+        return x * math.exp(-x) / -math.expm1(-x) if x else 1.0
+
+    def fermi(x: float) -> float:  # F(x) = x / (e^x + 1)
+        q = math.exp(-x)
+        return x * q / (1.0 + q)
+
     if regime == NONMARKOV:
-        return lambda a, b: 1.0 - a + _x_bose(b - a) - _x_bose(b + a)
-    return lambda a, b: 1.0 - a + _x_bose(b - a) + _x_fermi(a) + _x_fermi(b)
+        return lambda a, b: 1.0 - a + bose(b - a) - bose(b + a)
+    return lambda a, b: 1.0 - a + bose(b - a) + fermi(a) + fermi(b)
 
 
 def _bisect(below_edge, lo: float, hi: float) -> float:
-    """Midpoint of the final bracket of a bisection on [lo, hi], ``0 <= lo <
-    hi < inf``, for the point where ``below_edge`` turns false; stops once
-    the midpoint rounds onto an end of the bracket (every later step would
-    too).  Halving each end keeps ``lo + hi`` from overflowing and, above
-    the subnormals, rounds as ``0.5 * (lo + hi)``; 2100 halvings take any
-    such bracket to adjacent floats (it is at most 2**1024 wide, they are
-    at least 2**-1074 apart)."""
+    """Midpoint of the final bracket of a bisection on ``0 <= lo < hi < inf``
+    for the point where ``below_edge`` turns false, once the midpoint rounds
+    onto an end.  Halving each end keeps ``lo + hi`` from overflowing and
+    rounds as ``0.5 * (lo + hi)`` above the subnormals; 2100 steps cover any
+    bracket (2**1024 wide at most, floats 2**-1074 apart at least)."""
     for _ in range(2100):
         mid = 0.5 * lo + 0.5 * hi
         if mid in (lo, hi):
             break
-        if below_edge(mid):
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if below_edge(mid) else (lo, mid)
     return 0.5 * lo + 0.5 * hi
 
 
@@ -305,14 +274,10 @@ def work_efficiency_curve(
         raise InvalidParameterError("eta grid must lie strictly inside (0, eta_C)")
     if engine not in ENGINES:
         raise InvalidParameterError(f"engine must be one of {ENGINES}, got {engine!r}")
-    rows = []
-    for eta in etas:
-        if engine == THREE_STROKE_ENGINE:
-            w = three_stroke_config_at(eta, eta_C, T_H).cycle().work() / T_H
-        else:
-            w = maximize_work(ScanSpec(eta, eta_C, T_H, engine, 1e-3 * T_H, 20.0 * T_H)).W_star
-        rows.append([eta, w])
-    return rows
+    if engine == THREE_STROKE_ENGINE:
+        return [[eta, three_stroke_config_at(eta, eta_C, T_H).cycle().work() / T_H] for eta in etas]
+    window = (1e-3 * T_H, 20.0 * T_H)
+    return [[eta, maximize_work(ScanSpec(eta, eta_C, T_H, engine, *window)).W_star] for eta in etas]
 
 
 def _fluctuation_point(cycle: Cycle, horizon: str) -> tuple[float, float]:
