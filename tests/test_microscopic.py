@@ -196,9 +196,8 @@ def test_induced_map_rejects_an_evolution_that_loses_the_trace(u):
         np.full((4, 4), "a"),
         [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0]],
         np.full((4, 4), "a", dtype=object),
-        np.eye(3),
     ],
-    ids=["strings", "ragged", "object-strings", "shape"],
+    ids=["strings", "ragged", "object-strings"],
 )
 def test_induced_map_rejects_a_malformed_unitary(u):
     with pytest.raises(InvalidParameterError):

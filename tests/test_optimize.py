@@ -343,11 +343,12 @@ def test_maximize_work_warns_on_endpoint_maximum():
 @example(regime="markov", eta_C=1.0 - 1e-6, eta_share=1.0 - 1e-6, T_H=1e300)
 @example(regime="nonmarkov", eta_C=1.0 - 1e-6, eta_share=1.0 - 1e-6, T_H=1e300)
 def test_work_curve_rises_then_falls(regime, eta_C, eta_share, T_H):
-    # the log-concavity that maximize_work's docstring proves, as seen on a
+    # the log-concavity that maximize_work's docstring proves, seen on a
     # coarse grid: the values on the default window rise to an interior
-    # maximum and fall after it (rounding may tie neighbours).  Closer to eta = 0 or eta = eta_C than
-    # a share of 1e-6, the rounding of omega_C or T_C is a sizeable part of
-    # omega_H - omega_C or of kappa - 1, and the coarse values carry it.
+    # maximum and fall after it (rounding may tie neighbours).  Closer to
+    # eta = 0 or eta = eta_C than a share of 1e-6, the rounding of omega_C
+    # or T_C is a sizeable part of omega_H - omega_C or of kappa - 1, and
+    # the coarse values carry it.
     f = optimize._work_curve(eta_C * eta_share, eta_C, T_H, regime)
     values = [f(w) for w in optimize._logspace(1e-3 * T_H, 20.0 * T_H, 200)]
     peak = values.index(max(values))
@@ -370,13 +371,13 @@ def test_work_curve_rises_then_falls(regime, eta_C, eta_share, T_H):
 def test_bisection_finds_the_one_sign_change_and_beats_the_grid(regime, eta_C, eta_share, T_H):
     # on the domain of test_work_curve_rises_then_falls the slope of ln W
     # changes sign once on the default window, and the work at its root is
-    # at least the best of the 200-point grid the optimum used to start
-    # from, to 4 ulp and the rounding of the checked config: omega_C = (1 -
-    # eta) omega_H and omega_C / T_C each round by up to 2**-53, which moves
-    # W by that times (1 - eta) / eta and (1 - eta) / (eta_C - eta).  A grid
-    # point may gain it and the root lose it, so the bound takes it twice.
-    # It matters only where eta or eta_C - eta is near 1e-12 (the corners
-    # below), where it reaches 1.3e-4 relative.
+    # at least the best value of a 200-point log grid, to 4 ulp and the
+    # rounding of the checked config: omega_C = (1 - eta) omega_H and
+    # omega_C / T_C each round by up to 2**-53, which moves W by that times
+    # (1 - eta) / eta and (1 - eta) / (eta_C - eta).  A grid point may gain
+    # it and the root lose it, so the bound takes it twice.  It matters only
+    # where eta or eta_C - eta is near 1e-12 (the corners below), where it
+    # reaches 1.3e-4 relative.
     eta = eta_C * eta_share
     fields = optimize._otto_fields(eta, eta_C, T_H, regime)
     slope = optimize._log_work_slope(regime)
