@@ -190,28 +190,37 @@ def _apply_overrides(defaults: dict, pairs: Optional[Sequence[str]]) -> dict:
     return params
 
 
-def _fmt(value) -> str:
-    return f"{float(value):.12g}"
-
-
 def _render_csv(command: str, params: dict, columns, rows) -> str:
     meta = " ".join(f"{k}={v}" for k, v in params.items())
+    row = ",".join(["%.12g"] * len(columns))
     lines = [
-        f"# command={command} version={__version__} {meta} columns={','.join(columns)}"
+        f"# command={command} version={__version__} {meta} columns={','.join(columns)}",
+        *[row % tuple(r) for r in rows],
     ]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
 
 
 def _render_json(command: str, params: dict, columns, rows) -> str:
-    payload = {
-        "command": command,
-        "version": __version__,
-        "params": params,
-        "columns": list(columns),
-        "rows": [[float(v) for v in row] for row in rows],
-    }
-    return json.dumps(payload, indent=1) + "\n"
+    """``json.dumps(payload, indent=1) + "\\n"``, byte for byte, for the
+    payload of the header fields and ``rows`` as lists of floats.
+
+    Any ``indent`` sends ``json`` to its pure-Python encoder, which costs
+    more than the rows themselves, so only the small header goes through it
+    (it escapes the strings).  The rows are written with one ``%r`` per
+    value: ``float.__repr__`` is what ``json`` writes for a finite float.
+    Finite reprs hold no ``n``, so only a table with a ``nan`` or ``inf``
+    is rewritten to ``json``'s ``NaN``, ``Infinity`` and ``-Infinity``.
+    """
+    head = json.dumps(
+        {"command": command, "version": __version__, "params": params, "columns": list(columns)},
+        indent=1,
+    )
+    row = "\n  [" + ",".join(["\n   %r"] * len(columns)) + "\n  ]"
+    body = ",".join([row % tuple(map(float, r)) for r in rows])
+    if "n" in body:
+        body = body.replace("nan", "NaN").replace("inf", "Infinity")
+    block = f"[{body}\n ]" if rows else "[]"
+    return f'{head[:-2]},\n "rows": {block}\n}}\n'
 
 
 def _emit(text: str, out_path: Optional[str]) -> None:

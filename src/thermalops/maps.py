@@ -111,6 +111,12 @@ class PopulationVector:
         is also renormalized, anything larger raises ``ConsistencyError``
         since it indicates a logic bug rather than rounding.  Anything but
         two real values raises ``InvalidParameterError``.
+
+        Renormalizing cannot divide by zero.  It runs only when the drift is
+        at most ``DRIFT_FAIL``, so ``p_g + p_e >= 1 - DRIFT_FAIL``, and
+        clamping moves each value by at most the overshoot, itself at most
+        ``DRIFT_FAIL``; the total is then at least ``1 - 3 DRIFT_FAIL > 0``.
+        ``max`` drops a NaN from the drift, and the constructor rejects it.
         """
         try:
             p_g, p_e = map(_real, values)
@@ -128,8 +134,6 @@ class PopulationVector:
             p_e = min(max(p_e, 0.0), 1.0)
         if drift > DRIFT_RENORM:
             total = p_g + p_e
-            if total <= 0.0:
-                raise ConsistencyError("populations vanished, cannot renormalize")
             p_g, p_e = p_g / total, p_e / total
         return cls(p_g, p_e)
 

@@ -9,6 +9,8 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import thermalops
 from thermalops import cli, verify
@@ -196,6 +198,87 @@ def test_verify_output_is_pinned(case, capsys):
     argv = ["verify", "--suite", suite, "--format", fmt]
     assert stdout_digest(argv, capsys) == PINNED_VERIFY[case]
 
+
+# The renderers as they were written before the rows skipped json's indent
+# encoder and the per-value format: the oracles the renderers must match.
+def json_oracle(command, params, columns, rows):
+    payload = {
+        "command": command,
+        "version": thermalops.__version__,
+        "params": params,
+        "columns": list(columns),
+        "rows": [[float(v) for v in row] for row in rows],
+    }
+    return json.dumps(payload, indent=1) + "\n"
+
+
+def csv_oracle(command, params, columns, rows):
+    meta = " ".join(f"{k}={v}" for k, v in params.items())
+    lines = [
+        f"# command={command} version={thermalops.__version__} {meta} columns={','.join(columns)}"
+    ]
+    lines.extend(",".join(f"{float(v):.12g}" for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_default_tables_match_the_oracle_renderers(command):
+    defaults, runner = cli.COMMANDS[command]
+    columns, rows = runner(dict(defaults))
+    assert cli._render_json(command, defaults, columns, rows) == json_oracle(
+        command, defaults, columns, rows
+    )
+    assert cli._render_csv(command, defaults, columns, rows) == csv_oracle(
+        command, defaults, columns, rows
+    )
+
+
+# repr switches to exponent form below 1e-4 and from 1e16 on
+TABLE_VALUES = st.one_of(
+    st.floats(),
+    st.sampled_from(
+        [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -2.2e-308]
+        + [0.1, 1e-4, 1e-5, 9999999999999998.0, 1e16]
+    ),
+    st.integers(-(2**64), 2**64),
+)
+
+
+@st.composite
+def tables(draw):
+    width = draw(st.integers(1, 4))
+    columns = draw(st.lists(st.text(max_size=4), min_size=width, max_size=width))
+    rows = draw(st.lists(st.lists(TABLE_VALUES, min_size=width, max_size=width), max_size=6))
+    params = draw(
+        st.dictionaries(st.text(max_size=4), st.one_of(st.text(), st.floats(), st.integers()))
+    )
+    return params, columns, rows
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(tables())
+@example(({}, ["W"], [[1.0], [math.nan], [-math.inf]]))
+@example(({"T_H": 1.0}, ["eta", "W"], []))
+@example(({'a "quoted" \\ key': "caf\u00e9\n", "eta": math.nan}, ["engine", "W"], [[2, 5e-324]]))
+def test_renderers_match_the_oracles_byte_for_byte(table):
+    params, columns, rows = table
+    assert cli._render_json("t", params, columns, rows) == json_oracle("t", params, columns, rows)
+    assert cli._render_csv("t", params, columns, rows) == csv_oracle("t", params, columns, rows)
+
+
+def test_module_entry_point_prints_what_main_prints(capsys):
+    argv = ["fig1", "--set", "points=3"]
+    src = os.path.dirname(os.path.dirname(thermalops.__file__))
+    done = subprocess.run(
+        [sys.executable, "-m", "thermalops.cli", *argv],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert cli.main(argv) == 0
+    assert done.stdout == capsys.readouterr().out
 
 # Runs CLI commands in a fresh interpreter and prints, per command, its
 # exit code, the sha256 of its stdout, whether numpy is loaded and whether

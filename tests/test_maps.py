@@ -33,7 +33,7 @@ from thermalops import (
     tilted_map_otto,
     work_moments,
 )
-from thermalops.maps import require_count
+from thermalops.maps import DRIFT_FAIL, DRIFT_RENORM, require_count
 
 LN2 = math.log(2.0)
 
@@ -174,6 +174,29 @@ def test_population_vector_clamps_tiny_overshoots(raw, expected):
     # outside [0, 1] are still clamped into it
     p = PopulationVector.from_raw(raw)
     assert (p.p_g, p.p_e) == expected
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(
+    p=st.floats(0.0, 1.0),
+    d_g=st.floats(-0.45 * DRIFT_FAIL, 0.45 * DRIFT_FAIL),
+    d_e=st.floats(-0.45 * DRIFT_FAIL, 0.45 * DRIFT_FAIL),
+    excess=st.floats(1.01, 1e6),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+@example(p=0.0, d_g=-0.45 * DRIFT_FAIL, d_e=-0.45 * DRIFT_FAIL, excess=1.01, sign=-1.0)
+@example(p=1.0, d_g=0.45 * DRIFT_FAIL, d_e=0.45 * DRIFT_FAIL, excess=1.01, sign=1.0)
+@example(p=0.5, d_g=-0.45 * DRIFT_FAIL, d_e=-0.45 * DRIFT_FAIL, excess=1e6, sign=-1.0)
+def test_from_raw_renormalizes_up_to_drift_fail_and_raises_past_it(p, d_g, d_e, excess, sign):
+    # each value within DRIFT_FAIL / 2 of a valid pair keeps the drift within
+    # DRIFT_FAIL, so clamping and renormalizing give a checked vector near it
+    fixed = PopulationVector.from_raw([p + d_g, (1.0 - p) + d_e])
+    assert 0.0 <= fixed.p_g <= 1.0 and 0.0 <= fixed.p_e <= 1.0
+    assert abs(fixed.p_g + fixed.p_e - 1.0) <= DRIFT_RENORM
+    assert abs(fixed.p_g - p) <= DRIFT_FAIL and abs(fixed.p_e - (1.0 - p)) <= DRIFT_FAIL
+    # one value moved past DRIFT_FAIL is a logic bug, not rounding
+    with pytest.raises(ConsistencyError, match="exceeds"):
+        PopulationVector.from_raw([p + sign * excess * DRIFT_FAIL, 1.0 - p])
 
 
 def numpy_map(omega: float, beta: float, lam: float) -> np.ndarray:
