@@ -40,7 +40,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .errors import (
     ConsistencyError,
@@ -56,10 +57,12 @@ from .maps import (
     Cycle,
     PopulationVector,
     WorkStroke,
+    _Checked,
     _compose,
     _fixed_point,
     _LazyNumpy,
     require_count,
+    require_descending,
 )
 from .otto import EngineConfig, OttoConfig
 from .three_stroke import ThreeStrokeConfig
@@ -156,8 +159,7 @@ def _checked_variance(var: float, scale: float, quantum: float) -> float:
     return energy
 
 
-@dataclass(frozen=True)
-class WorkStatistics:
+class WorkStatistics(NamedTuple):
     """Mean and variance of the work generated over ``n`` cycles."""
 
     n: int
@@ -197,26 +199,27 @@ def scaled_cumulants(tmap: Cycle) -> tuple[float, float]:
     return tmap.work(), _checked_variance(v1 + 2.0 * c / g, 1.0, tmap.quantum)
 
 
-@dataclass(frozen=True)
-class WorkDistribution:
-    """Exact N-cycle work distribution on the lattice ``k * quantum``."""
+class WorkDistribution(_Checked, namedtuple("WorkDistribution", "n quantum support")):
+    """Exact N-cycle work distribution on the lattice ``k * quantum``;
+    ``support`` holds ``(work, probability)`` pairs."""
 
-    n: int
-    quantum: float
-    support: tuple[tuple[float, float], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        total = math.fsum(p for _, p in self.support)
-        if abs(total - 1.0) > 1e-12:
+    def __new__(cls, n: int, quantum: float, support: tuple[tuple[float, float], ...]):
+        require_count(n, 1, "cycle count")
+        require_descending(quantum=quantum)
+        total = math.fsum(p for _, p in support)
+        if not abs(total - 1.0) <= 1e-12:  # NaN fails too
             raise ConsistencyError(f"probabilities sum to {total}, expected 1")
-        for w, p in self.support:
+        for w, p in support:
             if p < 0.0:
                 raise ConsistencyError(f"negative probability {p} at work {w}")
-            k = w / self.quantum
-            if abs(k - round(k)) > 1e-9 or abs(round(k)) > self.n:
+            k = w / quantum
+            if not abs(k) <= n + 0.5 or abs(k - round(k)) > 1e-9:  # a NaN k fails first
                 raise ConsistencyError(
-                    f"work value {w} is not a lattice point within +-{self.n} quanta"
+                    f"work value {w} is not a lattice point within +-{n} quanta"
                 )
+        return tuple.__new__(cls, (n, quantum, support))
 
     def mean(self) -> float:
         return math.fsum(w * p for w, p in self.support)

@@ -40,16 +40,23 @@ a map's checked float entries (``_compose``, ``_fixed_point``), which round
 alike on every platform; a numpy 2x2 product may use a fused multiply-add.
 numpy is imported only by the array accessors, on first use (``_LazyNumpy``).
 
-All types are immutable after construction and all operations are pure
-functions; everything is safe for concurrent read-only use.
+Value types are named tuples: ``PopulationVector``, ``ThermalOpParams`` and
+``WorkStroke`` here, and the configs, reports and records of the other
+modules.  They compare and hash by value, compare equal to a plain tuple of
+their fields and unpack like one.  A checked one runs its checks in
+``__new__``, so ``_replace``, copying and unpickling check too.
+``GibbsStochasticMatrix`` and ``Cycle`` (and ``microscopic.InducedMap``)
+compare by identity.  All types are immutable after construction (assigning
+a field raises ``AttributeError``) and all operations are pure functions;
+everything is safe for concurrent read-only use.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections import namedtuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     ConsistencyError,
@@ -84,23 +91,49 @@ class _LazyNumpy:
 np = _LazyNumpy(globals())
 
 
-@dataclass(frozen=True)
-class PopulationVector:
+class _Checked:
+    """Mixin of a named tuple whose ``__new__`` checks the fields: ``_make``,
+    and so ``_replace``, builds through ``__new__`` too."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _Frozen:
+    """Base of the types that compare by identity.  A subclass's ``__init__``
+    stores the fields named in ``_FIELDS`` in ``__dict__``; assigning or
+    deleting an attribute raises ``AttributeError``."""
+
+    _FIELDS: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
+        return f"{type(self).__name__}({fields})"
+
+
+class PopulationVector(_Checked, namedtuple("PopulationVector", "p_g p_e")):
     """Ground/excited occupation probabilities of the qubit."""
 
-    p_g: float
-    p_e: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0.0 <= self.p_g <= 1.0 and 0.0 <= self.p_e <= 1.0):
+    def __new__(cls, p_g: float, p_e: float):
+        in_range = 0.0 <= p_g <= 1.0 and 0.0 <= p_e <= 1.0  # NaN fails
+        if not in_range or isinstance(p_g, bool) or isinstance(p_e, bool):
+            raise InvalidParameterError(f"populations must lie in [0, 1], got ({p_g}, {p_e})")
+        if abs(p_g + p_e - 1.0) > DRIFT_RENORM:
             raise InvalidParameterError(
-                f"populations must lie in [0, 1], got ({self.p_g}, {self.p_e})"
+                f"populations must sum to 1 within {DRIFT_RENORM}, got sum {p_g + p_e}"
             )
-        if abs(self.p_g + self.p_e - 1.0) > DRIFT_RENORM:
-            raise InvalidParameterError(
-                f"populations must sum to 1 within {DRIFT_RENORM}, "
-                f"got sum {self.p_g + self.p_e}"
-            )
+        return tuple.__new__(cls, (p_g, p_e))
 
     @classmethod
     def from_raw(cls, values: Iterable[float]) -> "PopulationVector":
@@ -141,22 +174,19 @@ class PopulationVector:
         return np.array([self.p_g, self.p_e])
 
 
-@dataclass(frozen=True)
-class ThermalOpParams:
+class ThermalOpParams(_Checked, namedtuple("ThermalOpParams", "omega beta lam")):
     """(gap, inverse temperature, interaction strength) of one operation."""
 
-    omega: float
-    beta: float
-    lam: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        require_descending(omega=self.omega)
-        require_descending(beta=self.beta)
-        require_unit_interval(lam=self.lam)
+    def __new__(cls, omega: float, beta: float, lam: float):
+        require_descending(omega=omega)
+        require_descending(beta=beta)
+        require_unit_interval(lam=lam)
+        return tuple.__new__(cls, (omega, beta, lam))
 
 
-@dataclass(frozen=True, eq=False)
-class GibbsStochasticMatrix:
+class GibbsStochasticMatrix(_Frozen):
     """2x2 column-stochastic matrix with the Gibbs populations as fixed point.
 
     Entry ``m[i, j]`` is the transition probability from source level ``j``
@@ -167,18 +197,15 @@ class GibbsStochasticMatrix:
     first access.
     """
 
-    m: np.ndarray
-    omega: float
-    beta_omega: float
+    _FIELDS = ("m", "omega", "beta_omega")
 
-    def __post_init__(self):
-        if not (self.omega > 0.0 and self.beta_omega >= 0.0):  # NaN fails too
+    def __init__(self, m: np.ndarray, omega: float, beta_omega: float):
+        if not (omega > 0.0 and beta_omega >= 0.0):  # NaN fails too
             raise InvalidParameterError(
-                f"need omega > 0 and beta_omega >= 0, got {self.omega}, {self.beta_omega}"
+                f"need omega > 0 and beta_omega >= 0, got {omega}, {beta_omega}"
             )
-        entries = _gibbs_stochastic_entries(*_entries_2x2(self.m), math.exp(-self.beta_omega))
-        del self.__dict__["m"]  # rebuilt from the checked entries
-        self.__dict__["_entries"] = entries
+        entries = _gibbs_stochastic_entries(*_entries_2x2(m), math.exp(-beta_omega))
+        self.__dict__.update(omega=omega, beta_omega=beta_omega, _entries=entries)
 
     def __getattr__(self, name: str):
         if name != "m":  # m is built on its first access
@@ -195,7 +222,7 @@ class GibbsStochasticMatrix:
 
 
 def _unchecked(cls, **fields):
-    """The frozen dataclass ``cls`` holding ``fields`` that passed its checks."""
+    """The ``_Frozen`` type ``cls`` holding ``fields`` that passed its checks."""
     self = object.__new__(cls)
     self.__dict__.update(fields)
     return self
@@ -378,8 +405,7 @@ def _compose(left: tuple, right: tuple) -> tuple[float, float, float, float]:
     return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
 
 
-@dataclass(frozen=True)
-class WorkStroke:
+class WorkStroke(NamedTuple):
     """Unitary work stroke: the gap changes from ``omega_in`` to
     ``omega_out`` at frozen populations, keeping the levels (a quench) or
     swapping them (``flip``)."""
@@ -398,7 +424,7 @@ class WorkStroke:
 
     def apply(self, p: PopulationVector) -> PopulationVector:
         # a checked vector with its levels swapped needs no second check
-        return _unchecked(PopulationVector, p_g=p.p_e, p_e=p.p_g) if self.flip else p
+        return tuple.__new__(PopulationVector, (p.p_e, p.p_g)) if self.flip else p
 
     def _after(self, m: tuple, chi: float) -> tuple[float, float, float, float]:
         """The row-major map ``m`` followed by this stroke, each transition
@@ -417,18 +443,17 @@ _SHAPES = (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class Cycle:
+class Cycle(_Frozen):
     """Engine cycle: the strokes from point 1.  A tuple other than (hot, quench
     to the smaller cold gap, cold, quench back) or (hot, flip, cold) at one
     gap raises ``InvalidParameterError`` here, so no method checks it again."""
 
-    strokes: tuple
+    _FIELDS = ("strokes",)
 
-    def __post_init__(self):
-        if not isinstance(self.strokes, tuple) or tuple(map(type, self.strokes)) not in _SHAPES:
+    def __init__(self, strokes: tuple):
+        if not isinstance(strokes, tuple) or tuple(map(type, strokes)) not in _SHAPES:
             raise InvalidParameterError("a cycle is (heat, work, heat) or (heat, work, heat, work)")
-        hot, first, cold, *last = self.strokes
+        hot, first, cold, *last = strokes
         w_H, w_C = hot.omega, cold.omega
         if last:
             linked = w_H > w_C and (first, last[0]) == (WorkStroke(w_H, w_C), WorkStroke(w_C, w_H))
@@ -438,6 +463,7 @@ class Cycle:
             raise InvalidParameterError(
                 "work strokes must quench omega_H > omega_C and back, or flip at one gap"
             )
+        self.__dict__["strokes"] = strokes
 
     @property
     def quantum(self) -> float:

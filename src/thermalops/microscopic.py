@@ -36,12 +36,20 @@ and ``micro-report`` needs no numpy.  The dense dilation (``jc_unitary``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import mul
 from typing import Callable, Sequence
 
 from .errors import ConsistencyError, InvalidParameterError, TruncationError
-from .maps import _LazyNumpy, _numeric_array, eto, require_count, require_descending
+from .maps import (
+    _Checked,
+    _Frozen,
+    _LazyNumpy,
+    _numeric_array,
+    eto,
+    require_count,
+    require_descending,
+)
 
 INTENSITY_DEPENDENT = "intensity_dependent"
 STANDARD = "standard"
@@ -52,25 +60,25 @@ _STATE_TOL = 1e-10
 np = _LazyNumpy(globals())
 
 
-@dataclass(frozen=True)
-class FockTruncation:
-    """Truncated single-mode description: keep boson numbers 0 .. n_max."""
+class FockTruncation(_Checked, namedtuple("FockTruncation", "n_max omega beta tail_bound")):
+    """Truncated single-mode description: keep boson numbers 0 .. n_max;
+    ``omega`` is the mode quantum, resonant with the qubit gap.  ``index``
+    numbers the product basis; it shadows ``tuple.index``."""
 
-    n_max: int
-    omega: float  # mode quantum, resonant with the qubit gap
-    beta: float
-    tail_bound: float = 1e-10
+    __slots__ = ()
 
-    def __post_init__(self):
-        require_count(self.n_max, 0, "n_max")
-        require_descending(omega=self.omega)
-        require_descending(beta=self.beta)
-        require_descending(tail_bound=self.tail_bound)
-        if self.tail_weight > self.tail_bound:
+    def __new__(cls, n_max: int, omega: float, beta: float, tail_bound: float = 1e-10):
+        require_count(n_max, 0, "n_max")
+        require_descending(omega=omega)
+        require_descending(beta=beta)
+        require_descending(tail_bound=tail_bound)
+        self = tuple.__new__(cls, (n_max, omega, beta, tail_bound))
+        if self.tail_weight > tail_bound:
             raise TruncationError(
-                f"thermal tail weight {self.tail_weight:.3e} beyond n_max={self.n_max} "
-                f"exceeds the configured bound {self.tail_bound:.3e}"
+                f"thermal tail weight {self.tail_weight:.3e} beyond n_max={n_max} "
+                f"exceeds the configured bound {tail_bound:.3e}"
             )
+        return self
 
     @property
     def tail_weight(self) -> float:
@@ -98,13 +106,14 @@ def _thermal_weights(tr: FockTruncation) -> list[float]:
     return [v / total for v in w]
 
 
-@dataclass(frozen=True, eq=False)
-class InducedMap:
+class InducedMap(_Frozen):
     """Qubit population map extracted from a joint unitary evolution, and how
     far its columns miss unit sum (``column_defect``, at most ``_STATE_TOL``)."""
 
-    m: np.ndarray
-    column_defect: float
+    _FIELDS = ("m", "column_defect")
+
+    def __init__(self, m: np.ndarray, column_defect: float):
+        self.__dict__.update(m=m, column_defect=column_defect)
 
 
 def swap_unitary(tr: FockTruncation) -> np.ndarray:

@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Sequence
+from collections import namedtuple
+from typing import NamedTuple, Sequence
 
 from .errors import InvalidParameterError, NoInteriorMaximumWarning, ZeroWorkError
 from .fcs import scaled_cumulants, work_moments
-from .maps import Cycle, _otto_work, _three_stroke_work, require_descending
+from .maps import Cycle, _Checked, _otto_work, _three_stroke_work, require_descending
 from .otto import MARKOV, NONMARKOV, OttoConfig, _coupling_rule, _otto_cycle
 from .three_stroke import ThreeStrokeConfig
 
@@ -44,27 +44,29 @@ INFINITE = "infinite"
 HORIZONS = (SINGLE_CYCLE, INFINITE)
 
 
-@dataclass(frozen=True)
-class ScanSpec:
+class ScanSpec(_Checked, namedtuple("ScanSpec", "eta eta_C T_H regime omega_lo omega_hi")):
     """Gap-scan specification at fixed (eta, eta_C)."""
 
-    eta: float
-    eta_C: float
-    T_H: float
-    regime: str
-    omega_lo: float = 1e-3
-    omega_hi: float = 20.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (0.0 < self.eta < self.eta_C and 0.0 < self.omega_lo < self.omega_hi < math.inf):
-            raise InvalidParameterError(
-                f"need 0 < eta < eta_C and 0 < omega_lo < omega_hi < inf, got {self}"
-            )
-        _otto_fields(self.eta, self.eta_C, self.T_H, self.regime)  # checks eta_C < 1, T_H, regime
+    def __new__(
+        cls,
+        eta: float,
+        eta_C: float,
+        T_H: float,
+        regime: str,
+        omega_lo: float = 1e-3,
+        omega_hi: float = 20.0,
+    ):
+        self = tuple.__new__(cls, (eta, eta_C, T_H, regime, omega_lo, omega_hi))
+        if not (0.0 < eta < eta_C and omega_hi < math.inf):
+            raise InvalidParameterError(f"need 0 < eta < eta_C and omega_hi < inf, got {self}")
+        require_descending(omega_hi=omega_hi, omega_lo=omega_lo)  # rejects bools and NaN
+        _otto_fields(eta, eta_C, T_H, regime)  # checks eta_C < 1, T_H, regime
+        return self
 
 
-@dataclass(frozen=True)
-class OptimumRecord:
+class OptimumRecord(NamedTuple):
     """``maximize_work``'s gap and the work there (units of k_B T_H);
     ``converged`` is false when the maximum sits at a window end, and
     ``evaluations`` counts the evaluations of the slope of ``ln W``."""

@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .errors import InvalidParameterError, NotAnEngineWarning, RegimeMismatchError
 from .maps import (
@@ -37,6 +38,7 @@ from .maps import (
     PopulationVector,
     WorkStroke,
     _build_map,
+    _Checked,
     _otto_work,
     _unchecked,
     build_map,  # noqa: F401  (bench/tests/test_bench.py reads thermalops.otto.build_map)
@@ -70,23 +72,26 @@ def _coupling_rule(T_H: float, T_C: float, regime: str):
     raise InvalidParameterError(f"regime must be one of {REGIMES}, got {regime!r}")
 
 
-class EngineConfig:
+class EngineConfig(_Checked):
     """Checks, heat maps and regime couplings shared by the engine configs:
-    frozen dataclasses with fields ``T_H``, ``T_C``, ``lambda_H``,
-    ``lambda_C`` and the gaps named in ``GAPS`` (hot gap first, cold gap
-    last), which build their stroke tuple in ``cycle()``."""
+    named tuples with fields ``T_H``, ``T_C``, ``lambda_H``, ``lambda_C``
+    and the gaps named in ``GAPS`` (hot gap first, cold gap last), which
+    build their stroke tuple in ``cycle()``; each ``__new__`` returns its
+    tuple through ``_checked``."""
 
+    __slots__ = ()
     GAPS: tuple[str, ...] = ()
 
-    def __post_init__(self):
+    def _checked(self):
         require_descending(**{name: getattr(self, name) for name in self.GAPS})
         require_descending(T_H=self.T_H, T_C=self.T_C)
         require_unit_interval(lambda_H=self.lambda_H, lambda_C=self.lambda_C)
         for name in (self.GAPS[0], "T_H"):  # the largest gap and temperature
             if getattr(self, name) == math.inf:
                 raise InvalidParameterError(f"{name} must be finite, got inf")
+        return self
 
-    # the fields were checked in __post_init__, so the maps skip ThermalOpParams;
+    # the fields were checked in __new__, so the maps skip ThermalOpParams;
     # omega / T stays finite at a subnormal T, where 1 / T overflows
     def hot_map(self) -> GibbsStochasticMatrix:
         omega = getattr(self, self.GAPS[0])
@@ -110,18 +115,24 @@ class EngineConfig:
             raise RegimeMismatchError(f"{regime} regime requires couplings {(lam_H, lam_C)}")
 
 
-@dataclass(frozen=True)
-class OttoConfig(EngineConfig):
+class OttoConfig(
+    EngineConfig, namedtuple("OttoConfig", "omega_H omega_C T_H T_C lambda_H lambda_C")
+):
     """Otto-cycle parameters: gaps, bath temperatures, coupling strengths."""
 
+    __slots__ = ()
     GAPS = ("omega_H", "omega_C")
 
-    omega_H: float
-    omega_C: float
-    T_H: float
-    T_C: float
-    lambda_H: float
-    lambda_C: float
+    def __new__(
+        cls,
+        omega_H: float,
+        omega_C: float,
+        T_H: float,
+        T_C: float,
+        lambda_H: float,
+        lambda_C: float,
+    ):
+        return tuple.__new__(cls, (omega_H, omega_C, T_H, T_C, lambda_H, lambda_C))._checked()
 
     @classmethod
     def nonmarkov(cls, omega_H, omega_C, T_H, T_C) -> "OttoConfig":
@@ -158,8 +169,7 @@ def _otto_cycle(
     return _unchecked(Cycle, strokes=strokes)
 
 
-@dataclass(frozen=True)
-class OttoCycleReport:
+class OttoCycleReport(NamedTuple):
     """Populations at the four cycle points plus energy bookkeeping."""
 
     p1: PopulationVector

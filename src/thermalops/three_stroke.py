@@ -13,7 +13,8 @@ the heat maps (``maps._three_stroke_work``).  Signs match the Otto module;
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .errors import NotAnEngineWarning, ZeroHeatError
 from .maps import Cycle, PopulationVector, WorkStroke, _unchecked
@@ -22,17 +23,16 @@ from .otto import MARKOV, NONMARKOV, EngineConfig
 _HEAT_TOL = 1e-14
 
 
-@dataclass(frozen=True)
-class ThreeStrokeConfig(EngineConfig):
+class ThreeStrokeConfig(
+    EngineConfig, namedtuple("ThreeStrokeConfig", "omega T_H T_C lambda_H lambda_C")
+):
     """Three-stroke parameters: gap, bath temperatures, coupling strengths."""
 
+    __slots__ = ()
     GAPS = ("omega",)
 
-    omega: float
-    T_H: float
-    T_C: float
-    lambda_H: float
-    lambda_C: float
+    def __new__(cls, omega: float, T_H: float, T_C: float, lambda_H: float, lambda_C: float):
+        return tuple.__new__(cls, (omega, T_H, T_C, lambda_H, lambda_C))._checked()
 
     @classmethod
     def nonmarkov(cls, omega, T_H, T_C) -> "ThreeStrokeConfig":
@@ -54,8 +54,7 @@ class ThreeStrokeConfig(EngineConfig):
         self._require_regime(NONMARKOV)
 
 
-@dataclass(frozen=True)
-class ThreeStrokeReport:
+class ThreeStrokeReport(NamedTuple):
     """Populations at the three cycle points plus energy bookkeeping."""
 
     p1: PopulationVector

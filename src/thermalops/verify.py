@@ -14,9 +14,8 @@ from __future__ import annotations
 import math
 import random
 import warnings
-from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import InvalidParameterError
 from .fcs import enumerate_work_distribution, work_moments
@@ -40,8 +39,7 @@ _N_MAX = 60  # microscopic-eto's Fock truncation at beta omega = _BETA_OMEGA
 _BETA_OMEGA = 1.0
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
     suite: str
     check: str
     observed: float

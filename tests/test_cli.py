@@ -280,6 +280,24 @@ def test_module_entry_point_prints_what_main_prints(capsys):
     assert cli.main(argv) == 0
     assert done.stdout == capsys.readouterr().out
 
+def test_the_import_loads_no_dataclasses_inspect_or_numpy():
+    # the records are named tuples, so the import needs neither dataclasses
+    # nor the inspect it loads; numpy waits for an array accessor
+    probe = "import sys, thermalops, thermalops.cli; print(*sorted(sys.modules))"
+    src = os.path.dirname(os.path.dirname(thermalops.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "thermalops.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect", "numpy"}
+
+
 # Runs CLI commands in a fresh interpreter and prints, per command, its
 # exit code, the sha256 of its stdout, whether numpy is loaded and whether
 # every layer module is; then which layer modules hold numpy itself as np.

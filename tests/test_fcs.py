@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import warnings
@@ -146,7 +145,12 @@ def test_gf_normalization_and_overflow_guard():
     for n in (1, 2, 5, 20):
         assert abs(cumulant_gf(tmap, p1, n, 0.0)) < 1e-12
     with pytest.raises(CountingOverflowError):
-        cumulant_gf(tmap, p1, 50, 1e4 / tmap.quantum)
+        cumulant_gf(tmap, p1, 50, 1e4 / tmap.quantum)  # the weights overflow first
+    # every weight is finite here, so the exponent budget itself refuses N
+    cycle = OttoConfig(1.0, 0.6, 1.0, 0.5, 1.0, 1.0).cycle()
+    with pytest.raises(CountingOverflowError, match="exceeds the exponent budget 600.0"):
+        cumulant_gf(cycle, cycle.steady_state(), 1000, 1.0 / cycle.quantum)
+    assert math.isfinite(cumulant_gf(cycle, cycle.steady_state(), 599, 1.0 / cycle.quantum))
     for chi in (0.0, 0.1):  # N is no float: the budget product would raise OverflowError
         with pytest.raises(CountingOverflowError, match="binary64"):
             cumulant_gf(tmap, p1, 10**400, chi)
@@ -554,9 +558,9 @@ def engine_configs(draw):
 def test_a_cycle_rebuilt_from_its_strokes_is_the_builders(cfg):
     # quantum and work() are read off the strokes alone, so a checked cycle
     # of the builder's strokes gives the builder's values and otto_work's
-    assert [f.name for f in dataclasses.fields(Cycle)] == ["strokes"]
     built = cfg.cycle()
     cycle = Cycle(built.strokes)
+    assert list(vars(cycle)) == list(vars(built)) == ["strokes"]
     otto = isinstance(cfg, OttoConfig)
     assert cycle.quantum == built.quantum == (cfg.omega_H - cfg.omega_C if otto else cfg.omega)
     # the coupling is read as the entry 0.0 + lam, which turns -0.0 into +0.0

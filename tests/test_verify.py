@@ -3,7 +3,6 @@ stand-in for ``verify.build_map``, reports and moments made NaN, and work
 kernels moved by 1e-10; and the gibbs-fixed-point residuals against their
 array and exact oracles."""
 
-import dataclasses
 import json
 import math
 import random
@@ -49,7 +48,7 @@ def test_a_nan_residual_fails_its_check(monkeypatch):
     assert all(math.isnan(r.observed) and not r.passed for r in records)
 
     def nan_work(report):
-        return lambda cfg: dataclasses.replace(report(cfg), W=math.nan)
+        return lambda cfg: report(cfg)._replace(W=math.nan)
 
     monkeypatch.setattr(verify, "otto_cycle_report", nan_work(otto.otto_cycle_report))
     monkeypatch.setattr(verify, "three_stroke_report", nan_work(three_stroke_report))
@@ -58,7 +57,7 @@ def test_a_nan_residual_fails_its_check(monkeypatch):
 
     moments = verify.work_moments
     monkeypatch.setattr(
-        verify, "work_moments", lambda *args: dataclasses.replace(moments(*args), mean=math.nan)
+        verify, "work_moments", lambda *args: moments(*args)._replace(mean=math.nan)
     )
     mean, variance = verify.suite_oracle_equivalence()
     assert math.isnan(mean.observed) and not mean.passed
