@@ -86,7 +86,6 @@ from .microscopic import (
     induced_population_map,
     jc_evolution_map,
     jc_unitary,
-    swap_unitary,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -31,9 +31,9 @@ the fixed point of ``M``; a ``p1`` a caller passes is checked against it.
 An exact trajectory-enumeration oracle, which walks the same stroke tuple,
 checks all of it.
 
-The closed forms read the checked float entries of the heat maps, and ``M``
-is composed by the cycle's 2x2 kernel (``maps._compose``), so they round the
-same way on every platform.
+The closed forms read the checked float entries of the heat maps, and ``M``,
+tilted or not, and its powers are composed by the cycle's 2x2 kernel
+(``maps._compose``), so they round the same way on every platform.
 """
 
 from __future__ import annotations
@@ -60,7 +60,6 @@ from .maps import (
     _Checked,
     _compose,
     _fixed_point,
-    _LazyNumpy,
     require_count,
     require_descending,
 )
@@ -69,8 +68,6 @@ from .three_stroke import ThreeStrokeConfig
 
 EXP_BUDGET = 600.0  # |chi| * N * Delta beyond this would overflow binary64
 ENUM_MAX_CYCLES = 12
-
-np = _LazyNumpy(globals())
 
 
 def tilted_map_otto(cfg: OttoConfig) -> Cycle:
@@ -84,18 +81,30 @@ def tilted_map_three_stroke(cfg: ThreeStrokeConfig) -> Cycle:
 
 
 def cumulant_gf(tmap: Cycle, p1: PopulationVector, n: int, chi: float) -> float:
-    """N-cycle cumulant generating function ``G_N(chi)``; zero at ``chi = 0``."""
+    """N-cycle cumulant generating function ``G_N(chi)``; zero at ``chi = 0``.
+
+    ``M^N`` is formed by binary powering of the tilted cycle's float entries.
+    The log's argument ``1^T M^N p1`` sums probability times weight over the
+    N-cycle paths: each weight lies in ``[e^-600, e^600]`` under
+    ``EXP_BUDGET`` and the probabilities sum to 1, so it is finite and > 0.
+    """
     n = require_count(n, 1, "cycle count")
     if n > sys.float_info.max:
         raise CountingOverflowError("cycle count beyond the binary64 range")
-    m = tmap.matrix(chi)
+    m = tmap._product(chi)
     if abs(chi) * n * tmap.quantum > EXP_BUDGET:
         raise CountingOverflowError(
             f"|chi| * N * Delta = {abs(chi) * n * tmap.quantum:.3g} exceeds "
             f"the exponent budget {EXP_BUDGET}"
         )
-    vec = np.linalg.matrix_power(m, n) @ p1.as_array()
-    return float(np.log(vec.sum()))
+    power = None
+    while n:  # power is M to the binary digits of N read so far, m is M^(2^digit)
+        if n & 1:
+            power = m if power is None else _compose(power, m)
+        n >>= 1
+        m = _compose(m, m) if n else m
+    a, b, c, d = power
+    return math.log((a * p1.p_g + b * p1.p_e) + (c * p1.p_g + d * p1.p_e))
 
 
 def _spectral_terms(tmap: Cycle, m0: tuple, p1: PopulationVector | None = None):
@@ -272,8 +281,6 @@ def enumerate_work_distribution(cfg: EngineConfig, n: int) -> WorkDistribution:
     for _ in range(n):
         advanced: dict[tuple[int, int], float] = {}
         for (state, k), weight in measure.items():
-            if weight == 0.0:
-                continue
             for src, end, prob, dk in branches:
                 if src != state:
                     continue

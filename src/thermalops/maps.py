@@ -33,12 +33,14 @@ and stays finite at a subnormal ``T``, where ``1 / T`` overflows.
 Every value is checked once, where it enters, and 2x2 work is done on
 Python floats: a ``GibbsStochasticMatrix`` built from a user's matrix and
 a map from ``build_map`` pass the same float checks of their four entries;
-``build_map`` then wraps its entries without checking them again.  A
-map's array ``m`` is built on first access from the checked entries.  The
-cycle product, its fixed point, ``Cycle.run`` and ``apply_map`` compute on
-a map's checked float entries (``_compose``, ``_fixed_point``), which round
-alike on every platform; a numpy 2x2 product may use a fused multiply-add.
-numpy is imported only by the array accessors, on first use (``_LazyNumpy``).
+``build_map`` then wraps its entries without checking them again.  The
+cycle product, tilted or not (``Cycle._product``), its fixed point,
+``Cycle.run`` and ``apply_map`` compute on a map's checked float entries
+(``_compose``, ``_fixed_point``), which round alike on every platform; a
+numpy 2x2 product may use a fused multiply-add.  The array ``m`` of a map
+(``_EntryMatrix``, also the base of ``microscopic.InducedMap``) is built on
+first access from its entries.  numpy is imported only by the array
+accessors and array input, on first use (``_LazyNumpy``).
 
 Value types are named tuples: ``PopulationVector``, ``ThermalOpParams`` and
 ``WorkStroke`` here, and the configs, reports and records of the other
@@ -120,6 +122,25 @@ class _Frozen:
         return f"{type(self).__name__}({fields})"
 
 
+class _EntryMatrix(_Frozen):
+    """Base of the identity types that hold a 2x2 matrix as checked
+    row-major floats in ``_entries``.  ``m`` is a read-only array of them,
+    built on first access; a copy or pickle drops it and rebuilds it."""
+
+    def __getattr__(self, name: str):
+        if name != "m":  # m is built on its first access
+            raise AttributeError(name)
+        m = self.__dict__["m"] = self.as_array()
+        m.setflags(write=False)
+        return m
+
+    def __getstate__(self) -> dict:  # a copied m would be writable; rebuild it
+        return {k: v for k, v in self.__dict__.items() if k != "m"}
+
+    def as_array(self) -> np.ndarray:
+        return np.array(self._entries).reshape(2, 2)
+
+
 class PopulationVector(_Checked, namedtuple("PopulationVector", "p_g p_e")):
     """Ground/excited occupation probabilities of the qubit."""
 
@@ -186,15 +207,14 @@ class ThermalOpParams(_Checked, namedtuple("ThermalOpParams", "omega beta lam"))
         return tuple.__new__(cls, (omega, beta, lam))
 
 
-class GibbsStochasticMatrix(_Frozen):
+class GibbsStochasticMatrix(_EntryMatrix):
     """2x2 column-stochastic matrix with the Gibbs populations as fixed point.
 
     Entry ``m[i, j]`` is the transition probability from source level ``j``
     to target level ``i``, ordering (ground, excited), and the Boltzmann
     factor is ``q = exp(-beta_omega)``.  ``_entries`` holds the checked
     entries ``(m[0, 0], m[0, 1], m[1, 0], m[1, 1])`` as floats; ``m[0, 1]``
-    is the coupling ``lam``.  ``m`` is a read-only array of them, built on
-    first access.
+    is the coupling ``lam``.
     """
 
     _FIELDS = ("m", "omega", "beta_omega")
@@ -206,19 +226,6 @@ class GibbsStochasticMatrix(_Frozen):
             )
         entries = _gibbs_stochastic_entries(*_entries_2x2(m), math.exp(-beta_omega))
         self.__dict__.update(omega=omega, beta_omega=beta_omega, _entries=entries)
-
-    def __getattr__(self, name: str):
-        if name != "m":  # m is built on its first access
-            raise AttributeError(name)
-        m = self.__dict__["m"] = self.as_array()
-        m.setflags(write=False)
-        return m
-
-    def __getstate__(self) -> dict:  # a copied m would be writable; rebuild it
-        return {k: v for k, v in self.__dict__.items() if k != "m"}
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self._entries).reshape(2, 2)
 
 
 def _unchecked(cls, **fields):
@@ -481,24 +488,24 @@ class Cycle(_Frozen):
         return _three_stroke_work(hot.omega, a, b, l_H, l_C)
 
     def matrix(self, chi: float = 0.0) -> np.ndarray:
-        """Cycle map ``S_k @ ... @ S_1`` with every work-stroke transition
-        weighted by ``exp(chi * released work)``; column-stochastic at
-        ``chi = 0``.  Raises ``InvalidParameterError`` for a non-finite
-        ``chi`` and ``CountingOverflowError`` when a weight overflows."""
-        if not math.isfinite(chi):
-            raise InvalidParameterError(f"counting field must be finite, got {chi}")
-        try:
-            return np.array(self._product(chi)).reshape(2, 2)
-        except OverflowError:
-            raise CountingOverflowError(f"exp(chi * work) overflows at chi = {chi}") from None
+        """``_product(chi)`` as a 2x2 array."""
+        return np.array(self._product(chi)).reshape(2, 2)
 
     def _product(self, chi: float = 0.0) -> tuple[float, float, float, float]:
-        """``matrix(chi)`` as row-major floats.  Work strokes are row
-        scalings and permutations, so the only product is the one between
-        the heat strokes."""
+        """Cycle map ``S_k @ ... @ S_1`` as row-major floats, with every
+        work-stroke transition weighted by ``exp(chi * released work)``;
+        column-stochastic at ``chi = 0``.  Work strokes are row scalings and
+        permutations, so the only product is the one between the heat
+        strokes.  Raises ``InvalidParameterError`` for a non-finite ``chi``
+        and ``CountingOverflowError`` when a weight overflows."""
+        if not math.isfinite(chi):
+            raise InvalidParameterError(f"counting field must be finite, got {chi}")
         hot, first, cold, *last = self.strokes
-        m = _compose(cold._entries, first._after(hot._entries, chi))
-        return last[0]._after(m, chi) if last else m
+        try:
+            m = _compose(cold._entries, first._after(hot._entries, chi))
+            return last[0]._after(m, chi) if last else m
+        except OverflowError:
+            raise CountingOverflowError(f"exp(chi * work) overflows at chi = {chi}") from None
 
     def steady_state(self) -> PopulationVector:
         """Cyclostationary populations at point 1."""

@@ -28,9 +28,10 @@ The same block structure gives the induced qubit map directly, on floats:
 ``jc_evolution_map`` sums ``w_n cos^2(g_n t)`` and ``w_n sin^2(g_n t)`` over
 the sectors in O(n_max), or in O(1) for the intensity-dependent kind, whose
 sectors share one angle; hot baths with thousands of Fock levels are cheap,
-and ``micro-report`` needs no numpy.  The dense dilation (``jc_unitary``,
-``swap_unitary``, ``induced_population_map``, which reads the map off
-``|U|^2``) is the oracle the sector sums are tested and verified against.
+and neither ``micro-report`` nor ``verify`` needs numpy.  The dense pair
+(``jc_unitary`` and ``induced_population_map``, which reads the map off
+``|U|^2``) is the oracle the sector sums are tested against; the excitation
+swap itself is an oracle of the tests.
 """
 
 from __future__ import annotations
@@ -43,9 +44,11 @@ from typing import Callable, Sequence
 from .errors import ConsistencyError, InvalidParameterError, TruncationError
 from .maps import (
     _Checked,
-    _Frozen,
+    _EntryMatrix,
+    _entries_2x2,
     _LazyNumpy,
     _numeric_array,
+    _unchecked,
     eto,
     require_count,
     require_descending,
@@ -62,8 +65,7 @@ np = _LazyNumpy(globals())
 
 class FockTruncation(_Checked, namedtuple("FockTruncation", "n_max omega beta tail_bound")):
     """Truncated single-mode description: keep boson numbers 0 .. n_max;
-    ``omega`` is the mode quantum, resonant with the qubit gap.  ``index``
-    numbers the product basis; it shadows ``tuple.index``."""
+    ``omega`` is the mode quantum, resonant with the qubit gap."""
 
     __slots__ = ()
 
@@ -93,9 +95,6 @@ class FockTruncation(_Checked, namedtuple("FockTruncation", "n_max omega beta ta
     def dim(self) -> int:
         return 2 * self.n_levels
 
-    def index(self, qubit: int, n: int) -> int:
-        return qubit * self.n_levels + n
-
 
 def _thermal_weights(tr: FockTruncation) -> list[float]:
     """``exp(-beta omega n)``, n = 0 .. n_max, over their ``math.fsum``; the
@@ -106,30 +105,22 @@ def _thermal_weights(tr: FockTruncation) -> list[float]:
     return [v / total for v in w]
 
 
-class InducedMap(_Frozen):
+class InducedMap(_EntryMatrix):
     """Qubit population map extracted from a joint unitary evolution, and how
-    far its columns miss unit sum (``column_defect``, at most ``_STATE_TOL``)."""
+    far its columns miss unit sum (``column_defect``, at most ``_STATE_TOL``).
+    A real 2x2 ``m`` whose columns pass ``_column_defect`` is kept as the
+    row-major floats ``_entries``."""
 
     _FIELDS = ("m", "column_defect")
 
     def __init__(self, m: np.ndarray, column_defect: float):
-        self.__dict__.update(m=m, column_defect=column_defect)
+        _column_defect(entries := tuple(_entries_2x2(m)))
+        self.__dict__.update(_entries=entries, column_defect=column_defect)
 
 
-def swap_unitary(tr: FockTruncation) -> np.ndarray:
-    """Excitation-swap permutation on the truncated product space.
-
-    An involution commuting with the free Hamiltonian: it permutes states
-    within degenerate total-excitation sectors; the unpartnered boundary
-    vector ``|e, n_max>`` is held fixed.
-    """
-    u = np.zeros((tr.dim, tr.dim))
-    u[tr.index(0, 0), tr.index(0, 0)] = 1.0
-    u[tr.index(1, tr.n_max), tr.index(1, tr.n_max)] = 1.0
-    for n in range(1, tr.n_levels):
-        u[tr.index(1, n - 1), tr.index(0, n)] = 1.0
-        u[tr.index(0, n), tr.index(1, n - 1)] = 1.0
-    return u
+def _induced(m: tuple) -> InducedMap:
+    """The ``InducedMap`` of row-major entries that pass ``_column_defect``."""
+    return _unchecked(InducedMap, _entries=m, column_defect=_column_defect(m))
 
 
 def induced_population_map(u: np.ndarray, tr: FockTruncation) -> InducedMap:
@@ -148,7 +139,7 @@ def induced_population_map(u: np.ndarray, tr: FockTruncation) -> InducedMap:
     for src in (0, 1):
         diag = np.abs(u[:, src * tr.n_levels : (src + 1) * tr.n_levels]) ** 2 @ w
         m[:, src] = diag[: tr.n_levels].sum(), diag[tr.n_levels :].sum()
-    return InducedMap(m, _column_defect(m.ravel().tolist()))
+    return _induced(tuple(m.ravel().tolist()))
 
 
 def _check_jc(J: float, t: float, tr: FockTruncation, kind: str) -> None:
@@ -174,7 +165,7 @@ def jc_unitary(J: float, t: float, tr: FockTruncation, kind: str) -> np.ndarray:
     u = np.eye(tr.dim, dtype=complex)
     for n in range(1, tr.n_levels):
         theta = (J if kind == INTENSITY_DEPENDENT else J * math.sqrt(n)) * t
-        i, j = tr.index(0, n), tr.index(1, n - 1)
+        i, j = n, tr.n_levels + n - 1  # |g, n> and |e, n - 1>
         c, s = math.cos(theta), math.sin(theta)
         u[i, i] = c
         u[j, j] = c
@@ -230,14 +221,18 @@ def jc_evolution_map(J: float, t: float, tr: FockTruncation, kind: str) -> Induc
     lies within ``2**-51`` of a 50-digit evaluation of the truncated model.
     """
     _check_jc(J, t, tr, kind)
-    m = _sector_kernel(J, _thermal_weights(tr), kind)(t)
-    return InducedMap(np.array(m).reshape(2, 2), _column_defect(m))
+    return _induced(_sector_kernel(J, _thermal_weights(tr), kind)(t))
+
+
+def _deviation(m: tuple, target: tuple) -> float:
+    """Max-entry deviation of row-major entries ``m`` from ``target``."""
+    return max(abs(a - b) for a, b in zip(m, target))
 
 
 def eto_deviation(induced: InducedMap, tr: FockTruncation) -> float:
     """Max-entry deviation of an induced map from the exact ETO at the
     truncation's (omega, beta)."""
-    return float(np.abs(induced.m - eto(tr.omega, tr.beta).m).max())
+    return _deviation(induced._entries, eto(tr.omega, tr.beta)._entries)
 
 
 def eto_approximation_report(
@@ -258,6 +253,6 @@ def eto_approximation_report(
         for t in times:
             _check_jc(J, t, tr, kind)
             _column_defect(m := entries(t))
-            rows.append([J * t, max(abs(a - b) for a, b in zip(m, target))])
+            rows.append([J * t, _deviation(m, target)])
         report[kind] = rows
     return report

@@ -27,7 +27,6 @@ from thermalops import (
     otto_steady_state,
     pcc_three_stroke_exact,
     scaled_cumulants,
-    swap_unitary,
     three_stroke_report,
     three_stroke_steady_state,
     tilted_map_otto,
@@ -36,6 +35,8 @@ from thermalops import (
 )
 from thermalops import cli
 from thermalops.optimize import fluctuation_curve, three_stroke_config_at
+
+from oracles import swap_unitary
 
 
 class criterion:

@@ -300,9 +300,9 @@ def test_the_import_loads_no_dataclasses_inspect_or_numpy():
 
 # Runs CLI commands in a fresh interpreter and prints, per command, its
 # exit code, the sha256 of its stdout, whether numpy is loaded and whether
-# every layer module is; then which layer modules hold numpy itself as np.
+# every layer module is; then which layer modules hold a module as np.
 IMPORT_PATH_PROBE = """
-import hashlib, io, json, sys
+import hashlib, io, json, sys, types
 from contextlib import redirect_stdout
 
 LAYERS = ("cli", "optimize", "otto", "three_stroke", "maps", "fcs", "microscopic", "verify")
@@ -320,21 +320,22 @@ for argv in json.loads(sys.argv[1]):
     with redirect_stdout(out):
         code = thermalops.cli.main(argv)
     report.append([" ".join(argv), code, hashlib.sha256(out.getvalue().encode()).hexdigest(), *loaded()])
-numpy = sys.modules.get("numpy")
-report.append([n for n in LAYERS if getattr(sys.modules[f"thermalops.{n}"], "np", None) is numpy])
+modules = [sys.modules[f"thermalops.{n}"] for n in LAYERS]
+report.append([n for n, mod in zip(LAYERS, modules) if isinstance(getattr(mod, "np", None), types.ModuleType)])
 print(json.dumps(report))
 """
 
 
 def test_table_commands_run_without_numpy():
-    # import, fig1, fig4, fig5, fig6 and sweep at defaults, micro-report and
-    # every verify suite but microscopic-eto load no numpy and every layer
-    # module; that suite's dense dilation imports it on first use;
-    # micro-report and verify print their pinned output
-    tables = [[name] for name in ("fig1", "fig4", "fig5", "fig6", "sweep")]
+    # the import, every command at its defaults, micro-report at a pinned
+    # setting and every verify suite, all of them together too, load every
+    # layer module but never numpy; no layer holds numpy as np, and the
+    # pinned outputs print
     micro = ("micro-report", "n_max=30", "points=9")
-    suites = ("gibbs-fixed-point", "first-law", "oracle-equivalence", "all")
-    argvs = [*tables, table_argv(micro, "csv"), *(["verify", "--suite", s] for s in suites)]
+    suites = ("gibbs-fixed-point", "first-law", "oracle-equivalence", "microscopic-eto", "all")
+    argvs = [[name] for name in (*cli.COMMANDS, "verify")]
+    argvs += [table_argv(micro, "csv"), *(["verify", "--suite", s] for s in suites)]
+    argvs.append(["verify", "--suite", "all", "--format", "json"])
     src = os.path.dirname(os.path.dirname(thermalops.__file__))
     done = subprocess.run(
         [sys.executable, "-c", IMPORT_PATH_PROBE, json.dumps(argvs)],
@@ -345,14 +346,15 @@ def test_table_commands_run_without_numpy():
     )
     assert done.returncode == 0, done.stderr
     *runs, holding_numpy = json.loads(done.stdout)
-    for command, code, _, numpy_loaded, layers_loaded in runs[:10]:
+    assert len(runs) == 1 + len(argvs)
+    for command, code, _, numpy_loaded, layers_loaded in runs:
         assert (command, code, numpy_loaded, layers_loaded) == (command, 0, False, True)
-    assert runs[8][2] == PINNED_VERIFY[("first-law", "text")]
-    (_, micro_code, micro_digest, *_), (_, verify_code, verify_digest, *_) = runs[6], runs[10]
-    assert (micro_code, micro_digest) == (0, PINNED_TABLES[micro])
-    assert (verify_code, verify_digest) == (0, PINNED_VERIFY[("all", "text")])
-    # the first use put numpy itself in place of the stand-in
-    assert set(holding_numpy) == {"maps", "microscopic"}
+    assert holding_numpy == []
+    digests = {command: digest for command, _, digest, *_ in runs}
+    assert digests[" ".join(table_argv(micro, "csv"))] == PINNED_TABLES[micro]
+    assert digests["verify --suite first-law"] == PINNED_VERIFY[("first-law", "text")]
+    assert digests["verify"] == digests["verify --suite all"] == PINNED_VERIFY[("all", "text")]
+    assert digests["verify --suite all --format json"] == PINNED_VERIFY[("all", "json")]
 
 
 # Calls the three public scans in a fresh interpreter and prints their rows

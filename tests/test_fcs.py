@@ -3,6 +3,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -199,6 +200,41 @@ def test_gf_equals_log_mgf_of_distribution():
         for chi in rng.uniform(-1.0, 1.0, size=5) / tmap.quantum:
             expected = math.log(math.fsum(p * math.exp(chi * w) for w, p in dist.support))
             assert math.isclose(cumulant_gf(tmap, p1, n, chi), expected, abs_tol=1e-12)
+
+
+def mp_cumulant_gf(cycle, p1, n, chi):
+    """``ln(1^T M^N p1)`` with 60 significant digits, ``M`` composed from the
+    cycle's float stroke entries and ``exp(chi * released work)`` weights."""
+    with mpmath.workdps(60):
+        m = mpmath.eye(2)
+        for stroke in cycle.strokes:
+            if isinstance(stroke, WorkStroke):
+                s_g, s_e = (mpmath.exp(mpmath.mpf(chi) * w) for w in stroke.released)
+                rows = [[0, s_e], [s_g, 0]] if stroke.flip else [[s_g, 0], [0, s_e]]
+            else:
+                a, b, c, d = stroke._entries
+                rows = [[a, b], [c, d]]
+            m = mpmath.matrix(rows) * m
+        v = m**n * mpmath.matrix([p1.p_g, p1.p_e])
+        return mpmath.log(v[0] + v[1])
+
+
+def test_gf_matches_a_60_digit_power_at_up_to_a_billion_cycles():
+    # No entry of M is negative, so a 2x2 product rounds each entry by a few
+    # ulp relative, and the N-th power of M by about N ulp; rounding chi *
+    # work moves ln M^N by about |chi| N Delta ulp.  Over these draws the
+    # worst error was 1.77 (N + |chi| N Delta) 2^-53, both for numpy's
+    # matrix_power of the same M and for the float powering.
+    rng = np.random.default_rng(29)
+    draws = [(random_otto(rng), 10**9, 500.0), (random_three_stroke(rng), 10**9, 500.0)]
+    for make in (random_otto, random_three_stroke) * 100:
+        draws.append((make(rng), round(10 ** rng.uniform(0.0, 9.0)), rng.uniform(0.0, 500.0)))
+    for cfg, n, x in draws:
+        cycle = cfg.cycle()
+        p1 = cycle.steady_state()
+        for chi in (x / (n * cycle.quantum), -x / (n * cycle.quantum)):
+            error = abs(cumulant_gf(cycle, p1, n, chi) - mp_cumulant_gf(cycle, p1, n, chi))
+            assert error <= 2.0 * (n + x) * 2.0**-53, (cfg, n, chi)
 
 
 def test_moments_match_enumeration():
@@ -400,6 +436,17 @@ def test_work_distribution_validation():
         WorkDistribution(1, 1.0, ((1.0, 0.6), (-1.0, 0.6)))
     with pytest.raises(ConsistencyError):
         WorkDistribution(1, 1.0, ((0.5, 1.0),))  # off-lattice support
+    with pytest.raises(ConsistencyError, match="negative probability -0.5"):
+        WorkDistribution(1, 1.0, ((0.0, 1.5), (1.0, -0.5)))  # sums to 1
+
+
+def test_enumeration_from_a_state_of_zero_weight():
+    # q = e^-800 is 0.0, so the hot ETO empties e and the steady state is
+    # exactly g: paths from e carry weight 0 and the support is one point
+    cfg = OttoConfig(800.0, 400.0, 1.0, 0.5, 1.0, 1.0)
+    assert cfg.cycle().steady_state().p_e == 0.0
+    for n in (1, 2, 12):
+        assert enumerate_work_distribution(cfg, n).support == ((0.0, 1.0),)
 
 
 # --- correlations and scaled cumulants ---
@@ -609,6 +656,10 @@ def test_scaled_cumulants_reject_non_primitive_map():
     cfg = OttoConfig(1.0, 0.5, 1.0, 0.5, 0.0, 0.0)  # identity cycle map
     with pytest.raises(NonPrimitiveMapError):
         scaled_cumulants(tilted_map_otto(cfg))
+    # couplings of 1e-13 leave the square positive but 1 - mu below 1e-12
+    cfg = OttoConfig(1.0, 0.6, 1.0, 0.5, 1e-13, 1e-13)
+    with pytest.raises(NonPrimitiveMapError, match="dominant eigenvalue degenerate"):
+        scaled_cumulants(cfg.cycle())
 
 
 def test_gf_convexity_on_grid():

@@ -19,9 +19,10 @@ from thermalops import (
     induced_population_map,
     jc_evolution_map,
     jc_unitary,
-    swap_unitary,
 )
 from thermalops.microscopic import INTENSITY_DEPENDENT, JC_KINDS, STANDARD, _thermal_weights
+
+from oracles import swap_unitary
 
 LN2 = math.log(2.0)
 
@@ -32,11 +33,7 @@ def loose(n_max, beta_omega=1.0):
 
 def total_energy(tr):
     """Free Hamiltonian at resonance: omega * (excitations + boson number)."""
-    h = np.zeros((tr.dim, tr.dim))
-    for s in (0, 1):
-        for n in range(tr.n_levels):
-            h[tr.index(s, n), tr.index(s, n)] = tr.omega * (s + n)
-    return h
+    return np.diag([tr.omega * (s + n) for s in (0, 1) for n in range(tr.n_levels)])
 
 
 def test_truncation_validation():
@@ -46,6 +43,11 @@ def test_truncation_validation():
         FockTruncation(n_max=-1, omega=1.0, beta=1.0, tail_bound=1.0)
     with pytest.raises(InvalidParameterError):
         FockTruncation(n_max=10, omega=-1.0, beta=1.0, tail_bound=1.0)
+
+
+def test_truncation_index_is_the_tuple_method():
+    # no basis numbering shadows it: index finds a field's position
+    assert FockTruncation(2, 1.0, 1.0, 1.0).index(2) == 0
 
 
 def test_boson_thermal_weights_example():
@@ -150,8 +152,7 @@ def test_block_propagator_matches_dense_exponential():
         h = np.zeros((tr.dim, tr.dim))
         for n in range(1, tr.n_levels):
             g = J if kind == "intensity_dependent" else J * math.sqrt(n)
-            h[tr.index(0, n), tr.index(1, n - 1)] = g
-            h[tr.index(1, n - 1), tr.index(0, n)] = g
+            h[n, tr.n_levels + n - 1] = h[tr.n_levels + n - 1, n] = g
         dense = scipy.linalg.expm(-1j * h * t)
         np.testing.assert_allclose(jc_unitary(J, t, tr, kind), dense, atol=1e-10)
 
