@@ -488,7 +488,7 @@ class Cycle(_Frozen):
         return _three_stroke_work(hot.omega, a, b, l_H, l_C)
 
     def matrix(self, chi: float = 0.0) -> np.ndarray:
-        """``_product(chi)`` as a 2x2 array."""
+        """The tilted cycle map ``_product(chi)``, checks included, as a 2x2 array."""
         return np.array(self._product(chi)).reshape(2, 2)
 
     def _product(self, chi: float = 0.0) -> tuple[float, float, float, float]:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from thermalops import (
     ConsistencyError,
     FockTruncation,
+    InducedMap,
     InvalidParameterError,
     TruncationError,
     eto,
@@ -203,6 +204,21 @@ def test_induced_map_rejects_an_evolution_that_loses_the_trace(u):
 def test_induced_map_rejects_a_malformed_unitary(u):
     with pytest.raises(InvalidParameterError):
         induced_population_map(u, loose(1))
+
+
+def test_induced_map_holds_float_entries_and_a_read_only_array():
+    tr = loose(5)
+    induced = jc_evolution_map(1.0, 1.2, tr, STANDARD)
+    assert "m" not in vars(induced)  # no array until one is asked for
+    assert [type(x) for x in induced._entries] == [float] * 4
+    assert induced.m.ravel().tolist() == list(induced._entries)
+    assert not induced.m.flags.writeable
+    built = InducedMap(induced.m, induced.column_defect)
+    assert built._entries == induced._entries
+    with pytest.raises(InvalidParameterError):
+        InducedMap(np.eye(3), 0.0)
+    with pytest.raises(ConsistencyError, match="unit sum"):
+        InducedMap(np.full((2, 2), math.nan), 0.0)
 
 
 def test_report_table_shape_and_endpoints():
