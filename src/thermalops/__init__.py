@@ -86,6 +86,7 @@ from .microscopic import (
     induced_population_map,
     jc_evolution_map,
     jc_unitary,
+    swap_map,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

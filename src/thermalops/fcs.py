@@ -91,7 +91,7 @@ def cumulant_gf(tmap: Cycle, p1: PopulationVector, n: int, chi: float) -> float:
     n = require_count(n, 1, "cycle count")
     if n > sys.float_info.max:
         raise CountingOverflowError("cycle count beyond the binary64 range")
-    m = tmap._product(chi)
+    m = tmap._tilted(chi)
     if abs(chi) * n * tmap.quantum > EXP_BUDGET:
         raise CountingOverflowError(
             f"|chi| * N * Delta = {abs(chi) * n * tmap.quantum:.3g} exceeds "

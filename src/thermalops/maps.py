@@ -34,7 +34,7 @@ Every value is checked once, where it enters, and 2x2 work is done on
 Python floats: a ``GibbsStochasticMatrix`` built from a user's matrix and
 a map from ``build_map`` pass the same float checks of their four entries;
 ``build_map`` then wraps its entries without checking them again.  The
-cycle product, tilted or not (``Cycle._product``), its fixed point,
+cycle product, tilted or not (``Cycle._tilted``), its fixed point,
 ``Cycle.run`` and ``apply_map`` compute on a map's checked float entries
 (``_compose``, ``_fixed_point``), which round alike on every platform; a
 numpy 2x2 product may use a fused multiply-add.  The array ``m`` of a map
@@ -488,24 +488,28 @@ class Cycle(_Frozen):
         return _three_stroke_work(hot.omega, a, b, l_H, l_C)
 
     def matrix(self, chi: float = 0.0) -> np.ndarray:
-        """The tilted cycle map ``_product(chi)``, checks included, as a 2x2 array."""
-        return np.array(self._product(chi)).reshape(2, 2)
+        """``_tilted(chi)``, checks included, as a 2x2 array."""
+        return np.array(self._tilted(chi)).reshape(2, 2)
 
-    def _product(self, chi: float = 0.0) -> tuple[float, float, float, float]:
+    def _tilted(self, chi: float) -> tuple[float, float, float, float]:
         """Cycle map ``S_k @ ... @ S_1`` as row-major floats, with every
-        work-stroke transition weighted by ``exp(chi * released work)``;
-        column-stochastic at ``chi = 0``.  Work strokes are row scalings and
-        permutations, so the only product is the one between the heat
-        strokes.  Raises ``InvalidParameterError`` for a non-finite ``chi``
-        and ``CountingOverflowError`` when a weight overflows."""
+        work-stroke transition weighted by ``exp(chi * released work)``.
+        Raises ``InvalidParameterError`` for a non-finite ``chi`` and
+        ``CountingOverflowError`` when a weight overflows."""
         if not math.isfinite(chi):
             raise InvalidParameterError(f"counting field must be finite, got {chi}")
-        hot, first, cold, *last = self.strokes
         try:
-            m = _compose(cold._entries, first._after(hot._entries, chi))
-            return last[0]._after(m, chi) if last else m
+            return self._product(chi)
         except OverflowError:
             raise CountingOverflowError(f"exp(chi * work) overflows at chi = {chi}") from None
+
+    def _product(self, chi: float = 0.0) -> tuple[float, float, float, float]:
+        """``_tilted(chi)`` unchecked, for the callers at ``chi = 0``.  Work
+        strokes are row scalings and permutations, so the only product is
+        the one between the heat strokes."""
+        hot, first, cold, *last = self.strokes
+        m = _compose(cold._entries, first._after(hot._entries, chi))
+        return last[0]._after(m, chi) if last else m
 
     def steady_state(self) -> PopulationVector:
         """Cyclostationary populations at point 1."""

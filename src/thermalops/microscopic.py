@@ -27,11 +27,10 @@ blockwise (a dense-exponential cross-check lives in the test suite).
 The same block structure gives the induced qubit map directly, on floats:
 ``jc_evolution_map`` sums ``w_n cos^2(g_n t)`` and ``w_n sin^2(g_n t)`` over
 the sectors in O(n_max), or in O(1) for the intensity-dependent kind, whose
-sectors share one angle; hot baths with thousands of Fock levels are cheap,
-and neither ``micro-report`` nor ``verify`` needs numpy.  The dense pair
+sectors share one angle, and ``swap_map`` sums the weights the swap moves;
+neither ``micro-report`` nor ``verify`` needs numpy.  The dense pair
 (``jc_unitary`` and ``induced_population_map``, which reads the map off
-``|U|^2``) is the oracle the sector sums are tested against; the excitation
-swap itself is an oracle of the tests.
+``|U|^2``) is the oracle both are tested against.
 """
 
 from __future__ import annotations
@@ -109,13 +108,16 @@ class InducedMap(_EntryMatrix):
     """Qubit population map extracted from a joint unitary evolution, and how
     far its columns miss unit sum (``column_defect``, at most ``_STATE_TOL``).
     A real 2x2 ``m`` whose columns pass ``_column_defect`` is kept as the
-    row-major floats ``_entries``."""
+    row-major floats ``_entries``; a ``column_defect`` that is not theirs
+    raises ``ConsistencyError``."""
 
     _FIELDS = ("m", "column_defect")
 
     def __init__(self, m: np.ndarray, column_defect: float):
-        _column_defect(entries := tuple(_entries_2x2(m)))
-        self.__dict__.update(_entries=entries, column_defect=column_defect)
+        defect = _column_defect(entries := tuple(_entries_2x2(m)))
+        if column_defect != defect:
+            raise ConsistencyError(f"column_defect {column_defect!r} is not the map's {defect!r}")
+        self.__dict__.update(_entries=entries, column_defect=defect)
 
 
 def _induced(m: tuple) -> InducedMap:
@@ -140,6 +142,13 @@ def induced_population_map(u: np.ndarray, tr: FockTruncation) -> InducedMap:
         diag = np.abs(u[:, src * tr.n_levels : (src + 1) * tr.n_levels]) ** 2 @ w
         m[:, src] = diag[: tr.n_levels].sum(), diag[tr.n_levels :].sum()
     return _induced(tuple(m.ravel().tolist()))
+
+
+def swap_map(tr: FockTruncation) -> InducedMap:
+    """Qubit population map induced by the excitation swap, on floats: every
+    weight ``w_n`` changes level but ``w_0`` from g and ``w_{n_max}`` from e."""
+    w = _thermal_weights(tr)
+    return _induced((w[0], math.fsum(w[:-1]), math.fsum(w[1:]), w[-1]))
 
 
 def _check_jc(J: float, t: float, tr: FockTruncation, kind: str) -> None:

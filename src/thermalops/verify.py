@@ -20,7 +20,13 @@ from typing import Callable, Iterator, NamedTuple
 from .errors import InvalidParameterError
 from .fcs import enumerate_work_distribution, work_moments
 from .maps import ThermalOpParams, build_map, thermal_population
-from .microscopic import INTENSITY_DEPENDENT, FockTruncation, eto_deviation, jc_evolution_map
+from .microscopic import (
+    INTENSITY_DEPENDENT,
+    FockTruncation,
+    eto_deviation,
+    jc_evolution_map,
+    swap_map,
+)
 from .otto import OttoConfig, otto_cycle_report
 from .three_stroke import ThreeStrokeConfig, three_stroke_report
 
@@ -155,12 +161,16 @@ def suite_oracle_equivalence() -> list[CheckRecord]:
 
 
 def suite_microscopic_eto() -> list[CheckRecord]:
-    """Recovery of the ETO from the microscopic dilation: the sector map of
-    the intensity-dependent JC coupling at half a Rabi period, which is the
-    excitation swap."""
+    """Recovery of the ETO from the microscopic dilation: the map of the
+    excitation swap, and the sector map of the intensity-dependent JC
+    coupling at half a Rabi period, which generates the swap."""
     tr = FockTruncation(n_max=_N_MAX, omega=1.0, beta=_BETA_OMEGA)
+    dev_swap = eto_deviation(swap_map(tr), tr)
     dev_jc = eto_deviation(jc_evolution_map(1.0, math.pi / 2.0, tr, INTENSITY_DEPENDENT), tr)
-    return [CheckRecord("microscopic-eto", "jc-half-rabi", dev_jc, 1e-8)]
+    return [
+        CheckRecord("microscopic-eto", "swap-unitary", dev_swap, 1e-8),
+        CheckRecord("microscopic-eto", "jc-half-rabi", dev_jc, 1e-8),
+    ]
 
 
 SUITES: dict[str, Callable[[], list[CheckRecord]]] = {

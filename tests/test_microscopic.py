@@ -20,6 +20,7 @@ from thermalops import (
     induced_population_map,
     jc_evolution_map,
     jc_unitary,
+    swap_map,
 )
 from thermalops.microscopic import INTENSITY_DEPENDENT, JC_KINDS, STANDARD, _thermal_weights
 
@@ -111,6 +112,16 @@ def test_swap_recovers_eto():
     assert eto_deviation(induced, tr) < 1e-8
     assert induced.column_defect < 1e-12  # unitarity preserves the trace
     np.testing.assert_allclose(induced.m, eto(1.0, 1.0).m, atol=1e-8)
+
+
+@pytest.mark.parametrize("beta_omega", [1e-3, 0.5, 1.0, 10.0, math.inf])
+@pytest.mark.parametrize("n_max", [0, 1, 5, 60, 150])
+def test_swap_map_is_the_dense_swap_oracle(n_max, beta_omega):
+    tr = loose(n_max, beta_omega)
+    dense = induced_population_map(swap_unitary(tr), tr)._entries
+    floats = swap_map(tr)._entries
+    assert [type(x) for x in floats] == [float] * 4
+    assert max(abs(a - b) for a, b in zip(floats, dense)) <= 2**-52
 
 
 def test_swap_deviation_decreases_with_truncation():
@@ -214,7 +225,10 @@ def test_induced_map_holds_float_entries_and_a_read_only_array():
     assert induced.m.ravel().tolist() == list(induced._entries)
     assert not induced.m.flags.writeable
     built = InducedMap(induced.m, induced.column_defect)
-    assert built._entries == induced._entries
+    assert (built._entries, built.column_defect) == (induced._entries, induced.column_defect)
+    for claimed in (0.5, math.nan, induced.column_defect + 2**-60):
+        with pytest.raises(ConsistencyError, match="is not the map's"):
+            InducedMap(induced.m, claimed)
     with pytest.raises(InvalidParameterError):
         InducedMap(np.eye(3), 0.0)
     with pytest.raises(ConsistencyError, match="unit sum"):
