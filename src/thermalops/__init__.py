@@ -28,6 +28,7 @@ from .errors import (
 )
 from .maps import (
     Cycle,
+    CycleReport,
     GibbsStochasticMatrix,
     PopulationVector,
     ThermalOpParams,
@@ -45,7 +46,6 @@ from .otto import (
     MARKOV,
     NONMARKOV,
     OttoConfig,
-    OttoCycleReport,
     analytic_populations,
     otto_cycle_report,
     otto_steady_state,
@@ -53,7 +53,6 @@ from .otto import (
 )
 from .three_stroke import (
     ThreeStrokeConfig,
-    ThreeStrokeReport,
     three_stroke_report,
     three_stroke_steady_state,
 )

@@ -24,11 +24,12 @@ the levels at frozen populations while the gap changes.  ``Cycle`` admits
 (heat, quench down, heat, quench back) for the Otto engine and (heat,
 flip, heat) at one gap for the three-stroke engine, and checks when it is
 built that the work strokes link the heat maps' gaps.  Everything follows
-from the tuple: the cycle map, its steady state and points, the heats, the
-work quantum and the closed-form work (``Cycle.work``), which reads each
-heat map's gap, coupling and ``beta_omega``, the exponent of its Boltzmann
-factor.  Engines form ``beta_omega`` as ``omega / T``, which rounds once
-and stays finite at a subnormal ``T``, where ``1 / T`` overflows.
+from the tuple: the cycle map, its steady state, the steady cycle
+(``Cycle.run``: points, work and heats), the work quantum and the
+closed-form work (``Cycle.work``), which reads each heat map's gap,
+coupling and ``beta_omega``, the exponent of its Boltzmann factor.
+Engines form ``beta_omega`` as ``omega / T``, which rounds once and stays
+finite at a subnormal ``T``, where ``1 / T`` overflows.
 
 Every value is checked once, where it enters, and 2x2 work is done on
 Python floats: a ``GibbsStochasticMatrix`` built from a user's matrix and
@@ -42,15 +43,16 @@ numpy 2x2 product may use a fused multiply-add.  The array ``m`` of a map
 first access from its entries.  numpy is imported only by the array
 accessors and array input, on first use (``_LazyNumpy``).
 
-Value types are named tuples: ``PopulationVector``, ``ThermalOpParams`` and
-``WorkStroke`` here, and the configs, reports and records of the other
-modules.  They compare and hash by value, compare equal to a plain tuple of
-their fields and unpack like one.  A checked one runs its checks in
-``__new__``, so ``_replace``, copying and unpickling check too.
-``GibbsStochasticMatrix`` and ``Cycle`` (and ``microscopic.InducedMap``)
-compare by identity.  All types are immutable after construction (assigning
-a field raises ``AttributeError``) and all operations are pure functions;
-everything is safe for concurrent read-only use.
+Value types are named tuples: ``PopulationVector``, ``ThermalOpParams``,
+``WorkStroke`` and ``CycleReport`` (of both engines) here, and the configs
+and records of the other modules.  They compare and hash by value, compare
+equal to a plain tuple of their fields and unpack like one.  A checked one
+runs its checks in ``__new__``, so ``_replace``, copying and unpickling
+check too.  ``GibbsStochasticMatrix`` and ``Cycle`` (and
+``microscopic.InducedMap``) compare by identity.  All types are immutable
+after construction (assigning a field raises ``AttributeError``) and all
+operations are pure functions; everything is safe for concurrent read-only
+use.
 """
 
 from __future__ import annotations
@@ -515,17 +517,28 @@ class Cycle(_Frozen):
         """Cyclostationary populations at point 1."""
         return PopulationVector.from_raw(_fixed_point(*self._product()))
 
-    def run(self) -> tuple[list[PopulationVector], float, list[float]]:
-        """One steady cycle: the populations entering each stroke, ``work()``
-        and the heat absorbed in each heat stroke.  The Otto quench back
-        keeps the populations, so the point after the cold stroke is point
-        1 and the cycle closes exactly."""
-        hot, first, cold, *last = self.strokes
+    def run(self) -> tuple:
+        """One steady cycle ``(p1, p2, p3, W, Q_H, Q_C)``: the populations
+        entering the hot, first work and cold strokes, ``work()`` and the
+        heats absorbed; the cold stroke ends at p1 (quench back keeps it)."""
+        hot, first, cold, *_ = self.strokes
         p1 = self.steady_state()
         p2 = apply_map(hot, p1)
         p3 = first.apply(p2)
-        heats = [hot.omega * (p2.p_e - p1.p_e), cold.omega * (p1.p_e - p3.p_e)]
-        return [p1, p2, p3] + [p1] * len(last), self.work(), heats
+        Q_H, Q_C = hot.omega * (p2.p_e - p1.p_e), cold.omega * (p1.p_e - p3.p_e)
+        return p1, p2, p3, self.work(), Q_H, Q_C
+
+
+class CycleReport(NamedTuple):
+    """A steady cycle of either engine: ``Cycle.run`` and the efficiency."""
+
+    p1: PopulationVector
+    p2: PopulationVector
+    p3: PopulationVector
+    W: float
+    Q_H: float
+    Q_C: float
+    eta: float
 
 
 def _otto_work(w_H: float, w_C: float, a: float, b: float, l_H: float, l_C: float) -> float:

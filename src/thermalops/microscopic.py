@@ -108,16 +108,13 @@ class InducedMap(_EntryMatrix):
     """Qubit population map extracted from a joint unitary evolution, and how
     far its columns miss unit sum (``column_defect``, at most ``_STATE_TOL``).
     A real 2x2 ``m`` whose columns pass ``_column_defect`` is kept as the
-    row-major floats ``_entries``; a ``column_defect`` that is not theirs
-    raises ``ConsistencyError``."""
+    row-major floats ``_entries``."""
 
     _FIELDS = ("m", "column_defect")
 
-    def __init__(self, m: np.ndarray, column_defect: float):
-        defect = _column_defect(entries := tuple(_entries_2x2(m)))
-        if column_defect != defect:
-            raise ConsistencyError(f"column_defect {column_defect!r} is not the map's {defect!r}")
-        self.__dict__.update(_entries=entries, column_defect=defect)
+    def __init__(self, m: np.ndarray):
+        entries = tuple(_entries_2x2(m))
+        self.__dict__.update(_entries=entries, column_defect=_column_defect(entries))
 
 
 def _induced(m: tuple) -> InducedMap:

@@ -2,10 +2,11 @@
 
 The cycle is the stroke tuple (heat at ``omega_H``, quench to ``omega_C``,
 cool at ``omega_C``, quench back): points 1 -> 2 -> 3 -> 4 -> 1.  Heat
-strokes are thermal operations and quenches keep the populations, so the
-cyclostationary state solves ``L_C L_H p1 = p1``; populations and heats
-follow from the tuple (``maps.Cycle``).  ``EngineConfig`` holds the
-parameters and checks that the Otto and three-stroke configs share.
+strokes are thermal operations and quenches keep the populations, so
+point 4 is point 1 and the cyclostationary state solves ``L_C L_H p1 =
+p1``; populations and heats follow from the tuple (``maps.Cycle``).
+``EngineConfig`` holds the parameters and checks that the Otto and
+three-stroke configs share.
 
 ``otto_work`` gives the steady-cycle work in closed form for any
 couplings; ``Cycle.work`` evaluates the same kernel (``maps._otto_work``)
@@ -17,11 +18,12 @@ value.
 regime constructors (``EngineConfig._in_regime``) and the gap scans take
 them from it, and the closed forms check a config against it.
 
-Sign conventions: ``Q_H = omega_H * (p_e2 - p_e1)`` is positive when heat
-flows into the qubit, ``Q_C = omega_C * (p_e4 - p_e3)`` is negative in
-engine operation, and the first law reads ``W = Q_H + Q_C`` to rounding.  The
-efficiency ``eta = 1 - omega_C / omega_H`` is an algebraic identity of the
-cycle; the setup is an engine (W > 0) only for ``eta < 1 - T_C / T_H``.
+The report is ``maps.CycleReport``.  Sign conventions: ``Q_H = omega_H *
+(p_e2 - p_e1)`` is positive when heat flows into the qubit, ``Q_C =
+omega_C * (p_e1 - p_e3)`` is negative in engine operation, and the first
+law reads ``W = Q_H + Q_C`` to rounding.  The efficiency ``eta = 1 -
+omega_C / omega_H`` is an algebraic identity of the cycle; the setup is an
+engine (W > 0) only for ``eta < 1 - T_C / T_H``.
 """
 
 from __future__ import annotations
@@ -29,11 +31,11 @@ from __future__ import annotations
 import math
 import warnings
 from collections import namedtuple
-from typing import NamedTuple
 
 from .errors import InvalidParameterError, NotAnEngineWarning, RegimeMismatchError
 from .maps import (
     Cycle,
+    CycleReport,
     GibbsStochasticMatrix,
     PopulationVector,
     WorkStroke,
@@ -169,27 +171,14 @@ def _otto_cycle(
     return _unchecked(Cycle, strokes=strokes)
 
 
-class OttoCycleReport(NamedTuple):
-    """Populations at the four cycle points plus energy bookkeeping."""
-
-    p1: PopulationVector
-    p2: PopulationVector
-    p3: PopulationVector
-    p4: PopulationVector
-    W: float
-    Q_H: float
-    Q_C: float
-    eta: float
-
-
 def otto_steady_state(cfg: OttoConfig) -> PopulationVector:
     """Cyclostationary populations at point 1 (start of the heat stroke)."""
     return cfg.cycle().steady_state()
 
 
-def otto_cycle_report(cfg: OttoConfig) -> OttoCycleReport:
-    """Full steady-cycle report: populations, work, heats, efficiency."""
-    points, W, (Q_H, Q_C) = cfg.cycle().run()
+def otto_cycle_report(cfg: OttoConfig) -> CycleReport:
+    """Steady-cycle report with ``eta = 1 - omega_C / omega_H``; a warning past Carnot."""
+    run = cfg.cycle().run()
     eta = cfg.efficiency
     if eta >= cfg.carnot_efficiency:
         warnings.warn(
@@ -198,7 +187,7 @@ def otto_cycle_report(cfg: OttoConfig) -> OttoCycleReport:
             NotAnEngineWarning,
             stacklevel=2,
         )
-    return OttoCycleReport(*points, W, Q_H, Q_C, eta)
+    return CycleReport(*run, eta)
 
 
 def otto_work(cfg: OttoConfig) -> float:

@@ -6,18 +6,18 @@ flip swaps the populations, so a cycle generates work
 population inversion.  Since Markovian thermal operations cannot invert a
 non-inverted state, the engine runs only in the non-Markovian regime.
 ``Cycle.work`` evaluates that work in closed form, for any couplings, from
-the heat maps (``maps._three_stroke_work``).  Signs match the Otto module;
-``W = Q_H + Q_C`` to rounding.
+the heat maps (``maps._three_stroke_work``).  The report is the Otto
+engine's ``maps.CycleReport``, with ``eta = W / Q_H``.  Signs match the Otto
+module; ``W = Q_H + Q_C`` to rounding.
 """
 
 from __future__ import annotations
 
 import warnings
 from collections import namedtuple
-from typing import NamedTuple
 
 from .errors import NotAnEngineWarning, ZeroHeatError
-from .maps import Cycle, PopulationVector, WorkStroke, _unchecked
+from .maps import Cycle, CycleReport, PopulationVector, WorkStroke, _unchecked
 from .otto import MARKOV, NONMARKOV, EngineConfig
 
 _HEAT_TOL = 1e-14
@@ -54,30 +54,18 @@ class ThreeStrokeConfig(
         self._require_regime(NONMARKOV)
 
 
-class ThreeStrokeReport(NamedTuple):
-    """Populations at the three cycle points plus energy bookkeeping."""
-
-    p1: PopulationVector
-    p2: PopulationVector
-    p3: PopulationVector
-    W: float
-    Q_H: float
-    Q_C: float
-    eta: float
-
-
 def three_stroke_steady_state(cfg: ThreeStrokeConfig) -> PopulationVector:
     """Cyclostationary populations at point 1 (start of the heat stroke)."""
     return cfg.cycle().steady_state()
 
 
-def three_stroke_report(cfg: ThreeStrokeConfig) -> ThreeStrokeReport:
-    """Full steady-cycle report: populations, work, heats, ``eta = W / Q_H``;
-    ``ZeroHeatError`` if ``|Q_H| < 1e-14 * omega``, a warning if ``W <= 0``."""
-    points, W, (Q_H, Q_C) = cfg.cycle().run()
-    if abs(Q_H) < _HEAT_TOL * cfg.omega:
+def three_stroke_report(cfg: ThreeStrokeConfig) -> CycleReport:
+    """Steady-cycle report with ``eta = W / Q_H``: ``ZeroHeatError`` unless
+    ``|Q_H| > 1e-14 * omega`` (so a ``Q_H`` of 0 where that underflows, or
+    NaN), a warning if ``W <= 0``."""
+    p1, p2, p3, W, Q_H, Q_C = cfg.cycle().run()
+    if not abs(Q_H) > _HEAT_TOL * cfg.omega:
         raise ZeroHeatError("Q_H vanishes; efficiency undefined")
-    eta = W / Q_H
     if W <= 0.0:
         warnings.warn(
             "heating did not produce population inversion (p_e2 <= 1/2); "
@@ -85,4 +73,4 @@ def three_stroke_report(cfg: ThreeStrokeConfig) -> ThreeStrokeReport:
             NotAnEngineWarning,
             stacklevel=2,
         )
-    return ThreeStrokeReport(*points, W, Q_H, Q_C, eta)
+    return CycleReport(p1, p2, p3, W, Q_H, Q_C, W / Q_H)

@@ -318,6 +318,16 @@ def test_work_moments_overflow_is_typed():
         work_moments(huge, None, 1)
     with pytest.raises(CountingOverflowError):
         scaled_cumulants(huge)
+    # omega / T is about 2e-309: the 7-cycle mean is subnormal, and the
+    # finite variance over it overflows
+    for cfg in (
+        ThreeStrokeConfig(0.3, 1.7e308, 0.85e308, 0.5, 0.0),
+        OttoConfig(0.3, 0.18, 1.7e308, 0.85e308, 0.5, 0.5),
+    ):
+        cycle = cfg.cycle()
+        assert 0.0 < abs(7 * cycle.work()) < 2.2250738585072014e-308
+        with pytest.raises(CountingOverflowError, match="ratio"):
+            work_moments(cycle, None, 7)
 
 
 def test_statistics_reject_a_p1_that_is_not_the_steady_state():

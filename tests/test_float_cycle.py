@@ -16,6 +16,7 @@ for a tiny ``v1``: their column sums miss 1 by about 1e-16.
 """
 
 import math
+import warnings
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -25,18 +26,24 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermalops import (
+    CycleReport,
     DegenerateCycleError,
     InvalidParameterError,
+    NotAnEngineWarning,
     OttoConfig,
     PopulationVector,
     ThreeStrokeConfig,
+    ZeroHeatError,
+    apply_map,
     full_thermalization_lambda,
     intercycle_pcc,
+    otto_cycle_report,
     pcc_three_stroke_exact,
     stationary_population,
+    three_stroke_report,
 )
 from thermalops.fcs import _spectral_terms
-from thermalops.maps import WorkStroke
+from thermalops.maps import DRIFT_RENORM, WorkStroke
 from thermalops.optimize import otto_config_at
 
 EPS = 2.0**-52
@@ -277,16 +284,53 @@ def test_float_cycle_matches_the_numpy_oracle(cfg, x):
         except DegenerateCycleError:
             return
         raise AssertionError("the float cycle missed a degenerate map")
-    points, W, heats = cycle.run()
+    *points, W, Q_H, Q_C = cycle.run()
     for p, q in zip(points, expected_points):
         assert_close(p.p_g, q.p_g, q.p_g, 4)
         assert_close(p.p_e, q.p_e, q.p_e, 4)
     exact = exact_work(cfg)
     assert abs(Decimal(W) - exact) <= Decimal(4 * EPS * cycle.quantum + TINY), (W, exact)
     for stroke, Q, expected_Q in zip(
-        (s for s in cycle.strokes if not isinstance(s, WorkStroke)), heats, expected_heats
+        (s for s in cycle.strokes if not isinstance(s, WorkStroke)), (Q_H, Q_C), expected_heats
     ):
         assert_close(Q, expected_Q, stroke.omega, 4)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(engines())
+@example(OttoConfig.nonmarkov(800.0, 700.0, 1.0, 0.5))  # every q underflows
+@example(OttoConfig(1.0, 0.5, 1.0, 0.5, 0.0, 0.0))  # both maps idle: degenerate
+@example(ThreeStrokeConfig.nonmarkov(0.4, 1.0, 0.5))
+@example(ThreeStrokeConfig.nonmarkov(1e-320, 1.0, 0.5))  # 1e-14 * omega underflows
+def test_both_reports_are_the_stroke_walk(cfg):
+    # one CycleReport for both engines, every field bit for bit from the
+    # public pieces: the fixed point of the cycle matrix walked through the
+    # strokes by apply_map, the closed-form work and each engine's eta
+    otto = isinstance(cfg, OttoConfig)
+    report = otto_cycle_report if otto else three_stroke_report
+    cycle = cfg.cycle()
+    hot, first, cold, *_ = cycle.strokes
+    try:
+        p1 = stationary_population(cycle.matrix())
+    except DegenerateCycleError:
+        with pytest.raises(DegenerateCycleError):
+            report(cfg)
+        return
+    p2 = apply_map(hot, p1)
+    p3 = PopulationVector(p2.p_e, p2.p_g) if first.flip else p2
+    W, Q_H, Q_C = cycle.work(), hot.omega * (p2.p_e - p1.p_e), cold.omega * (p1.p_e - p3.p_e)
+    if not (otto or abs(Q_H) > 1e-14 * cfg.omega):
+        with pytest.raises(ZeroHeatError):
+            report(cfg)
+        return
+    eta = 1.0 - cfg.omega_C / cfg.omega_H if otto else W / Q_H
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NotAnEngineWarning)
+        got = report(cfg)
+    assert type(got) is CycleReport
+    assert repr(got) == repr(CycleReport(p1, p2, p3, W, Q_H, Q_C, eta))  # signed zeros too
+    if otto:  # the quench back keeps the populations, so the cold stroke closes the cycle
+        assert abs(apply_map(cold, p3).p_e - p1.p_e) <= DRIFT_RENORM
 
 
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)

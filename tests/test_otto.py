@@ -21,6 +21,7 @@ from thermalops import (
     otto_steady_state,
     otto_work,
 )
+from thermalops.maps import DRIFT_RENORM
 from thermalops.optimize import otto_config_at, three_stroke_config_at
 
 LN2 = math.log(2.0)
@@ -116,9 +117,11 @@ def test_markov_report_ln2_ln4():
 
 
 def test_work_strokes_freeze_populations():
-    rep = quiet_report(eto_config(0.7, 1.9))
+    cfg = eto_config(0.7, 1.9)
+    rep = quiet_report(cfg)
     assert rep.p2 == rep.p3
-    assert rep.p4 == rep.p1
+    # the quench back keeps the populations: the cold stroke closes the cycle
+    assert abs(apply_map(cfg.cold_map(), rep.p3).p_e - rep.p1.p_e) <= DRIFT_RENORM
 
 
 def test_carnot_pinned_thermalization_gives_zero_work():
@@ -300,5 +303,5 @@ def test_otto_work_matches_the_stroke_cycle_random():
     cycle = cfg.cycle()
     for twin in (pickle.loads(pickle.dumps(cycle)), copy.deepcopy(cycle)):
         assert twin.work() == otto_work(cfg)
-        assert twin.run()[1:] == cycle.run()[1:]
+        assert twin.run() == cycle.run()
         assert twin.matrix(0.5).tolist() == cycle.matrix(0.5).tolist()

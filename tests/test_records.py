@@ -13,18 +13,17 @@ import pytest
 
 from thermalops import (
     Cycle,
+    CycleReport,
     FockTruncation,
     GibbsStochasticMatrix,
     InducedMap,
     InvalidParameterError,
     OptimumRecord,
     OttoConfig,
-    OttoCycleReport,
     PopulationVector,
     ScanSpec,
     ThermalOpParams,
     ThreeStrokeConfig,
-    ThreeStrokeReport,
     WorkDistribution,
     WorkStatistics,
     WorkStroke,
@@ -56,14 +55,9 @@ VALUE_TYPES = {
         lambda: ThreeStrokeConfig(0.5, 1.0, 0.25, 1.0, 0.5),
         "ThreeStrokeConfig(omega=0.5, T_H=1.0, T_C=0.25, lambda_H=1.0, lambda_C=0.5)",
     ),
-    OttoCycleReport: (
-        lambda: OttoCycleReport(PV, PV, PV, PV, 0.25, 0.5, -0.25, 0.5),
-        f"OttoCycleReport(p1={PV_REPR}, p2={PV_REPR}, p3={PV_REPR}, p4={PV_REPR}, "
-        "W=0.25, Q_H=0.5, Q_C=-0.25, eta=0.5)",
-    ),
-    ThreeStrokeReport: (
-        lambda: ThreeStrokeReport(PV, PV, PV, 0.25, 0.5, -0.25, 0.5),
-        f"ThreeStrokeReport(p1={PV_REPR}, p2={PV_REPR}, p3={PV_REPR}, "
+    CycleReport: (
+        lambda: CycleReport(PV, PV, PV, 0.25, 0.5, -0.25, 0.5),
+        f"CycleReport(p1={PV_REPR}, p2={PV_REPR}, p3={PV_REPR}, "
         "W=0.25, Q_H=0.5, Q_C=-0.25, eta=0.5)",
     ),
     WorkStatistics: (
@@ -121,7 +115,7 @@ IDENTITY_TYPES = {
         "omega=0.6931471805599453, beta_omega=1.3862943611198906)))",
     ),
     InducedMap: (
-        lambda: InducedMap(np.array([[0.75, 0.5], [0.25, 0.5]]), 0.0),
+        lambda: InducedMap(np.array([[0.75, 0.5], [0.25, 0.5]])),
         f"InducedMap(m={_matrix_repr(('0.75, 0.5 ', '0.25, 0.5 '))}, column_defect=0.0)",
     ),
 }

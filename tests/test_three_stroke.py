@@ -147,10 +147,16 @@ def test_markovian_strokes_never_an_engine():
 
 
 def test_zero_heat_guard():
-    # lambda_H = 0 leaves the state untouched by the heat stroke, so Q_H = 0
-    cfg = ThreeStrokeConfig(1.0, 1.0, 0.5, 0.0, 1.0)
-    with pytest.raises(ZeroHeatError):
-        three_stroke_report(cfg)
+    # lambda_H = 0 leaves the state untouched by the heat stroke, so Q_H = 0;
+    # at a subnormal gap 1e-14 * omega underflows to 0, and so does Q_H
+    for cfg in (
+        ThreeStrokeConfig(1.0, 1.0, 0.5, 0.0, 1.0),
+        ThreeStrokeConfig.nonmarkov(1e-320, 1.0, 0.5),
+        ThreeStrokeConfig(5e-324, 1e-320, 5e-321, 0.0, 0.0),
+    ):
+        assert cfg.cycle().run()[4] == 0.0
+        with pytest.raises(ZeroHeatError):
+            three_stroke_report(cfg)
 
 
 # --- the closed-form work against a 60-digit evaluation ---
@@ -207,7 +213,7 @@ def test_closed_form_work_matches_a_decimal_evaluation(cfg):
     work = cycle.work()
     exact, scale = exact_work_and_scale(cfg)
     assert abs(Decimal(work) - exact) <= Decimal(6 * EPS) * scale, (work, exact, scale)
-    assert cycle.run()[1] == work
+    assert cycle.run()[3] == work
 
 
 def test_a_hot_flip_with_an_idle_cold_bath_is_degenerate():
