@@ -187,7 +187,8 @@ def work_moments(tmap: Cycle, p1: PopulationVector | None, n: int) -> WorkStatis
         raise CountingOverflowError("cycle count beyond the binary64 range")
     v1, c, g = _spectral_terms(tmap, tmap._product(), p1)
     mean = n * tmap.work()
-    variance = _checked_variance(n * v1 + 2.0 * c * _pair_sum(n, g), n, tmap.quantum)
+    pairs = 2.0 * c * _pair_sum(n, g) if c else 0.0  # S_N may overflow where c is 0
+    variance = _checked_variance(n * v1 + pairs, n, tmap.quantum)
     if mean == 0.0:
         raise ZeroWorkError(
             f"{n}-cycle work mean vanishes at gap {tmap.strokes[0].omega:.6g}; "

@@ -32,16 +32,24 @@ Engines form ``beta_omega`` as ``omega / T``, which rounds once and stays
 finite at a subnormal ``T``, where ``1 / T`` overflows.
 
 Every value is checked once, where it enters, and 2x2 work is done on
-Python floats: a ``GibbsStochasticMatrix`` built from a user's matrix and
-a map from ``build_map`` pass the same float checks of their four entries;
-``build_map`` then wraps its entries without checking them again.  The
-cycle product, tilted or not (``Cycle._tilted``), its fixed point,
-``Cycle.run`` and ``apply_map`` compute on a map's checked float entries
-(``_compose``, ``_fixed_point``), which round alike on every platform; a
-numpy 2x2 product may use a fused multiply-add.  The array ``m`` of a map
-(``_EntryMatrix``, also the base of ``microscopic.InducedMap``) is built on
-first access from its entries.  numpy is imported only by the array
-accessors and array input, on first use (``_LazyNumpy``).
+Python floats.  ``ThermalOpParams``, the engine configs and
+``PopulationVector.from_raw`` accept float fields in one comparison chain;
+other input, and every failure, goes on to the named checks, which build
+the message (``require_descending``, ``require_unit_interval``,
+``EngineConfig._checked``; the clamp of ``from_raw``).  A value with no
+order against a float, such as a string or None, raises
+``InvalidParameterError`` there.  A ``GibbsStochasticMatrix`` built from a
+user's matrix and a map from ``build_map`` pass the same float checks of
+their four entries (``_gibbs_stochastic_entries``); ``build_map`` and an
+engine's ``cycle()`` then wrap what they built without checking it again
+(``_unchecked``).  The cycle product, tilted or not (``Cycle._tilted``),
+its fixed point, ``Cycle.run`` and ``apply_map`` compute on a map's checked
+float entries (``_compose``, ``_fixed_point``), which round alike on every
+platform; a numpy 2x2 product may use a fused multiply-add.  The array
+``m`` of a map (``_EntryMatrix``, also the base of
+``microscopic.InducedMap``) is built on first access from its entries.
+numpy is imported only by the array accessors and array input, on first
+use (``_LazyNumpy``).
 
 Value types are named tuples: ``PopulationVector``, ``ThermalOpParams``,
 ``WorkStroke`` and ``CycleReport`` (of both engines) here, and the configs
@@ -149,7 +157,10 @@ class PopulationVector(_Checked, namedtuple("PopulationVector", "p_g p_e")):
     __slots__ = ()
 
     def __new__(cls, p_g: float, p_e: float):
-        in_range = 0.0 <= p_g <= 1.0 and 0.0 <= p_e <= 1.0  # NaN fails
+        try:  # NaN fails; a string, None, a complex number or an array raises
+            in_range = bool(0.0 <= p_g <= 1.0 and 0.0 <= p_e <= 1.0)
+        except (TypeError, ValueError):
+            raise InvalidParameterError(f"populations must be real, got {(p_g, p_e)}") from None
         if not in_range or isinstance(p_g, bool) or isinstance(p_e, bool):
             raise InvalidParameterError(f"populations must lie in [0, 1], got ({p_g}, {p_e})")
         if abs(p_g + p_e - 1.0) > DRIFT_RENORM:
@@ -162,11 +173,13 @@ class PopulationVector(_Checked, namedtuple("PopulationVector", "p_g p_e")):
     def from_raw(cls, values: Iterable[float]) -> "PopulationVector":
         """Build from possibly drifted raw values.
 
-        Values outside [0, 1] are clamped into it.  Drift up to
-        ``DRIFT_RENORM`` is accepted after that, drift up to ``DRIFT_FAIL``
-        is also renormalized, anything larger raises ``ConsistencyError``
-        since it indicates a logic bug rather than rounding.  Anything but
-        two real values raises ``InvalidParameterError``.
+        A tuple of two floats in [0, 1] whose drift is at most
+        ``DRIFT_RENORM`` is returned after that one test.  Other values
+        outside [0, 1] are clamped into it.  Drift up to ``DRIFT_RENORM`` is
+        accepted after that, drift up to ``DRIFT_FAIL`` is also
+        renormalized, anything larger raises ``ConsistencyError`` since it
+        indicates a logic bug rather than rounding.  Anything but two real
+        values raises ``InvalidParameterError``.
 
         Renormalizing cannot divide by zero.  It runs only when the drift is
         at most ``DRIFT_FAIL``, so ``p_g + p_e >= 1 - DRIFT_FAIL``, and
@@ -174,6 +187,15 @@ class PopulationVector(_Checked, namedtuple("PopulationVector", "p_g p_e")):
         ``DRIFT_FAIL``; the total is then at least ``1 - 3 DRIFT_FAIL > 0``.
         ``max`` drops a NaN from the drift, and the constructor rejects it.
         """
+        if type(values) is tuple and len(values) == 2:  # what the cycle code passes
+            p_g, p_e = values
+            if (
+                type(p_g) is float is type(p_e)
+                and 0.0 <= p_g <= 1.0
+                and 0.0 <= p_e <= 1.0
+                and abs(p_g + p_e - 1.0) <= DRIFT_RENORM
+            ):
+                return tuple.__new__(cls, values)
         try:
             p_g, p_e = map(_real, values)
         except (TypeError, ValueError) as exc:
@@ -203,9 +225,15 @@ class ThermalOpParams(_Checked, namedtuple("ThermalOpParams", "omega beta lam"))
     __slots__ = ()
 
     def __new__(cls, omega: float, beta: float, lam: float):
-        require_descending(omega=omega)
-        require_descending(beta=beta)
-        require_unit_interval(lam=lam)
+        if not (
+            type(omega) is float is type(beta) is type(lam)
+            and omega > 0.0
+            and beta > 0.0
+            and 0.0 <= lam <= 1.0
+        ):  # other types, and every failure, go through the named checks
+            require_descending(omega=omega)
+            require_descending(beta=beta)
+            require_unit_interval(lam=lam)
         return tuple.__new__(cls, (omega, beta, lam))
 
 
@@ -230,7 +258,7 @@ class GibbsStochasticMatrix(_EntryMatrix):
         self.__dict__.update(omega=omega, beta_omega=beta_omega, _entries=entries)
 
 
-def _unchecked(cls, **fields):
+def _unchecked(cls, fields: dict):
     """The ``_Frozen`` type ``cls`` holding ``fields`` that passed its checks."""
     self = object.__new__(cls)
     self.__dict__.update(fields)
@@ -239,17 +267,27 @@ def _unchecked(cls, **fields):
 
 def require_descending(**values: float) -> None:
     """Require ``v1 > v2 > ... > 0`` in keyword order (one value: ``v > 0``).
-    NaN fails the comparisons and bools are rejected, not read as 0 or 1."""
+    NaN fails the comparisons and bools are rejected, not read as 0 or 1; so
+    is a value with no order against a float: a string, None, a complex
+    number or an array of several values."""
     vals = tuple(values.values())
-    for a, b in zip(vals, vals[1:] + (0.0,)):
-        if isinstance(a, bool) or not a > b:
-            raise InvalidParameterError(f"need {' > '.join(values)} > 0, got {vals}")
+    try:
+        valid = all(not isinstance(a, bool) and a > b for a, b in zip(vals, vals[1:] + (0.0,)))
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        raise InvalidParameterError(f"need {' > '.join(values)} > 0, got {vals}")
 
 
 def require_unit_interval(**values: float) -> None:
-    """Require every value to lie in [0, 1]; NaN and bools fail."""
+    """Require every value to lie in [0, 1]; NaN and bools fail, and a value
+    with no order against a float is not real."""
     for name, v in values.items():
-        if isinstance(v, bool) or not 0.0 <= v <= 1.0:
+        try:
+            in_range = bool(0.0 <= v <= 1.0)
+        except (TypeError, ValueError):
+            raise InvalidParameterError(f"{name} must be real, got {v!r}") from None
+        if isinstance(v, bool) or not in_range:
             raise InvalidParameterError(f"{name} must lie in [0, 1], got {v}")
 
 
@@ -272,7 +310,11 @@ def require_count(n, minimum: int, name: str) -> int:
 
 def _boltzmann_factor(omega: float, beta: float) -> float:
     """``exp(-beta * omega)``, for ``omega, beta > 0``."""
-    if not (omega > 0.0 and beta > 0.0):
+    try:  # a string, None, a complex number or an array raises
+        valid = bool(omega > 0.0 and beta > 0.0)
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"omega and beta must be real, got {(omega, beta)}") from None
+    if not valid:
         raise InvalidParameterError(
             f"omega and beta must be > 0, got omega={omega}, beta={beta}"
         )
@@ -300,22 +342,26 @@ def _gibbs_stochastic_entries(
     entries in [0, 1] within ``STOCHASTIC_TOL`` (then clipped into it),
     columns summing to 1 and the Gibbs populations of the Boltzmann factor
     ``q`` a fixed point, both within ``STOCHASTIC_TOL``.  A NaN entry fails
-    the column sums."""
+    the column sums; past them the entries are finite, so the residuals are
+    both finite or both NaN, and testing each tests their ``max``."""
     entries = (m00, m01, m10, m11)
-    lo, hi = min(entries), max(entries)
-    if lo < -STOCHASTIC_TOL or hi > 1.0 + STOCHASTIC_TOL:
-        raise InvalidParameterError("matrix entries must lie in [0, 1]")
-    if lo < 0.0 or hi > 1.0:
-        entries = tuple(min(max(x, 0.0), 1.0) for x in entries)
-        m00, m01, m10, m11 = entries
-    cols = (m00 + m10, m01 + m11)
-    if not (abs(cols[0] - 1.0) <= STOCHASTIC_TOL and abs(cols[1] - 1.0) <= STOCHASTIC_TOL):
-        raise InvalidParameterError(f"columns must sum to 1 within {STOCHASTIC_TOL}, got {cols}")
-    g_g, g_e = 1.0 / (1.0 + q), q / (1.0 + q)
-    residual = max(abs(m00 * g_g + m01 * g_e - g_g), abs(m10 * g_g + m11 * g_e - g_e))
-    if residual > STOCHASTIC_TOL:
+    if not (0.0 <= m00 <= 1.0 and 0.0 <= m01 <= 1.0 and 0.0 <= m10 <= 1.0 and 0.0 <= m11 <= 1.0):
+        lo, hi = min(entries), max(entries)
+        if lo < -STOCHASTIC_TOL or hi > 1.0 + STOCHASTIC_TOL:
+            raise InvalidParameterError("matrix entries must lie in [0, 1]")
+        if lo < 0.0 or hi > 1.0:
+            entries = tuple(min(max(x, 0.0), 1.0) for x in entries)
+            m00, m01, m10, m11 = entries
+    col_g, col_e = m00 + m10, m01 + m11
+    if not (abs(col_g - 1.0) <= STOCHASTIC_TOL and abs(col_e - 1.0) <= STOCHASTIC_TOL):
         raise InvalidParameterError(
-            f"Gibbs populations are not a fixed point (residual {residual:.3e})"
+            f"columns must sum to 1 within {STOCHASTIC_TOL}, got {(col_g, col_e)}"
+        )
+    g_g, g_e = 1.0 / (1.0 + q), q / (1.0 + q)
+    res_g, res_e = abs(m00 * g_g + m01 * g_e - g_g), abs(m10 * g_g + m11 * g_e - g_e)
+    if res_g > STOCHASTIC_TOL or res_e > STOCHASTIC_TOL:
+        raise InvalidParameterError(
+            f"Gibbs populations are not a fixed point (residual {max(res_g, res_e):.3e})"
         )
     return entries
 
@@ -341,7 +387,8 @@ def _build_map(omega: float, beta_omega: float, lam: float) -> GibbsStochasticMa
     entries = _gibbs_stochastic_entries(
         keep + lam * (1.0 - q), 0.0 + lam, 0.0 + lam * q, keep + lam * 0.0, q
     )
-    return _unchecked(GibbsStochasticMatrix, _entries=entries, omega=omega, beta_omega=beta_omega)
+    fields = {"_entries": entries, "omega": omega, "beta_omega": beta_omega}
+    return _unchecked(GibbsStochasticMatrix, fields)
 
 
 def eto(omega: float, beta: float) -> GibbsStochasticMatrix:

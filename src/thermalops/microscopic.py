@@ -119,7 +119,7 @@ class InducedMap(_EntryMatrix):
 
 def _induced(m: tuple) -> InducedMap:
     """The ``InducedMap`` of row-major entries that pass ``_column_defect``."""
-    return _unchecked(InducedMap, _entries=m, column_defect=_column_defect(m))
+    return _unchecked(InducedMap, {"_entries": m, "column_defect": _column_defect(m)})
 
 
 def induced_population_map(u: np.ndarray, tr: FockTruncation) -> InducedMap:

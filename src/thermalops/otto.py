@@ -78,8 +78,10 @@ class EngineConfig(_Checked):
     """Checks, heat maps and regime couplings shared by the engine configs:
     named tuples with fields ``T_H``, ``T_C``, ``lambda_H``, ``lambda_C``
     and the gaps named in ``GAPS`` (hot gap first, cold gap last), which
-    build their stroke tuple in ``cycle()``; each ``__new__`` returns its
-    tuple through ``_checked``."""
+    build their stroke tuple in ``cycle()``.  Each ``__new__`` accepts float
+    fields in one comparison chain and sends any other tuple through
+    ``_checked``, which names the failing check or accepts a valid tuple of
+    other real types."""
 
     __slots__ = ()
     GAPS: tuple[str, ...] = ()
@@ -134,7 +136,17 @@ class OttoConfig(
         lambda_H: float,
         lambda_C: float,
     ):
-        return tuple.__new__(cls, (omega_H, omega_C, T_H, T_C, lambda_H, lambda_C))._checked()
+        self = tuple.__new__(cls, (omega_H, omega_C, T_H, T_C, lambda_H, lambda_C))
+        if (
+            type(omega_H) is float is type(omega_C) is type(T_H) is type(T_C)
+            and type(lambda_H) is float is type(lambda_C)
+            and math.inf > omega_H > omega_C > 0.0
+            and math.inf > T_H > T_C > 0.0
+            and 0.0 <= lambda_H <= 1.0
+            and 0.0 <= lambda_C <= 1.0
+        ):
+            return self
+        return self._checked()
 
     @classmethod
     def nonmarkov(cls, omega_H, omega_C, T_H, T_C) -> "OttoConfig":
@@ -168,7 +180,7 @@ def _otto_cycle(
     of them is skipped."""
     hot, cold = _build_map(omega_H, a, l_H), _build_map(omega_C, b, l_C)
     strokes = (hot, WorkStroke(omega_H, omega_C), cold, WorkStroke(omega_C, omega_H))
-    return _unchecked(Cycle, strokes=strokes)
+    return _unchecked(Cycle, {"strokes": strokes})
 
 
 def otto_steady_state(cfg: OttoConfig) -> PopulationVector:

@@ -13,6 +13,7 @@ module; ``W = Q_H + Q_C`` to rounding.
 
 from __future__ import annotations
 
+import math
 import warnings
 from collections import namedtuple
 
@@ -32,7 +33,16 @@ class ThreeStrokeConfig(
     GAPS = ("omega",)
 
     def __new__(cls, omega: float, T_H: float, T_C: float, lambda_H: float, lambda_C: float):
-        return tuple.__new__(cls, (omega, T_H, T_C, lambda_H, lambda_C))._checked()
+        self = tuple.__new__(cls, (omega, T_H, T_C, lambda_H, lambda_C))
+        if (
+            type(omega) is float is type(T_H) is type(T_C) is type(lambda_H) is type(lambda_C)
+            and math.inf > omega > 0.0
+            and math.inf > T_H > T_C > 0.0
+            and 0.0 <= lambda_H <= 1.0
+            and 0.0 <= lambda_C <= 1.0
+        ):
+            return self
+        return self._checked()
 
     @classmethod
     def nonmarkov(cls, omega, T_H, T_C) -> "ThreeStrokeConfig":
@@ -47,7 +57,7 @@ class ThreeStrokeConfig(
     def cycle(self) -> Cycle:
         """Heat, flip, cool: the strokes link the gap, so ``Cycle``'s check is skipped."""
         strokes = (self.hot_map(), WorkStroke(self.omega, self.omega, flip=True), self.cold_map())
-        return _unchecked(Cycle, strokes=strokes)
+        return _unchecked(Cycle, {"strokes": strokes})
 
     def requires_eto(self):
         """Closed forms hold only for extremal operations (``nonmarkov``)."""

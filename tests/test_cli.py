@@ -839,7 +839,8 @@ def test_verify_detects_injected_perturbation(monkeypatch):
         m00, m01, m10, m11 = m._entries
         entries = (m00 + 1e-6, m01, m10, m11)
         return _unchecked(
-            GibbsStochasticMatrix, _entries=entries, omega=m.omega, beta_omega=m.beta_omega
+            GibbsStochasticMatrix,
+            {"_entries": entries, "omega": m.omega, "beta_omega": m.beta_omega},
         )
 
     monkeypatch.setattr(verify, "build_map", corrupt)

@@ -304,6 +304,15 @@ def test_work_moments_at_a_billion_cycles():
     assert math.isclose(stats.variance / n, scaled_var, rel_tol=1e-8)
 
 
+def test_deterministic_work_has_zero_variance_at_any_count():
+    # the steady state is p_e = 1, so v1 = c = 0; S_N overflows at N = 10**297,
+    # where 2 c S_N was 0 * inf = NaN
+    cycle = OttoConfig(1e10, 1.0, 1e24, 1e19, 1.0, 1.0).cycle()
+    for n in (1000, 10**200, 10**297):
+        stats = work_moments(cycle, None, n)
+        assert stats.variance == 0.0 and math.isfinite(stats.mean)
+
+
 def test_work_moments_overflow_is_typed():
     # S_N ~ N / (1 - mu) with 1 - mu ~ 2e-3 at this gap: Var_N exceeds binary64
     tmap, p1 = tilted_and_steady(OttoConfig.nonmarkov(1e-3, 7e-4, 1.0, 0.5))

@@ -1,6 +1,7 @@
 import copy
 import math
 import pickle
+import struct
 import warnings
 
 import numpy as np
@@ -32,7 +33,17 @@ from thermalops import (
     tilted_map_otto,
     work_moments,
 )
-from thermalops.maps import DRIFT_FAIL, DRIFT_RENORM, require_count
+from thermalops.maps import (
+    DRIFT_FAIL,
+    DRIFT_RENORM,
+    STOCHASTIC_TOL,
+    _gibbs_stochastic_entries,
+    require_count,
+    require_descending,
+    require_unit_interval,
+)
+
+import oracles
 
 LN2 = math.log(2.0)
 
@@ -62,7 +73,17 @@ def test_build_map_half_strength_at_ln2():
 
 @pytest.mark.parametrize(
     "omega,beta,lam",
-    [(1.0, 1.0, 1.2), (1.0, 1.0, -0.1), (0.0, 1.0, 0.5), (1.0, -2.0, 0.5), (-1.0, 1.0, 0.5)],
+    [
+        (1.0, 1.0, 1.2),
+        (1.0, 1.0, -0.1),
+        (0.0, 1.0, 0.5),
+        (1.0, -2.0, 0.5),
+        (-1.0, 1.0, 0.5),
+        ("1", 1.0, 0.5),
+        (None, 1.0, 0.5),
+        (1 + 0j, 1.0, 0.5),
+        (np.array([1.0, 2.0]), 1.0, 0.5),  # no "ambiguous truth value" ValueError
+    ],
 )
 def test_params_validation(omega, beta, lam):
     with pytest.raises(InvalidParameterError):
@@ -109,6 +130,8 @@ def test_thermal_population_values():
     np.testing.assert_allclose(hot.as_array(), [0.5, 0.5], atol=1e-3)
     with pytest.raises(InvalidParameterError):
         thermal_population(-1.0, 1.0)
+    with pytest.raises(InvalidParameterError, match="must be real"):
+        thermal_population("1", 1.0)
 
 
 def test_eto_limits():
@@ -152,6 +175,10 @@ def test_population_vector_validation():
         PopulationVector(0.7, 0.7)
     with pytest.raises(InvalidParameterError):
         PopulationVector(-0.1, 1.1)
+    with pytest.raises(InvalidParameterError, match="must be real"):
+        PopulationVector("0.5", 0.5)
+    with pytest.raises(InvalidParameterError, match="must be real"):
+        PopulationVector(np.array([0.5, 0.5]), 0.5)
     # small drift renormalizes, large drift is a logic-bug signal
     fixed = PopulationVector.from_raw([0.5 + 4e-11, 0.5 + 4e-11])
     assert math.isclose(fixed.p_g + fixed.p_e, 1.0, abs_tol=1e-12)
@@ -459,6 +486,20 @@ def test_nan_fields_are_rejected_at_construction(cfg, field):
         cfg._replace(**{field: math.nan})
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: OttoConfig("2", 1.0, 1.0, 0.5, 1.0, 1.0),
+        lambda: OttoConfig(2.0, 1.0, 1.0, 0.5, 1j, 1.0),
+        lambda: ThreeStrokeConfig(None, 1.0, 0.5, 1.0, 1.0),
+    ],
+    ids=["otto-string-gap", "otto-complex-coupling", "three-stroke-none-gap"],
+)
+def test_non_real_config_fields_are_rejected_at_construction(make):
+    with pytest.raises(InvalidParameterError):
+        make()
+
+
 def test_bools_are_not_read_as_numbers():
     cfg = OttoConfig(1.0, 0.7, 1.0, 0.5, 1.0, 1.0)
     with pytest.raises(InvalidParameterError):
@@ -515,3 +556,180 @@ def test_user_matrix_keeps_its_checks():
     clipped = GibbsStochasticMatrix(np.array([[1.0 + 1e-13, 1.0], [-1e-13, 0.0]]), 1.0, 1e4)
     assert clipped._entries == (1.0, 1.0, 0.0, 0.0)
     assert clipped.m.tolist() == [[1.0, 1.0], [0.0, 0.0]]
+
+
+# The rewritten checks against their reference copies in ``oracles``: the
+# same value bits, or the same exception type and message.  Values sit at
+# and one ulp either side of each tolerance, with signed zeros, NaN, the
+# infinities, subnormals, bools, ints and numpy floats among them; a value
+# with no order against a float, which the copies let raise a bare
+# TypeError or ValueError, now raises InvalidParameterError.
+def _ulps(x: float) -> list[float]:
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+TOLERANCES = [v for tol in (DRIFT_RENORM, DRIFT_FAIL, STOCHASTIC_TOL) for v in _ulps(tol)]
+OFFSETS = st.sampled_from([0.0, -0.0, *TOLERANCES, *(-t for t in TOLERANCES)])
+EDGE_FLOATS = [
+    0.0,
+    -0.0,
+    math.nan,
+    math.inf,
+    -math.inf,
+    5e-324,
+    -5e-324,
+    2.2250738585072014e-308,
+    0.5,
+    *_ulps(1.0),
+    2.0,
+    -1.0,
+    *TOLERANCES,
+]
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(), st.floats(0.0, 1.0))
+NON_REAL = ["0.5", None, 0.5j, np.array([0.5, 0.5])]
+SCALARS = st.one_of(
+    FLOATS,
+    st.sampled_from([True, False, 0, 1, 2, -1, np.float64(0.5), np.float64(1.0), *NON_REAL]),
+)
+
+
+def _bits(x):
+    if isinstance(x, tuple):
+        return tuple(_bits(v) for v in x)
+    if isinstance(x, float):
+        return type(x), struct.pack(">d", x)
+    return type(x), repr(x)
+
+
+def _outcome(fn, *args):
+    try:
+        result = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return "ok", _bits(result)
+
+
+def assert_same_outcome(new, reference):
+    kind = reference[0]
+    untyped = kind != "ok" and not issubclass(kind, thermalops.ThermalOpsError)
+    if untyped and issubclass(kind, (TypeError, ValueError)):  # no order against a float
+        assert new[0] is InvalidParameterError
+    else:
+        assert new == reference
+
+
+def _near(p: float, d_g: float, d_e: float) -> tuple[float, float]:
+    return p + d_g, (1.0 - p) + d_e
+
+
+RAW_PAIRS = st.one_of(
+    st.tuples(SCALARS, SCALARS),
+    st.builds(_near, FLOATS, OFFSETS, OFFSETS),
+    st.builds(_near, st.floats(0.0, 1.0), st.floats(-2e-9, 2e-9), st.floats(-2e-9, 2e-9)),
+)
+CONTAINERS = st.sampled_from([tuple, list, iter, lambda v: (*v, 0.5), lambda v: v[:1]])
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True, database=None)
+@given(RAW_PAIRS, CONTAINERS)
+@example((-0.0, 1.0), tuple)
+@example((0.5, math.nan), tuple)
+@example((-STOCHASTIC_TOL, 1.0 + STOCHASTIC_TOL), tuple)
+@example(("x", 0.5), lambda v: (*v, 0.5))
+def test_from_raw_and_the_constructor_match_the_reference(pair, container):
+    assert_same_outcome(
+        _outcome(PopulationVector.from_raw, container(pair)),
+        _outcome(oracles.from_raw, container(pair)),
+    )
+    assert_same_outcome(
+        _outcome(PopulationVector, *pair), _outcome(oracles.population_vector, *pair)
+    )
+
+
+def _gibbs_entries(lam: float, q: float, nudges: tuple) -> tuple:
+    keep = 1.0 - lam
+    exact = (keep + lam * (1.0 - q), 0.0 + lam, 0.0 + lam * q, keep + lam * 0.0)
+    return tuple(x + d for x, d in zip(exact, nudges))
+
+
+def _shifted(lam: float, q: float, d_g: float, d_e: float, cols: tuple) -> tuple:
+    """Map entries with ``d_g`` and ``d_e`` moved down each column, which
+    moves the fixed point, and the column sums off 1 by ``cols``."""
+    m00, m01, m10, m11 = _gibbs_entries(lam, q, (0.0, 0.0, 0.0, 0.0))
+    return m00 - d_g, m01 + d_e, m10 + d_g + cols[0], m11 - d_e + cols[1], q
+
+
+# the callers pass float entries only (``build_map`` and ``_entries_2x2``)
+ENTRY_NUDGES = st.one_of(OFFSETS, st.sampled_from([math.nan, math.inf, -math.inf, 1e-11, -1e-11]))
+SHIFTS = st.one_of(OFFSETS, st.floats(-3 * STOCHASTIC_TOL, 3 * STOCHASTIC_TOL))
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True, database=None)
+@given(
+    st.one_of(
+        st.builds(
+            lambda lam, q, nudges: (*_gibbs_entries(lam, q, nudges), q),
+            st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0, 5e-324])),
+            st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 5e-324, 1.0, math.inf, math.nan])),
+            st.tuples(ENTRY_NUDGES, ENTRY_NUDGES, ENTRY_NUDGES, ENTRY_NUDGES),
+        ),
+        st.builds(
+            _shifted,
+            st.floats(0.0, 1.0),
+            st.floats(0.0, 1.0),
+            SHIFTS,
+            SHIFTS,
+            st.tuples(OFFSETS, OFFSETS),
+        ),
+        st.tuples(FLOATS, FLOATS, FLOATS, FLOATS, FLOATS),
+    )
+)
+@example((-0.0, 1.0, 1.0, 0.0, 0.0))
+@example((1.0, 1.0, -0.0, 0.0, 1.0))
+def test_gibbs_stochastic_entries_match_the_reference(args):
+    assert_same_outcome(
+        _outcome(_gibbs_stochastic_entries, *args),
+        _outcome(oracles.gibbs_stochastic_entries, *args),
+    )
+
+
+def _with(fields: tuple, i: int, value) -> tuple:
+    return fields[:i] + (value,) + fields[i + 1 :]
+
+
+def config_fields(valid: tuple):
+    n = len(valid)
+    return st.one_of(
+        st.tuples(*[SCALARS] * n),
+        st.permutations(valid).map(tuple),
+        st.builds(_with, st.just(valid), st.integers(0, n - 1), SCALARS),
+        st.builds(_with, st.permutations(valid).map(tuple), st.integers(0, n - 1), SCALARS),
+    )
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(
+    config_fields((2.0, 1.0, 1.0, 0.5, 0.9, 0.7)),
+    config_fields((1.0, 1.0, 0.5, 0.9, 0.7)),
+    config_fields((1.0, 0.5, 0.25)),
+)
+@example((math.inf, 1.0, 1.0, 0.5, 1.0, 1.0), (1.0, math.inf, 0.5, 1.0, 1.0), (math.inf, 1.0, 0.5))
+@example((2.0, 1.0, 1.0, 0.5, True, 1.0), (1.0, 1.0, 0.5, 1, 1.0), (1.0, 1.0, False))
+def test_config_checks_match_the_reference(otto, three, params):
+    names = OttoConfig._fields
+    assert_same_outcome(
+        _outcome(OttoConfig, *otto), _outcome(oracles.engine_config, names, 2, otto)
+    )
+    names = ThreeStrokeConfig._fields
+    assert_same_outcome(
+        _outcome(ThreeStrokeConfig, *three), _outcome(oracles.engine_config, names, 1, three)
+    )
+    assert_same_outcome(
+        _outcome(ThermalOpParams, *params), _outcome(oracles.thermal_op_params, *params)
+    )
+    named = dict(zip("abc", params))
+    for new, reference in (
+        (require_descending, oracles.require_descending),
+        (require_unit_interval, oracles.require_unit_interval),
+    ):
+        assert_same_outcome(_outcome(lambda: new(**named)), _outcome(lambda: reference(**named)))

@@ -27,7 +27,8 @@ def corrupt_maps(monkeypatch, change):
         m = build_map(params)
         entries = tuple(change(list(m._entries)))
         return maps._unchecked(
-            GibbsStochasticMatrix, _entries=entries, omega=m.omega, beta_omega=m.beta_omega
+            GibbsStochasticMatrix,
+            {"_entries": entries, "omega": m.omega, "beta_omega": m.beta_omega},
         )
 
     monkeypatch.setattr(verify, "build_map", corrupted)
