@@ -36,9 +36,9 @@ Python floats.  ``ThermalOpParams``, the engine configs and
 ``PopulationVector.from_raw`` accept float fields in one comparison chain;
 other input, and every failure, goes on to the named checks, which build
 the message (``require_descending``, ``require_unit_interval``,
-``EngineConfig._checked``; the clamp of ``from_raw``).  A value with no
-order against a float, such as a string or None, raises
-``InvalidParameterError`` there.  A ``GibbsStochasticMatrix`` built from a
+``EngineConfig._checked``; the clamp of ``from_raw``).  A value that is
+not a ``numbers.Real``, such as a string, None, a numpy complex number or
+an array, raises ``InvalidParameterError`` there.  A ``GibbsStochasticMatrix`` built from a
 user's matrix and a map from ``build_map`` pass the same float checks of
 their four entries (``_gibbs_stochastic_entries``); ``build_map`` and an
 engine's ``cycle()`` then wrap what they built without checking it again
@@ -157,12 +157,12 @@ class PopulationVector(_Checked, namedtuple("PopulationVector", "p_g p_e")):
     __slots__ = ()
 
     def __new__(cls, p_g: float, p_e: float):
-        try:  # NaN fails; a string, None, a complex number or an array raises
-            in_range = bool(0.0 <= p_g <= 1.0 and 0.0 <= p_e <= 1.0)
-        except (TypeError, ValueError):
-            raise InvalidParameterError(f"populations must be real, got {(p_g, p_e)}") from None
-        if not in_range or isinstance(p_g, bool) or isinstance(p_e, bool):
-            raise InvalidParameterError(f"populations must lie in [0, 1], got ({p_g}, {p_e})")
+        if not (type(p_g) is float is type(p_e) and 0.0 <= p_g <= 1.0 and 0.0 <= p_e <= 1.0):
+            if not (isinstance(p_g, numbers.Real) and isinstance(p_e, numbers.Real)):
+                raise InvalidParameterError(f"populations must be real, got {(p_g, p_e)}")
+            in_range = 0.0 <= p_g <= 1.0 and 0.0 <= p_e <= 1.0  # NaN fails
+            if not in_range or isinstance(p_g, bool) or isinstance(p_e, bool):
+                raise InvalidParameterError(f"populations must lie in [0, 1], got ({p_g}, {p_e})")
         if abs(p_g + p_e - 1.0) > DRIFT_RENORM:
             raise InvalidParameterError(
                 f"populations must sum to 1 within {DRIFT_RENORM}, got sum {p_g + p_e}"
@@ -268,11 +268,14 @@ def _unchecked(cls, fields: dict):
 def require_descending(**values: float) -> None:
     """Require ``v1 > v2 > ... > 0`` in keyword order (one value: ``v > 0``).
     NaN fails the comparisons and bools are rejected, not read as 0 or 1; so
-    is a value with no order against a float: a string, None, a complex
-    number or an array of several values."""
+    is a value that is not a ``numbers.Real``: a string, None, a complex
+    number (numpy's compare with floats) or an array (of one value too)."""
     vals = tuple(values.values())
-    try:
-        valid = all(not isinstance(a, bool) and a > b for a, b in zip(vals, vals[1:] + (0.0,)))
+    try:  # a float compared with a later, non-real value may raise
+        valid = all(
+            (type(a) is float or isinstance(a, numbers.Real) and not isinstance(a, bool)) and a > b
+            for a, b in zip(vals, vals[1:] + (0.0,))
+        )
     except (TypeError, ValueError):
         valid = False
     if not valid:
@@ -281,13 +284,12 @@ def require_descending(**values: float) -> None:
 
 def require_unit_interval(**values: float) -> None:
     """Require every value to lie in [0, 1]; NaN and bools fail, and a value
-    with no order against a float is not real."""
+    that is not a ``numbers.Real`` (a numpy complex number or an array too)
+    is not real."""
     for name, v in values.items():
-        try:
-            in_range = bool(0.0 <= v <= 1.0)
-        except (TypeError, ValueError):
-            raise InvalidParameterError(f"{name} must be real, got {v!r}") from None
-        if isinstance(v, bool) or not in_range:
+        if type(v) is not float and not isinstance(v, numbers.Real):
+            raise InvalidParameterError(f"{name} must be real, got {v!r}")
+        if isinstance(v, bool) or not 0.0 <= v <= 1.0:
             raise InvalidParameterError(f"{name} must lie in [0, 1], got {v}")
 
 
@@ -309,15 +311,14 @@ def require_count(n, minimum: int, name: str) -> int:
 
 
 def _boltzmann_factor(omega: float, beta: float) -> float:
-    """``exp(-beta * omega)``, for ``omega, beta > 0``."""
-    try:  # a string, None, a complex number or an array raises
-        valid = bool(omega > 0.0 and beta > 0.0)
-    except (TypeError, ValueError):
-        raise InvalidParameterError(f"omega and beta must be real, got {(omega, beta)}") from None
-    if not valid:
-        raise InvalidParameterError(
-            f"omega and beta must be > 0, got omega={omega}, beta={beta}"
-        )
+    """``exp(-beta * omega)``, for real ``omega, beta > 0``."""
+    if not (type(omega) is float is type(beta) and omega > 0.0 and beta > 0.0):
+        if not (isinstance(omega, numbers.Real) and isinstance(beta, numbers.Real)):
+            raise InvalidParameterError(f"omega and beta must be real, got {(omega, beta)}")
+        if not (omega > 0.0 and beta > 0.0):
+            raise InvalidParameterError(
+                f"omega and beta must be > 0, got omega={omega}, beta={beta}"
+            )
     return math.exp(-beta * omega)
 
 

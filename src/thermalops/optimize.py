@@ -5,13 +5,15 @@ Fixing the efficiency ``eta`` and the Carnot efficiency ``eta_C`` pins
 the single gap ``omega_H`` free.  The work-per-cycle (in units of k_B T_H)
 is strictly log-concave in ``a = omega_H / T_H``, so its one maximum is
 the one root of the slope of ``ln W``, which has a closed form in each
-regime; ``maximize_work`` bisects the window on the slope's sign, down to
-adjacent floats.  fig4 (``work_efficiency_curve``) searches the window
+regime; ``maximize_work`` brackets that root by Illinois regula falsi on
+the slope's values (``_bisect``), down to the adjacent floats that halving
+on its sign reaches.  fig4 (``work_efficiency_curve``) searches the window
 ``[1e-3, 20] * T_H``, so its rows do not depend on the unit of energy.
 Each gap is evaluated with the closed-form Otto work (``otto.otto_work``)
 without building an ``OttoConfig``.  A scan checks ``eta``, ``eta_C``, the
-temperatures and the regime once, in ``_otto_fields``, and each gap it
-evaluates only for ``omega_H > omega_C > 0``; ``work_at`` is the work
+temperatures and the regime once, and each gap it evaluates only for
+``omega_H > omega_C > 0`` (``_otto_gaps``); a slope evaluation takes the
+two exponents ``omega / T`` and no couplings.  ``work_at`` is the work
 curve at one gap, and ``sweep`` rows evaluate it too.  The three-stroke
 engine has no free gap once (eta, eta_C) is chosen: its zero-work gap lies
 below ``ln 2 * T_H``, its efficiency falls strictly below that gap, and
@@ -69,7 +71,9 @@ class ScanSpec(_Checked, namedtuple("ScanSpec", "eta eta_C T_H regime omega_lo o
 class OptimumRecord(NamedTuple):
     """``maximize_work``'s gap and the work there (units of k_B T_H);
     ``converged`` is false when the maximum sits at a window end, and
-    ``evaluations`` counts the evaluations of the slope of ``ln W``."""
+    ``evaluations`` counts the evaluations of the slope of ``ln W``: the
+    window's ends, then one per step of ``_bisect`` (a median of 13-14 on
+    the fig4 grid, at most four per halving of the window)."""
 
     omega_H_star: float
     W_star: float
@@ -99,9 +103,16 @@ def work_at(eta: float, eta_C: float, T_H: float, omega_H: float, regime: str) -
 
 
 def _work_curve(eta: float, eta_C: float, T_H: float, regime: str):
-    """``work_at`` as a function of ``omega_H`` alone (``_otto_fields``)."""
-    fields = _otto_fields(eta, eta_C, T_H, regime)
-    return lambda omega_H: _otto_work(*fields(omega_H)) / T_H
+    """``work_at`` as a function of ``omega_H`` alone: the work of
+    ``_otto_fields``' fields, written out to save a call per gap."""
+    gaps = _otto_gaps(eta, eta_C, T_H)
+    couplings = _coupling_rule(T_H, (1.0 - eta_C) * T_H, regime)
+
+    def work(omega_H: float) -> float:
+        omega_H, omega_C, a, b = gaps(omega_H)
+        return _otto_work(omega_H, omega_C, a, b, *couplings(omega_H, omega_C)) / T_H
+
+    return work
 
 
 def _otto_fields(eta: float, eta_C: float, T_H: float, regime: str):
@@ -109,21 +120,35 @@ def _otto_fields(eta: float, eta_C: float, T_H: float, regime: str):
     ``otto_config_at``, ``(omega_H, omega_C, omega_H / T_H, omega_C / T_C,
     lambda_H, lambda_C)``, as a function of ``omega_H`` alone:
     ``eta``, ``eta_C``, the temperatures and the regime are checked here,
+    once, and each gap by ``_otto_gaps``."""
+    gaps = _otto_gaps(eta, eta_C, T_H)
+    couplings = _coupling_rule(T_H, (1.0 - eta_C) * T_H, regime)
+
+    def fields(omega_H: float) -> tuple:
+        omega_H, omega_C, a, b = gaps(omega_H)
+        return (omega_H, omega_C, a, b, *couplings(omega_H, omega_C))
+
+    return fields
+
+
+def _otto_gaps(eta: float, eta_C: float, T_H: float):
+    """The first four of ``_otto_fields``' fields, without the couplings, as
+    a function of ``omega_H`` alone: ``eta`` and ``eta_C`` are checked here,
     once, and each gap only for ``omega_H > omega_C > 0``, which also fails
-    for NaN, a bool or an ``omega_C`` that underflows to 0."""
+    for NaN, a bool or an ``omega_C`` that underflows to 0.  The caller
+    checks the temperatures (``_coupling_rule``)."""
     if not 0.0 < eta <= eta_C < 1.0:
         raise InvalidParameterError(f"need 0 < eta <= eta_C < 1, got {eta}, {eta_C}")
     T_C = (1.0 - eta_C) * T_H
-    couplings = _coupling_rule(T_H, T_C, regime)
     keep = 1.0 - eta
 
-    def fields(omega_H: float) -> tuple:
+    def gaps(omega_H: float) -> tuple:
         omega_C = keep * omega_H
         if isinstance(omega_H, bool) or not omega_H > omega_C > 0.0:
             raise InvalidParameterError(f"need omega_H > omega_C > 0, got {(omega_H, omega_C)}")
-        return (omega_H, omega_C, omega_H / T_H, omega_C / T_C, *couplings(omega_H, omega_C))
+        return omega_H, omega_C, omega_H / T_H, omega_C / T_C
 
-    return fields
+    return gaps
 
 
 def _linspace(start: float, stop: float, num: int) -> list[float]:
@@ -160,12 +185,16 @@ def _logspace(lo: float, hi: float, n: int) -> list[float]:
 
 
 def maximize_work(spec: ScanSpec) -> OptimumRecord:
-    """Maximize the Otto work-per-cycle over the gap window by one bisection
-    on the sign of the slope of ``ln W`` (``_log_work_slope``), down to
-    adjacent floats in ``omega_H``, checking each gap as ``work_at`` does.
-    A slope not positive at ``omega_lo``, or positive at ``omega_hi``, puts
-    the maximum at that end, which the record holds, marked unconverged,
-    with a ``NoInteriorMaximumWarning``.
+    """Maximize the Otto work-per-cycle over the gap window: ``_bisect``
+    brackets the root of the slope of ``ln W`` (``_log_work_slope``) by
+    Illinois regula falsi, down to adjacent floats in ``omega_H``, and
+    checks each gap as ``work_at`` does; a slope evaluation takes only the
+    exponents ``omega / T`` (``_otto_gaps``).  Wherever the computed slope
+    changes sign once, that is the float that halving alone finds, in a
+    median of 13-14 evaluations on the fig4 grid where halving takes
+    57-59.  A slope not positive at ``omega_lo``, or positive at
+    ``omega_hi``, puts the maximum at that end, which the record holds,
+    marked unconverged, with a ``NoInteriorMaximumWarning``.
 
     The slope falls through zero once: at fixed (eta, eta_C) the work is
     strictly log-concave in ``a = omega_H / T_H``.  With ``kappa = (1 -
@@ -178,21 +207,27 @@ def maximize_work(spec: ScanSpec) -> OptimumRecord:
       so ``ln W = ln a + a + ln(e^((kappa-1) a) - 1) - ln(1 + e^a) - ln(1 +
       e^(kappa a)) + const``, a sum of concave terms.
     """
-    fields = _otto_fields(spec.eta, spec.eta_C, spec.T_H, spec.regime)
+    work = _work_curve(spec.eta, spec.eta_C, spec.T_H, spec.regime)
+    gaps = _otto_gaps(spec.eta, spec.eta_C, spec.T_H)
     slope = _log_work_slope(spec.regime)
-    signs = []  # one per slope evaluation
+    evaluations = 0
 
-    def rising(omega_H: float) -> bool:
-        signs.append(slope(*fields(omega_H)[2:4]) > 0.0)
-        return signs[-1]
+    def value(omega_H: float) -> float:
+        nonlocal evaluations
+        evaluations += 1
+        _, _, a, b = gaps(omega_H)
+        return slope(a, b)
 
     lo, hi = spec.omega_lo, spec.omega_hi
-    omega_H = lo if not rising(lo) else hi if rising(hi) else _bisect(rising, lo, hi)
-    converged = signs[:2] == [True, False]  # rising at lo, falling at hi
-    if not converged:
+    f_lo = value(lo)
+    converged = f_lo > 0.0 and not (f_hi := value(hi)) > 0.0  # rising at lo, falling at hi
+    if converged:
+        omega_H = _bisect(value, lo, hi, (f_lo, f_hi))
+    else:
+        omega_H = hi if f_lo > 0.0 else lo
         msg = f"work maximum at range endpoint omega_H={omega_H:.6g}; widen [omega_lo, omega_hi]"
         warnings.warn(msg, NoInteriorMaximumWarning, stacklevel=2)
-    return OptimumRecord(omega_H, _otto_work(*fields(omega_H)) / spec.T_H, converged, len(signs))
+    return OptimumRecord(omega_H, work(omega_H), converged, evaluations)
 
 
 def _log_work_slope(regime: str):
@@ -218,24 +253,61 @@ def _log_work_slope(regime: str):
     return lambda a, b: 1.0 - a + bose(b - a) + fermi(a) + fermi(b)
 
 
-def _bisect(below_edge, lo: float, hi: float) -> float:
-    """Midpoint of the final bracket of a bisection on ``0 <= lo < hi < inf``
-    for the point where ``below_edge`` turns false, once the midpoint rounds
-    onto an end.  Halving each end keeps ``lo + hi`` from overflowing and
-    rounds as ``0.5 * (lo + hi)`` above the subnormals; 2100 steps cover any
-    bracket (2**1024 wide at most, floats 2**-1074 apart at least)."""
-    for _ in range(2100):
+def _bisect(value, lo: float, hi: float, ends: tuple[float, float] | None = None) -> float:
+    """Midpoint of the final bracket of a search on ``0 <= lo < hi < inf``
+    for the point where ``value(x) > 0`` turns false, once the midpoint
+    rounds onto an end.  Every step keeps ``value > 0`` at ``lo`` and not at
+    ``hi``, so wherever that sign changes once over the floats, every way of
+    stepping ends on the same adjacent pair and returns the same float.
+
+    Without ``ends`` each step halves the bracket.  Halving each end keeps
+    ``lo + hi`` from overflowing and rounds as ``0.5 * (lo + hi)`` above the
+    subnormals; 2100 halvings cover any bracket (2**1024 wide at most,
+    floats 2**-1074 apart at least).  With ``ends = (value(lo), value(hi))``
+    each step goes to the regula falsi point of the bracket, and an end kept
+    twice in a row has its value halved (the Illinois rule: Dowell &
+    Jarratt, BIT 11, 168 (1971)), which converges superlinearly on a smooth
+    ``value``.  A step that leaves the bracket on both sides of its midpoint
+    has not halved it; after three such steps in a row, and wherever the
+    point is not strictly inside the bracket (a NaN or infinite ``value``),
+    the step halves.  So at most four steps go to each halving, and 8400
+    cover any bracket."""
+    f_lo, f_hi = ends if ends else (0.0, 0.0)
+    kept = stalls = 0  # the end kept by the last step (-1 lo, +1 hi)
+    for _ in range(8400):
         mid = 0.5 * lo + 0.5 * hi
         if mid in (lo, hi):
             break
-        lo, hi = (mid, hi) if below_edge(mid) else (lo, mid)
+        x = mid
+        if ends and stalls < 3:
+            x = lo + f_lo / (f_lo - f_hi) * (hi - lo)
+            if not lo < x < hi:
+                x = mid
+        v = value(x)
+        if v > 0.0:
+            lo, f_lo = x, v
+            if kept == 1:
+                f_hi *= 0.5
+            kept = 1
+        else:
+            hi, f_hi = x, v
+            if kept == -1:
+                f_lo *= 0.5
+            kept = -1
+        stalls = 0 if hi <= mid or lo >= mid else stalls + 1
     return 0.5 * lo + 0.5 * hi
 
 
 def three_stroke_omega_for_eta(eta: float, eta_C: float, T_H: float) -> float:
     """Gap at which the three-stroke engine runs at efficiency ``eta``: one
     bisection finds the zero-work gap in ``[1e-12, 1] * T_H``, a second the
-    gap below it where the efficiency falls to ``eta``.  Both are sound:
+    gap below it where the efficiency falls to ``eta``.  Both halve
+    (``_bisect`` without ``ends``): the computed efficiency flips about the
+    target over several ulps of the gap, and more where it is flat, so the
+    gap found depends on the path.  Regula falsi on the same two functions
+    moved 2191 of 8025 seeded gaps (``eta_C`` in [0.01, 0.99], ``T_H`` in
+    [1e-3, 1e3]) by 2 to 2974 ulp, 8 of them fig4 default rows.  Both
+    bisections are sound:
     - with ``x = exp(-omega/T_H)`` and ``y = exp(-omega/T_C) < x``, the ETO
       work vanishes where ``1 - 2x + xy = 0``, so at ``x = 1/(2 - y) > 1/2``:
       the zero-work gap lies below ``ln 2 * T_H``, and ``W(T_H) < 0``;

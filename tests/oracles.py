@@ -1,17 +1,21 @@
 """Oracles shared by the tests: the dense excitation swap of the microscopic
 dilation, and reference copies of the value checks of ``maps`` and ``otto``
 as they read before they were rewritten to test plain floats in one
-comparison chain.  The copies raise the same types and messages; a value
-with no order against a float (a string, None, a complex number, an array)
-makes them raise a bare ``TypeError`` or ``ValueError``."""
+comparison chain.  The copies raise the same types and messages for real
+values.  A value with no order against a float (a string, None, a Python
+complex number, an array of several values) makes them raise a bare
+``TypeError`` or ``ValueError``; a numpy complex number or a one-value
+array compares with a float, and the copies may accept it.  The checks now
+raise ``InvalidParameterError`` for every value that is not ``real``,
+whatever the copies do with it."""
 
 import math
 import numbers
 
 import numpy as np
 
-from thermalops import ConsistencyError, InvalidParameterError
-from thermalops.maps import DRIFT_FAIL, DRIFT_RENORM, STOCHASTIC_TOL
+from thermalops import ConsistencyError, InvalidParameterError, optimize
+from thermalops.maps import DRIFT_FAIL, DRIFT_RENORM, STOCHASTIC_TOL, _otto_work
 
 
 def swap_unitary(tr):
@@ -28,6 +32,12 @@ def swap_unitary(tr):
         g, e = n, tr.n_levels + n - 1  # |g, n> and |e, n - 1>
         u[e, g] = u[g, e] = 1.0
     return u
+
+
+def real(*values) -> bool:
+    """Whether every value is a ``numbers.Real`` (bools included), the
+    values the reference copies stand for."""
+    return all(isinstance(v, numbers.Real) for v in values)
 
 
 def population_vector(p_g, p_e):
@@ -125,3 +135,33 @@ def engine_config(names, n_gaps, fields):
         if cfg[name] == math.inf:
             raise InvalidParameterError(f"{name} must be finite, got inf")
     return tuple(fields)
+
+
+def bisection_maximize_work(spec):
+    """``optimize.maximize_work`` as it read before regula falsi: plain
+    halving of the window on the sign of the slope of ``ln W``, the gaps
+    checked through ``_otto_fields``, and no warning.  The same
+    ``OptimumRecord``; ``evaluations`` counts the window's ends and one per
+    halving."""
+    fields = optimize._otto_fields(spec.eta, spec.eta_C, spec.T_H, spec.regime)
+    slope = optimize._log_work_slope(spec.regime)
+    signs = []
+
+    def rising(omega_H):
+        signs.append(slope(*fields(omega_H)[2:4]) > 0.0)
+        return signs[-1]
+
+    lo, hi = spec.omega_lo, spec.omega_hi
+    if not rising(lo):
+        omega_H = lo
+    elif rising(hi):
+        omega_H = hi
+    else:
+        for _ in range(2100):
+            mid = 0.5 * lo + 0.5 * hi
+            if mid in (lo, hi):
+                break
+            lo, hi = (mid, hi) if rising(mid) else (lo, mid)
+        omega_H = 0.5 * lo + 0.5 * hi
+    W = _otto_work(*fields(omega_H)) / spec.T_H
+    return optimize.OptimumRecord(omega_H, W, signs[:2] == [True, False], len(signs))

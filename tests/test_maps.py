@@ -83,6 +83,9 @@ def test_build_map_half_strength_at_ln2():
         (None, 1.0, 0.5),
         (1 + 0j, 1.0, 0.5),
         (np.array([1.0, 2.0]), 1.0, 0.5),  # no "ambiguous truth value" ValueError
+        (np.complex128(1 + 1j), 1.0, 0.5),  # numpy orders it; build_map would drop imag
+        (np.array([1.0]), 1.0, 0.5),  # a one-value array compares like its value
+        (1.0, 1.0, np.complex128(0.5)),
     ],
 )
 def test_params_validation(omega, beta, lam):
@@ -132,6 +135,10 @@ def test_thermal_population_values():
         thermal_population(-1.0, 1.0)
     with pytest.raises(InvalidParameterError, match="must be real"):
         thermal_population("1", 1.0)
+    with pytest.raises(InvalidParameterError, match="must be real"):
+        thermal_population(np.complex128(1 + 1j), 1.0)
+    with pytest.raises(InvalidParameterError, match="must be real"):
+        full_thermalization_lambda(np.array([1.0]), 1.0)
 
 
 def test_eto_limits():
@@ -179,6 +186,8 @@ def test_population_vector_validation():
         PopulationVector("0.5", 0.5)
     with pytest.raises(InvalidParameterError, match="must be real"):
         PopulationVector(np.array([0.5, 0.5]), 0.5)
+    with pytest.raises(InvalidParameterError, match="must be real"):
+        PopulationVector(np.array([0.5]), np.array([0.5]))
     # small drift renormalizes, large drift is a logic-bug signal
     fixed = PopulationVector.from_raw([0.5 + 4e-11, 0.5 + 4e-11])
     assert math.isclose(fixed.p_g + fixed.p_e, 1.0, abs_tol=1e-12)
@@ -492,8 +501,18 @@ def test_nan_fields_are_rejected_at_construction(cfg, field):
         lambda: OttoConfig("2", 1.0, 1.0, 0.5, 1.0, 1.0),
         lambda: OttoConfig(2.0, 1.0, 1.0, 0.5, 1j, 1.0),
         lambda: ThreeStrokeConfig(None, 1.0, 0.5, 1.0, 1.0),
+        lambda: OttoConfig(np.array([2.0]), 1.0, 1.0, 0.5, 1.0, 1.0),
+        lambda: OttoConfig(2.0, 1.0, 1.0, 0.5, np.complex128(1.0), 1.0),
+        lambda: ThreeStrokeConfig(1.0, 1.0, np.array([0.5]), 1.0, 1.0),
     ],
-    ids=["otto-string-gap", "otto-complex-coupling", "three-stroke-none-gap"],
+    ids=[
+        "otto-string-gap",
+        "otto-complex-coupling",
+        "three-stroke-none-gap",
+        "otto-one-value-array-gap",
+        "otto-numpy-complex-coupling",
+        "three-stroke-one-value-array-temperature",
+    ],
 )
 def test_non_real_config_fields_are_rejected_at_construction(make):
     with pytest.raises(InvalidParameterError):
@@ -563,7 +582,9 @@ def test_user_matrix_keeps_its_checks():
 # and one ulp either side of each tolerance, with signed zeros, NaN, the
 # infinities, subnormals, bools, ints and numpy floats among them; a value
 # with no order against a float, which the copies let raise a bare
-# TypeError or ValueError, now raises InvalidParameterError.
+# TypeError or ValueError, now raises InvalidParameterError, and so does
+# every call with a value that is not ``oracles.real``, such as a numpy
+# complex number or a one-value array, which the copies may accept.
 def _ulps(x: float) -> list[float]:
     return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
 
@@ -586,7 +607,16 @@ EDGE_FLOATS = [
     *TOLERANCES,
 ]
 FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(), st.floats(0.0, 1.0))
-NON_REAL = ["0.5", None, 0.5j, np.array([0.5, 0.5])]
+NON_REAL = [
+    "0.5",
+    None,
+    0.5j,
+    np.array([0.5, 0.5]),
+    np.complex128(0.5 + 0.5j),
+    np.complex128(0.5),
+    np.array([0.5]),
+    np.array(0.5),
+]
 SCALARS = st.one_of(
     FLOATS,
     st.sampled_from([True, False, 0, 1, 2, -1, np.float64(0.5), np.float64(1.0), *NON_REAL]),
@@ -609,10 +639,13 @@ def _outcome(fn, *args):
     return "ok", _bits(result)
 
 
-def assert_same_outcome(new, reference):
+def assert_same_outcome(new, reference, values=()):
+    """``values``: the arguments, where a value that is not real must raise."""
     kind = reference[0]
     untyped = kind != "ok" and not issubclass(kind, thermalops.ThermalOpsError)
     if untyped and issubclass(kind, (TypeError, ValueError)):  # no order against a float
+        assert new[0] is InvalidParameterError
+    elif not oracles.real(*values):
         assert new[0] is InvalidParameterError
     else:
         assert new == reference
@@ -642,7 +675,7 @@ def test_from_raw_and_the_constructor_match_the_reference(pair, container):
         _outcome(oracles.from_raw, container(pair)),
     )
     assert_same_outcome(
-        _outcome(PopulationVector, *pair), _outcome(oracles.population_vector, *pair)
+        _outcome(PopulationVector, *pair), _outcome(oracles.population_vector, *pair), pair
     )
 
 
@@ -718,18 +751,22 @@ def config_fields(valid: tuple):
 def test_config_checks_match_the_reference(otto, three, params):
     names = OttoConfig._fields
     assert_same_outcome(
-        _outcome(OttoConfig, *otto), _outcome(oracles.engine_config, names, 2, otto)
+        _outcome(OttoConfig, *otto), _outcome(oracles.engine_config, names, 2, otto), otto
     )
     names = ThreeStrokeConfig._fields
     assert_same_outcome(
-        _outcome(ThreeStrokeConfig, *three), _outcome(oracles.engine_config, names, 1, three)
+        _outcome(ThreeStrokeConfig, *three),
+        _outcome(oracles.engine_config, names, 1, three),
+        three,
     )
     assert_same_outcome(
-        _outcome(ThermalOpParams, *params), _outcome(oracles.thermal_op_params, *params)
+        _outcome(ThermalOpParams, *params), _outcome(oracles.thermal_op_params, *params), params
     )
     named = dict(zip("abc", params))
     for new, reference in (
         (require_descending, oracles.require_descending),
         (require_unit_interval, oracles.require_unit_interval),
     ):
-        assert_same_outcome(_outcome(lambda: new(**named)), _outcome(lambda: reference(**named)))
+        assert_same_outcome(
+            _outcome(lambda: new(**named)), _outcome(lambda: reference(**named)), params
+        )

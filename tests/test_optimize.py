@@ -2,6 +2,8 @@ import hashlib
 import math
 import os
 import random
+import re
+import statistics
 import subprocess
 import sys
 import warnings
@@ -33,6 +35,7 @@ from thermalops import (
     work_moments,
 )
 from thermalops import optimize
+import oracles
 from thermalops.cli import COMMANDS, _log_grid, _run_sweep
 from thermalops.optimize import otto_config_at, three_stroke_config_at
 from thermalops.maps import _three_stroke_work
@@ -265,9 +268,10 @@ def test_maximize_work_improves_on_grid_and_is_deterministic():
     assert rec1.W_star >= best_coarse - 1e-12
     assert rec1.W_star == work_at(0.3, 0.5, 1.0, rec1.omega_H_star, "nonmarkov")
     assert rec1.converged
-    # the two window ends, then one halving per bit of [1e-3, 20] down to
-    # the spacing of the floats near the optimum
-    assert 2 < rec1.evaluations <= 2 + math.ceil(math.log2(20.0 / math.ulp(1.0)))
+    # the two window ends, then regula falsi steps: fewer than half of the
+    # halvings, one per bit of [1e-3, 20] down to the spacing of the floats
+    # near the optimum, that plain bisection takes
+    assert 2 < rec1.evaluations <= 2 + math.ceil(math.log2(20.0 / math.ulp(1.0))) // 2
 
 
 @settings(max_examples=500, deadline=None, derandomize=True, database=None)
@@ -554,6 +558,143 @@ def test_maximize_work_pins_seeded_scans():
             rec = maximize_work(spec)
             lines.append(f"{rec.omega_H_star.hex()} {rec.W_star.hex()} {rec.converged}")
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SEEDED_SCANS_SHA256
+
+
+def fig4_specs(regime: str) -> list:
+    p = COMMANDS["fig4"][0]
+    window = (1e-3 * p["T_H"], 20.0 * p["T_H"])
+    etas = optimize._linspace(p["eta_min"], p["eta_max"], p["points"])
+    return [ScanSpec(eta, p["eta_C"], p["T_H"], regime, *window) for eta in etas]
+
+
+def slope_of(spec: ScanSpec):
+    gaps = optimize._otto_gaps(spec.eta, spec.eta_C, spec.T_H)
+    slope = optimize._log_work_slope(spec.regime)
+    return lambda w: slope(*gaps(w)[2:])
+
+
+def is_sign_change(spec: ScanSpec, omega_H: float) -> bool:
+    """Whether the computed slope of ``ln W`` changes sign between
+    ``omega_H`` and one of its neighbouring floats."""
+    slope = slope_of(spec)
+
+    def rising(w):
+        return slope(w) > 0.0
+
+    if rising(omega_H):
+        return not rising(math.nextafter(omega_H, math.inf))
+    return rising(math.nextafter(omega_H, 0.0))
+
+
+def ulps_apart(x: float, y: float) -> float:
+    return abs(x - y) / math.ulp(min(x, y))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    regime=st.sampled_from(["nonmarkov", "markov"]),
+    eta_C=st.one_of(st.sampled_from([1e-6, 1.0 - 1e-6]), st.floats(1e-6, 1.0 - 1e-6)),
+    eta_share=st.floats(1e-6, 1.0 - 1e-6),
+    T_H=st.one_of(st.sampled_from([1e-310, 1e-300, 1e-3, 1.0, 1e9, 1e300]), log_uniform(-300, 300)),
+    window=st.one_of(
+        st.just((1e-3, 20.0)),  # fig4's
+        st.tuples(st.floats(-4.0, 1.0), st.floats(0.1, 4.0)).map(
+            lambda e: (10.0 ** e[0], 10.0 ** (e[0] + e[1]))
+        ),
+    ),
+)
+@example(regime="nonmarkov", eta_C=0.5, eta_share=0.6, T_H=1.0, window=(1e-3, 20.0))
+@example(regime="markov", eta_C=1e-6, eta_share=1e-6, T_H=1e-310, window=(1e-3, 20.0))  # raises
+@example(regime="markov", eta_C=1e-6, eta_share=1e-6, T_H=1e-300, window=(1e-3, 20.0))
+def test_regula_falsi_lands_where_bisection_does(regime, eta_C, eta_share, T_H, window):
+    # over the seeded_scan_specs domain and the fig4 window: an interior
+    # optimum is an adjacent-float sign change of the computed slope, within
+    # 4 ulp of the float plain halving finds (the same float wherever the
+    # computed sign changes once); an optimum at a window end is that end,
+    # and a window whose gaps fail their check raises the same error
+    spec = ScanSpec(eta_C * eta_share, eta_C, T_H, regime, window[0] * T_H, window[1] * T_H)
+    try:
+        reference = oracles.bisection_maximize_work(spec)
+    except InvalidParameterError as exc:
+        with pytest.raises(InvalidParameterError, match=re.escape(str(exc))):
+            maximize_work(spec)
+        return
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rec = maximize_work(spec)
+    assert rec.converged == reference.converged
+    if not rec.converged:
+        assert rec == reference
+        return
+    assert is_sign_change(spec, rec.omega_H_star)
+    assert ulps_apart(rec.omega_H_star, reference.omega_H_star) <= 4
+    assert rec.W_star == optimize._work_curve(spec.eta, eta_C, T_H, regime)(rec.omega_H_star)
+
+
+def halvings(value, lo: float, hi: float) -> str:
+    """Runs ``_bisect(value, lo, hi, ends)`` and tells for each step whether
+    it left the bracket on one side of the bracket's midpoint: T for a
+    halving, F for a step that did not halve."""
+    points = []
+
+    def recording(x):
+        points.append(x)
+        return value(x)
+
+    optimize._bisect(recording, lo, hi, (value(lo), value(hi)))
+    steps = ""
+    for x in points:
+        mid = 0.5 * lo + 0.5 * hi
+        lo, hi = (x, hi) if value(x) > 0.0 else (lo, x)
+        steps += "T" if lo >= mid or hi <= mid else "F"
+    return steps
+
+
+def test_regula_falsi_takes_a_few_evaluations_and_at_most_four_per_halving():
+    # fig4's default grid: a median of at most 16 slope evaluations per
+    # optimum, where halving takes 57-59
+    for regime in ("nonmarkov", "markov"):
+        records = [maximize_work(spec) for spec in fig4_specs(regime)]
+        assert all(rec.converged for rec in records)
+        assert statistics.median(rec.evaluations for rec in records) <= 16
+    # the safeguard: no more than three steps in a row that do not halve the
+    # bracket, so at most four steps per halving; on the seeded scans that
+    # is also at most four times the steps of plain halving
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for spec in seeded_scan_specs():
+            rec = maximize_work(spec)
+            if not rec.converged:
+                continue
+            steps = halvings(slope_of(spec), spec.omega_lo, spec.omega_hi)
+            assert len(steps) == rec.evaluations - 2 and "FFFF" not in steps
+            reference = oracles.bisection_maximize_work(spec)
+            assert rec.evaluations - 2 <= 4 * (reference.evaluations - 2)
+
+
+@pytest.mark.parametrize("rise", [1e6, 1.0, 1e-6])
+def test_bisect_halves_where_regula_falsi_stalls(rise):
+    # a step of height 1e6 over -1 puts every regula falsi point within
+    # 1e-6 of the bracket's width of hi (1e-6: of lo), and the Illinois rule
+    # needs 20 halvings of the kept value to move off it: the safeguard
+    # halves the bracket every fourth step instead (about three steps per
+    # halving here), and the search ends on the float that halving alone
+    # finds
+    root = 0.3
+
+    def plain(x):
+        plain.calls += 1
+        return x < root
+
+    def value(x):
+        value.calls += 1
+        return rise if x < root else -1.0
+
+    plain.calls = value.calls = 0
+    expected = optimize._bisect(plain, 0.0, 1.0)
+    assert optimize._bisect(value, 0.0, 1.0, (value(0.0), value(1.0))) == expected
+    assert value.calls - 2 <= 4 * plain.calls
+    assert "FFFF" not in halvings(value, 0.0, 1.0)
 
 
 def test_three_stroke_inversion_hits_target_efficiency():
