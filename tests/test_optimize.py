@@ -560,6 +560,50 @@ def test_maximize_work_pins_seeded_scans():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SEEDED_SCANS_SHA256
 
 
+def seeded_fluctuation_tables(count: int = 210, seed: int = 33) -> list:
+    """Seeded fig5 (both horizons) and fig6 parameters, a third each:
+    ``T_H`` from subnormal to 1e300, ``eta_C`` from 1e-6 to 1 - 1e-6,
+    ``eta`` in ``(0, eta_C)`` and windows anywhere in ``[1e-4, 1e5] * T_H``."""
+    rng = random.Random(seed)
+    tables = []
+    for i in range(count):
+        command, horizon = [("fig5", "single_cycle"), ("fig5", "infinite"), ("fig6", None)][i % 3]
+        eta_C = rng.choice([1e-6, 1.0 - 1e-6, rng.uniform(1e-6, 1.0 - 1e-6)])
+        T_H = rng.choice([1e-310, 1e-300, 1e-3, 1.0, 1e9, 1e300])
+        lo = rng.uniform(-4.0, 4.9)
+        p = {
+            **COMMANDS[command][0],
+            "eta": eta_C * rng.uniform(1e-6, 1.0 - 1e-6),
+            "eta_C": eta_C,
+            "T_H": T_H,
+            "omega_lo": T_H * 10.0**lo,
+            "omega_hi": T_H * 10.0 ** min(lo + rng.uniform(0.1, 2.5), 5.0),
+            "points": rng.randint(2, 9),
+        }
+        if horizon:
+            p["horizon"] = horizon
+        tables.append((command, p))
+    return tables
+
+
+def table_outcome(command: str, p: dict) -> str:
+    """The rows of the table, as ``float.hex``, or its raise."""
+    try:
+        _, rows = COMMANDS[command][1](p)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return ";".join(" ".join(x.hex() if isinstance(x, float) else repr(x) for x in r) for r in rows)
+
+
+# sha256 of every seeded fig5 and fig6 table's outcome
+SEEDED_FLUCTUATION_SHA256 = "8bd1be1743e50d7f7fd0030d981bd1ef0bcb161f66e51d9ec5b883942011cb98"
+
+
+def test_fluctuation_tables_pin_seeded_parameters():
+    lines = [f"{c} {p.get('horizon')} {table_outcome(c, p)}" for c, p in seeded_fluctuation_tables()]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SEEDED_FLUCTUATION_SHA256
+
+
 def fig4_specs(regime: str) -> list:
     p = COMMANDS["fig4"][0]
     window = (1e-3 * p["T_H"], 20.0 * p["T_H"])
