@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .errors import ThermalOpsError
-from .fcs import intercycle_pcc
+from .fcs import _cell_sums, _pcc, intercycle_pcc
 from .maps import eto_vs_thermalization_scan
 from .microscopic import JC_KINDS, FockTruncation, eto_approximation_report
 from .optimize import (
@@ -35,7 +35,7 @@ from .optimize import (
     three_stroke_config_at,
     work_efficiency_curve,
 )
-from .otto import MARKOV, NONMARKOV, _otto_cycle
+from .otto import MARKOV, NONMARKOV
 from .verify import run_suites
 
 ENGINE_CODES = {NONMARKOV: 0, MARKOV: 1, "three_stroke": 2}
@@ -87,12 +87,15 @@ def _run_fig5(p):
 def _run_fig6(p):
     grid = _log_grid(p, "omega_lo", "omega_hi")
     fields = _otto_fields(p["eta"], p["eta_C"], p["T_H"], NONMARKOV)
-    engines = [(NONMARKOV, _otto_cycle(*fields(w))) for w in grid]
-    engines.append(("three_stroke", three_stroke_config_at(p["eta"], p["eta_C"], p["T_H"]).cycle()))
-    return ["engine", "omega_H", "W", "pcc"], [
-        [ENGINE_CODES[engine], c.strokes[0].omega, c.work() / p["T_H"], intercycle_pcc(c, None)]
-        for engine, c in engines
+    otto = [fields(w) for w in grid]  # every gap checked before the three-stroke point
+    c3 = three_stroke_config_at(p["eta"], p["eta_C"], p["T_H"]).cycle()
+    rows = [
+        [ENGINE_CODES[NONMARKOV], w, W / p["T_H"], _pcc(*_cell_sums(hot, cold, m0))]
+        for w, _, _, _, W, hot, cold, m0 in otto
     ]
+    W3, pcc3 = c3.work() / p["T_H"], intercycle_pcc(c3, None)
+    rows.append([ENGINE_CODES["three_stroke"], c3.strokes[0].omega, W3, pcc3])
+    return ["engine", "omega_H", "W", "pcc"], rows
 
 
 def _run_sweep(p):

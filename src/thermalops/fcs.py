@@ -31,9 +31,9 @@ the fixed point of ``M``; a ``p1`` a caller passes is checked against it.
 An exact trajectory-enumeration oracle, which walks the same stroke tuple,
 checks all of it.
 
-The closed forms read the checked float entries of the heat maps, and ``M``,
-tilted or not, and its powers are composed by the cycle's 2x2 kernel
-(``maps._compose``), so they round the same way on every platform.
+The closed forms read checked float entries, a ``Cycle``'s or those of a fig5
+or fig6 Otto row, which builds no map; ``M``, tilted or not, and its powers
+are composed by the 2x2 kernel ``maps._compose``, so they round alike anywhere.
 """
 
 from __future__ import annotations
@@ -107,23 +107,32 @@ def cumulant_gf(tmap: Cycle, p1: PopulationVector, n: int, chi: float) -> float:
     return math.log((a * p1.p_g + b * p1.p_e) + (c * p1.p_g + d * p1.p_e))
 
 
-def _spectral_terms(tmap: Cycle, m0: tuple, p1: PopulationVector | None = None):
-    """``(v1, c, 1 - mu)`` of the cycle, in work quanta, in its steady state,
-    the fixed point of ``m0 = tmap._product()``; a ``p1`` must be that state."""
+def _spectral_terms(tmap: Cycle, m0: tuple, p1: PopulationVector | None = None, primitive=False):
+    """``_cell_sums`` of the cycle's strokes; ``m0`` is ``tmap._product()``."""
     hot, first, cold, *last = tmap.strokes
+    (k1_g, k1_e), (k2_g, k2_e) = first.released, last[0].released if last else (0.0, 0.0)
+    q = k1_e  # Cycle.quantum: what the first work stroke releases from e
+    quanta = (k1_g / q, k1_e / q, k2_g / q, k2_e / q)
+    return _cell_sums(hot._entries, cold._entries, m0, quanta, first.flip, p1, primitive)
+
+
+def _cell_sums(hot, cold, m0, quanta=(0.0, 1.0, 0.0, -1.0), flip=False, p1=None, primitive=False):
+    """``(v1, c, 1 - mu)`` in quanta, Otto's by default; ``primitive``: the scaled checks."""
+    if primitive and not min(_compose(m0, m0)) > 0.0:  # the entries are finite
+        raise NonPrimitiveMapError("untilted cycle map squared has zero entries")
     p_g, p_e = _fixed_point(*m0)
+    if primitive and m0[1] + m0[2] < 1e-12:
+        raise NonPrimitiveMapError("dominant eigenvalue degenerate at chi = 0")
     if p1 is not None and not abs(p1.p_e - p_e) <= DRIFT_RENORM:
         raise InvalidParameterError(f"p1 is not the steady state: p_e {p1.p_e!r}, not {p_e!r}")
-    h00, h01, h10, h11 = hot._entries
-    c00, c01, c10, c11 = cold._entries
+    h00, h01, h10, h11 = hot
+    c00, c01, c10, c11 = cold
     x_g, x_e = h00 * p_g + h01 * p_e, h10 * p_g + h11 * p_e  # after the hot stroke
-    (k1_g, k1_e), (k2_g, k2_e) = first.released, last[0].released if last else (0.0, 0.0)
-    q = tmap.quantum
-    k1_g, k1_e, k2_g, k2_e = k1_g / q, k1_e / q, k2_g / q, k2_e / q
+    k1_g, k1_e, k2_g, k2_e = quanta
     # Cell (a, b): level a after the hot stroke and b after the cold one,
     # with probability x_a t[b][a] and k1[a] + k2[b] quanta; the Otto quench
     # back keeps the levels, so b = 0 is the level that ends the cycle in g.
-    t = (c01, c00, c11, c10) if first.flip else (c00, c01, c10, c11)
+    t = (c01, c00, c11, c10) if flip else (c00, c01, c10, c11)
     P0, P1, P2, P3 = x_g * t[0], x_e * t[1], x_g * t[2], x_e * t[3]
     K0, K1, K2, K3 = k1_g + k2_g, k1_e + k2_g, k1_g + k2_e, k1_e + k2_e
     d01, d02, d03, d12, d13, d23 = K0 - K1, K0 - K2, K0 - K3, K1 - K2, K1 - K3, K2 - K3
@@ -136,7 +145,7 @@ def _spectral_terms(tmap: Cycle, m0: tuple, p1: PopulationVector | None = None):
     # det = m11 - m10 is (1 - lam) - lam q, which does not cancel as
     # m00 - m01 = (1 - q) - 1 would for the ETO
     d2 = (k2_e - k2_g) * (c11 - c10)
-    gap = -(h11 - h10) * ((k1_e - k1_g) + (-d2 if first.flip else d2))  # a_g - a_e
+    gap = -(h11 - h10) * ((k1_e - k1_g) + (-d2 if flip else d2))  # a_g - a_e
     return v1, gap * J, m0[1] + m0[2]
 
 
@@ -186,13 +195,17 @@ def work_moments(tmap: Cycle, p1: PopulationVector | None, n: int) -> WorkStatis
     if n > sys.float_info.max:
         raise CountingOverflowError("cycle count beyond the binary64 range")
     v1, c, g = _spectral_terms(tmap, tmap._product(), p1)
-    mean = n * tmap.work()
+    return _moments(n, v1, c, g, tmap.work(), tmap.quantum, tmap.strokes[0].omega)
+
+
+def _moments(n: int, v1, c, g, work: float, quantum: float, omega: float) -> WorkStatistics:
+    """``work_moments`` of a cycle's ``_cell_sums``, ``work()``, quantum and hot gap."""
+    mean = n * work
     pairs = 2.0 * c * _pair_sum(n, g) if c else 0.0  # S_N may overflow where c is 0
-    variance = _checked_variance(n * v1 + pairs, n, tmap.quantum)
+    variance = _checked_variance(n * v1 + pairs, n, quantum)
     if mean == 0.0:
         raise ZeroWorkError(
-            f"{n}-cycle work mean vanishes at gap {tmap.strokes[0].omega:.6g}; "
-            "variance-to-mean ratio undefined"
+            f"{n}-cycle work mean vanishes at gap {omega:.6g}; variance-to-mean ratio undefined"
         )
     ratio = variance / mean
     if not math.isfinite(ratio):
@@ -204,13 +217,13 @@ def scaled_cumulants(tmap: Cycle) -> tuple[float, float]:
     """Infinite-cycle work mean ``work()`` and variance ``v1 + 2 c / (1 - mu)``
     per cycle.  ``NonPrimitiveMapError`` unless the untilted map is primitive
     (its square strictly positive) with a simple dominant eigenvalue."""
-    m0 = tmap._product()
-    if not all(x > 0.0 for x in _compose(m0, m0)):
-        raise NonPrimitiveMapError("untilted cycle map squared has zero entries")
-    v1, c, g = _spectral_terms(tmap, m0)
-    if g < 1e-12:
-        raise NonPrimitiveMapError("dominant eigenvalue degenerate at chi = 0")
-    return tmap.work(), _checked_variance(v1 + 2.0 * c / g, 1.0, tmap.quantum)
+    terms = _spectral_terms(tmap, tmap._product(), primitive=True)
+    return _scaled(*terms, tmap.work(), tmap.quantum)
+
+
+def _scaled(v1: float, c: float, g: float, work: float, quantum: float) -> tuple[float, float]:
+    """``scaled_cumulants`` of a primitive cycle's ``_cell_sums``, ``work()`` and quantum."""
+    return work, _checked_variance(v1 + 2.0 * c / g, 1.0, quantum)
 
 
 class WorkDistribution(_Checked, namedtuple("WorkDistribution", "n quantum support")):
@@ -318,7 +331,11 @@ def intercycle_pcc(tmap: Cycle, p1: PopulationVector | None) -> float:
     pair products ``P_i P_j``; below, the clamp still gives [-1, 1], and a
     probe of 162,643 configs of both engines, 17,411 of them with a
     subnormal ``v1``, found none above 1 in magnitude."""
-    v1, c, _ = _spectral_terms(tmap, tmap._product(), p1)
+    return _pcc(*_spectral_terms(tmap, tmap._product(), p1))
+
+
+def _pcc(v1: float, c: float, _g: float) -> float:
+    """``intercycle_pcc`` of a cycle's ``_cell_sums``."""
     if v1 == 0.0:
         raise ZeroVarianceError("single-cycle work variance is 0; the PCC is undefined")
     return min(max(c / v1, -1.0), 1.0)

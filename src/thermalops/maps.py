@@ -294,9 +294,9 @@ def require_unit_interval(**values: float) -> None:
 
 
 def _real(x) -> float:
-    """``float(x)``, but a complex ``x`` (numpy's would lose ``imag``) raises ``TypeError``."""
-    if type(x) is not float and isinstance(x, numbers.Complex) and not isinstance(x, numbers.Real):
-        raise TypeError(f"{x!r} is complex")
+    """``float(x)`` of a ``numbers.Real``; a string, bytes or complex ``x`` raises ``TypeError``."""
+    if type(x) is not float and not isinstance(x, numbers.Real):
+        raise TypeError(f"{x!r} is not real")
     return float(x)
 
 
@@ -383,13 +383,17 @@ def _build_map(omega: float, beta_omega: float, lam: float) -> GibbsStochasticMa
     """``build_map`` on values its caller has checked as ``ThermalOpParams``
     would, with the exponent ``beta_omega`` of the Boltzmann factor formed
     by the caller: ``beta * omega``, or ``omega / T`` for an engine."""
+    fields = {"_entries": _map_entries(beta_omega, lam), "omega": omega, "beta_omega": beta_omega}
+    return _unchecked(GibbsStochasticMatrix, fields)
+
+
+def _map_entries(beta_omega: float, lam: float) -> tuple[float, float, float, float]:
+    """The checked entries of ``_build_map``'s map, with no map around them."""
     q = math.exp(-beta_omega)
     keep = 1.0 - lam
-    entries = _gibbs_stochastic_entries(
+    return _gibbs_stochastic_entries(
         keep + lam * (1.0 - q), 0.0 + lam, 0.0 + lam * q, keep + lam * 0.0, q
     )
-    fields = {"_entries": entries, "omega": omega, "beta_omega": beta_omega}
-    return _unchecked(GibbsStochasticMatrix, fields)
 
 
 def eto(omega: float, beta: float) -> GibbsStochasticMatrix:

@@ -9,15 +9,15 @@ regime; ``maximize_work`` brackets that root by Illinois regula falsi on
 the slope's values (``_bisect``), down to the adjacent floats that halving
 on its sign reaches.  fig4 (``work_efficiency_curve``) searches the window
 ``[1e-3, 20] * T_H``, so its rows do not depend on the unit of energy.
-Each gap is evaluated with the closed-form Otto work (``otto.otto_work``)
-without building an ``OttoConfig``.  A scan checks ``eta``, ``eta_C``, the
-temperatures and the regime once, and each gap it evaluates only for
-``omega_H > omega_C > 0`` (``_otto_gaps``); a slope evaluation takes the
-two exponents ``omega / T`` and no couplings.  ``work_at`` is the work
-curve at one gap, and ``sweep`` rows evaluate it too.  The three-stroke
-engine has no free gap once (eta, eta_C) is chosen: its zero-work gap lies
-below ``ln 2 * T_H``, its efficiency falls strictly below that gap, and
-one bisection there finds the gap at ``eta``.
+Each gap is evaluated in closed form, with no ``OttoConfig``, map or cycle:
+the Otto work (``otto.otto_work``) or a fig5 or fig6 row (``_otto_fields``).
+A scan checks ``eta``, ``eta_C``, the temperatures and the regime once, and
+each gap it evaluates only for ``omega_H > omega_C > 0`` (``_otto_gaps``); a
+slope evaluation takes the two exponents ``omega / T`` and no couplings.
+``work_at`` is the work curve at one gap, and ``sweep`` rows evaluate it too.
+The three-stroke engine has no free gap once (eta, eta_C) is chosen: its
+zero-work gap lies below ``ln 2 * T_H``, its efficiency falls strictly below
+that gap, and one bisection there finds the gap at ``eta``.
 
 All scans are deterministic: identical inputs produce bit-identical
 outputs.  ``work_efficiency_curve`` and ``fluctuation_curve`` return their
@@ -33,9 +33,10 @@ from collections import namedtuple
 from typing import NamedTuple, Sequence
 
 from .errors import InvalidParameterError, NoInteriorMaximumWarning, ZeroWorkError
-from .fcs import scaled_cumulants, work_moments
-from .maps import Cycle, _Checked, _otto_work, _three_stroke_work, require_descending
-from .otto import MARKOV, NONMARKOV, OttoConfig, _coupling_rule, _otto_cycle
+from .fcs import _cell_sums, _moments, _scaled, _spectral_terms
+from .maps import _Checked, _compose, _map_entries, _otto_work, _three_stroke_work
+from .maps import require_descending
+from .otto import MARKOV, NONMARKOV, OttoConfig, _coupling_rule
 from .three_stroke import ThreeStrokeConfig
 
 THREE_STROKE_ENGINE = "three_stroke"
@@ -103,8 +104,8 @@ def work_at(eta: float, eta_C: float, T_H: float, omega_H: float, regime: str) -
 
 
 def _work_curve(eta: float, eta_C: float, T_H: float, regime: str):
-    """``work_at`` as a function of ``omega_H`` alone: the work of
-    ``_otto_fields``' fields, written out to save a call per gap."""
+    """``work_at`` as a function of ``omega_H`` alone: the work among
+    ``_otto_fields``' fields, written out without the heat maps' entries."""
     gaps = _otto_gaps(eta, eta_C, T_H)
     couplings = _coupling_rule(T_H, (1.0 - eta_C) * T_H, regime)
 
@@ -116,17 +117,20 @@ def _work_curve(eta: float, eta_C: float, T_H: float, regime: str):
 
 
 def _otto_fields(eta: float, eta_C: float, T_H: float, regime: str):
-    """What ``_otto_cycle`` and ``maps._otto_work`` take for the config of
-    ``otto_config_at``, ``(omega_H, omega_C, omega_H / T_H, omega_C / T_C,
-    lambda_H, lambda_C)``, as a function of ``omega_H`` alone:
-    ``eta``, ``eta_C``, the temperatures and the regime are checked here,
-    once, and each gap by ``_otto_gaps``."""
+    """``otto_config_at(...).cycle()`` as floats, ``(omega_H, omega_C, omega_H
+    / T_H, omega_C / T_C, work(), hot, cold, m0)`` with the heat maps' checked
+    entries and the map, a function of ``omega_H`` alone: ``eta``, ``eta_C``,
+    the temperatures and the regime are checked here, once, each gap by
+    ``_otto_gaps``.  A coupling is 1/2 or more, so ``work()`` cannot raise."""
     gaps = _otto_gaps(eta, eta_C, T_H)
     couplings = _coupling_rule(T_H, (1.0 - eta_C) * T_H, regime)
 
     def fields(omega_H: float) -> tuple:
         omega_H, omega_C, a, b = gaps(omega_H)
-        return (omega_H, omega_C, a, b, *couplings(omega_H, omega_C))
+        l_H, l_C = couplings(omega_H, omega_C)
+        hot, cold = _map_entries(a, l_H), _map_entries(b, l_C)
+        work = _otto_work(omega_H, omega_C, a, b, hot[1], cold[1])
+        return omega_H, omega_C, a, b, work, hot, cold, _compose(cold, hot)
 
     return fields
 
@@ -354,16 +358,15 @@ def work_efficiency_curve(
     return [[eta, maximize_work(ScanSpec(eta, eta_C, T_H, engine, *window)).W_star] for eta in etas]
 
 
-def _fluctuation_point(cycle: Cycle, horizon: str) -> tuple[float, float]:
-    """Work mean and variance-to-mean ratio of one engine at the horizon."""
+def _fluctuation_point(horizon: str, terms, work, quantum, omega) -> tuple[float, float]:
+    """Work mean and variance-to-mean ratio of a cycle's ``_cell_sums`` at the horizon."""
     if horizon == SINGLE_CYCLE:
-        stats = work_moments(cycle, None, 1)  # from the steady state it derives
+        stats = _moments(1, *terms, work, quantum, omega)
         return stats.mean, stats.ratio
-    mean, var = scaled_cumulants(cycle)
+    mean, var = _scaled(*terms, work, quantum)
     if mean == 0.0:
         raise ZeroWorkError(
-            f"{horizon} work mean vanishes at gap {cycle.strokes[0].omega:.6g}; "
-            "variance-to-mean ratio undefined"
+            f"{horizon} work mean vanishes at gap {omega:.6g}; variance-to-mean ratio undefined"
         )
     return mean, var / mean
 
@@ -375,13 +378,13 @@ def fluctuation_curve(
     horizon: str,
     omega_H_grid: Sequence[float],
 ) -> dict[str, list]:
-    """Work vs variance-to-work ratio at fixed (eta, eta_C).
+    """Work vs variance-to-work ratio at fixed (eta, eta_C), in units of k_B T_H.
 
-    Returns, per Otto regime, rows ``[omega_H, W, ratio]`` of floats
-    parametrized by the gap grid, plus the single three-stroke point, one
-    such row, under the key ``"three_stroke"``.  Energies are in units of
-    k_B T_H.  ``horizon`` selects single-cycle statistics or the
-    infinite-cycle scaled limit.
+    Returns, per Otto regime, rows ``[omega_H, W, ratio]`` of floats over the
+    gap grid, and the three-stroke point, one such row, under ``"three_stroke"``,
+    at one cycle or in the infinite-cycle scaled limit (``horizon``).  An Otto
+    row reads its config's cycle as floats (``_otto_fields``) with the checks
+    of ``work_moments`` or ``scaled_cumulants``, the three-stroke point its cycle.
     """
     if horizon not in HORIZONS:
         raise InvalidParameterError(f"horizon must be one of {HORIZONS}, got {horizon!r}")
@@ -402,11 +405,13 @@ def fluctuation_curve(
         fields = _otto_fields(eta, eta_C, unit, regime)
         rows = []
         for omega_H in grid:
-            cycle = _otto_cycle(*fields(math.ldexp(omega_H, -e)))
-            mean, ratio = _fluctuation_point(cycle, horizon)
+            w_H, w_C, _, _, work, hot, cold, m0 = fields(math.ldexp(omega_H, -e))
+            terms = _cell_sums(hot, cold, m0, primitive=horizon == INFINITE)
+            mean, ratio = _fluctuation_point(horizon, terms, work, w_H - w_C, w_H)
             rows.append([omega_H, mean / unit, ratio / unit])
         out[regime] = rows
-    cfg3 = three_stroke_config_at(eta, eta_C, unit)
-    mean, ratio = _fluctuation_point(cfg3.cycle(), horizon)
-    out[THREE_STROKE_ENGINE] = [math.ldexp(cfg3.omega, e), mean / unit, ratio / unit]
+    c3 = three_stroke_config_at(eta, eta_C, unit).cycle()
+    terms = _spectral_terms(c3, c3._product(), primitive=horizon == INFINITE)
+    mean, ratio = _fluctuation_point(horizon, terms, c3.work(), c3.quantum, c3.strokes[0].omega)
+    out[THREE_STROKE_ENGINE] = [math.ldexp(c3.strokes[0].omega, e), mean / unit, ratio / unit]
     return out

@@ -167,20 +167,11 @@ class OttoConfig(
         return 1.0 - self.T_C / self.T_H
 
     def cycle(self) -> Cycle:
-        """Heat at omega_H, quench to omega_C, cool, quench back."""
-        w_H, w_C = self.omega_H, self.omega_C
-        return _otto_cycle(w_H, w_C, w_H / self.T_H, w_C / self.T_C, self.lambda_H, self.lambda_C)
-
-
-def _otto_cycle(
-    omega_H: float, omega_C: float, a: float, b: float, l_H: float, l_C: float
-) -> Cycle:
-    """``OttoConfig.cycle`` on checked fields, with ``a = omega_H / T_H`` and
-    ``b = omega_C / T_C``; the strokes link the gaps, so ``Cycle``'s check
-    of them is skipped."""
-    hot, cold = _build_map(omega_H, a, l_H), _build_map(omega_C, b, l_C)
-    strokes = (hot, WorkStroke(omega_H, omega_C), cold, WorkStroke(omega_C, omega_H))
-    return _unchecked(Cycle, {"strokes": strokes})
+        """Heat at omega_H, quench to omega_C, cool, quench back: linked, unchecked."""
+        w_H, w_C, T_H, T_C, l_H, l_C = self
+        hot, cold = _build_map(w_H, w_H / T_H, l_H), _build_map(w_C, w_C / T_C, l_C)
+        strokes = (hot, WorkStroke(w_H, w_C), cold, WorkStroke(w_C, w_H))
+        return _unchecked(Cycle, {"strokes": strokes})
 
 
 def otto_steady_state(cfg: OttoConfig) -> PopulationVector:

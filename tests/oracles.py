@@ -15,7 +15,7 @@ import numbers
 import numpy as np
 
 from thermalops import ConsistencyError, InvalidParameterError, optimize
-from thermalops.maps import DRIFT_FAIL, DRIFT_RENORM, STOCHASTIC_TOL, _otto_work
+from thermalops.maps import DRIFT_FAIL, DRIFT_RENORM, STOCHASTIC_TOL
 
 
 def swap_unitary(tr):
@@ -60,7 +60,9 @@ def _real(x) -> float:
 
 def from_raw(values):
     """``PopulationVector.from_raw(values)``: every value converted, the
-    drifts taken with ``max``, then the constructor's checks again."""
+    drifts taken with ``max``, then the constructor's checks again.  Its
+    ``float`` parses a string or bytes and reads a one-value array, which
+    ``from_raw`` rejects as not real."""
     try:
         p_g, p_e = map(_real, values)
     except (TypeError, ValueError) as exc:
@@ -140,15 +142,15 @@ def engine_config(names, n_gaps, fields):
 def bisection_maximize_work(spec):
     """``optimize.maximize_work`` as it read before regula falsi: plain
     halving of the window on the sign of the slope of ``ln W``, the gaps
-    checked through ``_otto_fields``, and no warning.  The same
+    checked through ``_otto_gaps``, and no warning.  The same
     ``OptimumRecord``; ``evaluations`` counts the window's ends and one per
     halving."""
-    fields = optimize._otto_fields(spec.eta, spec.eta_C, spec.T_H, spec.regime)
+    gaps = optimize._otto_gaps(spec.eta, spec.eta_C, spec.T_H)
     slope = optimize._log_work_slope(spec.regime)
     signs = []
 
     def rising(omega_H):
-        signs.append(slope(*fields(omega_H)[2:4]) > 0.0)
+        signs.append(slope(*gaps(omega_H)[2:4]) > 0.0)
         return signs[-1]
 
     lo, hi = spec.omega_lo, spec.omega_hi
@@ -163,5 +165,5 @@ def bisection_maximize_work(spec):
                 break
             lo, hi = (mid, hi) if rising(mid) else (lo, mid)
         omega_H = 0.5 * lo + 0.5 * hi
-    W = _otto_work(*fields(omega_H)) / spec.T_H
+    W = optimize.work_at(spec.eta, spec.eta_C, spec.T_H, omega_H, spec.regime)
     return optimize.OptimumRecord(omega_H, W, signs[:2] == [True, False], len(signs))

@@ -392,8 +392,20 @@ def test_a_matrix_that_is_not_real_2x2_is_rejected(build, m):
         [0.5j, 0.5],
         [np.complex128(0.5 + 0.1j), 0.5],  # float() once dropped the imaginary part
         [np.complex64(0.5), 0.5],
+        ["0.5", "0.5"],  # float() parses them
+        [b"0.5", 0.5],
+        [np.array([0.5]), 0.5],
     ],
-    ids=["three-values", "string", "complex", "numpy-complex128", "numpy-complex64"],
+    ids=[
+        "three-values",
+        "string",
+        "complex",
+        "numpy-complex128",
+        "numpy-complex64",
+        "numeric-strings",
+        "bytes",
+        "one-value-array",
+    ],
 )
 def test_from_raw_rejects_anything_but_two_reals(raw):
     with warnings.catch_warnings():
@@ -609,6 +621,7 @@ EDGE_FLOATS = [
 FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(), st.floats(0.0, 1.0))
 NON_REAL = [
     "0.5",
+    b"0.5",
     None,
     0.5j,
     np.array([0.5, 0.5]),
@@ -669,10 +682,13 @@ CONTAINERS = st.sampled_from([tuple, list, iter, lambda v: (*v, 0.5), lambda v: 
 @example((0.5, math.nan), tuple)
 @example((-STOCHASTIC_TOL, 1.0 + STOCHASTIC_TOL), tuple)
 @example(("x", 0.5), lambda v: (*v, 0.5))
+@example(("0.5", "0.5"), list)
+@example((b"0.5", 0.5), tuple)
 def test_from_raw_and_the_constructor_match_the_reference(pair, container):
     assert_same_outcome(
         _outcome(PopulationVector.from_raw, container(pair)),
         _outcome(oracles.from_raw, container(pair)),
+        pair,
     )
     assert_same_outcome(
         _outcome(PopulationVector, *pair), _outcome(oracles.population_vector, *pair), pair

@@ -26,6 +26,7 @@ from thermalops import (
     eto_vs_thermalization_scan,
     full_thermalization_lambda,
     fluctuation_curve,
+    intercycle_pcc,
     maximize_work,
     otto_work,
     scaled_cumulants,
@@ -36,7 +37,7 @@ from thermalops import (
 )
 from thermalops import optimize
 import oracles
-from thermalops.cli import COMMANDS, _log_grid, _run_sweep
+from thermalops.cli import COMMANDS, ENGINE_CODES, _log_grid, _run_sweep
 from thermalops.optimize import otto_config_at, three_stroke_config_at
 from thermalops.maps import _three_stroke_work
 from thermalops.three_stroke import three_stroke_report
@@ -874,19 +875,125 @@ def test_a_carnot_point_in_disguise_has_no_infinite_horizon_ratio():
     assert info.traceback[-1].name == "_fluctuation_point"
 
 
-@pytest.mark.parametrize("horizon", ["single_cycle", "infinite"])
-@pytest.mark.parametrize("T_H", [1.0, 37.0])
-def test_fluctuation_rows_are_the_checked_config_path(horizon, T_H):
-    # the rows are built from floats checked once per table; each must be
-    # bitwise the statistics of the checked config's own cycle
-    data = fluctuation_curve(0.3, 0.5, T_H, horizon, np.logspace(-3.0, 1.3, 17) * T_H)
+def hexed(outcome):
+    """An outcome with every float as ``float.hex`` (signed zeros told apart)."""
+    if isinstance(outcome, float):
+        return outcome.hex()
+    if isinstance(outcome, (list, tuple)):
+        return [hexed(x) for x in outcome]
+    if isinstance(outcome, dict):
+        return {k: hexed(v) for k, v in outcome.items()}
+    return outcome
+
+
+def outcome_of(fn, *args):
+    """``fn(*args)`` with its floats hexed, or the type and message it raises."""
+    try:
+        return hexed(fn(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def cycle_path_point(cycle, horizon: str) -> tuple[float, float]:
+    """Work mean and variance-to-mean ratio by the public statistics of the
+    cycle, with the infinite horizon's zero-mean raise."""
+    if horizon == "single_cycle":
+        stats = work_moments(cycle, None, 1)
+        return stats.mean, stats.ratio
+    mean, var = scaled_cumulants(cycle)
+    if mean == 0.0:
+        raise ZeroWorkError(
+            f"{horizon} work mean vanishes at gap {cycle.strokes[0].omega:.6g}; "
+            "variance-to-mean ratio undefined"
+        )
+    return mean, var / mean
+
+
+def cycle_path_fluctuation_curve(eta, eta_C, T_H, horizon, grid) -> dict:
+    """``fluctuation_curve`` through each checked config's ``cycle()``, in
+    the unit ``2**e`` next to ``T_H`` (that the unit changes no bit is
+    ``test_counting_tables_in_units_of_T_H_are_the_unit_tables``)."""
+    e = math.frexp(T_H)[1]
+    unit = math.ldexp(T_H, -e)
+    out = {}
     for regime in ("nonmarkov", "markov"):
-        for omega_H, W, ratio in data[regime]:
-            cycle = otto_config_at(0.3, 0.5, T_H, omega_H, regime).cycle()
-            if horizon == "single_cycle":
-                stats = work_moments(cycle, cycle.steady_state(), 1)
-                mean, mean_ratio = stats.mean, stats.ratio
-            else:
-                mean, var = scaled_cumulants(cycle)
-                mean_ratio = var / mean
-            assert (W.hex(), ratio.hex()) == ((mean / T_H).hex(), (mean_ratio / T_H).hex())
+        out[regime] = []
+        for omega_H in grid:
+            cfg = otto_config_at(eta, eta_C, unit, math.ldexp(omega_H, -e), regime)
+            mean, ratio = cycle_path_point(cfg.cycle(), horizon)
+            out[regime].append([omega_H, mean / unit, ratio / unit])
+    cfg3 = three_stroke_config_at(eta, eta_C, unit)
+    mean, ratio = cycle_path_point(cfg3.cycle(), horizon)
+    out["three_stroke"] = [math.ldexp(cfg3.omega, e), mean / unit, ratio / unit]
+    return out
+
+
+# T_H from subnormal to 1e300; windows anywhere in [1e-4, 1e5] * T_H
+FLUCTUATION_T_H = st.one_of(
+    st.sampled_from([1e-310, 1e-300, 1.0, 37.0, 1e300]), log_uniform(-300.0, 300.0)
+)
+FLUCTUATION_WINDOW = st.tuples(st.floats(-4.0, 4.9), st.floats(0.1, 2.5))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    horizon=st.sampled_from(["single_cycle", "infinite"]),
+    eta_C=st.floats(1e-6, 1.0 - 1e-6),
+    eta_share=_FRACTION,
+    T_H=FLUCTUATION_T_H,
+    window=FLUCTUATION_WINDOW,
+)
+@example(horizon="single_cycle", eta_C=0.5, eta_share=0.6, T_H=1.0, window=(-3.0, 4.3))
+@example(horizon="infinite", eta_C=0.5, eta_share=0.6, T_H=37.0, window=(-3.0, 4.3))
+@example(horizon="infinite", eta_C=0.5, eta_share=0.6, T_H=1.0, window=(2.5, 1.0))  # q underflows
+@example(horizon="single_cycle", eta_C=0.5, eta_share=0.6, T_H=1e-310, window=(-4.0, 2.0))
+def test_fluctuation_rows_are_the_checked_config_path(horizon, eta_C, eta_share, T_H, window):
+    # every fig5 row, and the first raise, is that of the checked config's cycle
+    eta = eta_C * eta_share
+    assume(0.0 < eta < eta_C)
+    lo, width = window
+    grid = optimize._logspace(T_H * 10.0**lo, T_H * 10.0 ** min(lo + width, 5.0), 9)
+    assert outcome_of(fluctuation_curve, eta, eta_C, T_H, horizon, grid) == outcome_of(
+        cycle_path_fluctuation_curve, eta, eta_C, T_H, horizon, grid
+    )
+
+
+def cycle_path_fig6(p: dict) -> list:
+    """fig6's rows through each checked config's ``cycle()``: every cycle is
+    built before the three-stroke point, then each row takes the work and
+    the PCC."""
+    eta, eta_C, T_H = p["eta"], p["eta_C"], p["T_H"]
+    cycles = [
+        (ENGINE_CODES["nonmarkov"], otto_config_at(eta, eta_C, T_H, w, "nonmarkov").cycle())
+        for w in _log_grid(p, "omega_lo", "omega_hi")
+    ]
+    cycles.append((ENGINE_CODES["three_stroke"], three_stroke_config_at(eta, eta_C, T_H).cycle()))
+    return [
+        [code, c.strokes[0].omega, c.work() / T_H, intercycle_pcc(c, None)] for code, c in cycles
+    ]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(
+    eta_C=st.floats(1e-6, 1.0 - 1e-6),
+    eta_share=_FRACTION,
+    T_H=FLUCTUATION_T_H,
+    window=FLUCTUATION_WINDOW,
+)
+@example(eta_C=0.5, eta_share=0.6, T_H=1.0, window=(-3.0, 4.0))
+@example(eta_C=0.5, eta_share=0.6, T_H=1.0, window=(2.5, 1.0))  # the PCC's zero variance
+@example(eta_C=0.5, eta_share=0.6, T_H=1e-310, window=(-4.0, 2.0))
+def test_fig6_rows_are_the_checked_config_path(eta_C, eta_share, T_H, window):
+    eta = eta_C * eta_share
+    assume(0.0 < eta < eta_C)
+    lo, width = window
+    p = {
+        **COMMANDS["fig6"][0],
+        "eta": eta,
+        "eta_C": eta_C,
+        "T_H": T_H,
+        "omega_lo": T_H * 10.0**lo,
+        "omega_hi": T_H * 10.0 ** min(lo + width, 5.0),
+        "points": 9,
+    }
+    assert outcome_of(lambda: COMMANDS["fig6"][1](p)[1]) == outcome_of(cycle_path_fig6, p)
