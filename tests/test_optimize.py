@@ -947,7 +947,9 @@ FLUCTUATION_WINDOW = st.tuples(st.floats(-4.0, 4.9), st.floats(0.1, 2.5))
 @example(horizon="infinite", eta_C=0.5, eta_share=0.6, T_H=37.0, window=(-3.0, 4.3))
 @example(horizon="infinite", eta_C=0.5, eta_share=0.6, T_H=1.0, window=(2.5, 1.0))  # q underflows
 @example(horizon="single_cycle", eta_C=0.5, eta_share=0.6, T_H=1e-310, window=(-4.0, 2.0))
-def test_fluctuation_rows_are_the_checked_config_path(horizon, eta_C, eta_share, T_H, window):
+def test_fluctuation_rows_are_the_checked_config_path_anywhere(
+    horizon, eta_C, eta_share, T_H, window
+):
     # every fig5 row, and the first raise, is that of the checked config's cycle
     eta = eta_C * eta_share
     assume(0.0 < eta < eta_C)
@@ -956,6 +958,24 @@ def test_fluctuation_rows_are_the_checked_config_path(horizon, eta_C, eta_share,
     assert outcome_of(fluctuation_curve, eta, eta_C, T_H, horizon, grid) == outcome_of(
         cycle_path_fluctuation_curve, eta, eta_C, T_H, horizon, grid
     )
+
+
+@pytest.mark.parametrize("horizon", ["single_cycle", "infinite"])
+@pytest.mark.parametrize("T_H", [1.0, 37.0])
+def test_fluctuation_rows_are_the_checked_config_path(horizon, T_H):
+    # the rows are built from floats checked once per table; each must be
+    # bitwise the statistics of the checked config's own cycle
+    data = fluctuation_curve(0.3, 0.5, T_H, horizon, np.logspace(-3.0, 1.3, 17) * T_H)
+    for regime in ("nonmarkov", "markov"):
+        for omega_H, W, ratio in data[regime]:
+            cycle = otto_config_at(0.3, 0.5, T_H, omega_H, regime).cycle()
+            if horizon == "single_cycle":
+                stats = work_moments(cycle, cycle.steady_state(), 1)
+                mean, mean_ratio = stats.mean, stats.ratio
+            else:
+                mean, var = scaled_cumulants(cycle)
+                mean_ratio = var / mean
+            assert (W.hex(), ratio.hex()) == ((mean / T_H).hex(), (mean_ratio / T_H).hex())
 
 
 def cycle_path_fig6(p: dict) -> list:
