@@ -6,7 +6,6 @@ later calibration.  Random draws use fixed seeds so reruns are identical.
 
 import math
 import time
-import warnings
 
 import numpy as np
 
@@ -36,7 +35,7 @@ from thermalops import (
 from thermalops import cli
 from thermalops.optimize import fluctuation_curve, three_stroke_config_at
 
-from oracles import swap_unitary
+from oracles import otto_config, quiet, swap_unitary
 
 
 class criterion:
@@ -62,23 +61,11 @@ class criterion:
         return False
 
 
-def otto_config_ab(a, b, lambda_H=1.0, lambda_C=1.0):
-    """Otto config with beta_H*omega_H = a and beta_C*omega_C = b (T_H = 1)."""
-    t_cold = 0.9 * min(1.0, a / b)
-    return OttoConfig(a, t_cold * b, 1.0, t_cold, lambda_H, lambda_C)
-
-
-def quiet(fn, *args):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return fn(*args)
-
-
 def sample_otto(rng):
     while True:
         a = rng.uniform(0.4, 2.2)
         b = a * rng.uniform(1.15, 2.2)
-        cfg = otto_config_ab(a, b, rng.uniform(0.5, 1.0), rng.uniform(0.5, 1.0))
+        cfg = otto_config(a, b, rng.uniform(0.5, 1.0), rng.uniform(0.5, 1.0))
         rep = quiet(otto_cycle_report, cfg)
         if abs(rep.p3.p_e - rep.p1.p_e) >= 0.02:
             return cfg
@@ -106,7 +93,7 @@ def test_criterion_1_closed_form_steady_states():
         worst = 0.0
         for a in grid:
             for b in grid:
-                nm = otto_config_ab(a, b)
+                nm = otto_config(a, b)
                 mk = OttoConfig.markov(nm.omega_H, nm.omega_C, nm.T_H, nm.T_C)
                 for cfg, regime in ((nm, "nonmarkov"), (mk, "markov")):
                     p1_exact, p3_exact = analytic_populations(cfg, regime)
@@ -132,7 +119,7 @@ def test_criterion_2_first_law():
         worst = 0.0
         for _ in range(1000):
             a, b = rng.uniform(0.1, 4.0), rng.uniform(0.1, 4.0)
-            cfg = otto_config_ab(a, b, rng.uniform(0.05, 1.0), rng.uniform(0.05, 1.0))
+            cfg = otto_config(a, b, rng.uniform(0.05, 1.0), rng.uniform(0.05, 1.0))
             rep = quiet(otto_cycle_report, cfg)
             worst = max(worst, abs(rep.W - rep.Q_H - rep.Q_C))
         for _ in range(1000):
@@ -205,7 +192,7 @@ def test_criterion_6_pcc_identities():
         worst_markov = 0.0
         for a in (0.3, 0.8, 1.5):
             for ratio in (1.2, 1.8):
-                base = otto_config_ab(a, a * ratio)
+                base = otto_config(a, a * ratio)
                 cfg = OttoConfig.markov(base.omega_H, base.omega_C, base.T_H, base.T_C)
                 pcc = intercycle_pcc(tilted_map_otto(cfg), otto_steady_state(cfg))
                 worst_markov = max(worst_markov, abs(pcc))

@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
-from decimal import Decimal, localcontext
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -18,7 +18,7 @@ from thermalops.fcs import pcc_three_stroke_exact
 from thermalops.maps import GibbsStochasticMatrix, _unchecked, build_map
 from thermalops.optimize import otto_config_at, three_stroke_config_at
 from thermalops.cli import ENGINE_CODES
-from thermalops.otto import OttoConfig, otto_work
+from thermalops.otto import otto_work
 from thermalops.microscopic import (
     STANDARD,
     FockTruncation,
@@ -27,6 +27,8 @@ from thermalops.microscopic import (
     jc_unitary,
 )
 from thermalops.verify import CheckRecord, suite_gibbs_fixed_point
+
+from oracles import config_cycle
 
 
 def run(tmp_path, *argv):
@@ -255,7 +257,7 @@ def tables(draw):
     return params, columns, rows
 
 
-@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@settings(max_examples=1000)
 @given(tables())
 @example(({}, ["W"], [[1.0], [math.nan], [-math.inf]]))
 @example(({"T_H": 1.0}, ["eta", "W"], []))
@@ -394,78 +396,6 @@ def test_public_scans_return_float_rows_without_numpy():
     assert len(fig5["three_stroke"]) == 3
 
 
-# --- decimal oracle for the counting-statistics tables ---
-
-
-def _series_product(a, b):
-    """Product of two power series in chi, truncated after chi^2."""
-    return a[0] * b[0], a[0] * b[1] + a[1] * b[0], a[0] * b[2] + a[1] * b[1] + a[2] * b[0]
-
-
-def _series_matmul(left, right):
-    return [
-        [
-            tuple(map(sum, zip(*(_series_product(left[i][k], right[k][j]) for k in range(2)))))
-            for j in range(2)
-        ]
-        for i in range(2)
-    ]
-
-
-def _series_constant(x):
-    return x, Decimal(0), Decimal(0)
-
-
-def _decimal_heat(omega, T, lam):
-    q = (-omega / T).exp()
-    return [
-        [_series_constant(1 - lam * q), _series_constant(lam)],
-        [_series_constant(lam * q), _series_constant(1 - lam)],
-    ]
-
-
-def _decimal_tilt(k_g, k_e, flip=False):
-    """``diag(exp(chi k))`` as series, with the rows swapped for a flip."""
-    zero = _series_constant(Decimal(0))
-    rows = [
-        [(Decimal(1), Decimal(k_g), Decimal(k_g * k_g) / 2), zero],
-        [zero, (Decimal(1), Decimal(k_e), Decimal(k_e * k_e) / 2)],
-    ]
-    return rows[::-1] if flip else rows
-
-
-def decimal_counting_terms(cfg):
-    """``(m, v1, c, 1 - mu, quantum)`` of the config's binary64 fields at 60
-    digits.  The tilted cycle map is multiplied out as 2x2 matrices of power
-    series in the counting field (heat, tilt, heat, tilt for the Otto cycle;
-    heat, tilt and flip, heat for the three-stroke engine), so ``M``, ``M'``
-    and ``M''`` are its coefficients and no stroke-tuple code is shared."""
-    with localcontext() as ctx:
-        ctx.prec = 60
-        if isinstance(cfg, OttoConfig):
-            w_H, w_C = Decimal(cfg.omega_H), Decimal(cfg.omega_C)
-            hot = _decimal_heat(w_H, Decimal(cfg.T_H), Decimal(cfg.lambda_H))
-            cold = _decimal_heat(w_C, Decimal(cfg.T_C), Decimal(cfg.lambda_C))
-            tilted = _series_matmul(cold, _series_matmul(_decimal_tilt(0, 1), hot))
-            tilted, quantum = _series_matmul(_decimal_tilt(0, -1), tilted), w_H - w_C
-        else:
-            omega = Decimal(cfg.omega)
-            hot = _decimal_heat(omega, Decimal(cfg.T_H), Decimal(cfg.lambda_H))
-            cold = _decimal_heat(omega, Decimal(cfg.T_C), Decimal(cfg.lambda_C))
-            tilted = _series_matmul(cold, _series_matmul(_decimal_tilt(-1, 1, flip=True), hot))
-            quantum = omega
-        m0 = [[e[0] for e in row] for row in tilted]
-        d1 = [[e[1] for e in row] for row in tilted]
-        d2 = [[2 * e[2] for e in row] for row in tilted]
-        g = m0[0][1] + m0[1][0]
-        p = (m0[0][1] / g, m0[1][0] / g)
-        r1 = [d1[0][j] + d1[1][j] for j in range(2)]
-        m = r1[0] * p[0] + r1[1] * p[1]
-        v1 = sum((d2[0][j] + d2[1][j]) * p[j] for j in range(2)) - m * m
-        c = sum(r1[i] * (d1[i][0] * p[0] + d1[i][1] * p[1] - m * p[i]) for i in range(2))
-        return m, v1, c, g, quantum
-
-
 def json_rows(argv, capsys):
     assert cli.main([*argv, "--format", "json"]) == 0
     return json.loads(capsys.readouterr().out)["rows"]
@@ -488,26 +418,22 @@ def test_fig5_matches_a_decimal_evaluation(horizon, capsys):
     rows = json_rows(["fig5", "--set", f"horizon={horizon}", "--set", "points=24"], capsys)
     assert len(rows) == 49
     T_H = Decimal(cli.COMMANDS["fig5"][0]["T_H"])
-    with localcontext() as ctx:
-        ctx.prec = 60
-        for code, omega_H, w, ratio in rows:
-            m, v1, c, g, quantum = decimal_counting_terms(row_config("fig5", code, omega_H))
-            variance = v1 if horizon == "single_cycle" else v1 + 2 * c / g
-            exact_w, exact_ratio = m * quantum / T_H, variance * quantum / m / T_H
-            assert abs(Decimal(w) / exact_w - 1) <= Decimal("2e-15"), (code, omega_H)
-            assert abs(Decimal(ratio) / exact_ratio - 1) <= Decimal("2e-14"), (code, omega_H)
+    for code, omega_H, w, ratio in rows:
+        exact = config_cycle(row_config("fig5", code, omega_H)).statistics()
+        variance = exact.variance if horizon == "single_cycle" else exact.scaled_variance
+        exact_w, exact_ratio = exact.W / T_H, variance / exact.W / T_H
+        assert abs(Decimal(w) / exact_w - 1) <= Decimal("2e-15"), (code, omega_H)
+        assert abs(Decimal(ratio) / exact_ratio - 1) <= Decimal("2e-14"), (code, omega_H)
 
 
 def test_fig6_matches_a_decimal_evaluation(capsys):
     rows = json_rows(["fig6", "--set", "points=24"], capsys)
     assert len(rows) == 25
     T_H = Decimal(cli.COMMANDS["fig6"][0]["T_H"])
-    with localcontext() as ctx:
-        ctx.prec = 60
-        for code, omega_H, w, pcc in rows:
-            m, v1, c, _, quantum = decimal_counting_terms(row_config("fig6", code, omega_H))
-            assert abs(Decimal(w) / (m * quantum / T_H) - 1) <= Decimal("2e-15"), omega_H
-            assert abs(Decimal(pcc) - c / v1) <= Decimal("2.2e-16"), omega_H
+    for code, omega_H, w, pcc in rows:
+        exact = config_cycle(row_config("fig6", code, omega_H)).statistics()
+        assert abs(Decimal(w) / (exact.W / T_H) - 1) <= Decimal("2e-15"), omega_H
+        assert abs(Decimal(pcc) - exact.pcc) <= Decimal("2.2e-16"), omega_H
 
 
 @pytest.mark.parametrize("T_H", [1e-8, 1e3])
@@ -519,13 +445,10 @@ def test_rescaled_fig6_matches_a_decimal_evaluation(T_H, capsys):
     window = [f"T_H={T_H!r}", f"omega_lo={1e-3 * T_H!r}", f"omega_hi={10.0 * T_H!r}", "points=24"]
     rows = json_rows(["fig6", *(arg for kv in window for arg in ("--set", kv))], capsys)
     assert len(rows) == 25
-    with localcontext() as ctx:
-        ctx.prec = 60
-        for code, omega_H, w, pcc in rows:
-            cfg = row_config("fig6", code, omega_H, T_H=T_H)
-            m, v1, c, _, quantum = decimal_counting_terms(cfg)
-            assert abs(Decimal(w) / (m * quantum / Decimal(T_H)) - 1) <= Decimal("2e-15")
-            assert abs(Decimal(pcc) - c / v1) <= Decimal("3.5e-16"), omega_H
+    for code, omega_H, w, pcc in rows:
+        exact = config_cycle(row_config("fig6", code, omega_H, T_H=T_H)).statistics()
+        assert abs(Decimal(w) / (exact.W / Decimal(T_H)) - 1) <= Decimal("2e-15")
+        assert abs(Decimal(pcc) - exact.pcc) <= Decimal("3.5e-16"), omega_H
 
 
 @pytest.mark.parametrize("T_H", ["100", "1e-6"])

@@ -1,9 +1,8 @@
 import itertools
 import math
-import warnings
+from decimal import Decimal
 from fractions import Fraction
 
-import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -41,14 +40,11 @@ from thermalops import (
 from thermalops.fcs import _pair_sum
 from thermalops.maps import Cycle, WorkStroke
 
+from oracles import float_cycle, otto_config, quiet
+
 LN2 = math.log(2.0)
 LN4 = math.log(4.0)
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])  # population map of the three-stroke flip
-
-
-def otto_config(a, b, lambda_H=1.0, lambda_C=1.0):
-    t_cold = 0.9 * min(1.0, a / b)
-    return OttoConfig(a, t_cold * b, 1.0, t_cold, lambda_H, lambda_C)
 
 
 def three_stroke_config(bh, bc, omega=1.0, lambda_H=1.0, lambda_C=1.0):
@@ -69,10 +65,8 @@ def random_three_stroke(rng, min_bias=0.05):
             rng.uniform(0.5, 1.0),
             rng.uniform(0.5, 1.0),
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            if abs(2.0 * three_stroke_report(cfg).p2.p_e - 1.0) >= min_bias:
-                return cfg
+        if abs(2.0 * quiet(three_stroke_report, cfg).p2.p_e - 1.0) >= min_bias:
+            return cfg
 
 
 def tilted_and_steady(cfg):
@@ -161,16 +155,12 @@ def test_gf_normalization_and_overflow_guard():
 
 def test_single_cycle_mean_matches_reports():
     cfg = otto_config(LN2, LN4)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        w_otto = otto_cycle_report(cfg).W
+    w_otto = quiet(otto_cycle_report, cfg).W
     tmap, p1 = tilted_and_steady(cfg)
     assert math.isclose(work_moments(tmap, p1, 1).mean, w_otto, rel_tol=1e-9)
 
     cfg3 = three_stroke_config(math.log(1.2), LN4)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        w3 = three_stroke_report(cfg3).W
+    w3 = quiet(three_stroke_report, cfg3).W
     tmap3, p13 = tilted_and_steady(cfg3)
     assert math.isclose(work_moments(tmap3, p13, 1).mean, w3, rel_tol=1e-9)
 
@@ -202,23 +192,6 @@ def test_gf_equals_log_mgf_of_distribution():
             assert math.isclose(cumulant_gf(tmap, p1, n, chi), expected, abs_tol=1e-12)
 
 
-def mp_cumulant_gf(cycle, p1, n, chi):
-    """``ln(1^T M^N p1)`` with 60 significant digits, ``M`` composed from the
-    cycle's float stroke entries and ``exp(chi * released work)`` weights."""
-    with mpmath.workdps(60):
-        m = mpmath.eye(2)
-        for stroke in cycle.strokes:
-            if isinstance(stroke, WorkStroke):
-                s_g, s_e = (mpmath.exp(mpmath.mpf(chi) * w) for w in stroke.released)
-                rows = [[0, s_e], [s_g, 0]] if stroke.flip else [[s_g, 0], [0, s_e]]
-            else:
-                a, b, c, d = stroke._entries
-                rows = [[a, b], [c, d]]
-            m = mpmath.matrix(rows) * m
-        v = m**n * mpmath.matrix([p1.p_g, p1.p_e])
-        return mpmath.log(v[0] + v[1])
-
-
 def test_gf_matches_a_60_digit_power_at_up_to_a_billion_cycles():
     # No entry of M is negative, so a 2x2 product rounds each entry by a few
     # ulp relative, and the N-th power of M by about N ulp; rounding chi *
@@ -231,9 +204,9 @@ def test_gf_matches_a_60_digit_power_at_up_to_a_billion_cycles():
         draws.append((make(rng), round(10 ** rng.uniform(0.0, 9.0)), rng.uniform(0.0, 500.0)))
     for cfg, n, x in draws:
         cycle = cfg.cycle()
-        p1 = cycle.steady_state()
+        p1, exact = cycle.steady_state(), float_cycle(cycle, prec=60)
         for chi in (x / (n * cycle.quantum), -x / (n * cycle.quantum)):
-            error = abs(cumulant_gf(cycle, p1, n, chi) - mp_cumulant_gf(cycle, p1, n, chi))
+            error = abs(Decimal(cumulant_gf(cycle, p1, n, chi)) - exact.cumulant_gf(p1, n, chi))
             assert error <= 2.0 * (n + x) * 2.0**-53, (cfg, n, chi)
 
 
@@ -259,7 +232,7 @@ def exact_pair_sum(n, g):
     return total
 
 
-@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@settings(max_examples=400)
 @given(
     n=st.integers(1, 300),
     g=st.one_of(st.floats(0.0, 2.0), st.floats(1e-12, 1e-1).map(lambda x: x * x)),
@@ -276,7 +249,7 @@ def test_pair_sum_matches_exact_rationals(n, g):
     assert abs(Fraction(_pair_sum(n, g)) - expected) <= 2e-15 * expected
 
 
-@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@settings(max_examples=150)
 @given(
     engine=st.sampled_from([random_otto, random_three_stroke]),
     seed=st.integers(0, 2**32 - 1),
@@ -403,9 +376,7 @@ def test_vanishing_work_mean_is_typed():
 def test_distribution_mean_is_n_times_cycle_work():
     rng = np.random.default_rng(18)
     cfg = random_otto(rng)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        w = otto_cycle_report(cfg).W
+    w = quiet(otto_cycle_report, cfg).W
     for n in (1, 2, 5):
         assert math.isclose(enumerate_work_distribution(cfg, n).mean(), n * w, rel_tol=1e-12)
 
@@ -426,9 +397,7 @@ def test_eto_cooling_from_excited_is_deterministic():
 
 def test_three_stroke_two_point_support():
     cfg = three_stroke_config(math.log(1.2), LN4)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        p2 = three_stroke_report(cfg).p2
+    p2 = quiet(three_stroke_report, cfg).p2
     dist = enumerate_work_distribution(cfg, 1)
     assert [w for w, _ in dist.support] == [-cfg.omega, cfg.omega]
     probs = dict(dist.support)
@@ -613,7 +582,7 @@ def engine_configs(draw):
     return make(*gaps, T_H, T_C, l_H, l_C)
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300)
 @given(engine_configs())
 @example(OttoConfig.nonmarkov(1e-310, 0.7e-310, 1e-310, 0.5e-310))  # subnormal T
 @example(OttoConfig(1.0, 0.7, 1e-320, 5e-321, -0.0, 1.0))  # -0.0 reads as +0.0

@@ -211,7 +211,7 @@ def test_population_vector_clamps_tiny_overshoots(raw, expected):
     assert (p.p_g, p.p_e) == expected
 
 
-@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@settings(max_examples=500)
 @given(
     p=st.floats(0.0, 1.0),
     d_g=st.floats(-0.45 * DRIFT_FAIL, 0.45 * DRIFT_FAIL),
@@ -262,7 +262,7 @@ def map_params(draw):
     return omega, beta, lam
 
 
-@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@settings(max_examples=500)
 @given(map_params())
 @example((1.0, 1e4, 1.0))  # q underflows to 0
 @example((1.0, 1e-300, -0.0))
@@ -297,7 +297,7 @@ def numpy_checked(m: np.ndarray, omega: float, beta: float):
 NUDGES = st.sampled_from([0.0, 1e-13, -1e-13, 5e-13, -5e-13, 2e-12, -2e-12, 1e-9, -1e-9, 0.1])
 
 
-@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@settings(max_examples=500)
 @given(map_params(), st.tuples(NUDGES, NUDGES, NUDGES, NUDGES))
 @example((1.0, LN2, 1.0), (-1e-13, 0.0, 1e-13, 0.0))  # clipped back into [0, 1]
 @example((1.0, LN2, 0.5), (0.0, 0.0, 0.0, -2e-12))  # entry out of range
@@ -676,7 +676,7 @@ RAW_PAIRS = st.one_of(
 CONTAINERS = st.sampled_from([tuple, list, iter, lambda v: (*v, 0.5), lambda v: v[:1]])
 
 
-@settings(max_examples=1500, deadline=None, derandomize=True, database=None)
+@settings(max_examples=1500)
 @given(RAW_PAIRS, CONTAINERS)
 @example((-0.0, 1.0), tuple)
 @example((0.5, math.nan), tuple)
@@ -713,7 +713,7 @@ ENTRY_NUDGES = st.one_of(OFFSETS, st.sampled_from([math.nan, math.inf, -math.inf
 SHIFTS = st.one_of(OFFSETS, st.floats(-3 * STOCHASTIC_TOL, 3 * STOCHASTIC_TOL))
 
 
-@settings(max_examples=1500, deadline=None, derandomize=True, database=None)
+@settings(max_examples=1500)
 @given(
     st.one_of(
         st.builds(
@@ -756,7 +756,7 @@ def config_fields(valid: tuple):
     )
 
 
-@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@settings(max_examples=1000)
 @given(
     config_fields((2.0, 1.0, 1.0, 0.5, 0.9, 0.7)),
     config_fields((1.0, 1.0, 0.5, 0.9, 0.7)),

@@ -282,7 +282,7 @@ def mp_jc_map(J, t, tr, kind):
 # Over 3000 seeded random draws of this domain the worst entry error was
 # 3.8e-16 (standard) and 3.6e-16 (intensity-dependent), most of it the
 # rounding of the angle J t itself where |sin(2 J t)| is near 1.
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(
     kind=st.sampled_from(JC_KINDS),
     n_max=st.integers(0, 150),
@@ -305,7 +305,7 @@ def test_sector_map_matches_a_50_digit_evaluation(kind, n_max, beta_omega, J, jt
 _JT = st.one_of(st.sampled_from([0.0, math.pi / 2.0]), st.floats(0.0, 50.0))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(
     kind=st.sampled_from(JC_KINDS),
     n_max=st.integers(0, 120),

@@ -37,6 +37,7 @@ from thermalops import (
 )
 from thermalops import optimize
 import oracles
+from oracles import EPS as _EPS, conditioning, exact_work as exact_otto_work, log_uniform, quiet
 from thermalops.cli import COMMANDS, ENGINE_CODES, _log_grid, _run_sweep
 from thermalops.optimize import otto_config_at, three_stroke_config_at
 from thermalops.maps import _three_stroke_work
@@ -70,29 +71,6 @@ def test_work_at_carnot_point_vanishes():
 def test_work_vanishes_with_the_gap():
     for regime in ("markov", "nonmarkov"):
         assert abs(work_at(0.3, 0.5, 1.0, 1e-6, regime)) < 1e-5
-
-
-def exact_otto_work(cfg, prec: int = 50) -> Decimal:
-    """Otto work of the config's binary64 fields evaluated in decimal at
-    ``prec`` digits: both heat maps, their product ``L_C L_H``, its fixed
-    point ``p1`` and ``W = (omega_H - omega_C) * (p_e2 - p_e1)``."""
-    with localcontext() as ctx:
-        ctx.prec = prec
-        w_H, w_C, T_H, T_C, l_H, l_C = (
-            Decimal(x)
-            for x in (cfg.omega_H, cfg.omega_C, cfg.T_H, cfg.T_C, cfg.lambda_H, cfg.lambda_C)
-        )
-
-        def heat(omega, T, lam):
-            q = (-omega / T).exp()
-            return [[1 - lam * q, lam], [lam * q, 1 - lam]]
-
-        hot, cold = heat(w_H, T_H, l_H), heat(w_C, T_C, l_C)
-        cyc = [[sum(cold[i][k] * hot[k][j] for k in range(2)) for j in range(2)] for i in range(2)]
-        up, down = cyc[1][0], cyc[0][1]
-        p_e1 = up / (up + down)
-        p_e2 = hot[1][0] * (1 - p_e1) + hot[1][1] * p_e1
-        return (w_H - w_C) * (p_e2 - p_e1)
 
 
 def round12(x: Decimal) -> str:
@@ -131,25 +109,6 @@ def converged_exact_work(cfg) -> Decimal:
     return w
 
 
-def conditioning(cfg) -> float:
-    """Relative condition number of ``q_H - q_C`` under relative errors in
-    ``a = omega_H / T_H`` and ``b = omega_C / T_C``:
-    ``(a q_H + b q_C) / |q_H - q_C|``, which is ``(a + b) / |a - b|`` as
-    ``a -> b``."""
-    with localcontext() as ctx:
-        ctx.prec = 50
-        a = Decimal(cfg.omega_H) / Decimal(cfg.T_H)
-        b = Decimal(cfg.omega_C) / Decimal(cfg.T_C)
-        q_H, q_C = (-a).exp(), (-b).exp()
-        if q_H == q_C:
-            return math.inf
-        return float((a * q_H + b * q_C) / abs(q_H - q_C))
-
-
-def log_uniform(lo: float, hi: float):
-    return st.floats(lo, hi).map(lambda e: 10.0**e)
-
-
 # fractions in (0, 1): anywhere, far below one, or just below one
 _FRACTION = st.one_of(
     st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
@@ -186,10 +145,7 @@ def otto_configs(draw):
         return OttoConfig.nonmarkov(1.0, 0.5, 1.0, 0.6)
 
 
-_EPS = 2.0**-52
-
-
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@settings(max_examples=400)
 @given(otto_configs())
 @example(OttoConfig(800.0, 1e-3, 1.0, 0.5, 1.0, 1.0))  # a > b + 709
 @example(OttoConfig(1.0, 0.7, 1.0, math.nextafter(1.0, 0.0), 1.0, 0.3))  # T_C -> T_H
@@ -275,7 +231,7 @@ def test_maximize_work_improves_on_grid_and_is_deterministic():
     assert 2 < rec1.evaluations <= 2 + math.ceil(math.log2(20.0 / math.ulp(1.0))) // 2
 
 
-@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@settings(max_examples=500)
 @given(start=st.floats(), stop=st.floats(), num=st.integers(1, 300))
 @example(start=0.0, stop=5e-324, num=4)  # the step underflows: numpy scales i / (num - 1)
 @example(start=-0.0, stop=1.0, num=1)
@@ -313,7 +269,7 @@ def test_logspace_rounds_each_point_correctly(lo, hi, points):
 positive_floats = st.floats(min_value=5e-324, max_value=1.7e308)
 
 
-@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@settings(max_examples=500)
 @given(ends=st.tuples(positive_floats, positive_floats), n=st.integers(2, 300))
 @example(ends=(1e-3, 20.0), n=3)  # 10**log10(20.0) is 20.000000000000004
 @example(ends=(1.2345e300, math.nextafter(1.2345e300, math.inf)), n=5)
@@ -336,7 +292,7 @@ def test_maximize_work_warns_on_endpoint_maximum():
     assert (rec.omega_H_star, rec.W_star) == (1e-2, work_at(0.3, 0.5, 1.0, 1e-2, "nonmarkov"))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(
     regime=st.sampled_from(["nonmarkov", "markov"]),
     eta_C=st.floats(1e-6, 1.0 - 1e-6),
@@ -362,7 +318,7 @@ def test_work_curve_rises_then_falls(regime, eta_C, eta_share, T_H):
     assert all(a >= b for a, b in zip(values[peak:], values[peak + 1 :]))
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(
     regime=st.sampled_from(["nonmarkov", "markov"]),
     eta_C=st.floats(1e-6, 1.0 - 1e-6),
@@ -444,7 +400,7 @@ def checked_config_work(eta, eta_C, T_H, omega_H, regime) -> str:
     return (otto_work(cfg) / T_H).hex()
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(
     regime=st.sampled_from(["nonmarkov", "markov"]),
     eta_C=st.floats(1e-6, 1.0 - 1e-6),
@@ -635,7 +591,7 @@ def ulps_apart(x: float, y: float) -> float:
     return abs(x - y) / math.ulp(min(x, y))
 
 
-@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@settings(max_examples=400)
 @given(
     regime=st.sampled_from(["nonmarkov", "markov"]),
     eta_C=st.one_of(st.sampled_from([1e-6, 1.0 - 1e-6]), st.floats(1e-6, 1.0 - 1e-6)),
@@ -745,9 +701,7 @@ def test_bisect_halves_where_regula_falsi_stalls(rise):
 def test_three_stroke_inversion_hits_target_efficiency():
     for eta in (0.1, 0.3, 0.45):
         cfg = three_stroke_config_at(eta, 0.5, 1.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert abs(three_stroke_report(cfg).eta - eta) < 1e-9
+        assert abs(quiet(three_stroke_report, cfg).eta - eta) < 1e-9
 
 
 def test_three_stroke_inversion_rejects_unattainable_target():
@@ -763,7 +717,7 @@ def test_three_stroke_inversion_rejects_bad_temperatures(T_H):
         three_stroke_omega_for_eta(0.3, 0.5, T_H)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(eta_C=st.floats(1e-6, 1.0 - 1e-6), T_H=log_uniform(-300.0, 300.0))
 @example(eta_C=1e-6, T_H=1e-300)
 @example(eta_C=1.0 - 1e-6, T_H=1e300)
@@ -935,7 +889,7 @@ FLUCTUATION_T_H = st.one_of(
 FLUCTUATION_WINDOW = st.tuples(st.floats(-4.0, 4.9), st.floats(0.1, 2.5))
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(
     horizon=st.sampled_from(["single_cycle", "infinite"]),
     eta_C=st.floats(1e-6, 1.0 - 1e-6),
@@ -993,7 +947,7 @@ def cycle_path_fig6(p: dict) -> list:
     ]
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(
     eta_C=st.floats(1e-6, 1.0 - 1e-6),
     eta_share=_FRACTION,

@@ -1,6 +1,6 @@
 import math
 import warnings
-from decimal import Decimal, localcontext
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -18,8 +18,7 @@ from thermalops import (
     three_stroke_steady_state,
 )
 
-EPS = 2.0**-52
-
+from oracles import EPS, exact_work_and_scale, quiet
 
 def eto_config(bh_omega, bc_omega, omega=1.0):
     """ETO config hitting beta_H*omega = bh_omega and beta_C*omega = bc_omega."""
@@ -30,12 +29,6 @@ def closed_form_p(bh, bc):
     p1 = 1.0 / (1.0 + math.exp(bh + bc))
     p2 = 1.0 / (math.exp(bh) + math.exp(-bc))
     return p1, p2, 1.0 - p2
-
-
-def quiet_report(cfg):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return three_stroke_report(cfg)
 
 
 def test_config_validation():
@@ -73,7 +66,7 @@ def test_steady_state_equal_temperature_limit():
 
 def test_report_engine_example():
     cfg = eto_config(math.log(1.2), math.log(4.0))
-    rep = quiet_report(cfg)
+    rep = quiet(three_stroke_report, cfg)
     assert math.isclose(rep.p2.p_e, 1.0 / 1.45, abs_tol=1e-14)
     assert math.isclose(rep.W, cfg.omega * (2.0 / 1.45 - 1.0), abs_tol=1e-14)
     assert rep.W > 0.0
@@ -88,7 +81,7 @@ def test_report_non_engine_example():
 
 
 def test_flip_swaps_populations():
-    rep = quiet_report(eto_config(0.3, 1.1))
+    rep = quiet(three_stroke_report, eto_config(0.3, 1.1))
     assert rep.p3.p_g == rep.p2.p_e
     assert rep.p3.p_e == rep.p2.p_g
 
@@ -100,7 +93,7 @@ def test_closed_form_agreement_on_grid():
                 continue
             cfg = eto_config(bh, bc)
             p1e, p2e, p3e = closed_form_p(bh, bc)
-            rep = quiet_report(cfg)
+            rep = quiet(three_stroke_report, cfg)
             assert abs(rep.p1.p_e - p1e) <= 1e-12
             assert abs(rep.p2.p_e - p2e) <= 1e-12
             assert abs(rep.p3.p_e - p3e) <= 1e-12
@@ -120,7 +113,7 @@ def test_first_law_random():
             rng.uniform(0.1, 1.0),
             rng.uniform(0.1, 1.0),
         )
-        rep = quiet_report(cfg)
+        rep = quiet(three_stroke_report, cfg)
         assert abs(rep.W - rep.Q_H - rep.Q_C) <= 1e-12
 
 
@@ -129,7 +122,7 @@ def test_inversion_criterion():
     for _ in range(300):
         bh = rng.uniform(0.05, 2.0)
         bc = bh * rng.uniform(1.05, 4.0)
-        rep = quiet_report(eto_config(bh, bc))
+        rep = quiet(three_stroke_report, eto_config(bh, bc))
         inverted = math.exp(bh) + math.exp(-bc) < 2.0
         assert (rep.W > 0.0) == inverted == (rep.p2.p_e > 0.5)
 
@@ -162,28 +155,6 @@ def test_zero_heat_guard():
 # --- the closed-form work against a 60-digit evaluation ---
 
 
-def exact_work_and_scale(cfg):
-    """The steady work of the config's binary64 fields at 60 digits, from
-    the fixed point of the populations, and the conditioning scale of the
-    closed form ``-omega (r_H + mu_H r_C) / (1 + mu_H mu_C)``: the terms it
-    adds, each by magnitude, over its denominator.  ``mu = (1 - l) - l q``
-    is itself a difference, so its two terms count by magnitude too."""
-    with localcontext() as ctx:
-        ctx.prec = 60
-        omega = Decimal(cfg.omega)
-        (q_H, l_H), (q_C, l_C) = (
-            ((-omega / Decimal(T)).exp(), Decimal(lam))
-            for T, lam in ((cfg.T_H, cfg.lambda_H), (cfg.T_C, cfg.lambda_C))
-        )
-        mu_H, mu_C = 1 - l_H * (1 + q_H), 1 - l_C * (1 + q_C)
-        # p_e -> l q + mu p_e at each bath and p_e -> 1 - p_e at the flip
-        p_e1 = (l_C * q_C + mu_C * (1 - l_H * q_H)) / (1 + mu_C * mu_H)
-        work = omega * (2 * (l_H * q_H + mu_H * p_e1) - 1)
-        r_H, r_C = l_H * (1 - q_H), l_C * (1 - q_C)
-        scale = omega * (r_H + ((1 - l_H) + l_H * q_H) * r_C) / (1 + mu_H * mu_C)
-        return work, scale
-
-
 def couplings(omega, T):
     """0.05, the Markov threshold, 1, or anywhere between 0.05 and 1."""
     markov = full_thermalization_lambda(omega, 1.0 / T)
@@ -199,7 +170,7 @@ def three_stroke_configs(draw):
     return ThreeStrokeConfig(omega, T_H, T_C, draw(couplings(omega, T_H)), draw(couplings(omega, T_C)))
 
 
-@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@settings(max_examples=400)
 @given(three_stroke_configs())
 @example(ThreeStrokeConfig.nonmarkov(1e-6, 1.0, 0.5))
 @example(ThreeStrokeConfig.nonmarkov(30.0, 1.0, 0.5))
