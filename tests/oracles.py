@@ -22,7 +22,8 @@ from typing import NamedTuple
 import numpy as np
 from hypothesis import strategies as st
 
-from thermalops import ConsistencyError, InvalidParameterError, OttoConfig, optimize
+from thermalops import ConsistencyError, InvalidParameterError, optimize
+from thermalops import OttoConfig, ThreeStrokeConfig
 from thermalops.maps import DRIFT_FAIL, DRIFT_RENORM, STOCHASTIC_TOL
 
 EPS = 2.0**-52  # the spacing of binary64 at 1
@@ -32,6 +33,11 @@ def otto_config(a, b, lambda_H=1.0, lambda_C=1.0, t_hot=1.0):
     """Otto config with ``beta_H omega_H = a`` and ``beta_C omega_C = b``."""
     t_cold = 0.9 * min(1.0, a / b) * t_hot
     return OttoConfig(a * t_hot, t_cold * b, t_hot, t_cold, lambda_H, lambda_C)
+
+
+def three_stroke_config(bh, bc, omega=1.0, lambda_H=1.0, lambda_C=1.0):
+    """Three-stroke config with ``beta_H omega = bh`` and ``beta_C omega = bc``."""
+    return ThreeStrokeConfig(omega, omega / bh, omega / bc, lambda_H, lambda_C)
 
 
 def log_uniform(lo, hi):

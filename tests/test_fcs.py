@@ -40,15 +40,11 @@ from thermalops import (
 from thermalops.fcs import _pair_sum
 from thermalops.maps import Cycle, WorkStroke
 
-from oracles import float_cycle, otto_config, quiet
+from oracles import float_cycle, otto_config, quiet, three_stroke_config
 
 LN2 = math.log(2.0)
 LN4 = math.log(4.0)
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])  # population map of the three-stroke flip
-
-
-def three_stroke_config(bh, bc, omega=1.0, lambda_H=1.0, lambda_C=1.0):
-    return ThreeStrokeConfig(omega, omega / bh, omega / bc, lambda_H, lambda_C)
 
 
 def random_otto(rng):

@@ -30,12 +30,8 @@ LN2 = math.log(2.0)
 LN4 = math.log(4.0)
 
 
-def eto_config(a, b):
-    return otto_config(a, b)
-
-
 def markov_config(a, b):
-    cfg = eto_config(a, b)
+    cfg = otto_config(a, b)
     return OttoConfig.markov(cfg.omega_H, cfg.omega_C, cfg.T_H, cfg.T_C)
 
 
@@ -81,7 +77,7 @@ def test_zero_temperature_is_a_parameter_error(make, args):
 
 
 def test_eto_steady_state_ln2_ln4():
-    p1 = otto_steady_state(eto_config(LN2, LN4))
+    p1 = otto_steady_state(otto_config(LN2, LN4))
     assert math.isclose(p1.p_e, 1.0 / 7.0, abs_tol=1e-14)
 
 
@@ -91,7 +87,7 @@ def test_markov_steady_state_ln2_ln4():
 
 
 def test_eto_report_ln2_ln4():
-    cfg = eto_config(LN2, LN4)
+    cfg = otto_config(LN2, LN4)
     rep = quiet(otto_cycle_report, cfg)
     assert math.isclose(rep.p1.p_e, 1.0 / 7.0, abs_tol=1e-14)
     assert math.isclose(rep.p3.p_e, 3.0 / 7.0, abs_tol=1e-14)
@@ -107,7 +103,7 @@ def test_markov_report_ln2_ln4():
 
 
 def test_work_strokes_freeze_populations():
-    cfg = eto_config(0.7, 1.9)
+    cfg = otto_config(0.7, 1.9)
     rep = quiet(otto_cycle_report, cfg)
     assert rep.p2 == rep.p3
     # the quench back keeps the populations: the cold stroke closes the cycle
@@ -157,7 +153,7 @@ def test_population_dominance_and_work_dominance():
     for _ in range(300):
         a = rng.uniform(0.1, 3.0)
         b = a * rng.uniform(1.02, 3.0)
-        nm = quiet(otto_cycle_report, eto_config(a, b))
+        nm = quiet(otto_cycle_report, otto_config(a, b))
         mk = quiet(otto_cycle_report, markov_config(a, b))
         assert nm.p3.p_e > mk.p3.p_e
         assert nm.p1.p_e < mk.p1.p_e
@@ -171,7 +167,7 @@ def test_engine_regime_iff_sub_carnot():
         b = a * rng.uniform(0.5, 2.0)
         if abs(b - a) < 1e-3:
             continue
-        for cfg in (eto_config(a, b), markov_config(a, b)):
+        for cfg in (otto_config(a, b), markov_config(a, b)):
             assert (quiet(otto_cycle_report, cfg).W > 0.0) == (b > a)
 
 
@@ -195,7 +191,7 @@ def test_not_an_engine_warning_above_carnot():
 
 
 def test_analytic_populations_nonmarkov_symmetric():
-    cfg = eto_config(LN2, LN2 * (1.0 + 1e-15))  # b must exceed a for a valid config
+    cfg = otto_config(LN2, LN2 * (1.0 + 1e-15))  # b must exceed a for a valid config
     p1, p3 = analytic_populations(cfg, "nonmarkov")
     assert math.isclose(p1, 1.0 / 3.0, abs_tol=1e-12)
     assert math.isclose(p3, 1.0 / 3.0, abs_tol=1e-12)
@@ -211,7 +207,7 @@ def test_analytic_matches_solver_random():
     rng = np.random.default_rng(9)
     for _ in range(200):
         a, b = rng.uniform(0.05, 5.0), rng.uniform(0.05, 5.0)
-        for cfg, regime in ((eto_config(a, b), "nonmarkov"), (markov_config(a, b), "markov")):
+        for cfg, regime in ((otto_config(a, b), "nonmarkov"), (markov_config(a, b), "markov")):
             p1_exact, p3_exact = analytic_populations(cfg, regime)
             p1 = otto_steady_state(cfg)
             p3 = apply_map(cfg.hot_map(), p1)
@@ -220,7 +216,7 @@ def test_analytic_matches_solver_random():
 
 
 def test_analytic_populations_regime_mismatch():
-    cfg = eto_config(LN2, LN4)
+    cfg = otto_config(LN2, LN4)
     with pytest.raises(RegimeMismatchError):
         analytic_populations(cfg, "markov")
     with pytest.raises(RegimeMismatchError):
@@ -276,7 +272,7 @@ def test_analytic_populations_are_scale_covariant(T_H):
 
 
 @pytest.mark.parametrize(
-    "cfg, fraction", [(eto_config(LN2, LN4), 2.0 / 7.0), (markov_config(LN2, LN4), 2.0 / 15.0)]
+    "cfg, fraction", [(otto_config(LN2, LN4), 2.0 / 7.0), (markov_config(LN2, LN4), 2.0 / 15.0)]
 )
 def test_otto_work_ln2_ln4(cfg, fraction):
     assert math.isclose(otto_work(cfg), fraction * cfg.cycle().quantum, rel_tol=1e-15)

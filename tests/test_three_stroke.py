@@ -18,12 +18,7 @@ from thermalops import (
     three_stroke_steady_state,
 )
 
-from oracles import EPS, exact_work_and_scale, quiet
-
-def eto_config(bh_omega, bc_omega, omega=1.0):
-    """ETO config hitting beta_H*omega = bh_omega and beta_C*omega = bc_omega."""
-    return ThreeStrokeConfig.nonmarkov(omega, omega / bh_omega, omega / bc_omega)
-
+from oracles import EPS, exact_work_and_scale, quiet, three_stroke_config
 
 def closed_form_p(bh, bc):
     p1 = 1.0 / (1.0 + math.exp(bh + bc))
@@ -52,20 +47,20 @@ def test_infinite_fields_are_rejected_at_construction(fields):
 
 
 def test_steady_state_example():
-    cfg = eto_config(math.log(1.2), math.log(4.0))
+    cfg = three_stroke_config(math.log(1.2), math.log(4.0))
     assert math.isclose(three_stroke_steady_state(cfg).p_e, 1.0 / 5.8, abs_tol=1e-14)
 
 
 def test_steady_state_equal_temperature_limit():
     # T_H -> T_C limit: p_e1 -> 1/(1 + exp(2 beta omega))
     beta_omega = 0.8
-    cfg = eto_config(beta_omega, beta_omega * (1.0 + 1e-12))
+    cfg = three_stroke_config(beta_omega, beta_omega * (1.0 + 1e-12))
     expected = 1.0 / (1.0 + math.exp(2.0 * beta_omega))
     assert math.isclose(three_stroke_steady_state(cfg).p_e, expected, abs_tol=1e-9)
 
 
 def test_report_engine_example():
-    cfg = eto_config(math.log(1.2), math.log(4.0))
+    cfg = three_stroke_config(math.log(1.2), math.log(4.0))
     rep = quiet(three_stroke_report, cfg)
     assert math.isclose(rep.p2.p_e, 1.0 / 1.45, abs_tol=1e-14)
     assert math.isclose(rep.W, cfg.omega * (2.0 / 1.45 - 1.0), abs_tol=1e-14)
@@ -73,7 +68,7 @@ def test_report_engine_example():
 
 
 def test_report_non_engine_example():
-    cfg = eto_config(math.log(2.0), math.log(4.0))
+    cfg = three_stroke_config(math.log(2.0), math.log(4.0))
     with pytest.warns(NotAnEngineWarning):
         rep = three_stroke_report(cfg)
     assert math.isclose(rep.p2.p_e, 4.0 / 9.0, abs_tol=1e-14)
@@ -81,7 +76,7 @@ def test_report_non_engine_example():
 
 
 def test_flip_swaps_populations():
-    rep = quiet(three_stroke_report, eto_config(0.3, 1.1))
+    rep = quiet(three_stroke_report, three_stroke_config(0.3, 1.1))
     assert rep.p3.p_g == rep.p2.p_e
     assert rep.p3.p_e == rep.p2.p_g
 
@@ -91,7 +86,7 @@ def test_closed_form_agreement_on_grid():
         for bc in np.linspace(0.05, 3.0, 15):
             if bc <= bh:
                 continue
-            cfg = eto_config(bh, bc)
+            cfg = three_stroke_config(bh, bc)
             p1e, p2e, p3e = closed_form_p(bh, bc)
             rep = quiet(three_stroke_report, cfg)
             assert abs(rep.p1.p_e - p1e) <= 1e-12
@@ -122,7 +117,7 @@ def test_inversion_criterion():
     for _ in range(300):
         bh = rng.uniform(0.05, 2.0)
         bc = bh * rng.uniform(1.05, 4.0)
-        rep = quiet(three_stroke_report, eto_config(bh, bc))
+        rep = quiet(three_stroke_report, three_stroke_config(bh, bc))
         inverted = math.exp(bh) + math.exp(-bc) < 2.0
         assert (rep.W > 0.0) == inverted == (rep.p2.p_e > 0.5)
 
