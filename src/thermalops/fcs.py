@@ -91,7 +91,7 @@ def cumulant_gf(tmap: Cycle, p1: PopulationVector, n: int, chi: float) -> float:
     n = require_count(n, 1, "cycle count")
     if n > sys.float_info.max:
         raise CountingOverflowError("cycle count beyond the binary64 range")
-    m = tmap._tilted(chi)
+    m = tmap.tilted(chi)
     if abs(chi) * n * tmap.quantum > EXP_BUDGET:
         raise CountingOverflowError(
             f"|chi| * N * Delta = {abs(chi) * n * tmap.quantum:.3g} exceeds "
@@ -113,7 +113,7 @@ def _spectral_terms(tmap: Cycle, m0: tuple, p1: PopulationVector | None = None, 
     (k1_g, k1_e), (k2_g, k2_e) = first.released, last[0].released if last else (0.0, 0.0)
     q = k1_e  # Cycle.quantum: what the first work stroke releases from e
     quanta = (k1_g / q, k1_e / q, k2_g / q, k2_e / q)
-    return _cell_sums(hot._entries, cold._entries, m0, quanta, first.flip, p1, primitive)
+    return _cell_sums(hot.entries, cold.entries, m0, quanta, first.flip, p1, primitive)
 
 
 def _cell_sums(hot, cold, m0, quanta=(0.0, 1.0, 0.0, -1.0), flip=False, p1=None, primitive=False):
@@ -267,7 +267,7 @@ def _cycle_branches(cycle: Cycle):
                 k = [w / cycle.quantum for w in stroke.released]
                 paths = [(1 - s if stroke.flip else s, prob, dk + k[s]) for s, prob, dk in paths]
             else:
-                m = stroke._entries
+                m = stroke.entries
                 paths = [(t, prob * m[2 * t + s], dk) for s, prob, dk in paths for t in (0, 1)]
         branches += [(src, end, prob, dk) for end, prob, dk in paths if prob != 0.0]
     return branches

@@ -38,18 +38,16 @@ other input, and every failure, goes on to the named checks, which build
 the message (``require_descending``, ``require_unit_interval``,
 ``EngineConfig._checked``; the clamp of ``from_raw``).  A value that is
 not a ``numbers.Real``, such as a string, None, a numpy complex number or
-an array, raises ``InvalidParameterError`` there.  A ``GibbsStochasticMatrix`` built from a
-user's matrix and a map from ``build_map`` pass the same float checks of
-their four entries (``_gibbs_stochastic_entries``); ``build_map`` and an
-engine's ``cycle()`` then wrap what they built without checking it again
-(``_unchecked``).  The cycle product, tilted or not (``Cycle._tilted``),
-its fixed point, ``Cycle.run`` and ``apply_map`` compute on a map's checked
-float entries (``_compose``, ``_fixed_point``), which round alike on every
-platform; a numpy 2x2 product may use a fused multiply-add.  The array
-``m`` of a map (``_EntryMatrix``, also the base of
-``microscopic.InducedMap``) is built on first access from its entries.
-numpy is imported only by the array accessors and array input, on first
-use (``_LazyNumpy``).
+an array, raises ``InvalidParameterError`` there.  A map is its checked
+row-major floats ``entries``, its only representation.  A
+``GibbsStochasticMatrix`` built from a user's matrix, any 2x2 nested
+sequence of reals (``_entries_2x2``), and a map from ``build_map`` pass
+the same float checks of their four entries (``_gibbs_stochastic_entries``);
+``build_map`` and an engine's ``cycle()`` then wrap what they built without
+checking it again (``_unchecked``).  The cycle product, tilted or not
+(``Cycle.tilted``), its fixed point, ``Cycle.run`` and ``apply_map``
+compute on those floats (``_compose``, ``_fixed_point``), which round alike
+on every platform, where a numpy 2x2 product may use a fused multiply-add.
 
 Value types are named tuples: ``PopulationVector``, ``ThermalOpParams``,
 ``WorkStroke`` and ``CycleReport`` (of both engines) here, and the configs
@@ -85,24 +83,6 @@ DRIFT_FAIL = 1e-9
 STOCHASTIC_TOL = 1e-12
 
 
-class _LazyNumpy:
-    """Stands in for ``numpy`` under the name ``np`` in a module namespace.
-    The first attribute lookup imports numpy and puts the module itself in
-    its place, so every later ``np.<name>`` is a plain global lookup."""
-
-    def __init__(self, namespace: dict):
-        self._namespace = namespace
-
-    def __getattr__(self, name: str):
-        import numpy
-
-        self._namespace["np"] = numpy
-        return getattr(numpy, name)
-
-
-np = _LazyNumpy(globals())
-
-
 class _Checked:
     """Mixin of a named tuple whose ``__new__`` checks the fields: ``_make``,
     and so ``_replace``, builds through ``__new__`` too."""
@@ -130,25 +110,6 @@ class _Frozen:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._FIELDS)
         return f"{type(self).__name__}({fields})"
-
-
-class _EntryMatrix(_Frozen):
-    """Base of the identity types that hold a 2x2 matrix as checked
-    row-major floats in ``_entries``.  ``m`` is a read-only array of them,
-    built on first access; a copy or pickle drops it and rebuilds it."""
-
-    def __getattr__(self, name: str):
-        if name != "m":  # m is built on its first access
-            raise AttributeError(name)
-        m = self.__dict__["m"] = self.as_array()
-        m.setflags(write=False)
-        return m
-
-    def __getstate__(self) -> dict:  # a copied m would be writable; rebuild it
-        return {k: v for k, v in self.__dict__.items() if k != "m"}
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self._entries).reshape(2, 2)
 
 
 class PopulationVector(_Checked, namedtuple("PopulationVector", "p_g p_e")):
@@ -215,9 +176,6 @@ class PopulationVector(_Checked, namedtuple("PopulationVector", "p_g p_e")):
             p_g, p_e = p_g / total, p_e / total
         return cls(p_g, p_e)
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.p_g, self.p_e])
-
 
 class ThermalOpParams(_Checked, namedtuple("ThermalOpParams", "omega beta lam")):
     """(gap, inverse temperature, interaction strength) of one operation."""
@@ -237,25 +195,25 @@ class ThermalOpParams(_Checked, namedtuple("ThermalOpParams", "omega beta lam"))
         return tuple.__new__(cls, (omega, beta, lam))
 
 
-class GibbsStochasticMatrix(_EntryMatrix):
+class GibbsStochasticMatrix(_Frozen):
     """2x2 column-stochastic matrix with the Gibbs populations as fixed point.
 
-    Entry ``m[i, j]`` is the transition probability from source level ``j``
+    Entry ``m[i][j]`` is the transition probability from source level ``j``
     to target level ``i``, ordering (ground, excited), and the Boltzmann
-    factor is ``q = exp(-beta_omega)``.  ``_entries`` holds the checked
-    entries ``(m[0, 0], m[0, 1], m[1, 0], m[1, 1])`` as floats; ``m[0, 1]``
+    factor is ``q = exp(-beta_omega)``.  ``entries`` holds the checked
+    entries ``(m[0][0], m[0][1], m[1][0], m[1][1])`` as floats; ``m[0][1]``
     is the coupling ``lam``.
     """
 
-    _FIELDS = ("m", "omega", "beta_omega")
+    _FIELDS = ("entries", "omega", "beta_omega")
 
-    def __init__(self, m: np.ndarray, omega: float, beta_omega: float):
+    def __init__(self, m: Sequence[Sequence[float]], omega: float, beta_omega: float):
         if not (omega > 0.0 and beta_omega >= 0.0):  # NaN fails too
             raise InvalidParameterError(
                 f"need omega > 0 and beta_omega >= 0, got {omega}, {beta_omega}"
             )
         entries = _gibbs_stochastic_entries(*_entries_2x2(m), math.exp(-beta_omega))
-        self.__dict__.update(omega=omega, beta_omega=beta_omega, _entries=entries)
+        self.__dict__.update(entries=entries, omega=omega, beta_omega=beta_omega)
 
 
 def _unchecked(cls, fields: dict):
@@ -383,7 +341,7 @@ def _build_map(omega: float, beta_omega: float, lam: float) -> GibbsStochasticMa
     """``build_map`` on values its caller has checked as ``ThermalOpParams``
     would, with the exponent ``beta_omega`` of the Boltzmann factor formed
     by the caller: ``beta * omega``, or ``omega / T`` for an engine."""
-    fields = {"_entries": _map_entries(beta_omega, lam), "omega": omega, "beta_omega": beta_omega}
+    fields = {"entries": _map_entries(beta_omega, lam), "omega": omega, "beta_omega": beta_omega}
     return _unchecked(GibbsStochasticMatrix, fields)
 
 
@@ -403,7 +361,7 @@ def eto(omega: float, beta: float) -> GibbsStochasticMatrix:
 
 def apply_map(m: GibbsStochasticMatrix, p: PopulationVector) -> PopulationVector:
     """Propagate populations through one thermal operation."""
-    stay_g, down, up, stay_e = m._entries
+    stay_g, down, up, stay_e = m.entries
     return PopulationVector.from_raw((stay_g * p.p_g + down * p.p_e, up * p.p_g + stay_e * p.p_e))
 
 
@@ -413,7 +371,7 @@ def is_markovian(params: ThermalOpParams) -> bool:
     return params.lam <= full_thermalization_lambda(params.omega, params.beta)
 
 
-def stationary_population(m: np.ndarray) -> PopulationVector:
+def stationary_population(m: Sequence[Sequence[float]]) -> PopulationVector:
     """Unique fixed point of a 2x2 column-stochastic matrix.
 
     Computed in closed form from the off-diagonal entries,
@@ -430,22 +388,18 @@ def stationary_population(m: np.ndarray) -> PopulationVector:
 
 
 def _entries_2x2(m) -> list[float]:
-    """Row-major entries of a real 2x2 matrix; anything else raises ``InvalidParameterError``."""
-    arr = _numeric_array(m, "a real 2x2 matrix")
-    if arr.dtype != float or arr.shape != (2, 2):
-        raise InvalidParameterError(f"expected a real 2x2 matrix, got {arr.dtype} {arr.shape}")
-    return arr.ravel().tolist()
-
-
-def _numeric_array(m, expected: str) -> np.ndarray:
-    """``m`` as a float array, or complex if it holds a complex number; a
-    ragged or non-numeric ``m`` raises ``InvalidParameterError``."""
-    if isinstance(m, np.ndarray) and m.dtype == object:
-        m = m.tolist()  # its elements keep their types: a numpy complex one shows
-    try:  # complex stays complex: a float conversion would drop the imaginary part
-        return np.asarray(m, dtype=complex if np.iscomplexobj(m) else float)
-    except (TypeError, ValueError, OverflowError) as exc:  # ragged or not numbers
-        raise InvalidParameterError(f"expected {expected}: {exc}") from None
+    """Row-major entries of a 2x2 nested sequence of reals: lists, tuples or
+    a numpy array of a real dtype, whose ``tolist`` gives Python numbers.
+    Anything else (ragged, another shape, an entry that is complex, None, a
+    string or bytes) raises ``InvalidParameterError``."""
+    try:
+        rows = tuple(m.tolist() if hasattr(m, "tolist") else m)
+        if any(isinstance(row, (bytes, bytearray)) for row in rows):  # they unpack to ints
+            raise TypeError(f"{rows!r} has a row of bytes")
+        (m00, m01), (m10, m11) = rows
+        return [_real(m00), _real(m01), _real(m10), _real(m11)]
+    except (TypeError, ValueError, OverflowError) as exc:  # float() of a huge int overflows
+        raise InvalidParameterError(f"expected a real 2x2 matrix: {exc}") from None
 
 
 def _fixed_point(stay_g: float, down: float, up: float, stay_e: float) -> tuple[float, float]:
@@ -536,16 +490,12 @@ class Cycle(_Frozen):
         """Steady work per cycle: the engine's closed form in each heat map's
         gap, exponent ``beta_omega`` and coupling ``m[0, 1]``."""
         hot, _, cold, *last = self.strokes
-        a, b, l_H, l_C = hot.beta_omega, cold.beta_omega, hot._entries[1], cold._entries[1]
+        a, b, l_H, l_C = hot.beta_omega, cold.beta_omega, hot.entries[1], cold.entries[1]
         if last:
             return _otto_work(hot.omega, cold.omega, a, b, l_H, l_C)
         return _three_stroke_work(hot.omega, a, b, l_H, l_C)
 
-    def matrix(self, chi: float = 0.0) -> np.ndarray:
-        """``_tilted(chi)``, checks included, as a 2x2 array."""
-        return np.array(self._tilted(chi)).reshape(2, 2)
-
-    def _tilted(self, chi: float) -> tuple[float, float, float, float]:
+    def tilted(self, chi: float) -> tuple[float, float, float, float]:
         """Cycle map ``S_k @ ... @ S_1`` as row-major floats, with every
         work-stroke transition weighted by ``exp(chi * released work)``.
         Raises ``InvalidParameterError`` for a non-finite ``chi`` and
@@ -558,11 +508,11 @@ class Cycle(_Frozen):
             raise CountingOverflowError(f"exp(chi * work) overflows at chi = {chi}") from None
 
     def _product(self, chi: float = 0.0) -> tuple[float, float, float, float]:
-        """``_tilted(chi)`` unchecked, for the callers at ``chi = 0``.  Work
+        """``tilted(chi)`` unchecked, for the callers at ``chi = 0``.  Work
         strokes are row scalings and permutations, so the only product is
         the one between the heat strokes."""
         hot, first, cold, *last = self.strokes
-        m = _compose(cold._entries, first._after(hot._entries, chi))
+        m = _compose(cold.entries, first._after(hot.entries, chi))
         return last[0]._after(m, chi) if last else m
 
     def steady_state(self) -> PopulationVector:

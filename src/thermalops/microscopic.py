@@ -27,10 +27,10 @@ blockwise (a dense-exponential cross-check lives in the test suite).
 The same block structure gives the induced qubit map directly, on floats:
 ``jc_evolution_map`` sums ``w_n cos^2(g_n t)`` and ``w_n sin^2(g_n t)`` over
 the sectors in O(n_max), or in O(1) for the intensity-dependent kind, whose
-sectors share one angle, and ``swap_map`` sums the weights the swap moves;
-neither ``micro-report`` nor ``verify`` needs numpy.  The dense pair
-(``jc_unitary`` and ``induced_population_map``, which reads the map off
-``|U|^2``) is the oracle both are tested against.
+sectors share one angle, and ``swap_map`` sums the weights the swap moves.
+The dense pair (``jc_unitary`` and ``induced_population_map``, which reads
+the map off ``|U|^2``), the oracle both are tested against, is the only
+code of the package that imports numpy, inside the two functions.
 """
 
 from __future__ import annotations
@@ -43,10 +43,8 @@ from typing import Callable, Sequence
 from .errors import ConsistencyError, InvalidParameterError, TruncationError
 from .maps import (
     _Checked,
-    _EntryMatrix,
     _entries_2x2,
-    _LazyNumpy,
-    _numeric_array,
+    _Frozen,
     _unchecked,
     eto,
     require_count,
@@ -58,8 +56,6 @@ STANDARD = "standard"
 JC_KINDS = (INTENSITY_DEPENDENT, STANDARD)
 
 _STATE_TOL = 1e-10
-
-np = _LazyNumpy(globals())
 
 
 class FockTruncation(_Checked, namedtuple("FockTruncation", "n_max omega beta tail_bound")):
@@ -104,25 +100,38 @@ def _thermal_weights(tr: FockTruncation) -> list[float]:
     return [v / total for v in w]
 
 
-class InducedMap(_EntryMatrix):
+class InducedMap(_Frozen):
     """Qubit population map extracted from a joint unitary evolution, and how
     far its columns miss unit sum (``column_defect``, at most ``_STATE_TOL``).
-    A real 2x2 ``m`` whose columns pass ``_column_defect`` is kept as the
-    row-major floats ``_entries``."""
+    A real 2x2 ``m`` (``maps._entries_2x2``) whose columns pass
+    ``_column_defect`` is kept as the row-major floats ``entries``."""
 
-    _FIELDS = ("m", "column_defect")
+    _FIELDS = ("entries", "column_defect")
 
-    def __init__(self, m: np.ndarray):
+    def __init__(self, m: Sequence[Sequence[float]]):
         entries = tuple(_entries_2x2(m))
-        self.__dict__.update(_entries=entries, column_defect=_column_defect(entries))
+        self.__dict__.update(entries=entries, column_defect=_column_defect(entries))
 
 
 def _induced(m: tuple) -> InducedMap:
     """The ``InducedMap`` of row-major entries that pass ``_column_defect``."""
-    return _unchecked(InducedMap, {"_entries": m, "column_defect": _column_defect(m)})
+    return _unchecked(InducedMap, {"entries": m, "column_defect": _column_defect(m)})
 
 
-def induced_population_map(u: np.ndarray, tr: FockTruncation) -> InducedMap:
+def _numeric_array(m, expected: str):
+    """``m`` as a float array, or complex if it holds a complex number; a
+    ragged or non-numeric ``m`` raises ``InvalidParameterError``."""
+    import numpy as np
+
+    if isinstance(m, np.ndarray) and m.dtype == object:
+        m = m.tolist()  # its elements keep their types: a numpy complex one shows
+    try:  # complex stays complex: a float conversion would drop the imaginary part
+        return np.asarray(m, dtype=complex if np.iscomplexobj(m) else float)
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged or not numbers
+        raise InvalidParameterError(f"expected {expected}: {exc}") from None
+
+
+def induced_population_map(u, tr: FockTruncation) -> InducedMap:
     """Induced qubit population map of ``rho -> Tr_mode[U rho (x) thermal U+]``.
 
     ``m[i, s]`` sums the evolved diagonal ``|U[k, (s, n)]|^2 w_n`` over ``n``
@@ -130,6 +139,8 @@ def induced_population_map(u: np.ndarray, tr: FockTruncation) -> InducedMap:
     non-numeric or wrongly shaped ``u`` raises ``InvalidParameterError``, a
     column off unit sum (a non-unitary or non-finite ``u``) ``ConsistencyError``.
     """
+    import numpy as np
+
     u = _numeric_array(u, "a numeric unitary")
     if u.shape != (tr.dim, tr.dim):
         raise InvalidParameterError(f"unitary has wrong shape {u.shape}")
@@ -159,7 +170,7 @@ def _check_jc(J: float, t: float, tr: FockTruncation, kind: str) -> None:
         raise InvalidParameterError(f"Rabi angle overflows at J={J}, t={t}")
 
 
-def jc_unitary(J: float, t: float, tr: FockTruncation, kind: str) -> np.ndarray:
+def jc_unitary(J: float, t: float, tr: FockTruncation, kind: str):
     """Exact interaction-picture propagator of the resonant JC coupling.
 
     Assembled from the 2x2 excitation sectors: each pair
@@ -167,6 +178,8 @@ def jc_unitary(J: float, t: float, tr: FockTruncation, kind: str) -> np.ndarray:
     for the intensity-dependent coupling and ``J sqrt(n)`` for the standard
     one; ``|g,0>`` and the boundary vector ``|e,n_max>`` are uncoupled.
     """
+    import numpy as np
+
     _check_jc(J, t, tr, kind)
     u = np.eye(tr.dim, dtype=complex)
     for n in range(1, tr.n_levels):
@@ -238,7 +251,7 @@ def _deviation(m: tuple, target: tuple) -> float:
 def eto_deviation(induced: InducedMap, tr: FockTruncation) -> float:
     """Max-entry deviation of an induced map from the exact ETO at the
     truncation's (omega, beta)."""
-    return _deviation(induced._entries, eto(tr.omega, tr.beta)._entries)
+    return _deviation(induced.entries, eto(tr.omega, tr.beta).entries)
 
 
 def eto_approximation_report(
@@ -252,7 +265,7 @@ def eto_approximation_report(
     times = sorted(float(t) for t in t_grid)
     if not times:
         raise InvalidParameterError("time grid must be nonempty")
-    w, target = _thermal_weights(tr), eto(tr.omega, tr.beta)._entries
+    w, target = _thermal_weights(tr), eto(tr.omega, tr.beta).entries
     report = {}
     for kind in kinds:
         entries, rows = _sector_kernel(J, w, kind), []

@@ -21,8 +21,7 @@ that gap, and one bisection there finds the gap at ``eta``.
 
 All scans are deterministic: identical inputs produce bit-identical
 outputs.  ``work_efficiency_curve`` and ``fluctuation_curve`` return their
-rows as lists of Python floats, the rows the CLI prints; nothing here
-imports numpy.
+rows as lists of Python floats, the rows the CLI prints.
 """
 
 from __future__ import annotations

@@ -5,8 +5,7 @@ observed over a batch of random configurations and reports it against the
 bound the invariant is supposed to hold at.  The configurations are
 ``random.Random(_SEED).uniform`` draws, one value at a time, so every
 platform and every run reproduces the same residuals.  The suites take no
-arguments and load no numpy: their residuals are Python floats on checked
-float entries.
+arguments; their residuals are Python floats on checked float entries.
 """
 
 from __future__ import annotations
@@ -112,7 +111,7 @@ def suite_gibbs_fixed_point() -> list[CheckRecord]:
     for omega, beta, lam in _draw(rng, _DRAWS, ((0.05, 4.0), (0.05, 4.0), (0.0, 1.0))):
         m = build_map(ThermalOpParams(omega, beta, lam))
         g = thermal_population(omega, beta)
-        entry, cols, gibbs = _gibbs_residuals(*m._entries, g.p_g, g.p_e)
+        entry, cols, gibbs = _gibbs_residuals(*m.entries, g.p_g, g.p_e)
         worst_entry = _worse(worst_entry, entry)
         worst_cols = _worse(worst_cols, cols)
         worst_gibbs = _worse(worst_gibbs, gibbs)

@@ -252,7 +252,7 @@ def float_cycle(cycle, prec=None) -> ExactCycle:
     quantum = Fraction(cycle.quantum)  # every release is a whole number of quanta
     closing = last[0].released if last else (0.0, 0.0)
     k1, k2 = (tuple(int(Fraction(w) / quantum) for w in r) for r in (first.released, closing))
-    maps = (tuple(map(num, m._entries)) for m in (hot, cold))
+    maps = (tuple(map(num, m.entries)) for m in (hot, cold))
     gaps = num(hot.omega), num(cold.omega)
     ctx = Context() if prec is None else Context(prec=prec)
     return ExactCycle(*maps, gaps, k1, first.flip, k2, num(cycle.quantum), ctx)

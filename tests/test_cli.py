@@ -284,7 +284,7 @@ def test_module_entry_point_prints_what_main_prints(capsys):
 
 def test_the_import_loads_no_dataclasses_inspect_or_numpy():
     # the records are named tuples, so the import needs neither dataclasses
-    # nor the inspect it loads; numpy waits for an array accessor
+    # nor the inspect it loads; only the dense pair of microscopic imports numpy
     probe = "import sys, thermalops, thermalops.cli; print(*sorted(sys.modules))"
     src = os.path.dirname(os.path.dirname(thermalops.__file__))
     done = subprocess.run(
@@ -663,8 +663,9 @@ def closed_form_vs_dense() -> CheckRecord:
     records instead.
     """
     tr = FockTruncation(n_max=23, omega=1.0, beta=1.0)
-    closed = jc_evolution_map(1.0, 1.2, tr, STANDARD).m
-    dense = induced_population_map(jc_unitary(1.0, 1.2, tr, STANDARD), tr).m
+    closed = np.array(jc_evolution_map(1.0, 1.2, tr, STANDARD).entries).reshape(2, 2)
+    dense = np.array(induced_population_map(jc_unitary(1.0, 1.2, tr, STANDARD), tr).entries)
+    dense = dense.reshape(2, 2)
     diff = float(np.abs(closed - dense).max())
     return CheckRecord("microscopic-eto", "closed-form-vs-dense", diff, 1e-14)
 
@@ -759,11 +760,11 @@ def test_verify_detects_injected_perturbation(monkeypatch):
     # corrupting one matrix entry by 1e-6 must break the fixed-point check
     def corrupt(params):
         m = build_map(params)
-        m00, m01, m10, m11 = m._entries
+        m00, m01, m10, m11 = m.entries
         entries = (m00 + 1e-6, m01, m10, m11)
         return _unchecked(
             GibbsStochasticMatrix,
-            {"_entries": entries, "omega": m.omega, "beta_omega": m.beta_omega},
+            {"entries": entries, "omega": m.omega, "beta_omega": m.beta_omega},
         )
 
     monkeypatch.setattr(verify, "build_map", corrupt)

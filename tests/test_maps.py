@@ -15,6 +15,7 @@ from thermalops import (
     DegenerateCycleError,
     FockTruncation,
     GibbsStochasticMatrix,
+    InducedMap,
     InvalidParameterError,
     OttoConfig,
     PopulationVector,
@@ -48,6 +49,11 @@ import oracles
 LN2 = math.log(2.0)
 
 
+def matrix(m) -> np.ndarray:
+    """A map's checked row-major entries as a 2x2 array."""
+    return np.array(m.entries).reshape(2, 2)
+
+
 def test_no_two_public_names_are_one_object():
     # one name per value: a second public name for an object restates it
     names_by_id = {}
@@ -58,17 +64,17 @@ def test_no_two_public_names_are_one_object():
 
 def test_build_map_zero_strength_is_identity():
     m = build_map(ThermalOpParams(1.0, 1.0, 0.0))
-    np.testing.assert_allclose(m.m, np.eye(2), atol=1e-15)
+    np.testing.assert_allclose(matrix(m), np.eye(2), atol=1e-15)
 
 
 def test_build_map_eto_at_ln2():
     m = build_map(ThermalOpParams(1.0, LN2, 1.0))
-    np.testing.assert_allclose(m.m, [[0.5, 1.0], [0.5, 0.0]], atol=1e-15)
+    np.testing.assert_allclose(matrix(m), [[0.5, 1.0], [0.5, 0.0]], atol=1e-15)
 
 
 def test_build_map_half_strength_at_ln2():
     m = build_map(ThermalOpParams(1.0, LN2, 0.5))
-    np.testing.assert_allclose(m.m, [[0.75, 0.5], [0.25, 0.5]], atol=1e-15)
+    np.testing.assert_allclose(matrix(m), [[0.75, 0.5], [0.25, 0.5]], atol=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -99,7 +105,7 @@ def test_map_entries_and_columns_random():
         params = ThermalOpParams(
             rng.uniform(0.05, 5.0), rng.uniform(0.05, 5.0), rng.uniform(0.0, 1.0)
         )
-        m = build_map(params).m
+        m = matrix(build_map(params))
         assert m.min() >= 0.0 and m.max() <= 1.0
         np.testing.assert_allclose(m.sum(axis=0), [1.0, 1.0], atol=1e-12)
 
@@ -111,26 +117,26 @@ def test_gibbs_fixed_point_random():
         m = build_map(ThermalOpParams(omega, beta, rng.uniform(0.0, 1.0)))
         g = thermal_population(omega, beta)
         out = apply_map(m, g)
-        np.testing.assert_allclose(out.as_array(), g.as_array(), atol=1e-12)
+        np.testing.assert_allclose(np.array(out), np.array(g), atol=1e-12)
 
 
 def test_eto_columns_on_basis_states():
     m = eto(1.0, LN2)
     ground = apply_map(m, PopulationVector(1.0, 0.0))
-    np.testing.assert_allclose(ground.as_array(), [0.5, 0.5], atol=1e-15)
+    np.testing.assert_allclose(np.array(ground), [0.5, 0.5], atol=1e-15)
     # decay from the excited state is deterministic for any (omega, beta)
     excited = apply_map(eto(2.3, 0.7), PopulationVector(0.0, 1.0))
-    np.testing.assert_allclose(excited.as_array(), [1.0, 0.0], atol=1e-15)
+    np.testing.assert_allclose(np.array(excited), [1.0, 0.0], atol=1e-15)
 
 
 def test_thermal_population_values():
     p = thermal_population(1.0, LN2)
-    np.testing.assert_allclose(p.as_array(), [2.0 / 3.0, 1.0 / 3.0], atol=1e-15)
+    np.testing.assert_allclose(np.array(p), [2.0 / 3.0, 1.0 / 3.0], atol=1e-15)
     # asymptotic limits realized at finite exponents
     cold = thermal_population(1.0, 1e3)
-    np.testing.assert_allclose(cold.as_array(), [1.0, 0.0], atol=1e-3)
+    np.testing.assert_allclose(np.array(cold), [1.0, 0.0], atol=1e-3)
     hot = thermal_population(1.0, 1e-6)
-    np.testing.assert_allclose(hot.as_array(), [0.5, 0.5], atol=1e-3)
+    np.testing.assert_allclose(np.array(hot), [0.5, 0.5], atol=1e-3)
     with pytest.raises(InvalidParameterError):
         thermal_population(-1.0, 1.0)
     with pytest.raises(InvalidParameterError, match="must be real"):
@@ -142,8 +148,8 @@ def test_thermal_population_values():
 
 
 def test_eto_limits():
-    np.testing.assert_allclose(eto(1.0, 1e3).m, [[1.0, 1.0], [0.0, 0.0]], atol=1e-3)
-    np.testing.assert_allclose(eto(1.0, 1e-6).m, [[0.0, 1.0], [1.0, 0.0]], atol=1e-3)
+    np.testing.assert_allclose(matrix(eto(1.0, 1e3)), [[1.0, 1.0], [0.0, 0.0]], atol=1e-3)
+    np.testing.assert_allclose(matrix(eto(1.0, 1e-6)), [[0.0, 1.0], [1.0, 0.0]], atol=1e-3)
 
 
 def test_is_markovian_classification():
@@ -271,10 +277,10 @@ def test_build_map_is_the_checked_numpy_map(params):
     omega, beta, lam = params
     m = build_map(ThermalOpParams(omega, beta, lam))
     expected = numpy_map(omega, beta, lam)
-    assert m.m.tobytes() == expected.tobytes()  # bitwise, signed zeros included
-    assert not m.m.flags.writeable
+    assert matrix(m).tobytes() == expected.tobytes()  # bitwise, signed zeros included
+    assert type(m.entries) is tuple  # immutable
     assert (m.omega, m.beta_omega) == (omega, beta * omega)
-    np.testing.assert_array_equal(GibbsStochasticMatrix(m.m, omega, beta * omega).m, m.m)
+    np.testing.assert_array_equal(matrix(GibbsStochasticMatrix(matrix(m), omega, beta * omega)), matrix(m))
     assert full_thermalization_lambda(omega, beta) == thermal_population(omega, beta).p_g
 
 
@@ -287,7 +293,7 @@ def numpy_checked(m: np.ndarray, omega: float, beta: float):
     m = np.clip(m, 0.0, 1.0)
     if np.abs(m.sum(axis=0) - 1.0).max() > tol:
         return None
-    gibbs = thermal_population(omega, beta).as_array()
+    gibbs = np.array(thermal_population(omega, beta))
     if np.abs(m @ gibbs - gibbs).max() > tol:
         return None
     return m
@@ -305,15 +311,15 @@ NUDGES = st.sampled_from([0.0, 1e-13, -1e-13, 5e-13, -5e-13, 2e-12, -2e-12, 1e-9
 @example((1.0, LN2, 0.5), (1e-13, -1e-13, -1e-13, 1e-13))  # columns sum to 1, Gibbs off
 def test_user_matrix_check_matches_numpy(params, nudges):
     omega, beta, lam = params
-    m = build_map(ThermalOpParams(omega, beta, lam)).m + np.reshape(nudges, (2, 2))
+    m = matrix(build_map(ThermalOpParams(omega, beta, lam))) + np.reshape(nudges, (2, 2))
     expected = numpy_checked(m, omega, beta)
     if expected is None:
         with pytest.raises(InvalidParameterError):
             GibbsStochasticMatrix(m, omega, beta * omega)
     else:
-        checked = GibbsStochasticMatrix(m, omega, beta * omega).m
-        assert checked.tobytes() == expected.tobytes()
-        assert not checked.flags.writeable
+        checked = GibbsStochasticMatrix(m, omega, beta * omega)
+        assert matrix(checked).tobytes() == expected.tobytes()
+        assert type(checked.entries) is tuple  # immutable
 
 
 @pytest.mark.parametrize(
@@ -367,7 +373,7 @@ def gibbs_map_at_ln2(m):
     return GibbsStochasticMatrix(m, 1.0, LN2)
 
 
-@pytest.mark.parametrize("build", [stationary_population, gibbs_map_at_ln2])
+@pytest.mark.parametrize("build", [stationary_population, gibbs_map_at_ln2, InducedMap])
 @pytest.mark.parametrize(
     "m",
     [
@@ -376,8 +382,22 @@ def gibbs_map_at_ln2(m):
         [[0.6 + 0.3j, 0.4], [0.4, 0.6]],
         np.array([[0.6 + 0.3j, 0.4], [0.4, 0.6]]),  # once read as its real part
         np.array([[np.complex128(0.6 + 0.3j), 0.4], [0.4, 0.6]], dtype=object),  # that too
+        [["0.75", "0.5"], ["0.25", "0.5"]],  # numpy's float() parsed them
+        np.array([[0.75, 0.5], [0.25, 0.5]]).astype(str),
+        [[b"0.75", b"0.5"], [b"0.25", b"0.5"]],
+        [b"\x01\x00", b"\x00\x01"],  # bytes unpack to ints
     ],
-    ids=["ragged", "strings", "python-complex", "complex-array", "numpy-complex-in-object-array"],
+    ids=[
+        "ragged",
+        "strings",
+        "python-complex",
+        "complex-array",
+        "numpy-complex-in-object-array",
+        "numeric-strings",
+        "numeric-string-array",
+        "numeric-bytes",
+        "rows-of-bytes",
+    ],
 )
 def test_a_matrix_that_is_not_real_2x2_is_rejected(build, m):
     with pytest.raises(InvalidParameterError, match="real 2x2"):
@@ -432,8 +452,8 @@ def test_a_heat_map_at_a_subnormal_T_is_rebuilt_from_its_fields(cfg):
     # the map keeps omega / T, which is finite where 1 / T overflows, so its
     # own fields rebuild its entries
     for h, T in ((cfg.hot_map(), cfg.T_H), (cfg.cold_map(), cfg.T_C)):
-        assert h.beta_omega == h.omega / T and 0.0 < h._entries[2] < 1.0
-        assert GibbsStochasticMatrix(h.m, h.omega, h.beta_omega)._entries == h._entries
+        assert h.beta_omega == h.omega / T and 0.0 < h.entries[2] < 1.0
+        assert GibbsStochasticMatrix(matrix(h), h.omega, h.beta_omega).entries == h.entries
 def test_scan_fixed_point_at_equal_temperatures():
     rows = eto_vs_thermalization_scan(0.5, [1.0])
     expected = thermal_population(0.5, 1.0).p_e
@@ -558,35 +578,27 @@ def test_bools_are_not_read_as_numbers():
     ],
     ids=["build_map", "eto", "user"],
 )
-def test_m_is_built_once_on_first_access(make):
+def test_copy_and_pickle_keep_the_entries(make):
     gsm = make()
-    assert "m" not in vars(gsm)
-    m = gsm.m
-    assert not m.flags.writeable
-    assert m.tobytes() == np.array(gsm._entries).reshape(2, 2).tobytes()
-    assert gsm.m is m
-    arr = gsm.as_array()
-    assert arr.flags.writeable and arr is not m
-    arr[0, 0] = 5.0
-    assert gsm.m[0, 0] != 5.0
+    assert list(vars(gsm)) == ["entries", "omega", "beta_omega"]
+    assert type(gsm.entries) is tuple and [type(x) for x in gsm.entries] == [float] * 4
     with pytest.raises(AttributeError):
         gsm.missing
-    for fresh in (make(), gsm):  # before and after the first access
-        for clone in (copy.deepcopy(fresh), pickle.loads(pickle.dumps(fresh))):
-            fields = (clone._entries, clone.omega, clone.beta_omega)
-            assert fields == (gsm._entries, gsm.omega, gsm.beta_omega)
-            assert clone.m.tobytes() == m.tobytes()
-            assert not clone.m.flags.writeable
+    for clone in (copy.copy(gsm), copy.deepcopy(gsm), pickle.loads(pickle.dumps(gsm))):
+        assert [x.hex() for x in clone.entries] == [x.hex() for x in gsm.entries]
+        assert (clone.omega, clone.beta_omega) == (gsm.omega, gsm.beta_omega)
+        with pytest.raises(AttributeError):
+            clone.entries = (1.0, 0.0, 0.0, 1.0)
 
 
 def test_user_matrix_keeps_its_checks():
     with pytest.raises(InvalidParameterError):
         GibbsStochasticMatrix(np.eye(3), 1.0, 1.0)
     with pytest.raises(AttributeError):
-        eto(1.0, 1.0).m = np.eye(2)
+        eto(1.0, 1.0).entries = (1.0, 0.0, 0.0, 1.0)
     clipped = GibbsStochasticMatrix(np.array([[1.0 + 1e-13, 1.0], [-1e-13, 0.0]]), 1.0, 1e4)
-    assert clipped._entries == (1.0, 1.0, 0.0, 0.0)
-    assert clipped.m.tolist() == [[1.0, 1.0], [0.0, 0.0]]
+    assert clipped.entries == (1.0, 1.0, 0.0, 0.0)
+    assert matrix(clipped).tolist() == [[1.0, 1.0], [0.0, 0.0]]
 
 
 # The rewritten checks against their reference copies in ``oracles``: the
@@ -786,3 +798,4 @@ def test_config_checks_match_the_reference(otto, three, params):
         assert_same_outcome(
             _outcome(lambda: new(**named)), _outcome(lambda: reference(**named)), params
         )
+

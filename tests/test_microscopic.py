@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import warnings
 
 import mpmath
@@ -102,7 +104,7 @@ def test_jc_evolution_commutes_with_total_energy():
 def test_induced_map_of_identity_is_identity():
     tr = loose(10)
     induced = induced_population_map(np.eye(tr.dim), tr)
-    np.testing.assert_allclose(induced.m, np.eye(2), atol=1e-14)
+    np.testing.assert_allclose(np.array(induced.entries).reshape(2, 2), np.eye(2), atol=1e-14)
     assert induced.column_defect < 1e-12
 
 
@@ -111,15 +113,15 @@ def test_swap_recovers_eto():
     induced = induced_population_map(swap_unitary(tr), tr)
     assert eto_deviation(induced, tr) < 1e-8
     assert induced.column_defect < 1e-12  # unitarity preserves the trace
-    np.testing.assert_allclose(induced.m, eto(1.0, 1.0).m, atol=1e-8)
+    np.testing.assert_allclose(induced.entries, eto(1.0, 1.0).entries, atol=1e-8)
 
 
 @pytest.mark.parametrize("beta_omega", [1e-3, 0.5, 1.0, 10.0, math.inf])
 @pytest.mark.parametrize("n_max", [0, 1, 5, 60, 150])
 def test_swap_map_is_the_dense_swap_oracle(n_max, beta_omega):
     tr = loose(n_max, beta_omega)
-    dense = induced_population_map(swap_unitary(tr), tr)._entries
-    floats = swap_map(tr)._entries
+    dense = induced_population_map(swap_unitary(tr), tr).entries
+    floats = swap_map(tr).entries
     assert [type(x) for x in floats] == [float] * 4
     assert max(abs(a - b) for a, b in zip(floats, dense)) <= 2**-52
 
@@ -137,7 +139,7 @@ def test_jc_maps_at_zero_time_are_identity():
     tr = loose(15)
     for kind in ("intensity_dependent", "standard"):
         induced = jc_evolution_map(1.0, 0.0, tr, kind)
-        np.testing.assert_allclose(induced.m, np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(np.array(induced.entries).reshape(2, 2), np.eye(2), atol=1e-14)
 
 
 def test_intensity_dependent_half_rabi_recovers_eto():
@@ -217,15 +219,18 @@ def test_induced_map_rejects_a_malformed_unitary(u):
         induced_population_map(u, loose(1))
 
 
-def test_induced_map_holds_float_entries_and_a_read_only_array():
+def test_induced_map_holds_float_entries_through_copy_and_pickle():
     tr = loose(5)
     induced = jc_evolution_map(1.0, 1.2, tr, STANDARD)
-    assert "m" not in vars(induced)  # no array until one is asked for
-    assert [type(x) for x in induced._entries] == [float] * 4
-    assert induced.m.ravel().tolist() == list(induced._entries)
-    assert not induced.m.flags.writeable
-    built = InducedMap(induced.m)
-    assert (built._entries, built.column_defect) == (induced._entries, induced.column_defect)
+    assert list(vars(induced)) == ["entries", "column_defect"]
+    assert [type(x) for x in induced.entries] == [float] * 4
+    for clone in (copy.deepcopy(induced), pickle.loads(pickle.dumps(induced))):
+        assert [x.hex() for x in clone.entries] == [x.hex() for x in induced.entries]
+        assert clone.column_defect == induced.column_defect
+    array = np.array(induced.entries).reshape(2, 2)
+    for m in (array, array.tolist(), tuple(map(tuple, array.tolist()))):
+        built = InducedMap(m)
+        assert (built.entries, built.column_defect) == (induced.entries, induced.column_defect)
     with pytest.raises(InvalidParameterError):
         InducedMap(np.eye(3))
     with pytest.raises(ConsistencyError, match="unit sum"):
@@ -235,7 +240,7 @@ def test_induced_map_holds_float_entries_and_a_read_only_array():
 def test_report_table_shape_and_endpoints():
     tr = loose(30)
     report = eto_approximation_report(1.0, tr, [1.2, 0.0, math.pi / 2.0])
-    identity_dev = np.abs(np.eye(2) - eto(tr.omega, tr.beta).m).max()
+    identity_dev = np.abs(np.eye(2) - np.array(eto(tr.omega, tr.beta).entries).reshape(2, 2)).max()
     for kind in ("intensity_dependent", "standard"):
         rows = report[kind]
         # rows are lists of floats, as the CLI prints them, sorted by Jt
@@ -295,7 +300,7 @@ def mp_jc_map(J, t, tr, kind):
 def test_sector_map_matches_a_50_digit_evaluation(kind, n_max, beta_omega, J, jt):
     tr = loose(n_max, beta_omega)
     t = jt / J
-    m = jc_evolution_map(J, t, tr, kind).m.ravel().tolist()
+    m = jc_evolution_map(J, t, tr, kind).entries
     exact = mp_jc_map(J, t, tr, kind)
     assert max(abs(a - b) for a, b in zip(m, exact)) <= 2.0**-51
 
@@ -321,7 +326,7 @@ def test_closed_form_map_matches_dense_dilation(kind, n_max, beta_omega, J, jt):
     t = jt / J
     closed = jc_evolution_map(J, t, tr, kind)
     dense = induced_population_map(jc_unitary(J, t, tr, kind), tr)
-    assert np.abs(closed.m - dense.m).max() <= 1e-15
+    assert np.abs(np.subtract(closed.entries, dense.entries)).max() <= 1e-15
     assert abs(closed.column_defect - dense.column_defect) <= 1e-15
     assert closed.column_defect <= 1e-12
 
@@ -343,12 +348,14 @@ def test_induced_map_is_the_joint_state_definition():
         tr = loose(n_max, rng.uniform(0.05, 5.0))
         J, t = rng.uniform(0.1, 3.0), rng.uniform(0.0, 5.0)
         swap = swap_unitary(tr)
-        assert (induced_population_map(swap, tr).m == joint_state_map(swap, tr)).all()
+        m = np.array(induced_population_map(swap, tr).entries).reshape(2, 2)
+        assert (m == joint_state_map(swap, tr)).all()
         z = rng.normal(size=(tr.dim, tr.dim)) + 1j * rng.normal(size=(tr.dim, tr.dim))
         random_u, _ = np.linalg.qr(z)
         jc = [jc_unitary(J, t, tr, kind) for kind in JC_KINDS]
         for u in (*jc, random_u):
-            assert np.abs(induced_population_map(u, tr).m - joint_state_map(u, tr)).max() <= 1e-15
+            m = np.array(induced_population_map(u, tr).entries).reshape(2, 2)
+            assert np.abs(m - joint_state_map(u, tr)).max() <= 1e-15
 
 
 def test_hot_bath_beyond_the_dense_range():
@@ -359,4 +366,4 @@ def test_hot_bath_beyond_the_dense_range():
     for kind in JC_KINDS:
         induced = jc_evolution_map(1.0, 1.2, tr, kind)
         assert induced.column_defect < 1e-12
-        assert (induced.m >= 0.0).all()
+        assert min(induced.entries) >= 0.0

@@ -290,4 +290,4 @@ def test_otto_work_matches_the_stroke_cycle_random():
     for twin in (pickle.loads(pickle.dumps(cycle)), copy.deepcopy(cycle)):
         assert twin.work() == otto_work(cfg)
         assert twin.run() == cycle.run()
-        assert twin.matrix(0.5).tolist() == cycle.matrix(0.5).tolist()
+        assert twin.tilted(0.5) == cycle.tilted(0.5)

@@ -96,27 +96,23 @@ CHECKED = [
 ]
 
 
-def _matrix_repr(rows: tuple[str, str]) -> str:
-    return f"array([[{rows[0]}],\n       [{rows[1]}]])"
-
-
 IDENTITY_TYPES = {
     GibbsStochasticMatrix: (
         lambda: GibbsStochasticMatrix(np.array([[0.75, 0.5], [0.25, 0.5]]), 1.0, LN2),
-        f"GibbsStochasticMatrix(m={_matrix_repr(('0.75, 0.5 ', '0.25, 0.5 '))}, omega=1.0, "
+        "GibbsStochasticMatrix(entries=(0.75, 0.5, 0.25, 0.5), omega=1.0, "
         "beta_omega=0.6931471805599453)",
     ),
     Cycle: (
         lambda: Cycle((eto(LN2, 1.0), WorkStroke(LN2, LN2, flip=True), eto(LN2, 2.0))),
-        f"Cycle(strokes=(GibbsStochasticMatrix(m={_matrix_repr(('0.5, 1. ', '0.5, 0. '))}, "
+        "Cycle(strokes=(GibbsStochasticMatrix(entries=(0.5, 1.0, 0.5, 0.0), "
         "omega=0.6931471805599453, beta_omega=0.6931471805599453), "
         "WorkStroke(omega_in=0.6931471805599453, omega_out=0.6931471805599453, flip=True), "
-        f"GibbsStochasticMatrix(m={_matrix_repr(('0.75, 1.  ', '0.25, 0.  '))}, "
+        "GibbsStochasticMatrix(entries=(0.75, 1.0, 0.25, 0.0), "
         "omega=0.6931471805599453, beta_omega=1.3862943611198906)))",
     ),
     InducedMap: (
         lambda: InducedMap(np.array([[0.75, 0.5], [0.25, 0.5]])),
-        f"InducedMap(m={_matrix_repr(('0.75, 0.5 ', '0.25, 0.5 '))}, column_defect=0.0)",
+        "InducedMap(entries=(0.75, 0.5, 0.25, 0.5), column_defect=0.0)",
     ),
 }
 
