@@ -38,16 +38,18 @@ other input, and every failure, goes on to the named checks, which build
 the message (``require_descending``, ``require_unit_interval``,
 ``EngineConfig._checked``; the clamp of ``from_raw``).  A value that is
 not a ``numbers.Real``, such as a string, None, a numpy complex number or
-an array, raises ``InvalidParameterError`` there.  A map is its checked
-row-major floats ``entries``, its only representation.  A
-``GibbsStochasticMatrix`` built from a user's matrix, any 2x2 nested
-sequence of reals (``_entries_2x2``), and a map from ``build_map`` pass
-the same float checks of their four entries (``_gibbs_stochastic_entries``);
-``build_map`` and an engine's ``cycle()`` then wrap what they built without
-checking it again (``_unchecked``).  The cycle product, tilted or not
-(``Cycle.tilted``), its fixed point, ``Cycle.run`` and ``apply_map``
-compute on those floats (``_compose``, ``_fixed_point``), which round alike
-on every platform, where a numpy 2x2 product may use a fused multiply-add.
+an array, raises ``InvalidParameterError`` there, as does a scalar or grid
+entry that would next be compared with a float (``_require_real``,
+``_real_grid``).  A map is its checked row-major floats ``entries``, its
+only representation.  A ``GibbsStochasticMatrix`` built from a user's
+matrix, any 2x2 nested sequence of reals (``_entries_2x2``), and a map
+from ``build_map`` pass the same float checks of their four entries
+(``_gibbs_stochastic_entries``); ``build_map`` and an engine's ``cycle()``
+then wrap what they built without checking it again (``_unchecked``).  The
+cycle product, tilted or not (``Cycle.tilted``), its fixed point,
+``Cycle.run`` and ``apply_map`` compute on those floats (``_compose``,
+``_fixed_point``), which round alike on every platform, where a numpy 2x2
+product may use a fused multiply-add.
 
 Value types are named tuples: ``PopulationVector``, ``ThermalOpParams``,
 ``WorkStroke`` and ``CycleReport`` (of both engines) here, and the configs
@@ -208,6 +210,7 @@ class GibbsStochasticMatrix(_Frozen):
     _FIELDS = ("entries", "omega", "beta_omega")
 
     def __init__(self, m: Sequence[Sequence[float]], omega: float, beta_omega: float):
+        _require_real(omega=omega, beta_omega=beta_omega)
         if not (omega > 0.0 and beta_omega >= 0.0):  # NaN fails too
             raise InvalidParameterError(
                 f"need omega > 0 and beta_omega >= 0, got {omega}, {beta_omega}"
@@ -249,6 +252,25 @@ def require_unit_interval(**values: float) -> None:
             raise InvalidParameterError(f"{name} must be real, got {v!r}")
         if isinstance(v, bool) or not 0.0 <= v <= 1.0:
             raise InvalidParameterError(f"{name} must lie in [0, 1], got {v}")
+
+
+def _require_real(**values) -> None:
+    """Raise ``InvalidParameterError`` for a value that is not a
+    ``numbers.Real`` or is a bool, which comparing it with a float would let
+    raise a bare ``TypeError`` or read as 0 or 1."""
+    for name, v in values.items():
+        if type(v) is not float and (isinstance(v, bool) or not isinstance(v, numbers.Real)):
+            raise InvalidParameterError(f"{name} must be real, got {v!r}")
+
+
+def _real_grid(values, name: str) -> list[float]:
+    """A grid's entries as floats, each checked by ``_require_real``."""
+    grid = list(values)
+    if not all(type(x) is float for x in grid):
+        for x in grid:
+            _require_real(**{f"{name} entry": x})
+        grid = [float(x) for x in grid]
+    return grid
 
 
 def _real(x) -> float:
@@ -498,8 +520,9 @@ class Cycle(_Frozen):
     def tilted(self, chi: float) -> tuple[float, float, float, float]:
         """Cycle map ``S_k @ ... @ S_1`` as row-major floats, with every
         work-stroke transition weighted by ``exp(chi * released work)``.
-        Raises ``InvalidParameterError`` for a non-finite ``chi`` and
-        ``CountingOverflowError`` when a weight overflows."""
+        Raises ``InvalidParameterError`` for a ``chi`` that is not a finite
+        real and ``CountingOverflowError`` when a weight overflows."""
+        _require_real(chi=chi)
         if not math.isfinite(chi):
             raise InvalidParameterError(f"counting field must be finite, got {chi}")
         try:
@@ -588,9 +611,10 @@ def eto_vs_thermalization_scan(
     Returns rows (T2/T1, p_e after ETO, p_e after thermalization) as lists
     of floats; T1 = 1 sets the unit.
     """
+    _require_real(omega_over_T1=omega_over_T1)
     if omega_over_T1 <= 0.0:
         raise InvalidParameterError("omega_over_T1 must be > 0")
-    grid = [float(t2) for t2 in t2_over_t1_grid]
+    grid = _real_grid(t2_over_t1_grid, "temperature grid")
     if not grid or not all(t2 > 0.0 for t2 in grid):  # NaN fails too
         raise InvalidParameterError("temperature grid entries must be > 0")
     initial = thermal_population(omega_over_T1, 1.0)

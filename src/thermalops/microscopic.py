@@ -45,6 +45,8 @@ from .maps import (
     _Checked,
     _entries_2x2,
     _Frozen,
+    _real_grid,
+    _require_real,
     _unchecked,
     eto,
     require_count,
@@ -120,13 +122,17 @@ def _induced(m: tuple) -> InducedMap:
 
 def _numeric_array(m, expected: str):
     """``m`` as a float array, or complex if it holds a complex number; a
-    ragged or non-numeric ``m`` raises ``InvalidParameterError``."""
+    ragged ``m``, or an entry that is not a number (a string or bytes too),
+    raises ``InvalidParameterError``."""
     import numpy as np
 
     if isinstance(m, np.ndarray) and m.dtype == object:
         m = m.tolist()  # its elements keep their types: a numpy complex one shows
     try:  # complex stays complex: a float conversion would drop the imaginary part
-        return np.asarray(m, dtype=complex if np.iscomplexobj(m) else float)
+        arr = np.asarray(m)  # float() would parse a string or bytes entry
+        if arr.dtype.kind in "OSU" and any(isinstance(x, (str, bytes)) for x in arr.flat):
+            raise TypeError("an entry is a string or bytes")
+        return np.asarray(arr, dtype=complex if np.iscomplexobj(arr) else float)
     except (TypeError, ValueError, OverflowError) as exc:  # ragged or not numbers
         raise InvalidParameterError(f"expected {expected}: {exc}") from None
 
@@ -162,6 +168,8 @@ def swap_map(tr: FockTruncation) -> InducedMap:
 def _check_jc(J: float, t: float, tr: FockTruncation, kind: str) -> None:
     if kind not in JC_KINDS:
         raise InvalidParameterError(f"kind must be one of {JC_KINDS}, got {kind!r}")
+    if not type(J) is float is type(t):  # a report calls this once per time point
+        _require_real(J=J, t=t)
     if not math.isfinite(J):
         raise InvalidParameterError(f"coupling must be finite, got {J}")
     if not 0.0 <= t < math.inf:
@@ -262,7 +270,7 @@ def eto_approximation_report(
     Returns, for each kind, rows ``[J*t, max-entry deviation]`` sorted by
     ``J*t``.  The weights and the ETO entries are formed once, as floats.
     """
-    times = sorted(float(t) for t in t_grid)
+    times = sorted(_real_grid(t_grid, "time grid"))
     if not times:
         raise InvalidParameterError("time grid must be nonempty")
     w, target = _thermal_weights(tr), eto(tr.omega, tr.beta).entries

@@ -34,7 +34,7 @@ from typing import NamedTuple, Sequence
 from .errors import InvalidParameterError, NoInteriorMaximumWarning, ZeroWorkError
 from .fcs import _cell_sums, _moments, _scaled, _spectral_terms
 from .maps import _Checked, _compose, _map_entries, _otto_work, _three_stroke_work
-from .maps import require_descending
+from .maps import _real_grid, _require_real, require_descending
 from .otto import MARKOV, NONMARKOV, OttoConfig, _coupling_rule
 from .three_stroke import ThreeStrokeConfig
 
@@ -61,6 +61,7 @@ class ScanSpec(_Checked, namedtuple("ScanSpec", "eta eta_C T_H regime omega_lo o
         omega_hi: float = 20.0,
     ):
         self = tuple.__new__(cls, (eta, eta_C, T_H, regime, omega_lo, omega_hi))
+        _require_real(eta=eta, eta_C=eta_C, T_H=T_H)
         if not (0.0 < eta < eta_C and omega_hi < math.inf):
             raise InvalidParameterError(f"need 0 < eta < eta_C and omega_hi < inf, got {self}")
         require_descending(omega_hi=omega_hi, omega_lo=omega_lo)  # rejects bools and NaN
@@ -99,6 +100,7 @@ def work_at(eta: float, eta_C: float, T_H: float, omega_H: float, regime: str) -
     of ``otto_config_at`` and the Carnot point (W = +0.0).  Makes the checks
     of ``otto_config_at`` on the scalars, without building the config, and
     evaluates the same work."""
+    _require_real(omega_H=omega_H)
     return _work_curve(eta, eta_C, T_H, regime)(omega_H)
 
 
@@ -136,10 +138,11 @@ def _otto_fields(eta: float, eta_C: float, T_H: float, regime: str):
 
 def _otto_gaps(eta: float, eta_C: float, T_H: float):
     """The first four of ``_otto_fields``' fields, without the couplings, as
-    a function of ``omega_H`` alone: ``eta`` and ``eta_C`` are checked here,
-    once, and each gap only for ``omega_H > omega_C > 0``, which also fails
-    for NaN, a bool or an ``omega_C`` that underflows to 0.  The caller
-    checks the temperatures (``_coupling_rule``)."""
+    a function of ``omega_H`` alone: ``eta``, ``eta_C`` and that ``T_H`` is real
+    are checked here, once, and each gap only for ``omega_H > omega_C > 0``,
+    which also fails for NaN, a bool or an ``omega_C`` that underflows to 0.
+    The caller checks the temperatures (``_coupling_rule``)."""
+    _require_real(eta=eta, eta_C=eta_C, T_H=T_H)
     if not 0.0 < eta <= eta_C < 1.0:
         raise InvalidParameterError(f"need 0 < eta <= eta_C < 1, got {eta}, {eta_C}")
     T_C = (1.0 - eta_C) * T_H
@@ -318,6 +321,7 @@ def three_stroke_omega_for_eta(eta: float, eta_C: float, T_H: float) -> float:
       (1 - e^(-kappa a))] = 1/(1 - e^(-a)) - kappa/(e^(kappa a) - 1) >
       1/a - 1/a = 0``, so ``eta`` falls strictly on the whole branch.
     """
+    _require_real(eta=eta, eta_C=eta_C, T_H=T_H)
     if not 0.0 < eta < eta_C < 1.0:
         raise InvalidParameterError(
             f"target efficiency {eta} outside the attainable range (0, {eta_C})"
@@ -346,7 +350,8 @@ def work_efficiency_curve(
     efficiency; three-stroke rows invert the efficiency for the gap and
     evaluate the cycle's closed-form work there.
     """
-    etas = [float(eta) for eta in eta_grid]
+    _require_real(eta_C=eta_C, T_H=T_H)
+    etas = _real_grid(eta_grid, "eta grid")
     if not etas or not all(0.0 < eta < eta_C for eta in etas):  # NaN fails too
         raise InvalidParameterError("eta grid must lie strictly inside (0, eta_C)")
     if engine not in ENGINES:
@@ -387,9 +392,10 @@ def fluctuation_curve(
     """
     if horizon not in HORIZONS:
         raise InvalidParameterError(f"horizon must be one of {HORIZONS}, got {horizon!r}")
+    _require_real(eta=eta, eta_C=eta_C)
     if not 0.0 < eta < eta_C < 1.0:
         raise InvalidParameterError("need 0 < eta < eta_C < 1")
-    grid = [float(omega_H) for omega_H in omega_H_grid]
+    grid = _real_grid(omega_H_grid, "omega_H grid")
     if not grid or not all(omega_H > 0.0 for omega_H in grid):  # NaN fails too
         raise InvalidParameterError("omega_H grid entries must be > 0")
 

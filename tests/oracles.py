@@ -1,15 +1,18 @@
 """Oracles shared by the tests: one exact model of the engine cycle, which
 every exact evaluation of the work, the heats and the counting statistics
 calls; the builders the modules share; the dense excitation swap of the
-microscopic dilation; the halving ``maximize_work``; and reference copies
+microscopic dilation; the halving ``maximize_work``; reference copies
 of the value checks of ``maps`` and ``otto`` as they read before they were
-rewritten to test plain floats in one comparison chain.  The copies raise
-the same types and messages for real values.  A value with no order against
-a float (a string, None, a Python complex number, an array of several
-values) makes them raise a bare ``TypeError`` or ``ValueError``; a numpy
-complex number or a one-value array compares with a float, and the copies
-may accept it.  The checks now raise ``InvalidParameterError`` for every
-value that is not ``real``, whatever the copies do with it."""
+rewritten to test plain floats in one comparison chain; and a reference
+copy of the numpy reader of matrix input (``entries_2x2``).  The copies of
+the checks raise the same types and messages for real values.  A value with
+no order against a float (a string, None, a Python complex number, an array
+of several values) makes them raise a bare ``TypeError`` or ``ValueError``;
+a numpy complex number or a one-value array compares with a float, and the
+copies may accept it.  The checks now raise ``InvalidParameterError`` for
+every value that is not ``real``, whatever the copies do with it.  The
+reader's copy returns the same floats and raises the same type, with other
+messages, except that it parses string and bytes entries."""
 
 import math
 import numbers
@@ -412,6 +415,25 @@ def engine_config(names, n_gaps, fields):
         if cfg[name] == math.inf:
             raise InvalidParameterError(f"{name} must be finite, got inf")
     return tuple(fields)
+
+
+def numeric_array(m, expected):
+    """``maps._numeric_array`` as it read matrix input through numpy, before
+    ``maps`` read it in pure Python: its ``float`` parses a string or bytes."""
+    if isinstance(m, np.ndarray) and m.dtype == object:
+        m = m.tolist()  # its elements keep their types: a numpy complex one shows
+    try:  # complex stays complex: a float conversion would drop the imaginary part
+        return np.asarray(m, dtype=complex if np.iscomplexobj(m) else float)
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged or not numbers
+        raise InvalidParameterError(f"expected {expected}: {exc}") from None
+
+
+def entries_2x2(m):
+    """``maps._entries_2x2`` as it read through ``numeric_array``."""
+    arr = numeric_array(m, "a real 2x2 matrix")
+    if arr.dtype != float or arr.shape != (2, 2):
+        raise InvalidParameterError(f"expected a real 2x2 matrix, got {arr.dtype} {arr.shape}")
+    return arr.ravel().tolist()
 
 
 def bisection_maximize_work(spec):

@@ -396,6 +396,57 @@ def test_public_scans_return_float_rows_without_numpy():
     assert len(fig5["three_stroke"]) == 3
 
 
+# Makes numpy unimportable, imports the package, runs each command and builds
+# maps from nested lists; prints each command's exit code and stdout, the
+# maps' entries, and whether an import of numpy fails.
+NO_NUMPY_PROBE = """
+import io, json, math, sys
+from contextlib import redirect_stdout
+
+sys.modules["numpy"] = None
+import thermalops
+from thermalops import GibbsStochasticMatrix, InducedMap, stationary_population
+from thermalops.cli import main
+
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv)
+    runs.append([code, out.getvalue()])
+gibbs = GibbsStochasticMatrix([[0.75, 0.5], [0.25, 0.5]], 1.0, math.log(2.0))
+induced = InducedMap(((0.75, 0.5), (0.25, 0.5)))
+p = stationary_population([[0.5, 0.5], [0.5, 0.5]])
+try:
+    import numpy
+    blocked = False
+except ImportError:
+    blocked = True
+print(json.dumps([runs, [gibbs.entries, induced.entries, p], blocked]))
+"""
+
+
+def test_the_package_runs_with_numpy_unimportable(capsys):
+    # every command at its defaults prints what it prints with numpy, and
+    # nested lists are matrix input without it
+    argvs = [[name] for name in (*cli.COMMANDS, "verify")] + [["verify", "--suite", "all"]]
+    src = os.path.dirname(os.path.dirname(thermalops.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_PROBE, json.dumps(argvs)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    runs, maps, blocked = json.loads(done.stdout)
+    assert blocked
+    assert "numpy" in sys.modules  # this interpreter has it
+    for argv, (code, text) in zip(argvs, runs, strict=True):
+        assert (code, text) == (cli.main(argv), capsys.readouterr().out), argv
+    assert maps == [[0.75, 0.5, 0.25, 0.5], [0.75, 0.5, 0.25, 0.5], [0.5, 0.5]]
+
+
 def json_rows(argv, capsys):
     assert cli.main([*argv, "--format", "json"]) == 0
     return json.loads(capsys.readouterr().out)["rows"]
@@ -663,9 +714,8 @@ def closed_form_vs_dense() -> CheckRecord:
     records instead.
     """
     tr = FockTruncation(n_max=23, omega=1.0, beta=1.0)
-    closed = np.array(jc_evolution_map(1.0, 1.2, tr, STANDARD).entries).reshape(2, 2)
+    closed = np.array(jc_evolution_map(1.0, 1.2, tr, STANDARD).entries)
     dense = np.array(induced_population_map(jc_unitary(1.0, 1.2, tr, STANDARD), tr).entries)
-    dense = dense.reshape(2, 2)
     diff = float(np.abs(closed - dense).max())
     return CheckRecord("microscopic-eto", "closed-form-vs-dense", diff, 1e-14)
 

@@ -84,7 +84,8 @@ def numpy_run(cycle):
         if isinstance(prev, WorkStroke):
             points[i] = prev.apply(p)
         else:
-            points[i] = PopulationVector.from_raw(np.array(prev.entries).reshape(2, 2) @ np.array(p))
+            m = np.array(prev.entries).reshape(2, 2)
+            points[i] = PopulationVector.from_raw(m @ np.array(p))
     for i in range(n - 1, last, -1):
         points[i] = strokes[i].apply(points[(i + 1) % n])
     heats = []

@@ -1,4 +1,5 @@
 import copy
+import inspect
 import math
 import pickle
 import struct
@@ -24,20 +25,28 @@ from thermalops import (
     ThreeStrokeConfig,
     apply_map,
     build_map,
+    cumulant_gf,
     eto,
+    eto_approximation_report,
     eto_vs_thermalization_scan,
+    fluctuation_curve,
     full_thermalization_lambda,
     is_markovian,
+    jc_evolution_map,
     otto_steady_state,
     stationary_population,
     thermal_population,
+    three_stroke_omega_for_eta,
     tilted_map_otto,
+    work_at,
+    work_efficiency_curve,
     work_moments,
 )
 from thermalops.maps import (
     DRIFT_FAIL,
     DRIFT_RENORM,
     STOCHASTIC_TOL,
+    _entries_2x2,
     _gibbs_stochastic_entries,
     require_count,
     require_descending,
@@ -280,7 +289,8 @@ def test_build_map_is_the_checked_numpy_map(params):
     assert matrix(m).tobytes() == expected.tobytes()  # bitwise, signed zeros included
     assert type(m.entries) is tuple  # immutable
     assert (m.omega, m.beta_omega) == (omega, beta * omega)
-    np.testing.assert_array_equal(matrix(GibbsStochasticMatrix(matrix(m), omega, beta * omega)), matrix(m))
+    rebuilt = GibbsStochasticMatrix(matrix(m), omega, beta * omega)
+    np.testing.assert_array_equal(matrix(rebuilt), matrix(m))
     assert full_thermalization_lambda(omega, beta) == thermal_population(omega, beta).p_g
 
 
@@ -485,6 +495,60 @@ def test_scan_rows_are_an_array_of_the_grid():
     rows = eto_vs_thermalization_scan(0.5, np.array([0.5, 2.0]))
     assert [len(row) for row in rows] == [3, 3]
     assert [row[0] for row in rows] == [0.5, 2.0]
+
+
+SCANS = {
+    "eto_vs_thermalization_scan": lambda grid: eto_vs_thermalization_scan(0.5, grid),
+    "work_efficiency_curve": lambda grid: work_efficiency_curve(0.5, 1.0, "markov", grid),
+    "fluctuation_curve": lambda grid: fluctuation_curve(0.3, 0.5, 1.0, "infinite", grid),
+    "eto_approximation_report": lambda grid: eto_approximation_report(
+        1.0, FockTruncation(30, 1.0, 1.0), grid
+    ),
+}
+
+
+@pytest.mark.parametrize("scan", SCANS.values(), ids=SCANS)
+@pytest.mark.parametrize(
+    "entry",
+    ["0.2", b"0.2", None, 0.2 + 0j, np.complex128(0.2), True],
+    ids=["string", "bytes", "None", "complex", "numpy-complex", "bool"],
+)
+def test_a_scan_grid_entry_that_is_not_real_is_rejected(scan, entry):
+    # float(x) once parsed the string and read the bool as 1.0
+    assert scan([np.float64(0.2), 0.25]) == scan([0.2, 0.25])
+    with pytest.raises(InvalidParameterError, match="must be real"):
+        scan([0.25, entry])
+
+
+OTTO_CYCLE = OttoConfig.nonmarkov(1.0, 0.5, 1.0, 0.5).cycle()
+# each call with valid arguments, and the names of the ones checked for a real value
+SCALAR_CALLS = [
+    (work_at, (0.3, 0.5, 1.0, 1.0, "markov"), ("eta", "eta_C", "T_H", "omega_H")),
+    (ScanSpec, (0.3, 0.5, 1.0, "markov"), ("eta", "eta_C", "T_H")),
+    (three_stroke_omega_for_eta, (0.3, 0.5, 1.0), ("eta", "eta_C", "T_H")),
+    (work_efficiency_curve, (0.5, 1.0, "markov", [0.2]), ("eta_C", "T_H")),
+    (fluctuation_curve, (0.3, 0.5, 1.0, "infinite", [1.0]), ("eta", "eta_C")),
+    (eto_vs_thermalization_scan, (0.5, [1.0]), ("omega_over_T1",)),
+    (jc_evolution_map, (1.0, 1.2, FockTruncation(30, 1.0, 1.0), "standard"), ("J", "t")),
+    (cumulant_gf, (OTTO_CYCLE, OTTO_CYCLE.steady_state(), 3, 0.1), ("chi",)),
+    (GibbsStochasticMatrix, ([[0.75, 0.5], [0.25, 0.5]], 1.0, LN2), ("omega", "beta_omega")),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, args, name",
+    [(fn, args, name) for fn, args, names in SCALAR_CALLS for name in names],
+    ids=[f"{fn.__name__}-{name}" for fn, _, names in SCALAR_CALLS for name in names],
+)
+@pytest.mark.parametrize("value", ["0.3", None, 0.3j], ids=["string", "None", "complex"])
+def test_a_scalar_that_is_not_real_is_a_parameter_error(fn, args, name, value):
+    # each was compared with a float before any check, a bare TypeError
+    fn(*args)
+    position = inspect.signature(fn).parameters
+    bad = list(args)
+    bad[list(position).index(name)] = value
+    with pytest.raises(InvalidParameterError, match=f"{name} must be real"):
+        fn(*bad)
 
 
 @pytest.mark.parametrize("n", [3, np.int64(3), np.int32(3), np.uint8(3)])
@@ -799,3 +863,93 @@ def test_config_checks_match_the_reference(otto, three, params):
             _outcome(lambda: new(**named)), _outcome(lambda: reference(**named)), params
         )
 
+
+# The matrix reader against its numpy reference: 2x2 arrays of float64,
+# float32, int and bool, and nested lists and tuples of reals, read as the
+# same floats; ragged, 1x4, 3x2 and 3-D input, complex input (numpy's too),
+# a huge int and None raise InvalidParameterError in both.  Where numpy read
+# an entry that is not a real number, the reader raises: numpy's float()
+# parsed numeric strings and bytes, and read a None entry as NaN.
+def _four(elements):
+    return st.lists(elements, min_size=4, max_size=4)
+
+
+def _rows(values):
+    return [list(values[:2]), list(values[2:])]
+
+
+def _with_entry(x):
+    """2x2 nested lists of ``FLOATS`` with ``x`` at one of the four entries."""
+    return st.tuples(_four(FLOATS), st.integers(0, 3)).map(
+        lambda t: _rows([*t[0][: t[1]], x, *t[0][t[1] + 1 :]])
+    )
+
+
+ENTRIES = st.one_of(
+    FLOATS,
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+)
+REAL_MATRICES = st.one_of(
+    _four(FLOATS).map(lambda v: np.array(v).reshape(2, 2)),
+    _four(st.floats(width=32)).map(lambda v: np.array(v, dtype=np.float32).reshape(2, 2)),
+    _four(st.integers(-(2**63), 2**63 - 1)).map(lambda v: np.array(v).reshape(2, 2)),
+    _four(st.booleans()).map(lambda v: np.array(v).reshape(2, 2)),
+    _four(ENTRIES).map(_rows),
+    _four(ENTRIES).map(lambda v: tuple(map(tuple, _rows(v)))),
+)
+COMPLEX = st.one_of(st.complex_numbers(), st.complex_numbers().map(np.complex128))
+MALFORMED = st.one_of(
+    _four(ENTRIES).map(lambda v: [v[:2], v[2:3]]),  # ragged
+    _four(ENTRIES).map(lambda v: [v]),  # 1x4
+    _four(FLOATS).map(lambda v: np.array(v).reshape(1, 4)),
+    st.lists(ENTRIES, min_size=6, max_size=6).map(lambda v: [v[:2], v[2:4], v[4:]]),  # 3x2
+    st.lists(FLOATS, min_size=6, max_size=6).map(lambda v: np.array(v).reshape(3, 2)),
+    st.lists(FLOATS, min_size=8, max_size=8).map(lambda v: np.array(v).reshape(2, 2, 2)),
+    _four(_four(FLOATS)).map(_rows),  # 3-D nested lists
+    _four(FLOATS).map(lambda v: np.array(v).reshape(2, 2, 1)),
+    _four(COMPLEX).map(_rows),
+    _four(COMPLEX).map(lambda v: np.array(v).reshape(2, 2)),
+    _with_entry(0.5j),
+    _with_entry(10**400),
+    st.just(None),
+)
+NOT_REAL = st.one_of(
+    _with_entry(None),
+    _four(FLOATS).map(lambda v: _rows([repr(x) for x in v])),
+    _four(FLOATS).map(lambda v: _rows([repr(x).encode() for x in v])),
+    _four(FLOATS).map(lambda v: np.array(v).reshape(2, 2).astype(str)),
+)
+
+
+def _read(reader, m):
+    try:
+        return [x.hex() for x in reader(m)]
+    except InvalidParameterError:
+        return InvalidParameterError
+
+
+@settings(max_examples=1000)
+@given(
+    st.one_of(
+        st.tuples(st.just("real"), REAL_MATRICES),
+        st.tuples(st.just("malformed"), MALFORMED),
+        st.tuples(st.just("not-real"), NOT_REAL),
+    )
+)
+@example(("real", [[True, 0], [np.float32(0.1), 2**70]]))
+@example(("malformed", [[10**400, 0.0], [0.0, 1.0]]))
+@example(("malformed", np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)))
+@example(("not-real", [["1", "0"], ["0", "1"]]))
+def test_the_matrix_reader_matches_its_numpy_reference(case):
+    kind, m = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no ComplexWarning on the way
+        got, reference = _read(_entries_2x2, m), _read(oracles.entries_2x2, m)
+    if kind == "not-real":
+        assert got is InvalidParameterError and reference is not InvalidParameterError
+    else:
+        assert got == reference
+        assert (got is InvalidParameterError) == (kind == "malformed")

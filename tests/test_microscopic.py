@@ -211,8 +211,20 @@ def test_induced_map_rejects_an_evolution_that_loses_the_trace(u):
         np.full((4, 4), "a"),
         [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0]],
         np.full((4, 4), "a", dtype=object),
+        np.eye(4).astype(str),  # the real part of jc_unitary at t = 0, written out
+        np.eye(4).astype(bytes),
+        [[str(x) for x in row] for row in np.eye(4)],
+        np.eye(4).astype(str).astype(object),
     ],
-    ids=["strings", "ragged", "object-strings"],
+    ids=[
+        "strings",
+        "ragged",
+        "object-strings",
+        "numeric-strings",
+        "numeric-bytes",
+        "numeric-string-lists",
+        "object-numeric-strings",
+    ],
 )
 def test_induced_map_rejects_a_malformed_unitary(u):
     with pytest.raises(InvalidParameterError):

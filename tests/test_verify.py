@@ -87,7 +87,7 @@ def test_gibbs_residuals_match_their_oracles():
     assert [r.observed for r in records] == worst
 
 
-def test_gibbs_suite_uses_numpy_only_for_its_draws(monkeypatch):
+def test_gibbs_suite_uses_numpy_only_for_its_draws():
     # the suite reads the checked entries and draws from random.Random:
     # neither it nor maps holds numpy, and it passes
     assert not hasattr(verify, "np") and not hasattr(maps, "np")
