@@ -91,7 +91,7 @@ def _run_fig6(p):
     c3 = three_stroke_config_at(p["eta"], p["eta_C"], p["T_H"]).cycle()
     rows = [
         [ENGINE_CODES[NONMARKOV], w, W / p["T_H"], _pcc(*_cell_sums(hot, cold, m0))]
-        for w, _, _, _, W, hot, cold, m0 in otto
+        for w, _, W, hot, cold, m0 in otto
     ]
     W3, pcc3 = c3.work() / p["T_H"], intercycle_pcc(c3, None)
     rows.append([ENGINE_CODES["three_stroke"], c3.strokes[0].omega, W3, pcc3])

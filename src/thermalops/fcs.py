@@ -107,17 +107,15 @@ def cumulant_gf(tmap: Cycle, p1: PopulationVector, n: int, chi: float) -> float:
     return math.log((a * p1.p_g + b * p1.p_e) + (c * p1.p_g + d * p1.p_e))
 
 
-def _spectral_terms(tmap: Cycle, m0: tuple, p1: PopulationVector | None = None, primitive=False):
-    """``_cell_sums`` of the cycle's strokes; ``m0`` is ``tmap._product()``."""
-    hot, first, cold, *last = tmap.strokes
-    (k1_g, k1_e), (k2_g, k2_e) = first.released, last[0].released if last else (0.0, 0.0)
-    q = k1_e  # Cycle.quantum: what the first work stroke releases from e
-    quanta = (k1_g / q, k1_e / q, k2_g / q, k2_e / q)
-    return _cell_sums(hot.entries, cold.entries, m0, quanta, first.flip, p1, primitive)
+def _spectral_terms(tmap: Cycle, p1: PopulationVector | None = None, primitive=False):
+    """``_cell_sums`` of the cycle's heat maps and map."""
+    hot, first, cold, *_ = tmap.strokes
+    return _cell_sums(hot.entries, cold.entries, tmap._product(), first.flip, p1, primitive)
 
 
-def _cell_sums(hot, cold, m0, quanta=(0.0, 1.0, 0.0, -1.0), flip=False, p1=None, primitive=False):
-    """``(v1, c, 1 - mu)`` in quanta, Otto's by default; ``primitive``: the scaled checks."""
+def _cell_sums(hot, cold, m0, flip=False, p1=None, primitive=False):
+    """``(v1, c, 1 - mu)`` in quanta of the Otto cycle, or the three-stroke one
+    if ``flip``, of heat maps and cycle map ``m0``; ``primitive``: the scaled checks."""
     if primitive and not min(_compose(m0, m0)) > 0.0:  # the entries are finite
         raise NonPrimitiveMapError("untilted cycle map squared has zero entries")
     p_g, p_e = _fixed_point(*m0)
@@ -128,10 +126,10 @@ def _cell_sums(hot, cold, m0, quanta=(0.0, 1.0, 0.0, -1.0), flip=False, p1=None,
     h00, h01, h10, h11 = hot
     c00, c01, c10, c11 = cold
     x_g, x_e = h00 * p_g + h01 * p_e, h10 * p_g + h11 * p_e  # after the hot stroke
-    k1_g, k1_e, k2_g, k2_e = quanta
-    # Cell (a, b): level a after the hot stroke and b after the cold one,
-    # with probability x_a t[b][a] and k1[a] + k2[b] quanta; the Otto quench
-    # back keeps the levels, so b = 0 is the level that ends the cycle in g.
+    # Cell (a, b): level a after the hot stroke and b after the cold one, with probability
+    # x_a t[b][a] and k1[a] + k2[b] quanta: k1 = (-1, 1) and k2 = 0 for the flip, and
+    # k1 = (0, 1), k2 = (0, -1) for the Otto quenches, which keep levels: b = 0 ends in g.
+    k1_g, k1_e, k2_g, k2_e = (-1.0, 1.0, 0.0, 0.0) if flip else (0.0, 1.0, 0.0, -1.0)
     t = (c01, c00, c11, c10) if flip else (c00, c01, c10, c11)
     P0, P1, P2, P3 = x_g * t[0], x_e * t[1], x_g * t[2], x_e * t[3]
     K0, K1, K2, K3 = k1_g + k2_g, k1_e + k2_g, k1_g + k2_e, k1_e + k2_e
@@ -194,7 +192,7 @@ def work_moments(tmap: Cycle, p1: PopulationVector | None, n: int) -> WorkStatis
     n = require_count(n, 1, "cycle count")
     if n > sys.float_info.max:
         raise CountingOverflowError("cycle count beyond the binary64 range")
-    v1, c, g = _spectral_terms(tmap, tmap._product(), p1)
+    v1, c, g = _spectral_terms(tmap, p1)
     return _moments(n, v1, c, g, tmap.work(), tmap.quantum, tmap.strokes[0].omega)
 
 
@@ -217,7 +215,7 @@ def scaled_cumulants(tmap: Cycle) -> tuple[float, float]:
     """Infinite-cycle work mean ``work()`` and variance ``v1 + 2 c / (1 - mu)``
     per cycle.  ``NonPrimitiveMapError`` unless the untilted map is primitive
     (its square strictly positive) with a simple dominant eigenvalue."""
-    terms = _spectral_terms(tmap, tmap._product(), primitive=True)
+    terms = _spectral_terms(tmap, primitive=True)
     return _scaled(*terms, tmap.work(), tmap.quantum)
 
 
@@ -331,7 +329,7 @@ def intercycle_pcc(tmap: Cycle, p1: PopulationVector | None) -> float:
     pair products ``P_i P_j``; below, the clamp still gives [-1, 1], and a
     probe of 162,643 configs of both engines, 17,411 of them with a
     subnormal ``v1``, found none above 1 in magnitude."""
-    return _pcc(*_spectral_terms(tmap, tmap._product(), p1))
+    return _pcc(*_spectral_terms(tmap, p1))
 
 
 def _pcc(v1: float, c: float, _g: float) -> float:

@@ -263,7 +263,7 @@ def eto_deviation(induced: InducedMap, tr: FockTruncation) -> float:
 
 
 def eto_approximation_report(
-    J: float, tr: FockTruncation, t_grid: Sequence[float], kinds: Sequence[str] = JC_KINDS
+    J: float, tr: FockTruncation, t_grid: Sequence[float]
 ) -> dict[str, list[list[float]]]:
     """Deviation from the ETO along a time grid, per coupling kind.
 
@@ -275,7 +275,7 @@ def eto_approximation_report(
         raise InvalidParameterError("time grid must be nonempty")
     w, target = _thermal_weights(tr), eto(tr.omega, tr.beta).entries
     report = {}
-    for kind in kinds:
+    for kind in JC_KINDS:
         entries, rows = _sector_kernel(J, w, kind), []
         for t in times:
             _check_jc(J, t, tr, kind)

@@ -118,11 +118,11 @@ def _work_curve(eta: float, eta_C: float, T_H: float, regime: str):
 
 
 def _otto_fields(eta: float, eta_C: float, T_H: float, regime: str):
-    """``otto_config_at(...).cycle()`` as floats, ``(omega_H, omega_C, omega_H
-    / T_H, omega_C / T_C, work(), hot, cold, m0)`` with the heat maps' checked
-    entries and the map, a function of ``omega_H`` alone: ``eta``, ``eta_C``,
-    the temperatures and the regime are checked here, once, each gap by
-    ``_otto_gaps``.  A coupling is 1/2 or more, so ``work()`` cannot raise."""
+    """``otto_config_at(...).cycle()`` as floats, ``(omega_H, omega_C, work(),
+    hot, cold, m0)`` with the heat maps' checked entries and the map, a
+    function of ``omega_H`` alone: ``eta``, ``eta_C``, the temperatures and
+    the regime are checked here, once, each gap by ``_otto_gaps``.  A
+    coupling is 1/2 or more, so ``work()`` cannot raise."""
     gaps = _otto_gaps(eta, eta_C, T_H)
     couplings = _coupling_rule(T_H, (1.0 - eta_C) * T_H, regime)
 
@@ -131,15 +131,15 @@ def _otto_fields(eta: float, eta_C: float, T_H: float, regime: str):
         l_H, l_C = couplings(omega_H, omega_C)
         hot, cold = _map_entries(a, l_H), _map_entries(b, l_C)
         work = _otto_work(omega_H, omega_C, a, b, hot[1], cold[1])
-        return omega_H, omega_C, a, b, work, hot, cold, _compose(cold, hot)
+        return omega_H, omega_C, work, hot, cold, _compose(cold, hot)
 
     return fields
 
 
 def _otto_gaps(eta: float, eta_C: float, T_H: float):
-    """The first four of ``_otto_fields``' fields, without the couplings, as
-    a function of ``omega_H`` alone: ``eta``, ``eta_C`` and that ``T_H`` is real
-    are checked here, once, and each gap only for ``omega_H > omega_C > 0``,
+    """``(omega_H, omega_C, omega_H / T_H, omega_C / T_C)``, with no couplings,
+    as a function of ``omega_H`` alone: ``eta``, ``eta_C`` and that ``T_H`` is
+    real are checked here, once, and each gap only for ``omega_H > omega_C > 0``,
     which also fails for NaN, a bool or an ``omega_C`` that underflows to 0.
     The caller checks the temperatures (``_coupling_rule``)."""
     _require_real(eta=eta, eta_C=eta_C, T_H=T_H)
@@ -410,13 +410,13 @@ def fluctuation_curve(
         fields = _otto_fields(eta, eta_C, unit, regime)
         rows = []
         for omega_H in grid:
-            w_H, w_C, _, _, work, hot, cold, m0 = fields(math.ldexp(omega_H, -e))
+            w_H, w_C, work, hot, cold, m0 = fields(math.ldexp(omega_H, -e))
             terms = _cell_sums(hot, cold, m0, primitive=horizon == INFINITE)
             mean, ratio = _fluctuation_point(horizon, terms, work, w_H - w_C, w_H)
             rows.append([omega_H, mean / unit, ratio / unit])
         out[regime] = rows
     c3 = three_stroke_config_at(eta, eta_C, unit).cycle()
-    terms = _spectral_terms(c3, c3._product(), primitive=horizon == INFINITE)
+    terms = _spectral_terms(c3, primitive=horizon == INFINITE)
     mean, ratio = _fluctuation_point(horizon, terms, c3.work(), c3.quantum, c3.strokes[0].omega)
     out[THREE_STROKE_ENGINE] = [math.ldexp(c3.strokes[0].omega, e), mean / unit, ratio / unit]
     return out

@@ -340,10 +340,10 @@ def test_bisection_finds_the_one_sign_change_and_beats_the_grid(regime, eta_C, e
     # where eta or eta_C - eta is near 1e-12 (the corners below), where it
     # reaches 1.3e-4 relative.
     eta = eta_C * eta_share
-    fields = optimize._otto_fields(eta, eta_C, T_H, regime)
+    gaps = optimize._otto_gaps(eta, eta_C, T_H)
     slope = optimize._log_work_slope(regime)
     grid = optimize._logspace(1e-3 * T_H, 20.0 * T_H, 200)
-    rising = [slope(*fields(w)[2:4]) > 0.0 for w in grid]
+    rising = [slope(*gaps(w)[2:4]) > 0.0 for w in grid]
     assert rising[0] and not rising[-1]
     assert rising == sorted(rising, reverse=True)
     rec = maximize_work(ScanSpec(eta, eta_C, T_H, regime, 1e-3 * T_H, 20.0 * T_H))
