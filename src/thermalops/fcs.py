@@ -80,6 +80,15 @@ def tilted_map_three_stroke(cfg: ThreeStrokeConfig) -> Cycle:
     return cfg.cycle()
 
 
+def _require_records(tmap, p1, optional: bool) -> None:
+    """``InvalidParameterError`` unless ``tmap`` is a ``Cycle``, not say a
+    config, and ``p1`` a ``PopulationVector``, or None where ``optional``."""
+    if not isinstance(tmap, Cycle):
+        raise InvalidParameterError(f"expected a Cycle, got {type(tmap).__name__}")
+    if not (isinstance(p1, PopulationVector) or optional and p1 is None):
+        raise InvalidParameterError(f"p1 must be a PopulationVector, got {type(p1).__name__}")
+
+
 def cumulant_gf(tmap: Cycle, p1: PopulationVector, n: int, chi: float) -> float:
     """N-cycle cumulant generating function ``G_N(chi)``; zero at ``chi = 0``.
 
@@ -88,6 +97,7 @@ def cumulant_gf(tmap: Cycle, p1: PopulationVector, n: int, chi: float) -> float:
     N-cycle paths: each weight lies in ``[e^-600, e^600]`` under
     ``EXP_BUDGET`` and the probabilities sum to 1, so it is finite and > 0.
     """
+    _require_records(tmap, p1, False)
     n = require_count(n, 1, "cycle count")
     if n > sys.float_info.max:
         raise CountingOverflowError("cycle count beyond the binary64 range")
@@ -108,7 +118,8 @@ def cumulant_gf(tmap: Cycle, p1: PopulationVector, n: int, chi: float) -> float:
 
 
 def _spectral_terms(tmap: Cycle, p1: PopulationVector | None = None, primitive=False):
-    """``_cell_sums`` of the cycle's heat maps and map."""
+    """``_cell_sums`` of the cycle's heat maps and map; ``p1`` may be None."""
+    _require_records(tmap, p1, True)
     hot, first, cold, *_ = tmap.strokes
     return _cell_sums(hot.entries, cold.entries, tmap._product(), first.flip, p1, primitive)
 

@@ -230,12 +230,12 @@ def require_descending(**values: float) -> None:
     """Require ``v1 > v2 > ... > 0`` in keyword order (one value: ``v > 0``).
     NaN fails the comparisons and bools are rejected, not read as 0 or 1; so
     is a value that is not a ``numbers.Real``: a string, None, a complex
-    number (numpy's compare with floats) or an array (of one value too)."""
+    number (numpy's compare with floats) or an array (of one value too), and
+    a real that no float holds (``10**400``)."""
     vals = tuple(values.values())
     try:  # a float compared with a later, non-real value may raise
         valid = all(
-            (type(a) is float or isinstance(a, numbers.Real) and not isinstance(a, bool)) and a > b
-            for a, b in zip(vals, vals[1:] + (0.0,))
+            (type(a) is float or _is_real(a)) and a > b for a, b in zip(vals, vals[1:] + (0.0,))
         )
     except (TypeError, ValueError):
         valid = False
@@ -254,12 +254,24 @@ def require_unit_interval(**values: float) -> None:
             raise InvalidParameterError(f"{name} must lie in [0, 1], got {v}")
 
 
+def _is_real(v) -> bool:
+    """Whether ``v`` is a ``numbers.Real``, not a bool, that a float holds:
+    ``float(10**400)`` raises ``OverflowError``."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return False
+    try:
+        float(v)
+    except OverflowError:
+        return False
+    return True
+
+
 def _require_real(**values) -> None:
-    """Raise ``InvalidParameterError`` for a value that is not a
-    ``numbers.Real`` or is a bool, which comparing it with a float would let
-    raise a bare ``TypeError`` or read as 0 or 1."""
+    """Raise ``InvalidParameterError`` for a value that is not ``_is_real``,
+    which comparing it with a float would let raise a bare ``TypeError``,
+    read as 0 or 1, or let overflow on the next product."""
     for name, v in values.items():
-        if type(v) is not float and (isinstance(v, bool) or not isinstance(v, numbers.Real)):
+        if type(v) is not float and not _is_real(v):
             raise InvalidParameterError(f"{name} must be real, got {v!r}")
 
 
@@ -274,10 +286,14 @@ def _real_grid(values, name: str) -> list[float]:
 
 
 def _real(x) -> float:
-    """``float(x)`` of a ``numbers.Real``; a string, bytes or complex ``x`` raises ``TypeError``."""
+    """``float(x)`` of a ``numbers.Real``; a string, bytes or complex ``x`` raises
+    ``TypeError``, and a real that no float holds (``10**400``) ``ValueError``."""
     if type(x) is not float and not isinstance(x, numbers.Real):
         raise TypeError(f"{x!r} is not real")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError as exc:
+        raise ValueError(exc) from None
 
 
 def require_count(n, minimum: int, name: str) -> int:
@@ -420,7 +436,7 @@ def _entries_2x2(m) -> list[float]:
             raise TypeError(f"{rows!r} has a row of bytes")
         (m00, m01), (m10, m11) = rows
         return [_real(m00), _real(m01), _real(m10), _real(m11)]
-    except (TypeError, ValueError, OverflowError) as exc:  # float() of a huge int overflows
+    except (TypeError, ValueError) as exc:
         raise InvalidParameterError(f"expected a real 2x2 matrix: {exc}") from None
 
 

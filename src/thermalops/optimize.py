@@ -89,6 +89,7 @@ def otto_config_at(
     gaps of the config are absolute energies, like ``T_H``.  The couplings
     are those ``otto._coupling_rule`` gives the regime.  ``eta`` and
     ``eta_C`` each lie in (0, 1); ``eta > eta_C`` gives a refrigerator."""
+    _require_real(eta=eta, eta_C=eta_C, T_H=T_H, omega_H=omega_H)
     omega_C = (1.0 - eta) * omega_H
     T_C = (1.0 - eta_C) * T_H
     return OttoConfig._in_regime(regime, T_H, T_C, omega_H, omega_C)

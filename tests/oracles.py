@@ -343,7 +343,7 @@ def from_raw(values):
     ``from_raw`` rejects as not real."""
     try:
         p_g, p_e = map(_real, values)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # float(10**400) overflows
         raise InvalidParameterError(f"expected two real populations: {exc}") from None
     overshoot = max(0.0, -p_g, -p_e, p_g - 1.0, p_e - 1.0)
     drift = max(overshoot, abs(p_g + p_e - 1.0))
@@ -383,10 +383,20 @@ def gibbs_stochastic_entries(m00, m01, m10, m11, q):
     return entries
 
 
+def _overflows(x) -> bool:
+    """Whether ``x`` is a real that no float holds: ``float(10**400)`` overflows."""
+    if isinstance(x, numbers.Real):
+        try:
+            float(x)
+        except OverflowError:
+            return True
+    return False
+
+
 def require_descending(**values):
     vals = tuple(values.values())
     for a, b in zip(vals, vals[1:] + (0.0,)):
-        if isinstance(a, bool) or not a > b:
+        if isinstance(a, bool) or not a > b or _overflows(a):
             raise InvalidParameterError(f"need {' > '.join(values)} > 0, got {vals}")
 
 

@@ -1,0 +1,97 @@
+"""The library's typed boundary: a public callable given one bad argument
+raises a ``ThermalOpsError``, not a bare ``TypeError``, ``OverflowError`` or
+``AttributeError`` from deep inside, and does not accept it silently.
+
+Each row is a callable, the name of one argument and the bad value put in
+place of it in the callable's known-good call; the known-good call must
+succeed first.  The rows are a string or None where a float goes, a real
+that no float holds (``10**400``), a config where a cycle goes and a
+string or None where a population goes.  A value past the known-good
+call is appended: ``eto_approximation_report`` takes no list of kinds.
+"""
+
+import inspect
+
+import pytest
+
+from thermalops import (
+    FockTruncation,
+    OttoConfig,
+    PopulationVector,
+    ScanSpec,
+    ThermalOpsError,
+    cumulant_gf,
+    eto_approximation_report,
+    fluctuation_curve,
+    intercycle_pcc,
+    scaled_cumulants,
+    work_at,
+    work_efficiency_curve,
+    work_moments,
+)
+from thermalops.optimize import otto_config_at, three_stroke_omega_for_eta
+
+HUGE = 10**400
+CONFIG = OttoConfig.nonmarkov(1.0, 0.5, 1.0, 0.25)
+CYCLE = CONFIG.cycle()
+
+GOOD = {
+    otto_config_at: (0.3, 0.5, 1.0, 1.0, "markov"),
+    work_at: (0.3, 0.5, 1.0, 1.0, "markov"),
+    ScanSpec: (0.3, 0.5, 1.0, "markov", 1e-3, 20.0),
+    fluctuation_curve: (0.3, 0.5, 1.0, "infinite", [1.0]),
+    work_efficiency_curve: (0.5, 1.0, "markov", [0.2]),
+    three_stroke_omega_for_eta: (0.3, 0.5, 1.0),
+    PopulationVector.from_raw: ([0.5, 0.5],),
+    OttoConfig: (2.0, 1.0, 1.0, 0.5, 1.0, 1.0),
+    work_moments: (CYCLE, None, 3),
+    scaled_cumulants: (CYCLE,),
+    intercycle_pcc: (CYCLE, None),
+    cumulant_gf: (CYCLE, CYCLE.steady_state(), 3, 0.1),
+    eto_approximation_report: (1.0, FockTruncation(30, 1.0, 1.0), [0.5, 1.0]),
+}
+
+ROWS = [
+    *[
+        (otto_config_at, name, value)
+        for name in ("eta", "eta_C", "T_H", "omega_H")
+        for value in ("0.3", None, HUGE)
+    ],
+    (work_at, "T_H", HUGE),
+    (work_at, "omega_H", HUGE),
+    (ScanSpec, "T_H", HUGE),
+    (ScanSpec, "omega_hi", HUGE),
+    (fluctuation_curve, "T_H", HUGE),
+    (fluctuation_curve, "omega_H_grid", [HUGE]),
+    (work_efficiency_curve, "T_H", HUGE),
+    (work_efficiency_curve, "eta_grid", [HUGE]),
+    (three_stroke_omega_for_eta, "T_H", HUGE),
+    (PopulationVector.from_raw, "values", [HUGE, 0.0]),
+    (OttoConfig, "omega_H", HUGE),
+    (work_moments, "tmap", CONFIG),
+    (work_moments, "p1", "p1"),
+    (scaled_cumulants, "tmap", CONFIG),
+    (intercycle_pcc, "tmap", CONFIG),
+    (intercycle_pcc, "p1", (0.75, 0.25)),
+    (cumulant_gf, "tmap", CONFIG),
+    (cumulant_gf, "p1", None),
+    (eto_approximation_report, "kinds", ("standard",)),
+]
+
+
+def _row_id(fn, name, value) -> str:
+    shown = "huge" if value is HUGE or value == [HUGE] else type(value).__name__
+    return f"{getattr(fn, '__qualname__', fn.__name__)}-{name}-{shown}"
+
+
+@pytest.mark.parametrize("fn, name, value", ROWS, ids=[_row_id(*row) for row in ROWS])
+def test_one_bad_argument_raises_a_typed_error(fn, name, value):
+    args = list(GOOD[fn])
+    fn(*args)
+    names = list(inspect.signature(fn).parameters)
+    position = names.index(name) if name in names else len(args)
+    # past the known-good call, Python's own TypeError: too many arguments
+    expected = ThermalOpsError if position < len(args) else TypeError
+    args[position : position + 1] = [value]
+    with pytest.raises(expected):
+        fn(*args)

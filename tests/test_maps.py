@@ -760,6 +760,7 @@ CONTAINERS = st.sampled_from([tuple, list, iter, lambda v: (*v, 0.5), lambda v: 
 @example(("x", 0.5), lambda v: (*v, 0.5))
 @example(("0.5", "0.5"), list)
 @example((b"0.5", 0.5), tuple)
+@example((10**400, 0.0), list)
 def test_from_raw_and_the_constructor_match_the_reference(pair, container):
     assert_same_outcome(
         _outcome(PopulationVector.from_raw, container(pair)),
@@ -840,6 +841,8 @@ def config_fields(valid: tuple):
 )
 @example((math.inf, 1.0, 1.0, 0.5, 1.0, 1.0), (1.0, math.inf, 0.5, 1.0, 1.0), (math.inf, 1.0, 0.5))
 @example((2.0, 1.0, 1.0, 0.5, True, 1.0), (1.0, 1.0, 0.5, 1, 1.0), (1.0, 1.0, False))
+@example((10**400, 1.0, 1.0, 0.5, 1.0, 1.0), (10**400, 1.0, 0.5, 1.0, 1.0), (10**400, 1.0, 0.5))
+@example((2.0, 1.0, 10**400, 0.5, 1.0, 1.0), (1.0, 10**400, 0.5, 1.0, 1.0), (1.0, 10**400, 0.5))
 def test_config_checks_match_the_reference(otto, three, params):
     names = OttoConfig._fields
     assert_same_outcome(
