@@ -46,10 +46,10 @@ matrix, any 2x2 nested sequence of reals (``_entries_2x2``), and a map
 from ``build_map`` pass the same float checks of their four entries
 (``_gibbs_stochastic_entries``); ``build_map`` and an engine's ``cycle()``
 then wrap what they built without checking it again (``_unchecked``).  The
-cycle product, tilted or not (``Cycle.tilted``), its fixed point,
-``Cycle.run`` and ``apply_map`` compute on those floats (``_compose``,
-``_fixed_point``), which round alike on every platform, where a numpy 2x2
-product may use a fused multiply-add.
+cycle product, tilted or not (``Cycle.tilted``), its fixed point, the steady
+cycle (``_steady_cycle``, behind ``Cycle.run`` and the reports) and
+``apply_map`` compute on those floats (``_compose``, ``_fixed_point``), which
+round alike on every platform, where a numpy 2x2 product may use an FMA.
 
 Value types are named tuples: ``PopulationVector``, ``ThermalOpParams``,
 ``WorkStroke`` and ``CycleReport`` (of both engines) here, and the configs
@@ -559,15 +559,27 @@ class Cycle(_Frozen):
         return PopulationVector.from_raw(_fixed_point(*self._product()))
 
     def run(self) -> tuple:
-        """One steady cycle ``(p1, p2, p3, W, Q_H, Q_C)``: the populations
-        entering the hot, first work and cold strokes, ``work()`` and the
-        heats absorbed; the cold stroke ends at p1 (quench back keeps it)."""
+        """One steady cycle ``(p1, p2, p3, W, Q_H, Q_C)``, ``_steady_cycle`` of
+        the heat strokes: the populations entering the hot, first work and
+        cold strokes, ``work()`` and the heats absorbed; the cold stroke ends
+        at p1 (quench back keeps it)."""
         hot, first, cold, *_ = self.strokes
-        p1 = self.steady_state()
-        p2 = apply_map(hot, p1)
-        p3 = first.apply(p2)
-        Q_H, Q_C = hot.omega * (p2.p_e - p1.p_e), cold.omega * (p1.p_e - p3.p_e)
-        return p1, p2, p3, self.work(), Q_H, Q_C
+        args = hot.entries, cold.entries, hot.omega, cold.omega, hot.beta_omega, cold.beta_omega
+        return _steady_cycle(*args, first.flip)
+
+
+def _steady_cycle(hot: tuple, cold: tuple, w_H, w_C, a, b, flip: bool) -> tuple:
+    """``Cycle.run`` of heat maps with entries ``hot`` and ``cold``, gaps and
+    exponents, in the operations of the stroke walk; ``flip``: three strokes."""
+    stay_g, down, up, stay_e = hot
+    m = _compose(cold, (up, stay_e, stay_g, down) if flip else hot)
+    p_g, p_e = p1 = PopulationVector.from_raw(_fixed_point(*m))
+    p2 = PopulationVector.from_raw((stay_g * p_g + down * p_e, up * p_g + stay_e * p_e))
+    p3 = tuple.__new__(PopulationVector, (p2.p_e, p2.p_g)) if flip else p2
+    Q_H, Q_C = w_H * (p2.p_e - p_e), w_C * (p_e - p3.p_e)
+    if flip:  # the couplings are read from the entries, as by Cycle.work
+        return p1, p2, p3, _three_stroke_work(w_H, a, b, down, cold[1]), Q_H, Q_C
+    return p1, p2, p3, _otto_work(w_H, w_C, a, b, down, cold[1]), Q_H, Q_C
 
 
 class CycleReport(NamedTuple):

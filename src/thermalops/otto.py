@@ -41,7 +41,9 @@ from .maps import (
     WorkStroke,
     _build_map,
     _Checked,
+    _map_entries,
     _otto_work,
+    _steady_cycle,
     _unchecked,
     build_map,  # noqa: F401  (bench/tests/test_bench.py reads thermalops.otto.build_map)
     require_descending,
@@ -180,8 +182,11 @@ def otto_steady_state(cfg: OttoConfig) -> PopulationVector:
 
 
 def otto_cycle_report(cfg: OttoConfig) -> CycleReport:
-    """Steady-cycle report with ``eta = 1 - omega_C / omega_H``; a warning past Carnot."""
-    run = cfg.cycle().run()
+    """Steady-cycle report with ``eta = 1 - omega_C / omega_H``; a warning past
+    Carnot.  ``cfg.cycle().run()`` on the config's floats (``_steady_cycle``)."""
+    w_H, w_C, T_H, T_C, l_H, l_C = cfg
+    a, b = w_H / T_H, w_C / T_C
+    run = _steady_cycle(_map_entries(a, l_H), _map_entries(b, l_C), w_H, w_C, a, b, False)
     eta = cfg.efficiency
     if eta >= cfg.carnot_efficiency:
         warnings.warn(

@@ -19,6 +19,7 @@ from collections import namedtuple
 
 from .errors import NotAnEngineWarning, ZeroHeatError
 from .maps import Cycle, CycleReport, PopulationVector, WorkStroke, _unchecked
+from .maps import _map_entries, _steady_cycle
 from .otto import MARKOV, NONMARKOV, EngineConfig
 
 _HEAT_TOL = 1e-14
@@ -72,8 +73,10 @@ def three_stroke_steady_state(cfg: ThreeStrokeConfig) -> PopulationVector:
 def three_stroke_report(cfg: ThreeStrokeConfig) -> CycleReport:
     """Steady-cycle report with ``eta = W / Q_H``: ``ZeroHeatError`` unless
     ``|Q_H| > 1e-14 * omega`` (so a ``Q_H`` of 0 where that underflows, or
-    NaN), a warning if ``W <= 0``."""
-    p1, p2, p3, W, Q_H, Q_C = cfg.cycle().run()
+    NaN), a warning if ``W <= 0``.  As ``otto_cycle_report``, on floats."""
+    a, b = cfg.omega / cfg.T_H, cfg.omega / cfg.T_C
+    hot, cold = _map_entries(a, cfg.lambda_H), _map_entries(b, cfg.lambda_C)
+    p1, p2, p3, W, Q_H, Q_C = _steady_cycle(hot, cold, cfg.omega, cfg.omega, a, b, True)
     if not abs(Q_H) > _HEAT_TOL * cfg.omega:
         raise ZeroHeatError("Q_H vanishes; efficiency undefined")
     if W <= 0.0:

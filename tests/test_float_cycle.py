@@ -185,6 +185,14 @@ def test_float_cycle_matches_the_numpy_oracle(cfg, x):
 @example(OttoConfig(1.0, 0.5, 1.0, 0.5, 0.0, 0.0))  # both maps idle: degenerate
 @example(ThreeStrokeConfig.nonmarkov(0.4, 1.0, 0.5))
 @example(ThreeStrokeConfig.nonmarkov(1e-320, 1.0, 0.5))  # 1e-14 * omega underflows
+# the reports read the couplings from the entries, as Cycle.work does; the
+# config's -0.0 would make the Otto W -0.0, where the walk gives 0.0
+@example(OttoConfig(1.0, 0.5, 1.0, 0.5, -0.0, 1.0))
+@example(ThreeStrokeConfig(1.0, 1.0, 0.5, -0.0, 1.0))  # idle heat stroke: no heat
+@example(OttoConfig(2, 1, 1.0, 0.5, 1, 1))  # int and Fraction fields
+@example(ThreeStrokeConfig(1, 1.0, 0.5, 1, 1))
+@example(OttoConfig(Fraction(3, 2), Fraction(1, 2), Fraction(1), Fraction(1, 3), 0.9, 0.7))
+@example(ThreeStrokeConfig(Fraction(1, 2), 1.0, Fraction(1, 4), 1.0, Fraction(1, 2)))
 def test_both_reports_are_the_stroke_walk(cfg):
     # one CycleReport for both engines, every field bit for bit from the
     # public pieces: the fixed point of the cycle matrix walked through the
