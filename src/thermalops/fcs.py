@@ -60,6 +60,7 @@ from .maps import (
     _Checked,
     _compose,
     _fixed_point,
+    _require_real,
     require_count,
     require_descending,
 )
@@ -243,6 +244,7 @@ class WorkDistribution(_Checked, namedtuple("WorkDistribution", "n quantum suppo
 
     def __new__(cls, n: int, quantum: float, support: tuple[tuple[float, float], ...]):
         require_count(n, 1, "cycle count")
+        _require_real(n=n)  # n + 0.5 bounds the lattice below
         require_descending(quantum=quantum)
         total = math.fsum(p for _, p in support)
         if not abs(total - 1.0) <= 1e-12:  # NaN fails too

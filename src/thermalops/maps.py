@@ -125,7 +125,8 @@ class PopulationVector(_Checked, namedtuple("PopulationVector", "p_g p_e")):
                 raise InvalidParameterError(f"populations must be real, got {(p_g, p_e)}")
             in_range = 0.0 <= p_g <= 1.0 and 0.0 <= p_e <= 1.0  # NaN fails
             if not in_range or isinstance(p_g, bool) or isinstance(p_e, bool):
-                raise InvalidParameterError(f"populations must lie in [0, 1], got ({p_g}, {p_e})")
+                shown = f"({_shown(p_g, str)}, {_shown(p_e, str)})"
+                raise InvalidParameterError(f"populations must lie in [0, 1], got {shown}")
         if abs(p_g + p_e - 1.0) > DRIFT_RENORM:
             raise InvalidParameterError(
                 f"populations must sum to 1 within {DRIFT_RENORM}, got sum {p_g + p_e}"
@@ -240,7 +241,7 @@ def require_descending(**values: float) -> None:
     except (TypeError, ValueError):
         valid = False
     if not valid:
-        raise InvalidParameterError(f"need {' > '.join(values)} > 0, got {vals}")
+        raise InvalidParameterError(f"need {' > '.join(values)} > 0, got {_shown(vals)}")
 
 
 def require_unit_interval(**values: float) -> None:
@@ -251,7 +252,7 @@ def require_unit_interval(**values: float) -> None:
         if type(v) is not float and not isinstance(v, numbers.Real):
             raise InvalidParameterError(f"{name} must be real, got {v!r}")
         if isinstance(v, bool) or not 0.0 <= v <= 1.0:
-            raise InvalidParameterError(f"{name} must lie in [0, 1], got {v}")
+            raise InvalidParameterError(f"{name} must lie in [0, 1], got {_shown(v, str)}")
 
 
 def _is_real(v) -> bool:
@@ -272,12 +273,31 @@ def _require_real(**values) -> None:
     read as 0 or 1, or let overflow on the next product."""
     for name, v in values.items():
         if type(v) is not float and not _is_real(v):
-            raise InvalidParameterError(f"{name} must be real, got {v!r}")
+            raise InvalidParameterError(f"{name} must be real, got {_shown(v)}")
+
+
+def _shown(v, show=repr) -> str:
+    """``show(v)``, where an int with more digits than Python will print
+    (``sys.get_int_max_str_digits``), also in a tuple, shows as ``<int of N
+    bits>``, so that the message of a rejected value can be formatted."""
+    try:
+        return show(v)
+    except ValueError:
+        if type(v) is tuple:
+            return f"({', '.join(map(_shown, v))}{',' * (len(v) == 1)})"
+        if isinstance(v, int):
+            return f"<int of {v.bit_length()} bits>"
+        return f"<{type(v).__name__} too long to print>"
 
 
 def _real_grid(values, name: str) -> list[float]:
-    """A grid's entries as floats, each checked by ``_require_real``."""
-    grid = list(values)
+    """A grid's entries as floats, each checked by ``_require_real``; a grid
+    that is not iterable raises ``InvalidParameterError`` too."""
+    try:
+        grid = list(values)
+    except TypeError:
+        message = f"{name} must be iterable, got {type(values).__name__}"
+        raise InvalidParameterError(message) from None
     if not all(type(x) is float for x in grid):
         for x in grid:
             _require_real(**{f"{name} entry": x})
@@ -302,15 +322,14 @@ def require_count(n, minimum: int, name: str) -> int:
     ``int`` skips the ABC check, which costs ten times as much."""
     integral = type(n) is int or not isinstance(n, bool) and isinstance(n, numbers.Integral)
     if not integral or n < minimum:
-        raise InvalidParameterError(f"{name} must be an integer >= {minimum}, got {n!r}")
+        raise InvalidParameterError(f"{name} must be an integer >= {minimum}, got {_shown(n)}")
     return int(n)
 
 
 def _boltzmann_factor(omega: float, beta: float) -> float:
-    """``exp(-beta * omega)``, for real ``omega, beta > 0``."""
+    """``exp(-beta * omega)``, for ``_require_real`` ``omega, beta > 0``."""
     if not (type(omega) is float is type(beta) and omega > 0.0 and beta > 0.0):
-        if not (isinstance(omega, numbers.Real) and isinstance(beta, numbers.Real)):
-            raise InvalidParameterError(f"omega and beta must be real, got {(omega, beta)}")
+        _require_real(omega=omega, beta=beta)
         if not (omega > 0.0 and beta > 0.0):
             raise InvalidParameterError(
                 f"omega and beta must be > 0, got omega={omega}, beta={beta}"

@@ -68,6 +68,7 @@ class FockTruncation(_Checked, namedtuple("FockTruncation", "n_max omega beta ta
 
     def __new__(cls, n_max: int, omega: float, beta: float, tail_bound: float = 1e-10):
         require_count(n_max, 0, "n_max")
+        _require_real(n_max=n_max)  # n_max + 1 multiplies a float in tail_weight
         require_descending(omega=omega)
         require_descending(beta=beta)
         require_descending(tail_bound=tail_bound)

@@ -5,9 +5,11 @@ raises a ``ThermalOpsError``, not a bare ``TypeError``, ``OverflowError`` or
 Each row is a callable, the name of one argument and the bad value put in
 place of it in the callable's known-good call; the known-good call must
 succeed first.  The rows are a string or None where a float goes, a real
-that no float holds (``10**400``), a config where a cycle goes and a
-string or None where a population goes.  A value past the known-good
-call is appended: ``eto_approximation_report`` takes no list of kinds.
+that no float holds (``10**400``) where a float, a count or a grid goes, an
+int with more digits than Python prints (``10**5000``), whose message must
+still be formatted, a config where a cycle goes and a string or None where
+a population goes.  A value past the known-good call is appended:
+``eto_approximation_report`` takes no list of kinds.
 """
 
 import inspect
@@ -16,22 +18,29 @@ import pytest
 
 from thermalops import (
     FockTruncation,
+    InvalidParameterError,
     OttoConfig,
     PopulationVector,
     ScanSpec,
     ThermalOpsError,
+    WorkDistribution,
     cumulant_gf,
     eto_approximation_report,
+    eto_vs_thermalization_scan,
     fluctuation_curve,
+    full_thermalization_lambda,
     intercycle_pcc,
     scaled_cumulants,
+    thermal_population,
     work_at,
     work_efficiency_curve,
     work_moments,
 )
+from thermalops.maps import _require_real, require_descending, require_unit_interval
 from thermalops.optimize import otto_config_at, three_stroke_omega_for_eta
 
 HUGE = 10**400
+LONG = 10**5000  # past the 4300 digits that str() and repr() of an int allow
 CONFIG = OttoConfig.nonmarkov(1.0, 0.5, 1.0, 0.25)
 CYCLE = CONFIG.cycle()
 
@@ -43,12 +52,18 @@ GOOD = {
     work_efficiency_curve: (0.5, 1.0, "markov", [0.2]),
     three_stroke_omega_for_eta: (0.3, 0.5, 1.0),
     PopulationVector.from_raw: ([0.5, 0.5],),
+    PopulationVector: (0.5, 0.5),
     OttoConfig: (2.0, 1.0, 1.0, 0.5, 1.0, 1.0),
     work_moments: (CYCLE, None, 3),
     scaled_cumulants: (CYCLE,),
     intercycle_pcc: (CYCLE, None),
     cumulant_gf: (CYCLE, CYCLE.steady_state(), 3, 0.1),
     eto_approximation_report: (1.0, FockTruncation(30, 1.0, 1.0), [0.5, 1.0]),
+    thermal_population: (1.0, 1.0),
+    full_thermalization_lambda: (1.0, 1.0),
+    FockTruncation: (30, 1.0, 1.0),
+    WorkDistribution: (1, 1.0, ((1.0, 1.0),)),
+    eto_vs_thermalization_scan: (1.0, [0.5, 2.0]),
 }
 
 ROWS = [
@@ -76,11 +91,30 @@ ROWS = [
     (cumulant_gf, "tmap", CONFIG),
     (cumulant_gf, "p1", None),
     (eto_approximation_report, "kinds", ("standard",)),
+    *[
+        (fn, name, HUGE)
+        for fn in (thermal_population, full_thermalization_lambda)
+        for name in ("omega", "beta")
+    ],
+    (FockTruncation, "n_max", HUGE),
+    (WorkDistribution, "n", HUGE),
+    (eto_vs_thermalization_scan, "t2_over_t1_grid", HUGE),
+    (fluctuation_curve, "omega_H_grid", HUGE),
+    (work_efficiency_curve, "eta_grid", HUGE),
+    (eto_approximation_report, "t_grid", HUGE),
+    (OttoConfig, "omega_H", LONG),
+    (PopulationVector, "p_g", LONG),
+    (work_moments, "n", -LONG),
 ]
 
 
 def _row_id(fn, name, value) -> str:
-    shown = "huge" if value is HUGE or value == [HUGE] else type(value).__name__
+    if value is HUGE and name.endswith("grid"):
+        shown = "huge-scalar"  # not iterable
+    elif value is LONG or value == -LONG:
+        shown = "long"
+    else:
+        shown = "huge" if value is HUGE or value == [HUGE] else type(value).__name__
     return f"{getattr(fn, '__qualname__', fn.__name__)}-{name}-{shown}"
 
 
@@ -95,3 +129,9 @@ def test_one_bad_argument_raises_a_typed_error(fn, name, value):
     args[position : position + 1] = [value]
     with pytest.raises(expected):
         fn(*args)
+
+
+@pytest.mark.parametrize("check", [require_descending, require_unit_interval, _require_real])
+def test_an_int_too_long_to_print_is_shown_by_its_size(check):
+    with pytest.raises(InvalidParameterError, match=r"got \(?<int of 16610 bits>"):
+        check(x=LONG)
