@@ -4,11 +4,12 @@
 
 Imports ``thermalops`` from the source directory ``SRC`` (such as ``src``
 of a checkout), runs every command of ``thermalops.cli.main`` at its
-default parameters once to warm up, then ``N`` times more, and prints the
-best time of each in milliseconds.  Stdout of the commands is captured and
-discarded; a nonzero exit code stops the script.  Import and interpreter
-start-up are not counted, so two source trees are compared by running the
-script on each in turn, alternating which goes first.
+default parameters, then ``verify --suite NAME`` for each suite in
+``thermalops.verify.SUITES``, once to warm up and ``N`` times more, and
+prints the best time of each in milliseconds.  Stdout of the commands is
+captured and discarded; a nonzero exit code stops the script.  Import and
+interpreter start-up are not counted, so two source trees are compared by
+running the script on each in turn, alternating which goes first.
 """
 
 import argparse
@@ -20,16 +21,16 @@ import time
 COMMANDS = ("fig1", "fig4", "fig5", "fig6", "sweep", "micro-report", "verify")
 
 
-def best_ms(main, command: str, repeats: int) -> float:
-    """Best wall time of ``main([command])`` over ``repeats`` runs after one warm-up."""
+def best_ms(main, argv: list[str], repeats: int) -> float:
+    """Best wall time of ``main(argv)`` over ``repeats`` runs after one warm-up."""
     times = []
     for _ in range(repeats + 1):
         with contextlib.redirect_stdout(io.StringIO()):
             start = time.perf_counter()
-            code = main([command])
+            code = main(argv)
             times.append(time.perf_counter() - start)
         if code != 0:
-            raise SystemExit(f"{command} exited with {code}")
+            raise SystemExit(f"{' '.join(argv)} exited with {code}")
     return 1e3 * min(times[1:])
 
 
@@ -40,9 +41,12 @@ def main() -> None:
     args = parser.parse_args()
     sys.path.insert(0, args.src)
     from thermalops.cli import main as cli_main
+    from thermalops.verify import SUITES
 
-    for command in COMMANDS:
-        print(f"{command:<13} {best_ms(cli_main, command, args.repeats):9.3f} ms")
+    runs = [[command] for command in COMMANDS]
+    runs += [["verify", "--suite", name] for name in SUITES]
+    for argv in runs:
+        print(f"{' '.join(argv):<34} {best_ms(cli_main, argv, args.repeats):9.3f} ms")
 
 
 if __name__ == "__main__":
