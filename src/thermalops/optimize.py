@@ -34,7 +34,7 @@ from typing import NamedTuple, Sequence
 from .errors import InvalidParameterError, NoInteriorMaximumWarning, ZeroWorkError
 from .fcs import _cell_sums, _moments, _scaled, _spectral_terms
 from .maps import _Checked, _compose, _map_entries, _otto_work, _three_stroke_work
-from .maps import _real_grid, _require_real, require_descending
+from .maps import _real_grid, _require_real, _shown, require_descending
 from .otto import MARKOV, NONMARKOV, OttoConfig, _coupling_rule
 from .three_stroke import ThreeStrokeConfig
 
@@ -356,7 +356,7 @@ def work_efficiency_curve(
     if not etas or not all(0.0 < eta < eta_C for eta in etas):  # NaN fails too
         raise InvalidParameterError("eta grid must lie strictly inside (0, eta_C)")
     if engine not in ENGINES:
-        raise InvalidParameterError(f"engine must be one of {ENGINES}, got {engine!r}")
+        raise InvalidParameterError(f"engine must be one of {ENGINES}, got {_shown(engine)}")
     if engine == THREE_STROKE_ENGINE:
         return [[eta, three_stroke_config_at(eta, eta_C, T_H).cycle().work() / T_H] for eta in etas]
     window = (1e-3 * T_H, 20.0 * T_H)
@@ -392,7 +392,7 @@ def fluctuation_curve(
     of ``work_moments`` or ``scaled_cumulants``, the three-stroke point its cycle.
     """
     if horizon not in HORIZONS:
-        raise InvalidParameterError(f"horizon must be one of {HORIZONS}, got {horizon!r}")
+        raise InvalidParameterError(f"horizon must be one of {HORIZONS}, got {_shown(horizon)}")
     _require_real(eta=eta, eta_C=eta_C)
     if not 0.0 < eta < eta_C < 1.0:
         raise InvalidParameterError("need 0 < eta < eta_C < 1")

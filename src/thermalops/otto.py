@@ -43,6 +43,7 @@ from .maps import (
     _Checked,
     _map_entries,
     _otto_work,
+    _shown,
     _steady_cycle,
     _unchecked,
     build_map,  # noqa: F401  (bench/tests/test_bench.py reads thermalops.otto.build_map)
@@ -73,7 +74,7 @@ def _coupling_rule(T_H: float, T_C: float, regime: str):
             1.0 / (1.0 + math.exp(-omega_H / T_H)),
             1.0 / (1.0 + math.exp(-omega_C / T_C)),
         )
-    raise InvalidParameterError(f"regime must be one of {REGIMES}, got {regime!r}")
+    raise InvalidParameterError(f"regime must be one of {REGIMES}, got {_shown(regime)}")
 
 
 class EngineConfig(_Checked):

@@ -105,6 +105,9 @@ ROWS = [
     (OttoConfig, "omega_H", LONG),
     (PopulationVector, "p_g", LONG),
     (work_moments, "n", -LONG),
+    (work_at, "regime", LONG),
+    (fluctuation_curve, "horizon", LONG),
+    (work_efficiency_curve, "engine", LONG),
 ]
 
 
