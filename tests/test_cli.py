@@ -835,3 +835,182 @@ def test_unknown_command_exits_with_validation_code(capsys):
     with pytest.raises(SystemExit) as info:
         cli.main(["figx"])
     assert info.value.code == 1
+
+
+def what_main_reads(argv, monkeypatch) -> dict:
+    """The fields ``main`` reads of ``argv``: the command, ``--out``, the
+    format, and the ``--set`` pairs in order (table commands) or the suite
+    (``verify``).  Runners, suites, renderers and the writer are stubbed."""
+    seen = {}
+
+    def runner(name):
+        return lambda params: seen.update(command=name) or (["x"], [])
+
+    def suites(suite):
+        seen.update(command="verify", suite=suite)
+        return []
+
+    def overrides(defaults, pairs):
+        seen.update(overrides=list(pairs or ()))
+        return dict(defaults)
+
+    for name, (defaults, _) in list(cli.COMMANDS.items()):
+        monkeypatch.setitem(cli.COMMANDS, name, (defaults, runner(name)))
+    monkeypatch.setattr(cli, "run_suites", suites)
+    monkeypatch.setattr(cli, "_apply_overrides", overrides)
+    for render, fmt in [("_render_csv", "csv"), ("_render_json", "json")]:
+        monkeypatch.setattr(cli, render, lambda *args, fmt=fmt: fmt)
+    for render, fmt in [("_render_verify_text", "text"), ("_render_verify_json", "json")]:
+        monkeypatch.setattr(cli, render, lambda records, fmt=fmt: fmt)
+    monkeypatch.setattr(cli, "_emit", lambda text, out: seen.update(format=text, out=out))
+    assert cli.main(argv) == 0
+    return seen
+
+
+def table_run(command, out=None, format="csv", overrides=()):
+    return {"command": command, "out": out, "format": format, "overrides": list(overrides)}
+
+
+def verify_run(out=None, format="text", suite="all"):
+    return {"command": "verify", "out": out, "format": format, "suite": suite}
+
+
+# An argument vector and what main reads of it.  A long option takes a
+# unique prefix and the --opt=value form, --out, --format and --suite keep
+# their last value, --set pairs keep their order, and a value may be a
+# negative number or a lone dash.
+GRAMMAR_PARSES = [
+    (["fig1"], table_run("fig1")),
+    (["fig4", "--format=json"], table_run("fig4", format="json")),
+    (["fig5", "--form", "json"], table_run("fig5", format="json")),
+    (["fig6", "--o", "t.csv"], table_run("fig6", out="t.csv")),
+    (["fig1", "--out", "a", "--out=b"], table_run("fig1", out="b")),
+    (["sweep", "--format", "json", "--format", "csv"], table_run("sweep")),
+    (
+        ["sweep", "--set", "b=2", "--set=a=1", "--se", "c=3", "--set", "b=1"],
+        table_run("sweep", overrides=["b=2", "a=1", "c=3", "b=1"]),
+    ),
+    (
+        ["micro-report", "--set", "-1", "--out", "-"],
+        table_run("micro-report", out="-", overrides=["-1"]),
+    ),
+    (["fig1", "--set="], table_run("fig1", overrides=[""])),
+    (["verify"], verify_run()),
+    (
+        ["verify", "--suite", "first-law", "--format", "json", "--out", "v.json"],
+        verify_run("v.json", "json", "first-law"),
+    ),
+    (["verify", "--su=gibbs-fixed-point", "--s", "first-law"], verify_run(suite="first-law")),
+]
+
+
+def argv_id(argv) -> str:
+    return " ".join(argv) or "(none)"
+
+
+@pytest.mark.parametrize(
+    "argv, fields", GRAMMAR_PARSES, ids=[argv_id(argv) for argv, _ in GRAMMAR_PARSES]
+)
+def test_the_grammar_reads_each_argument_vector(argv, fields, monkeypatch):
+    assert what_main_reads(argv, monkeypatch) == fields
+
+
+COMMAND_CHOICES = "(choose from 'fig1', 'fig4', 'fig5', 'fig6', 'sweep', 'micro-report', 'verify')"
+MISSING_COMMAND = "thermalops: error: the following arguments are required: command"
+BAD_FORMAT = "invalid choice: 'xml' (choose from 'csv', 'json')"
+
+# An argument vector and the last stderr line of its usage error, which
+# exits with code 1 after a usage line.  A bad option or value is the
+# command's error, reported as it is read; a missing or unknown command and
+# any token left over are the program's, left-over tokens once the
+# command's options are read.  The only ambiguous prefix is the empty one.
+GRAMMAR_ERRORS = [
+    ([], MISSING_COMMAND),
+    (["--"], MISSING_COMMAND),
+    (["-x"], MISSING_COMMAND),
+    (["figx"], f"thermalops: error: argument command: invalid choice: 'figx' {COMMAND_CHOICES}"),
+    (
+        ["--format", "json"],
+        f"thermalops: error: argument command: invalid choice: 'json' {COMMAND_CHOICES}",
+    ),
+    (["fig1", "extra"], "thermalops: error: unrecognized arguments: extra"),
+    (["-x", "fig1", "-y"], "thermalops: error: unrecognized arguments: -x -y"),
+    (["fig1", "--bogus", "--format", "json"], "thermalops: error: unrecognized arguments: --bogus"),
+    (["verify", "--set", "a=1"], "thermalops: error: unrecognized arguments: --set a=1"),
+    (
+        ["fig1", "--", "--format", "json"],
+        "thermalops: error: unrecognized arguments: -- --format json",
+    ),
+    (
+        ["fig1", "--format", "xml"],
+        f"thermalops fig1: error: argument --format: {BAD_FORMAT}",
+    ),
+    (
+        ["fig1", "extra", "--format", "xml"],
+        f"thermalops fig1: error: argument --format: {BAD_FORMAT}",
+    ),
+    (
+        ["verify", "--format", "csv"],
+        "thermalops verify: error: argument --format: "
+        "invalid choice: 'csv' (choose from 'text', 'json')",
+    ),
+    (["verify", "--suite"], "thermalops verify: error: argument --suite: expected one argument"),
+    (["fig1", "--set", "--out"], "thermalops fig1: error: argument --set: expected one argument"),
+    (["fig1", "--out", "-o"], "thermalops fig1: error: argument --out: expected one argument"),
+    (["fig1", "--out", "--", "x"], "thermalops fig1: error: argument --out: expected one argument"),
+    (
+        ["fig1", "-h", "--=json"],
+        "thermalops fig1: error: ambiguous option: --=json could match "
+        "--help, --out, --format, --set",
+    ),
+    (
+        ["verify", "--=json"],
+        "thermalops verify: error: ambiguous option: --=json could match "
+        "--help, --suite, --out, --format",
+    ),
+    (
+        ["fig1", "--help=x"],
+        "thermalops fig1: error: argument -h/--help: ignored explicit argument 'x'",
+    ),
+    (["-hx"], "thermalops: error: argument -h/--help: ignored explicit argument 'x'"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, error", GRAMMAR_ERRORS, ids=[argv_id(argv) for argv, _ in GRAMMAR_ERRORS]
+)
+def test_a_usage_error_exits_with_the_argparse_message(argv, error, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert (info.value.code, captured.out) == (1, "")
+    assert captured.err.startswith("usage: thermalops")
+    assert captured.err.endswith(f"\n{error}\n")
+
+
+HELP_ARGVS = [
+    ["-h"],
+    ["--help"],
+    ["--he"],
+    ["-x", "-h"],
+    *([name, "-h"] for name in (*cli.COMMANDS, "verify")),
+    ["fig1", "--out", "x", "--help"],
+    ["fig1", "extra", "--h"],
+    ["verify", "-h", "--format", "xml"],
+]
+
+
+@pytest.mark.parametrize("argv", HELP_ARGVS, ids=argv_id)
+def test_help_prints_the_usage_and_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.main(argv)
+    captured = capsys.readouterr()
+    assert (info.value.code, captured.err) == (0, "")
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    if command is None:
+        assert captured.out.startswith("usage: thermalops [-h]")
+        assert all(name in captured.out for name in (*cli.COMMANDS, "verify"))
+    else:
+        assert captured.out.startswith(f"usage: thermalops {command} [-h]")
+        options = ("--suite", "--out", "--format") if command == "verify" else ("--out", "--set")
+        assert all(option in captured.out for option in (*options, "--format"))

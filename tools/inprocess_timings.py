@@ -5,11 +5,14 @@
 Imports ``thermalops`` from the source directory ``SRC`` (such as ``src``
 of a checkout), runs every command of ``thermalops.cli.main`` at its
 default parameters, then ``verify --suite NAME`` for each suite in
-``thermalops.verify.SUITES``, once to warm up and ``N`` times more, and
-prints the best time of each in milliseconds.  Stdout of the commands is
-captured and discarded; a nonzero exit code stops the script.  Import and
-interpreter start-up are not counted, so two source trees are compared by
-running the script on each in turn, alternating which goes first.
+``thermalops.verify.SUITES``, then each table command again with every
+default passed as ``--set KEY=VALUE``, the shape of the benchmark's
+requests, so that the cost of reading the arguments shows.  Each runs once
+to warm up and ``N`` times more, and the best time of each is printed in
+milliseconds.  Stdout of the commands is captured and discarded; a nonzero
+exit code stops the script.  Import and interpreter start-up are not
+counted, so two source trees are compared by running the script on each in
+turn, alternating which goes first.
 """
 
 import argparse
@@ -40,13 +43,17 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=20, help="timed runs per command")
     args = parser.parse_args()
     sys.path.insert(0, args.src)
+    from thermalops.cli import COMMANDS as TABLES
     from thermalops.cli import main as cli_main
     from thermalops.verify import SUITES
 
-    runs = [[command] for command in COMMANDS]
-    runs += [["verify", "--suite", name] for name in SUITES]
-    for argv in runs:
-        print(f"{' '.join(argv):<34} {best_ms(cli_main, argv, args.repeats):9.3f} ms")
+    runs = [(" ".join(argv), argv) for argv in [[command] for command in COMMANDS]]
+    runs += [(f"verify --suite {name}", ["verify", "--suite", name]) for name in SUITES]
+    for name, (defaults, _) in TABLES.items():
+        sets = [arg for key, value in defaults.items() for arg in ("--set", f"{key}={value}")]
+        runs.append((f"{name} --set x{len(defaults)}", [name, *sets]))
+    for label, argv in runs:
+        print(f"{label:<34} {best_ms(cli_main, argv, args.repeats):9.3f} ms")
 
 
 if __name__ == "__main__":
