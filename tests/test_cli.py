@@ -447,6 +447,49 @@ def test_the_package_runs_with_numpy_unimportable(capsys):
     assert maps == [[0.75, 0.5, 0.25, 0.5], [0.75, 0.5, 0.25, 0.5], [0.5, 0.5]]
 
 
+# Makes argparse unimportable and runs each argument vector through main;
+# prints each exit code, that of SystemExit for help, and stdout.
+NO_ARGPARSE_PROBE = """
+import io, json, sys
+from contextlib import redirect_stdout
+
+sys.modules["argparse"] = None
+from thermalops.cli import main
+
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with redirect_stdout(out):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    runs.append([code, out.getvalue()])
+print(json.dumps(runs))
+"""
+
+
+def test_the_cli_runs_with_argparse_unimportable(capsys):
+    # every command at its defaults and every help prints what it prints here
+    names = (*cli.COMMANDS, "verify")
+    argvs = [[name] for name in names] + [["--help"]] + [[name, "--help"] for name in names]
+    src = os.path.dirname(os.path.dirname(thermalops.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", NO_ARGPARSE_PROBE, json.dumps(argvs)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    for argv, (code, text) in zip(argvs, json.loads(done.stdout), strict=True):
+        try:
+            expected = cli.main(argv)
+        except SystemExit as exc:
+            expected = exc.code
+        assert (code, text) == (expected, capsys.readouterr().out), argv
+
+
 def json_rows(argv, capsys):
     assert cli.main([*argv, "--format", "json"]) == 0
     return json.loads(capsys.readouterr().out)["rows"]
@@ -672,10 +715,6 @@ def test_too_few_points_is_a_validation_error(command, points, minimum, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"thermalops {command}: need points >= {minimum}, got points={points}\n"
-
-
-def test_parser_is_built_once():
-    assert cli._build_parser() is cli._build_parser()
 
 
 def test_micro_report_reaches_hot_baths(capsys):
