@@ -322,18 +322,36 @@ def three_stroke_omega_for_eta(eta: float, eta_C: float, T_H: float) -> float:
       (1 - e^(-kappa a))] = 1/(1 - e^(-a)) - kappa/(e^(kappa a) - 1) >
       1/a - 1/a = 0``, so ``eta`` falls strictly on the whole branch.
     """
-    _require_real(eta=eta, eta_C=eta_C, T_H=T_H)
-    if not 0.0 < eta < eta_C < 1.0:
-        raise InvalidParameterError(
-            f"target efficiency {eta} outside the attainable range (0, {eta_C})"
+    return _three_stroke_gaps(eta_C, T_H)(eta)
+
+
+def _three_stroke_gaps(eta_C: float, T_H: float):
+    """``three_stroke_omega_for_eta`` as a function of ``eta`` alone, with its
+    checks.  The zero-work gap depends on ``(eta_C, T_H)`` only, so it is
+    bisected once, on the first call; each call bisects for its own gap in
+    ``[1e-12 * T_H, omega_max]``, the bracket ``three_stroke_omega_for_eta``
+    has always had."""
+    omega_max = None
+
+    def gap(eta: float) -> float:
+        nonlocal omega_max
+        _require_real(eta=eta, eta_C=eta_C, T_H=T_H)
+        if not 0.0 < eta < eta_C < 1.0:
+            raise InvalidParameterError(
+                f"target efficiency {eta} outside the attainable range (0, {eta_C})"
+            )
+        T_C = (1.0 - eta_C) * T_H
+        lo = 1e-12 * T_H
+        if omega_max is None:
+            _coupling_rule(T_H, T_C, NONMARKOV)  # checks the temperatures
+            omega_max = _bisect(
+                lambda w: _three_stroke_work(w, w / T_H, w / T_C, 1.0, 1.0) > 0.0, lo, T_H
+            )
+        return _bisect(
+            lambda w: 1.0 - math.expm1(w / T_H) / -math.expm1(-w / T_C) > eta, lo, omega_max
         )
-    T_C = (1.0 - eta_C) * T_H
-    _coupling_rule(T_H, T_C, NONMARKOV)  # checks the temperatures
-    lo = 1e-12 * T_H
-    omega_max = _bisect(lambda w: _three_stroke_work(w, w / T_H, w / T_C, 1.0, 1.0) > 0.0, lo, T_H)
-    return _bisect(
-        lambda w: 1.0 - math.expm1(w / T_H) / -math.expm1(-w / T_C) > eta, lo, omega_max
-    )
+
+    return gap
 
 
 def three_stroke_config_at(eta: float, eta_C: float, T_H: float) -> ThreeStrokeConfig:
@@ -358,7 +376,11 @@ def work_efficiency_curve(
     if engine not in ENGINES:
         raise InvalidParameterError(f"engine must be one of {ENGINES}, got {_shown(engine)}")
     if engine == THREE_STROKE_ENGINE:
-        return [[eta, three_stroke_config_at(eta, eta_C, T_H).cycle().work() / T_H] for eta in etas]
+        gap, T_C = _three_stroke_gaps(eta_C, T_H), (1.0 - eta_C) * T_H
+        return [
+            [eta, ThreeStrokeConfig.nonmarkov(gap(eta), T_H, T_C).cycle().work() / T_H]
+            for eta in etas
+        ]
     window = (1e-3 * T_H, 20.0 * T_H)
     return [[eta, maximize_work(ScanSpec(eta, eta_C, T_H, engine, *window)).W_star] for eta in etas]
 
