@@ -61,6 +61,7 @@ from .maps import (
     _compose,
     _fixed_point,
     _require_real,
+    _shown,
     require_count,
     require_descending,
 )
@@ -238,7 +239,7 @@ def _scaled(v1: float, c: float, g: float, work: float, quantum: float) -> tuple
 
 class WorkDistribution(_Checked, namedtuple("WorkDistribution", "n quantum support")):
     """Exact N-cycle work distribution on the lattice ``k * quantum``;
-    ``support`` holds ``(work, probability)`` pairs."""
+    ``support`` holds ``(work, probability)`` pairs of reals."""
 
     __slots__ = ()
 
@@ -246,10 +247,11 @@ class WorkDistribution(_Checked, namedtuple("WorkDistribution", "n quantum suppo
         require_count(n, 1, "cycle count")
         _require_real(n=n)  # n + 0.5 bounds the lattice below
         require_descending(quantum=quantum)
-        total = math.fsum(p for _, p in support)
+        pairs = _real_pairs(support)
+        total = math.fsum(p for _, p in pairs)
         if not abs(total - 1.0) <= 1e-12:  # NaN fails too
             raise ConsistencyError(f"probabilities sum to {total}, expected 1")
-        for w, p in support:
+        for w, p in pairs:
             if p < 0.0:
                 raise ConsistencyError(f"negative probability {p} at work {w}")
             k = w / quantum
@@ -265,6 +267,21 @@ class WorkDistribution(_Checked, namedtuple("WorkDistribution", "n quantum suppo
     def variance(self) -> float:
         mu = self.mean()
         return math.fsum((w - mu) ** 2 * p for w, p in self.support)
+
+
+def _real_pairs(support) -> list:
+    """``support`` as a list of ``(work, probability)`` pairs, each value
+    checked by ``_require_real``; anything else raises
+    ``InvalidParameterError``.  Pairs of floats skip the per-value check."""
+    try:
+        pairs = [(w, p) for w, p in support]
+    except (TypeError, ValueError):
+        message = f"support must hold (work, probability) pairs, got {_shown(support)}"
+        raise InvalidParameterError(message) from None
+    if not all(type(w) is float is type(p) for w, p in pairs):
+        for w, p in pairs:
+            _require_real(work=w, probability=p)
+    return pairs
 
 
 def _cycle_branches(cycle: Cycle):

@@ -98,6 +98,10 @@ ROWS = [
     ],
     (FockTruncation, "n_max", HUGE),
     (WorkDistribution, "n", HUGE),
+    (WorkDistribution, "support", HUGE),
+    (WorkDistribution, "support", None),
+    (WorkDistribution, "support", ((1.0,),)),
+    (WorkDistribution, "support", [(1.0, "1.0")]),
     (eto_vs_thermalization_scan, "t2_over_t1_grid", HUGE),
     (fluctuation_curve, "omega_H_grid", HUGE),
     (work_efficiency_curve, "eta_grid", HUGE),
