@@ -561,6 +561,40 @@ def test_fluctuation_tables_pin_seeded_parameters():
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SEEDED_FLUCTUATION_SHA256
 
 
+def seeded_fig4_curves(count: int = 300, seed: int = 39) -> list:
+    """Seeded ``work_efficiency_curve`` arguments, a third for each engine:
+    ``T_H`` from the smallest subnormal to 1e300, ``eta_C`` from 1e-6 to
+    1 - 1e-6 and one to four efficiencies in ``(0, eta_C)``."""
+    rng = random.Random(seed)
+    curves = []
+    for i in range(count):
+        eta_C = rng.choice([1e-6, 1.0 - 1e-6, rng.uniform(1e-6, 1.0 - 1e-6)])
+        T_H = rng.choice([5e-324, 1e-322, 1e-320, 1e-310, 1e-300, 1e-3, 1.0, 1e9, 1e300])
+        etas = sorted(eta_C * rng.uniform(1e-6, 1.0 - 1e-6) for _ in range(rng.randint(1, 4)))
+        curves.append((eta_C, T_H, optimize.ENGINES[i % 3], etas))
+    return curves
+
+
+def curve_outcome(eta_C: float, T_H: float, engine: str, etas: list) -> str:
+    """The rows of the curve, as ``float.hex``, or its raise."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rows = work_efficiency_curve(eta_C, T_H, engine, etas)
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return ";".join(" ".join(x.hex() for x in r) for r in rows)
+
+
+# sha256 of every seeded fig4 curve's outcome
+SEEDED_FIG4_SHA256 = "1283ca6af012dfca2da4e865937db8dfd6f39c5a36c3d691043256874dd3c054"
+
+
+def test_fig4_curves_pin_seeded_parameters():
+    lines = [f"{args[2]} {curve_outcome(*args)}" for args in seeded_fig4_curves()]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SEEDED_FIG4_SHA256
+
+
 def fig4_specs(regime: str) -> list:
     p = COMMANDS["fig4"][0]
     window = (1e-3 * p["T_H"], 20.0 * p["T_H"])
