@@ -347,9 +347,11 @@ def _three_stroke_gaps(eta_C: float, T_H: float):
             omega_max = _bisect(
                 lambda w: _three_stroke_work(w, w / T_H, w / T_C, 1.0, 1.0) > 0.0, lo, T_H
             )
-        return _bisect(
+        omega = _bisect(
             lambda w: 1.0 - math.expm1(w / T_H) / -math.expm1(-w / T_C) > eta, lo, omega_max
         )
+        require_descending(omega=omega)  # 0.0 where lo underflows, below T_H of about 2e-322
+        return omega
 
     return gap
 

@@ -7,7 +7,8 @@ place of it in the callable's known-good call; the known-good call must
 succeed first.  The rows are a string or None where a float goes, a real
 that no float holds (``10**400``) where a float, a count or a grid goes, an
 int with more digits than Python prints (``10**5000``), whose message must
-still be formatted, a config where a cycle goes and a string or None where
+still be formatted, a temperature so small that a bracket scaled from it
+underflows to 0 (``1e-322``), a config where a cycle goes and a string or None where
 a population goes.  A value past the known-good call is appended:
 ``eto_approximation_report`` takes no list of kinds.
 """
@@ -41,6 +42,7 @@ from thermalops.optimize import otto_config_at, three_stroke_omega_for_eta
 
 HUGE = 10**400
 LONG = 10**5000  # past the 4300 digits that str() and repr() of an int allow
+TINY = 1e-322  # 1e-12 * TINY underflows to 0
 CONFIG = OttoConfig.nonmarkov(1.0, 0.5, 1.0, 0.25)
 CYCLE = CONFIG.cycle()
 
@@ -81,6 +83,7 @@ ROWS = [
     (work_efficiency_curve, "T_H", HUGE),
     (work_efficiency_curve, "eta_grid", [HUGE]),
     (three_stroke_omega_for_eta, "T_H", HUGE),
+    (three_stroke_omega_for_eta, "T_H", TINY),  # the gap found would be 0.0
     (PopulationVector.from_raw, "values", [HUGE, 0.0]),
     (OttoConfig, "omega_H", HUGE),
     (work_moments, "tmap", CONFIG),
@@ -120,6 +123,8 @@ def _row_id(fn, name, value) -> str:
         shown = "huge-scalar"  # not iterable
     elif value is LONG or value == -LONG:
         shown = "long"
+    elif value is TINY:
+        shown = "tiny"
     else:
         shown = "huge" if value is HUGE or value == [HUGE] else type(value).__name__
     return f"{getattr(fn, '__qualname__', fn.__name__)}-{name}-{shown}"
