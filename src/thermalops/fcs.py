@@ -239,7 +239,7 @@ def _scaled(v1: float, c: float, g: float, work: float, quantum: float) -> tuple
 
 class WorkDistribution(_Checked, namedtuple("WorkDistribution", "n quantum support")):
     """Exact N-cycle work distribution on the lattice ``k * quantum``;
-    ``support`` holds ``(work, probability)`` pairs of reals."""
+    ``support`` holds ``(work, probability)`` pairs of reals, as a tuple."""
 
     __slots__ = ()
 
@@ -259,7 +259,7 @@ class WorkDistribution(_Checked, namedtuple("WorkDistribution", "n quantum suppo
                 raise ConsistencyError(
                     f"work value {w} is not a lattice point within +-{n} quanta"
                 )
-        return tuple.__new__(cls, (n, quantum, support))
+        return tuple.__new__(cls, (n, quantum, pairs))
 
     def mean(self) -> float:
         return math.fsum(w * p for w, p in self.support)
@@ -269,12 +269,12 @@ class WorkDistribution(_Checked, namedtuple("WorkDistribution", "n quantum suppo
         return math.fsum((w - mu) ** 2 * p for w, p in self.support)
 
 
-def _real_pairs(support) -> list:
-    """``support`` as a list of ``(work, probability)`` pairs, each value
+def _real_pairs(support) -> tuple:
+    """``support`` as a tuple of ``(work, probability)`` pairs, each value
     checked by ``_require_real``; anything else raises
     ``InvalidParameterError``.  Pairs of floats skip the per-value check."""
     try:
-        pairs = [(w, p) for w, p in support]
+        pairs = tuple([(w, p) for w, p in support])
     except (TypeError, ValueError):
         message = f"support must hold (work, probability) pairs, got {_shown(support)}"
         raise InvalidParameterError(message) from None

@@ -425,6 +425,17 @@ def test_work_distribution_validation():
         WorkDistribution(1, 1.0, ((0.0, 1.5), (1.0, -0.5)))  # sums to 1
 
 
+def test_work_distribution_keeps_the_pairs_it_read():
+    # a generator is spent by the checks; the record keeps the pairs as a tuple
+    pairs = [(1.0, 0.25), (-1.0, 0.75)]
+    records = [
+        WorkDistribution(1, 1.0, support)
+        for support in ((pair for pair in pairs), pairs, tuple(pairs), [list(p) for p in pairs])
+    ]
+    assert all(dist == records[2] and dist.support == tuple(pairs) for dist in records)
+    assert {(dist.mean(), dist.variance()) for dist in records} == {(-0.5, 0.75)}
+
+
 def test_enumeration_from_a_state_of_zero_weight():
     # q = e^-800 is 0.0, so the hot ETO empties e and the steady state is
     # exactly g: paths from e carry weight 0 and the support is one point
