@@ -28,8 +28,8 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .errors import ThermalOpsError
-from .fcs import _cell_sums, _pcc, intercycle_pcc
-from .maps import eto_vs_thermalization_scan
+from .fcs import _cell_sums, _pcc
+from .maps import _cycle_work, eto_vs_thermalization_scan
 from .microscopic import JC_KINDS, FockTruncation, eto_approximation_report
 from .optimize import (
     ENGINES,
@@ -93,14 +93,12 @@ def _run_fig5(p):
 def _run_fig6(p):
     grid = _log_grid(p, "omega_lo", "omega_hi")
     fields = _otto_fields(p["eta"], p["eta_C"], p["T_H"], NONMARKOV)
-    otto = [fields(w) for w in grid]  # every gap checked before the three-stroke point
-    c3 = three_stroke_config_at(p["eta"], p["eta_C"], p["T_H"]).cycle()
+    cycles = [(NONMARKOV, fields(w)) for w in grid]  # every gap checked before three_stroke
+    three = three_stroke_config_at(p["eta"], p["eta_C"], p["T_H"])._cycle_floats()
     rows = [
-        [ENGINE_CODES[NONMARKOV], w, W / p["T_H"], _pcc(*_cell_sums(hot, cold, m0))]
-        for w, _, W, hot, cold, m0 in otto
+        [ENGINE_CODES[engine], c[2], _cycle_work(*c) / p["T_H"], _pcc(*_cell_sums(c))]
+        for engine, c in [*cycles, ("three_stroke", three)]
     ]
-    W3, pcc3 = c3.work() / p["T_H"], intercycle_pcc(c3, None)
-    rows.append([ENGINE_CODES["three_stroke"], c3.strokes[0].omega, W3, pcc3])
     return ["engine", "omega_H", "W", "pcc"], rows
 
 

@@ -120,15 +120,17 @@ def cumulant_gf(tmap: Cycle, p1: PopulationVector, n: int, chi: float) -> float:
 
 
 def _spectral_terms(tmap: Cycle, p1: PopulationVector | None = None, primitive=False):
-    """``_cell_sums`` of the cycle's heat maps and map; ``p1`` may be None."""
+    """``_cell_sums`` of the cycle; ``p1`` may be None."""
     _require_records(tmap, p1, True)
-    hot, first, cold, *_ = tmap.strokes
-    return _cell_sums(hot.entries, cold.entries, tmap._product(), first.flip, p1, primitive)
+    return _cell_sums(tmap._floats(), p1, primitive)
 
 
-def _cell_sums(hot, cold, m0, flip=False, p1=None, primitive=False):
-    """``(v1, c, 1 - mu)`` in quanta of the Otto cycle, or the three-stroke one
-    if ``flip``, of heat maps and cycle map ``m0``; ``primitive``: the scaled checks."""
+def _cell_sums(cycle: tuple, p1=None, primitive=False):
+    """``(v1, c, 1 - mu)`` in quanta of a cycle's floats (``Cycle._floats``),
+    Otto or, if it flips, three-stroke; ``primitive``: the scaled checks.  ``m0``
+    is ``Cycle._product()``: the flip swaps the levels after the hot stroke."""
+    hot, cold, *_, flip = cycle
+    m0 = _compose(cold, (hot[2], hot[3], hot[0], hot[1]) if flip else hot)
     if primitive and not min(_compose(m0, m0)) > 0.0:  # the entries are finite
         raise NonPrimitiveMapError("untilted cycle map squared has zero entries")
     p_g, p_e = _fixed_point(*m0)

@@ -391,19 +391,19 @@ def build_map(params: ThermalOpParams) -> GibbsStochasticMatrix:
     bitwise the entries of the numpy expression, signed zeros included.
     They are checked once, by the same code as a user's matrix.
     """
-    return _build_map(params.omega, params.beta * params.omega, params.lam)
+    beta_omega = params.beta * params.omega
+    return _heat_map(_map_entries(beta_omega, params.lam), params.omega, beta_omega)
 
 
-def _build_map(omega: float, beta_omega: float, lam: float) -> GibbsStochasticMatrix:
-    """``build_map`` on values its caller has checked as ``ThermalOpParams``
-    would, with the exponent ``beta_omega`` of the Boltzmann factor formed
-    by the caller: ``beta * omega``, or ``omega / T`` for an engine."""
-    fields = {"entries": _map_entries(beta_omega, lam), "omega": omega, "beta_omega": beta_omega}
+def _heat_map(entries: tuple, omega: float, beta_omega: float) -> GibbsStochasticMatrix:
+    """The map of ``_map_entries``' checked entries, its gap and the exponent
+    ``beta_omega``: ``beta * omega``, or ``omega / T`` for an engine."""
+    fields = {"entries": entries, "omega": omega, "beta_omega": beta_omega}
     return _unchecked(GibbsStochasticMatrix, fields)
 
 
 def _map_entries(beta_omega: float, lam: float) -> tuple[float, float, float, float]:
-    """The checked entries of ``_build_map``'s map, with no map around them."""
+    """The checked entries of ``build_map``'s map, with no map around them."""
     q = math.exp(-beta_omega)
     keep = 1.0 - lam
     return _gibbs_stochastic_entries(
@@ -545,12 +545,8 @@ class Cycle(_Frozen):
 
     def work(self) -> float:
         """Steady work per cycle: the engine's closed form in each heat map's
-        gap, exponent ``beta_omega`` and coupling ``m[0, 1]``."""
-        hot, _, cold, *last = self.strokes
-        a, b, l_H, l_C = hot.beta_omega, cold.beta_omega, hot.entries[1], cold.entries[1]
-        if last:
-            return _otto_work(hot.omega, cold.omega, a, b, l_H, l_C)
-        return _three_stroke_work(hot.omega, a, b, l_H, l_C)
+        gap, exponent ``beta_omega`` and coupling ``m[0, 1]`` (``_cycle_work``)."""
+        return _cycle_work(*self._floats())
 
     def tilted(self, chi: float) -> tuple[float, float, float, float]:
         """Cycle map ``S_k @ ... @ S_1`` as row-major floats, with every
@@ -578,27 +574,36 @@ class Cycle(_Frozen):
         return PopulationVector.from_raw(_fixed_point(*self._product()))
 
     def run(self) -> tuple:
-        """One steady cycle ``(p1, p2, p3, W, Q_H, Q_C)``, ``_steady_cycle`` of
-        the heat strokes: the populations entering the hot, first work and
-        cold strokes, ``work()`` and the heats absorbed; the cold stroke ends
-        at p1 (quench back keeps it)."""
+        """One steady cycle ``(p1, p2, p3, W, Q_H, Q_C)`` (``_steady_cycle``): the
+        populations entering the hot, first work and cold strokes, ``work()`` and
+        the heats absorbed; the cold stroke ends at p1, which the quench back keeps."""
+        return _steady_cycle(*self._floats())
+
+    def _floats(self) -> tuple:
+        """``(hot, cold, omega_H, omega_C, a, b, flip)``: the heat maps' entries,
+        gaps and ``beta_omega``, and whether the first work stroke flips."""
         hot, first, cold, *_ = self.strokes
-        args = hot.entries, cold.entries, hot.omega, cold.omega, hot.beta_omega, cold.beta_omega
-        return _steady_cycle(*args, first.flip)
+        a, b = hot.beta_omega, cold.beta_omega
+        return hot.entries, cold.entries, hot.omega, cold.omega, a, b, first.flip
 
 
 def _steady_cycle(hot: tuple, cold: tuple, w_H, w_C, a, b, flip: bool) -> tuple:
-    """``Cycle.run`` of heat maps with entries ``hot`` and ``cold``, gaps and
-    exponents, in the operations of the stroke walk; ``flip``: three strokes."""
+    """``Cycle.run`` of a cycle's ``_floats``, in the operations of the stroke
+    walk; ``flip``: three strokes."""
     stay_g, down, up, stay_e = hot
     m = _compose(cold, (up, stay_e, stay_g, down) if flip else hot)
     p_g, p_e = p1 = PopulationVector.from_raw(_fixed_point(*m))
     p2 = PopulationVector.from_raw((stay_g * p_g + down * p_e, up * p_g + stay_e * p_e))
     p3 = tuple.__new__(PopulationVector, (p2.p_e, p2.p_g)) if flip else p2
     Q_H, Q_C = w_H * (p2.p_e - p_e), w_C * (p_e - p3.p_e)
-    if flip:  # the couplings are read from the entries, as by Cycle.work
-        return p1, p2, p3, _three_stroke_work(w_H, a, b, down, cold[1]), Q_H, Q_C
-    return p1, p2, p3, _otto_work(w_H, w_C, a, b, down, cold[1]), Q_H, Q_C
+    return p1, p2, p3, _cycle_work(hot, cold, w_H, w_C, a, b, flip), Q_H, Q_C
+
+
+def _cycle_work(hot: tuple, cold: tuple, w_H, w_C, a, b, flip: bool) -> float:
+    """``Cycle.work`` of a cycle's ``_floats``, with the couplings ``m[0][1]``."""
+    if flip:
+        return _three_stroke_work(w_H, a, b, hot[1], cold[1])
+    return _otto_work(w_H, w_C, a, b, hot[1], cold[1])
 
 
 class CycleReport(NamedTuple):

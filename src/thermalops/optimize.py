@@ -32,8 +32,8 @@ from collections import namedtuple
 from typing import NamedTuple, Sequence
 
 from .errors import InvalidParameterError, NoInteriorMaximumWarning, ZeroWorkError
-from .fcs import _cell_sums, _moments, _scaled, _spectral_terms
-from .maps import _Checked, _compose, _map_entries, _otto_work, _three_stroke_work
+from .fcs import _cell_sums, _moments, _scaled
+from .maps import _Checked, _cycle_work, _map_entries, _otto_work, _three_stroke_work
 from .maps import _real_grid, _require_real, _shown, require_descending
 from .otto import MARKOV, NONMARKOV, OttoConfig, _coupling_rule
 from .three_stroke import ThreeStrokeConfig
@@ -119,20 +119,17 @@ def _work_curve(eta: float, eta_C: float, T_H: float, regime: str):
 
 
 def _otto_fields(eta: float, eta_C: float, T_H: float, regime: str):
-    """``otto_config_at(...).cycle()`` as floats, ``(omega_H, omega_C, work(),
-    hot, cold, m0)`` with the heat maps' checked entries and the map, a
-    function of ``omega_H`` alone: ``eta``, ``eta_C``, the temperatures and
-    the regime are checked here, once, each gap by ``_otto_gaps``.  A
-    coupling is 1/2 or more, so ``work()`` cannot raise."""
+    """``otto_config_at(...)._cycle_floats()`` as a function of ``omega_H``
+    alone: ``eta``, ``eta_C``, the temperatures and the regime are checked
+    here, once, each gap by ``_otto_gaps``.  A coupling is 1/2 or more, so
+    the work (``maps._cycle_work``) cannot raise."""
     gaps = _otto_gaps(eta, eta_C, T_H)
     couplings = _coupling_rule(T_H, (1.0 - eta_C) * T_H, regime)
 
     def fields(omega_H: float) -> tuple:
         omega_H, omega_C, a, b = gaps(omega_H)
         l_H, l_C = couplings(omega_H, omega_C)
-        hot, cold = _map_entries(a, l_H), _map_entries(b, l_C)
-        work = _otto_work(omega_H, omega_C, a, b, hot[1], cold[1])
-        return omega_H, omega_C, work, hot, cold, _compose(cold, hot)
+        return _map_entries(a, l_H), _map_entries(b, l_C), omega_H, omega_C, a, b, False
 
     return fields
 
@@ -380,15 +377,19 @@ def work_efficiency_curve(
     if engine == THREE_STROKE_ENGINE:
         gap, T_C = _three_stroke_gaps(eta_C, T_H), (1.0 - eta_C) * T_H
         return [
-            [eta, ThreeStrokeConfig.nonmarkov(gap(eta), T_H, T_C).cycle().work() / T_H]
+            [eta, _three_stroke_work(w := gap(eta), w / T_H, w / T_C, 1.0, 1.0) / T_H]
             for eta in etas
         ]
     window = (1e-3 * T_H, 20.0 * T_H)
     return [[eta, maximize_work(ScanSpec(eta, eta_C, T_H, engine, *window)).W_star] for eta in etas]
 
 
-def _fluctuation_point(horizon: str, terms, work, quantum, omega) -> tuple[float, float]:
-    """Work mean and variance-to-mean ratio of a cycle's ``_cell_sums`` at the horizon."""
+def _fluctuation_point(horizon: str, cycle: tuple) -> tuple[float, float]:
+    """Work mean and variance-to-mean ratio at the horizon of a cycle's floats
+    (``maps.Cycle._floats``)."""
+    terms = _cell_sums(cycle, primitive=horizon == INFINITE)
+    _, _, omega, omega_C, _, _, flip = cycle
+    work, quantum = _cycle_work(*cycle), omega if flip else omega - omega_C
     if horizon == SINGLE_CYCLE:
         stats = _moments(1, *terms, work, quantum, omega)
         return stats.mean, stats.ratio
@@ -412,8 +413,8 @@ def fluctuation_curve(
     Returns, per Otto regime, rows ``[omega_H, W, ratio]`` of floats over the
     gap grid, and the three-stroke point, one such row, under ``"three_stroke"``,
     at one cycle or in the infinite-cycle scaled limit (``horizon``).  An Otto
-    row reads its config's cycle as floats (``_otto_fields``) with the checks
-    of ``work_moments`` or ``scaled_cumulants``, the three-stroke point its cycle.
+    row (``_otto_fields``) and the three-stroke point read their config's
+    cycle as floats, with the checks of ``work_moments`` or ``scaled_cumulants``.
     """
     if horizon not in HORIZONS:
         raise InvalidParameterError(f"horizon must be one of {HORIZONS}, got {_shown(horizon)}")
@@ -435,13 +436,10 @@ def fluctuation_curve(
         fields = _otto_fields(eta, eta_C, unit, regime)
         rows = []
         for omega_H in grid:
-            w_H, w_C, work, hot, cold, m0 = fields(math.ldexp(omega_H, -e))
-            terms = _cell_sums(hot, cold, m0, primitive=horizon == INFINITE)
-            mean, ratio = _fluctuation_point(horizon, terms, work, w_H - w_C, w_H)
+            mean, ratio = _fluctuation_point(horizon, fields(math.ldexp(omega_H, -e)))
             rows.append([omega_H, mean / unit, ratio / unit])
         out[regime] = rows
-    c3 = three_stroke_config_at(eta, eta_C, unit).cycle()
-    terms = _spectral_terms(c3, primitive=horizon == INFINITE)
-    mean, ratio = _fluctuation_point(horizon, terms, c3.work(), c3.quantum, c3.strokes[0].omega)
-    out[THREE_STROKE_ENGINE] = [math.ldexp(c3.strokes[0].omega, e), mean / unit, ratio / unit]
+    cycle = three_stroke_config_at(eta, eta_C, unit)._cycle_floats()
+    mean, ratio = _fluctuation_point(horizon, cycle)
+    out[THREE_STROKE_ENGINE] = [math.ldexp(cycle[2], e), mean / unit, ratio / unit]
     return out

@@ -36,11 +36,10 @@ from .errors import InvalidParameterError, NotAnEngineWarning, RegimeMismatchErr
 from .maps import (
     Cycle,
     CycleReport,
-    GibbsStochasticMatrix,
     PopulationVector,
     WorkStroke,
-    _build_map,
     _Checked,
+    _heat_map,
     _map_entries,
     _otto_work,
     _shown,
@@ -98,15 +97,20 @@ class EngineConfig(_Checked):
                 raise InvalidParameterError(f"{name} must be finite, got inf")
         return self
 
-    # the fields were checked in __new__, so the maps skip ThermalOpParams;
-    # omega / T stays finite at a subnormal T, where 1 / T overflows
-    def hot_map(self) -> GibbsStochasticMatrix:
-        omega = getattr(self, self.GAPS[0])
-        return _build_map(omega, omega / self.T_H, self.lambda_H)
+    def _cycle_floats(self) -> tuple:
+        """The floats of ``maps._steady_cycle``: the heat maps' checked entries, the
+        gaps, ``omega / T`` at each bath and whether the first work stroke flips."""
+        flip = len(self) == 5  # the three-stroke config's one gap is both gaps
+        w_H, w_C, T_H, T_C, l_H, l_C = (self[0], *self) if flip else self
+        a, b = w_H / T_H, w_C / T_C
+        return _map_entries(a, l_H), _map_entries(b, l_C), w_H, w_C, a, b, flip
 
-    def cold_map(self) -> GibbsStochasticMatrix:
-        omega = getattr(self, self.GAPS[-1])
-        return _build_map(omega, omega / self.T_C, self.lambda_C)
+    def cycle(self) -> Cycle:
+        """The strokes of ``_cycle_floats`` from point 1, (heat, quench, cool, quench
+        back) or (heat, flip, cool): checked fields, linked gaps, so unchecked."""
+        hot, cold, w_H, w_C, a, b, flip = self._cycle_floats()
+        strokes = (_heat_map(hot, w_H, a), WorkStroke(w_H, w_C, flip), _heat_map(cold, w_C, b))
+        return _unchecked(Cycle, {"strokes": strokes if flip else (*strokes, WorkStroke(w_C, w_H))})
 
     @classmethod
     def _in_regime(cls, regime: str, T_H: float, T_C: float, *gaps: float):
@@ -169,13 +173,6 @@ class OttoConfig(
     def carnot_efficiency(self) -> float:
         return 1.0 - self.T_C / self.T_H
 
-    def cycle(self) -> Cycle:
-        """Heat at omega_H, quench to omega_C, cool, quench back: linked, unchecked."""
-        w_H, w_C, T_H, T_C, l_H, l_C = self
-        hot, cold = _build_map(w_H, w_H / T_H, l_H), _build_map(w_C, w_C / T_C, l_C)
-        strokes = (hot, WorkStroke(w_H, w_C), cold, WorkStroke(w_C, w_H))
-        return _unchecked(Cycle, {"strokes": strokes})
-
 
 def otto_steady_state(cfg: OttoConfig) -> PopulationVector:
     """Cyclostationary populations at point 1 (start of the heat stroke)."""
@@ -185,9 +182,7 @@ def otto_steady_state(cfg: OttoConfig) -> PopulationVector:
 def otto_cycle_report(cfg: OttoConfig) -> CycleReport:
     """Steady-cycle report with ``eta = 1 - omega_C / omega_H``; a warning past
     Carnot.  ``cfg.cycle().run()`` on the config's floats (``_steady_cycle``)."""
-    w_H, w_C, T_H, T_C, l_H, l_C = cfg
-    a, b = w_H / T_H, w_C / T_C
-    run = _steady_cycle(_map_entries(a, l_H), _map_entries(b, l_C), w_H, w_C, a, b, False)
+    run = _steady_cycle(*cfg._cycle_floats())
     eta = cfg.efficiency
     if eta >= cfg.carnot_efficiency:
         warnings.warn(

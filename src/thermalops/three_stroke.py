@@ -18,8 +18,7 @@ import warnings
 from collections import namedtuple
 
 from .errors import NotAnEngineWarning, ZeroHeatError
-from .maps import Cycle, CycleReport, PopulationVector, WorkStroke, _unchecked
-from .maps import _map_entries, _steady_cycle
+from .maps import CycleReport, PopulationVector, _steady_cycle
 from .otto import MARKOV, NONMARKOV, EngineConfig
 
 _HEAT_TOL = 1e-14
@@ -55,11 +54,6 @@ class ThreeStrokeConfig(
         """Both heat strokes fully thermalize the qubit, as in ``OttoConfig.markov``."""
         return cls._in_regime(MARKOV, T_H, T_C, omega)
 
-    def cycle(self) -> Cycle:
-        """Heat, flip, cool: the strokes link the gap, so ``Cycle``'s check is skipped."""
-        strokes = (self.hot_map(), WorkStroke(self.omega, self.omega, flip=True), self.cold_map())
-        return _unchecked(Cycle, {"strokes": strokes})
-
     def requires_eto(self):
         """Closed forms hold only for extremal operations (``nonmarkov``)."""
         self._require_regime(NONMARKOV)
@@ -74,9 +68,7 @@ def three_stroke_report(cfg: ThreeStrokeConfig) -> CycleReport:
     """Steady-cycle report with ``eta = W / Q_H``: ``ZeroHeatError`` unless
     ``|Q_H| > 1e-14 * omega`` (so a ``Q_H`` of 0 where that underflows, or
     NaN), a warning if ``W <= 0``.  As ``otto_cycle_report``, on floats."""
-    a, b = cfg.omega / cfg.T_H, cfg.omega / cfg.T_C
-    hot, cold = _map_entries(a, cfg.lambda_H), _map_entries(b, cfg.lambda_C)
-    p1, p2, p3, W, Q_H, Q_C = _steady_cycle(hot, cold, cfg.omega, cfg.omega, a, b, True)
+    p1, p2, p3, W, Q_H, Q_C = _steady_cycle(*cfg._cycle_floats())
     if not abs(Q_H) > _HEAT_TOL * cfg.omega:
         raise ZeroHeatError("Q_H vanishes; efficiency undefined")
     if W <= 0.0:

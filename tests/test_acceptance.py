@@ -98,12 +98,12 @@ def test_criterion_1_closed_form_steady_states():
                 for cfg, regime in ((nm, "nonmarkov"), (mk, "markov")):
                     p1_exact, p3_exact = analytic_populations(cfg, regime)
                     p1 = otto_steady_state(cfg)
-                    p3 = apply_map(cfg.hot_map(), p1)
+                    p3 = apply_map(cfg.cycle().strokes[0], p1)
                     worst = max(worst, abs(p1.p_e - p1_exact), abs(p3.p_e - p3_exact))
                 if b > a:  # three-stroke needs T_H > T_C, i.e. the upper triangle
                     cfg3 = ThreeStrokeConfig.nonmarkov(1.0, 1.0 / a, 1.0 / b)
                     p1 = three_stroke_steady_state(cfg3)
-                    p2 = apply_map(cfg3.hot_map(), p1)
+                    p2 = apply_map(cfg3.cycle().strokes[0], p1)
                     worst = max(
                         worst,
                         abs(p1.p_e - 1.0 / (1.0 + math.exp(a + b))),

@@ -76,8 +76,8 @@ def tilted_and_steady(cfg):
 
 def brute_force_paths(cfg, n):
     """All 4^n per-start trajectories as (probability, per-cycle works)."""
-    hot = np.array(cfg.hot_map().entries).reshape(2, 2)
-    cold = np.array(cfg.cold_map().entries).reshape(2, 2)
+    hot = np.array(cfg.cycle().strokes[0].entries).reshape(2, 2)
+    cold = np.array(cfg.cycle().strokes[2].entries).reshape(2, 2)
     is_otto = isinstance(cfg, OttoConfig)
     _, p1 = tilted_and_steady(cfg)
     quantum = cfg.cycle().quantum
@@ -112,14 +112,14 @@ def distribution_from_paths(paths):
 def test_tilted_otto_untilted_limit():
     cfg = otto_config(LN2, LN4)
     tmap = tilted_map_otto(cfg)
-    hot, cold = (np.array(m.entries).reshape(2, 2) for m in (cfg.hot_map(), cfg.cold_map()))
+    hot, cold = (np.array(m.entries).reshape(2, 2) for m in cfg.cycle().strokes[:3:2])
     np.testing.assert_allclose(np.array(tmap.tilted(0.0)).reshape(2, 2), cold @ hot, atol=1e-15)
 
 
 def test_tilted_three_stroke_untilted_limit():
     cfg = three_stroke_config(0.5, 1.5)
     tmap = tilted_map_three_stroke(cfg)
-    hot, cold = (np.array(m.entries).reshape(2, 2) for m in (cfg.hot_map(), cfg.cold_map()))
+    hot, cold = (np.array(m.entries).reshape(2, 2) for m in cfg.cycle().strokes[:3:2])
     composed = cold @ SWAP @ hot
     np.testing.assert_allclose(np.array(tmap.tilted(0.0)).reshape(2, 2), composed, atol=1e-15)
 
@@ -382,8 +382,8 @@ def test_eto_cooling_from_excited_is_deterministic():
     # excited -> excited through the cool stroke is forbidden under ETO, so
     # every zero-work cycle must come from the ground -> ground branch alone
     cfg = otto_config(0.8, 1.6)
-    hot = np.array(cfg.hot_map().entries).reshape(2, 2)
-    cold = np.array(cfg.cold_map().entries).reshape(2, 2)
+    hot = np.array(cfg.cycle().strokes[0].entries).reshape(2, 2)
+    cold = np.array(cfg.cycle().strokes[2].entries).reshape(2, 2)
     assert cold[1, 1] == 0.0
     dist = enumerate_work_distribution(cfg, 1)
     zero = {round(w, 12): p for w, p in dist.support}.get(0.0, 0.0)

@@ -461,7 +461,7 @@ def test_stationary_population_of_identity_is_degenerate():
 def test_a_heat_map_at_a_subnormal_T_is_rebuilt_from_its_fields(cfg):
     # the map keeps omega / T, which is finite where 1 / T overflows, so its
     # own fields rebuild its entries
-    for h, T in ((cfg.hot_map(), cfg.T_H), (cfg.cold_map(), cfg.T_C)):
+    for h, T in ((cfg.cycle().strokes[0], cfg.T_H), (cfg.cycle().strokes[2], cfg.T_C)):
         assert h.beta_omega == h.omega / T and 0.0 < h.entries[2] < 1.0
         assert GibbsStochasticMatrix(matrix(h), h.omega, h.beta_omega).entries == h.entries
 def test_scan_fixed_point_at_equal_temperatures():

@@ -107,7 +107,7 @@ def test_work_strokes_freeze_populations():
     rep = quiet(otto_cycle_report, cfg)
     assert rep.p2 == rep.p3
     # the quench back keeps the populations: the cold stroke closes the cycle
-    assert abs(apply_map(cfg.cold_map(), rep.p3).p_e - rep.p1.p_e) <= DRIFT_RENORM
+    assert abs(apply_map(cfg.cycle().strokes[2], rep.p3).p_e - rep.p1.p_e) <= DRIFT_RENORM
 
 
 def test_carnot_pinned_thermalization_gives_zero_work():
@@ -210,7 +210,7 @@ def test_analytic_matches_solver_random():
         for cfg, regime in ((otto_config(a, b), "nonmarkov"), (markov_config(a, b), "markov")):
             p1_exact, p3_exact = analytic_populations(cfg, regime)
             p1 = otto_steady_state(cfg)
-            p3 = apply_map(cfg.hot_map(), p1)
+            p3 = apply_map(cfg.cycle().strokes[0], p1)
             assert abs(p1.p_e - p1_exact) <= 1e-12
             assert abs(p3.p_e - p3_exact) <= 1e-12
 
