@@ -2,26 +2,31 @@
 
     python tools/inprocess_timings.py SRC [--repeats N]
 
-Imports ``thermalops`` from the source directory ``SRC`` (such as ``src``
-of a checkout), runs every command of ``thermalops.cli.main`` at its
-default parameters, then ``verify --suite NAME`` for each suite in
-``thermalops.verify.SUITES``, then each table command again with every
-default passed as ``--set KEY=VALUE``, the shape of the benchmark's
-requests, so that the cost of reading the arguments shows.  Each runs once
-to warm up and ``N`` times more, and the best time of each is printed in
-milliseconds.  Stdout of the commands is captured and discarded; a nonzero
-exit code stops the script.  Import and interpreter start-up are not
-counted, so two source trees are compared by running the script on each in
-turn, alternating which goes first.
+Prints the line count of each module of the ``thermalops`` package under
+the source directory ``SRC`` (such as ``src`` of a checkout) and their
+total, as ``wc -l`` counts them.  Then imports ``thermalops`` from ``SRC``,
+runs every command of ``thermalops.cli.main`` at its default parameters,
+then ``verify --suite NAME`` for each suite in ``thermalops.verify.SUITES``,
+then ``fig5`` and ``fig6`` at ``points=10``, where the one three-stroke
+point of a table costs the largest share, then each table command again
+with every default passed as ``--set KEY=VALUE``, the shape of the
+benchmark's requests, so that the cost of reading the arguments shows.
+Each runs once to warm up and ``N`` times more, and the best time of each
+is printed in milliseconds.  Stdout of the commands is captured and
+discarded; a nonzero exit code stops the script.  Import and interpreter
+start-up are not counted, so two source trees are compared by running the
+script on each in turn, alternating which goes first.
 """
 
 import argparse
 import contextlib
 import io
+import pathlib
 import sys
 import time
 
 COMMANDS = ("fig1", "fig4", "fig5", "fig6", "sweep", "micro-report", "verify")
+SMALL_TABLES = (["fig5", "--set", "points=10"], ["fig6", "--set", "points=10"])
 
 
 def best_ms(main, argv: list[str], repeats: int) -> float:
@@ -42,6 +47,12 @@ def main() -> None:
     parser.add_argument("src", help="directory that holds the thermalops package")
     parser.add_argument("--repeats", type=int, default=20, help="timed runs per command")
     args = parser.parse_args()
+    total = 0
+    for path in sorted(pathlib.Path(args.src, "thermalops").glob("*.py")):
+        lines = path.read_bytes().count(b"\n")
+        total += lines
+        print(f"{path.name:<34} {lines:9d} lines")
+    print(f"{'total':<34} {total:9d} lines")
     sys.path.insert(0, args.src)
     from thermalops.cli import COMMANDS as TABLES
     from thermalops.cli import main as cli_main
@@ -49,6 +60,7 @@ def main() -> None:
 
     runs = [(" ".join(argv), argv) for argv in [[command] for command in COMMANDS]]
     runs += [(f"verify --suite {name}", ["verify", "--suite", name]) for name in SUITES]
+    runs += [(" ".join(argv), argv) for argv in SMALL_TABLES]
     for name, (defaults, _) in TABLES.items():
         sets = [arg for key, value in defaults.items() for arg in ("--set", f"{key}={value}")]
         runs.append((f"{name} --set x{len(defaults)}", [name, *sets]))
