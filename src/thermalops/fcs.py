@@ -31,9 +31,10 @@ the fixed point of ``M``; a ``p1`` a caller passes is checked against it.
 An exact trajectory-enumeration oracle, which walks the same stroke tuple,
 checks all of it.
 
-The closed forms read checked float entries, a ``Cycle``'s or those of a fig5
-or fig6 Otto row, which builds no map; ``M``, tilted or not, and its powers
-are composed by the 2x2 kernel ``maps._compose``, so they round alike anywhere.
+The closed forms read a cycle's checked floats: a ``Cycle``'s or, in a fig5 or
+fig6 row, its config's, with no map, stroke or ``Cycle`` built; ``M``, tilted
+or not, and its powers are composed by the 2x2 kernel ``maps._compose``, so
+they round alike anywhere.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ def _cell_sums(cycle: tuple, p1=None, primitive=False):
     """``(v1, c, 1 - mu)`` in quanta of a cycle's floats (``Cycle._floats``),
     Otto or, if it flips, three-stroke; ``primitive``: the scaled checks.  ``m0``
     is ``Cycle._product()``: the flip swaps the levels after the hot stroke."""
-    hot, cold, *_, flip = cycle
+    hot, cold, _, _, _, _, flip = cycle
     m0 = _compose(cold, (hot[2], hot[3], hot[0], hot[1]) if flip else hot)
     if primitive and not min(_compose(m0, m0)) > 0.0:  # the entries are finite
         raise NonPrimitiveMapError("untilted cycle map squared has zero entries")
@@ -145,8 +146,8 @@ def _cell_sums(cycle: tuple, p1=None, primitive=False):
     # x_a t[b][a] and k1[a] + k2[b] quanta: k1 = (-1, 1) and k2 = 0 for the flip, and
     # k1 = (0, 1), k2 = (0, -1) for the Otto quenches, which keep levels: b = 0 ends in g.
     k1_g, k1_e, k2_g, k2_e = (-1.0, 1.0, 0.0, 0.0) if flip else (0.0, 1.0, 0.0, -1.0)
-    t = (c01, c00, c11, c10) if flip else (c00, c01, c10, c11)
-    P0, P1, P2, P3 = x_g * t[0], x_e * t[1], x_g * t[2], x_e * t[3]
+    t0, t1, t2, t3 = (c01, c00, c11, c10) if flip else (c00, c01, c10, c11)
+    P0, P1, P2, P3 = x_g * t0, x_e * t1, x_g * t2, x_e * t3
     K0, K1, K2, K3 = k1_g + k2_g, k1_e + k2_g, k1_g + k2_e, k1_e + k2_e
     d01, d02, d03, d12, d13, d23 = K0 - K1, K0 - K2, K0 - K3, K1 - K2, K1 - K3, K2 - K3
     # every pair of cells once, so no term is negative and nothing is centred;
@@ -184,7 +185,7 @@ def _checked_variance(var: float, scale: float, quantum: float) -> float:
     beyond binary64 a ``CountingOverflowError``."""
     if var < -1e-9 * scale:
         raise ConsistencyError(f"work variance came out negative: {var:.3e}")
-    energy = max(var, 0.0) * (quantum * quantum)
+    energy = (0.0 if var < 0.0 else var) * (quantum * quantum)  # max(var, 0.0)
     if not math.isfinite(energy):
         raise CountingOverflowError(f"work variance {var:.3e} quanta^2 overflows binary64")
     return energy
@@ -368,7 +369,7 @@ def _pcc(v1: float, c: float, _g: float) -> float:
     """``intercycle_pcc`` of a cycle's ``_cell_sums``."""
     if v1 == 0.0:
         raise ZeroVarianceError("single-cycle work variance is 0; the PCC is undefined")
-    return min(max(c / v1, -1.0), 1.0)
+    return -1.0 if (r := c / v1) < -1.0 else 1.0 if r > 1.0 else r  # min(max(r, -1), 1)
 
 
 def pcc_three_stroke_exact(cfg: ThreeStrokeConfig) -> float:

@@ -396,8 +396,7 @@ def build_map(params: ThermalOpParams) -> GibbsStochasticMatrix:
 
 
 def _heat_map(entries: tuple, omega: float, beta_omega: float) -> GibbsStochasticMatrix:
-    """The map of ``_map_entries``' checked entries, its gap and the exponent
-    ``beta_omega``: ``beta * omega``, or ``omega / T`` for an engine."""
+    """The map of ``_map_entries``' entries, gap and ``beta_omega``, unchecked."""
     fields = {"entries": entries, "omega": omega, "beta_omega": beta_omega}
     return _unchecked(GibbsStochasticMatrix, fields)
 
@@ -580,8 +579,7 @@ class Cycle(_Frozen):
         return _steady_cycle(*self._floats())
 
     def _floats(self) -> tuple:
-        """``(hot, cold, omega_H, omega_C, a, b, flip)``: the heat maps' entries,
-        gaps and ``beta_omega``, and whether the first work stroke flips."""
+        """``EngineConfig._cycle_floats``, read from the strokes."""
         hot, first, cold, *_ = self.strokes
         a, b = hot.beta_omega, cold.beta_omega
         return hot.entries, cold.entries, hot.omega, cold.omega, a, b, first.flip
@@ -596,7 +594,9 @@ def _steady_cycle(hot: tuple, cold: tuple, w_H, w_C, a, b, flip: bool) -> tuple:
     p2 = PopulationVector.from_raw((stay_g * p_g + down * p_e, up * p_g + stay_e * p_e))
     p3 = tuple.__new__(PopulationVector, (p2.p_e, p2.p_g)) if flip else p2
     Q_H, Q_C = w_H * (p2.p_e - p_e), w_C * (p_e - p3.p_e)
-    return p1, p2, p3, _cycle_work(hot, cold, w_H, w_C, a, b, flip), Q_H, Q_C
+    if flip:  # the couplings are read from the entries, as by _cycle_work
+        return p1, p2, p3, _three_stroke_work(w_H, a, b, down, cold[1]), Q_H, Q_C
+    return p1, p2, p3, _otto_work(w_H, w_C, a, b, down, cold[1]), Q_H, Q_C
 
 
 def _cycle_work(hot: tuple, cold: tuple, w_H, w_C, a, b, flip: bool) -> float:

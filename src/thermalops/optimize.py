@@ -106,8 +106,8 @@ def work_at(eta: float, eta_C: float, T_H: float, omega_H: float, regime: str) -
 
 
 def _work_curve(eta: float, eta_C: float, T_H: float, regime: str):
-    """``work_at`` as a function of ``omega_H`` alone: the work among
-    ``_otto_fields``' fields, written out without the heat maps' entries."""
+    """``work_at`` as a function of ``omega_H`` alone: the work of
+    ``_otto_fields``' cycle, written out without the heat maps' entries."""
     gaps = _otto_gaps(eta, eta_C, T_H)
     couplings = _coupling_rule(T_H, (1.0 - eta_C) * T_H, regime)
 
@@ -148,7 +148,7 @@ def _otto_gaps(eta: float, eta_C: float, T_H: float):
 
     def gaps(omega_H: float) -> tuple:
         omega_C = keep * omega_H
-        if isinstance(omega_H, bool) or not omega_H > omega_C > 0.0:
+        if type(omega_H) is bool or not omega_H > omega_C > 0.0:
             raise InvalidParameterError(f"need omega_H > omega_C > 0, got {(omega_H, omega_C)}")
         return omega_H, omega_C, omega_H / T_H, omega_C / T_C
 
@@ -384,21 +384,21 @@ def work_efficiency_curve(
     return [[eta, maximize_work(ScanSpec(eta, eta_C, T_H, engine, *window)).W_star] for eta in etas]
 
 
-def _fluctuation_point(horizon: str, cycle: tuple) -> tuple[float, float]:
+def _fluctuation_point(horizon: str, cycle: tuple, unit: float) -> tuple[float, float]:
     """Work mean and variance-to-mean ratio at the horizon of a cycle's floats
-    (``maps.Cycle._floats``)."""
+    (``maps.Cycle._floats``), each divided by ``unit``."""
     terms = _cell_sums(cycle, primitive=horizon == INFINITE)
     _, _, omega, omega_C, _, _, flip = cycle
     work, quantum = _cycle_work(*cycle), omega if flip else omega - omega_C
     if horizon == SINGLE_CYCLE:
         stats = _moments(1, *terms, work, quantum, omega)
-        return stats.mean, stats.ratio
+        return stats.mean / unit, stats.ratio / unit
     mean, var = _scaled(*terms, work, quantum)
     if mean == 0.0:
         raise ZeroWorkError(
             f"{horizon} work mean vanishes at gap {omega:.6g}; variance-to-mean ratio undefined"
         )
-    return mean, var / mean
+    return mean / unit, var / mean / unit
 
 
 def fluctuation_curve(
@@ -434,12 +434,9 @@ def fluctuation_curve(
     out: dict[str, list] = {}
     for regime in (NONMARKOV, MARKOV):
         fields = _otto_fields(eta, eta_C, unit, regime)
-        rows = []
-        for omega_H in grid:
-            mean, ratio = _fluctuation_point(horizon, fields(math.ldexp(omega_H, -e)))
-            rows.append([omega_H, mean / unit, ratio / unit])
-        out[regime] = rows
+        out[regime] = [
+            [w, *_fluctuation_point(horizon, fields(math.ldexp(w, -e)), unit)] for w in grid
+        ]
     cycle = three_stroke_config_at(eta, eta_C, unit)._cycle_floats()
-    mean, ratio = _fluctuation_point(horizon, cycle)
-    out[THREE_STROKE_ENGINE] = [math.ldexp(cycle[2], e), mean / unit, ratio / unit]
+    out[THREE_STROKE_ENGINE] = [math.ldexp(cycle[2], e), *_fluctuation_point(horizon, cycle, unit)]
     return out

@@ -5,8 +5,8 @@ cool at ``omega_C``, quench back): points 1 -> 2 -> 3 -> 4 -> 1.  Heat
 strokes are thermal operations and quenches keep the populations, so
 point 4 is point 1 and the cyclostationary state solves ``L_C L_H p1 =
 p1``; populations and heats follow from the tuple (``maps.Cycle``).
-``EngineConfig`` holds the parameters and checks that the Otto and
-three-stroke configs share.
+``EngineConfig`` holds the parameters, checks and cycle that the Otto and
+three-stroke configs share: their cycle as floats (``_cycle_floats``).
 
 ``otto_work`` gives the steady-cycle work in closed form for any
 couplings; ``Cycle.work`` evaluates the same kernel (``maps._otto_work``)
@@ -77,13 +77,13 @@ def _coupling_rule(T_H: float, T_C: float, regime: str):
 
 
 class EngineConfig(_Checked):
-    """Checks, heat maps and regime couplings shared by the engine configs:
-    named tuples with fields ``T_H``, ``T_C``, ``lambda_H``, ``lambda_C``
-    and the gaps named in ``GAPS`` (hot gap first, cold gap last), which
-    build their stroke tuple in ``cycle()``.  Each ``__new__`` accepts float
-    fields in one comparison chain and sends any other tuple through
-    ``_checked``, which names the failing check or accepts a valid tuple of
-    other real types."""
+    """Checks, cycle and regime couplings shared by the engine configs: named
+    tuples of the gaps named in ``GAPS`` (hot first, cold last, or the one
+    gap), ``T_H``, ``T_C``, ``lambda_H`` and ``lambda_C``.  ``_cycle_floats``
+    is their cycle as floats, and ``cycle()`` its stroke tuple.  Each
+    ``__new__`` accepts float fields in one comparison chain and sends any
+    other tuple through ``_checked``, which names the failing check or
+    accepts a valid tuple of other real types."""
 
     __slots__ = ()
     GAPS: tuple[str, ...] = ()
@@ -191,7 +191,7 @@ def otto_cycle_report(cfg: OttoConfig) -> CycleReport:
             NotAnEngineWarning,
             stacklevel=2,
         )
-    return CycleReport(*run, eta)
+    return tuple.__new__(CycleReport, (*run, eta))  # skips NamedTuple's Python __new__
 
 
 def otto_work(cfg: OttoConfig) -> float:

@@ -6,9 +6,10 @@ flip swaps the populations, so a cycle generates work
 population inversion.  Since Markovian thermal operations cannot invert a
 non-inverted state, the engine runs only in the non-Markovian regime.
 ``Cycle.work`` evaluates that work in closed form, for any couplings, from
-the heat maps (``maps._three_stroke_work``).  The report is the Otto
-engine's ``maps.CycleReport``, with ``eta = W / Q_H``.  Signs match the Otto
-module; ``W = Q_H + Q_C`` to rounding.
+the heat maps (``maps._three_stroke_work``).  ``otto.EngineConfig`` builds
+the cycle, with the one gap as both gaps.  The report is the Otto engine's
+``maps.CycleReport``, with ``eta = W / Q_H``.  Signs match the Otto module;
+``W = Q_H + Q_C`` to rounding.
 """
 
 from __future__ import annotations
@@ -78,4 +79,4 @@ def three_stroke_report(cfg: ThreeStrokeConfig) -> CycleReport:
             NotAnEngineWarning,
             stacklevel=2,
         )
-    return CycleReport(p1, p2, p3, W, Q_H, Q_C, W / Q_H)
+    return tuple.__new__(CycleReport, (p1, p2, p3, W, Q_H, Q_C, W / Q_H))  # as otto's report
