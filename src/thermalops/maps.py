@@ -594,7 +594,7 @@ def _steady_cycle(hot: tuple, cold: tuple, w_H, w_C, a, b, flip: bool) -> tuple:
     p2 = PopulationVector.from_raw((stay_g * p_g + down * p_e, up * p_g + stay_e * p_e))
     p3 = tuple.__new__(PopulationVector, (p2.p_e, p2.p_g)) if flip else p2
     Q_H, Q_C = w_H * (p2.p_e - p_e), w_C * (p_e - p3.p_e)
-    if flip:  # the couplings are read from the entries, as by _cycle_work
+    if flip:  # _cycle_work written out, a call less per report
         return p1, p2, p3, _three_stroke_work(w_H, a, b, down, cold[1]), Q_H, Q_C
     return p1, p2, p3, _otto_work(w_H, w_C, a, b, down, cold[1]), Q_H, Q_C
 
