@@ -129,7 +129,7 @@ def _spectral_terms(tmap: Cycle, p1: PopulationVector | None = None, primitive=F
 def _cell_sums(cycle: tuple, p1=None, primitive=False):
     """``(v1, c, 1 - mu)`` in quanta of a cycle's floats (``Cycle._floats``),
     Otto or, if it flips, three-stroke; ``primitive``: the scaled checks.  ``m0``
-    is ``Cycle._product()``: the flip swaps the levels after the hot stroke."""
+    is ``maps._cycle_map(cycle)``: the flip swaps the levels after the hot stroke."""
     hot, cold, _, _, _, _, flip = cycle
     m0 = _compose(cold, (hot[2], hot[3], hot[0], hot[1]) if flip else hot)
     if primitive and not min(_compose(m0, m0)) > 0.0:  # the entries are finite

@@ -497,16 +497,6 @@ class WorkStroke(NamedTuple):
         # a checked vector with its levels swapped needs no second check
         return tuple.__new__(PopulationVector, (p.p_e, p.p_g)) if self.flip else p
 
-    def _after(self, m: tuple, chi: float) -> tuple[float, float, float, float]:
-        """The row-major map ``m`` followed by this stroke, each transition
-        weighted by ``exp(chi * released work)``: a row scaling, then a
-        permutation."""
-        a, b, c, d = m
-        if chi:
-            s_g, s_e = (math.exp(chi * w) for w in self.released)
-            a, b, c, d = a * s_g, b * s_g, c * s_e, d * s_e
-        return (c, d, a, b) if self.flip else (a, b, c, d)
-
 
 _SHAPES = (
     (GibbsStochasticMatrix, WorkStroke, GibbsStochasticMatrix),
@@ -556,21 +546,13 @@ class Cycle(_Frozen):
         if not math.isfinite(chi):
             raise InvalidParameterError(f"counting field must be finite, got {chi}")
         try:
-            return self._product(chi)
+            return _cycle_map(self._floats(), chi)
         except OverflowError:
             raise CountingOverflowError(f"exp(chi * work) overflows at chi = {chi}") from None
 
-    def _product(self, chi: float = 0.0) -> tuple[float, float, float, float]:
-        """``tilted(chi)`` unchecked, for the callers at ``chi = 0``.  Work
-        strokes are row scalings and permutations, so the only product is
-        the one between the heat strokes."""
-        hot, first, cold, *last = self.strokes
-        m = _compose(cold.entries, first._after(hot.entries, chi))
-        return last[0]._after(m, chi) if last else m
-
     def steady_state(self) -> PopulationVector:
         """Cyclostationary populations at point 1."""
-        return PopulationVector.from_raw(_fixed_point(*self._product()))
+        return PopulationVector.from_raw(_fixed_point(*_cycle_map(self._floats())))
 
     def run(self) -> tuple:
         """One steady cycle ``(p1, p2, p3, W, Q_H, Q_C)`` (``_steady_cycle``): the
@@ -583,6 +565,25 @@ class Cycle(_Frozen):
         hot, first, cold, *_ = self.strokes
         a, b = hot.beta_omega, cold.beta_omega
         return hot.entries, cold.entries, hot.omega, cold.omega, a, b, first.flip
+
+
+def _cycle_map(cycle: tuple, chi: float = 0.0) -> tuple[float, float, float, float]:
+    """``Cycle.tilted(chi)`` of a cycle's ``_floats``, unchecked.  A work stroke
+    scales the rows of the map before it by ``exp(chi * released work)``
+    (``WorkStroke.released``), then permutes them if it flips, so the only
+    product is the one between the heat strokes.  A quench releases nothing
+    from g, so its g row keeps its floats."""
+    hot, cold, w_H, w_C, _, _, flip = cycle
+    a, b, c, d = hot
+    if not chi:
+        return _compose(cold, (c, d, a, b) if flip else hot)
+    if flip:
+        s_g, s_e = math.exp(chi * -w_C), math.exp(chi * w_H)
+        return _compose(cold, (c * s_e, d * s_e, a * s_g, b * s_g))
+    s = math.exp(chi * (w_H - w_C))
+    m00, m01, m10, m11 = _compose(cold, (a, b, c * s, d * s))
+    s = math.exp(chi * (w_C - w_H))  # the quench back
+    return m00, m01, m10 * s, m11 * s
 
 
 def _steady_cycle(hot: tuple, cold: tuple, w_H, w_C, a, b, flip: bool) -> tuple:
