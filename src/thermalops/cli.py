@@ -33,12 +33,11 @@ from .maps import _cycle_work, eto_vs_thermalization_scan
 from .microscopic import JC_KINDS, FockTruncation, eto_approximation_report
 from .optimize import (
     ENGINES,
+    _fluctuation_cycles,
     _linspace,
     _logspace,
-    _otto_fields,
     _work_curve,
     fluctuation_curve,
-    three_stroke_config_at,
     work_efficiency_curve,
 )
 from .otto import MARKOV, NONMARKOV
@@ -83,23 +82,19 @@ def _run_fig4(p):
 def _run_fig5(p):
     grid = _log_grid(p, "omega_lo", "omega_hi")
     data = fluctuation_curve(p["eta"], p["eta_C"], p["T_H"], p["horizon"], grid)
-    rows = []
-    for engine in (NONMARKOV, MARKOV):
-        rows.extend([ENGINE_CODES[engine], *r] for r in data[engine])
+    rows = [[ENGINE_CODES[engine], *r] for engine in (NONMARKOV, MARKOV) for r in data[engine]]
     rows.append([ENGINE_CODES["three_stroke"], *data["three_stroke"]])
     return ["engine", "omega_H", "W", "variance_over_mean"], rows
 
 
 def _run_fig6(p):
     grid = _log_grid(p, "omega_lo", "omega_hi")
-    fields = _otto_fields(p["eta"], p["eta_C"], p["T_H"], NONMARKOV)
-    cycles = [(NONMARKOV, fields(w)) for w in grid]  # every gap checked before three_stroke
-    three = three_stroke_config_at(p["eta"], p["eta_C"], p["T_H"])._cycle_floats()
-    rows = [
-        [ENGINE_CODES[engine], c[2], _cycle_work(*c) / p["T_H"], _pcc(*_cell_sums(c))]
-        for engine, c in [*cycles, ("three_stroke", three)]
+    cycles = _fluctuation_cycles(p["eta"], p["eta_C"], p["T_H"], grid, (NONMARKOV,))
+    unit = next(cycles)
+    return ["engine", "omega_H", "W", "pcc"], [
+        [ENGINE_CODES[engine], w, _cycle_work(*c) / unit, _pcc(*_cell_sums(c))]
+        for engine, w, c in cycles
     ]
-    return ["engine", "omega_H", "W", "pcc"], rows
 
 
 def _run_sweep(p):

@@ -10,7 +10,8 @@ the slope's values (``_bisect``), down to the adjacent floats that halving
 on its sign reaches.  fig4 (``work_efficiency_curve``) searches the window
 ``[1e-3, 20] * T_H``, so its rows do not depend on the unit of energy.
 Each gap is evaluated in closed form, with no ``OttoConfig``, map or cycle:
-the Otto work (``otto.otto_work``) or a fig5 or fig6 row (``_otto_fields``).
+the Otto work (``otto.otto_work``) or a fig5 or fig6 row (``_otto_fields``),
+whose energies ``_fluctuation_cycles`` puts in a power-of-two unit next to ``T_H``.
 A scan checks ``eta``, ``eta_C``, the temperatures and the regime once, and
 each gap it evaluates only for ``omega_H > omega_C > 0`` (``_otto_gaps``); a
 slope evaluation takes the two exponents ``omega / T`` and no couplings.
@@ -402,41 +403,45 @@ def _fluctuation_point(horizon: str, cycle: tuple, unit: float) -> tuple[float, 
 
 
 def fluctuation_curve(
-    eta: float,
-    eta_C: float,
-    T_H: float,
-    horizon: str,
-    omega_H_grid: Sequence[float],
+    eta: float, eta_C: float, T_H: float, horizon: str, omega_H_grid: Sequence[float]
 ) -> dict[str, list]:
     """Work vs variance-to-work ratio at fixed (eta, eta_C), in units of k_B T_H.
 
     Returns, per Otto regime, rows ``[omega_H, W, ratio]`` of floats over the
     gap grid, and the three-stroke point, one such row, under ``"three_stroke"``,
-    at one cycle or in the infinite-cycle scaled limit (``horizon``).  An Otto
-    row (``_otto_fields``) and the three-stroke point read their config's
-    cycle as floats, with the checks of ``work_moments`` or ``scaled_cumulants``.
+    at one cycle or in the infinite-cycle scaled limit (``horizon``): fig6's
+    rows (``_fluctuation_cycles``) with the checks of ``work_moments`` or
+    ``scaled_cumulants``.
     """
     if horizon not in HORIZONS:
         raise InvalidParameterError(f"horizon must be one of {HORIZONS}, got {_shown(horizon)}")
+    cycles = _fluctuation_cycles(eta, eta_C, T_H, omega_H_grid, (NONMARKOV, MARKOV))
+    unit = next(cycles)
+    rows = [[w, *_fluctuation_point(horizon, cycle, unit)] for _, w, cycle in cycles]
+    n = len(rows) // 2
+    return {NONMARKOV: rows[:n], MARKOV: rows[n:-1], THREE_STROKE_ENGINE: rows[-1]}
+
+
+def _fluctuation_cycles(eta, eta_C, T_H, omega_H_grid, regimes: tuple):
+    """``T_H`` in the unit ``2**e`` next to it, once the table's parameters are
+    checked, then the rows of fig5 and fig6 as ``(engine, omega_H, floats)``:
+    each regime's gaps, then the three-stroke point.  ``floats`` is the config's
+    ``_cycle_floats()`` in that unit, which rescales every float exactly and
+    keeps a variance in energy squared inside binary64 at ``T_H = 1e300``."""
     _require_real(eta=eta, eta_C=eta_C)
     if not 0.0 < eta < eta_C < 1.0:
         raise InvalidParameterError("need 0 < eta < eta_C < 1")
     grid = _real_grid(omega_H_grid, "omega_H grid")
     if not grid or not all(omega_H > 0.0 for omega_H in grid):  # NaN fails too
         raise InvalidParameterError("omega_H grid entries must be > 0")
-
-    # Energies in the unit 2**e next to T_H: a power of two rescales every
-    # float exactly, and the variance in energy squared neither overflows nor
-    # underflows, as it would at T_H = 1e300 or 1e-300.
     require_descending(T_H=T_H)
     e = math.frexp(T_H)[1]
-    unit = math.ldexp(T_H, -e)  # T_H in that unit
-    out: dict[str, list] = {}
-    for regime in (NONMARKOV, MARKOV):
+    if math.frexp(top := max(grid))[1] - e > 1024:  # math.ldexp(top, -e) overflows
+        raise InvalidParameterError(f"need omega_H < 2**{1024 + e} at T_H={T_H!r}, got {top!r}")
+    yield (unit := math.ldexp(T_H, -e))
+    for regime in regimes:
         fields = _otto_fields(eta, eta_C, unit, regime)
-        out[regime] = [
-            [w, *_fluctuation_point(horizon, fields(math.ldexp(w, -e)), unit)] for w in grid
-        ]
-    cycle = three_stroke_config_at(eta, eta_C, unit)._cycle_floats()
-    out[THREE_STROKE_ENGINE] = [math.ldexp(cycle[2], e), *_fluctuation_point(horizon, cycle, unit)]
-    return out
+        for w in grid:
+            yield regime, w, fields(math.ldexp(w, -e))
+    cfg = three_stroke_config_at(eta, eta_C, unit)
+    yield THREE_STROKE_ENGINE, math.ldexp(cfg.omega, e), cfg._cycle_floats()

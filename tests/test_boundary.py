@@ -8,7 +8,8 @@ succeed first.  The rows are a string or None where a float goes, a real
 that no float holds (``10**400``) where a float, a count or a grid goes, an
 int with more digits than Python prints (``10**5000``), whose message must
 still be formatted, a temperature so small that a bracket scaled from it
-underflows to 0 (``1e-322``), a config where a cycle goes and a string or None where
+underflows to 0 (``1e-322``), one so small that a gap in its power-of-two unit
+overflows (``1e-320``), a config where a cycle goes and a string or None where
 a population goes.  A value past the known-good call is appended:
 ``eto_approximation_report`` takes no list of kinds.
 """
@@ -43,6 +44,7 @@ from thermalops.optimize import otto_config_at, three_stroke_omega_for_eta
 HUGE = 10**400
 LONG = 10**5000  # past the 4300 digits that str() and repr() of an int allow
 TINY = 1e-322  # 1e-12 * TINY underflows to 0
+WIDE = 1e-320  # below 2**-1063: a gap of 1 is 2**1063 of that unit, past the float range
 CONFIG = OttoConfig.nonmarkov(1.0, 0.5, 1.0, 0.25)
 CYCLE = CONFIG.cycle()
 
@@ -80,6 +82,7 @@ ROWS = [
     (ScanSpec, "omega_hi", HUGE),
     (fluctuation_curve, "T_H", HUGE),
     (fluctuation_curve, "omega_H_grid", [HUGE]),
+    (fluctuation_curve, "T_H", WIDE),
     (work_efficiency_curve, "T_H", HUGE),
     (work_efficiency_curve, "eta_grid", [HUGE]),
     (three_stroke_omega_for_eta, "T_H", HUGE),
@@ -125,6 +128,8 @@ def _row_id(fn, name, value) -> str:
         shown = "long"
     elif value is TINY:
         shown = "tiny"
+    elif value is WIDE:
+        shown = "subnormal"
     else:
         shown = "huge" if value is HUGE or value == [HUGE] else type(value).__name__
     return f"{getattr(fn, '__qualname__', fn.__name__)}-{name}-{shown}"

@@ -601,6 +601,66 @@ def test_counting_tables_in_units_of_T_H_are_the_unit_tables(command, omega_hi, 
             assert math.isclose(b[k], a[k], rel_tol=1e-9), (a, k)
 
 
+SUBNORMAL_FIG = [
+    "T_H=1e-310", "eta_C=1e-6", "eta=1.94e-8", "omega_lo=2.1e-310", "omega_hi=4e-310", "points=2"
+]
+
+
+def test_fig6_prints_the_work_and_gap_of_fig5(capsys):
+    # fig6 and fig5 take their rows from one path, in one power-of-two unit:
+    # at a subnormal T_H both print the same W column and three-stroke gap
+    sets = [arg for kv in SUBNORMAL_FIG for arg in ("--set", kv)]
+    fig6 = json_rows(["fig6", *sets], capsys)
+    fig5 = json_rows(["fig5", *sets, "--set", "horizon=single_cycle"], capsys)
+    codes = (ENGINE_CODES["nonmarkov"], ENGINE_CODES["three_stroke"])
+    assert [row[:3] for row in fig6] == [row[:3] for row in fig5 if row[0] in codes]
+    assert all(row[2] > 0.0 for row in fig6)
+
+
+@pytest.mark.parametrize("command", ["fig5", "fig6"])
+def test_a_gap_past_the_float_range_in_the_unit_is_a_validation_error(command, capsys):
+    # at T_H = 1e-320 the unit is 2**-1063: a gap of 1e-3 is 2**1053 of it
+    assert cli.main([command, "--set", "T_H=1e-320"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"thermalops {command}: need omega_H < 2**-39 at T_H=1e-320")
+    assert captured.err.count("\n") == 1
+
+
+def run_outcome(command, p):
+    """The rows a table runner returns, or the type and message it raises."""
+    try:
+        return cli.COMMANDS[command][1](p)[1]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("eta", 0.5),  # eta = eta_C
+        ("eta", 0.6),
+        ("eta", 0.0),
+        ("eta", -0.1),
+        ("eta_C", 1.0),
+        ("eta_C", 1.5),
+        ("T_H", 0.0),
+        ("T_H", -1.0),
+        ("T_H", math.nan),
+        ("points", 0),  # an empty grid, which the CLI's own check would catch first
+    ],
+)
+def test_fig5_and_fig6_reject_a_bad_parameter_alike(key, value, monkeypatch):
+    if key == "points":
+        monkeypatch.setattr(cli, "_log_grid", lambda p, lo, hi: [])
+    outcomes = [
+        run_outcome(command, {**cli.COMMANDS[command][0], key: value})
+        for command in ("fig5", "fig6")
+    ]
+    assert outcomes[0][0] is thermalops.InvalidParameterError
+    assert outcomes[1] == outcomes[0]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -966,6 +966,29 @@ def test_fluctuation_rows_are_the_checked_config_path(horizon, T_H):
             assert (W.hex(), ratio.hex()) == ((mean / T_H).hex(), (mean_ratio / T_H).hex())
 
 
+def scaled_tables(k: int) -> list:
+    """The rows of fig5 at both horizons and of fig6 at ``T_H = 1.5`` and the
+    gap grid ``G`` below, both scaled by ``2**k``: fig6 at ``points=2``, whose
+    log grid is its window's ends, ``G[0]`` and ``G[-1]``."""
+    T_H, grid = math.ldexp(1.5, k), [math.ldexp(w, k) for w in (0.375, 1.5, 6.0, 24.0)]
+    curves = [fluctuation_curve(0.3, 0.5, T_H, horizon, grid) for horizon in optimize.HORIZONS]
+    tables = [[*c["nonmarkov"], *c["markov"], c["three_stroke"]] for c in curves]
+    p = {**COMMANDS["fig6"][0], "T_H": T_H, "omega_lo": grid[0], "omega_hi": grid[-1], "points": 2}
+    return [*tables, [row[1:] for row in COMMANDS["fig6"][1](p)[1]]]
+
+
+@pytest.mark.parametrize("k", [-1060, -1030, -700, -1, 1, 64, 700, 1000])
+def test_fluctuation_rows_are_scale_covariant_bit_for_bit(k):
+    # Scaling T_H and the gaps by a power of two scales the unit next to
+    # T_H and leaves every float in it unchanged, so the W, variance-to-mean
+    # and PCC columns, in units of T_H, are the same floats, down to a
+    # subnormal T_H (k = -1060, -1030), where the grid's few mantissa bits
+    # are still exact.  Each Otto gap is the scaled one.
+    for base, scaled in zip(scaled_tables(0), scaled_tables(k), strict=True):
+        assert hexed([row[1:] for row in scaled]) == hexed([row[1:] for row in base])
+        assert [row[0] for row in scaled[:-1]] == [math.ldexp(row[0], k) for row in base[:-1]]
+
+
 def cycle_path_fig6(p: dict) -> list:
     """fig6's rows through each checked config's ``cycle()``: every cycle is
     built before the three-stroke point, then each row takes the work and
