@@ -553,7 +553,7 @@ def table_outcome(command: str, p: dict) -> str:
 
 
 # sha256 of every seeded fig5 and fig6 table's outcome
-SEEDED_FLUCTUATION_SHA256 = "8bd1be1743e50d7f7fd0030d981bd1ef0bcb161f66e51d9ec5b883942011cb98"
+SEEDED_FLUCTUATION_SHA256 = "8e6dea5adb2012fed32dc7699a6f686c4d4b341798bffc1fae9a05ab6eced736"
 
 
 def test_fluctuation_tables_pin_seeded_parameters():
@@ -990,18 +990,22 @@ def test_fluctuation_rows_are_scale_covariant_bit_for_bit(k):
 
 
 def cycle_path_fig6(p: dict) -> list:
-    """fig6's rows through each checked config's ``cycle()``: every cycle is
-    built before the three-stroke point, then each row takes the work and
-    the PCC."""
+    """fig6's rows through each checked config's ``cycle()``, in the unit
+    ``2**e`` next to ``T_H`` as in ``cycle_path_fluctuation_curve``: each row
+    builds its cycle and takes the work and the PCC, then the three-stroke
+    point does."""
     eta, eta_C, T_H = p["eta"], p["eta_C"], p["T_H"]
-    cycles = [
-        (ENGINE_CODES["nonmarkov"], otto_config_at(eta, eta_C, T_H, w, "nonmarkov").cycle())
-        for w in _log_grid(p, "omega_lo", "omega_hi")
-    ]
-    cycles.append((ENGINE_CODES["three_stroke"], three_stroke_config_at(eta, eta_C, T_H).cycle()))
-    return [
-        [code, c.strokes[0].omega, c.work() / T_H, intercycle_pcc(c, None)] for code, c in cycles
-    ]
+    e = math.frexp(T_H)[1]
+    unit = math.ldexp(T_H, -e)
+    rows = []
+    for omega_H in _log_grid(p, "omega_lo", "omega_hi"):
+        c = otto_config_at(eta, eta_C, unit, math.ldexp(omega_H, -e), "nonmarkov").cycle()
+        rows.append([ENGINE_CODES["nonmarkov"], omega_H, c.work() / unit, intercycle_pcc(c, None)])
+    cfg3 = three_stroke_config_at(eta, eta_C, unit)
+    c = cfg3.cycle()
+    gap = math.ldexp(cfg3.omega, e)
+    rows.append([ENGINE_CODES["three_stroke"], gap, c.work() / unit, intercycle_pcc(c, None)])
+    return rows
 
 
 @settings(max_examples=200)
