@@ -5,7 +5,8 @@ Every figure-style command writes one deterministic table: a single
 the full parameter set, and the column names, followed by pure numeric
 rows (CSV, 12 significant digits) or the equivalent JSON document (full
 binary64 round-trip).  No timestamps appear anywhere, so reruns are
-bit-identical.
+bit-identical.  fig5 and fig6 read their rows from one checked path, in a
+power-of-two unit of energy next to ``T_H`` (``optimize._fluctuation_cycles``).
 
 The arguments are read by ``_parse`` from one table, ``_OPTIONS``: the
 options of every command of ``COMMANDS`` and of ``verify``.  The grammar

@@ -568,11 +568,9 @@ class Cycle(_Frozen):
 
 
 def _cycle_map(cycle: tuple, chi: float = 0.0) -> tuple[float, float, float, float]:
-    """``Cycle.tilted(chi)`` of a cycle's ``_floats``, unchecked.  A work stroke
-    scales the rows of the map before it by ``exp(chi * released work)``
-    (``WorkStroke.released``), then permutes them if it flips, so the only
-    product is the one between the heat strokes.  A quench releases nothing
-    from g, so its g row keeps its floats."""
+    """``Cycle.tilted(chi)`` of a cycle's ``_floats``, unchecked: a work stroke
+    scales the rows of the map before it by ``exp(chi * released work)`` and
+    permutes them if it flips.  A quench releases nothing from g."""
     hot, cold, w_H, w_C, _, _, flip = cycle
     a, b, c, d = hot
     if not chi:
