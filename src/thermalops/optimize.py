@@ -63,9 +63,9 @@ class ScanSpec(_Checked, namedtuple("ScanSpec", "eta eta_C T_H regime omega_lo o
     ):
         self = tuple.__new__(cls, (eta, eta_C, T_H, regime, omega_lo, omega_hi))
         _require_real(eta=eta, eta_C=eta_C, T_H=T_H)
+        require_descending(omega_hi=omega_hi, omega_lo=omega_lo)  # rejects bools and NaN
         if not (0.0 < eta < eta_C and omega_hi < math.inf):
             raise InvalidParameterError(f"need 0 < eta < eta_C and omega_hi < inf, got {self}")
-        require_descending(omega_hi=omega_hi, omega_lo=omega_lo)  # rejects bools and NaN
         _otto_fields(eta, eta_C, T_H, regime)  # checks eta_C < 1, T_H, regime
         return self
 

@@ -4,10 +4,10 @@ raises a ``ThermalOpsError``, not a bare ``TypeError``, ``OverflowError`` or
 
 Each row is a callable, the name of one argument and the bad value put in
 place of it in the callable's known-good call; the known-good call must
-succeed first.  The rows are a string or None where a float goes, a real
-that no float holds (``10**400``) where a float, a count or a grid goes, an
-int with more digits than Python prints (``10**5000``), whose message must
-still be formatted, a temperature so small that a bracket scaled from it
+succeed first.  The rows are a string, None, a one-item list or an
+``object()`` where a float goes, a real that no float holds (``10**400``)
+where a float, a count or a grid goes, an int with more digits than Python
+prints (``10**5000``), whose message must still be formatted, a temperature so small that a bracket scaled from it
 underflows to 0 (``1e-322``), one so small that a gap in its power-of-two unit
 overflows (``1e-320``), a config where a cycle goes and a string or None where
 a population goes.  A value past the known-good call is appended:
@@ -15,6 +15,7 @@ a population goes.  A value past the known-good call is appended:
 """
 
 import inspect
+from fractions import Fraction
 
 import pytest
 
@@ -80,6 +81,7 @@ ROWS = [
     (work_at, "omega_H", HUGE),
     (ScanSpec, "T_H", HUGE),
     (ScanSpec, "omega_hi", HUGE),
+    *[(ScanSpec, "omega_hi", value) for value in ("20", None, [20.0], object())],
     (fluctuation_curve, "T_H", HUGE),
     (fluctuation_curve, "omega_H_grid", [HUGE]),
     (fluctuation_curve, "T_H", WIDE),
@@ -152,3 +154,5 @@ def test_one_bad_argument_raises_a_typed_error(fn, name, value):
 def test_an_int_too_long_to_print_is_shown_by_its_size(check):
     with pytest.raises(InvalidParameterError, match=r"got \(?<int of 16610 bits>"):
         check(x=LONG)
+    with pytest.raises(InvalidParameterError, match=r"got \(?<Fraction too long to print>"):
+        check(x=Fraction(LONG, 3))
