@@ -8,12 +8,12 @@ binary64 round-trip).  No timestamps appear anywhere, so reruns are
 bit-identical.  fig5 and fig6 read their rows from one checked path, in a
 power-of-two unit of energy next to ``T_H`` (``optimize._fluctuation_cycles``).
 
-The arguments are read by ``_parse`` from one table, ``_OPTIONS``: the
-options of every command of ``COMMANDS`` and of ``verify``.  The grammar
-and its usage errors are argparse's, word for word, without its import or
-its parser build: the command first, then ``--opt VALUE`` or
-``--opt=VALUE`` with a unique prefix of the option allowed, and ``-h`` or
-``--help`` at either level.
+The grammar is argparse's over one table, ``_OPTIONS``: the options of
+every command of ``COMMANDS`` and of ``verify``.  ``_parse`` reads a
+well-formed request (the command, then each option spelled in full and its
+value) from the table without importing argparse.  Any other vector, help
+and usage errors included, goes to ``_argparse``, which imports argparse
+and builds its parser from the same table only then.
 
 Exit codes: 0 success or help, 1 validation or usage error, 2 verification
 failure, 3 I/O error.
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 import sys
 from typing import Optional, Sequence
 
@@ -266,137 +265,80 @@ def _render_verify_json(records) -> str:
     return json.dumps(payload, indent=1) + "\n"
 
 
-# Each command's options, in the order help lists them, with the name of
-# the value each takes or the tuple of the only values it may take.  Every
-# option takes one value; ``--set`` repeats, the others keep their last.
-_TABLE_OPTIONS = {"--out": "OUT", "--format": ("csv", "json"), "--set": "KEY=VALUE"}
+# Each command's options, in the order help lists them, with the tuple of
+# the only values it may take (None for any).  Every option takes one value;
+# ``--set`` repeats, the others keep their last.
+_TABLE_OPTIONS = {"--out": None, "--format": ("csv", "json"), "--set": None}
 _OPTIONS = {
     **{name: _TABLE_OPTIONS for name in COMMANDS},
-    "verify": {"--suite": "SUITE", "--out": "OUT", "--format": ("text", "json")},
+    "verify": {"--suite": None, "--out": None, "--format": ("text", "json")},
 }
-_NAMES = {None: ("--help",), **{name: ("--help", *options) for name, options in _OPTIONS.items()}}
 _HELP = {
     **{name: f"emit the {name} data table" for name in COMMANDS},
     "verify": "run the cross-module invariant suites",
-    "-h, --help": "show this help message and exit",
     "--out": "output path (default: stdout)",
     "--set": "override a default parameter (repeatable)",
 }
-_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse reads these as values
 
 
-def _metavar(value) -> str:
-    return "{" + ",".join(value) + "}" if type(value) is tuple else value
-
-
-def _invalid(value: str, choices) -> str:
-    return f"invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})"
-
-
-def _usage(command: Optional[str]) -> str:
-    if command is None:
-        return f"usage: thermalops [-h] {_metavar(tuple(_OPTIONS))} ...\n"
-    options = "".join(f" [{name} {_metavar(v)}]" for name, v in _OPTIONS[command].items())
-    return f"usage: thermalops {command} [-h]{options}\n"
-
-
-def _fail(command: Optional[str], message: str):
-    """Exit 1 with a usage line and argparse's error line on stderr."""
-    prog = "thermalops" if command is None else f"thermalops {command}"
-    sys.stderr.write(f"{_usage(command)}{prog}: error: {message}\n")
-    raise SystemExit(1)
-
-
-def _help(command: Optional[str], token: str, inline: Optional[str]):
-    """Print the help of the program or of ``command`` and exit 0.  As in
-    argparse, ``-hh`` is ``-h`` twice and any other inline value is an error."""
-    if inline is not None and (token[1] == "-" or not inline or inline.lstrip("h")):
-        ignored = inline if token[1] == "-" else inline.lstrip("h")
-        _fail(command, f"argument -h/--help: ignored explicit argument {ignored!r}")
-    rows = [("-h, --help", _HELP["-h, --help"])]
-    if command is None:
-        lines = ["", "Single-qubit heat engines driven by thermal operations", "", "commands:"]
-        lines += [f"  {name:<22}{_HELP[name]}" for name in _OPTIONS]
-    else:
-        lines = []
-        options = _OPTIONS[command].items()
-        rows += [(f"{name} {_metavar(v)}", _HELP.get(name, "")) for name, v in options]
-    lines += ["", "options:", *(f"  {name:<22}{text}".rstrip() for name, text in rows)]
-    sys.stdout.write(_usage(command) + "\n".join(lines) + "\n")
-    raise SystemExit(0)
-
-
-def _read(token: str, command: Optional[str]):
-    """How argparse reads ``token`` among the program's options (``command``
-    None) or a command's: None for a value, else the option it names (None
-    if unknown) and its inline value.  A long option takes a unique prefix
-    and ``=VALUE``; ``-h`` may run on as ``-hVALUE``."""
-    if token[:1] != "-" or token == "-":
-        return None
-    names = _NAMES[command]
-    if token in names:
-        return token, None
-    if token[1] == "-":
-        head, eq, inline = token.partition("=")
-        found = [name for name in names if name.startswith(head)]
-        if len(found) > 1:
-            _fail(command, f"ambiguous option: {token} could match {', '.join(found)}")
-        if found:
-            return found[0], inline if eq else None
-    elif token[1] == "h":
-        return "--help", token[3:] if token[2:3] == "=" else token[2:] or None
-    if _NEGATIVE_NUMBER.match(token) or " " in token:
-        return None
-    return None, None
+def _fields(command: str, given: dict) -> tuple:
+    """``(command, out, format, overrides, suite)`` from the values given."""
+    fmt = given.get("--format", _OPTIONS[command]["--format"][0])
+    return command, given.get("--out"), fmt, given.get("--set", []), given.get("--suite", "all")
 
 
 def _parse(argv: Sequence[str]) -> tuple:
     """``(command, out, format, overrides, suite)`` of an argument vector.
 
-    The grammar and the messages are those of argparse for ``thermalops
-    COMMAND [OPTION VALUE]...`` with the options of ``_OPTIONS``: help exits
-    0, a usage error exits 1 through ``_fail``.  An option's value is the
-    next token unless that reads as an option; the tokens from ``--`` on,
-    and any that no option takes, are unrecognized.
+    Reads the common form itself: a command, then options of ``_OPTIONS``
+    spelled in full, each followed by a value that does not start with
+    ``-`` and is one of the option's choices, if it has any.  argparse reads
+    that form the same way; every other vector goes to ``_argparse``.
     """
-    args, extras, i = list(argv), [], 0
-    while i < len(args) and (read := None if args[i] == "--" else _read(args[i], None)):
-        if read[0]:
-            _help(None, args[i], read[1])
-        extras.append(args[i])
-        i += 1
-    if args[i:] in ([], ["--"]):
-        _fail(None, "the following arguments are required: command")
-    command, rest = args[i], args[i + 1 :]
-    if command not in _OPTIONS:
-        _fail(None, f"argument command: {_invalid(command, _OPTIONS)}")
-    options = _OPTIONS[command]
-    stop = rest.index("--") if "--" in rest else len(rest)
-    reads = [_read(token, command) for token in rest[:stop]]  # an ambiguous one fails first
-    values = {"--out": None, "--format": options["--format"][0], "--set": [], "--suite": "all"}
-    i = 0
-    while i < stop:
-        read, i = reads[i], i + 1
-        if read is None or read[0] is None:
-            extras.append(rest[i - 1])
-            continue
-        name, value = read
-        if name == "--help":
-            _help(command, rest[i - 1], value)
-        if value is None:
-            if i == stop or reads[i] is not None:
-                _fail(command, f"argument {name}: expected one argument")
-            value, i = rest[i], i + 1
-        choices = options[name]
-        if type(choices) is tuple and value not in choices:
-            _fail(command, f"argument {name}: {_invalid(value, choices)}")
+    options = _OPTIONS.get(argv[0]) if argv else None
+    if options is None or len(argv) % 2 == 0:
+        return _argparse(argv)
+    given = {"--set": []}
+    for name, value in zip(argv[1::2], argv[2::2]):
+        choices = options.get(name)
+        if name not in options or value[:1] == "-" or choices and value not in choices:
+            return _argparse(argv)
         if name == "--set":
-            values[name].append(value)
+            given[name].append(value)
         else:
-            values[name] = value
-    if extras + rest[stop:]:
-        _fail(None, f"unrecognized arguments: {' '.join(extras + rest[stop:])}")
-    return command, values["--out"], values["--format"], values["--set"], values["--suite"]
+            given[name] = value
+    return _fields(argv[0], given)
+
+
+def _argparse(argv: Sequence[str]) -> tuple:
+    """``_parse``'s tuple, read by argparse from a parser built from
+    ``_OPTIONS``: it takes a unique prefix of an option, ``--opt=VALUE``,
+    ``--`` and values that start with ``-``.  Help exits 0; a usage error
+    exits 1, as a validation error does."""
+    import argparse
+
+    class Parser(argparse.ArgumentParser):
+        def error(self, message):  # argparse defaults to exit code 2
+            self.print_usage(sys.stderr)
+            self.exit(1, f"{self.prog}: error: {message}\n")
+
+    parser = Parser(
+        prog="thermalops", description="Single-qubit heat engines driven by thermal operations"
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, options in _OPTIONS.items():
+        sub = commands.add_parser(name, help=_HELP[name], argument_default=argparse.SUPPRESS)
+        for option, choices in options.items():
+            repeats = option == "--set"
+            sub.add_argument(
+                option,
+                action="append" if repeats else "store",
+                choices=choices,
+                metavar="KEY=VALUE" if repeats else None,
+                help=_HELP.get(option),
+            )
+    given = vars(parser.parse_args(argv))
+    return _fields(given.pop("command"), {f"--{key}": value for key, value in given.items()})
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -268,19 +269,31 @@ def test_renderers_match_the_oracles_byte_for_byte(table):
     assert cli._render_csv("t", params, columns, rows) == csv_oracle("t", params, columns, rows)
 
 
-def test_module_entry_point_prints_what_main_prints(capsys):
-    argv = ["fig1", "--set", "points=3"]
+def test_module_entry_point_prints_what_main_prints(capsys, monkeypatch):
+    # a usage error and help import argparse, here in a fresh interpreter
+    monkeypatch.setenv("COLUMNS", "80")  # the width argparse wraps help to
     src = os.path.dirname(os.path.dirname(thermalops.__file__))
-    done = subprocess.run(
-        [sys.executable, "-m", "thermalops.cli", *argv],
-        env={**os.environ, "PYTHONPATH": src},
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    assert cli.main(argv) == 0
-    assert done.stdout == capsys.readouterr().out
+    runs = [
+        (["fig1", "--set", "points=3"], 0, "# command=fig1", ""),
+        ([], 1, "", f"\n{MISSING_COMMAND}\n"),
+        (["fig1", "-h"], 0, "usage: thermalops fig1 [-h]", ""),
+    ]
+    for argv, code, out_head, err_tail in runs:
+        done = subprocess.run(
+            [sys.executable, "-m", "thermalops.cli", *argv],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        try:
+            assert cli.main(argv) == code
+        except SystemExit as exc:
+            assert exc.code == code
+        captured = capsys.readouterr()
+        assert (done.returncode, done.stdout, done.stderr) == (code, captured.out, captured.err)
+        assert done.stdout.startswith(out_head) and done.stderr.endswith(err_tail), argv
+
 
 def test_the_import_loads_no_dataclasses_inspect_or_numpy():
     # the records are named tuples, so the import needs neither dataclasses
@@ -448,7 +461,7 @@ def test_the_package_runs_with_numpy_unimportable(capsys):
 
 
 # Makes argparse unimportable and runs each argument vector through main;
-# prints each exit code, that of SystemExit for help, and stdout.
+# prints each exit code and stdout.
 NO_ARGPARSE_PROBE = """
 import io, json, sys
 from contextlib import redirect_stdout
@@ -460,19 +473,21 @@ runs = []
 for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
     with redirect_stdout(out):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
     runs.append([code, out.getvalue()])
 print(json.dumps(runs))
 """
 
 
 def test_the_cli_runs_with_argparse_unimportable(capsys):
-    # every command at its defaults and every help prints what it prints here
-    names = (*cli.COMMANDS, "verify")
-    argvs = [[name] for name in names] + [["--help"]] + [[name, "--help"] for name in names]
+    # every command at its defaults, and with its options spelled out, prints
+    # what it prints here; only help and usage errors need argparse
+    argvs = [[name] for name in (*cli.COMMANDS, "verify")]
+    argvs += [
+        [name, "--format", "json", "--set", f"points={defaults['points']}"]
+        for name, (defaults, _) in cli.COMMANDS.items()
+    ]
+    argvs += [["verify", "--suite", "first-law", "--format", "json"]]
     src = os.path.dirname(os.path.dirname(thermalops.__file__))
     done = subprocess.run(
         [sys.executable, "-c", NO_ARGPARSE_PROBE, json.dumps(argvs)],
@@ -483,11 +498,7 @@ def test_the_cli_runs_with_argparse_unimportable(capsys):
     )
     assert done.returncode == 0, done.stderr
     for argv, (code, text) in zip(argvs, json.loads(done.stdout), strict=True):
-        try:
-            expected = cli.main(argv)
-        except SystemExit as exc:
-            expected = exc.code
-        assert (code, text) == (expected, capsys.readouterr().out), argv
+        assert (code, text) == (cli.main(argv), capsys.readouterr().out), argv
 
 
 def json_rows(argv, capsys):
@@ -1113,3 +1124,64 @@ def test_help_prints_the_usage_and_exits_zero(argv, capsys):
         assert captured.out.startswith(f"usage: thermalops {command} [-h]")
         options = ("--suite", "--out", "--format") if command == "verify" else ("--out", "--set")
         assert all(option in captured.out for option in (*options, "--format"))
+
+
+# Tokens of random argument vectors: the command's options spelled in full
+# with plain values or their choices, which the fast reader takes, and the
+# forms it leaves to argparse (prefixes, ``=``, help, ``--``, a lone dash,
+# negative numbers, "" and unknown words), in option and in value places.
+DRAWN_COMMANDS = [*cli.COMMANDS, "verify", "figx", "", "-h", "--", "--format"]
+PLAIN_VALUES = ["x.csv", "points=3", "a=1", "first-law", "all", "csv", "json", "text"]
+ODD_OPTIONS = [
+    "--suite", "--set", "--o", "--form", "--s", "--se", "--su", "--format=json", "--set=a=1",
+    "--out=x", "--=json", "-h", "--help", "--he", "--", "-", "-1", "", "extra", "--bogus", "-x",
+]
+ODD_VALUES = [
+    "xml", "", "a b", "-", "-1", "-.5", "-1e3", "-x", "-h", "--", "--out", "--format", "-1 x",
+]
+
+
+def drawn_argv(rng) -> list[str]:
+    """A command and up to four option-value pairs, mostly of its own
+    options; now and then with a token left off or one more at the end."""
+    argv = [rng.choice(DRAWN_COMMANDS)]
+    options = cli._OPTIONS.get(argv[0], cli._TABLE_OPTIONS)
+    for _ in range(rng.randrange(5)):
+        name = rng.choice([*options] if rng.random() < 0.9 else ODD_OPTIONS)
+        values = options.get(name) if rng.random() < 0.5 else None
+        values = values or (PLAIN_VALUES if rng.random() < 0.9 else ODD_VALUES)
+        argv += [name, rng.choice(values)]
+    if rng.random() < 0.1:
+        argv.pop(rng.randrange(len(argv)))
+    if rng.random() < 0.1:
+        argv.append(rng.choice(ODD_OPTIONS + ODD_VALUES))
+    return argv
+
+
+class HandedOver(Exception):
+    """Raised in place of ``cli._argparse``: ``_parse`` handed its vector over."""
+
+
+def hand_over(argv):
+    raise HandedOver
+
+
+def test_the_fast_reader_reads_what_argparse_reads(monkeypatch, capsys):
+    # a vector _parse hands over gives _argparse's outcome by construction;
+    # each one it reads itself must be read so by argparse, silently
+    read_by_argparse = cli._argparse
+    monkeypatch.setattr(cli, "_argparse", hand_over)
+    rng, read = random.Random(41), 0
+    for _ in range(2000):
+        argv = drawn_argv(rng)
+        try:
+            fields = cli._parse(argv)
+        except HandedOver:
+            continue
+        read += 1
+        try:
+            outcome = read_by_argparse(argv)
+        except SystemExit as exc:
+            outcome = exc.code
+        assert (outcome, *capsys.readouterr()) == (fields, "", ""), argv
+    assert read >= 400  # the draw reaches the fast reader
