@@ -11,11 +11,12 @@ then ``verify --suite NAME`` for each suite in ``thermalops.verify.SUITES``,
 then ``fig5`` and ``fig6`` at ``points=10``, where the one three-stroke
 point of a table costs the largest share, then each table command again
 with every default passed as ``--set KEY=VALUE``, the shape of the
-benchmark's requests, so that the cost of reading the arguments shows, and
-last 1000 calls of ``Cycle.steady_state`` and of ``Cycle.tilted`` on the
-default fig5 Otto cycle at one gap.  Stdout of the commands is captured and
-discarded; a nonzero exit code stops the script.  Import and interpreter
-start-up are not counted.
+benchmark's requests, so that the cost of reading the arguments shows,
+then each command with ``--format=FORMAT`` at its default format, a form
+that only argparse reads, and last 1000 calls of ``Cycle.steady_state``
+and of ``Cycle.tilted`` on the default fig5 Otto cycle at one gap.  Stdout
+of the commands is captured and discarded; a nonzero exit code stops the
+script.  Import and interpreter start-up are not counted.
 
 With one tree, each run goes once to warm up and ``N`` times more, and the
 best time of each is printed in milliseconds.
@@ -88,6 +89,9 @@ def runs(package) -> list:
     for name, (defaults, _) in cli.COMMANDS.items():
         sets = [arg for key, value in defaults.items() for arg in ("--set", f"{key}={value}")]
         out.append((f"{name} --set x{len(defaults)}", cli_run(cli.main, [name, *sets])))
+    for command in COMMANDS:
+        argv = [command, f"--format={'text' if command == 'verify' else 'csv'}"]
+        out.append((" ".join(argv), cli_run(cli.main, argv)))
     optimize = importlib.import_module(f"{package.__name__}.optimize")
     cycle = optimize.otto_config_at(0.3, 0.5, 1.0, 1.0, "nonmarkov").cycle()
     out.append(("Cycle.steady_state x1000", lambda: [cycle.steady_state() for _ in range(1000)]))
