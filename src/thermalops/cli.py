@@ -181,12 +181,7 @@ def _apply_overrides(defaults: dict, pairs: Sequence[str]) -> dict:
                 f"unknown parameter {key!r}; valid keys: {', '.join(sorted(params))}"
             )
         try:
-            if isinstance(params[key], int):
-                params[key] = int(text)
-            elif isinstance(params[key], float):
-                params[key] = float(text)
-            else:
-                params[key] = text
+            params[key] = type(params[key])(text)  # each default is an int, a float or a str
         except ValueError as exc:
             raise ThermalOpsError(f"cannot parse {pair!r}: {exc}") from exc
     return params

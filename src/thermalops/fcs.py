@@ -66,7 +66,7 @@ from .maps import (
     require_count,
     require_descending,
 )
-from .otto import EngineConfig, OttoConfig
+from .otto import EngineConfig, OttoConfig, _require_config
 from .three_stroke import ThreeStrokeConfig
 
 EXP_BUDGET = 600.0  # |chi| * N * Delta beyond this would overflow binary64
@@ -75,11 +75,13 @@ ENUM_MAX_CYCLES = 12
 
 def tilted_map_otto(cfg: OttoConfig) -> Cycle:
     """The Otto cycle as a tilted map; its quantum is ``omega_H - omega_C``."""
+    _require_config(cfg, OttoConfig)
     return cfg.cycle()
 
 
 def tilted_map_three_stroke(cfg: ThreeStrokeConfig) -> Cycle:
     """The three-stroke cycle as a tilted map; its quantum is ``omega``."""
+    _require_config(cfg, ThreeStrokeConfig)
     return cfg.cycle()
 
 
@@ -375,5 +377,6 @@ def _pcc(v1: float, c: float, _g: float) -> float:
 def pcc_three_stroke_exact(cfg: ThreeStrokeConfig) -> float:
     """Closed-form intercycle PCC of the three-stroke engine with extremal
     operations: ``-exp(-(omega / T_C + omega / T_H))``."""
+    _require_config(cfg, ThreeStrokeConfig)
     cfg.requires_eto()
     return -math.exp(-(cfg.omega / cfg.T_C + cfg.omega / cfg.T_H))

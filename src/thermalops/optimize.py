@@ -17,8 +17,8 @@ each gap it evaluates only for ``omega_H > omega_C > 0`` (``_otto_gaps``); a
 slope evaluation takes the two exponents ``omega / T`` and no couplings.
 ``work_at`` is the work curve at one gap, and ``sweep`` rows evaluate it too.
 The three-stroke engine has no free gap once (eta, eta_C) is chosen: its
-zero-work gap lies below ``ln 2 * T_H``, its efficiency falls strictly below
-that gap, and one bisection there finds the gap at ``eta``.
+efficiency falls strictly with the gap, from ``eta_C`` to below 0 at
+``T_H``, so one bisection in ``[1e-12, 1] * T_H`` finds the gap at ``eta``.
 
 All scans are deterministic: identical inputs produce bit-identical
 outputs.  ``work_efficiency_curve`` and ``fluctuation_curve`` return their
@@ -305,56 +305,35 @@ def _bisect(value, lo: float, hi: float, ends: tuple[float, float] | None = None
 
 def three_stroke_omega_for_eta(eta: float, eta_C: float, T_H: float) -> float:
     """Gap at which the three-stroke engine runs at efficiency ``eta``: one
-    bisection finds the zero-work gap in ``[1e-12, 1] * T_H``, a second the
-    gap below it where the efficiency falls to ``eta``.  Both halve
-    (``_bisect`` without ``ends``): the computed efficiency flips about the
-    target over several ulps of the gap, and more where it is flat, so the
-    gap found depends on the path.  Regula falsi on the same two functions
-    moved 2191 of 8025 seeded gaps (``eta_C`` in [0.01, 0.99], ``T_H`` in
-    [1e-3, 1e3]) by 2 to 2974 ulp, 8 of them fig4 default rows.  Both
-    bisections are sound:
-    - with ``x = exp(-omega/T_H)`` and ``y = exp(-omega/T_C) < x``, the ETO
-      work vanishes where ``1 - 2x + xy = 0``, so at ``x = 1/(2 - y) > 1/2``:
-      the zero-work gap lies below ``ln 2 * T_H``, and ``W(T_H) < 0``;
-    - with ``a = omega/T_H`` and ``kappa = T_H/T_C``, ``d/da ln[(e^a - 1)/
-      (1 - e^(-kappa a))] = 1/(1 - e^(-a)) - kappa/(e^(kappa a) - 1) >
-      1/a - 1/a = 0``, so ``eta`` falls strictly on the whole branch.
+    halving ``_bisect`` of ``eta(omega) > eta`` on ``[1e-12, 1] * T_H``.  The
+    computed efficiency flips about the target over several ulps of the gap,
+    more where it is flat, so the gap found depends on the path: regula
+    falsi moved 2227 of 8025 seeded gaps (``eta_C`` in [0.01, 0.99], ``T_H``
+    in [1e-3, 1e3]) by 2 to 70270 ulp, and 5 of the 24 fig4 default rows.
+    The bracket holds every target below ``eta(1e-12 * T_H)``, just below
+    ``eta_C``: with ``a = omega/T_H``, ``kappa = T_H/T_C > 1``,
+    ``eta = 1 - (e^a - 1)/(1 - e^(-kappa a))`` and
+    - ``d/da ln[(e^a - 1)/(1 - e^(-kappa a))] = 1/(1 - e^(-a)) - kappa/
+      (e^(kappa a) - 1) > 1/a - 1/a = 0``, so ``eta`` falls strictly on the
+      whole positive axis, from ``1 - 1/kappa = eta_C`` as ``a -> 0``;
+    - at ``omega = T_H``, ``eta = 1 - (e - 1)/(1 - e^(-kappa)) < 2 - e < 0``.
     """
-    return _three_stroke_gaps(eta_C, T_H)(eta)
-
-
-def _three_stroke_gaps(eta_C: float, T_H: float):
-    """``three_stroke_omega_for_eta`` as a function of ``eta`` alone, with its
-    checks.  The zero-work gap depends on ``(eta_C, T_H)`` only, so it is
-    bisected once, on the first call; each call bisects for its own gap in
-    ``[1e-12 * T_H, omega_max]``, the bracket ``three_stroke_omega_for_eta``
-    has always had."""
-    omega_max = None
-
-    def gap(eta: float) -> float:
-        nonlocal omega_max
-        _require_real(eta=eta, eta_C=eta_C, T_H=T_H)
-        if not 0.0 < eta < eta_C < 1.0:
-            raise InvalidParameterError(
-                f"target efficiency {eta} outside the attainable range (0, {eta_C})"
-            )
-        T_C = (1.0 - eta_C) * T_H
-        lo = 1e-12 * T_H
-        if omega_max is None:
-            _coupling_rule(T_H, T_C, NONMARKOV)  # checks the temperatures
-            omega_max = _bisect(
-                lambda w: _three_stroke_work(w, w / T_H, w / T_C, 1.0, 1.0) > 0.0, lo, T_H
-            )
-        omega = _bisect(
-            lambda w: 1.0 - math.expm1(w / T_H) / -math.expm1(-w / T_C) > eta, lo, omega_max
+    _require_real(eta=eta, eta_C=eta_C, T_H=T_H)
+    if not 0.0 < eta < eta_C < 1.0:
+        raise InvalidParameterError(
+            f"target efficiency {eta} outside the attainable range (0, {eta_C})"
         )
-        require_descending(omega=omega)  # 0.0 where lo underflows, below T_H of about 2e-322
-        return omega
-
-    return gap
+    T_C = (1.0 - eta_C) * T_H
+    _coupling_rule(T_H, T_C, NONMARKOV)  # checks the temperatures
+    omega = _bisect(
+        lambda w: 1.0 - math.expm1(w / T_H) / -math.expm1(-w / T_C) > eta, 1e-12 * T_H, T_H
+    )
+    require_descending(omega=omega)  # 0.0 where T_H is a few subnormal steps
+    return omega
 
 
 def three_stroke_config_at(eta: float, eta_C: float, T_H: float) -> ThreeStrokeConfig:
+    """The ETO three-stroke config at the gap ``three_stroke_omega_for_eta`` finds."""
     omega = three_stroke_omega_for_eta(eta, eta_C, T_H)
     return ThreeStrokeConfig.nonmarkov(omega, T_H, (1.0 - eta_C) * T_H)
 
@@ -376,10 +355,11 @@ def work_efficiency_curve(
     if engine not in ENGINES:
         raise InvalidParameterError(f"engine must be one of {ENGINES}, got {_shown(engine)}")
     if engine == THREE_STROKE_ENGINE:
-        gap, T_C = _three_stroke_gaps(eta_C, T_H), (1.0 - eta_C) * T_H
+        T_C = (1.0 - eta_C) * T_H
+        gaps = [three_stroke_omega_for_eta(eta, eta_C, T_H) for eta in etas]
         return [
-            [eta, _three_stroke_work(w := gap(eta), w / T_H, w / T_C, 1.0, 1.0) / T_H]
-            for eta in etas
+            [eta, _three_stroke_work(w, w / T_H, w / T_C, 1.0, 1.0) / T_H]
+            for eta, w in zip(etas, gaps)
         ]
     window = (1e-3 * T_H, 20.0 * T_H)
     return [[eta, maximize_work(ScanSpec(eta, eta_C, T_H, engine, *window)).W_star] for eta in etas]

@@ -76,6 +76,13 @@ def _coupling_rule(T_H: float, T_C: float, regime: str):
     raise InvalidParameterError(f"regime must be one of {REGIMES}, got {_shown(regime)}")
 
 
+def _require_config(cfg, engine: type) -> None:
+    """``InvalidParameterError`` unless ``cfg`` is an ``engine`` config, not
+    say the other engine's config or None."""
+    if not isinstance(cfg, engine):
+        raise InvalidParameterError(f"expected {engine.__name__}, got {type(cfg).__name__}")
+
+
 class EngineConfig(_Checked):
     """Checks, cycle and regime couplings shared by the engine configs: named
     tuples of the gaps named in ``GAPS`` (hot first, cold last, or the one
@@ -176,12 +183,14 @@ class OttoConfig(
 
 def otto_steady_state(cfg: OttoConfig) -> PopulationVector:
     """Cyclostationary populations at point 1 (start of the heat stroke)."""
+    _require_config(cfg, OttoConfig)
     return cfg.cycle().steady_state()
 
 
 def otto_cycle_report(cfg: OttoConfig) -> CycleReport:
     """Steady-cycle report with ``eta = 1 - omega_C / omega_H``; a warning past
     Carnot.  ``cfg.cycle().run()`` on the config's floats (``_steady_cycle``)."""
+    _require_config(cfg, OttoConfig)
     run = _steady_cycle(*cfg._cycle_floats())
     eta = cfg.efficiency
     if eta >= cfg.carnot_efficiency:
@@ -210,6 +219,7 @@ def otto_work(cfg: OttoConfig) -> float:
     ``DegenerateCycleError`` when ``up + down == 0`` (both couplings 0),
     where the cycle map is the identity.
     """
+    _require_config(cfg, OttoConfig)
     w_H, w_C = cfg.omega_H, cfg.omega_C
     return _otto_work(w_H, w_C, w_H / cfg.T_H, w_C / cfg.T_C, cfg.lambda_H, cfg.lambda_C)
 
@@ -223,6 +233,7 @@ def analytic_populations(cfg: OttoConfig, regime: str) -> tuple[float, float]:
     or extremal operations on both strokes (``nonmarkov``).  Serves as an
     independent check on the steady-state solver.
     """
+    _require_config(cfg, OttoConfig)
     cfg._require_regime(regime)
     a, b = cfg.omega_H / cfg.T_H, cfg.omega_C / cfg.T_C  # 1 / T overflows for a subnormal T
     q_H, q_C = math.exp(-a), math.exp(-b)

@@ -26,15 +26,25 @@ from thermalops import (
     PopulationVector,
     ScanSpec,
     ThermalOpsError,
+    ThreeStrokeConfig,
     WorkDistribution,
+    analytic_populations,
     cumulant_gf,
     eto_approximation_report,
     eto_vs_thermalization_scan,
     fluctuation_curve,
     full_thermalization_lambda,
     intercycle_pcc,
+    otto_cycle_report,
+    otto_steady_state,
+    otto_work,
+    pcc_three_stroke_exact,
     scaled_cumulants,
     thermal_population,
+    three_stroke_report,
+    three_stroke_steady_state,
+    tilted_map_otto,
+    tilted_map_three_stroke,
     work_at,
     work_efficiency_curve,
     work_moments,
@@ -47,7 +57,12 @@ LONG = 10**5000  # past the 4300 digits that str() and repr() of an int allow
 TINY = 1e-322  # 1e-12 * TINY underflows to 0
 WIDE = 1e-320  # below 2**-1063: a gap of 1 is 2**1063 of that unit, past the float range
 CONFIG = OttoConfig.nonmarkov(1.0, 0.5, 1.0, 0.25)
+THREE = ThreeStrokeConfig.nonmarkov(0.3, 1.0, 0.25)
 CYCLE = CONFIG.cycle()
+OTTO_TAKERS = (otto_steady_state, otto_cycle_report, otto_work, tilted_map_otto)
+THREE_TAKERS = (
+    three_stroke_steady_state, three_stroke_report, tilted_map_three_stroke, pcc_three_stroke_exact
+)
 
 GOOD = {
     otto_config_at: (0.3, 0.5, 1.0, 1.0, "markov"),
@@ -69,6 +84,9 @@ GOOD = {
     FockTruncation: (30, 1.0, 1.0),
     WorkDistribution: (1, 1.0, ((1.0, 1.0),)),
     eto_vs_thermalization_scan: (1.0, [0.5, 2.0]),
+    **{fn: (CONFIG,) for fn in OTTO_TAKERS},
+    analytic_populations: (CONFIG, "nonmarkov"),
+    **{fn: (THREE,) for fn in THREE_TAKERS},
 }
 
 ROWS = [
@@ -99,6 +117,8 @@ ROWS = [
     (cumulant_gf, "tmap", CONFIG),
     (cumulant_gf, "p1", None),
     (eto_approximation_report, "kinds", ("standard",)),
+    *[(fn, "cfg", value) for fn in (*OTTO_TAKERS, analytic_populations) for value in (None, THREE)],
+    *[(fn, "cfg", value) for fn in THREE_TAKERS for value in (None, CONFIG)],
     *[
         (fn, name, HUGE)
         for fn in (thermal_population, full_thermalization_lambda)

@@ -757,20 +757,41 @@ def test_three_stroke_inversion_rejects_bad_temperatures(T_H):
 @example(eta_C=1.0 - 1e-6, T_H=1e300)
 def test_three_stroke_branch_needs_no_runtime_probe(eta_C, T_H):
     # the two facts that three_stroke_omega_for_eta proves and does not
-    # check at run time: the ETO work is negative at T_H, so [1e-12, 1] * T_H
-    # brackets the zero-work gap, and the efficiency never steps up below it
+    # check at run time: the efficiency is negative at T_H, so [1e-12, 1] * T_H
+    # brackets every target, and it never steps up below T_H
     T_C = (1.0 - eta_C) * T_H
-    assert _three_stroke_work(T_H, T_H / T_H, T_H / T_C, 1.0, 1.0) < 0.0
-    omega_max = optimize._bisect(
-        lambda w: _three_stroke_work(w, w / T_H, w / T_C, 1.0, 1.0) > 0.0, 1e-12 * T_H, T_H
-    )
-    # the gap tends to ln 2 * T_H as T_C -> 0; the bisection lands within ulps of it
-    assert omega_max < (1.0 + 1e-15) * math.log(2.0) * T_H
-    etas = [
-        1.0 - math.expm1(w / T_H) / -math.expm1(-w / T_C)
-        for w in optimize._logspace(1e-6 * omega_max, omega_max, 32)
-    ]
+
+    def eta(w):
+        return 1.0 - math.expm1(w / T_H) / -math.expm1(-w / T_C)
+
+    assert eta(T_H) < 0.0
+    etas = [eta(w) for w in optimize._logspace(1e-6 * T_H, T_H, 32)]
     assert all(b <= a + 1e-12 for a, b in zip(etas, etas[1:]))
+
+
+@pytest.mark.parametrize(
+    "run, searches",
+    [
+        (lambda: three_stroke_omega_for_eta(0.3, 0.5, 1.0), 1),
+        (lambda: work_efficiency_curve(0.5, 1.0, "three_stroke", [0.1, 0.25, 0.4, 0.48]), 4),
+        (lambda: COMMANDS["fig5"][1]({**COMMANDS["fig5"][0], "points": 10}), 1),
+        (lambda: COMMANDS["fig6"][1]({**COMMANDS["fig6"][0], "points": 10}), 1),
+    ],
+    ids=["gap", "fig4-curve", "fig5-table", "fig6-table"],
+)
+def test_the_three_stroke_gap_is_one_search_per_efficiency(monkeypatch, run, searches):
+    # no zero-work search: each gap is one bisection on [1e-12, 1] * T_H, in
+    # the power-of-two unit of T_H for fig5 and fig6
+    calls, bisect = [], optimize._bisect
+
+    def counted(value, lo, hi):
+        calls.append((lo, hi))
+        return bisect(value, lo, hi)
+
+    monkeypatch.setattr(optimize, "_bisect", counted)
+    run()
+    assert len(calls) == searches
+    assert all(lo == 1e-12 * hi for lo, hi in calls)
 
 
 def test_three_stroke_point_is_reproducible():

@@ -9,7 +9,9 @@ total, as ``wc -l`` counts them.  Then imports ``thermalops`` from ``SRC``,
 runs every command of ``thermalops.cli.main`` at its default parameters,
 then ``verify --suite NAME`` for each suite in ``thermalops.verify.SUITES``,
 then ``fig5`` and ``fig6`` at ``points=10``, where the one three-stroke
-point of a table costs the largest share, then each table command again
+point of a table costs the largest share, and ``fig4`` at ``points=3``, the
+shape of the benchmark's fig4 requests, whose three-stroke column is one
+gap search per row, then each table command again
 with every default passed as ``--set KEY=VALUE``, the shape of the
 benchmark's requests, so that the cost of reading the arguments shows,
 then each command with ``--format=FORMAT`` at its default format, a form
@@ -42,7 +44,11 @@ import sys
 import time
 
 COMMANDS = ("fig1", "fig4", "fig5", "fig6", "sweep", "micro-report", "verify")
-SMALL_TABLES = (["fig5", "--set", "points=10"], ["fig6", "--set", "points=10"])
+SMALL_TABLES = (
+    ["fig5", "--set", "points=10"],
+    ["fig6", "--set", "points=10"],
+    ["fig4", "--set", "points=3"],
+)
 
 
 def load(src: str, name: str):
