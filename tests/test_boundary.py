@@ -7,11 +7,13 @@ place of it in the callable's known-good call; the known-good call must
 succeed first.  The rows are a string, None, a one-item list or an
 ``object()`` where a float goes, a real that no float holds (``10**400``)
 where a float, a count or a grid goes, an int with more digits than Python
-prints (``10**5000``), whose message must still be formatted, a temperature so small that a bracket scaled from it
-underflows to 0 (``1e-322``), one so small that a gap in its power-of-two unit
-overflows (``1e-320``), a config where a cycle goes and a string or None where
-a population goes.  A value past the known-good call is appended:
-``eto_approximation_report`` takes no list of kinds.
+prints (``10**5000``), whose message must still be formatted, a temperature
+so small that the three-stroke gap found rounds to 0 (``1e-323``), one so
+small that a gap in its power-of-two unit overflows (``1e-320``), a config
+where a cycle goes, None or the other engine's config where an engine's
+config goes, and a string or None where a population goes.  A value past
+the known-good call is appended: ``eto_approximation_report`` takes no list
+of kinds.
 """
 
 import inspect
@@ -54,7 +56,7 @@ from thermalops.optimize import otto_config_at, three_stroke_omega_for_eta
 
 HUGE = 10**400
 LONG = 10**5000  # past the 4300 digits that str() and repr() of an int allow
-TINY = 1e-322  # 1e-12 * TINY underflows to 0
+TINY = 1e-323  # two subnormal steps: the gap found rounds to 0.0
 WIDE = 1e-320  # below 2**-1063: a gap of 1 is 2**1063 of that unit, past the float range
 CONFIG = OttoConfig.nonmarkov(1.0, 0.5, 1.0, 0.25)
 THREE = ThreeStrokeConfig.nonmarkov(0.3, 1.0, 0.25)

@@ -147,7 +147,7 @@ PINNED_TABLES = {
 # values, so these also catch ulp-level drift that the 12-digit CSV rounds
 # away.
 PINNED_JSON = {
-    ("fig4", "points=3"): "75eaedd3c4f072d3615ad6aef5b2837138a5a0bd198ad0efd218af50f51cfa9c",
+    ("fig4", "points=3"): "8ed106228003eb97233019d4ac6849667e042b0e4a89d9fd9bdcfe025752c2c6",
     ("fig5", "points=24"): "1ba8b1e2a348643d8d0b49b1718d750f98d7a2b253ec1302ee6d08e85122ab4e",
     ("fig5", "horizon=single_cycle", "points=24"): (
         "975b885ad2819b56fc346cbf0b9378f54387958023128c32f4a744537d3c133e"

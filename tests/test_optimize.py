@@ -553,7 +553,7 @@ def table_outcome(command: str, p: dict) -> str:
 
 
 # sha256 of every seeded fig5 and fig6 table's outcome
-SEEDED_FLUCTUATION_SHA256 = "8e6dea5adb2012fed32dc7699a6f686c4d4b341798bffc1fae9a05ab6eced736"
+SEEDED_FLUCTUATION_SHA256 = "dabe9855c4e1143c3bf81bb1ce931c310c68ddd529f36200129be03aa60535d0"
 
 
 def test_fluctuation_tables_pin_seeded_parameters():
@@ -587,7 +587,7 @@ def curve_outcome(eta_C: float, T_H: float, engine: str, etas: list) -> str:
 
 
 # sha256 of every seeded fig4 curve's outcome
-SEEDED_FIG4_SHA256 = "1283ca6af012dfca2da4e865937db8dfd6f39c5a36c3d691043256874dd3c054"
+SEEDED_FIG4_SHA256 = "d6ac7ddb7cfbcc0f928f1ea01e848aa2ddbd42328f859375f91f212179619070"
 
 
 def test_fig4_curves_pin_seeded_parameters():
