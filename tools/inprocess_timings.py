@@ -9,12 +9,11 @@ total, as ``wc -l`` counts them.  Then imports ``thermalops`` from ``SRC``,
 runs every command of ``thermalops.cli.main`` at its default parameters,
 then ``verify --suite NAME`` for each suite in ``thermalops.verify.SUITES``,
 then ``fig5`` and ``fig6`` at ``points=10``, where the one three-stroke
-point of a table costs the largest share, and ``fig4`` at ``points=3``, the
-shape of the benchmark's fig4 requests, whose three-stroke column is one
-gap search per row, then each table command again
-with every default passed as ``--set KEY=VALUE``, the shape of the
-benchmark's requests, so that the cost of reading the arguments shows,
-then each command with ``--format=FORMAT`` at its default format, a form
+point of a table costs the largest share, and ``fig4`` at ``points=3``,
+the shape of the benchmark's fig4 requests, whose three-stroke column is
+one gap search per row, then each table command again with every default
+passed as ``--set KEY=VALUE``, the shape of the benchmark's requests, so
+that the cost of reading the arguments shows, then each command with ``--format=FORMAT`` at its default format, a form
 that only argparse reads, and last 1000 calls of ``Cycle.steady_state``
 and of ``Cycle.tilted`` on the default fig5 Otto cycle at one gap.  Stdout
 of the commands is captured and discarded; a nonzero exit code stops the
