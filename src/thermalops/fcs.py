@@ -31,10 +31,11 @@ the fixed point of ``M``; a ``p1`` a caller passes is checked against it.
 An exact trajectory-enumeration oracle, which walks the same stroke tuple,
 checks all of it.
 
-The closed forms read a cycle's checked floats: a ``Cycle``'s or, in a fig5 or
-fig6 row, its config's, with no map, stroke or ``Cycle`` built; ``M``, tilted
-or not, and its powers are composed by the 2x2 kernel ``maps._compose``, so
-they round alike anywhere.
+The closed forms read a cycle's checked floats: a ``Cycle``'s, which keeps
+``M``, ``p`` and the cell sums once a call returns them, each call checking
+primitivity and ``p1`` anew, or, in a fig5 or fig6 row, its config's, with no
+map, stroke or ``Cycle`` built; ``M``, tilted or not, and its powers are
+composed by the 2x2 kernel ``maps._compose``, so they round alike anywhere.
 """
 
 from __future__ import annotations
@@ -62,11 +63,12 @@ from .maps import (
     _compose,
     _fixed_point,
     _require_real,
+    _require_type,
     _shown,
     require_count,
     require_descending,
 )
-from .otto import EngineConfig, OttoConfig, _require_config
+from .otto import EngineConfig, OttoConfig
 from .three_stroke import ThreeStrokeConfig
 
 EXP_BUDGET = 600.0  # |chi| * N * Delta beyond this would overflow binary64
@@ -75,23 +77,14 @@ ENUM_MAX_CYCLES = 12
 
 def tilted_map_otto(cfg: OttoConfig) -> Cycle:
     """The Otto cycle as a tilted map; its quantum is ``omega_H - omega_C``."""
-    _require_config(cfg, OttoConfig)
+    _require_type(cfg, OttoConfig)
     return cfg.cycle()
 
 
 def tilted_map_three_stroke(cfg: ThreeStrokeConfig) -> Cycle:
     """The three-stroke cycle as a tilted map; its quantum is ``omega``."""
-    _require_config(cfg, ThreeStrokeConfig)
+    _require_type(cfg, ThreeStrokeConfig)
     return cfg.cycle()
-
-
-def _require_records(tmap, p1, optional: bool) -> None:
-    """``InvalidParameterError`` unless ``tmap`` is a ``Cycle``, not say a
-    config, and ``p1`` a ``PopulationVector``, or None where ``optional``."""
-    if not isinstance(tmap, Cycle):
-        raise InvalidParameterError(f"expected a Cycle, got {type(tmap).__name__}")
-    if not (isinstance(p1, PopulationVector) or optional and p1 is None):
-        raise InvalidParameterError(f"p1 must be a PopulationVector, got {type(p1).__name__}")
 
 
 def cumulant_gf(tmap: Cycle, p1: PopulationVector, n: int, chi: float) -> float:
@@ -102,7 +95,8 @@ def cumulant_gf(tmap: Cycle, p1: PopulationVector, n: int, chi: float) -> float:
     N-cycle paths: each weight lies in ``[e^-600, e^600]`` under
     ``EXP_BUDGET`` and the probabilities sum to 1, so it is finite and > 0.
     """
-    _require_records(tmap, p1, False)
+    _require_type(tmap, Cycle)
+    _require_type(p1, PopulationVector)
     n = require_count(n, 1, "cycle count")
     if n > sys.float_info.max:
         raise CountingOverflowError("cycle count beyond the binary64 range")
@@ -123,24 +117,30 @@ def cumulant_gf(tmap: Cycle, p1: PopulationVector, n: int, chi: float) -> float:
 
 
 def _spectral_terms(tmap: Cycle, p1: PopulationVector | None = None, primitive=False):
-    """``_cell_sums`` of the cycle; ``p1`` may be None."""
-    _require_records(tmap, p1, True)
-    return _cell_sums(tmap._floats(), p1, primitive)
+    """``_cell_sums`` of the cycle, kept in it; ``p1`` may be None."""
+    _require_type(tmap, Cycle)
+    if p1 is not None:
+        _require_type(p1, PopulationVector)
+    return _cell_sums(tmap._floats, p1, primitive, tmap.__dict__)
 
 
-def _cell_sums(cycle: tuple, p1=None, primitive=False):
+def _cell_sums(cycle: tuple, p1=None, primitive=False, memo=None):
     """``(v1, c, 1 - mu)`` in quanta of a cycle's floats (``Cycle._floats``),
     Otto or, if it flips, three-stroke; ``primitive``: the scaled checks.  ``m0``
-    is ``maps._cycle_map(cycle)``: the flip swaps the levels after the hot stroke."""
+    is ``maps._cycle_map(cycle)``: the flip swaps the levels after the hot stroke.
+    ``memo``, a ``Cycle``'s ``__dict__``, keeps ``m0``, its fixed point and the sums."""
     hot, cold, _, _, _, _, flip = cycle
-    m0 = _compose(cold, (hot[2], hot[3], hot[0], hot[1]) if flip else hot)
+    kept = memo and memo.get("_cells")
+    m0 = kept[0] if kept else _compose(cold, (hot[2], hot[3], hot[0], hot[1]) if flip else hot)
     if primitive and not min(_compose(m0, m0)) > 0.0:  # the entries are finite
         raise NonPrimitiveMapError("untilted cycle map squared has zero entries")
-    p_g, p_e = _fixed_point(*m0)
+    p_g, p_e = kept[1] if kept else _fixed_point(*m0)
     if primitive and m0[1] + m0[2] < 1e-12:
         raise NonPrimitiveMapError("dominant eigenvalue degenerate at chi = 0")
     if p1 is not None and not abs(p1.p_e - p_e) <= DRIFT_RENORM:
         raise InvalidParameterError(f"p1 is not the steady state: p_e {p1.p_e!r}, not {p_e!r}")
+    if kept:
+        return kept[2]
     h00, h01, h10, h11 = hot
     c00, c01, c10, c11 = cold
     x_g, x_e = h00 * p_g + h01 * p_e, h10 * p_g + h11 * p_e  # after the hot stroke
@@ -162,7 +162,10 @@ def _cell_sums(cycle: tuple, p1=None, primitive=False):
     # m00 - m01 = (1 - q) - 1 would for the ETO
     d2 = (k2_e - k2_g) * (c11 - c10)
     gap = -(h11 - h10) * ((k1_e - k1_g) + (-d2 if flip else d2))  # a_g - a_e
-    return v1, gap * J, m0[1] + m0[2]
+    sums = v1, gap * J, m0[1] + m0[2]
+    if memo is not None:
+        memo["_cells"] = m0, (p_g, p_e), sums
+    return sums
 
 
 def _pair_sum(n: int, g: float) -> float:
@@ -211,7 +214,7 @@ def work_moments(tmap: Cycle, p1: PopulationVector | None, n: int) -> WorkStatis
     if n > sys.float_info.max:
         raise CountingOverflowError("cycle count beyond the binary64 range")
     v1, c, g = _spectral_terms(tmap, p1)
-    return _moments(n, v1, c, g, tmap.work(), tmap.quantum, tmap.strokes[0].omega)
+    return _moments(n, v1, c, g, tmap.work(), tmap.quantum, tmap._floats[2])
 
 
 def _moments(n: int, v1, c, g, work: float, quantum: float, omega: float) -> WorkStatistics:
@@ -377,6 +380,6 @@ def _pcc(v1: float, c: float, _g: float) -> float:
 def pcc_three_stroke_exact(cfg: ThreeStrokeConfig) -> float:
     """Closed-form intercycle PCC of the three-stroke engine with extremal
     operations: ``-exp(-(omega / T_C + omega / T_H))``."""
-    _require_config(cfg, ThreeStrokeConfig)
+    _require_type(cfg, ThreeStrokeConfig)
     cfg.requires_eto()
     return -math.exp(-(cfg.omega / cfg.T_C + cfg.omega / cfg.T_H))

@@ -22,14 +22,14 @@ An engine cycle is an ordered tuple of two-level strokes (``Cycle``): heat
 strokes are Gibbs-stochastic maps, work strokes (``WorkStroke``) permute
 the levels at frozen populations while the gap changes.  ``Cycle`` admits
 (heat, quench down, heat, quench back) for the Otto engine and (heat,
-flip, heat) at one gap for the three-stroke engine, and checks when it is
-built that the work strokes link the heat maps' gaps.  Everything follows
-from the tuple: the cycle map, its steady state, the steady cycle
-(``Cycle.run``: points, work and heats), the work quantum and the
-closed-form work (``Cycle.work``), which reads each heat map's gap,
-coupling and ``beta_omega``, the exponent of its Boltzmann factor.
-Engines form ``beta_omega`` as ``omega / T``, which rounds once and stays
-finite at a subnormal ``T``, where ``1 / T`` overflows.
+flip, heat) at one gap for the three-stroke engine, checks when it is
+built that the work strokes link the heat maps' gaps, and keeps their
+checked floats (``Cycle._floats``).  Everything follows from these: the
+cycle map, its steady state, the steady cycle (``Cycle.run``: points, work
+and heats), the work quantum and the closed-form work (``Cycle.work``) in
+each heat map's gap, coupling and ``beta_omega``, the exponent of its
+Boltzmann factor.  Engines form ``beta_omega`` as ``omega / T``, which
+rounds once and stays finite at a subnormal ``T``, where ``1 / T`` overflows.
 
 Every value is checked once, where it enters, and 2x2 work is done on
 Python floats.  ``ThermalOpParams``, the engine configs and
@@ -40,8 +40,9 @@ the message (``require_descending``, ``require_unit_interval``,
 not a ``numbers.Real``, such as a string, None, a numpy complex number or
 an array, raises ``InvalidParameterError`` there, as does a scalar or grid
 entry that would next be compared with a float (``_require_real``,
-``_real_grid``).  A map is its checked row-major floats ``entries``, its
-only representation.  A ``GibbsStochasticMatrix`` built from a user's
+``_real_grid``), and a record of another type (``_require_type``).  A map
+is its checked row-major floats ``entries``, its only representation.  A
+``GibbsStochasticMatrix`` built from a user's
 matrix, any 2x2 nested sequence of reals (``_entries_2x2``), and a map
 from ``build_map`` pass the same float checks of their four entries
 (``_gibbs_stochastic_entries``); ``build_map`` and an engine's ``cycle()``
@@ -59,8 +60,9 @@ runs its checks in ``__new__``, so ``_replace``, copying and unpickling
 check too.  ``GibbsStochasticMatrix`` and ``Cycle`` (and
 ``microscopic.InducedMap``) compare by identity.  All types are immutable
 after construction (assigning a field raises ``AttributeError``) and all
-operations are pure functions; everything is safe for concurrent read-only
-use.
+operations are pure functions; a ``Cycle`` keeps what its first calls
+return, checking each call's arguments anew.  All is safe for concurrent
+read-only use.
 """
 
 from __future__ import annotations
@@ -276,6 +278,12 @@ def _require_real(**values) -> None:
             raise InvalidParameterError(f"{name} must be real, got {_shown(v)}")
 
 
+def _require_type(value, kind: type) -> None:
+    """``InvalidParameterError`` unless ``value`` is a ``kind``, not say None or a plain tuple."""
+    if not isinstance(value, kind):
+        raise InvalidParameterError(f"expected {kind.__name__}, got {type(value).__name__}")
+
+
 def _shown(v, show=repr) -> str:
     """``show(v)``, where an int with more digits than Python will print
     (``sys.get_int_max_str_digits``), also in a tuple, shows as ``<int of N
@@ -391,6 +399,7 @@ def build_map(params: ThermalOpParams) -> GibbsStochasticMatrix:
     bitwise the entries of the numpy expression, signed zeros included.
     They are checked once, by the same code as a user's matrix.
     """
+    _require_type(params, ThermalOpParams)
     beta_omega = params.beta * params.omega
     return _heat_map(_map_entries(beta_omega, params.lam), params.omega, beta_omega)
 
@@ -417,6 +426,8 @@ def eto(omega: float, beta: float) -> GibbsStochasticMatrix:
 
 def apply_map(m: GibbsStochasticMatrix, p: PopulationVector) -> PopulationVector:
     """Propagate populations through one thermal operation."""
+    _require_type(m, GibbsStochasticMatrix)
+    _require_type(p, PopulationVector)
     stay_g, down, up, stay_e = m.entries
     return PopulationVector.from_raw((stay_g * p.p_g + down * p.p_e, up * p.p_g + stay_e * p.p_e))
 
@@ -424,6 +435,7 @@ def apply_map(m: GibbsStochasticMatrix, p: PopulationVector) -> PopulationVector
 def is_markovian(params: ThermalOpParams) -> bool:
     """Whether the operation is realizable by (time-dependent) Lindblad
     dynamics with the Gibbs state stationary."""
+    _require_type(params, ThermalOpParams)
     return params.lam <= full_thermalization_lambda(params.omega, params.beta)
 
 
@@ -507,7 +519,10 @@ _SHAPES = (
 class Cycle(_Frozen):
     """Engine cycle: the strokes from point 1.  A tuple other than (hot, quench
     to the smaller cold gap, cold, quench back) or (hot, flip, cold) at one
-    gap raises ``InvalidParameterError`` here, so no method checks it again."""
+    gap raises ``InvalidParameterError`` here, so no method checks it again.
+    The methods read the strokes' floats ``_floats`` (``EngineConfig._cycle_floats``);
+    ``work()`` and the untilted map, fixed point and cell sums of ``fcs._spectral_terms``
+    are kept in ``__dict__`` once a call returns them, and each call checks anew."""
 
     _FIELDS = ("strokes",)
 
@@ -524,18 +539,22 @@ class Cycle(_Frozen):
             raise InvalidParameterError(
                 "work strokes must quench omega_H > omega_C and back, or flip at one gap"
             )
-        self.__dict__["strokes"] = strokes
+        floats = hot.entries, cold.entries, w_H, w_C, hot.beta_omega, cold.beta_omega, first.flip
+        self.__dict__.update(strokes=strokes, _floats=floats)
 
     @property
     def quantum(self) -> float:
         """``omega_H - omega_C`` or ``omega``, the work the first work stroke
         releases from e; every work-stroke transition releases a multiple."""
-        return self.strokes[1].released[1]
+        _, _, w_H, w_C, _, _, flip = self._floats
+        return w_H if flip else w_H - w_C
 
     def work(self) -> float:
         """Steady work per cycle: the engine's closed form in each heat map's
         gap, exponent ``beta_omega`` and coupling ``m[0, 1]`` (``_cycle_work``)."""
-        return _cycle_work(*self._floats())
+        if "_work" not in self.__dict__:
+            self.__dict__["_work"] = _cycle_work(*self._floats)
+        return self.__dict__["_work"]
 
     def tilted(self, chi: float) -> tuple[float, float, float, float]:
         """Cycle map ``S_k @ ... @ S_1`` as row-major floats, with every
@@ -546,25 +565,24 @@ class Cycle(_Frozen):
         if not math.isfinite(chi):
             raise InvalidParameterError(f"counting field must be finite, got {chi}")
         try:
-            return _cycle_map(self._floats(), chi)
+            return _cycle_map(self._floats, chi)
         except OverflowError:
             raise CountingOverflowError(f"exp(chi * work) overflows at chi = {chi}") from None
 
     def steady_state(self) -> PopulationVector:
-        """Cyclostationary populations at point 1."""
-        return PopulationVector.from_raw(_fixed_point(*_cycle_map(self._floats())))
+        """Cyclostationary populations at point 1 (``_steady_state``)."""
+        return _steady_state(self._floats)
 
     def run(self) -> tuple:
         """One steady cycle ``(p1, p2, p3, W, Q_H, Q_C)`` (``_steady_cycle``): the
         populations entering the hot, first work and cold strokes, ``work()`` and
         the heats absorbed; the cold stroke ends at p1, which the quench back keeps."""
-        return _steady_cycle(*self._floats())
+        return _steady_cycle(*self._floats)
 
-    def _floats(self) -> tuple:
-        """``EngineConfig._cycle_floats``, read from the strokes."""
-        hot, first, cold, *_ = self.strokes
-        a, b = hot.beta_omega, cold.beta_omega
-        return hot.entries, cold.entries, hot.omega, cold.omega, a, b, first.flip
+
+def _steady_state(cycle: tuple) -> PopulationVector:
+    """``Cycle.steady_state`` of a cycle's ``_floats``, with no ``Cycle`` built."""
+    return PopulationVector.from_raw(_fixed_point(*_cycle_map(cycle)))
 
 
 def _cycle_map(cycle: tuple, chi: float = 0.0) -> tuple[float, float, float, float]:

@@ -42,8 +42,10 @@ from .maps import (
     _heat_map,
     _map_entries,
     _otto_work,
+    _require_type,
     _shown,
     _steady_cycle,
+    _steady_state,
     _unchecked,
     build_map,  # noqa: F401  (bench/tests/test_bench.py reads thermalops.otto.build_map)
     require_descending,
@@ -74,13 +76,6 @@ def _coupling_rule(T_H: float, T_C: float, regime: str):
             1.0 / (1.0 + math.exp(-omega_C / T_C)),
         )
     raise InvalidParameterError(f"regime must be one of {REGIMES}, got {_shown(regime)}")
-
-
-def _require_config(cfg, engine: type) -> None:
-    """``InvalidParameterError`` unless ``cfg`` is an ``engine`` config, not
-    say the other engine's config or None."""
-    if not isinstance(cfg, engine):
-        raise InvalidParameterError(f"expected {engine.__name__}, got {type(cfg).__name__}")
 
 
 class EngineConfig(_Checked):
@@ -115,9 +110,10 @@ class EngineConfig(_Checked):
     def cycle(self) -> Cycle:
         """The strokes of ``_cycle_floats`` from point 1, (heat, quench, cool, quench
         back) or (heat, flip, cool): checked fields, linked gaps, so unchecked."""
-        hot, cold, w_H, w_C, a, b, flip = self._cycle_floats()
+        floats = hot, cold, w_H, w_C, a, b, flip = self._cycle_floats()
         strokes = (_heat_map(hot, w_H, a), WorkStroke(w_H, w_C, flip), _heat_map(cold, w_C, b))
-        return _unchecked(Cycle, {"strokes": strokes if flip else (*strokes, WorkStroke(w_C, w_H))})
+        strokes = strokes if flip else (*strokes, WorkStroke(w_C, w_H))
+        return _unchecked(Cycle, {"strokes": strokes, "_floats": floats})
 
     @classmethod
     def _in_regime(cls, regime: str, T_H: float, T_C: float, *gaps: float):
@@ -183,14 +179,14 @@ class OttoConfig(
 
 def otto_steady_state(cfg: OttoConfig) -> PopulationVector:
     """Cyclostationary populations at point 1 (start of the heat stroke)."""
-    _require_config(cfg, OttoConfig)
-    return cfg.cycle().steady_state()
+    _require_type(cfg, OttoConfig)
+    return _steady_state(cfg._cycle_floats())
 
 
 def otto_cycle_report(cfg: OttoConfig) -> CycleReport:
     """Steady-cycle report with ``eta = 1 - omega_C / omega_H``; a warning past
     Carnot.  ``cfg.cycle().run()`` on the config's floats (``_steady_cycle``)."""
-    _require_config(cfg, OttoConfig)
+    _require_type(cfg, OttoConfig)
     run = _steady_cycle(*cfg._cycle_floats())
     eta = cfg.efficiency
     if eta >= cfg.carnot_efficiency:
@@ -219,7 +215,7 @@ def otto_work(cfg: OttoConfig) -> float:
     ``DegenerateCycleError`` when ``up + down == 0`` (both couplings 0),
     where the cycle map is the identity.
     """
-    _require_config(cfg, OttoConfig)
+    _require_type(cfg, OttoConfig)
     w_H, w_C = cfg.omega_H, cfg.omega_C
     return _otto_work(w_H, w_C, w_H / cfg.T_H, w_C / cfg.T_C, cfg.lambda_H, cfg.lambda_C)
 
@@ -233,7 +229,7 @@ def analytic_populations(cfg: OttoConfig, regime: str) -> tuple[float, float]:
     or extremal operations on both strokes (``nonmarkov``).  Serves as an
     independent check on the steady-state solver.
     """
-    _require_config(cfg, OttoConfig)
+    _require_type(cfg, OttoConfig)
     cfg._require_regime(regime)
     a, b = cfg.omega_H / cfg.T_H, cfg.omega_C / cfg.T_C  # 1 / T overflows for a subnormal T
     q_H, q_C = math.exp(-a), math.exp(-b)

@@ -19,8 +19,8 @@ import warnings
 from collections import namedtuple
 
 from .errors import NotAnEngineWarning, ZeroHeatError
-from .maps import CycleReport, PopulationVector, _steady_cycle
-from .otto import MARKOV, NONMARKOV, EngineConfig, _require_config
+from .maps import CycleReport, PopulationVector, _require_type, _steady_cycle, _steady_state
+from .otto import MARKOV, NONMARKOV, EngineConfig
 
 _HEAT_TOL = 1e-14
 
@@ -62,15 +62,15 @@ class ThreeStrokeConfig(
 
 def three_stroke_steady_state(cfg: ThreeStrokeConfig) -> PopulationVector:
     """Cyclostationary populations at point 1 (start of the heat stroke)."""
-    _require_config(cfg, ThreeStrokeConfig)
-    return cfg.cycle().steady_state()
+    _require_type(cfg, ThreeStrokeConfig)
+    return _steady_state(cfg._cycle_floats())
 
 
 def three_stroke_report(cfg: ThreeStrokeConfig) -> CycleReport:
     """Steady-cycle report with ``eta = W / Q_H``: ``ZeroHeatError`` unless
     ``|Q_H| > 1e-14 * omega`` (so a ``Q_H`` of 0 where that underflows, or
     NaN), a warning if ``W <= 0``.  As ``otto_cycle_report``, on floats."""
-    _require_config(cfg, ThreeStrokeConfig)
+    _require_type(cfg, ThreeStrokeConfig)
     p1, p2, p3, W, Q_H, Q_C = _steady_cycle(*cfg._cycle_floats())
     if not abs(Q_H) > _HEAT_TOL * cfg.omega:
         raise ZeroHeatError("Q_H vanishes; efficiency undefined")

@@ -11,7 +11,8 @@ prints (``10**5000``), whose message must still be formatted, a temperature
 so small that the three-stroke gap found rounds to 0 (``1e-323``), one so
 small that a gap in its power-of-two unit overflows (``1e-320``), a config
 where a cycle goes, None or the other engine's config where an engine's
-config goes, and a string or None where a population goes.  A value past
+config goes, a string or None where a population goes, and None, a plain
+tuple or a string where a map or its parameters go.  A value past
 the known-good call is appended: ``eto_approximation_report`` takes no list
 of kinds.
 """
@@ -28,15 +29,20 @@ from thermalops import (
     PopulationVector,
     ScanSpec,
     ThermalOpsError,
+    ThermalOpParams,
     ThreeStrokeConfig,
     WorkDistribution,
     analytic_populations,
+    apply_map,
+    build_map,
     cumulant_gf,
+    eto,
     eto_approximation_report,
     eto_vs_thermalization_scan,
     fluctuation_curve,
     full_thermalization_lambda,
     intercycle_pcc,
+    is_markovian,
     otto_cycle_report,
     otto_steady_state,
     otto_work,
@@ -61,6 +67,7 @@ WIDE = 1e-320  # below 2**-1063: a gap of 1 is 2**1063 of that unit, past the fl
 CONFIG = OttoConfig.nonmarkov(1.0, 0.5, 1.0, 0.25)
 THREE = ThreeStrokeConfig.nonmarkov(0.3, 1.0, 0.25)
 CYCLE = CONFIG.cycle()
+PARAMS = ThermalOpParams(1.0, 1.0, 0.5)
 OTTO_TAKERS = (otto_steady_state, otto_cycle_report, otto_work, tilted_map_otto)
 THREE_TAKERS = (
     three_stroke_steady_state, three_stroke_report, tilted_map_three_stroke, pcc_three_stroke_exact
@@ -86,6 +93,9 @@ GOOD = {
     FockTruncation: (30, 1.0, 1.0),
     WorkDistribution: (1, 1.0, ((1.0, 1.0),)),
     eto_vs_thermalization_scan: (1.0, [0.5, 2.0]),
+    build_map: (PARAMS,),
+    apply_map: (eto(1.0, 1.0), PopulationVector(0.5, 0.5)),
+    is_markovian: (PARAMS,),
     **{fn: (CONFIG,) for fn in OTTO_TAKERS},
     analytic_populations: (CONFIG, "nonmarkov"),
     **{fn: (THREE,) for fn in THREE_TAKERS},
@@ -119,6 +129,11 @@ ROWS = [
     (cumulant_gf, "tmap", CONFIG),
     (cumulant_gf, "p1", None),
     (eto_approximation_report, "kinds", ("standard",)),
+    (build_map, "params", None),
+    (build_map, "params", (1.0, 1.0, 0.5)),  # its fields, not the record
+    (apply_map, "m", "x"),
+    (apply_map, "p", None),
+    (is_markovian, "params", None),
     *[(fn, "cfg", value) for fn in (*OTTO_TAKERS, analytic_populations) for value in (None, THREE)],
     *[(fn, "cfg", value) for fn in THREE_TAKERS for value in (None, CONFIG)],
     *[

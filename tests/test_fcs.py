@@ -599,11 +599,18 @@ def engine_configs(draw):
 @example(ThreeStrokeConfig.markov(1e-300, 1e-310, 5e-324))
 @example(ThreeStrokeConfig(1.0, 1.0, 0.5, -0.0, 1.0))
 def test_a_cycle_rebuilt_from_its_strokes_is_the_builders(cfg):
-    # quantum and work() are read off the strokes alone, so a checked cycle
-    # of the builder's strokes gives the builder's values and otto_work's
+    # the methods read the floats a cycle stores, so a checked cycle of the
+    # builder's strokes must store the builder's floats, bit for bit (-0.0 too),
+    # to give the builder's values and otto_work's
     built = cfg.cycle()
     cycle = Cycle(built.strokes)
-    assert list(vars(cycle)) == list(vars(built)) == ["strokes"]
+    assert list(vars(cycle)) == list(vars(built)) == ["strokes", "_floats"]
+
+    def bits(c):
+        hot, cold, *gaps_and_exponents, flip = c._floats
+        return [x.hex() for x in (*hot, *cold, *gaps_and_exponents)], flip
+
+    assert bits(cycle) == bits(built)
     otto = isinstance(cfg, OttoConfig)
     assert cycle.quantum == built.quantum == (cfg.omega_H - cfg.omega_C if otto else cfg.omega)
     # the coupling is read as the entry 0.0 + lam, which turns -0.0 into +0.0
@@ -656,6 +663,83 @@ def test_scaled_cumulants_reject_non_primitive_map():
     cfg = OttoConfig(1.0, 0.6, 1.0, 0.5, 1e-13, 1e-13)
     with pytest.raises(NonPrimitiveMapError, match="dominant eigenvalue degenerate"):
         scaled_cumulants(cfg.cycle())
+
+
+def bits(value):
+    """``value`` with every float, also in nested tuples, as ``float.hex``."""
+    if isinstance(value, float):
+        return value.hex()
+    return tuple(map(bits, value)) if isinstance(value, tuple) else value
+
+
+STATISTICS = {
+    "work": lambda cycle, p1: cycle.work(),
+    **{
+        f"work_moments N={n}": lambda cycle, p1, n=n: work_moments(cycle, p1, n)
+        for n in (1, 2, 13, 10**6)
+    },
+    "scaled_cumulants": lambda cycle, p1: scaled_cumulants(cycle),
+    "intercycle_pcc": lambda cycle, p1: intercycle_pcc(cycle, p1),
+    "steady_state": lambda cycle, p1: cycle.steady_state(),
+}
+
+
+@pytest.mark.parametrize("make", [random_otto, random_three_stroke])
+def test_a_cycle_returns_the_same_bits_before_and_after_it_keeps_them(make):
+    # a cycle keeps work() and its cell sums after the first call that returns
+    # them; every statistic must be the fresh cycle's, bit for bit, in any order
+    rng = np.random.default_rng(43)
+    for _ in range(4):
+        cfg = make(rng)
+        p1 = cfg.cycle().steady_state()
+        fresh = {name: bits(stat(cfg.cycle(), p1)) for name, stat in STATISTICS.items()}
+        for order in (list(STATISTICS), list(STATISTICS)[::-1]):
+            cycle = cfg.cycle()
+            for _ in range(2):
+                assert {name: bits(STATISTICS[name](cycle, p1)) for name in order} == fresh
+        cycle = Cycle(cfg.cycle().strokes)  # a cycle checked from its strokes keeps alike
+        assert {name: bits(stat(cycle, None)) for name, stat in STATISTICS.items()} == fresh
+
+
+@pytest.mark.parametrize("make", [random_otto, random_three_stroke])
+def test_a_wrong_p1_is_rejected_after_a_call_that_returned(make):
+    cfg = make(np.random.default_rng(44))
+    cycle = cfg.cycle()
+    p1 = cycle.steady_state()
+    stats, pcc = work_moments(cycle, p1, 3), intercycle_pcc(cycle, p1)
+    far = PopulationVector(1.0, 0.0)  # the steady p_e is well above 1e-12
+    with pytest.raises(InvalidParameterError, match="p1 is not the steady state"):
+        work_moments(cycle, far, 3)
+    with pytest.raises(InvalidParameterError, match="p1 is not the steady state"):
+        intercycle_pcc(cycle, far)
+    assert bits(work_moments(cycle, p1, 3)) == bits(stats)
+    assert bits(intercycle_pcc(cycle, p1)) == bits(pcc)
+
+
+IDENTITY = OttoConfig(1.0, 0.5, 1.0, 0.5, 0.0, 0.0)  # both couplings 0
+NEAR_IDENTITY = OttoConfig(1.0, 0.6, 1.0, 0.5, 1e-13, 1e-13)
+
+
+@pytest.mark.parametrize("moments_first", [True, False])
+def test_a_cycle_that_raises_keeps_raising_in_either_call_order(moments_first):
+    # the primitivity checks run before the fixed point on every call, and a
+    # call that raised keeps nothing, so the error does not depend on the order
+    calls = [
+        (lambda c: work_moments(c, None, 3), DegenerateCycleError),
+        (scaled_cumulants, NonPrimitiveMapError),
+    ]
+    cycle = IDENTITY.cycle()
+    for call, error in (calls if moments_first else calls[::-1]) * 2:
+        with pytest.raises(error):
+            call(cycle)
+    # here the fixed point exists, so a first work_moments returns and keeps it
+    cycle = NEAR_IDENTITY.cycle()
+    if moments_first:
+        work_moments(cycle, None, 3)
+    for _ in range(2):
+        with pytest.raises(NonPrimitiveMapError, match="dominant eigenvalue degenerate"):
+            scaled_cumulants(cycle)
+    assert bits(work_moments(cycle, None, 3)) == bits(work_moments(NEAR_IDENTITY.cycle(), None, 3))
 
 
 def test_gf_convexity_on_grid():

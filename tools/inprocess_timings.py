@@ -5,18 +5,25 @@
 
 Prints the line count of each module of the ``thermalops`` package under
 the source directory ``SRC`` (such as ``src`` of a checkout) and their
-total, as ``wc -l`` counts them.  Then imports ``thermalops`` from ``SRC``,
-runs every command of ``thermalops.cli.main`` at its default parameters,
-then ``verify --suite NAME`` for each suite in ``thermalops.verify.SUITES``,
-then ``fig5`` and ``fig6`` at ``points=10``, where the one three-stroke
-point of a table costs the largest share, and ``fig4`` at ``points=3``,
-the shape of the benchmark's fig4 requests, whose three-stroke column is
-one gap search per row, then each table command again with every default
-passed as ``--set KEY=VALUE``, the shape of the benchmark's requests, so
-that the cost of reading the arguments shows, then each command with ``--format=FORMAT`` at its default format, a form
-that only argparse reads, and last 1000 calls of ``Cycle.steady_state``
-and of ``Cycle.tilted`` on the default fig5 Otto cycle at one gap.  Stdout
-of the commands is captured and discarded; a nonzero exit code stops the
+total, as ``wc -l`` counts them.  Then imports ``thermalops`` from
+``SRC``, runs every command of ``thermalops.cli.main`` at its default
+parameters, then ``verify --suite NAME`` for each suite in
+``thermalops.verify.SUITES``, then ``fig5`` and ``fig6`` at
+``points=10``, where the one three-stroke point of a table costs the
+largest share, and ``fig4`` at ``points=3``, the shape of the
+benchmark's fig4 requests, whose three-stroke column is one gap search
+per row, then each table command again with every default passed as
+``--set KEY=VALUE``, the shape of the benchmark's requests, so that the
+cost of reading the arguments shows, then each command with
+``--format=FORMAT`` at its default format, a form that only argparse
+reads, then 1000 runs of the README quickstart, each on a config and
+cycle built anew, the shape of the benchmark's quickstart requests, and
+last 1000 calls of ``Cycle.steady_state`` and of ``Cycle.tilted`` on the
+default fig5 Otto cycle at one gap.  A cycle keeps ``work()`` and its
+cell sums after their first call, so a quickstart run times that first
+call and the reads that follow it; neither ``Cycle.* x1000`` line reads
+what the cycle keeps, so both time the full call.  Stdout of the
+commands is captured and discarded; a nonzero exit code stops the
 script.  Import and interpreter start-up are not counted.
 
 With one tree, each run goes once to warm up and ``N`` times more, and the
@@ -83,6 +90,17 @@ def cli_run(main, argv: list[str]):
     return run
 
 
+def quickstart(to) -> None:
+    """The calls of the README's library quickstart, on the package ``to``."""
+    cfg = to.OttoConfig.nonmarkov(omega_H=1.0, omega_C=0.7, T_H=1.0, T_C=0.5)
+    to.otto_cycle_report(cfg)
+    cycle = cfg.cycle()
+    p1 = cycle.steady_state()
+    to.work_moments(cycle, p1, n=10)
+    to.scaled_cumulants(cycle)
+    to.intercycle_pcc(cycle, p1)
+
+
 def runs(package) -> list:
     """``(label, call)`` of every timed run of one imported tree."""
     cli = importlib.import_module(f"{package.__name__}.cli")
@@ -97,6 +115,7 @@ def runs(package) -> list:
     for command in COMMANDS:
         argv = [command, f"--format={'text' if command == 'verify' else 'csv'}"]
         out.append((" ".join(argv), cli_run(cli.main, argv)))
+    out.append(("README quickstart x1000", lambda: [quickstart(package) for _ in range(1000)]))
     optimize = importlib.import_module(f"{package.__name__}.optimize")
     cycle = optimize.otto_config_at(0.3, 0.5, 1.0, 1.0, "nonmarkov").cycle()
     out.append(("Cycle.steady_state x1000", lambda: [cycle.steady_state() for _ in range(1000)]))
