@@ -399,7 +399,8 @@ def build_map(params: ThermalOpParams) -> GibbsStochasticMatrix:
     bitwise the entries of the numpy expression, signed zeros included.
     They are checked once, by the same code as a user's matrix.
     """
-    _require_type(params, ThermalOpParams)
+    if type(params) is not ThermalOpParams:  # skips a call per map on the usual type
+        _require_type(params, ThermalOpParams)
     beta_omega = params.beta * params.omega
     return _heat_map(_map_entries(beta_omega, params.lam), params.omega, beta_omega)
 
@@ -520,9 +521,10 @@ class Cycle(_Frozen):
     """Engine cycle: the strokes from point 1.  A tuple other than (hot, quench
     to the smaller cold gap, cold, quench back) or (hot, flip, cold) at one
     gap raises ``InvalidParameterError`` here, so no method checks it again.
-    The methods read the strokes' floats ``_floats`` (``EngineConfig._cycle_floats``);
+    The methods read the strokes' floats ``_floats`` (``EngineConfig._cycle_floats``).
     ``work()`` and the untilted map, fixed point and cell sums of ``fcs._spectral_terms``
-    are kept in ``__dict__`` once a call returns them, and each call checks anew."""
+    are kept in ``__dict__`` once a call returns them; each call still checks its
+    arguments, primitivity and ``p1``, and a call that raises keeps nothing."""
 
     _FIELDS = ("strokes",)
 
