@@ -520,11 +520,10 @@ _SHAPES = (
 class Cycle(_Frozen):
     """Engine cycle: the strokes from point 1.  A tuple other than (hot, quench
     to the smaller cold gap, cold, quench back) or (hot, flip, cold) at one
-    gap raises ``InvalidParameterError`` here, so no method checks it again.
-    The methods read the strokes' floats ``_floats`` (``EngineConfig._cycle_floats``).
-    ``work()`` and the untilted map, fixed point and cell sums of ``fcs._spectral_terms``
-    are kept in ``__dict__`` once a call returns them; each call still checks its
-    arguments, primitivity and ``p1``, and a call that raises keeps nothing."""
+    gap raises ``InvalidParameterError`` here, so no method checks it again.  The
+    methods read its checked floats ``_floats`` (``EngineConfig._cycle_floats``).  It
+    keeps ``work()`` and the untilted map, fixed point and cell sums behind
+    ``fcs._spectral_terms`` once a call returns them; each call checks anew."""
 
     _FIELDS = ("strokes",)
 
