@@ -40,17 +40,17 @@ the message (``require_descending``, ``require_unit_interval``,
 not a ``numbers.Real``, such as a string, None, a numpy complex number or
 an array, raises ``InvalidParameterError`` there, as does a scalar or grid
 entry that would next be compared with a float (``_require_real``,
-``_real_grid``), and a record of another type (``_require_type``).  A map
-is its checked row-major floats ``entries``, its only representation.  A
-``GibbsStochasticMatrix`` built from a user's
-matrix, any 2x2 nested sequence of reals (``_entries_2x2``), and a map
-from ``build_map`` pass the same float checks of their four entries
-(``_gibbs_stochastic_entries``); ``build_map`` and an engine's ``cycle()``
-then wrap what they built without checking it again (``_unchecked``).  The
-cycle product, tilted or not (``Cycle.tilted``), its fixed point, the steady
-cycle (``_steady_cycle``, behind ``Cycle.run`` and the reports) and
-``apply_map`` compute on those floats (``_compose``, ``_fixed_point``), which
-round alike on every platform, where a numpy 2x2 product may use an FMA.
+``_real_grid``), and so does a record of another type (``_require_type``).
+A map is its checked row-major floats ``entries``, its only representation.
+A ``GibbsStochasticMatrix`` built from a user's matrix, any 2x2 nested
+sequence of reals (``_entries_2x2``), and a map from ``build_map`` pass the
+same float checks of their four entries (``_gibbs_stochastic_entries``);
+``build_map`` and an engine's ``cycle()`` then wrap what they built without
+checking it again (``_unchecked``).  The cycle product, tilted or not
+(``Cycle.tilted``), its fixed point, the steady cycle (``_steady_cycle``,
+behind ``Cycle.run`` and the reports) and ``apply_map`` compute on those
+floats (``_compose``, ``_fixed_point``), which round alike on every
+platform, where a numpy 2x2 product may use an FMA.
 
 Value types are named tuples: ``PopulationVector``, ``ThermalOpParams``,
 ``WorkStroke`` and ``CycleReport`` (of both engines) here, and the configs

@@ -71,6 +71,13 @@ def tilted_and_steady(cfg):
     return tilted_map_three_stroke(cfg), three_stroke_steady_state(cfg)
 
 
+def bits(value):
+    """``value`` with every float, also in nested tuples, as ``float.hex``."""
+    if isinstance(value, float):
+        return value.hex()
+    return tuple(map(bits, value)) if isinstance(value, tuple) else value
+
+
 # --- independent brute-force path oracle (kept deliberately naive) ---
 
 
@@ -605,12 +612,7 @@ def test_a_cycle_rebuilt_from_its_strokes_is_the_builders(cfg):
     built = cfg.cycle()
     cycle = Cycle(built.strokes)
     assert list(vars(cycle)) == list(vars(built)) == ["strokes", "_floats"]
-
-    def bits(c):
-        hot, cold, *gaps_and_exponents, flip = c._floats
-        return [x.hex() for x in (*hot, *cold, *gaps_and_exponents)], flip
-
-    assert bits(cycle) == bits(built)
+    assert bits(cycle._floats) == bits(built._floats)
     otto = isinstance(cfg, OttoConfig)
     assert cycle.quantum == built.quantum == (cfg.omega_H - cfg.omega_C if otto else cfg.omega)
     # the coupling is read as the entry 0.0 + lam, which turns -0.0 into +0.0
@@ -663,13 +665,6 @@ def test_scaled_cumulants_reject_non_primitive_map():
     cfg = OttoConfig(1.0, 0.6, 1.0, 0.5, 1e-13, 1e-13)
     with pytest.raises(NonPrimitiveMapError, match="dominant eigenvalue degenerate"):
         scaled_cumulants(cfg.cycle())
-
-
-def bits(value):
-    """``value`` with every float, also in nested tuples, as ``float.hex``."""
-    if isinstance(value, float):
-        return value.hex()
-    return tuple(map(bits, value)) if isinstance(value, tuple) else value
 
 
 STATISTICS = {
