@@ -718,7 +718,7 @@ NEAR_IDENTITY = OttoConfig(1.0, 0.6, 1.0, 0.5, 1e-13, 1e-13)
 @pytest.mark.parametrize("moments_first", [True, False])
 def test_a_cycle_that_raises_keeps_raising_in_either_call_order(moments_first):
     # the primitivity checks run before the fixed point on every call, and a
-    # call that raised keeps nothing, so the error does not depend on the order
+    # check that raised keeps nothing, so the error does not depend on the order
     calls = [
         (lambda c: work_moments(c, None, 3), DegenerateCycleError),
         (scaled_cumulants, NonPrimitiveMapError),
