@@ -15,13 +15,15 @@ value) from the table without importing argparse.  Any other vector, help
 and usage errors included, goes to ``_argparse``, which imports argparse
 and builds its parser from the same table only then.
 
+``json`` is imported by the two JSON renderers only, so a CSV or text
+request never loads it.
+
 Exit codes: 0 success or help, 1 validation or usage error, 2 verification
 failure, 3 I/O error.
 """
 
 from __future__ import annotations
 
-import json
 import math
 import sys
 from typing import Optional, Sequence
@@ -208,6 +210,8 @@ def _render_json(command: str, params: dict, columns, rows) -> str:
     Finite reprs hold no ``n``, so only a table with a ``nan`` or ``inf``
     is rewritten to ``json``'s ``NaN``, ``Infinity`` and ``-Infinity``.
     """
+    import json
+
     head = json.dumps(
         {"command": command, "version": __version__, "params": params, "columns": list(columns)},
         indent=1,
@@ -243,6 +247,8 @@ def _render_verify_text(records) -> str:
 
 
 def _render_verify_json(records) -> str:
+    import json
+
     payload = {
         "version": __version__,
         "checks": [

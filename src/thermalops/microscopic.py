@@ -47,6 +47,7 @@ from .maps import (
     _Frozen,
     _real_grid,
     _require_real,
+    _require_type,
     _shown,
     _unchecked,
     eto,
@@ -150,6 +151,7 @@ def induced_population_map(u, tr: FockTruncation) -> InducedMap:
     import numpy as np
 
     u = _numeric_array(u, "a numeric unitary")
+    _require_type(tr, FockTruncation)
     if u.shape != (tr.dim, tr.dim):
         raise InvalidParameterError(f"unitary has wrong shape {u.shape}")
     w = _thermal_weights(tr)
@@ -163,6 +165,7 @@ def induced_population_map(u, tr: FockTruncation) -> InducedMap:
 def swap_map(tr: FockTruncation) -> InducedMap:
     """Qubit population map induced by the excitation swap, on floats: every
     weight ``w_n`` changes level but ``w_0`` from g and ``w_{n_max}`` from e."""
+    _require_type(tr, FockTruncation)
     w = _thermal_weights(tr)
     return _induced((w[0], math.fsum(w[:-1]), math.fsum(w[1:]), w[-1]))
 
@@ -190,6 +193,7 @@ def jc_unitary(J: float, t: float, tr: FockTruncation, kind: str):
     """
     import numpy as np
 
+    _require_type(tr, FockTruncation)
     _check_jc(J, t, tr, kind)
     u = np.eye(tr.dim, dtype=complex)
     for n in range(1, tr.n_levels):
@@ -249,6 +253,7 @@ def jc_evolution_map(J: float, t: float, tr: FockTruncation, kind: str) -> Induc
     ``w_{n_max}``.  The angles are those of ``jc_unitary``, and each entry
     lies within ``2**-51`` of a 50-digit evaluation of the truncated model.
     """
+    _require_type(tr, FockTruncation)
     _check_jc(J, t, tr, kind)
     return _induced(_sector_kernel(J, _thermal_weights(tr), kind)(t))
 
@@ -261,6 +266,8 @@ def _deviation(m: tuple, target: tuple) -> float:
 def eto_deviation(induced: InducedMap, tr: FockTruncation) -> float:
     """Max-entry deviation of an induced map from the exact ETO at the
     truncation's (omega, beta)."""
+    _require_type(induced, InducedMap)
+    _require_type(tr, FockTruncation)
     return _deviation(induced.entries, eto(tr.omega, tr.beta).entries)
 
 
@@ -275,6 +282,7 @@ def eto_approximation_report(
     times = sorted(_real_grid(t_grid, "time grid"))
     if not times:
         raise InvalidParameterError("time grid must be nonempty")
+    _require_type(tr, FockTruncation)
     w, target = _thermal_weights(tr), eto(tr.omega, tr.beta).entries
     report = {}
     for kind in JC_KINDS:

@@ -35,7 +35,7 @@ from typing import NamedTuple, Sequence
 from .errors import InvalidParameterError, NoInteriorMaximumWarning, ZeroWorkError
 from .fcs import _cell_sums, _moments, _scaled
 from .maps import _Checked, _cycle_work, _map_entries, _otto_work, _three_stroke_work
-from .maps import _real_grid, _require_real, _shown, require_descending
+from .maps import _real_grid, _require_real, _require_type, _shown, require_descending
 from .otto import MARKOV, NONMARKOV, OttoConfig, _coupling_rule
 from .three_stroke import ThreeStrokeConfig
 
@@ -212,6 +212,7 @@ def maximize_work(spec: ScanSpec) -> OptimumRecord:
       so ``ln W = ln a + a + ln(e^((kappa-1) a) - 1) - ln(1 + e^a) - ln(1 +
       e^(kappa a)) + const``, a sum of concave terms.
     """
+    _require_type(spec, ScanSpec)
     work = _work_curve(spec.eta, spec.eta_C, spec.T_H, spec.regime)
     gaps = _otto_gaps(spec.eta, spec.eta_C, spec.T_H)
     slope = _log_work_slope(spec.regime)

@@ -2,10 +2,15 @@
 
 Each suite is a fixed experiment: it aggregates the worst residual
 observed over a batch of random configurations and reports it against the
-bound the invariant is supposed to hold at.  The configurations are
-``random.Random(_SEED).uniform`` draws, one value at a time, so every
-platform and every run reproduces the same residuals.  The suites take no
-arguments; their residuals are Python floats on checked float entries.
+bound the invariant is supposed to hold at.  The configurations are drawn
+from ``random.Random(_SEED)`` one value at a time, as ``lo + (hi - lo) *
+random()`` on each value's bounds, the formula of ``Random.uniform``, so
+every platform and every run reproduces the same residuals.  The suites
+take no arguments; their residuals are Python floats on checked float
+entries.  Each residual is folded into its check's worst value in the
+suite's own loop by ``if not x <= worst and worst == worst``: a NaN fails
+every comparison, so the first NaN wins and stays, where ``max(0.0, nan)``
+would drop it.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from __future__ import annotations
 import math
 import random
 import warnings
-from functools import reduce
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import InvalidParameterError
@@ -48,15 +52,11 @@ class CheckRecord(NamedTuple):
         return self.observed <= self.bound
 
 
-def _worse(a: float, b: float) -> float:  # a NaN wins; max(0.0, nan) would drop it
-    return a if a != a or a >= b else b
-
-
 def _draw(rng, count: int, bounds: tuple, build: Callable = lambda *row: row) -> Iterator:
     """Yield ``count`` values ``build(*row)`` that are not None, for rows of
-    ``rng.uniform(lo, hi)`` on ``bounds``; a rejected row is drawn again."""
+    ``lo + (hi - lo) * rng.random()`` on ``bounds``; a rejected row is drawn again."""
     while count > 0:
-        item = build(*[rng.uniform(lo, hi) for lo, hi in bounds])
+        item = build(*[lo + (hi - lo) * rng.random() for lo, hi in bounds])
         if item is not None:
             count -= 1
             yield item
@@ -81,40 +81,33 @@ def _three_stroke_draws(rng, count: int, min_bias: float) -> Iterator[tuple]:
     return _draw(rng, count, ((0.3, 2.0), (0.35, 0.85), (0.5, 1.0), (0.5, 1.0)), build)
 
 
-def _gibbs_residuals(
-    m00: float, m01: float, m10: float, m11: float, g_g: float, g_e: float
-) -> tuple[float, float, float]:
-    """Entry-range, column-sum and fixed-point residuals of one map's
-    row-major entries against its Gibbs populations ``(g_g, g_e)``, folded
-    with ``_worse`` so that a NaN in any entry is the residual."""
-    entry = _worse(
-        _worse(max(m00 - 1.0, -m00), max(m01 - 1.0, -m01)),
-        _worse(max(m10 - 1.0, -m10), max(m11 - 1.0, -m11)),
-    )
-    cols = _worse(abs((m00 + m10) - 1.0), abs((m01 + m11) - 1.0))
-    gibbs = _worse(abs(m00 * g_g + m01 * g_e - g_g), abs(m10 * g_g + m11 * g_e - g_e))
-    return entry, cols, gibbs
-
-
 def suite_gibbs_fixed_point() -> list[CheckRecord]:
     """Column-stochasticity and Gibbs fixed point of randomly drawn maps.
 
     Each of ``_DRAWS`` draws builds ``build_map(ThermalOpParams(omega, beta,
     lam))`` and measures, on its checked float entries and the
-    ``thermal_population`` floats, how far an entry lies outside [0, 1], how
-    far a column sum is from 1 and how far the Gibbs populations move
-    (``_gibbs_residuals``).  The float products round alike on every
+    ``thermal_population`` floats, how far an entry lies outside [0, 1]
+    (``m - 1`` and ``-m``), how far a column sum is from 1 and how far the
+    Gibbs populations move.  The float products round alike on every
     platform, where a numpy 2x2 product may fuse a multiply-add.
     """
-    rng = random.Random(_SEED)
+    rand = random.Random(_SEED).random
     worst_entry = worst_cols = worst_gibbs = 0.0
-    for omega, beta, lam in _draw(rng, _DRAWS, ((0.05, 4.0), (0.05, 4.0), (0.0, 1.0))):
-        m = build_map(ThermalOpParams(omega, beta, lam))
-        g = thermal_population(omega, beta)
-        entry, cols, gibbs = _gibbs_residuals(*m.entries, g.p_g, g.p_e)
-        worst_entry = _worse(worst_entry, entry)
-        worst_cols = _worse(worst_cols, cols)
-        worst_gibbs = _worse(worst_gibbs, gibbs)
+    for _ in range(_DRAWS):
+        omega = 0.05 + (4.0 - 0.05) * rand()
+        beta = 0.05 + (4.0 - 0.05) * rand()
+        lam = 0.0 + (1.0 - 0.0) * rand()
+        m00, m01, m10, m11 = build_map(ThermalOpParams(omega, beta, lam)).entries
+        g_g, g_e = thermal_population(omega, beta)
+        for x in (m00 - 1.0, -m00, m01 - 1.0, -m01, m10 - 1.0, -m10, m11 - 1.0, -m11):
+            if not x <= worst_entry and worst_entry == worst_entry:
+                worst_entry = x
+        for x in (abs((m00 + m10) - 1.0), abs((m01 + m11) - 1.0)):
+            if not x <= worst_cols and worst_cols == worst_cols:
+                worst_cols = x
+        for x in (abs(m00 * g_g + m01 * g_e - g_g), abs(m10 * g_g + m11 * g_e - g_e)):
+            if not x <= worst_gibbs and worst_gibbs == worst_gibbs:
+                worst_gibbs = x
     return [
         CheckRecord("gibbs-fixed-point", "entries-in-range", worst_entry, 1e-12),
         CheckRecord("gibbs-fixed-point", "column-sums", worst_cols, 1e-12),
@@ -125,12 +118,17 @@ def suite_gibbs_fixed_point() -> list[CheckRecord]:
 def suite_first_law() -> list[CheckRecord]:
     """|W - Q_H - Q_C| over ``_DRAWS`` random Otto and three-stroke configurations."""
     rng = random.Random(_SEED)
+    worst_otto = worst_three = 0.0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # draws outside the engine regime are intended
-        otto = map(otto_cycle_report, _otto_configs(rng, _DRAWS))
-        worst_otto = reduce(_worse, (abs(r.W - r.Q_H - r.Q_C) for r in otto), 0.0)
-        three = (rep for _, rep in _three_stroke_draws(rng, _DRAWS, 1e-6))
-        worst_three = reduce(_worse, (abs(r.W - r.Q_H - r.Q_C) for r in three), 0.0)
+        for r in map(otto_cycle_report, _otto_configs(rng, _DRAWS)):
+            x = abs(r.W - r.Q_H - r.Q_C)
+            if not x <= worst_otto and worst_otto == worst_otto:
+                worst_otto = x
+        for _, r in _three_stroke_draws(rng, _DRAWS, 1e-6):
+            x = abs(r.W - r.Q_H - r.Q_C)
+            if not x <= worst_three and worst_three == worst_three:
+                worst_three = x
     return [
         CheckRecord("first-law", "otto", worst_otto, 1e-12),
         CheckRecord("first-law", "three-stroke", worst_three, 1e-12),
@@ -151,8 +149,12 @@ def suite_oracle_equivalence() -> list[CheckRecord]:
         for n in _CYCLES:
             dist = enumerate_work_distribution(cfg, n)
             stats = work_moments(cycle, p1, n)
-            worst_mean = _worse(worst_mean, abs(stats.mean - dist.mean()) / abs(dist.mean()))
-            worst_var = _worse(worst_var, abs(stats.variance - dist.variance()) / dist.variance())
+            mean = abs(stats.mean - dist.mean()) / abs(dist.mean())
+            if not mean <= worst_mean and worst_mean == worst_mean:
+                worst_mean = mean
+            var = abs(stats.variance - dist.variance()) / dist.variance()
+            if not var <= worst_var and worst_var == worst_var:
+                worst_var = var
     return [
         CheckRecord("oracle-equivalence", "mean", worst_mean, 1e-12),
         CheckRecord("oracle-equivalence", "variance", worst_var, 1e-12),

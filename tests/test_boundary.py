@@ -11,8 +11,10 @@ prints (``10**5000``), whose message must still be formatted, a temperature
 so small that the three-stroke gap found rounds to 0 (``1e-323``), one so
 small that a gap in its power-of-two unit overflows (``1e-320``), a config
 where a cycle goes, None or the other engine's config where an engine's
-config goes, a string or None where a population goes, and None, a plain
-tuple or a string where a map or its parameters go.  A value past
+config goes, a string or None where a population goes, None, a plain
+tuple or a string where a map or its parameters go, and a numeric string,
+None, a one-item list or an ``object()`` where a scan spec, a Fock
+truncation or an induced map goes.  A value past
 the known-good call is appended: ``eto_approximation_report`` takes no list
 of kinds.
 """
@@ -38,16 +40,22 @@ from thermalops import (
     cumulant_gf,
     eto,
     eto_approximation_report,
+    eto_deviation,
     eto_vs_thermalization_scan,
     fluctuation_curve,
     full_thermalization_lambda,
+    induced_population_map,
     intercycle_pcc,
     is_markovian,
+    jc_evolution_map,
+    jc_unitary,
+    maximize_work,
     otto_cycle_report,
     otto_steady_state,
     otto_work,
     pcc_three_stroke_exact,
     scaled_cumulants,
+    swap_map,
     thermal_population,
     three_stroke_report,
     three_stroke_steady_state,
@@ -68,6 +76,9 @@ CONFIG = OttoConfig.nonmarkov(1.0, 0.5, 1.0, 0.25)
 THREE = ThreeStrokeConfig.nonmarkov(0.3, 1.0, 0.25)
 CYCLE = CONFIG.cycle()
 PARAMS = ThermalOpParams(1.0, 1.0, 0.5)
+TRUNCATION = FockTruncation(30, 1.0, 1.0)
+JC = (1.0, 1.0, TRUNCATION, "intensity_dependent")
+RECORD_JUNK = ("1.0", None, [1.0], object())
 OTTO_TAKERS = (otto_steady_state, otto_cycle_report, otto_work, tilted_map_otto)
 THREE_TAKERS = (
     three_stroke_steady_state, three_stroke_report, tilted_map_three_stroke, pcc_three_stroke_exact
@@ -87,7 +98,13 @@ GOOD = {
     scaled_cumulants: (CYCLE,),
     intercycle_pcc: (CYCLE, None),
     cumulant_gf: (CYCLE, CYCLE.steady_state(), 3, 0.1),
-    eto_approximation_report: (1.0, FockTruncation(30, 1.0, 1.0), [0.5, 1.0]),
+    eto_approximation_report: (1.0, TRUNCATION, [0.5, 1.0]),
+    maximize_work: (ScanSpec(0.3, 0.5, 1.0, "markov", 1e-3, 20.0),),
+    swap_map: (TRUNCATION,),
+    jc_unitary: JC,
+    jc_evolution_map: JC,
+    induced_population_map: (jc_unitary(*JC), TRUNCATION),
+    eto_deviation: (swap_map(TRUNCATION), TRUNCATION),
     thermal_population: (1.0, 1.0),
     full_thermalization_lambda: (1.0, 1.0),
     FockTruncation: (30, 1.0, 1.0),
@@ -134,6 +151,14 @@ ROWS = [
     (apply_map, "m", "x"),
     (apply_map, "p", None),
     (is_markovian, "params", None),
+    *[(maximize_work, "spec", value) for value in RECORD_JUNK],
+    *[
+        (fn, "tr", value)
+        for fn in (swap_map, jc_unitary, jc_evolution_map, induced_population_map)
+        for value in RECORD_JUNK
+    ],
+    *[(eto_deviation, name, value) for name in ("induced", "tr") for value in RECORD_JUNK],
+    *[(eto_approximation_report, "tr", value) for value in RECORD_JUNK],
     *[(fn, "cfg", value) for fn in (*OTTO_TAKERS, analytic_populations) for value in (None, THREE)],
     *[(fn, "cfg", value) for fn in THREE_TAKERS for value in (None, CONFIG)],
     *[

@@ -313,6 +313,41 @@ def test_the_import_loads_no_dataclasses_inspect_or_numpy():
     assert not loaded & {"dataclasses", "inspect", "numpy"}
 
 
+# Prints whether json is loaded before thermalops is imported, then after
+# each of fig1, verify --format text and fig1 --format json in turn.
+NO_JSON_PROBE = """
+import io, sys
+from contextlib import redirect_stdout
+
+loaded = ["json" in sys.modules]
+from thermalops.cli import main
+
+for argv in (["fig1"], ["verify", "--format", "text"], ["fig1", "--format", "json"]):
+    with redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    loaded.append("json" in sys.modules)
+print(*loaded)
+"""
+
+
+def test_csv_and_text_requests_leave_json_unloaded():
+    # json is imported only to render --format json; the last run shows the
+    # probe sees it when it is loaded
+    src = os.path.dirname(os.path.dirname(thermalops.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", NO_JSON_PROBE],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    at_start, *after = done.stdout.split()
+    if at_start == "True":
+        pytest.skip("site start-up already loads json")
+    assert after == ["False", "False", "True"]
+
+
 # Runs CLI commands in a fresh interpreter and prints, per command, its
 # exit code, the sha256 of its stdout, whether numpy is loaded and whether
 # every layer module is; then which layer modules hold a module as np.

@@ -37,6 +37,12 @@ ratios ``SRC / BASE`` of the times and, in brackets, their quartiles; the
 line counts of both trees are printed side by side.  A host whose speed
 drifts moves both runs of a pair alike, so the ratios resolve a few
 percent where the best times of separate runs do not.
+
+``BASE`` is also imported a second time, under a third name, and paired
+with itself the same way; each line ends with the median of those A/A
+ratios.  Two identical trees can read a few percent apart on some lines,
+as where a package's objects sit in memory differs, so a ``SRC / BASE``
+ratio means something only as far as it stands off its line's A/A ratio.
 """
 
 import argparse
@@ -163,10 +169,15 @@ def main() -> None:
     counts, base_counts = line_counts(args.src), line_counts(args.base)
     for name in sorted({*counts, *base_counts} - {"total"}) + ["total"]:
         print(f"{name:<34} {base_counts.get(name, 0):9d} -> {counts.get(name, 0)} lines")
-    pairs = zip(runs(load(args.src, "thermalops")), runs(load(args.base, "thermalops_base")))
-    for (label, call), (_, base) in pairs:
+    trees = zip(
+        runs(load(args.src, "thermalops")),
+        runs(load(args.base, "thermalops_base")),
+        runs(load(args.base, "thermalops_again")),
+    )
+    for (label, call), (_, base), (_, again) in trees:
         q1, median, q3 = statistics.quantiles(paired_ratios(call, base, args.repeats), n=4)
-        print(f"{label:<34} {median:9.3f} ({q1:.3f}-{q3:.3f}) x base")
+        aa = statistics.median(paired_ratios(again, base, args.repeats))
+        print(f"{label:<34} {median:9.3f} ({q1:.3f}-{q3:.3f}) x base, A/A {aa:.3f}")
 
 
 if __name__ == "__main__":
