@@ -87,9 +87,10 @@ def suite_gibbs_fixed_point() -> list[CheckRecord]:
     Each of ``_DRAWS`` draws builds ``build_map(ThermalOpParams(omega, beta,
     lam))`` and measures, on its checked float entries and the
     ``thermal_population`` floats, how far an entry lies outside [0, 1]
-    (``m - 1`` and ``-m``), how far a column sum is from 1 and how far the
-    Gibbs populations move.  The float products round alike on every
-    platform, where a numpy 2x2 product may fuse a multiply-add.
+    (``m - 1`` and ``-m``, at most 0 inside, where the fold from 0.0 skips
+    them), how far a column sum is from 1 and how far the Gibbs populations
+    move.  The float products round alike on every platform, where a numpy
+    2x2 product may fuse a multiply-add.
     """
     rand = random.Random(_SEED).random
     worst_entry = worst_cols = worst_gibbs = 0.0
@@ -99,9 +100,11 @@ def suite_gibbs_fixed_point() -> list[CheckRecord]:
         lam = 0.0 + (1.0 - 0.0) * rand()
         m00, m01, m10, m11 = build_map(ThermalOpParams(omega, beta, lam)).entries
         g_g, g_e = thermal_population(omega, beta)
-        for x in (m00 - 1.0, -m00, m01 - 1.0, -m01, m10 - 1.0, -m10, m11 - 1.0, -m11):
-            if not x <= worst_entry and worst_entry == worst_entry:
-                worst_entry = x
+        in_range = 0.0 <= m00 <= 1.0 and 0.0 <= m01 <= 1.0 and 0.0 <= m10 <= 1.0
+        if not (in_range and 0.0 <= m11 <= 1.0):
+            for x in (m00 - 1.0, -m00, m01 - 1.0, -m01, m10 - 1.0, -m10, m11 - 1.0, -m11):
+                if not x <= worst_entry and worst_entry == worst_entry:
+                    worst_entry = x
         for x in (abs((m00 + m10) - 1.0), abs((m01 + m11) - 1.0)):
             if not x <= worst_cols and worst_cols == worst_cols:
                 worst_cols = x
