@@ -13,10 +13,8 @@ every command of ``COMMANDS`` and of ``verify``.  ``_parse`` reads a
 well-formed request (the command, then each option spelled in full and its
 value) from the table without importing argparse.  Any other vector, help
 and usage errors included, goes to ``_argparse``, which imports argparse
-and builds its parser from the same table only then.
-
-``json`` is imported by the two JSON renderers only, so a CSV or text
-request never loads it.
+and builds its parser from the same table only then.  Likewise only the
+two JSON renderers import ``json``.
 
 Exit codes: 0 success or help, 1 validation or usage error, 2 verification
 failure, 3 I/O error.

@@ -41,8 +41,9 @@ percent where the best times of separate runs do not.
 ``BASE`` is also imported a second time, under a third name, and paired
 with itself the same way; each line ends with the median of those A/A
 ratios.  Two identical trees can read a few percent apart on some lines,
-as where a package's objects sit in memory differs, so a ``SRC / BASE``
-ratio means something only as far as it stands off its line's A/A ratio.
+perhaps because each package's objects sit elsewhere in memory, so a ``SRC
+/ BASE`` ratio means something only as far as it stands off its line's A/A
+ratio.
 """
 
 import argparse
