@@ -14,9 +14,8 @@ where a cycle goes, None or the other engine's config where an engine's
 config goes, a string or None where a population goes, None, a plain
 tuple or a string where a map or its parameters go, and a numeric string,
 None, a one-item list or an ``object()`` where a scan spec, a Fock
-truncation or an induced map goes.  A value past
-the known-good call is appended: ``eto_approximation_report`` takes no list
-of kinds.
+truncation or an induced map goes.  A value past the known-good call is
+appended: ``eto_approximation_report`` takes no list of kinds.
 """
 
 import inspect
