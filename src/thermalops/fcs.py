@@ -28,14 +28,14 @@ variance ``v1 + 2 c / (1 - mu)`` and the intercycle Pearson coefficient
 ``c / v1``: the 2x2 case of Flindt et al., PRL 100, 150601 (2008), summed
 pairwise as in Chan, Golub & LeVeque, Am. Stat. 37, 242 (1983).  ``p`` is
 the fixed point of ``M``; a ``p1`` a caller passes is checked against it.
-An exact trajectory-enumeration oracle, which walks the same stroke tuple,
-checks all of it.
+An exact trajectory-enumeration oracle, which walks the same stroke tuple
+(``Cycle.strokes``), checks all of it.
 
 The closed forms read a cycle's checked floats: a ``Cycle``'s, which keeps
 ``M``, ``p`` and the cell sums once a call returns them, each call checking
 primitivity and ``p1`` anew, or, in a fig5 or fig6 row, its config's, with no
-map, stroke or ``Cycle`` built; ``M``, tilted or not, and its powers are
-composed by the 2x2 kernel ``maps._compose``, so they round alike anywhere.
+map, stroke or ``Cycle`` built; ``M``, tilted or not, is ``maps._cycle_map``,
+and it and its powers are composed by ``maps._compose``, so they round alike.
 """
 
 from __future__ import annotations
@@ -61,6 +61,7 @@ from .maps import (
     WorkStroke,
     _Checked,
     _compose,
+    _cycle_map,
     _fixed_point,
     _require_real,
     _require_type,
@@ -127,11 +128,11 @@ def _spectral_terms(tmap: Cycle, p1: PopulationVector | None = None, primitive=F
 def _cell_sums(cycle: tuple, p1=None, primitive=False, memo=None):
     """``(v1, c, 1 - mu)`` in quanta of a cycle's floats (``Cycle._floats``),
     Otto or, if it flips, three-stroke; ``primitive``: the scaled checks.  ``m0``
-    is ``maps._cycle_map(cycle)``: the flip swaps the levels after the hot stroke.
-    ``memo``, a ``Cycle``'s ``__dict__``, keeps ``m0``, its fixed point and the sums."""
+    is the untilted cycle map ``maps._cycle_map``.  ``memo``, a ``Cycle``'s
+    ``__dict__``, keeps ``m0``, its fixed point and the sums."""
     hot, cold, _, _, _, _, flip = cycle
     kept = memo and memo.get("_cells")
-    m0 = kept[0] if kept else _compose(cold, (hot[2], hot[3], hot[0], hot[1]) if flip else hot)
+    m0 = kept[0] if kept else _cycle_map(*cycle)
     if primitive and not min(_compose(m0, m0)) > 0.0:  # the entries are finite
         raise NonPrimitiveMapError("untilted cycle map squared has zero entries")
     p_g, p_e = kept[1] if kept else _fixed_point(*m0)
@@ -324,8 +325,7 @@ def enumerate_work_distribution(cfg: EngineConfig, n: int) -> WorkDistribution:
         raise EnumerationSizeError(
             f"enumeration capped at {ENUM_MAX_CYCLES} cycles, got {n}"
         )
-    if not isinstance(cfg, EngineConfig):
-        raise InvalidParameterError(f"unsupported config type {type(cfg).__name__}")
+    _require_type(cfg, EngineConfig)
     cycle = cfg.cycle()
     p1 = cycle.steady_state()
     branches = _cycle_branches(cycle)

@@ -23,13 +23,15 @@ strokes are Gibbs-stochastic maps, work strokes (``WorkStroke``) permute
 the levels at frozen populations while the gap changes.  ``Cycle`` admits
 (heat, quench down, heat, quench back) for the Otto engine and (heat,
 flip, heat) at one gap for the three-stroke engine, checks when it is
-built that the work strokes link the heat maps' gaps, and keeps their
-checked floats (``Cycle._floats``).  Everything follows from these: the
-cycle map, its steady state, the steady cycle (``Cycle.run``: points, work
-and heats), the work quantum and the closed-form work (``Cycle.work``) in
-each heat map's gap, coupling and ``beta_omega``, the exponent of its
-Boltzmann factor.  Engines form ``beta_omega`` as ``omega / T``, which
-rounds once and stays finite at a subnormal ``T``, where ``1 / T`` overflows.
+built that the work strokes link the heat maps' gaps, and stores their
+checked floats (``Cycle._floats``), all that a config's ``cycle()``
+stores; ``Cycle.strokes`` builds the strokes from them when first read.
+Everything follows from the floats: the cycle map, its steady state, the
+steady cycle (``Cycle.run``: points, work and heats), the work quantum and
+the closed-form work (``Cycle.work``) in each heat map's gap, coupling and
+``beta_omega``, the exponent of its Boltzmann factor.  Engines form
+``beta_omega`` as ``omega / T``, which rounds once and stays finite at a
+subnormal ``T``, where ``1 / T`` overflows.
 
 Every value is checked once, where it enters, and 2x2 work is done on
 Python floats.  ``ThermalOpParams``, the engine configs and
@@ -47,10 +49,11 @@ sequence of reals (``_entries_2x2``), and a map from ``build_map`` pass the
 same float checks of their four entries (``_gibbs_stochastic_entries``);
 ``build_map`` and an engine's ``cycle()`` then wrap what they built without
 checking it again (``_unchecked``).  The cycle product, tilted or not
-(``Cycle.tilted``), its fixed point, the steady cycle (``_steady_cycle``,
-behind ``Cycle.run`` and the reports) and ``apply_map`` compute on those
-floats (``_compose``, ``_fixed_point``), which round alike on every
-platform, where a numpy 2x2 product may use an FMA.
+(``_cycle_map``, the one composition of the heat maps), its fixed point,
+the steady cycle (``_steady_cycle``, behind ``Cycle.run`` and the
+reports) and ``apply_map`` compute on those floats (``_compose``,
+``_fixed_point``), which round alike on every platform, where a numpy
+2x2 product may use an FMA.
 
 Value types are named tuples: ``PopulationVector``, ``ThermalOpParams``,
 ``WorkStroke`` and ``CycleReport`` (of both engines) here, and the configs
@@ -518,11 +521,11 @@ _SHAPES = (
 
 
 class Cycle(_Frozen):
-    """Engine cycle: the strokes from point 1.  A tuple other than (hot, quench
-    to the smaller cold gap, cold, quench back) or (hot, flip, cold) at one
-    gap raises ``InvalidParameterError`` here, so no method checks it again.  The
-    methods read its checked floats ``_floats`` (``EngineConfig._cycle_floats``).  It
-    keeps ``work()`` and the untilted map, fixed point and cell sums behind
+    """Engine cycle: the strokes from point 1, stored as the checked floats
+    ``_floats`` (``EngineConfig._cycle_floats``) that the methods read.  A tuple
+    other than (hot, quench to the smaller cold gap, cold, quench back) or (hot,
+    flip, cold) at one gap raises ``InvalidParameterError`` here.  It keeps
+    ``work()`` and the untilted map, fixed point and cell sums behind
     ``fcs._spectral_terms`` once a call returns them; each call checks anew."""
 
     _FIELDS = ("strokes",)
@@ -542,6 +545,15 @@ class Cycle(_Frozen):
             )
         floats = hot.entries, cold.entries, w_H, w_C, hot.beta_omega, cold.beta_omega, first.flip
         self.__dict__.update(strokes=strokes, _floats=floats)
+
+    @property
+    def strokes(self) -> tuple:
+        """The tuple passed in, or one built from ``_floats`` when first read and kept."""
+        if "strokes" not in self.__dict__:
+            hot, cold, w_H, w_C, a, b, flip = self._floats
+            strokes = (_heat_map(hot, w_H, a), WorkStroke(w_H, w_C, flip), _heat_map(cold, w_C, b))
+            self.__dict__["strokes"] = strokes if flip else (*strokes, WorkStroke(w_C, w_H))
+        return self.__dict__["strokes"]
 
     @property
     def quantum(self) -> float:
@@ -566,13 +578,13 @@ class Cycle(_Frozen):
         if not math.isfinite(chi):
             raise InvalidParameterError(f"counting field must be finite, got {chi}")
         try:
-            return _cycle_map(self._floats, chi)
+            return _cycle_map(*self._floats, chi)
         except OverflowError:
             raise CountingOverflowError(f"exp(chi * work) overflows at chi = {chi}") from None
 
     def steady_state(self) -> PopulationVector:
-        """Cyclostationary populations at point 1 (``_steady_state``)."""
-        return _steady_state(self._floats)
+        """Cyclostationary populations at point 1: the fixed point of ``_cycle_map``."""
+        return PopulationVector.from_raw(_fixed_point(*_cycle_map(*self._floats)))
 
     def run(self) -> tuple:
         """One steady cycle ``(p1, p2, p3, W, Q_H, Q_C)`` (``_steady_cycle``): the
@@ -581,16 +593,10 @@ class Cycle(_Frozen):
         return _steady_cycle(*self._floats)
 
 
-def _steady_state(cycle: tuple) -> PopulationVector:
-    """``Cycle.steady_state`` of a cycle's ``_floats``, with no ``Cycle`` built."""
-    return PopulationVector.from_raw(_fixed_point(*_cycle_map(cycle)))
-
-
-def _cycle_map(cycle: tuple, chi: float = 0.0) -> tuple[float, float, float, float]:
-    """``Cycle.tilted(chi)`` of a cycle's ``_floats``, unchecked: a work stroke
-    scales the rows of the map before it by ``exp(chi * released work)`` and
-    permutes them if it flips.  A quench releases nothing from g."""
-    hot, cold, w_H, w_C, _, _, flip = cycle
+def _cycle_map(hot: tuple, cold: tuple, w_H, w_C, _a, _b, flip: bool, chi=0.0) -> tuple:
+    """``Cycle.tilted(chi)`` of a cycle's ``_floats``, unchecked, the one product of its
+    heat maps: a work stroke scales the rows of the map before it by ``exp(chi *
+    released work)`` and permutes them if it flips.  A quench releases nothing from g."""
     a, b, c, d = hot
     if not chi:
         return _compose(cold, (c, d, a, b) if flip else hot)
@@ -606,9 +612,9 @@ def _cycle_map(cycle: tuple, chi: float = 0.0) -> tuple[float, float, float, flo
 def _steady_cycle(hot: tuple, cold: tuple, w_H, w_C, a, b, flip: bool) -> tuple:
     """``Cycle.run`` of a cycle's ``_floats``, in the operations of the stroke
     walk; ``flip``: three strokes."""
-    stay_g, down, up, stay_e = hot
-    m = _compose(cold, (up, stay_e, stay_g, down) if flip else hot)
+    m = _cycle_map(hot, cold, w_H, w_C, a, b, flip)
     p_g, p_e = p1 = PopulationVector.from_raw(_fixed_point(*m))
+    stay_g, down, up, stay_e = hot
     p2 = PopulationVector.from_raw((stay_g * p_g + down * p_e, up * p_g + stay_e * p_e))
     p3 = tuple.__new__(PopulationVector, (p2.p_e, p2.p_g)) if flip else p2
     Q_H, Q_C = w_H * (p2.p_e - p_e), w_C * (p_e - p3.p_e)

@@ -325,7 +325,7 @@ def three_stroke_omega_for_eta(eta: float, eta_C: float, T_H: float) -> float:
             f"target efficiency {eta} outside the attainable range (0, {eta_C})"
         )
     T_C = (1.0 - eta_C) * T_H
-    _coupling_rule(T_H, T_C, NONMARKOV)  # checks the temperatures
+    require_descending(T_H=T_H, T_C=T_C)
     omega = _bisect(
         lambda w: 1.0 - math.expm1(w / T_H) / -math.expm1(-w / T_C) > eta, 1e-12 * T_H, T_H
     )

@@ -6,13 +6,13 @@ strokes are thermal operations and quenches keep the populations, so
 point 4 is point 1 and the cyclostationary state solves ``L_C L_H p1 =
 p1``; populations and heats follow from the tuple (``maps.Cycle``).
 ``EngineConfig`` holds the parameters, checks and cycle that the Otto and
-three-stroke configs share: their cycle as floats (``_cycle_floats``).
+three-stroke configs share: their cycle as floats (``_cycle_floats``),
+which ``cycle()`` stores in a ``Cycle`` without building a stroke.
 
 ``otto_work`` gives the steady-cycle work in closed form for any
-couplings; ``Cycle.work`` evaluates the same kernel (``maps._otto_work``)
-from the heat maps' gaps, exponents ``omega / T`` and couplings, so the
-reports, the counting statistics and the gap scans all return this one
-value.
+couplings: it is ``cfg.cycle().work()``, the kernel ``maps._otto_work`` in
+the heat maps' gaps, exponents ``omega / T`` and couplings, so the reports,
+the counting statistics and the gap scans all return this one value.
 
 ``_coupling_rule`` is the one statement of a regime's couplings: the
 regime constructors (``EngineConfig._in_regime``) and the gap scans take
@@ -37,15 +37,11 @@ from .maps import (
     Cycle,
     CycleReport,
     PopulationVector,
-    WorkStroke,
     _Checked,
-    _heat_map,
     _map_entries,
-    _otto_work,
     _require_type,
     _shown,
     _steady_cycle,
-    _steady_state,
     _unchecked,
     build_map,  # noqa: F401  (bench/tests/test_bench.py reads thermalops.otto.build_map)
     require_descending,
@@ -82,7 +78,7 @@ class EngineConfig(_Checked):
     """Checks, cycle and regime couplings shared by the engine configs: named
     tuples of the gaps named in ``GAPS`` (hot first, cold last, or the one
     gap), ``T_H``, ``T_C``, ``lambda_H`` and ``lambda_C``.  ``_cycle_floats``
-    is their cycle as floats, and ``cycle()`` its stroke tuple.  Each
+    is their cycle as floats, and ``cycle()`` the ``Cycle`` of them.  Each
     ``__new__`` accepts float fields in one comparison chain and sends any
     other tuple through ``_checked``, which names the failing check or
     accepts a valid tuple of other real types."""
@@ -108,12 +104,10 @@ class EngineConfig(_Checked):
         return _map_entries(a, l_H), _map_entries(b, l_C), w_H, w_C, a, b, flip
 
     def cycle(self) -> Cycle:
-        """The strokes of ``_cycle_floats`` from point 1, (heat, quench, cool, quench
-        back) or (heat, flip, cool): checked fields, linked gaps, so unchecked."""
-        floats = hot, cold, w_H, w_C, a, b, flip = self._cycle_floats()
-        strokes = (_heat_map(hot, w_H, a), WorkStroke(w_H, w_C, flip), _heat_map(cold, w_C, b))
-        strokes = strokes if flip else (*strokes, WorkStroke(w_C, w_H))
-        return _unchecked(Cycle, {"strokes": strokes, "_floats": floats})
+        """The ``Cycle`` of ``_cycle_floats``, (heat, quench, cool, quench back) or
+        (heat, flip, cool): checked fields, linked gaps, so unchecked; no stroke is
+        built until ``Cycle.strokes`` is read."""
+        return _unchecked(Cycle, {"_floats": self._cycle_floats()})
 
     @classmethod
     def _in_regime(cls, regime: str, T_H: float, T_C: float, *gaps: float):
@@ -180,7 +174,7 @@ class OttoConfig(
 def otto_steady_state(cfg: OttoConfig) -> PopulationVector:
     """Cyclostationary populations at point 1 (start of the heat stroke)."""
     _require_type(cfg, OttoConfig)
-    return _steady_state(cfg._cycle_floats())
+    return cfg.cycle().steady_state()
 
 
 def otto_cycle_report(cfg: OttoConfig) -> CycleReport:
@@ -210,14 +204,13 @@ def otto_work(cfg: OttoConfig) -> float:
         W = (omega_H - omega_C) * l_H * l_C * (q_H - q_C) / (up + down).
 
     No step cancels: ``r`` and ``q_H - q_C`` are formed with ``expm1``, and
-    every other term is a sum of non-negative parts.  ``cfg.cycle().work()``
-    evaluates the same kernel, ``maps._otto_work``.  Raises
+    every other term is a sum of non-negative parts.  It is ``cfg.cycle().work()``,
+    which reads a coupling as its map's entry ``0.0 + lam``, so -0.0 as +0.0.  Raises
     ``DegenerateCycleError`` when ``up + down == 0`` (both couplings 0),
     where the cycle map is the identity.
     """
     _require_type(cfg, OttoConfig)
-    w_H, w_C = cfg.omega_H, cfg.omega_C
-    return _otto_work(w_H, w_C, w_H / cfg.T_H, w_C / cfg.T_C, cfg.lambda_H, cfg.lambda_C)
+    return cfg.cycle().work()
 
 
 def analytic_populations(cfg: OttoConfig, regime: str) -> tuple[float, float]:

@@ -19,7 +19,7 @@ import warnings
 from collections import namedtuple
 
 from .errors import NotAnEngineWarning, ZeroHeatError
-from .maps import CycleReport, PopulationVector, _require_type, _steady_cycle, _steady_state
+from .maps import CycleReport, PopulationVector, _require_type, _steady_cycle
 from .otto import MARKOV, NONMARKOV, EngineConfig
 
 _HEAT_TOL = 1e-14
@@ -63,7 +63,7 @@ class ThreeStrokeConfig(
 def three_stroke_steady_state(cfg: ThreeStrokeConfig) -> PopulationVector:
     """Cyclostationary populations at point 1 (start of the heat stroke)."""
     _require_type(cfg, ThreeStrokeConfig)
-    return _steady_state(cfg._cycle_floats())
+    return cfg.cycle().steady_state()
 
 
 def three_stroke_report(cfg: ThreeStrokeConfig) -> CycleReport:

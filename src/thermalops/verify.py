@@ -52,7 +52,7 @@ class CheckRecord(NamedTuple):
         return self.observed <= self.bound
 
 
-def _draw(rng, count: int, bounds: tuple, build: Callable = lambda *row: row) -> Iterator:
+def _draw(rng, count: int, bounds: tuple, build: Callable) -> Iterator:
     """Yield ``count`` values ``build(*row)`` that are not None, for rows of
     ``lo + (hi - lo) * rng.random()`` on ``bounds``; a rejected row is drawn again."""
     while count > 0:

@@ -16,16 +16,33 @@ tuple or a string where a map or its parameters go, and a numeric string,
 None, a one-item list or an ``object()`` where a scan spec, a Fock
 truncation or an induced map goes.  A value past the known-good call is
 appended: ``eto_approximation_report`` takes no list of kinds.
+
+The probe covers the whole public surface: every callable of
+``thermalops.__all__`` but the error types and the result records that
+check nothing, and the two config builders of ``optimize``, has a
+known-good call, and each of its arguments in turn, as each of seven junk
+values (a numeric string, None, ``10**400``, a one-item list, ``object()``,
+an ``OttoConfig`` and NaN), must raise a ``ThermalOpsError`` or give a
+result that holds no inf or NaN.
 """
 
+import cmath
 import inspect
+import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+import thermalops
 from thermalops import (
+    Cycle,
+    CycleReport,
     FockTruncation,
+    GibbsStochasticMatrix,
+    InducedMap,
     InvalidParameterError,
+    OptimumRecord,
     OttoConfig,
     PopulationVector,
     ScanSpec,
@@ -33,10 +50,13 @@ from thermalops import (
     ThermalOpParams,
     ThreeStrokeConfig,
     WorkDistribution,
+    WorkStatistics,
+    WorkStroke,
     analytic_populations,
     apply_map,
     build_map,
     cumulant_gf,
+    enumerate_work_distribution,
     eto,
     eto_approximation_report,
     eto_deviation,
@@ -54,6 +74,7 @@ from thermalops import (
     otto_work,
     pcc_three_stroke_exact,
     scaled_cumulants,
+    stationary_population,
     swap_map,
     thermal_population,
     three_stroke_report,
@@ -65,7 +86,7 @@ from thermalops import (
     work_moments,
 )
 from thermalops.maps import _require_real, require_descending, require_unit_interval
-from thermalops.optimize import otto_config_at, three_stroke_omega_for_eta
+from thermalops.optimize import otto_config_at, three_stroke_config_at, three_stroke_omega_for_eta
 
 HUGE = 10**400
 LONG = 10**5000  # past the 4300 digits that str() and repr() of an int allow
@@ -75,6 +96,7 @@ CONFIG = OttoConfig.nonmarkov(1.0, 0.5, 1.0, 0.25)
 THREE = ThreeStrokeConfig.nonmarkov(0.3, 1.0, 0.25)
 CYCLE = CONFIG.cycle()
 PARAMS = ThermalOpParams(1.0, 1.0, 0.5)
+MAP = build_map(PARAMS)
 TRUNCATION = FockTruncation(30, 1.0, 1.0)
 JC = (1.0, 1.0, TRUNCATION, "intensity_dependent")
 RECORD_JUNK = ("1.0", None, [1.0], object())
@@ -106,12 +128,21 @@ GOOD = {
     eto_deviation: (swap_map(TRUNCATION), TRUNCATION),
     thermal_population: (1.0, 1.0),
     full_thermalization_lambda: (1.0, 1.0),
-    FockTruncation: (30, 1.0, 1.0),
+    FockTruncation: (30, 1.0, 1.0, 1e-10),
     WorkDistribution: (1, 1.0, ((1.0, 1.0),)),
     eto_vs_thermalization_scan: (1.0, [0.5, 2.0]),
     build_map: (PARAMS,),
     apply_map: (eto(1.0, 1.0), PopulationVector(0.5, 0.5)),
     is_markovian: (PARAMS,),
+    eto: (1.0, 1.0),
+    stationary_population: ([[0.75, 0.5], [0.25, 0.5]],),
+    ThermalOpParams: (1.0, 1.0, 0.5),
+    GibbsStochasticMatrix: ([MAP.entries[:2], MAP.entries[2:]], MAP.omega, MAP.beta_omega),
+    InducedMap: ([[1.0, 0.0], [0.0, 1.0]],),
+    Cycle: (CYCLE.strokes,),
+    ThreeStrokeConfig: (0.3, 1.0, 0.25, 1.0, 1.0),
+    three_stroke_config_at: (0.3, 0.5, 1.0),
+    enumerate_work_distribution: (CONFIG, 3),
     **{fn: (CONFIG,) for fn in OTTO_TAKERS},
     analytic_populations: (CONFIG, "nonmarkov"),
     **{fn: (THREE,) for fn in THREE_TAKERS},
@@ -217,3 +248,51 @@ def test_an_int_too_long_to_print_is_shown_by_its_size(check):
         check(x=LONG)
     with pytest.raises(InvalidParameterError, match=r"got \(?<Fraction too long to print>"):
         check(x=Fraction(LONG, 3))
+
+
+# records the library returns, which check no field: a junk field is kept as given
+RESULT_RECORDS = {CycleReport, OptimumRecord, WorkStatistics, WorkStroke}
+JUNK = ("1.0", None, HUGE, [1.0], object(), CONFIG, float("nan"))
+
+
+def _public_callables() -> set:
+    """Every callable of ``thermalops.__all__`` but the error and warning types."""
+    values = [getattr(thermalops, name) for name in thermalops.__all__]
+    errors = {v for v in values if isinstance(v, type) and issubclass(v, Exception)}
+    return {v for v in values if callable(v)} - errors
+
+
+def _finite(value) -> bool:
+    """Whether no float in ``value``, its items, values or fields, is inf or NaN."""
+    if isinstance(value, (float, complex)):
+        return cmath.isfinite(value)
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind not in "fc" or bool(np.isfinite(value).all())
+    if isinstance(value, dict):
+        return all(map(_finite, value.values()))
+    if isinstance(value, (tuple, list)):
+        return all(map(_finite, value))
+    return all(map(_finite, vars(value).values())) if hasattr(value, "__dict__") else True
+
+
+def test_every_public_callable_has_a_known_good_call():
+    assert (_public_callables() - RESULT_RECORDS) | {otto_config_at, three_stroke_config_at} <= set(GOOD)
+
+
+@pytest.mark.parametrize(
+    "fn", sorted(GOOD, key=lambda fn: fn.__qualname__), ids=lambda fn: fn.__qualname__
+)
+def test_any_junk_argument_is_a_typed_error_or_a_finite_result(fn):
+    # each argument of the known-good call in turn, as each junk value
+    args = GOOD[fn]
+    assert _finite(fn(*args))
+    for position in range(len(args)):
+        for junk in JUNK:
+            bad = [*args[:position], junk, *args[position + 1 :]]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                try:
+                    result = fn(*bad)
+                except ThermalOpsError:
+                    continue
+            assert _finite(result), (position, junk)

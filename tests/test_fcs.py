@@ -37,8 +37,8 @@ from thermalops import (
     tilted_map_three_stroke,
     work_moments,
 )
-from thermalops.fcs import _pair_sum
-from thermalops.maps import Cycle, WorkStroke
+from thermalops.fcs import _cycle_branches, _pair_sum
+from thermalops.maps import Cycle, GibbsStochasticMatrix, WorkStroke
 
 from oracles import float_cycle, otto_config, quiet, three_stroke_config
 
@@ -606,14 +606,25 @@ def engine_configs(draw):
 @example(ThreeStrokeConfig.markov(1e-300, 1e-310, 5e-324))
 @example(ThreeStrokeConfig(1.0, 1.0, 0.5, -0.0, 1.0))
 def test_a_cycle_rebuilt_from_its_strokes_is_the_builders(cfg):
-    # the methods read the floats a cycle stores, so a checked cycle of the
-    # builder's strokes must store the builder's floats, bit for bit (-0.0 too),
-    # to give the builder's values and otto_work's
+    # a config's cycle stores its floats alone and builds its strokes from them
+    # on the first read; the methods read the floats, so a checked cycle of those
+    # strokes must store the builder's floats, bit for bit (-0.0 too), to give
+    # the builder's values and otto_work's
     built = cfg.cycle()
-    cycle = Cycle(built.strokes)
-    assert list(vars(cycle)) == list(vars(built)) == ["strokes", "_floats"]
-    assert bits(cycle._floats) == bits(built._floats)
+    assert list(vars(built)) == ["_floats"]
+    strokes = built.strokes
+    assert list(vars(built)) == ["_floats", "strokes"]
+    assert built.strokes is strokes  # the same objects, kept
     otto = isinstance(cfg, OttoConfig)
+    shape = (GibbsStochasticMatrix, WorkStroke, GibbsStochasticMatrix, WorkStroke)
+    assert tuple(map(type, strokes)) == (shape if otto else shape[:3])
+    cycle = Cycle(strokes)
+    assert list(vars(cycle)) == ["strokes", "_floats"] and cycle.strokes is strokes
+    assert bits(cycle._floats) == bits(built._floats)
+    # the enumeration oracle walks the strokes, built on its read of a fresh cycle
+    fresh = cfg.cycle()
+    assert _cycle_branches(fresh) == _cycle_branches(cycle)
+    assert tuple(map(type, vars(fresh)["strokes"])) == tuple(map(type, strokes))
     assert cycle.quantum == built.quantum == (cfg.omega_H - cfg.omega_C if otto else cfg.omega)
     # the coupling is read as the entry 0.0 + lam, which turns -0.0 into +0.0
     assert all(math.copysign(1.0, heat.entries[1]) == 1.0 for heat in built.strokes[::2])

@@ -291,3 +291,22 @@ def test_otto_work_matches_the_stroke_cycle_random():
         assert twin.work() == otto_work(cfg)
         assert twin.run() == cycle.run()
         assert twin.tilted(0.5) == cycle.tilted(0.5)
+
+
+COUPLING_PAIRS = [
+    (l_H, l_C)
+    for l_H in (-0.0, 0.0, 0.5, 1.0)
+    for l_C in (-0.0, 0.0, 0.5, 1.0)
+    if l_H or l_C  # both 0: the identity cycle map, DegenerateCycleError on every path
+]
+
+
+@pytest.mark.parametrize("gaps", [(1.0, 0.7), (1.0, 0.4)], ids=["engine", "past-carnot"])
+@pytest.mark.parametrize("l_H, l_C", COUPLING_PAIRS)
+def test_otto_work_is_the_cycle_and_report_work_to_the_sign(gaps, l_H, l_C):
+    # == cannot tell -0.0 from 0.0; a coupling of -0.0 enters the cycle as the
+    # map entry 0.0 + lam, so where it zeroes the work all three return the
+    # zero of the work's sign: +0.0 for an engine, -0.0 past Carnot (W < 0)
+    cfg = OttoConfig(*gaps, 1.0, 0.5, l_H, l_C)
+    works = (otto_work(cfg), cfg.cycle().work(), quiet(otto_cycle_report, cfg).W)
+    assert len({w.hex() for w in works}) == 1

@@ -109,7 +109,7 @@ def test_the_suites_draw_random_uniform_rows(suite, monkeypatch):
     # reaches _draw's build
     rows, draw = [], verify._draw
 
-    def recording(rng, count, bounds, build=lambda *row: row):
+    def recording(rng, count, bounds, build):
         return draw(rng, count, bounds, lambda *row: rows.append((bounds, row)) or build(*row))
 
     def params(*row):

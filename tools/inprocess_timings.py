@@ -17,14 +17,17 @@ per row, then each table command again with every default passed as
 cost of reading the arguments shows, then each command with
 ``--format=FORMAT`` at its default format, a form that only argparse
 reads, then 1000 runs of the README quickstart, each on a config and
-cycle built anew, the shape of the benchmark's quickstart requests, and
-last 1000 calls of ``Cycle.steady_state`` and of ``Cycle.tilted`` on the
-default fig5 Otto cycle at one gap.  A cycle keeps ``work()`` and its
-cell sums after their first call, so a quickstart run times that first
-call and the reads that follow it; neither ``Cycle.* x1000`` line reads
-what the cycle keeps, so both time the full call.  Stdout of the
-commands is captured and discarded; a nonzero exit code stops the
-script.  Import and interpreter start-up are not counted.
+cycle built anew, the shape of the benchmark's quickstart requests, then
+1000 calls of ``cfg.cycle()`` and of ``otto_cycle_report`` on the
+quickstart's config, the config-to-cycle path and the report, which reads
+the config's floats without a ``Cycle``, and last 1000 calls of
+``Cycle.steady_state`` and of ``Cycle.tilted`` on the default fig5 Otto
+cycle at one gap.  A cycle keeps ``work()`` and its cell sums after their
+first call, so a quickstart run times that first call and the reads that
+follow it; neither ``Cycle.* x1000`` line reads what the cycle keeps, so
+both time the full call.  Stdout of the commands is captured and
+discarded; a nonzero exit code stops the script.  Import and interpreter
+start-up are not counted.
 
 With one tree, each run goes once to warm up and ``N`` times more, and the
 best time of each is printed in milliseconds.
@@ -123,6 +126,10 @@ def runs(package) -> list:
         argv = [command, f"--format={'text' if command == 'verify' else 'csv'}"]
         out.append((" ".join(argv), cli_run(cli.main, argv)))
     out.append(("README quickstart x1000", lambda: [quickstart(package) for _ in range(1000)]))
+    cfg = package.OttoConfig.nonmarkov(omega_H=1.0, omega_C=0.7, T_H=1.0, T_C=0.5)
+    out.append(("cfg.cycle() x1000", lambda: [cfg.cycle() for _ in range(1000)]))
+    report = package.otto_cycle_report
+    out.append(("otto_cycle_report x1000", lambda: [report(cfg) for _ in range(1000)]))
     optimize = importlib.import_module(f"{package.__name__}.optimize")
     cycle = optimize.otto_config_at(0.3, 0.5, 1.0, 1.0, "nonmarkov").cycle()
     out.append(("Cycle.steady_state x1000", lambda: [cycle.steady_state() for _ in range(1000)]))
