@@ -132,7 +132,7 @@ def _cell_sums(cycle: tuple, p1=None, primitive=False, memo=None):
     ``__dict__``, keeps ``m0``, its fixed point and the sums."""
     hot, cold, _, _, _, _, flip = cycle
     kept = memo and memo.get("_cells")
-    m0 = kept[0] if kept else _cycle_map(*cycle)
+    m0 = kept[0] if kept else _cycle_map(cycle)
     if primitive and not min(_compose(m0, m0)) > 0.0:  # the entries are finite
         raise NonPrimitiveMapError("untilted cycle map squared has zero entries")
     p_g, p_e = kept[1] if kept else _fixed_point(*m0)

@@ -578,25 +578,26 @@ class Cycle(_Frozen):
         if not math.isfinite(chi):
             raise InvalidParameterError(f"counting field must be finite, got {chi}")
         try:
-            return _cycle_map(*self._floats, chi)
+            return _cycle_map(self._floats, chi)
         except OverflowError:
             raise CountingOverflowError(f"exp(chi * work) overflows at chi = {chi}") from None
 
     def steady_state(self) -> PopulationVector:
         """Cyclostationary populations at point 1: the fixed point of ``_cycle_map``."""
-        return PopulationVector.from_raw(_fixed_point(*_cycle_map(*self._floats)))
+        return PopulationVector.from_raw(_fixed_point(*_cycle_map(self._floats)))
 
     def run(self) -> tuple:
         """One steady cycle ``(p1, p2, p3, W, Q_H, Q_C)`` (``_steady_cycle``): the
         populations entering the hot, first work and cold strokes, ``work()`` and
         the heats absorbed; the cold stroke ends at p1, which the quench back keeps."""
-        return _steady_cycle(*self._floats)
+        return _steady_cycle(self._floats)
 
 
-def _cycle_map(hot: tuple, cold: tuple, w_H, w_C, _a, _b, flip: bool, chi=0.0) -> tuple:
+def _cycle_map(cycle: tuple, chi: float = 0.0) -> tuple[float, float, float, float]:
     """``Cycle.tilted(chi)`` of a cycle's ``_floats``, unchecked, the one product of its
     heat maps: a work stroke scales the rows of the map before it by ``exp(chi *
     released work)`` and permutes them if it flips.  A quench releases nothing from g."""
+    hot, cold, w_H, w_C, _, _, flip = cycle
     a, b, c, d = hot
     if not chi:
         return _compose(cold, (c, d, a, b) if flip else hot)
@@ -609,12 +610,11 @@ def _cycle_map(hot: tuple, cold: tuple, w_H, w_C, _a, _b, flip: bool, chi=0.0) -
     return m00, m01, m10 * s, m11 * s
 
 
-def _steady_cycle(hot: tuple, cold: tuple, w_H, w_C, a, b, flip: bool) -> tuple:
+def _steady_cycle(cycle: tuple) -> tuple:
     """``Cycle.run`` of a cycle's ``_floats``, in the operations of the stroke
     walk; ``flip``: three strokes."""
-    m = _cycle_map(hot, cold, w_H, w_C, a, b, flip)
-    p_g, p_e = p1 = PopulationVector.from_raw(_fixed_point(*m))
-    stay_g, down, up, stay_e = hot
+    (stay_g, down, up, stay_e), cold, w_H, w_C, a, b, flip = cycle
+    p_g, p_e = p1 = PopulationVector.from_raw(_fixed_point(*_cycle_map(cycle)))
     p2 = PopulationVector.from_raw((stay_g * p_g + down * p_e, up * p_g + stay_e * p_e))
     p3 = tuple.__new__(PopulationVector, (p2.p_e, p2.p_g)) if flip else p2
     Q_H, Q_C = w_H * (p2.p_e - p_e), w_C * (p_e - p3.p_e)

@@ -104,9 +104,8 @@ class EngineConfig(_Checked):
         return _map_entries(a, l_H), _map_entries(b, l_C), w_H, w_C, a, b, flip
 
     def cycle(self) -> Cycle:
-        """The ``Cycle`` of ``_cycle_floats``, (heat, quench, cool, quench back) or
-        (heat, flip, cool): checked fields, linked gaps, so unchecked; no stroke is
-        built until ``Cycle.strokes`` is read."""
+        """The ``Cycle`` of ``_cycle_floats``, whose strokes are built when first read:
+        checked fields, linked gaps, so unchecked."""
         return _unchecked(Cycle, {"_floats": self._cycle_floats()})
 
     @classmethod
@@ -181,7 +180,7 @@ def otto_cycle_report(cfg: OttoConfig) -> CycleReport:
     """Steady-cycle report with ``eta = 1 - omega_C / omega_H``; a warning past
     Carnot.  ``cfg.cycle().run()`` on the config's floats (``_steady_cycle``)."""
     _require_type(cfg, OttoConfig)
-    run = _steady_cycle(*cfg._cycle_floats())
+    run = _steady_cycle(cfg._cycle_floats())
     eta = cfg.efficiency
     if eta >= cfg.carnot_efficiency:
         warnings.warn(

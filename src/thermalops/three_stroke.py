@@ -71,7 +71,7 @@ def three_stroke_report(cfg: ThreeStrokeConfig) -> CycleReport:
     ``|Q_H| > 1e-14 * omega`` (so a ``Q_H`` of 0 where that underflows, or
     NaN), a warning if ``W <= 0``.  As ``otto_cycle_report``, on floats."""
     _require_type(cfg, ThreeStrokeConfig)
-    p1, p2, p3, W, Q_H, Q_C = _steady_cycle(*cfg._cycle_floats())
+    p1, p2, p3, W, Q_H, Q_C = _steady_cycle(cfg._cycle_floats())
     if not abs(Q_H) > _HEAT_TOL * cfg.omega:
         raise ZeroHeatError("Q_H vanishes; efficiency undefined")
     if W <= 0.0:
