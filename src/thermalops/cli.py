@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Optional, Sequence
+from collections.abc import Sequence
 
 from . import __version__
 from .errors import ThermalOpsError
@@ -222,7 +222,7 @@ def _render_json(command: str, params: dict, columns, rows) -> str:
     return f'{head[:-2]},\n "rows": {block}\n}}\n'
 
 
-def _emit(text: str, out_path: Optional[str]) -> None:
+def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
         return
@@ -340,7 +340,7 @@ def _argparse(argv: Sequence[str]) -> tuple:
     return _fields(given.pop("command"), {f"--{key}": value for key, value in given.items()})
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     command, out, fmt, overrides, suite = _parse(sys.argv[1:] if argv is None else argv)
     try:
         if command == "verify":

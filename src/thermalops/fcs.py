@@ -43,7 +43,6 @@ from __future__ import annotations
 import math
 import sys
 from collections import namedtuple
-from typing import NamedTuple
 
 from .errors import (
     ConsistencyError,
@@ -197,13 +196,11 @@ def _checked_variance(var: float, scale: float, quantum: float) -> float:
     return energy
 
 
-class WorkStatistics(NamedTuple):
-    """Mean and variance of the work generated over ``n`` cycles."""
+class WorkStatistics(namedtuple("WorkStatistics", "n mean variance ratio")):
+    """Mean and variance of the work generated over ``n`` cycles, and
+    ``ratio``, variance / mean in energy units."""
 
-    n: int
-    mean: float
-    variance: float
-    ratio: float  # variance / mean, in energy units
+    __slots__ = ()
 
 
 def work_moments(tmap: Cycle, p1: PopulationVector | None, n: int) -> WorkStatistics:

@@ -73,7 +73,7 @@ from __future__ import annotations
 import math
 import numbers
 from collections import namedtuple
-from typing import Iterable, NamedTuple, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import (
     ConsistencyError,
@@ -492,14 +492,12 @@ def _compose(left: tuple, right: tuple) -> tuple[float, float, float, float]:
     return a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
 
 
-class WorkStroke(NamedTuple):
+class WorkStroke(namedtuple("WorkStroke", "omega_in omega_out flip", defaults=(False,))):
     """Unitary work stroke: the gap changes from ``omega_in`` to
     ``omega_out`` at frozen populations, keeping the levels (a quench) or
     swapping them (``flip``)."""
 
-    omega_in: float
-    omega_out: float
-    flip: bool = False
+    __slots__ = ()
 
     @property
     def released(self) -> tuple[float, float]:
@@ -630,16 +628,10 @@ def _cycle_work(hot: tuple, cold: tuple, w_H, w_C, a, b, flip: bool) -> float:
     return _otto_work(w_H, w_C, a, b, hot[1], cold[1])
 
 
-class CycleReport(NamedTuple):
+class CycleReport(namedtuple("CycleReport", "p1 p2 p3 W Q_H Q_C eta")):
     """A steady cycle of either engine: ``Cycle.run`` and the efficiency."""
 
-    p1: PopulationVector
-    p2: PopulationVector
-    p3: PopulationVector
-    W: float
-    Q_H: float
-    Q_C: float
-    eta: float
+    __slots__ = ()
 
 
 def _otto_work(w_H: float, w_C: float, a: float, b: float, l_H: float, l_C: float) -> float:

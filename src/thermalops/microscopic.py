@@ -37,8 +37,8 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from collections.abc import Callable, Sequence
 from operator import mul
-from typing import Callable, Sequence
 
 from .errors import ConsistencyError, InvalidParameterError, TruncationError
 from .maps import (

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import warnings
 from collections import namedtuple
-from typing import NamedTuple, Sequence
+from collections.abc import Sequence
 
 from .errors import InvalidParameterError, NoInteriorMaximumWarning, ZeroWorkError
 from .fcs import _cell_sums, _moments, _scaled
@@ -70,17 +70,14 @@ class ScanSpec(_Checked, namedtuple("ScanSpec", "eta eta_C T_H regime omega_lo o
         return self
 
 
-class OptimumRecord(NamedTuple):
+class OptimumRecord(namedtuple("OptimumRecord", "omega_H_star W_star converged evaluations")):
     """``maximize_work``'s gap and the work there (units of k_B T_H);
     ``converged`` is false when the maximum sits at a window end, and
     ``evaluations`` counts the evaluations of the slope of ``ln W``: the
     window's ends, then one per step of ``_bisect`` (a median of 13-14 on
     the fig4 grid, at most four per halving of the window)."""
 
-    omega_H_star: float
-    W_star: float
-    converged: bool
-    evaluations: int
+    __slots__ = ()
 
 
 def otto_config_at(

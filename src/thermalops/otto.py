@@ -189,7 +189,7 @@ def otto_cycle_report(cfg: OttoConfig) -> CycleReport:
             NotAnEngineWarning,
             stacklevel=2,
         )
-    return tuple.__new__(CycleReport, (*run, eta))  # skips NamedTuple's Python __new__
+    return tuple.__new__(CycleReport, (*run, eta))  # skips namedtuple's Python __new__
 
 
 def otto_work(cfg: OttoConfig) -> float:

@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 import random
 import warnings
-from typing import Callable, Iterator, NamedTuple
+from collections import namedtuple
+from collections.abc import Callable, Iterator
 
 from .errors import InvalidParameterError
 from .fcs import enumerate_work_distribution, work_moments
@@ -41,11 +42,10 @@ _N_MAX = 60  # microscopic-eto's Fock truncation at beta omega = _BETA_OMEGA
 _BETA_OMEGA = 1.0
 
 
-class CheckRecord(NamedTuple):
-    suite: str
-    check: str
-    observed: float
-    bound: float
+class CheckRecord(namedtuple("CheckRecord", "suite check observed bound")):
+    """One check of a suite: the worst residual observed against its bound."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

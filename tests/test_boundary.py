@@ -250,6 +250,15 @@ def test_an_int_too_long_to_print_is_shown_by_its_size(check):
         check(x=Fraction(LONG, 3))
 
 
+def test_values_shown_as_a_tuple_keep_its_form():
+    # one value keeps the trailing comma of a one-item tuple
+    with pytest.raises(InvalidParameterError) as one:
+        require_descending(omega=LONG)
+    assert str(one.value) == "need omega > 0, got (<int of 16610 bits>,)"
+    with pytest.raises(InvalidParameterError) as two:
+        require_descending(omega_H=LONG, omega_C=1.0)
+    assert str(two.value) == "need omega_H > omega_C > 0, got (<int of 16610 bits>, 1.0)"
+
 # records the library returns, which check no field: a junk field is kept as given
 RESULT_RECORDS = {CycleReport, OptimumRecord, WorkStatistics, WorkStroke}
 JUNK = ("1.0", None, HUGE, [1.0], object(), CONFIG, float("nan"))

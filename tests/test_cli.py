@@ -348,6 +348,55 @@ def test_csv_and_text_requests_leave_json_unloaded():
     assert after == ["False", "False", "True"]
 
 
+# In a bare interpreter, prints whether typing and whether re is loaded
+# before thermalops is imported, after the import, after every command at its
+# defaults in CSV or text, and after fig1 --format json.  It swaps
+# sys.stdout by hand: contextlib would load functools.
+NO_TYPING_PROBE = """
+import io, sys
+
+def loaded():
+    return f"{'typing' in sys.modules},{'re' in sys.modules}"
+
+report = [loaded()]
+import thermalops.cli
+
+report.append(loaded())
+stdout = sys.stdout
+for name in [*thermalops.cli.COMMANDS, "verify"]:
+    sys.stdout = io.StringIO()
+    code = thermalops.cli.main([name])
+    sys.stdout = stdout
+    assert code == 0, name
+    report.append(loaded())
+sys.stdout = io.StringIO()
+code = thermalops.cli.main(["fig1", "--format", "json"])
+sys.stdout = stdout
+assert code == 0
+report.append(loaded())
+print(*report)
+"""
+
+
+def test_the_import_and_csv_or_text_commands_leave_typing_and_re_unloaded():
+    # -S keeps site start-up from loading them first; the json run shows
+    # that the probe sees re once it is loaded
+    src = os.path.dirname(os.path.dirname(thermalops.__file__))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", NO_TYPING_PROBE],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    at_start, *after, json_run = done.stdout.split()
+    if at_start != "False,False":
+        pytest.skip("interpreter start-up already loads typing or re")
+    assert after == ["False,False"] * (2 + len(cli.COMMANDS))
+    assert json_run.endswith(",True")
+
+
 # Runs CLI commands in a fresh interpreter and prints, per command, its
 # exit code, the sha256 of its stdout, whether numpy is loaded and whether
 # every layer module is; then which layer modules hold a module as np.

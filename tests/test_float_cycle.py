@@ -21,7 +21,7 @@ formulations of each quantity are checked against each other here too.
 
 import math
 import warnings
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -43,8 +43,10 @@ from thermalops import (
     intercycle_pcc,
     otto_cycle_report,
     pcc_three_stroke_exact,
+    scaled_cumulants,
     stationary_population,
     three_stroke_report,
+    work_moments,
 )
 from thermalops.fcs import _spectral_terms
 from thermalops.maps import DRIFT_RENORM, WorkStroke
@@ -314,6 +316,32 @@ def test_large_gap_otto_eto_pcc_matches_a_decimal_evaluation(omega_H):
     pcc, exact = intercycle_pcc(cfg.cycle(), None), config_cycle(cfg).path_pcc()
     assert abs(Decimal(pcc) / exact - 1) <= Decimal("1e-14"), (pcc, exact)
 
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        OttoConfig.nonmarkov(1.0, 0.7, 1.0, 0.5),
+        # past Carnot: the cycle map's up entry 0.518 exceeds its down entry 0.181
+        OttoConfig.nonmarkov(1.0, 0.1, 1.0, 0.5),
+        ThreeStrokeConfig.nonmarkov(0.4, 1.0, 0.5),
+    ],
+)
+def test_counting_statistics_match_the_60_digit_model(cfg):
+    # the bounds of the fig5 and fig6 tables against the same model; the
+    # five-cycle variance is 5 v1 + 2 c S_5 of the model's counting terms
+    cycle, model = cfg.cycle(), config_cycle(cfg)
+    exact = model.statistics()
+    _, v1, c, g = model.counting_terms()
+    with localcontext(model.ctx):
+        pair_sum = sum((5 - d) * (1 - g) ** (d - 1) for d in range(1, 5))
+        variance_5 = (5 * v1 + 2 * c * pair_sum) * model.quantum**2
+    mean, scaled_variance = scaled_cumulants(cycle)
+    stats = work_moments(cycle, None, 5)
+    assert abs(Decimal(mean) / exact.W - 1) <= Decimal("2e-15")
+    assert abs(Decimal(stats.mean) / (5 * exact.W) - 1) <= Decimal("2e-15")
+    assert abs(Decimal(scaled_variance) / exact.scaled_variance - 1) <= Decimal("2e-14")
+    assert abs(Decimal(stats.variance) / variance_5 - 1) <= Decimal("2e-14")
+    assert abs(Decimal(intercycle_pcc(cycle, None)) - exact.pcc) <= Decimal("2.2e-16")
 
 def test_small_variance_pcc_matches_the_model():
     # v1 is 2.0e-15 work quanta squared.  The Boltzmann factors are formed

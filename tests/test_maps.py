@@ -4,6 +4,7 @@ import math
 import pickle
 import struct
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -209,6 +210,11 @@ def test_population_vector_validation():
     with pytest.raises(ConsistencyError):
         PopulationVector.from_raw([0.5 + 1e-8, 0.5 + 1e-8])
 
+
+@pytest.mark.parametrize("p_g, p_e", [(0, 1), (1, 0), (Fraction(0), Fraction(1))])
+def test_population_vector_accepts_exact_ends_that_are_not_floats(p_g, p_e):
+    # the range check of other reals includes both ends, as the float one does
+    assert PopulationVector(p_g, p_e) == (p_g, p_e)
 
 @pytest.mark.parametrize(
     "raw, expected",
