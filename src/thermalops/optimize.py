@@ -348,8 +348,8 @@ def work_efficiency_curve(
     """
     _require_real(eta_C=eta_C, T_H=T_H)
     etas = _real_grid(eta_grid, "eta grid")
-    if not etas or not all(0.0 < eta < eta_C for eta in etas):  # NaN fails too
-        raise InvalidParameterError("eta grid must lie strictly inside (0, eta_C)")
+    if not etas:  # an entry is checked by ScanSpec or three_stroke_omega_for_eta
+        raise InvalidParameterError("eta grid must not be empty")
     if engine not in ENGINES:
         raise InvalidParameterError(f"engine must be one of {ENGINES}, got {_shown(engine)}")
     if engine == THREE_STROKE_ENGINE:

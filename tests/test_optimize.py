@@ -821,6 +821,40 @@ def test_work_efficiency_curve_validation():
         work_efficiency_curve(0.5, 1.0, "diesel", [0.3])
 
 
+# grids that a scan cannot use; each bad entry follows a good one
+BAD_GRIDS = {
+    "empty": [],
+    "zero": [0.3, 0.0],
+    "negative": [0.3, -0.2],
+    "nan": [0.3, math.nan],
+    "inf": [0.3, math.inf],
+    "-inf": [0.3, -math.inf],
+}
+BAD_ETA_GRIDS = {**BAD_GRIDS, "eta_C": [0.3, 0.5], "above-eta_C": [0.3, 0.6]}
+BAD_OMEGA_GRIDS = {kind: (1.0, grid) for kind, grid in BAD_GRIDS.items()}
+# in the unit 2**-996 next to T_H = 1e-300, math.ldexp(-1e308, 996) overflows
+BAD_OMEGA_GRIDS["-1e308"] = (1e-300, [1e-300, -1e308])
+
+
+@pytest.mark.parametrize(
+    "scan, kind",
+    [(engine, kind) for engine in optimize.ENGINES for kind in BAD_ETA_GRIDS]
+    + [(horizon, kind) for horizon in optimize.HORIZONS for kind in BAD_OMEGA_GRIDS],
+)
+def test_every_bad_grid_entry_raises_for_every_engine_and_horizon(scan, kind):
+    # fig4 checks an eta where it uses it, by ScanSpec or
+    # three_stroke_omega_for_eta; fig5 and fig6 check that every omega_H is
+    # positive before the grid is rescaled to the unit next to T_H, and
+    # _otto_gaps that it is finite
+    if scan in optimize.ENGINES:
+        with pytest.raises(InvalidParameterError):
+            work_efficiency_curve(0.5, 1.0, scan, BAD_ETA_GRIDS[kind])
+        return
+    T_H, grid = BAD_OMEGA_GRIDS[kind]
+    message = "need omega_H > omega_C" if kind == "inf" else "omega_H grid entries must be > 0"
+    with pytest.raises(InvalidParameterError, match=message):
+        fluctuation_curve(0.3, 0.5, T_H, scan, grid)
+
 def test_public_scans_are_arrays_of_the_table_rows():
     # a numpy grid gives the table rows of the same list grid, in Python floats
     fig1 = eto_vs_thermalization_scan(0.5, np.array([0.5, 2.0]))
