@@ -363,17 +363,13 @@ import thermalops.cli
 
 report.append(loaded())
 stdout = sys.stdout
-for name in [*thermalops.cli.COMMANDS, "verify"]:
+argvs = [[name] for name in [*thermalops.cli.COMMANDS, "verify"]]
+for argv in [*argvs, ["fig1", "--format", "json"]]:
     sys.stdout = io.StringIO()
-    code = thermalops.cli.main([name])
+    code = thermalops.cli.main(argv)
     sys.stdout = stdout
-    assert code == 0, name
+    assert code == 0, argv
     report.append(loaded())
-sys.stdout = io.StringIO()
-code = thermalops.cli.main(["fig1", "--format", "json"])
-sys.stdout = stdout
-assert code == 0
-report.append(loaded())
 print(*report)
 """
 
