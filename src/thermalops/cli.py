@@ -36,7 +36,7 @@ from .optimize import (
     _fluctuation_cycles,
     _linspace,
     _logspace,
-    _work_curve,
+    _otto_works,
     fluctuation_curve,
     work_efficiency_curve,
 )
@@ -99,8 +99,8 @@ def _run_fig6(p):
 
 def _run_sweep(p):
     grid = _log_grid(p, "omega_lo", "omega_hi")
-    work = _work_curve(p["eta"], p["eta_C"], p["T_H"], p["regime"])
-    return ["omega_H", "W"], [[w, work(w)] for w in grid]
+    works = _otto_works(p["eta"], p["eta_C"], p["T_H"], p["regime"], grid)
+    return ["omega_H", "W"], list(zip(grid, works))
 
 
 def _run_micro_report(p):

@@ -12,10 +12,10 @@ on its sign reaches.  fig4 (``work_efficiency_curve``) searches the window
 Each gap is evaluated in closed form, with no ``OttoConfig``, map or cycle:
 the Otto work (``otto.otto_work``) or a fig5 or fig6 row (``_otto_fields``),
 whose energies ``_fluctuation_cycles`` puts in a power-of-two unit next to ``T_H``.
-A scan checks ``eta``, ``eta_C``, the temperatures and the regime once, and
-each gap it evaluates only for ``omega_H > omega_C > 0`` (``_otto_gaps``); a
-slope evaluation takes the two exponents ``omega / T`` and no couplings.
-``work_at`` is the work curve at one gap, and ``sweep`` rows evaluate it too.
+A scan checks ``eta``, ``eta_C``, the temperatures and the regime once, then
+each gap only for ``omega_H > omega_C > 0``: ``sweep`` and ``work_at`` in
+``_otto_works``, one call of ``maps._otto_work`` a gap, and an optimum in its
+``ScanSpec``, whose slope evaluations take only the exponents ``omega / T``.
 The three-stroke engine has no free gap once (eta, eta_C) is chosen: its
 efficiency falls strictly with the gap, from ``eta_C`` to below 0 at
 ``T_H``, so one bisection in ``[1e-12, 1] * T_H`` finds the gap at ``eta``.
@@ -66,7 +66,7 @@ class ScanSpec(_Checked, namedtuple("ScanSpec", "eta eta_C T_H regime omega_lo o
         require_descending(omega_hi=omega_hi, omega_lo=omega_lo)  # rejects bools and NaN
         if not (0.0 < eta < eta_C and omega_hi < math.inf):
             raise InvalidParameterError(f"need 0 < eta < eta_C and omega_hi < inf, got {self}")
-        _otto_fields(eta, eta_C, T_H, regime)  # checks eta_C < 1, T_H, regime
+        _coupling_rule(T_H, _cold_side(eta, eta_C, T_H)[1], regime)  # eta_C < 1, T_H, regime
         return self
 
 
@@ -97,23 +97,28 @@ def work_at(eta: float, eta_C: float, T_H: float, omega_H: float, regime: str) -
     """Otto work-per-cycle in units of k_B T_H at the given gap, in closed
     form (``otto.otto_work``), for ``0 < eta <= eta_C < 1``: the engine side
     of ``otto_config_at`` and the Carnot point (W = +0.0).  Makes the checks
-    of ``otto_config_at`` on the scalars, without building the config, and
-    evaluates the same work."""
+    of ``otto_config_at`` on the scalars, each once, without building the
+    config, and evaluates the same work: ``_otto_works`` on the one gap."""
     _require_real(omega_H=omega_H)
-    return _work_curve(eta, eta_C, T_H, regime)(omega_H)
+    return _otto_works(eta, eta_C, T_H, regime, (omega_H,))[0]
 
 
-def _work_curve(eta: float, eta_C: float, T_H: float, regime: str):
-    """``work_at`` as a function of ``omega_H`` alone: the work of
-    ``_otto_fields``' cycle, written out without the heat maps' entries."""
-    gaps = _otto_gaps(eta, eta_C, T_H)
-    couplings = _coupling_rule(T_H, (1.0 - eta_C) * T_H, regime)
-
-    def work(omega_H: float) -> float:
-        omega_H, omega_C, a, b = gaps(omega_H)
-        return _otto_work(omega_H, omega_C, a, b, *couplings(omega_H, omega_C)) / T_H
-
-    return work
+def _otto_works(eta: float, eta_C: float, T_H: float, regime: str, grid) -> list[float]:
+    """``work_at`` at each real gap of ``grid``: checks ``eta``, ``eta_C``, the
+    temperatures and the regime once, then each gap for ``omega_H > omega_C > 0``
+    before one call of ``maps._otto_work``; the ETO's couplings are read once."""
+    _require_real(eta=eta, eta_C=eta_C, T_H=T_H)
+    keep, T_C = _cold_side(eta, eta_C, T_H)
+    couplings = _coupling_rule(T_H, T_C, regime)
+    fixed = regime == NONMARKOV and couplings(T_H, T_C)
+    works = []
+    for omega_H in grid:
+        omega_C = keep * omega_H
+        if not omega_H > omega_C > 0.0:
+            raise _gap_error(omega_H, omega_C)
+        l_H, l_C = fixed or couplings(omega_H, omega_C)
+        works.append(_otto_work(omega_H, omega_C, omega_H / T_H, omega_C / T_C, l_H, l_C) / T_H)
+    return works
 
 
 def _otto_fields(eta: float, eta_C: float, T_H: float, regime: str):
@@ -137,20 +142,28 @@ def _otto_gaps(eta: float, eta_C: float, T_H: float):
     as a function of ``omega_H`` alone: ``eta``, ``eta_C`` and that ``T_H`` is
     real are checked here, once, and each gap only for ``omega_H > omega_C > 0``,
     which also fails for NaN, a bool or an ``omega_C`` that underflows to 0.
-    The caller checks the temperatures (``_coupling_rule``)."""
+    The caller, ``_otto_fields``, checks the temperatures (``_coupling_rule``)."""
     _require_real(eta=eta, eta_C=eta_C, T_H=T_H)
-    if not 0.0 < eta <= eta_C < 1.0:
-        raise InvalidParameterError(f"need 0 < eta <= eta_C < 1, got {eta}, {eta_C}")
-    T_C = (1.0 - eta_C) * T_H
-    keep = 1.0 - eta
+    keep, T_C = _cold_side(eta, eta_C, T_H)
 
     def gaps(omega_H: float) -> tuple:
         omega_C = keep * omega_H
         if type(omega_H) is bool or not omega_H > omega_C > 0.0:
-            raise InvalidParameterError(f"need omega_H > omega_C > 0, got {(omega_H, omega_C)}")
+            raise _gap_error(omega_H, omega_C)
         return omega_H, omega_C, omega_H / T_H, omega_C / T_C
 
     return gaps
+
+
+def _cold_side(eta: float, eta_C: float, T_H: float) -> tuple[float, float]:
+    """``(1 - eta, T_C)`` for real values, once ``0 < eta <= eta_C < 1`` is checked."""
+    if not 0.0 < eta <= eta_C < 1.0:
+        raise InvalidParameterError(f"need 0 < eta <= eta_C < 1, got {eta}, {eta_C}")
+    return 1.0 - eta, (1.0 - eta_C) * T_H
+
+
+def _gap_error(omega_H: float, omega_C: float) -> InvalidParameterError:
+    return InvalidParameterError(f"need omega_H > omega_C > 0, got {(omega_H, omega_C)}")
 
 
 def _linspace(start: float, stop: float, num: int) -> list[float]:
@@ -189,14 +202,16 @@ def _logspace(lo: float, hi: float, n: int) -> list[float]:
 def maximize_work(spec: ScanSpec) -> OptimumRecord:
     """Maximize the Otto work-per-cycle over the gap window: ``_bisect``
     brackets the root of the slope of ``ln W`` (``_log_work_slope``) by
-    Illinois regula falsi, down to adjacent floats in ``omega_H``, and
-    checks each gap as ``work_at`` does; a slope evaluation takes only the
-    exponents ``omega / T`` (``_otto_gaps``).  Wherever the computed slope
-    changes sign once, that is the float that halving alone finds, in a
-    median of 13-14 evaluations on the fig4 grid where halving takes
-    57-59.  A slope not positive at ``omega_lo``, or positive at
-    ``omega_hi``, puts the maximum at that end, which the record holds,
-    marked unconverged, with a ``NoInteriorMaximumWarning``.
+    Illinois regula falsi, down to adjacent floats in ``omega_H``.  It trusts
+    the fields of ``spec``, checked when it was built, and checks each gap
+    for ``omega_H > omega_C > 0`` as ``work_at`` does; a slope evaluation is
+    one call on the exponents ``omega / T``; ``W_star`` is ``_otto_works`` at
+    the gap found.  Wherever the computed slope changes sign once, that is the
+    float that halving alone finds, in a median of 13-14 evaluations on the
+    fig4 grid where halving takes 57-59.  A slope not positive at
+    ``omega_lo``, or positive at ``omega_hi``, puts the maximum at that end,
+    which the record holds, marked unconverged, with a
+    ``NoInteriorMaximumWarning``.
 
     The slope falls through zero once: at fixed (eta, eta_C) the work is
     strictly log-concave in ``a = omega_H / T_H``.  With ``kappa = (1 -
@@ -210,18 +225,19 @@ def maximize_work(spec: ScanSpec) -> OptimumRecord:
       e^(kappa a)) + const``, a sum of concave terms.
     """
     _require_type(spec, ScanSpec)
-    work = _work_curve(spec.eta, spec.eta_C, spec.T_H, spec.regime)
-    gaps = _otto_gaps(spec.eta, spec.eta_C, spec.T_H)
-    slope = _log_work_slope(spec.regime)
+    eta, eta_C, T_H, regime, lo, hi = spec
+    keep, T_C = _cold_side(eta, eta_C, T_H)
+    slope = _log_work_slope(regime)
     evaluations = 0
 
     def value(omega_H: float) -> float:
         nonlocal evaluations
         evaluations += 1
-        _, _, a, b = gaps(omega_H)
-        return slope(a, b)
+        omega_C = keep * omega_H
+        if not omega_H > omega_C > 0.0:
+            raise _gap_error(omega_H, omega_C)
+        return slope(omega_H / T_H, omega_C / T_C)
 
-    lo, hi = spec.omega_lo, spec.omega_hi
     f_lo = value(lo)
     converged = f_lo > 0.0 and not (f_hi := value(hi)) > 0.0  # rising at lo, falling at hi
     if converged:
@@ -230,7 +246,8 @@ def maximize_work(spec: ScanSpec) -> OptimumRecord:
         omega_H = hi if f_lo > 0.0 else lo
         msg = f"work maximum at range endpoint omega_H={omega_H:.6g}; widen [omega_lo, omega_hi]"
         warnings.warn(msg, NoInteriorMaximumWarning, stacklevel=2)
-    return OptimumRecord(omega_H, work(omega_H), converged, evaluations)
+    W_star = _otto_works(eta, eta_C, T_H, regime, (omega_H,))[0]
+    return OptimumRecord(omega_H, W_star, converged, evaluations)
 
 
 def _log_work_slope(regime: str):

@@ -1,4 +1,7 @@
+import contextlib
 import hashlib
+import io
+import json
 import math
 import os
 import random
@@ -38,7 +41,7 @@ from thermalops import (
 from thermalops import optimize
 import oracles
 from oracles import EPS as _EPS, conditioning, exact_work as exact_otto_work, log_uniform, quiet
-from thermalops.cli import COMMANDS, ENGINE_CODES, _log_grid, _run_sweep
+from thermalops.cli import COMMANDS, ENGINE_CODES, _log_grid, _run_sweep, main
 from thermalops.optimize import otto_config_at, three_stroke_config_at
 from thermalops.maps import _three_stroke_work
 from thermalops.three_stroke import three_stroke_report
@@ -310,8 +313,8 @@ def test_work_curve_rises_then_falls(regime, eta_C, eta_share, T_H):
     # eta = 0 or eta = eta_C than a share of 1e-6, the rounding of omega_C
     # or T_C is a sizeable part of omega_H - omega_C or of kappa - 1, and
     # the coarse values carry it.
-    f = optimize._work_curve(eta_C * eta_share, eta_C, T_H, regime)
-    values = [f(w) for w in optimize._logspace(1e-3 * T_H, 20.0 * T_H, 200)]
+    grid = optimize._logspace(1e-3 * T_H, 20.0 * T_H, 200)
+    values = optimize._otto_works(eta_C * eta_share, eta_C, T_H, regime, grid)
     peak = values.index(max(values))
     assert 0 < peak < 199
     assert all(a <= b for a, b in zip(values[:peak], values[1 : peak + 1]))
@@ -348,7 +351,7 @@ def test_bisection_finds_the_one_sign_change_and_beats_the_grid(regime, eta_C, e
     assert rising == sorted(rising, reverse=True)
     rec = maximize_work(ScanSpec(eta, eta_C, T_H, regime, 1e-3 * T_H, 20.0 * T_H))
     assert rec.converged
-    best = max(optimize._work_curve(eta, eta_C, T_H, regime)(w) for w in grid)
+    best = max(optimize._otto_works(eta, eta_C, T_H, regime, grid))
     rounding = 2.0**-52 * (1.0 - eta) * (1.0 / eta + 1.0 / (eta_C - eta)) * best
     assert rec.W_star >= best - 4 * math.ulp(best) - rounding
 
@@ -426,6 +429,193 @@ def test_scans_are_the_checked_config_path(regime, eta_C, eta_share, T_H, omega_
         warnings.simplefilter("ignore")  # the endpoint warning is not at issue
         rec = maximize_work(spec)
     assert rec.W_star.hex() == checked_config_work(eta, eta_C, T_H, rec.omega_H_star, regime)
+
+
+def cli_call(argv: list[str]) -> tuple[int, str, str]:
+    """``main(argv)``'s exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300)
+@given(
+    regime=st.sampled_from(["nonmarkov", "markov"]),
+    eta_C=st.floats(1e-6, 1.0 - 1e-6),
+    eta_share=st.one_of(st.just(1.0), st.floats(1e-6, 1.0)),  # eta = eta_C: W = +0.0
+    T_H=st.one_of(st.sampled_from([5e-324, 1e-310, 1e-300, 1.0, 1e300]), log_uniform(-300, 300)),
+    window=st.tuples(st.floats(-4.0, 1.0), st.floats(0.1, 4.0)),
+    points=st.integers(2, 40),
+)
+@example(regime="markov", eta_C=0.5, eta_share=1.0, T_H=1e300, window=(-3.0, 1.3), points=9)
+@example(regime="nonmarkov", eta_C=1e-6, eta_share=1e-6, T_H=1e-310, window=(-3.0, 1.3), points=9)
+@example(regime="markov", eta_C=0.9, eta_share=0.5, T_H=5e-324, window=(1.0, 2.0), points=9)
+def test_every_otto_scan_evaluates_one_work(regime, eta_C, eta_share, T_H, window, points):
+    # the public scans agree to the bit (float.hex tells the signed zeros
+    # apart): each sweep row, read from its JSON table, is work_at at its
+    # gap; an optimum's W_star is work_at at its gap; and an Otto row of
+    # work_efficiency_curve is maximize_work's W_star on fig4's window, or
+    # both raise the same error
+    eta = eta_C * eta_share
+    lo, hi = T_H * 10.0 ** window[0], T_H * 10.0 ** sum(window)
+    params = dict(eta=eta, eta_C=eta_C, T_H=T_H, omega_lo=lo, omega_hi=hi)
+    sets = [f"{key}={value!r}" for key, value in params.items()]
+    sets += [f"regime={regime}", f"points={points}"]
+    argv = ["sweep", "--format", "json", *(arg for s in sets for arg in ("--set", s))]
+    code, out, err = cli_call(argv)
+    if code:
+        assert (code, out) == (1, "") and err.startswith("thermalops sweep: need ")
+    else:
+        for omega_H, W in json.loads(out)["rows"]:
+            assert W.hex() == work_at(eta, eta_C, T_H, omega_H, regime).hex()
+    if eta == eta_C:
+        return
+    if not code:
+        rec = quiet(maximize_work, ScanSpec(eta, eta_C, T_H, regime, lo, hi))
+        assert rec.W_star.hex() == work_at(eta, eta_C, T_H, rec.omega_H_star, regime).hex()
+    try:
+        [(_, W)] = quiet(work_efficiency_curve, eta_C, T_H, regime, [eta])
+    except InvalidParameterError as exc:
+        with pytest.raises(InvalidParameterError, match=re.escape(str(exc))):
+            quiet(maximize_work, ScanSpec(eta, eta_C, T_H, regime, 1e-3 * T_H, 20.0 * T_H))
+        return
+    rec = quiet(maximize_work, ScanSpec(eta, eta_C, T_H, regime, 1e-3 * T_H, 20.0 * T_H))
+    assert W.hex() == rec.W_star.hex()
+
+
+# Requests with two or three bad values each, and the first error each
+# reports: a scan checks its parameters in a fixed order.
+FIRST_ERRORS = [
+    ("sweep eta=nan eta_C=1.5", "need 0 < eta <= eta_C < 1, got nan, 1.5"),
+    ("sweep eta=0.6 T_H=-1.0", "need 0 < eta <= eta_C < 1, got 0.6, 0.5"),
+    (
+        "sweep eta_C=1.0 omega_lo=nan",
+        "need 0 < omega_lo < omega_hi < inf, got omega_lo=nan, omega_hi=20.0",
+    ),
+    ("sweep eta_C=1.0 T_H=nan", "need 0 < eta <= eta_C < 1, got 0.3, 1.0"),
+    ("sweep regime=carnot T_H=-1.0", "need T_H > T_C > 0, got (-1.0, -0.5)"),
+    ("sweep regime=carnot T_H=nan eta=0.0", "need 0 < eta <= eta_C < 1, got 0.0, 0.5"),
+    ("sweep regime=carnot eta=0.0", "need 0 < eta <= eta_C < 1, got 0.0, 0.5"),
+    ("sweep points=1 eta=nan", "need points >= 2, got points=1"),
+    (
+        "sweep omega_hi=inf regime=carnot",
+        "need 0 < omega_lo < omega_hi < inf, got omega_lo=0.001, omega_hi=inf",
+    ),
+    ("sweep T_H=5e-324 eta_C=0.9 regime=markov", "need T_H > T_C > 0, got (5e-324, 0.0)"),
+    (
+        "sweep eta=0.6 eta_C=0.9 omega_lo=5e-324 regime=markov",
+        "need omega_H > omega_C > 0, got (5e-324, 0.0)",
+    ),
+    (
+        "sweep eta=0.6 eta_C=0.9 omega_lo=5e-324 regime=carnot",
+        "regime must be one of ('markov', 'nonmarkov'), got 'carnot'",
+    ),
+    ("sweep eta=0.5 eta_C=0.5 T_H=inf regime=markov", "need T_H > T_C > 0, got (inf, inf)"),
+    ("sweep eta=-0.1 eta_C=nan T_H=0.0", "need 0 < eta <= eta_C < 1, got -0.1, nan"),
+    ("sweep eta=1.5 eta_C=2.0 T_H=0.0", "need 0 < eta <= eta_C < 1, got 1.5, 2.0"),
+    (
+        "fig4 eta_min=nan eta_C=0.3",
+        "need 0 < eta < eta_C and omega_hi < inf, got ScanSpec(eta=nan, eta_C=0.3, T_H=1.0,"
+        " regime='nonmarkov', omega_lo=0.001, omega_hi=20.0)",
+    ),
+    (
+        "fig4 eta_min=0.4 eta_max=0.6 points=3",  # the middle eta is eta_C
+        "need 0 < eta < eta_C and omega_hi < inf, got ScanSpec(eta=0.5, eta_C=0.5, T_H=1.0,"
+        " regime='nonmarkov', omega_lo=0.001, omega_hi=20.0)",
+    ),
+    (
+        "fig4 eta_min=0.1 eta_max=0.9 points=5 T_H=inf",
+        "need omega_hi > omega_lo > 0, got (inf, inf)",
+    ),
+    ("fig4 eta_C=1.0 T_H=nan", "need omega_hi > omega_lo > 0, got (nan, nan)"),
+    ("fig4 eta_C=1.5 T_H=-1.0", "need omega_hi > omega_lo > 0, got (-20.0, -0.001)"),
+    ("fig4 eta_C=1.0 eta_min=0.6 eta_max=0.9", "need 0 < eta <= eta_C < 1, got 0.6, 1.0"),
+    ("fig4 T_H=5e-324 eta_C=0.9", "need omega_hi > omega_lo > 0, got (1e-322, 0.0)"),
+    ("fig4 points=0 eta_min=nan", "need points >= 1, got points=0"),
+    (
+        "fig4 T_H=1e-310 eta_C=1e-06 eta_min=1e-12 eta_max=2e-12 points=3",
+        "need omega_H > omega_C > 0, got (1e-313, 1e-313)",
+    ),
+]
+
+
+@pytest.mark.parametrize("line, message", FIRST_ERRORS)
+def test_a_bad_scan_request_reports_its_first_error(line, message):
+    command, *pairs = line.split()
+    code, out, err = cli_call([command, *(a for pair in pairs for a in ("--set", pair))])
+    assert (code, out, err) == (1, "", f"thermalops {command}: {message}\n")
+
+
+NAN, INF = math.nan, math.inf
+CALL_FIRST_ERRORS = [
+    (work_at, (NAN, 0.5, -1.0, 1.0, "carnot"), "need 0 < eta <= eta_C < 1, got nan, 0.5"),
+    (work_at, (0.3, 0.5, 1.0, True, "carnot"), "omega_H must be real, got True"),
+    (work_at, (0.3, 0.5, "1", 0.0, "markov"), "T_H must be real, got '1'"),
+    (
+        work_at,
+        (0.3, 0.5, 1.0, -1.0, "carnot"),
+        "regime must be one of ('markov', 'nonmarkov'), got 'carnot'",
+    ),
+    (work_at, (0.3, 0.5, -1.0, -1.0, "markov"), "need T_H > T_C > 0, got (-1.0, -0.5)"),
+    (work_at, (0.3, 1.0, 1.0, 1.0, "carnot"), "need 0 < eta <= eta_C < 1, got 0.3, 1.0"),
+    (
+        work_at,
+        (0.6, 0.9, 1.0, 5e-324, "carnot"),
+        "regime must be one of ('markov', 'nonmarkov'), got 'carnot'",
+    ),
+    (ScanSpec, (0.3, 1.0, 1.0, "carnot"), "need 0 < eta <= eta_C < 1, got 0.3, 1.0"),
+    (ScanSpec, (0.3, 0.5, -1.0, "carnot"), "need T_H > T_C > 0, got (-1.0, -0.5)"),
+    (ScanSpec, (0.3, 0.5, 1.0, "carnot", NAN), "need omega_hi > omega_lo > 0, got (20.0, nan)"),
+    (ScanSpec, ("0.3", 0.5, 1.0, "carnot"), "eta must be real, got '0.3'"),
+    (
+        ScanSpec,
+        (0.6, 0.5, 1.0, "carnot", 1e-3, INF),
+        "need 0 < eta < eta_C and omega_hi < inf, got ScanSpec(eta=0.6, eta_C=0.5, T_H=1.0,"
+        " regime='carnot', omega_lo=0.001, omega_hi=inf)",
+    ),
+    (ScanSpec, (0.3, 0.5, 5e-324, "carnot"), "need T_H > T_C > 0, got (5e-324, 0.0)"),
+    (
+        work_efficiency_curve,
+        (1.5, 1.0, "carnot", [0.1]),
+        "engine must be one of ('nonmarkov', 'markov', 'three_stroke'), got 'carnot'",
+    ),
+    (
+        work_efficiency_curve,
+        (0.5, 1.0, "markov", [0.1, 0.6, NAN]),
+        "need 0 < eta < eta_C and omega_hi < inf, got ScanSpec(eta=0.6, eta_C=0.5, T_H=1.0,"
+        " regime='markov', omega_lo=0.001, omega_hi=20.0)",
+    ),
+    (work_efficiency_curve, (0.5, "1", "carnot", []), "T_H must be real, got '1'"),
+    (
+        work_efficiency_curve,
+        (1.0, 1.0, "nonmarkov", [0.5, 0.9]),
+        "need 0 < eta <= eta_C < 1, got 0.5, 1.0",
+    ),
+    (
+        work_efficiency_curve,
+        (0.5, -1.0, "markov", [0.3, NAN]),
+        "need omega_hi > omega_lo > 0, got (-20.0, -0.001)",
+    ),
+    (
+        work_efficiency_curve,
+        (0.5, 1.0, "nonmarkov", [0.3, 0.5, 0.7]),
+        "need 0 < eta < eta_C and omega_hi < inf, got ScanSpec(eta=0.5, eta_C=0.5, T_H=1.0,"
+        " regime='nonmarkov', omega_lo=0.001, omega_hi=20.0)",
+    ),
+    (
+        maximize_work,
+        (ScanSpec(0.6, 0.7, 1e-300, "markov", 5e-324, 1e-300),),
+        "need omega_H > omega_C > 0, got (5e-324, 0.0)",
+    ),
+]
+
+
+@pytest.mark.parametrize("fn, args, message", CALL_FIRST_ERRORS)
+def test_a_bad_scan_call_raises_its_first_error(fn, args, message):
+    with pytest.raises(InvalidParameterError) as info:
+        fn(*args)
+    assert str(info.value) == message
 
 
 EXTREME_SCANS = """
@@ -663,7 +853,7 @@ def test_regula_falsi_lands_where_bisection_does(regime, eta_C, eta_share, T_H, 
         return
     assert is_sign_change(spec, rec.omega_H_star)
     assert ulps_apart(rec.omega_H_star, reference.omega_H_star) <= 4
-    assert rec.W_star == optimize._work_curve(spec.eta, eta_C, T_H, regime)(rec.omega_H_star)
+    assert rec.W_star == work_at(spec.eta, eta_C, T_H, rec.omega_H_star, regime)
 
 
 def halvings(value, lo: float, hi: float) -> str:

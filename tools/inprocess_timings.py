@@ -12,7 +12,9 @@ parameters, then ``verify --suite NAME`` for each suite in
 ``points=10``, where the one three-stroke point of a table costs the
 largest share, and ``fig4`` at ``points=3``, the shape of the
 benchmark's fig4 requests, whose three-stroke column is one gap search
-per row, then each table command again with every default passed as
+per row, then ``sweep`` with ``regime=markov`` and ``sweep`` as JSON,
+since the benchmark's sweep requests are half Markov and half JSON, then
+each table command again with every default passed as
 ``--set KEY=VALUE``, the shape of the benchmark's requests, so that the
 cost of reading the arguments shows, then each command with
 ``--format=FORMAT`` at its default format, a form that only argparse
@@ -60,10 +62,12 @@ import sys
 import time
 
 COMMANDS = ("fig1", "fig4", "fig5", "fig6", "sweep", "micro-report", "verify")
-SMALL_TABLES = (
+TABLE_SHAPES = (
     ["fig5", "--set", "points=10"],
     ["fig6", "--set", "points=10"],
     ["fig4", "--set", "points=3"],
+    ["sweep", "--set", "regime=markov"],
+    ["sweep", "--format", "json"],
 )
 
 
@@ -117,7 +121,7 @@ def runs(package) -> list:
     suites = importlib.import_module(f"{package.__name__}.verify").SUITES
     argvs = [[command] for command in COMMANDS]
     argvs += [["verify", "--suite", name] for name in suites]
-    argvs += SMALL_TABLES
+    argvs += TABLE_SHAPES
     out = [(" ".join(argv), cli_run(cli.main, argv)) for argv in argvs]
     for name, (defaults, _) in cli.COMMANDS.items():
         sets = [arg for key, value in defaults.items() for arg in ("--set", f"{key}={value}")]
