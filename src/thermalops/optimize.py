@@ -110,7 +110,7 @@ def _otto_works(eta: float, eta_C: float, T_H: float, regime: str, grid) -> list
     _require_real(eta=eta, eta_C=eta_C, T_H=T_H)
     keep, T_C = _cold_side(eta, eta_C, T_H)
     couplings = _coupling_rule(T_H, T_C, regime)
-    fixed = regime == NONMARKOV and couplings(T_H, T_C)
+    fixed = regime == NONMARKOV and couplings(T_H, T_C)  # the ETO's, the same at any gap
     works = []
     for omega_H in grid:
         omega_C = keep * omega_H
