@@ -621,6 +621,12 @@ def _steady_cycle(cycle: tuple) -> tuple:
     return p1, p2, p3, _otto_work(w_H, w_C, a, b, down, cold[1]), Q_H, Q_C
 
 
+def _cycle_floats(w_H: float, w_C: float, a: float, b: float, l_H, l_C, flip=False) -> tuple:
+    """``Cycle._floats`` from the gaps, exponents ``omega / T`` and couplings: the
+    heat maps' checked entries (``_map_entries``), the gaps, exponents and flip."""
+    return _map_entries(a, l_H), _map_entries(b, l_C), w_H, w_C, a, b, flip
+
+
 def _cycle_work(hot: tuple, cold: tuple, w_H, w_C, a, b, flip: bool) -> float:
     """``Cycle.work`` of a cycle's ``_floats``, with the couplings ``m[0][1]``."""
     if flip:

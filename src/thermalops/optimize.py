@@ -9,13 +9,13 @@ regime; ``maximize_work`` brackets that root by Illinois regula falsi on
 the slope's values (``_bisect``), down to the adjacent floats that halving
 on its sign reaches.  fig4 (``work_efficiency_curve``) searches the window
 ``[1e-3, 20] * T_H``, so its rows do not depend on the unit of energy.
-Each gap is evaluated in closed form, with no ``OttoConfig``, map or cycle:
-the Otto work (``otto.otto_work``) or a fig5 or fig6 row (``_otto_fields``),
-whose energies ``_fluctuation_cycles`` puts in a power-of-two unit next to ``T_H``.
-A scan checks ``eta``, ``eta_C``, the temperatures and the regime once, then
-each gap only for ``omega_H > omega_C > 0``: ``sweep`` and ``work_at`` in
-``_otto_works``, one call of ``maps._otto_work`` a gap, and an optimum in its
-``ScanSpec``, whose slope evaluations take only the exponents ``omega / T``.
+Each gap is evaluated in closed form, with no ``OttoConfig``, map or cycle, on
+one checked loop, ``_otto_scan``: ``eta``, ``eta_C``, the temperatures and the
+regime once, then each gap for ``omega_H > omega_C > 0``.  It gives the Otto
+work (``maps._otto_work``) of ``sweep``, ``work_at`` and an optimum's
+``W_star`` (``_otto_works``), and the cycle floats (``maps._cycle_floats``) of
+a fig5 or fig6 row, in the power-of-two unit that ``_fluctuation_cycles`` sets
+next to ``T_H``.  An optimum's slope evaluations check each gap apart.
 The three-stroke engine has no free gap once (eta, eta_C) is chosen: its
 efficiency falls strictly with the gap, from ``eta_C`` to below 0 at
 ``T_H``, so one bisection in ``[1e-12, 1] * T_H`` finds the gap at ``eta``.
@@ -34,7 +34,7 @@ from collections.abc import Sequence
 
 from .errors import InvalidParameterError, NoInteriorMaximumWarning, ZeroWorkError
 from .fcs import _cell_sums, _moments, _scaled
-from .maps import _Checked, _cycle_work, _map_entries, _otto_work, _three_stroke_work
+from .maps import _Checked, _cycle_floats, _cycle_work, _otto_work, _three_stroke_work
 from .maps import _real_grid, _require_real, _require_type, _shown, require_descending
 from .otto import MARKOV, NONMARKOV, OttoConfig, _coupling_rule
 from .three_stroke import ThreeStrokeConfig
@@ -104,55 +104,26 @@ def work_at(eta: float, eta_C: float, T_H: float, omega_H: float, regime: str) -
 
 
 def _otto_works(eta: float, eta_C: float, T_H: float, regime: str, grid) -> list[float]:
-    """``work_at`` at each real gap of ``grid``: checks ``eta``, ``eta_C``, the
-    temperatures and the regime once, then each gap for ``omega_H > omega_C > 0``
-    before one call of ``maps._otto_work``; the ETO's couplings are read once."""
+    """``work_at`` at each real gap of ``grid``: ``maps._otto_work`` on ``_otto_scan``."""
+    return [w / T_H for w in _otto_scan(eta, eta_C, T_H, regime, grid, _otto_work)]
+
+
+def _otto_scan(eta: float, eta_C: float, T_H: float, regime: str, grid, form):
+    """``form(omega_H, omega_C, omega_H / T_H, omega_C / T_C, lambda_H, lambda_C)``
+    at each gap of ``grid``, lazily: checks ``eta``, ``eta_C``, the temperatures
+    and the regime once, then each gap for ``omega_H > omega_C > 0``, which also
+    fails for NaN or an ``omega_C`` that underflows to 0.  The ETO's couplings
+    are read once, a Markov gap's from its coupling rule."""
     _require_real(eta=eta, eta_C=eta_C, T_H=T_H)
     keep, T_C = _cold_side(eta, eta_C, T_H)
     couplings = _coupling_rule(T_H, T_C, regime)
     fixed = regime == NONMARKOV and couplings(T_H, T_C)  # the ETO's, the same at any gap
-    works = []
     for omega_H in grid:
         omega_C = keep * omega_H
         if not omega_H > omega_C > 0.0:
             raise _gap_error(omega_H, omega_C)
         l_H, l_C = fixed or couplings(omega_H, omega_C)
-        works.append(_otto_work(omega_H, omega_C, omega_H / T_H, omega_C / T_C, l_H, l_C) / T_H)
-    return works
-
-
-def _otto_fields(eta: float, eta_C: float, T_H: float, regime: str):
-    """``otto_config_at(...)._cycle_floats()`` as a function of ``omega_H``
-    alone: ``eta``, ``eta_C``, the temperatures and the regime are checked
-    here, once, each gap by ``_otto_gaps``.  A coupling is 1/2 or more, so
-    the work (``maps._cycle_work``) cannot raise."""
-    gaps = _otto_gaps(eta, eta_C, T_H)
-    couplings = _coupling_rule(T_H, (1.0 - eta_C) * T_H, regime)
-
-    def fields(omega_H: float) -> tuple:
-        omega_H, omega_C, a, b = gaps(omega_H)
-        l_H, l_C = couplings(omega_H, omega_C)
-        return _map_entries(a, l_H), _map_entries(b, l_C), omega_H, omega_C, a, b, False
-
-    return fields
-
-
-def _otto_gaps(eta: float, eta_C: float, T_H: float):
-    """``(omega_H, omega_C, omega_H / T_H, omega_C / T_C)``, with no couplings,
-    as a function of ``omega_H`` alone: ``eta``, ``eta_C`` and that ``T_H`` is
-    real are checked here, once, and each gap only for ``omega_H > omega_C > 0``,
-    which also fails for NaN, a bool or an ``omega_C`` that underflows to 0.
-    The caller, ``_otto_fields``, checks the temperatures (``_coupling_rule``)."""
-    _require_real(eta=eta, eta_C=eta_C, T_H=T_H)
-    keep, T_C = _cold_side(eta, eta_C, T_H)
-
-    def gaps(omega_H: float) -> tuple:
-        omega_C = keep * omega_H
-        if type(omega_H) is bool or not omega_H > omega_C > 0.0:
-            raise _gap_error(omega_H, omega_C)
-        return omega_H, omega_C, omega_H / T_H, omega_C / T_C
-
-    return gaps
+        yield form(omega_H, omega_C, omega_H / T_H, omega_C / T_C, l_H, l_C)
 
 
 def _cold_side(eta: float, eta_C: float, T_H: float) -> tuple[float, float]:
@@ -422,7 +393,9 @@ def _fluctuation_cycles(eta, eta_C, T_H, omega_H_grid, regimes: tuple):
     checked, then the rows of fig5 and fig6 as ``(engine, omega_H, floats)``:
     each regime's gaps, then the three-stroke point.  ``floats`` is the config's
     ``_cycle_floats()`` in that unit, which rescales every float exactly and
-    keeps a variance in energy squared inside binary64 at ``T_H = 1e300``."""
+    keeps a variance in energy squared inside binary64 at ``T_H = 1e300``.  An
+    Otto row's come from ``_otto_scan`` with ``maps._cycle_floats``, a row at a
+    time, so a row's error comes before a later gap's."""
     _require_real(eta=eta, eta_C=eta_C)
     if not 0.0 < eta < eta_C < 1.0:
         raise InvalidParameterError("need 0 < eta < eta_C < 1")
@@ -434,9 +407,9 @@ def _fluctuation_cycles(eta, eta_C, T_H, omega_H_grid, regimes: tuple):
     if math.frexp(top := max(grid))[1] - e > 1024:  # math.ldexp(top, -e) overflows
         raise InvalidParameterError(f"need omega_H < 2**{1024 + e} at T_H={T_H!r}, got {top!r}")
     yield (unit := math.ldexp(T_H, -e))
+    scaled = [math.ldexp(w, -e) for w in grid]
     for regime in regimes:
-        fields = _otto_fields(eta, eta_C, unit, regime)
-        for w in grid:
-            yield regime, w, fields(math.ldexp(w, -e))
+        for w, floats in zip(grid, _otto_scan(eta, eta_C, unit, regime, scaled, _cycle_floats)):
+            yield regime, w, floats
     cfg = three_stroke_config_at(eta, eta_C, unit)
     yield THREE_STROKE_ENGINE, math.ldexp(cfg.omega, e), cfg._cycle_floats()

@@ -38,7 +38,7 @@ from .maps import (
     CycleReport,
     PopulationVector,
     _Checked,
-    _map_entries,
+    _cycle_floats,
     _require_type,
     _shown,
     _steady_cycle,
@@ -96,12 +96,11 @@ class EngineConfig(_Checked):
         return self
 
     def _cycle_floats(self) -> tuple:
-        """The floats of ``maps._steady_cycle``: the heat maps' checked entries, the
-        gaps, ``omega / T`` at each bath and whether the first work stroke flips."""
+        """The floats of ``maps._steady_cycle`` (``maps._cycle_floats``) at the
+        gaps, ``omega / T`` at each bath and the couplings."""
         flip = len(self) == 5  # the three-stroke config's one gap is both gaps
         w_H, w_C, T_H, T_C, l_H, l_C = (self[0], *self) if flip else self
-        a, b = w_H / T_H, w_C / T_C
-        return _map_entries(a, l_H), _map_entries(b, l_C), w_H, w_C, a, b, flip
+        return _cycle_floats(w_H, w_C, w_H / T_H, w_C / T_C, l_H, l_C, flip)
 
     def cycle(self) -> Cycle:
         """The ``Cycle`` of ``_cycle_floats``, whose strokes are built when first read:

@@ -448,16 +448,16 @@ def entries_2x2(m):
 
 def bisection_maximize_work(spec):
     """``optimize.maximize_work`` as it read before regula falsi: plain
-    halving of the window on the sign of the slope of ``ln W``, the gaps
-    checked through ``_otto_gaps``, and no warning.  The same
+    halving of the window on the sign of the slope of ``ln W``, each gap
+    checked on the scans' one loop, ``_otto_scan``, and no warning.  The same
     ``OptimumRecord``; ``evaluations`` counts the window's ends and one per
     halving."""
-    gaps = optimize._otto_gaps(spec.eta, spec.eta_C, spec.T_H)
     slope = optimize._log_work_slope(spec.regime)
     signs = []
 
     def rising(omega_H):
-        signs.append(slope(*gaps(omega_H)[2:4]) > 0.0)
+        (value,) = optimize._otto_scan(*spec[:4], (omega_H,), lambda *g: slope(*g[2:4]))
+        signs.append(value > 0.0)
         return signs[-1]
 
     lo, hi = spec.omega_lo, spec.omega_hi

@@ -343,10 +343,10 @@ def test_bisection_finds_the_one_sign_change_and_beats_the_grid(regime, eta_C, e
     # where eta or eta_C - eta is near 1e-12 (the corners below), where it
     # reaches 1.3e-4 relative.
     eta = eta_C * eta_share
-    gaps = optimize._otto_gaps(eta, eta_C, T_H)
     slope = optimize._log_work_slope(regime)
     grid = optimize._logspace(1e-3 * T_H, 20.0 * T_H, 200)
-    rising = [slope(*gaps(w)[2:4]) > 0.0 for w in grid]
+    signs = optimize._otto_scan(eta, eta_C, T_H, regime, grid, lambda *g: slope(*g[2:4]) > 0.0)
+    rising = list(signs)
     assert rising[0] and not rising[-1]
     assert rising == sorted(rising, reverse=True)
     rec = maximize_work(ScanSpec(eta, eta_C, T_H, regime, 1e-3 * T_H, 20.0 * T_H))
@@ -618,6 +618,103 @@ def test_a_bad_scan_call_raises_its_first_error(fn, args, message):
     assert str(info.value) == message
 
 
+ZERO_MEAN = "{} work mean vanishes at gap {}; variance-to-mean ratio undefined"
+
+# fluctuation_curve calls with two bad values, or a first row that raises
+# before a bad gap, and the first error of each: the table's parameters are
+# checked in a fixed order, then the rows one at a time, in grid order.
+CURVE_FIRST_ERRORS = [
+    *[
+        ((0.3, 0.5, 1.0, "single_cycle", grid), ZeroWorkError, ZERO_MEAN.format("1-cycle", "1000"))
+        for grid in ([2000.0, INF], [2000.0, 5e-324])
+    ],
+    *[
+        (
+            (0.3, 0.5, 1.0, "infinite", grid),
+            thermalops.NonPrimitiveMapError,
+            "untilted cycle map squared has zero entries",
+        )
+        for grid in ([2000.0, INF], [2000.0, 5e-324])
+    ],
+    *[
+        (
+            (0.3, 0.5, 1.0, horizon, [gap]),
+            InvalidParameterError,
+            f"need omega_H > omega_C > 0, got {got}",
+        )
+        for horizon in optimize.HORIZONS
+        # the unit 2**1 next to T_H = 1 halves 5e-324 to 0
+        for gap, got in ((5e-324, "(0.0, 0.0)"), (INF, "(inf, inf)"))
+    ],
+    ((0.6, 0.5, 1.0, "infinite", [INF]), InvalidParameterError, "need 0 < eta < eta_C < 1"),
+    ((NAN, 0.5, 1.0, "single_cycle", [-1.0]), InvalidParameterError, "need 0 < eta < eta_C < 1"),
+    ((0.3, 1.0, 1.0, "infinite", [5e-324]), InvalidParameterError, "need 0 < eta < eta_C < 1"),
+    (
+        (0.3, 0.5, 1.0, "sometimes", [INF]),
+        InvalidParameterError,
+        "horizon must be one of ('single_cycle', 'infinite'), got 'sometimes'",
+    ),
+    (
+        (0.6, 0.5, 1.0, "sometimes", []),
+        InvalidParameterError,
+        "horizon must be one of ('single_cycle', 'infinite'), got 'sometimes'",
+    ),
+    ((0.3, 0.5, -1.0, "infinite", [INF]), InvalidParameterError, "need T_H > 0, got (-1.0,)"),
+    (
+        (0.3, 0.5, 1e-10, "infinite", [1.0, 1e306]),
+        InvalidParameterError,
+        "need omega_H < 2**991 at T_H=1e-10, got 1e+306",
+    ),
+    (
+        (0.3, 0.5, 1e300, "single_cycle", [1e303]),
+        ZeroWorkError,
+        ZERO_MEAN.format("1-cycle", "746.611"),
+    ),
+    (
+        (math.nextafter(0.5, 0.0), 0.5, 1.0, "infinite", [1.0]),
+        ZeroWorkError,
+        ZERO_MEAN.format("infinite", "0.5"),
+    ),
+]
+
+
+@pytest.mark.parametrize("args, kind, message", CURVE_FIRST_ERRORS)
+def test_a_bad_fluctuation_call_raises_its_first_error(args, kind, message):
+    with pytest.raises(kind) as info:
+        fluctuation_curve(*args)
+    assert (type(info.value), str(info.value)) == (kind, message)
+
+
+# fig5 and fig6 requests with two bad values each, and the first error each reports
+BAD_WINDOW = "need 0 < omega_lo < omega_hi < inf, got omega_lo=0.001, omega_hi=inf"
+TABLE_FIRST_ERRORS = [
+    ("fig5 eta=nan omega_hi=inf", BAD_WINDOW),
+    (
+        "fig5 horizon=sometimes eta=0.6",
+        "horizon must be one of ('single_cycle', 'infinite'), got 'sometimes'",
+    ),
+    ("fig5 eta=0.6 T_H=-1.0", "need 0 < eta < eta_C < 1"),
+    ("fig5 T_H=-1.0 omega_hi=1e306", "need T_H > 0, got (-1.0,)"),
+    ("fig5 omega_lo=5e-324 T_H=nan", "need T_H > 0, got (nan,)"),
+    ("fig5 horizon=single_cycle omega_hi=2000 eta=nan", "need 0 < eta < eta_C < 1"),
+    ("fig5 points=1 eta=nan", "need points >= 2, got points=1"),
+    ("fig6 eta=nan omega_hi=inf", BAD_WINDOW),
+    ("fig6 eta=0.6 T_H=nan", "need 0 < eta < eta_C < 1"),
+    ("fig6 T_H=5e-324 eta=nan", "need 0 < eta < eta_C < 1"),
+    ("fig6 T_H=inf omega_lo=5e-324", "need T_H > T_C > 0, got (inf, inf)"),
+    ("fig6 omega_lo=5e-324 eta=nan", "need 0 < eta < eta_C < 1"),
+    ("fig6 eta_C=1.0 T_H=-1.0", "need 0 < eta < eta_C < 1"),
+    ("fig6 points=1 omega_hi=inf", BAD_WINDOW),
+]
+
+
+@pytest.mark.parametrize("line, message", TABLE_FIRST_ERRORS)
+def test_a_bad_fluctuation_request_reports_its_first_error(line, message):
+    command, *pairs = line.split()
+    code, out, err = cli_call([command, *(a for pair in pairs for a in ("--set", pair))])
+    assert (code, out, err) == (1, "", f"thermalops {command}: {message}\n")
+
+
 EXTREME_SCANS = """
 import warnings
 from thermalops import ScanSpec, maximize_work
@@ -793,9 +890,13 @@ def fig4_specs(regime: str) -> list:
 
 
 def slope_of(spec: ScanSpec):
-    gaps = optimize._otto_gaps(spec.eta, spec.eta_C, spec.T_H)
     slope = optimize._log_work_slope(spec.regime)
-    return lambda w: slope(*gaps(w)[2:])
+
+    def at(w):
+        (value,) = optimize._otto_scan(*spec[:4], (w,), lambda *g: slope(*g[2:4]))
+        return value
+
+    return at
 
 
 def is_sign_change(spec: ScanSpec, omega_H: float) -> bool:
@@ -1035,7 +1136,7 @@ def test_every_bad_grid_entry_raises_for_every_engine_and_horizon(scan, kind):
     # fig4 checks an eta where it uses it, by ScanSpec or
     # three_stroke_omega_for_eta; fig5 and fig6 check that every omega_H is
     # positive before the grid is rescaled to the unit next to T_H, and
-    # _otto_gaps that it is finite
+    # _otto_scan that it is finite
     if scan in optimize.ENGINES:
         with pytest.raises(InvalidParameterError):
             work_efficiency_curve(0.5, 1.0, scan, BAD_ETA_GRIDS[kind])
