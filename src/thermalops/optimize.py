@@ -351,19 +351,20 @@ def work_efficiency_curve(
     return [[eta, maximize_work(ScanSpec(eta, eta_C, T_H, engine, *window)).W_star] for eta in etas]
 
 
-def _fluctuation_point(horizon: str, cycle: tuple, unit: float) -> tuple[float, float]:
+def _fluctuation_point(horizon: str, omega_H: float, cycle: tuple, unit: float) -> tuple:
     """Work mean and variance-to-mean ratio at the horizon of a cycle's floats
-    (``maps.Cycle._floats``), each divided by ``unit``."""
+    (``maps.Cycle._floats``), each divided by ``unit``; a zero mean is named at
+    the caller's gap ``omega_H``, not at the cycle's gap in ``unit``."""
     terms = _cell_sums(cycle, primitive=horizon == INFINITE)
     _, _, omega, omega_C, _, _, flip = cycle
     work, quantum = _cycle_work(*cycle), omega if flip else omega - omega_C
     if horizon == SINGLE_CYCLE:
-        stats = _moments(1, *terms, work, quantum, omega)
+        stats = _moments(1, *terms, work, quantum, omega_H)
         return stats.mean / unit, stats.ratio / unit
     mean, var = _scaled(*terms, work, quantum)
     if mean == 0.0:
         raise ZeroWorkError(
-            f"{horizon} work mean vanishes at gap {omega:.6g}; variance-to-mean ratio undefined"
+            f"{horizon} work mean vanishes at gap {omega_H:.6g}; variance-to-mean ratio undefined"
         )
     return mean / unit, var / mean / unit
 
@@ -383,7 +384,7 @@ def fluctuation_curve(
         raise InvalidParameterError(f"horizon must be one of {HORIZONS}, got {_shown(horizon)}")
     cycles = _fluctuation_cycles(eta, eta_C, T_H, omega_H_grid, (NONMARKOV, MARKOV))
     unit = next(cycles)
-    rows = [[w, *_fluctuation_point(horizon, cycle, unit)] for _, w, cycle in cycles]
+    rows = [[w, *_fluctuation_point(horizon, w, cycle, unit)] for _, w, cycle in cycles]
     n = len(rows) // 2
     return {NONMARKOV: rows[:n], MARKOV: rows[n:-1], THREE_STROKE_ENGINE: rows[-1]}
 

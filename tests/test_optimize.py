@@ -622,10 +622,11 @@ ZERO_MEAN = "{} work mean vanishes at gap {}; variance-to-mean ratio undefined"
 
 # fluctuation_curve calls with two bad values, or a first row that raises
 # before a bad gap, and the first error of each: the table's parameters are
-# checked in a fixed order, then the rows one at a time, in grid order.
+# checked in a fixed order, then the rows one at a time, in grid order.  A
+# zero mean is named at the caller's gap, not in the unit next to T_H.
 CURVE_FIRST_ERRORS = [
     *[
-        ((0.3, 0.5, 1.0, "single_cycle", grid), ZeroWorkError, ZERO_MEAN.format("1-cycle", "1000"))
+        ((0.3, 0.5, 1.0, "single_cycle", grid), ZeroWorkError, ZERO_MEAN.format("1-cycle", "2000"))
         for grid in ([2000.0, INF], [2000.0, 5e-324])
     ],
     *[
@@ -668,12 +669,12 @@ CURVE_FIRST_ERRORS = [
     (
         (0.3, 0.5, 1e300, "single_cycle", [1e303]),
         ZeroWorkError,
-        ZERO_MEAN.format("1-cycle", "746.611"),
+        ZERO_MEAN.format("1-cycle", "1e+303"),
     ),
     (
         (math.nextafter(0.5, 0.0), 0.5, 1.0, "infinite", [1.0]),
         ZeroWorkError,
-        ZERO_MEAN.format("infinite", "0.5"),
+        ZERO_MEAN.format("infinite", "1"),
     ),
 ]
 
@@ -685,7 +686,7 @@ def test_a_bad_fluctuation_call_raises_its_first_error(args, kind, message):
     assert (type(info.value), str(info.value)) == (kind, message)
 
 
-# fig5 and fig6 requests with two bad values each, and the first error each reports
+# fig5 and fig6 requests with two bad values each, or a bad row, and the first error each reports
 BAD_WINDOW = "need 0 < omega_lo < omega_hi < inf, got omega_lo=0.001, omega_hi=inf"
 TABLE_FIRST_ERRORS = [
     ("fig5 eta=nan omega_hi=inf", BAD_WINDOW),
@@ -698,6 +699,11 @@ TABLE_FIRST_ERRORS = [
     ("fig5 omega_lo=5e-324 T_H=nan", "need T_H > 0, got (nan,)"),
     ("fig5 horizon=single_cycle omega_hi=2000 eta=nan", "need 0 < eta < eta_C < 1"),
     ("fig5 points=1 eta=nan", "need points >= 2, got points=1"),
+    # a zero mean at the requested gap 2000, which is 1000 in the unit 2**1 next to T_H = 1
+    (
+        "fig5 horizon=single_cycle omega_lo=1 omega_hi=2000 points=2",
+        ZERO_MEAN.format("1-cycle", "2000"),
+    ),
     ("fig6 eta=nan omega_hi=inf", BAD_WINDOW),
     ("fig6 eta=0.6 T_H=nan", "need 0 < eta < eta_C < 1"),
     ("fig6 T_H=5e-324 eta=nan", "need 0 < eta < eta_C < 1"),
@@ -839,8 +845,9 @@ def table_outcome(command: str, p: dict) -> str:
     return ";".join(" ".join(x.hex() if isinstance(x, float) else repr(x) for x in r) for r in rows)
 
 
-# sha256 of every seeded fig5 and fig6 table's outcome
-SEEDED_FLUCTUATION_SHA256 = "dabe9855c4e1143c3bf81bb1ce931c310c68ddd529f36200129be03aa60535d0"
+# sha256 of every seeded fig5 and fig6 table's outcome; a zero mean is named
+# at the requested gap
+SEEDED_FLUCTUATION_SHA256 = "1263bfdb2fb6284bcc1d740d0f7b2ac28a6b24b04250d467d6c59c5de8731ec2"
 
 
 def test_fluctuation_tables_pin_seeded_parameters():
@@ -1228,18 +1235,24 @@ def outcome_of(fn, *args):
         return type(exc), str(exc)
 
 
-def cycle_path_point(cycle, horizon: str) -> tuple[float, float]:
+def zero_mean(label: str, omega_H: float) -> ZeroWorkError:
+    return ZeroWorkError(ZERO_MEAN.format(label, f"{omega_H:.6g}"))
+
+
+def cycle_path_point(cycle, horizon: str, omega_H: float) -> tuple[float, float]:
     """Work mean and variance-to-mean ratio by the public statistics of the
-    cycle, with the infinite horizon's zero-mean raise."""
+    cycle.  A zero mean at either horizon raises at the caller's gap
+    ``omega_H``; ``work_moments`` names the cycle's own gap, which is in the
+    unit next to ``T_H``."""
     if horizon == "single_cycle":
-        stats = work_moments(cycle, None, 1)
+        try:
+            stats = work_moments(cycle, None, 1)
+        except ZeroWorkError:
+            raise zero_mean("1-cycle", omega_H) from None
         return stats.mean, stats.ratio
     mean, var = scaled_cumulants(cycle)
     if mean == 0.0:
-        raise ZeroWorkError(
-            f"{horizon} work mean vanishes at gap {cycle.strokes[0].omega:.6g}; "
-            "variance-to-mean ratio undefined"
-        )
+        raise zero_mean(horizon, omega_H)
     return mean, var / mean
 
 
@@ -1254,11 +1267,12 @@ def cycle_path_fluctuation_curve(eta, eta_C, T_H, horizon, grid) -> dict:
         out[regime] = []
         for omega_H in grid:
             cfg = otto_config_at(eta, eta_C, unit, math.ldexp(omega_H, -e), regime)
-            mean, ratio = cycle_path_point(cfg.cycle(), horizon)
+            mean, ratio = cycle_path_point(cfg.cycle(), horizon, omega_H)
             out[regime].append([omega_H, mean / unit, ratio / unit])
     cfg3 = three_stroke_config_at(eta, eta_C, unit)
-    mean, ratio = cycle_path_point(cfg3.cycle(), horizon)
-    out["three_stroke"] = [math.ldexp(cfg3.omega, e), mean / unit, ratio / unit]
+    omega = math.ldexp(cfg3.omega, e)
+    mean, ratio = cycle_path_point(cfg3.cycle(), horizon, omega)
+    out["three_stroke"] = [omega, mean / unit, ratio / unit]
     return out
 
 
