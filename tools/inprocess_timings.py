@@ -8,9 +8,11 @@ the source directory ``SRC`` (such as ``src`` of a checkout) and their
 total, as ``wc -l`` counts them.  Then imports ``thermalops`` from
 ``SRC``, runs every command of ``thermalops.cli.main`` at its default
 parameters, then ``verify --suite NAME`` for each suite in
-``thermalops.verify.SUITES``, then ``fig5`` and ``fig6`` at
-``points=10``, where the one three-stroke point of a table costs the
-largest share, and ``fig4`` at ``points=3``, the shape of the
+``thermalops.verify.SUITES``, then ``fig5`` at its single-cycle horizon,
+which the benchmark's fig5 requests send as often as the default infinite
+one, then ``fig5`` and ``fig6`` at ``points=10``, where the one
+three-stroke point of a table costs the largest share, and ``fig4`` at
+``points=3``, the shape of the
 benchmark's fig4 requests, whose three-stroke column is one gap search
 per row, then ``sweep`` with ``regime=markov`` and ``sweep`` as JSON,
 since the benchmark's sweep requests are half Markov and half JSON, then
@@ -63,6 +65,7 @@ import time
 
 COMMANDS = ("fig1", "fig4", "fig5", "fig6", "sweep", "micro-report", "verify")
 TABLE_SHAPES = (
+    ["fig5", "--set", "horizon=single_cycle"],
     ["fig5", "--set", "points=10"],
     ["fig6", "--set", "points=10"],
     ["fig4", "--set", "points=3"],
