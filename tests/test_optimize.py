@@ -631,11 +631,12 @@ CURVE_FIRST_ERRORS = [
     ],
     *[
         (
-            (0.3, 0.5, 1.0, "infinite", grid),
+            (0.3, 0.5, T_H, "infinite", grid),
             thermalops.NonPrimitiveMapError,
             "untilted cycle map squared has zero entries",
         )
-        for grid in ([2000.0, INF], [2000.0, 5e-324])
+        # 1e308 is a gap that the unit 2**0 next to T_H = 0.75 still holds
+        for T_H, grid in ((1.0, [2000.0, INF]), (1.0, [2000.0, 5e-324]), (0.75, [1e308, 5e-324]))
     ],
     *[
         (
@@ -648,6 +649,7 @@ CURVE_FIRST_ERRORS = [
         for gap, got in ((5e-324, "(0.0, 0.0)"), (INF, "(inf, inf)"))
     ],
     ((0.6, 0.5, 1.0, "infinite", [INF]), InvalidParameterError, "need 0 < eta < eta_C < 1"),
+    ((0.0, 0.5, 1.0, "infinite", [INF]), InvalidParameterError, "need 0 < eta < eta_C < 1"),
     ((NAN, 0.5, 1.0, "single_cycle", [-1.0]), InvalidParameterError, "need 0 < eta < eta_C < 1"),
     ((0.3, 1.0, 1.0, "infinite", [5e-324]), InvalidParameterError, "need 0 < eta < eta_C < 1"),
     (
