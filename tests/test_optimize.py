@@ -575,6 +575,18 @@ CALL_FIRST_ERRORS = [
         " regime='carnot', omega_lo=0.001, omega_hi=inf)",
     ),
     (ScanSpec, (0.3, 0.5, 5e-324, "carnot"), "need T_H > T_C > 0, got (5e-324, 0.0)"),
+    # an eta of 0 and an eta_C of 1, which a later check rejects with another message
+    (
+        ScanSpec,
+        (0.0, 0.5, 1.0, "nonmarkov"),
+        "need 0 < eta < eta_C and omega_hi < inf, got ScanSpec(eta=0.0, eta_C=0.5, T_H=1.0,"
+        " regime='nonmarkov', omega_lo=0.001, omega_hi=20.0)",
+    ),
+    (
+        three_stroke_omega_for_eta,
+        (0.3, 1.0, 1.0),
+        "target efficiency 0.3 outside the attainable range (0, 1.0)",
+    ),
     (
         work_efficiency_curve,
         (1.5, 1.0, "carnot", [0.1]),
@@ -1029,7 +1041,30 @@ def test_bisect_halves_where_regula_falsi_stalls(rise):
     expected = optimize._bisect(plain, 0.0, 1.0)
     assert optimize._bisect(value, 0.0, 1.0, (value(0.0), value(1.0))) == expected
     assert value.calls - 2 <= 4 * plain.calls
-    assert "FFFF" not in halvings(value, 0.0, 1.0)
+    # the two rules fix the path on a step: where one end's value dwarfs the
+    # other's, three stalls, a halving and regula falsi again; on an even
+    # step each point is the midpoint until an end is kept twice in a row
+    steps = halvings(value, 0.0, 1.0)
+    assert "FFFF" not in steps
+    assert steps.startswith("TTTT" if rise == 1.0 else "FFFT" * 10)
+
+
+def test_a_window_that_ends_where_the_slope_is_zero_has_its_maximum_inside():
+    # maximize_work reads the slope's sign at the window's ends as _bisect
+    # reads it: exactly 0 at omega_hi is falling, so a window that ends on
+    # such a gap finds the optimum there, converged and without a warning
+    for spec in seeded_scan_specs():
+        spec = spec._replace(T_H=1.0, omega_lo=1e-3, omega_hi=20.0)
+        slope, star = slope_of(spec), maximize_work(spec).omega_H_star
+        zeros = [x for i in range(-200, 200) if slope(x := star + i * math.ulp(star)) == 0.0]
+        if zeros:
+            break
+    assert zeros, "no seeded optimum has a gap where the slope is exactly 0"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rec = maximize_work(spec._replace(omega_hi=zeros[0]))
+    assert rec.converged and rec.omega_H_star <= zeros[0]
+    assert is_sign_change(spec, rec.omega_H_star)
 
 
 def test_three_stroke_inversion_hits_target_efficiency():
