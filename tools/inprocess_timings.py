@@ -12,9 +12,9 @@ parameters, then ``verify --suite NAME`` for each suite in
 which the benchmark's fig5 requests send as often as the default infinite
 one, then ``fig5`` and ``fig6`` at ``points=10``, where the one
 three-stroke point of a table costs the largest share, and ``fig4`` at
-``points=3``, the shape of the
-benchmark's fig4 requests, whose three-stroke column is one gap search
-per row, then ``sweep`` with ``regime=markov`` and ``sweep`` as JSON,
+``points=3``, the shape of the benchmark's fig4 requests, whose
+three-stroke column is one gap search per row, then ``sweep`` with
+``regime=markov`` and ``sweep`` as JSON,
 since the benchmark's sweep requests are half Markov and half JSON, then
 each table command again with every default passed as
 ``--set KEY=VALUE``, the shape of the benchmark's requests, so that the
