@@ -575,18 +575,6 @@ CALL_FIRST_ERRORS = [
         " regime='carnot', omega_lo=0.001, omega_hi=inf)",
     ),
     (ScanSpec, (0.3, 0.5, 5e-324, "carnot"), "need T_H > T_C > 0, got (5e-324, 0.0)"),
-    # an eta of 0 and an eta_C of 1, which a later check rejects with another message
-    (
-        ScanSpec,
-        (0.0, 0.5, 1.0, "nonmarkov"),
-        "need 0 < eta < eta_C and omega_hi < inf, got ScanSpec(eta=0.0, eta_C=0.5, T_H=1.0,"
-        " regime='nonmarkov', omega_lo=0.001, omega_hi=20.0)",
-    ),
-    (
-        three_stroke_omega_for_eta,
-        (0.3, 1.0, 1.0),
-        "target efficiency 0.3 outside the attainable range (0, 1.0)",
-    ),
     (
         work_efficiency_curve,
         (1.5, 1.0, "carnot", [0.1]),
@@ -619,6 +607,18 @@ CALL_FIRST_ERRORS = [
         maximize_work,
         (ScanSpec(0.6, 0.7, 1e-300, "markov", 5e-324, 1e-300),),
         "need omega_H > omega_C > 0, got (5e-324, 0.0)",
+    ),
+    # an eta of 0 and an eta_C of 1, which a later check rejects with another message
+    (
+        ScanSpec,
+        (0.0, 0.5, 1.0, "nonmarkov"),
+        "need 0 < eta < eta_C and omega_hi < inf, got ScanSpec(eta=0.0, eta_C=0.5, T_H=1.0,"
+        " regime='nonmarkov', omega_lo=0.001, omega_hi=20.0)",
+    ),
+    (
+        three_stroke_omega_for_eta,
+        (0.3, 1.0, 1.0),
+        "target efficiency 0.3 outside the attainable range (0, 1.0)",
     ),
 ]
 
