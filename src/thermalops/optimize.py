@@ -408,8 +408,8 @@ def _fluctuation_cycles(eta, eta_C, T_H, omega_H_grid, regimes: tuple):
     if math.frexp(top := max(grid))[1] - e > 1024:  # math.ldexp(top, -e) overflows
         raise InvalidParameterError(f"need omega_H < 2**{1024 + e} at T_H={T_H!r}, got {top!r}")
     yield (unit := math.ldexp(T_H, -e))
-    scaled = [math.ldexp(w, -e) for w in grid]
     for regime in regimes:
+        scaled = (math.ldexp(w, -e) for w in grid)
         for w, floats in zip(grid, _otto_scan(eta, eta_C, unit, regime, scaled, _cycle_floats)):
             yield regime, w, floats
     cfg = three_stroke_config_at(eta, eta_C, unit)
