@@ -1022,12 +1022,12 @@ def halvings(value, lo: float, hi: float) -> str:
 
 
 def test_regula_falsi_takes_a_few_evaluations_and_at_most_four_per_halving():
-    # fig4's default grid: a median of at most 16 slope evaluations per
-    # optimum, where halving takes 57-59
+    # fig4's default grid: a median of at most 14 slope evaluations per
+    # optimum (maximize_work's 13-14), where halving takes 57-59
     for regime in ("nonmarkov", "markov"):
         records = [maximize_work(spec) for spec in fig4_specs(regime)]
         assert all(rec.converged for rec in records)
-        assert statistics.median(rec.evaluations for rec in records) <= 16
+        assert statistics.median(rec.evaluations for rec in records) <= 14
     # the safeguard: no more than three steps in a row that do not halve the
     # bracket, so at most four steps per halving; on the seeded scans that
     # is also at most four times the steps of plain halving
@@ -1065,12 +1065,7 @@ def test_bisect_halves_where_regula_falsi_stalls(rise):
     expected = optimize._bisect(plain, 0.0, 1.0)
     assert optimize._bisect(value, 0.0, 1.0, (value(0.0), value(1.0))) == expected
     assert value.calls - 2 <= 4 * plain.calls
-    # the two rules fix the path on a step: where one end's value dwarfs the
-    # other's, three stalls, a halving and regula falsi again; on an even
-    # step each point is the midpoint until an end is kept twice in a row
-    steps = halvings(value, 0.0, 1.0)
-    assert "FFFF" not in steps
-    assert steps.startswith("TTTT" if rise == 1.0 else "FFFT" * 10)
+    assert "FFFF" not in halvings(value, 0.0, 1.0)
 
 
 def test_a_window_that_ends_where_the_slope_is_zero_has_its_maximum_inside():

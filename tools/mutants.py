@@ -1,7 +1,6 @@
 """Sample mutants of named ``thermalops`` modules and report which survive Tier-1.
 
-    python tools/mutants.py MODULE [MODULE ...] [--count N] [--seed S]
-        [--timeout SECONDS] [--workers W]
+    python tools/mutants.py MODULE [MODULE ...] [--count N] [--seed S] [--timeout SECONDS]
 
 A mutant changes one operator inside a function of a module under
 ``src/thermalops``: it swaps ``<`` and ``<=``, ``>`` and ``>=``, ``==`` and
@@ -13,20 +12,20 @@ sites of each module (all of them when ``N`` is 0 or at least their number;
 default 20) are drawn with ``random.Random(S)`` (default 12345), the same
 ones on every run of the same source.
 
-The checkout that holds this script, without ``.git``, is copied once per
-worker into a temporary directory, removed at the end; the checkout itself
-is never written.  The tests that fail on the unmutated copy are found
-first and deselected, so only a test that passes without the mutant can
-kill it; a copy whose suite does not run stops the sampler.  Each mutant
-then runs Tier-1 with ``-x``, the mutated module's own test file first,
-under a timeout of ``SECONDS`` (default 300).  A run that fails or times
-out kills the mutant.  ``W`` workers (default 1) run mutants side by side,
-each on its own copy.
+The checkout that holds this script, without ``.git``, is copied once into
+a temporary directory, removed at the end; the checkout itself is never
+written.  The tests that fail on the unmutated copy are found first and
+deselected, so only a test that passes without the mutant can kill it; a
+copy whose suite does not run stops the sampler.  The mutants then run one
+after another on that copy, each Tier-1 with ``-x``, the mutated module's
+own test file first, under a timeout of ``SECONDS`` (default 300).  A run
+that fails or times out kills the mutant.
 
 Each survivor is printed as ``file:line`` with its mutation, and marked
 ``equivalent`` when it is on the allow-list ``EQUIVALENT``: mutants that no
-test can kill, because they do not change what the code computes, each
-with its reason.  The last lines give each module's score: mutants killed
+test can kill, because they do not change what the code computes, or
+change only a search's path and no result or stated bound, each with its
+reason.  The last lines give each module's score: mutants killed
 over mutants sampled, with the equivalent survivors left out of both.
 Needs only the standard library and the pytest that runs Tier-1.
 """
@@ -37,14 +36,12 @@ import argparse
 import ast
 import os
 import pathlib
-import queue
 import random
 import re
 import shutil
 import subprocess
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = pathlib.Path("src", "thermalops")
@@ -67,8 +64,13 @@ SWAPS = {
 
 # (module, the mutated line, stripped, the swap) -> why no test can kill the
 # mutant: each is a fast path, or a guard, whose other branch gives the same
-# result at the one value where the swap changes the branch taken
+# result at the one value where the swap changes the branch taken, or a
+# search's step rule that moves only the points the search evaluates
 _FAST = "takes the slow path, which accepts it and builds the same"
+_STALL = (
+    "a step onto the midpoint counts as a stall, so the safeguard may halve sooner;"
+    " the result and the bound of four steps per halving hold, only the path moves"
+)
 EQUIVALENT = {
     (
         "maps",
@@ -100,6 +102,12 @@ EQUIVALENT = {
     ),
     ("optimize", "if grid[1] < lo or grid[-2] > hi:", ">  ->  >="): (
         "_logspace: an inner point equal to hi is clamped to itself"
+    ),
+    ("optimize", "stalls = 0 if hi <= mid or lo >= mid else stalls + 1", "<=  ->  <"): (
+        f"_bisect: {_STALL}"
+    ),
+    ("optimize", "stalls = 0 if hi <= mid or lo >= mid else stalls + 1", ">=  ->  >"): (
+        f"_bisect: {_STALL}"
     ),
 }
 
@@ -239,30 +247,18 @@ def main() -> None:
     parser.add_argument("--count", type=int, default=20, help="mutants per module; 0 for all")
     parser.add_argument("--seed", type=int, default=12345)
     parser.add_argument("--timeout", type=float, default=300.0, help="seconds per Tier-1 run")
-    parser.add_argument("--workers", type=int, default=1, help="Tier-1 runs side by side")
     args = parser.parse_args()
     drawn = sample(args.modules, args.count, args.seed)
     work = pathlib.Path(tempfile.mkdtemp(prefix="mutants-"))
     try:
-        free = queue.Queue()
-        for i in range(max(1, args.workers)):
-            free.put(copy_tree(work / f"tree{i}"))
-        deselect = known_failures(free.queue[0], args.timeout)
+        tree = copy_tree(work / "tree")
+        deselect = known_failures(tree, args.timeout)
         print(f"deselected, failing without a mutant: {deselect or 'none'}", flush=True)
-
-        def run(m: Mutant) -> Mutant:
-            tree = free.get()
-            try:
-                m.outcome = killed(tree, m, deselect, args.timeout)
-            finally:
-                free.put(tree)
-            return m
-
-        with ThreadPoolExecutor(free.qsize()) as pool:
-            for m in pool.map(run, drawn):
-                if m.outcome == "survived":
-                    mark = f"equivalent: {m.reason}" if m.reason else "SURVIVED"
-                    print(f"{m.where}  {m.detail}  {mark}", flush=True)
+        for m in drawn:
+            m.outcome = killed(tree, m, deselect, args.timeout)
+            if m.outcome == "survived":
+                mark = f"equivalent: {m.reason}" if m.reason else "SURVIVED"
+                print(f"{m.where}  {m.detail}  {mark}", flush=True)
     finally:
         shutil.rmtree(work, ignore_errors=True)
     for module in args.modules:
