@@ -14,7 +14,8 @@ well-formed request (the command, then each option spelled in full and its
 value) from the table without importing argparse.  Any other vector, help
 and usage errors included, goes to ``_argparse``, which imports argparse
 and builds its parser from the same table only then.  Likewise only the
-two JSON renderers import ``json``.
+two JSON renderers import ``json``.  A table's rows are written by one
+``%`` over all of its values (``_render_csv``, ``_render_json``).
 
 Exit codes: 0 success or help, 1 validation or usage error, 2 verification
 failure, 3 I/O error.
@@ -25,6 +26,7 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Sequence
+from itertools import chain
 
 from . import __version__
 from .errors import ThermalOpsError
@@ -188,13 +190,12 @@ def _apply_overrides(defaults: dict, pairs: Sequence[str]) -> dict:
 
 
 def _render_csv(command: str, params: dict, columns, rows) -> str:
+    """The header line, then each row's values as ``%.12g``, comma-separated:
+    every row is written by one ``%`` over the table's flattened values."""
     meta = " ".join(f"{k}={v}" for k, v in params.items())
-    row = ",".join(["%.12g"] * len(columns))
-    lines = [
-        f"# command={command} version={__version__} {meta} columns={','.join(columns)}",
-        *[row % tuple(r) for r in rows],
-    ]
-    return "\n".join(lines) + "\n"
+    row = "\n" + ",".join(["%.12g"] * len(columns))
+    body = (row * len(rows)) % tuple(chain.from_iterable(rows))
+    return f"# command={command} version={__version__} {meta} columns={','.join(columns)}{body}\n"
 
 
 def _render_json(command: str, params: dict, columns, rows) -> str:
@@ -203,10 +204,11 @@ def _render_json(command: str, params: dict, columns, rows) -> str:
 
     Any ``indent`` sends ``json`` to its pure-Python encoder, which costs
     more than the rows themselves, so only the small header goes through it
-    (it escapes the strings).  The rows are written with one ``%r`` per
-    value: ``float.__repr__`` is what ``json`` writes for a finite float.
-    Finite reprs hold no ``n``, so only a table with a ``nan`` or ``inf``
-    is rewritten to ``json``'s ``NaN``, ``Infinity`` and ``-Infinity``.
+    (it escapes the strings).  All rows are written by one ``%`` with one
+    ``%r`` per value, over the table's flattened values as floats:
+    ``float.__repr__`` is what ``json`` writes for a finite float.  Finite
+    reprs hold no ``n``, so only a table with a ``nan`` or ``inf`` is
+    rewritten to ``json``'s ``NaN``, ``Infinity`` and ``-Infinity``.
     """
     import json
 
@@ -215,7 +217,7 @@ def _render_json(command: str, params: dict, columns, rows) -> str:
         indent=1,
     )
     row = "\n  [" + ",".join(["\n   %r"] * len(columns)) + "\n  ]"
-    body = ",".join([row % tuple(map(float, r)) for r in rows])
+    body = ",".join([row] * len(rows)) % tuple(map(float, chain.from_iterable(rows)))
     if "n" in body:
         body = body.replace("nan", "NaN").replace("inf", "Infinity")
     block = f"[{body}\n ]" if rows else "[]"

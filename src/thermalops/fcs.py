@@ -187,10 +187,13 @@ def _pair_sum(n: int, g: float) -> float:
 def _checked_variance(var: float, scale: float, quantum: float) -> float:
     """``var`` quanta squared in energy squared, with rounding below zero
     cleared: a ``var`` below ``-1e-9 * scale`` is a logic error, and a result
-    beyond binary64 a ``CountingOverflowError``."""
+    beyond binary64 a ``CountingOverflowError``.  A zero stays zero at any
+    quantum, where ``0.0 * inf`` would be NaN."""
     if var < -1e-9 * scale:
         raise ConsistencyError(f"work variance came out negative: {var:.3e}")
-    energy = (0.0 if var < 0.0 else var) * (quantum * quantum)  # max(var, 0.0)
+    if var <= 0.0:
+        return 0.0 if var < 0.0 else var  # max(var, 0.0), a zero's sign kept
+    energy = var * (quantum * quantum)
     if not math.isfinite(energy):
         raise CountingOverflowError(f"work variance {var:.3e} quanta^2 overflows binary64")
     return energy

@@ -18,7 +18,8 @@ a fig5 or fig6 row, in the power-of-two unit that ``_fluctuation_cycles`` sets
 next to ``T_H``.  An optimum's slope evaluations check each gap apart.
 The three-stroke engine has no free gap once (eta, eta_C) is chosen: its
 efficiency falls strictly with the gap, from ``eta_C`` to below 0 at
-``T_H``, so one bisection in ``[1e-12, 1] * T_H`` finds the gap at ``eta``.
+``T_H``, so one plain halving search (``_halve``) in ``[1e-12, 1] * T_H``
+finds the gap at ``eta``.
 
 All scans are deterministic: identical inputs produce bit-identical
 outputs.  ``work_efficiency_curve`` and ``fluctuation_curve`` return their
@@ -36,7 +37,7 @@ from .errors import InvalidParameterError, NoInteriorMaximumWarning, ZeroWorkErr
 from .fcs import _cell_sums, _moments, _scaled
 from .maps import _Checked, _cycle_floats, _cycle_work, _otto_work, _three_stroke_work
 from .maps import _real_grid, _require_real, _require_type, _shown, require_descending
-from .otto import MARKOV, NONMARKOV, OttoConfig, _coupling_rule
+from .otto import MARKOV, NONMARKOV, REGIMES, OttoConfig, _coupling_rule
 from .three_stroke import ThreeStrokeConfig
 
 THREE_STROKE_ENGINE = "three_stroke"
@@ -62,6 +63,14 @@ class ScanSpec(_Checked, namedtuple("ScanSpec", "eta eta_C T_H regime omega_lo o
         omega_hi: float = 20.0,
     ):
         self = tuple.__new__(cls, (eta, eta_C, T_H, regime, omega_lo, omega_hi))
+        if (
+            type(eta) is float is type(eta_C) is type(T_H) is type(omega_lo) is type(omega_hi)
+            and 0.0 < eta < eta_C < 1.0
+            and T_H > (1.0 - eta_C) * T_H > 0.0
+            and math.inf > omega_hi > omega_lo > 0.0
+            and regime in REGIMES
+        ):  # other types, and every failure, go through the named checks
+            return self
         _require_real(eta=eta, eta_C=eta_C, T_H=T_H)
         require_descending(omega_hi=omega_hi, omega_lo=omega_lo)  # rejects bools and NaN
         if not (0.0 < eta < eta_C and omega_hi < math.inf):
@@ -114,8 +123,11 @@ def _otto_scan(eta: float, eta_C: float, T_H: float, regime: str, grid, form):
     and the regime once, then each gap for ``omega_H > omega_C > 0``, which also
     fails for NaN or an ``omega_C`` that underflows to 0.  The ETO's couplings
     are read once, a Markov gap's from its coupling rule."""
-    _require_real(eta=eta, eta_C=eta_C, T_H=T_H)
-    keep, T_C = _cold_side(eta, eta_C, T_H)
+    if type(eta) is float is type(eta_C) is type(T_H) and 0.0 < eta <= eta_C < 1.0:
+        keep, T_C = 1.0 - eta, (1.0 - eta_C) * T_H
+    else:  # other types, and every failure, go through the named checks
+        _require_real(eta=eta, eta_C=eta_C, T_H=T_H)
+        keep, T_C = _cold_side(eta, eta_C, T_H)
     couplings = _coupling_rule(T_H, T_C, regime)
     fixed = regime == NONMARKOV and couplings(T_H, T_C)  # the ETO's, the same at any gap
     for omega_H in grid:
@@ -244,33 +256,46 @@ def _log_work_slope(regime: str):
     return lambda a, b: 1.0 - a + bose(b - a) + fermi(a) + fermi(b)
 
 
-def _bisect(value, lo: float, hi: float, ends: tuple[float, float] | None = None) -> float:
-    """Midpoint of the final bracket of a search on ``0 <= lo < hi < inf``
-    for the point where ``value(x) > 0`` turns false, once the midpoint
-    rounds onto an end.  Every step keeps ``value > 0`` at ``lo`` and not at
-    ``hi``, so wherever that sign changes once over the floats, every way of
-    stepping ends on the same adjacent pair and returns the same float.
+def _halve(pred, lo: float, hi: float) -> float:
+    """Midpoint of the final bracket of plain halving on ``0 <= lo < hi < inf``
+    for the point where ``pred(x)`` turns false, once the midpoint rounds onto
+    an end.  Halving each end keeps ``lo + hi`` from overflowing and rounds as
+    ``0.5 * (lo + hi)`` above the subnormals; 2100 halvings cover any bracket
+    (2**1024 wide at most, floats 2**-1074 apart at least)."""
+    for _ in range(2100):
+        mid = 0.5 * lo + 0.5 * hi
+        if mid in (lo, hi):
+            break
+        if pred(mid):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * lo + 0.5 * hi
 
-    Without ``ends`` each step halves the bracket.  Halving each end keeps
-    ``lo + hi`` from overflowing and rounds as ``0.5 * (lo + hi)`` above the
-    subnormals; 2100 halvings cover any bracket (2**1024 wide at most,
-    floats 2**-1074 apart at least).  With ``ends = (value(lo), value(hi))``
-    each step goes to the regula falsi point of the bracket, and an end kept
+
+def _bisect(value, lo: float, hi: float, ends: tuple[float, float]) -> float:
+    """``_halve``'s float for ``value(x) > 0``, given ``ends = (value(lo),
+    value(hi))``, in fewer evaluations.  Every step keeps ``value > 0`` at
+    ``lo`` and not at ``hi``, so wherever that sign changes once over the
+    floats, every way of stepping ends on the same adjacent pair and returns
+    the same float.
+
+    Each step goes to the regula falsi point of the bracket, and an end kept
     twice in a row has its value halved (the Illinois rule: Dowell &
     Jarratt, BIT 11, 168 (1971)), which converges superlinearly on a smooth
     ``value``.  A step that leaves the bracket on both sides of its midpoint
     has not halved it; after three such steps in a row, and wherever the
     point is not strictly inside the bracket (a NaN or infinite ``value``),
-    the step halves.  So at most four steps go to each halving, and 8400
-    cover any bracket."""
-    f_lo, f_hi = ends if ends else (0.0, 0.0)
+    the step halves.  So at most four steps go to each of ``_halve``'s
+    halvings, and 8400 cover any bracket."""
+    f_lo, f_hi = ends
     kept = stalls = 0  # the end kept by the last step (-1 lo, +1 hi)
     for _ in range(8400):
         mid = 0.5 * lo + 0.5 * hi
         if mid in (lo, hi):
             break
         x = mid
-        if ends and stalls < 3:
+        if stalls < 3:
             x = lo + f_lo / (f_lo - f_hi) * (hi - lo)
             if not lo < x < hi:
                 x = mid
@@ -291,8 +316,8 @@ def _bisect(value, lo: float, hi: float, ends: tuple[float, float] | None = None
 
 def three_stroke_omega_for_eta(eta: float, eta_C: float, T_H: float) -> float:
     """Gap at which the three-stroke engine runs at efficiency ``eta``: one
-    halving ``_bisect`` of ``eta(omega) > eta`` on ``[1e-12, 1] * T_H``.  The
-    computed efficiency flips about the target over several ulps of the gap,
+    plain halving (``_halve``) of ``eta(omega) > eta`` on ``[1e-12, 1] * T_H``.
+    The computed efficiency flips about the target over several ulps of the gap,
     more where it is flat, so the gap found depends on the path: regula
     falsi moved 2227 of 8025 seeded gaps (``eta_C`` in [0.01, 0.99], ``T_H``
     in [1e-3, 1e3]) by 2 to 70270 ulp, and 5 of the 24 fig4 default rows.
@@ -304,14 +329,19 @@ def three_stroke_omega_for_eta(eta: float, eta_C: float, T_H: float) -> float:
       whole positive axis, from ``1 - 1/kappa = eta_C`` as ``a -> 0``;
     - at ``omega = T_H``, ``eta = 1 - (e - 1)/(1 - e^(-kappa)) < 2 - e < 0``.
     """
-    _require_real(eta=eta, eta_C=eta_C, T_H=T_H)
-    if not 0.0 < eta < eta_C < 1.0:
-        raise InvalidParameterError(
-            f"target efficiency {eta} outside the attainable range (0, {eta_C})"
-        )
-    T_C = (1.0 - eta_C) * T_H
-    require_descending(T_H=T_H, T_C=T_C)
-    omega = _bisect(
+    if not (
+        type(eta) is float is type(eta_C) is type(T_H)
+        and 0.0 < eta < eta_C < 1.0
+        and T_H > (T_C := (1.0 - eta_C) * T_H) > 0.0
+    ):  # other types, and every failure, go through the named checks
+        _require_real(eta=eta, eta_C=eta_C, T_H=T_H)
+        if not 0.0 < eta < eta_C < 1.0:
+            raise InvalidParameterError(
+                f"target efficiency {eta} outside the attainable range (0, {eta_C})"
+            )
+        T_C = (1.0 - eta_C) * T_H
+        require_descending(T_H=T_H, T_C=T_C)
+    omega = _halve(
         lambda w: 1.0 - math.expm1(w / T_H) / -math.expm1(-w / T_C) > eta, 1e-12 * T_H, T_H
     )
     require_descending(omega=omega)  # 0.0 where T_H is a few subnormal steps

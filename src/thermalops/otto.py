@@ -63,7 +63,8 @@ def _coupling_rule(T_H: float, T_C: float, regime: str):
     overflows only where ``exp(-omega / T)`` underflows anyway.  The
     temperatures, before they divide, and the regime are checked here, once;
     the gaps by the caller."""
-    require_descending(T_H=T_H, T_C=T_C)
+    if not (type(T_H) is float is type(T_C) and T_H > T_C > 0.0):
+        require_descending(T_H=T_H, T_C=T_C)  # other types, and every failure
     if regime == NONMARKOV:
         return lambda omega_H, omega_C: (1.0, 1.0)
     if regime == MARKOV:

@@ -446,6 +446,18 @@ def entries_2x2(m):
     return arr.ravel().tolist()
 
 
+def halving_bracket(pred, lo, hi):
+    """The final bracket of plain halving for the point where ``pred`` turns
+    false: each midpoint replaces the end whose side it is on, until the
+    midpoint rounds onto an end or 2100 halvings are spent."""
+    for _ in range(2100):
+        mid = 0.5 * lo + 0.5 * hi
+        if mid in (lo, hi):
+            break
+        lo, hi = (mid, hi) if pred(mid) else (lo, mid)
+    return lo, hi
+
+
 def bisection_maximize_work(spec):
     """``optimize.maximize_work`` as it read before regula falsi: plain
     halving of the window on the sign of the slope of ``ln W``, each gap
@@ -466,11 +478,7 @@ def bisection_maximize_work(spec):
     elif rising(hi):
         omega_H = hi
     else:
-        for _ in range(2100):
-            mid = 0.5 * lo + 0.5 * hi
-            if mid in (lo, hi):
-                break
-            lo, hi = (mid, hi) if rising(mid) else (lo, mid)
+        lo, hi = halving_bracket(rising, lo, hi)
         omega_H = 0.5 * lo + 0.5 * hi
     W = optimize.work_at(spec.eta, spec.eta_C, spec.T_H, omega_H, spec.regime)
     return optimize.OptimumRecord(omega_H, W, signs[:2] == [True, False], len(signs))

@@ -825,6 +825,21 @@ def test_infinite_grid_bound_is_a_validation_error(command, key, other, capsys):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "command, key, other", [("sweep", "omega_hi", "omega_lo"), ("fig1", "t2_max", "t2_min")]
+)
+def test_a_grid_window_of_one_value_is_a_validation_error(command, key, other, capsys):
+    # a log grid needs lo < hi: with both ends at the default low end, no
+    # table is written
+    low = cli.COMMANDS[command][0][other]
+    assert cli.main([command, "--set", f"{key}={low!r}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"thermalops {command}: need 0 < {other} < {key} < inf, got {other}={low}, {key}={low}\n"
+    )
+
+
 def test_sweep_gap_underflow_is_a_validation_error(capsys):
     # the first gap is the smallest subnormal: omega_C = 0.4 * omega_H rounds
     # to 0 inside the row loop, after the scalars were checked
@@ -866,6 +881,17 @@ def test_too_few_points_is_a_validation_error(command, points, minimum, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"thermalops {command}: need points >= {minimum}, got points={points}\n"
+
+
+@pytest.mark.parametrize("J, jt_max", [(0.5, 3.2), (2.0, 3.2), (2.0, 0.0)])
+def test_micro_report_spans_jt_from_0_to_jt_max_at_any_coupling(J, jt_max, capsys):
+    # the times run to jt_max / J, so the Jt column ends at jt_max whatever
+    # J is; jt_max = 0 is the one instant t = 0, where every map is the identity
+    argv = ["micro-report", "--set", f"J={J}", "--set", f"jt_max={jt_max}"]
+    assert cli.main(argv + ["--set", "n_max=30", "--set", "points=3"]) == 0
+    _, rows = parse_csv(capsys.readouterr().out)
+    assert rows.shape == (6, 3)
+    assert rows[:, 1].min() == 0.0 and math.isclose(rows[:, 1].max(), jt_max)
 
 
 def test_micro_report_reaches_hot_baths(capsys):

@@ -290,6 +290,16 @@ def test_deterministic_work_has_zero_variance_at_any_count():
         assert stats.variance == 0.0 and math.isfinite(stats.mean)
 
 
+def test_a_zero_variance_stays_zero_where_the_quantum_squared_overflows():
+    # a quantum near 1e300: 0 quanta^2 is 0 in energy squared, where 0.0 * inf
+    # was NaN and read as an overflow
+    deterministic = OttoConfig(1e300, 1.0, 1.7e308, 1e290, 1.0, 1.0).cycle()
+    assert work_moments(deterministic, None, 1) == (1, -1e300, 0.0, -0.0)
+    vanishing = OttoConfig.nonmarkov(1e300, 0.7e300, 1.0, 0.5).cycle()  # exp(-1e300) is 0
+    with pytest.raises(ZeroWorkError, match="1-cycle work mean vanishes at gap 1e\\+300"):
+        work_moments(vanishing, None, 1)
+
+
 def test_work_moments_overflow_is_typed():
     # S_N ~ N / (1 - mu) with 1 - mu ~ 2e-3 at this gap: Var_N exceeds binary64
     tmap, p1 = tilted_and_steady(OttoConfig.nonmarkov(1e-3, 7e-4, 1.0, 0.5))

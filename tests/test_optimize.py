@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import subprocess
 import sys
 import warnings
 from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -64,9 +66,58 @@ def test_scan_spec_rejects_bad_scan_inputs(field, value):
             ScanSpec(0.3, 0.5, 1.0, "markov", **{field: value})
 
 
+# calls that a float fast path must not take: equal window ends, and Decimals,
+# which compare with floats but are no numbers.Real, in two or more positions
+# of one type; each gets the named check's message
+WINDOW = ("0.001", "20")
+FAST_PATH_REJECTS = [
+    (
+        lambda: ScanSpec(0.3, 0.5, 1.0, "markov", 1.0, 1.0),
+        "need omega_hi > omega_lo > 0, got (1.0, 1.0)",
+    ),
+    (
+        lambda: ScanSpec(0.3, 0.5, 1.0, "markov", *map(Decimal, WINDOW)),
+        "need omega_hi > omega_lo > 0, got (Decimal('20'), Decimal('0.001'))",
+    ),
+    (
+        lambda: ScanSpec(0.3, Decimal("0.5"), Decimal("1"), "markov", *map(Decimal, WINDOW)),
+        "eta_C must be real, got Decimal('0.5')",
+    ),
+    (
+        lambda: ScanSpec(0.3, 0.5, Decimal("1"), "markov", *map(Decimal, WINDOW)),
+        "T_H must be real, got Decimal('1')",
+    ),
+    (
+        lambda: work_at(0.3, Decimal("0.5"), Decimal("1"), 1.0, "markov"),
+        "eta_C must be real, got Decimal('0.5')",
+    ),
+    (
+        lambda: three_stroke_omega_for_eta(0.3, Decimal("0.5"), Decimal("1")),
+        "eta_C must be real, got Decimal('0.5')",
+    ),
+    # otto._coupling_rule, which reads the temperatures before any config check
+    (
+        lambda: OttoConfig.markov(1.0, 0.5, Decimal("1"), 0.5),
+        "need T_H > T_C > 0, got (Decimal('1'), 0.5)",
+    ),
+    (
+        lambda: OttoConfig.markov(1.0, 0.5, 1.0, Decimal("0.5")),
+        "need T_H > T_C > 0, got (1.0, Decimal('0.5'))",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, message", FAST_PATH_REJECTS)
+def test_a_float_fast_path_rejects_what_the_named_checks_reject(call, message):
+    with pytest.raises(InvalidParameterError) as info:
+        call()
+    assert str(info.value) == message
+
+
 def test_work_at_carnot_point_vanishes():
-    for regime in ("markov", "nonmarkov"):
-        W = work_at(0.5, 0.5, 1.0, 1.3, regime)
+    # eta_C as a float takes the scan's fast path, as a Fraction its named checks
+    for regime, eta_C in itertools.product(("markov", "nonmarkov"), (0.5, Fraction(1, 2))):
+        W = work_at(0.5, eta_C, 1.0, 1.3, regime)
         assert abs(W) < 1e-14
         assert math.copysign(1.0, W) == 1.0  # +0.0, not -0.0
 
@@ -706,6 +757,13 @@ CURVE_FIRST_ERRORS = [
         thermalops.NonPrimitiveMapError,
         "untilted cycle map squared has zero entries",
     ),
+    # the variance is exactly 0 and the quantum squared overflows in the
+    # unit next to T_H = 1e-300: the zero stays zero, so the mean is named
+    (
+        (0.3, 0.5, 1e-300, "single_cycle", [2000.0]),
+        ZeroWorkError,
+        ZERO_MEAN.format("1-cycle", "2000"),
+    ),
 ]
 
 
@@ -1062,10 +1120,43 @@ def test_bisect_halves_where_regula_falsi_stalls(rise):
         return rise if x < root else -1.0
 
     plain.calls = value.calls = 0
-    expected = optimize._bisect(plain, 0.0, 1.0)
+    expected = optimize._halve(plain, 0.0, 1.0)
     assert optimize._bisect(value, 0.0, 1.0, (value(0.0), value(1.0))) == expected
     assert value.calls - 2 <= 4 * plain.calls
     assert "FFFF" not in halvings(value, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("root", [0.3, 1e-300, 5e-324, 1.5, 1e300])
+def test_halve_ends_on_the_adjacent_pair_around_a_step(root):
+    # pred is true below root and false from it on: the search ends on
+    # (prev float, root), the oracle's final halving bracket, and returns
+    # their midpoint
+    lo, hi = 0.0, 1.7e308
+    below = math.nextafter(root, 0.0)
+    steps = []
+
+    def pred(x):
+        steps.append(x)
+        return x < root
+
+    got = optimize._halve(pred, lo, hi)
+    assert got == 0.5 * below + 0.5 * root
+    assert lo <= min(steps) and max(steps) <= hi and len(steps) <= 2100
+    assert oracles.halving_bracket(pred, lo, hi) == (below, root)
+
+
+@pytest.mark.parametrize("lo, hi", [(NAN, 1.0), (0.0, NAN), (0.0, INF), (-INF, INF), (NAN, NAN)])
+def test_halve_stops_on_a_bracket_with_a_nan_or_infinite_end(lo, hi):
+    # a NaN midpoint is never equal to an end, and inf halves to inf: the
+    # cap of 2100 halvings ends the search
+    calls = []
+
+    def pred(x):
+        calls.append(x)
+        return x < 0.5
+
+    optimize._halve(pred, lo, hi)
+    assert len(calls) <= 2100
 
 
 def test_a_window_that_ends_where_the_slope_is_zero_has_its_maximum_inside():
@@ -1136,13 +1227,13 @@ def test_three_stroke_branch_needs_no_runtime_probe(eta_C, T_H):
 def test_the_three_stroke_gap_is_one_search_per_efficiency(monkeypatch, run, searches):
     # no zero-work search: each gap is one bisection on [1e-12, 1] * T_H, in
     # the power-of-two unit of T_H for fig5 and fig6
-    calls, bisect = [], optimize._bisect
+    calls, halve = [], optimize._halve
 
     def counted(value, lo, hi):
         calls.append((lo, hi))
-        return bisect(value, lo, hi)
+        return halve(value, lo, hi)
 
-    monkeypatch.setattr(optimize, "_bisect", counted)
+    monkeypatch.setattr(optimize, "_halve", counted)
     run()
     assert len(calls) == searches
     assert all(lo == 1e-12 * hi for lo, hi in calls)

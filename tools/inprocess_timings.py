@@ -14,8 +14,10 @@ one, then ``fig5`` and ``fig6`` at ``points=10``, where the one
 three-stroke point of a table costs the largest share, and ``fig4`` at
 ``points=3``, the shape of the benchmark's fig4 requests, whose
 three-stroke column is one gap search per row, then ``sweep`` with
-``regime=markov`` and ``sweep`` as JSON,
-since the benchmark's sweep requests are half Markov and half JSON, then
+``regime=markov``, ``sweep`` as JSON and ``sweep`` as JSON with
+``regime=markov``, since the benchmark's sweep requests are half Markov and
+half JSON, and the last shape is that of most of the slowest tenth of
+its gap-scan requests, then
 each table command again with every default passed as
 ``--set KEY=VALUE``, the shape of the benchmark's requests, so that the
 cost of reading the arguments shows, then each command with
@@ -71,6 +73,7 @@ TABLE_SHAPES = (
     ["fig4", "--set", "points=3"],
     ["sweep", "--set", "regime=markov"],
     ["sweep", "--format", "json"],
+    ["sweep", "--format", "json", "--set", "regime=markov"],
 )
 
 

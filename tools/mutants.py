@@ -103,6 +103,27 @@ EQUIVALENT = {
     ("optimize", "if grid[1] < lo or grid[-2] > hi:", ">  ->  >="): (
         "_logspace: an inner point equal to hi is clamped to itself"
     ),
+    ("optimize", "and 0.0 < eta < eta_C < 1.0", "<  ->  <="): (
+        "ScanSpec and three_stroke_omega_for_eta: at eta_C <= 1, eta_C = 1 gives T_C = 0,"
+        " which fails the chain, so the named checks raise as before (the swaps at"
+        " 0 < eta and eta < eta_C are killed)"
+    ),
+    ("optimize", "and T_H > (1.0 - eta_C) * T_H > 0.0", "*  ->  /"): (
+        "ScanSpec: (1 - eta_C) / T_H < T_H needs T_H > 2**-27, where (1 - eta_C) * T_H"
+        f" lies in (0, T_H) too; any other spec {_FAST} spec"
+    ),
+    ("optimize", "and T_H > (1.0 - eta_C) * T_H > 0.0", "-  ->  +"): (
+        f"ScanSpec: (1 + eta_C) * T_H is never below T_H, so every spec {_FAST} spec"
+    ),
+    ("optimize", "and T_H > (T_C := (1.0 - eta_C) * T_H) > 0.0", "-  ->  +"): (
+        "three_stroke_omega_for_eta: (1 + eta_C) * T_H is never below T_H, so every"
+        f" call {_FAST} T_C"
+    ),
+    (
+        "optimize",
+        "if type(eta) is float is type(eta_C) is type(T_H) and 0.0 < eta <= eta_C < 1.0:",
+        "<=  ->  <",
+    ): f"_otto_scan: at eta = eta_C, a float scan {_FAST} T_C and couplings",
     ("optimize", "stalls = 0 if hi <= mid or lo >= mid else stalls + 1", "<=  ->  <"): (
         f"_bisect: {_STALL}"
     ),
