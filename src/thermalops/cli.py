@@ -5,8 +5,8 @@ Every figure-style command writes one deterministic table: a single
 the full parameter set, and the column names, followed by pure numeric
 rows (CSV, 12 significant digits) or the equivalent JSON document (full
 binary64 round-trip).  No timestamps appear anywhere, so reruns are
-bit-identical.  fig5 and fig6 read their rows from one checked path, in a
-power-of-two unit of energy next to ``T_H`` (``optimize._fluctuation_cycles``).
+bit-identical.  fig5 and fig6 take their rows finished from one checked generator,
+in a power-of-two unit of energy next to ``T_H`` (``optimize._fluctuation_rows``).
 
 The grammar is argparse's over one table, ``_OPTIONS``: the options of
 every command of ``COMMANDS`` and of ``verify``.  ``_parse`` reads a
@@ -30,12 +30,12 @@ from itertools import chain
 
 from . import __version__
 from .errors import ThermalOpsError
-from .fcs import _cell_sums, _pcc
-from .maps import _cycle_work, eto_vs_thermalization_scan
+from .maps import eto_vs_thermalization_scan
 from .microscopic import JC_KINDS, FockTruncation, eto_approximation_report
 from .optimize import (
+    _PCC,
     ENGINES,
-    _fluctuation_cycles,
+    _fluctuation_rows,
     _linspace,
     _logspace,
     _otto_works,
@@ -45,7 +45,7 @@ from .optimize import (
 from .otto import MARKOV, NONMARKOV
 from .verify import run_suites
 
-ENGINE_CODES = {NONMARKOV: 0, MARKOV: 1, "three_stroke": 2}
+ENGINE_CODES = {engine: code for code, engine in enumerate(ENGINES)}  # as the rows hold them
 KIND_CODES = {kind: i for i, kind in enumerate(JC_KINDS)}
 
 
@@ -91,12 +91,8 @@ def _run_fig5(p):
 
 def _run_fig6(p):
     grid = _log_grid(p, "omega_lo", "omega_hi")
-    cycles = _fluctuation_cycles(p["eta"], p["eta_C"], p["T_H"], grid, (NONMARKOV,))
-    unit = next(cycles)
-    return ["engine", "omega_H", "W", "pcc"], [
-        [ENGINE_CODES[engine], w, _cycle_work(*c) / unit, _pcc(*_cell_sums(c))]
-        for engine, w, c in cycles
-    ]
+    rows = _fluctuation_rows(p["eta"], p["eta_C"], p["T_H"], grid, (NONMARKOV,), _PCC)
+    return ["engine", "omega_H", "W", "pcc"], list(rows)
 
 
 def _run_sweep(p):

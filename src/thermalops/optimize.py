@@ -14,12 +14,12 @@ one checked loop, ``_otto_scan``: ``eta``, ``eta_C``, the temperatures and the
 regime once, then each gap for ``omega_H > omega_C > 0``.  It gives the Otto
 work (``maps._otto_work``) of ``sweep``, ``work_at`` and an optimum's
 ``W_star`` (``_otto_works``), and the cycle floats (``maps._cycle_floats``) of
-a fig5 or fig6 row, in the power-of-two unit that ``_fluctuation_cycles`` sets
-next to ``T_H``.  An optimum's slope evaluations check each gap apart.
+a fig5 or fig6 Otto row.  An optimum's slope evaluations check each gap apart.
 The three-stroke engine has no free gap once (eta, eta_C) is chosen: its
 efficiency falls strictly with the gap, from ``eta_C`` to below 0 at
 ``T_H``, so one plain halving search (``_halve``) in ``[1e-12, 1] * T_H``
-finds the gap at ``eta``.
+finds the gap at ``eta``.  fig5 and fig6 are two statistics of the same rows,
+which one generator yields finished (``_fluctuation_rows``).
 
 All scans are deterministic: identical inputs produce bit-identical
 outputs.  ``work_efficiency_curve`` and ``fluctuation_curve`` return their
@@ -34,11 +34,10 @@ from collections import namedtuple
 from collections.abc import Sequence
 
 from .errors import InvalidParameterError, NoInteriorMaximumWarning, ZeroWorkError
-from .fcs import _cell_sums, _moments, _scaled
+from .fcs import _cell_sums, _moments, _pcc, _scaled
 from .maps import _Checked, _cycle_floats, _cycle_work, _otto_work, _three_stroke_work
 from .maps import _real_grid, _require_real, _require_type, _shown, require_descending
 from .otto import MARKOV, NONMARKOV, REGIMES, OttoConfig, _coupling_rule
-from .three_stroke import ThreeStrokeConfig
 
 THREE_STROKE_ENGINE = "three_stroke"
 ENGINES = (NONMARKOV, MARKOV, THREE_STROKE_ENGINE)
@@ -46,6 +45,7 @@ ENGINES = (NONMARKOV, MARKOV, THREE_STROKE_ENGINE)
 SINGLE_CYCLE = "single_cycle"
 INFINITE = "infinite"
 HORIZONS = (SINGLE_CYCLE, INFINITE)
+_PCC = "pcc"  # fig6's statistic, in place of a horizon
 
 
 class ScanSpec(_Checked, namedtuple("ScanSpec", "eta eta_C T_H regime omega_lo omega_hi")):
@@ -287,8 +287,10 @@ def _bisect(value, lo: float, hi: float, ends: tuple[float, float]) -> float:
     has not halved it; after three such steps in a row, and wherever the
     point is not strictly inside the bracket (a NaN or infinite ``value``),
     the step halves.  So at most four steps go to each of ``_halve``'s
-    halvings, and 8400 cover any bracket."""
+    halvings, and 8400 cover any bracket.  A zero at ``hi``, whose regula
+    falsi point is ``hi`` at every step, is kept as ``-2**-52 value(lo)``."""
     f_lo, f_hi = ends
+    f_hi = f_hi or -f_lo * 2.0**-52
     kept = stalls = 0  # the end kept by the last step (-1 lo, +1 hi)
     for _ in range(8400):
         mid = 0.5 * lo + 0.5 * hi
@@ -306,7 +308,7 @@ def _bisect(value, lo: float, hi: float, ends: tuple[float, float]) -> float:
                 f_hi *= 0.5
             kept = 1
         else:
-            hi, f_hi = x, v
+            hi, f_hi = x, v or -f_lo * 2.0**-52
             if kept == -1:
                 f_lo *= 0.5
             kept = -1
@@ -348,12 +350,6 @@ def three_stroke_omega_for_eta(eta: float, eta_C: float, T_H: float) -> float:
     return omega
 
 
-def three_stroke_config_at(eta: float, eta_C: float, T_H: float) -> ThreeStrokeConfig:
-    """The ETO three-stroke config at the gap ``three_stroke_omega_for_eta`` finds."""
-    omega = three_stroke_omega_for_eta(eta, eta_C, T_H)
-    return ThreeStrokeConfig.nonmarkov(omega, T_H, (1.0 - eta_C) * T_H)
-
-
 def work_efficiency_curve(
     eta_C: float, T_H: float, engine: str, eta_grid: Sequence[float]
 ) -> list[list[float]]:
@@ -381,20 +377,22 @@ def work_efficiency_curve(
     return [[eta, maximize_work(ScanSpec(eta, eta_C, T_H, engine, *window)).W_star] for eta in etas]
 
 
-def _fluctuation_point(horizon: str, omega_H: float, cycle: tuple, unit: float) -> tuple:
-    """Work mean and variance-to-mean ratio at the horizon of a cycle's floats
-    (``maps.Cycle._floats``), each divided by ``unit``; a zero mean is named at
-    the caller's gap ``omega_H``, not at the cycle's gap in ``unit``."""
-    terms = _cell_sums(cycle, primitive=horizon == INFINITE)
+def _fluctuation_point(stat: str, omega_H: float, cycle: tuple, unit: float) -> tuple:
+    """Work mean over ``unit`` and ``stat`` of a cycle's floats (``maps.Cycle._floats``):
+    the PCC (``_PCC``) or the variance-to-mean ratio at a horizon, over ``unit``
+    too; a zero mean is named at the caller's gap ``omega_H``, not in ``unit``."""
+    terms, work = _cell_sums(cycle, primitive=stat == INFINITE), _cycle_work(*cycle)
+    if stat == _PCC:
+        return work / unit, _pcc(*terms)
     _, _, omega, omega_C, _, _, flip = cycle
-    work, quantum = _cycle_work(*cycle), omega if flip else omega - omega_C
-    if horizon == SINGLE_CYCLE:
+    quantum = omega if flip else omega - omega_C
+    if stat == SINGLE_CYCLE:
         stats = _moments(1, *terms, work, quantum, omega_H)
         return stats.mean / unit, stats.ratio / unit
     mean, var = _scaled(*terms, work, quantum)
     if mean == 0.0:
         raise ZeroWorkError(
-            f"{horizon} work mean vanishes at gap {omega_H:.6g}; variance-to-mean ratio undefined"
+            f"{stat} work mean vanishes at gap {omega_H:.6g}; variance-to-mean ratio undefined"
         )
     return mean / unit, var / mean / unit
 
@@ -406,27 +404,27 @@ def fluctuation_curve(
 
     Returns, per Otto regime, rows ``[omega_H, W, ratio]`` of floats over the
     gap grid, and the three-stroke point, one such row, under ``"three_stroke"``,
-    at one cycle or in the infinite-cycle scaled limit (``horizon``): fig6's
-    rows (``_fluctuation_cycles``) with the checks of ``work_moments`` or
-    ``scaled_cumulants``.
+    at one cycle or in the infinite-cycle scaled limit (``horizon``): the rows
+    of ``_fluctuation_rows``, as fig5 prints them, with the checks of
+    ``work_moments`` or ``scaled_cumulants``.
     """
     if horizon not in HORIZONS:
         raise InvalidParameterError(f"horizon must be one of {HORIZONS}, got {_shown(horizon)}")
-    cycles = _fluctuation_cycles(eta, eta_C, T_H, omega_H_grid, (NONMARKOV, MARKOV))
-    unit = next(cycles)
-    rows = [[w, *_fluctuation_point(horizon, w, cycle, unit)] for _, w, cycle in cycles]
+    found = _fluctuation_rows(eta, eta_C, T_H, omega_H_grid, (NONMARKOV, MARKOV), horizon)
+    rows = [[w, x, y] for _, w, x, y in found]
     n = len(rows) // 2
     return {NONMARKOV: rows[:n], MARKOV: rows[n:-1], THREE_STROKE_ENGINE: rows[-1]}
 
 
-def _fluctuation_cycles(eta, eta_C, T_H, omega_H_grid, regimes: tuple):
-    """``T_H`` in the unit ``2**e`` next to it, once the table's parameters are
-    checked, then the rows of fig5 and fig6 as ``(engine, omega_H, floats)``:
-    each regime's gaps, then the three-stroke point.  ``floats`` is the config's
-    ``_cycle_floats()`` in that unit, which rescales every float exactly and
-    keeps a variance in energy squared inside binary64 at ``T_H = 1e300``.  An
-    Otto row's come from ``_otto_scan`` with ``maps._cycle_floats``, a row at a
-    time, so a row's error comes before a later gap's."""
+def _fluctuation_rows(eta, eta_C, T_H, omega_H_grid, regimes: tuple, stat: str):
+    """The rows of fig5 (``stat`` a horizon) and fig6 (``_PCC``), lazily, as
+    ``(engine, omega_H, W, stat)`` in units of ``T_H``, ``engine`` its index in
+    ``ENGINES``: each regime's gaps, then the three-stroke point.  The table's
+    parameters are checked once.  Each row's floats (``maps._cycle_floats``) are
+    in the unit ``2**e`` next to ``T_H``, which rescales every float exactly and
+    keeps a variance in energy squared inside binary64 at ``T_H = 1e300``; the
+    largest finite gap must fit in it.  An Otto row's come from ``_otto_scan``,
+    a row at a time, so a row's error comes before a later gap's."""
     _require_real(eta=eta, eta_C=eta_C)
     if not 0.0 < eta < eta_C < 1.0:
         raise InvalidParameterError("need 0 < eta < eta_C < 1")
@@ -435,12 +433,16 @@ def _fluctuation_cycles(eta, eta_C, T_H, omega_H_grid, regimes: tuple):
         raise InvalidParameterError("omega_H grid entries must be > 0")
     require_descending(T_H=T_H)
     e = math.frexp(T_H)[1]
-    if math.frexp(top := max(grid))[1] - e > 1024:  # math.ldexp(top, -e) overflows
+    top = max((w for w in grid if w < math.inf), default=math.inf)  # frexp(inf)[1] is 0
+    if math.frexp(top)[1] - e > 1024:  # math.ldexp(top, -e) overflows
         raise InvalidParameterError(f"need omega_H < 2**{1024 + e} at T_H={T_H!r}, got {top!r}")
-    yield (unit := math.ldexp(T_H, -e))
+    unit = math.ldexp(T_H, -e)
     for regime in regimes:
-        scaled = (math.ldexp(w, -e) for w in grid)
+        engine, scaled = ENGINES.index(regime), (math.ldexp(w, -e) for w in grid)
         for w, floats in zip(grid, _otto_scan(eta, eta_C, unit, regime, scaled, _cycle_floats)):
-            yield regime, w, floats
-    cfg = three_stroke_config_at(eta, eta_C, unit)
-    yield THREE_STROKE_ENGINE, math.ldexp(cfg.omega, e), cfg._cycle_floats()
+            x, y = _fluctuation_point(stat, w, floats, unit)
+            yield engine, w, x, y
+    w = three_stroke_omega_for_eta(eta, eta_C, unit)
+    floats = _cycle_floats(w, w, w / unit, w / ((1.0 - eta_C) * unit), 1.0, 1.0, True)
+    w = math.ldexp(w, e)
+    yield ENGINES.index(THREE_STROKE_ENGINE), w, *_fluctuation_point(stat, w, floats, unit)

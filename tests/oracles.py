@@ -43,6 +43,13 @@ def three_stroke_config(bh, bc, omega=1.0, lambda_H=1.0, lambda_C=1.0):
     return ThreeStrokeConfig(omega, omega / bh, omega / bc, lambda_H, lambda_C)
 
 
+def three_stroke_config_at(eta, eta_C, T_H):
+    """The ETO three-stroke config at the gap ``three_stroke_omega_for_eta``
+    finds: the config path that fig4, fig5 and fig6 evaluate without one."""
+    omega = optimize.three_stroke_omega_for_eta(eta, eta_C, T_H)
+    return ThreeStrokeConfig.nonmarkov(omega, T_H, (1 - eta_C) * T_H)
+
+
 def log_uniform(lo, hi):
     return st.floats(lo, hi).map(lambda e: 10.0**e)
 

@@ -33,9 +33,9 @@ from thermalops import (
     work_moments,
 )
 from thermalops import cli
-from thermalops.optimize import fluctuation_curve, three_stroke_config_at
+from thermalops.optimize import fluctuation_curve
 
-from oracles import otto_config, quiet, swap_unitary
+from oracles import otto_config, quiet, swap_unitary, three_stroke_config_at
 
 
 class criterion:

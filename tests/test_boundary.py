@@ -19,11 +19,11 @@ appended: ``eto_approximation_report`` takes no list of kinds.
 
 The probe covers the whole public surface: every callable of
 ``thermalops.__all__`` but the error types and the result records that
-check nothing, and the two config builders of ``optimize``, has a
-known-good call, and each of its arguments in turn, as each of seven junk
-values (a numeric string, None, ``10**400``, a one-item list, ``object()``,
-an ``OttoConfig`` and NaN), must raise a ``ThermalOpsError`` or give a
-result that holds no inf or NaN.
+check nothing, and ``otto_config_at``, the config builder of ``optimize``
+that ``bench/checks.py`` reads, has a known-good call, and each of its
+arguments in turn, as each of seven junk values (a numeric string, None,
+``10**400``, a one-item list, ``object()``, an ``OttoConfig`` and NaN),
+must raise a ``ThermalOpsError`` or give a result that holds no inf or NaN.
 """
 
 import cmath
@@ -86,7 +86,7 @@ from thermalops import (
     work_moments,
 )
 from thermalops.maps import _require_real, require_descending, require_unit_interval
-from thermalops.optimize import otto_config_at, three_stroke_config_at, three_stroke_omega_for_eta
+from thermalops.optimize import otto_config_at, three_stroke_omega_for_eta
 
 HUGE = 10**400
 LONG = 10**5000  # past the 4300 digits that str() and repr() of an int allow
@@ -141,7 +141,6 @@ GOOD = {
     InducedMap: ([[1.0, 0.0], [0.0, 1.0]],),
     Cycle: (CYCLE.strokes,),
     ThreeStrokeConfig: (0.3, 1.0, 0.25, 1.0, 1.0),
-    three_stroke_config_at: (0.3, 0.5, 1.0),
     enumerate_work_distribution: (CONFIG, 3),
     **{fn: (CONFIG,) for fn in OTTO_TAKERS},
     analytic_populations: (CONFIG, "nonmarkov"),
@@ -285,7 +284,7 @@ def _finite(value) -> bool:
 
 
 def test_every_public_callable_has_a_known_good_call():
-    assert (_public_callables() - RESULT_RECORDS) | {otto_config_at, three_stroke_config_at} <= set(GOOD)
+    assert (_public_callables() - RESULT_RECORDS) | {otto_config_at} <= set(GOOD)
 
 
 @pytest.mark.parametrize(

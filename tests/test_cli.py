@@ -17,7 +17,7 @@ import thermalops
 from thermalops import cli, verify
 from thermalops.fcs import pcc_three_stroke_exact
 from thermalops.maps import GibbsStochasticMatrix, _unchecked, build_map
-from thermalops.optimize import otto_config_at, three_stroke_config_at
+from thermalops.optimize import otto_config_at
 from thermalops.cli import ENGINE_CODES
 from thermalops.otto import otto_work
 from thermalops.microscopic import (
@@ -29,7 +29,7 @@ from thermalops.microscopic import (
 )
 from thermalops.verify import CheckRecord, suite_gibbs_fixed_point
 
-from oracles import config_cycle
+from oracles import config_cycle, three_stroke_config_at
 
 
 def run(tmp_path, *argv):

@@ -2,6 +2,7 @@ import copy
 import math
 import pickle
 import warnings
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -47,6 +48,25 @@ def test_truncation_validation():
         FockTruncation(n_max=-1, omega=1.0, beta=1.0, tail_bound=1.0)
     with pytest.raises(InvalidParameterError):
         FockTruncation(n_max=10, omega=-1.0, beta=1.0, tail_bound=1.0)
+
+
+def test_a_tail_weight_at_the_bound_is_kept():
+    # the bound is the largest tail weight allowed, so a truncation whose
+    # tail weight is exactly the bound is valid, and one just past it is not
+    w = loose(12).tail_weight
+    assert FockTruncation(12, 1.0, 1.0, tail_bound=w).tail_weight == w
+    with pytest.raises(TruncationError):
+        FockTruncation(12, 1.0, 1.0, tail_bound=math.nextafter(w, 0.0))
+
+
+def test_the_thermal_mode_reads_only_beta_omega():
+    # the Boltzmann factor is exp(-beta omega n): a mode of quantum 4 at
+    # beta 1/4 has the tail weight, the weights and the swap map of a mode
+    # of quantum 1 at beta 1
+    unit, scaled = FockTruncation(30, 1.0, 1.0), FockTruncation(30, 4.0, 0.25)
+    assert scaled.tail_weight == unit.tail_weight
+    assert _thermal_weights(scaled) == _thermal_weights(unit)
+    assert swap_map(scaled).entries == swap_map(unit).entries
 
 
 def test_truncation_index_is_the_tuple_method():
@@ -193,6 +213,36 @@ def test_jc_validation():
         for fn in (jc_evolution_map, jc_unitary):
             with pytest.raises(InvalidParameterError):
                 fn(J, t, tr, kind)
+
+
+@pytest.mark.parametrize(
+    "J, t, message",
+    [
+        (math.inf, 0.1, "coupling must be finite, got inf"),
+        (math.nan, 0.1, "coupling must be finite, got nan"),
+        (1.0, math.inf, "time must be finite and >= 0, got inf"),
+        (1.0, -0.1, "time must be finite and >= 0, got -0.1"),
+    ],
+)
+def test_a_bad_coupling_or_time_is_named(J, t, message):
+    # an infinite J or t makes the Rabi angle overflow too; the error names
+    # the value that is bad, not the angle
+    for fn in (jc_evolution_map, jc_unitary):
+        with pytest.raises(InvalidParameterError) as info:
+            fn(J, t, loose(5), STANDARD)
+        assert str(info.value) == message
+
+
+def test_an_object_array_of_numbers_is_read_as_its_values():
+    # an object array keeps each element's type: complex elements give the
+    # complex unitary, and exact Fractions the real one they equal
+    tr = loose(3)
+    u = jc_unitary(1.0, 1.2, tr, STANDARD)
+    expected = induced_population_map(u, tr).entries
+    assert induced_population_map(u.astype(object), tr).entries == expected
+    swap = swap_unitary(tr)
+    exact = [[Fraction(int(x)) for x in row] for row in swap]  # its entries are 0 and 1
+    assert induced_population_map(exact, tr).entries == induced_population_map(swap, tr).entries
 
 
 @pytest.mark.parametrize(

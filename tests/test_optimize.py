@@ -27,6 +27,7 @@ from thermalops import (
     NoInteriorMaximumWarning,
     OttoConfig,
     ScanSpec,
+    ThreeStrokeConfig,
     ZeroWorkError,
     eto_vs_thermalization_scan,
     full_thermalization_lambda,
@@ -43,8 +44,9 @@ from thermalops import (
 from thermalops import optimize
 import oracles
 from oracles import EPS as _EPS, conditioning, exact_work as exact_otto_work, log_uniform, quiet
+from oracles import three_stroke_config_at
 from thermalops.cli import COMMANDS, ENGINE_CODES, _log_grid, _run_sweep, main
-from thermalops.optimize import otto_config_at, three_stroke_config_at
+from thermalops.optimize import otto_config_at
 from thermalops.maps import _three_stroke_work
 from thermalops.three_stroke import three_stroke_report
 
@@ -66,9 +68,9 @@ def test_scan_spec_rejects_bad_scan_inputs(field, value):
             ScanSpec(0.3, 0.5, 1.0, "markov", **{field: value})
 
 
-# calls that a float fast path must not take: equal window ends, and Decimals,
+# calls that a float fast path must not take: equal window ends, Decimals,
 # which compare with floats but are no numbers.Real, in two or more positions
-# of one type; each gets the named check's message
+# of one type, and bool couplings; each gets the named check's message
 WINDOW = ("0.001", "20")
 FAST_PATH_REJECTS = [
     (
@@ -104,6 +106,28 @@ FAST_PATH_REJECTS = [
         lambda: OttoConfig.markov(1.0, 0.5, 1.0, Decimal("0.5")),
         "need T_H > T_C > 0, got (1.0, Decimal('0.5'))",
     ),
+    # the config chains, each field after the first of one non-float type
+    (
+        lambda: OttoConfig(2.0, Decimal(1), Decimal(2), Decimal(1), 1.0, 1.0),
+        "need omega_H > omega_C > 0, got (2.0, Decimal('1'))",
+    ),
+    (
+        lambda: OttoConfig(2.0, 1.0, Decimal(2), Decimal(1), 1.0, 1.0),
+        "need T_H > T_C > 0, got (Decimal('2'), Decimal('1'))",
+    ),
+    (
+        lambda: ThreeStrokeConfig(0.5, Decimal(2), Decimal(1), Decimal(1), Decimal(1)),
+        "need T_H > T_C > 0, got (Decimal('2'), Decimal('1'))",
+    ),
+    (
+        lambda: ThreeStrokeConfig(0.5, 2.0, Decimal(1), Decimal(1), Decimal(1)),
+        "need T_H > T_C > 0, got (2.0, Decimal('1'))",
+    ),
+    (
+        lambda: ThreeStrokeConfig(0.5, 2.0, 1.0, Decimal(1), Decimal(1)),
+        "lambda_H must be real, got Decimal('1')",
+    ),
+    (lambda: ThreeStrokeConfig(0.5, 2.0, 1.0, True, True), "lambda_H must lie in [0, 1], got True"),
 ]
 
 
@@ -741,21 +765,21 @@ CURVE_FIRST_ERRORS = [
         ZeroWorkError,
         ZERO_MEAN.format("infinite", "1"),
     ),
-    # an infinite gap passes the check of the largest gap (frexp(inf) has
-    # exponent 0), so a later 1e308, past the float range in the unit next
-    # to T_H = 1e-300, is rescaled only once the rows before it are done
+    # the largest finite gap is checked with the table, before any row: an
+    # infinite gap (frexp(inf) has exponent 0) does not hide a 1e308, past
+    # the float range in the unit next to T_H = 1e-300, wherever it stands
     *[
         (
             (0.3, 0.5, 1e-300, horizon, [INF, 1e308]),
             InvalidParameterError,
-            "need omega_H > omega_C > 0, got (inf, inf)",
+            "need omega_H < 2**28 at T_H=1e-300, got 1e+308",
         )
         for horizon in optimize.HORIZONS
     ],
     (
         (0.3, 0.5, 1e-300, "infinite", [2000.0, INF, 1e308]),
-        thermalops.NonPrimitiveMapError,
-        "untilted cycle map squared has zero entries",
+        InvalidParameterError,
+        "need omega_H < 2**28 at T_H=1e-300, got 1e+308",
     ),
     # the variance is exactly 0 and the quantum squared overflows in the
     # unit next to T_H = 1e-300: the zero stays zero, so the mean is named
@@ -764,6 +788,15 @@ CURVE_FIRST_ERRORS = [
         ZeroWorkError,
         ZERO_MEAN.format("1-cycle", "2000"),
     ),
+    # the big gap before the infinite one: once an OverflowError from ldexp
+    *[
+        (
+            (0.3, 0.5, 1e-300, horizon, [1e308, INF]),
+            InvalidParameterError,
+            "need omega_H < 2**28 at T_H=1e-300, got 1e+308",
+        )
+        for horizon in optimize.HORIZONS
+    ],
 ]
 
 
@@ -1124,6 +1157,33 @@ def test_bisect_halves_where_regula_falsi_stalls(rise):
     assert optimize._bisect(value, 0.0, 1.0, (value(0.0), value(1.0))) == expected
     assert value.calls - 2 <= 4 * plain.calls
     assert "FFFF" not in halvings(value, 0.0, 1.0)
+
+
+def test_a_zero_slope_at_the_window_end_takes_few_evaluations():
+    # the slope is exactly 0 at omega_hi, where the regula falsi point of the
+    # bracket is hi itself and the Illinois rule halves 0 to 0: each step fell
+    # back to halving (55 evaluations).  A zero end is read as a fall of 2**-52
+    # of the rise at lo, and the search ends on the same float at once
+    spec = ScanSpec(
+        0.3153171244138034, 0.4508484746493212, 1.0, "nonmarkov", 1e-3, 1.7199318622493749
+    )
+    assert slope_of(spec)(spec.omega_hi) == 0.0
+    rec = maximize_work(spec)
+    assert (rec.omega_H_star, rec.converged) == (1.7199318622493749, True)
+    assert rec.evaluations <= 4
+
+
+def test_bisect_steps_off_a_zero_reached_inside_the_bracket():
+    # the first regula falsi point, 0.3, lands on the flat zero of value:
+    # the new hi end is read as a small fall, not halved as 0 for every step
+    def value(x):
+        value.calls += 1
+        return 0.3 - x if x < 0.3 or x > 0.6 else 0.0
+
+    value.calls = 0
+    got = optimize._bisect(value, 0.0, 1.0, (value(0.0), value(1.0)))
+    assert got == optimize._halve(lambda x: 0.3 - x > 0.0, 0.0, 1.0)
+    assert value.calls <= 4
 
 
 @pytest.mark.parametrize("root", [0.3, 1e-300, 5e-324, 1.5, 1e300])

@@ -22,7 +22,7 @@ from thermalops import (
     otto_work,
 )
 from thermalops.maps import DRIFT_RENORM
-from thermalops.optimize import otto_config_at, three_stroke_config_at
+from thermalops.optimize import otto_config_at, three_stroke_omega_for_eta
 
 from oracles import otto_config, quiet
 
@@ -66,7 +66,7 @@ def test_infinite_fields_are_rejected_at_construction(fields):
         (otto_config_at, (0.3, 0.5, 0.0, 1.0, "markov")),
         (ThreeStrokeConfig.markov, (1.0, 1.0, 0.0)),
         (ThreeStrokeConfig.markov, (1.0, 0.0, 0.5)),
-        (three_stroke_config_at, (0.3, 0.5, 0.0)),
+        (three_stroke_omega_for_eta, (0.3, 0.5, 0.0)),
     ],
     ids=["otto-markov", "otto-at", "three-stroke-T_C", "three-stroke-T_H", "three-stroke-at"],
 )
@@ -74,6 +74,19 @@ def test_zero_temperature_is_a_parameter_error(make, args):
     # the Markov couplings and the three-stroke gap divide by T
     with pytest.raises(InvalidParameterError):
         make(*args)
+
+
+@pytest.mark.parametrize("scale", [0.25, 4.0, 1e-300, 1e300])
+def test_carnot_efficiency_and_its_warning_read_the_temperature_ratio(scale):
+    # eta_C = 1 - T_C / T_H is 1/2 at any temperature scale: the report warns
+    # for the gaps at eta = 3/4, and not for those at eta = 1/4
+    engine = OttoConfig.nonmarkov(scale, 0.75 * scale, scale, 0.5 * scale)
+    assert engine.carnot_efficiency == 0.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        otto_cycle_report(engine)
+    with pytest.warns(NotAnEngineWarning, match="Carnot value 0.5;"):
+        otto_cycle_report(OttoConfig.nonmarkov(scale, 0.25 * scale, scale, 0.5 * scale))
 
 
 def test_eto_steady_state_ln2_ln4():

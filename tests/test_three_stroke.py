@@ -75,6 +75,16 @@ def test_report_non_engine_example():
     assert rep.W < 0.0
 
 
+def test_a_cycle_that_heats_to_exactly_one_half_is_not_an_engine():
+    # beta_H omega = ln 2 and a cold bath at zero excitation: the hot ETO takes
+    # the ground state to p_e2 = 1/2 exactly, no inversion, and W is -0.0
+    ln2 = math.log(2.0)
+    cfg = ThreeStrokeConfig(ln2, 1.0, ln2 / 800.0, 1.0, 1.0)
+    with pytest.warns(NotAnEngineWarning, match="p_e2 <= 1/2"):
+        rep = three_stroke_report(cfg)
+    assert rep.p2.p_e == 0.5 and rep.W == 0.0 and rep.Q_H > 0.0
+
+
 def test_flip_swaps_populations():
     rep = quiet(three_stroke_report, three_stroke_config(0.3, 1.1))
     assert rep.p3.p_g == rep.p2.p_e

@@ -64,8 +64,9 @@ SWAPS = {
 
 # (module, the mutated line, stripped, the swap) -> why no test can kill the
 # mutant: each is a fast path, or a guard, whose other branch gives the same
-# result at the one value where the swap changes the branch taken, or a
-# search's step rule that moves only the points the search evaluates
+# result at the one value where the swap changes the branch taken, a
+# search's step rule that moves only the points the search evaluates, or a
+# tolerance check at a value that no float difference it compares can take
 _FAST = "takes the slow path, which accepts it and builds the same"
 _STALL = (
     "a step onto the midpoint counts as a stall, so the safeguard may halve sooner;"
@@ -129,6 +130,25 @@ EQUIVALENT = {
     ),
     ("optimize", "stalls = 0 if hi <= mid or lo >= mid else stalls + 1", ">=  ->  >"): (
         f"_bisect: {_STALL}"
+    ),
+    **{
+        (module, f"and 0.0 <= {field} <= 1.0", "<=  ->  <"): (
+            f"{config}: a float coupling of exactly 0 or 1 {_FAST} config"
+        )
+        for module, config in (("otto", "OttoConfig"), ("three_stroke", "ThreeStrokeConfig"))
+        for field in ("lambda_H", "lambda_C")
+    },
+    (
+        "otto",
+        "if max(abs(self.lambda_H - lam_H), abs(self.lambda_C - lam_C)) > _REGIME_TOL:",
+        ">  ->  >=",
+    ): (
+        "_require_regime: a coupling within 1e-12 of the regime's (1, or in [1/2, 1]) differs"
+        " from it by a multiple of 2**-54, never by the float 1e-12, which has bits to 2**-92"
+    ),
+    ("microscopic", "if not defect <= _STATE_TOL:", "<=  ->  <"): (
+        "_column_defect: a column sum within 1e-10 of 1 differs from 1 by a multiple of"
+        " 2**-53, never by the float 1e-10, which has bits to 2**-86"
     ),
 }
 
