@@ -5,8 +5,8 @@ Every figure-style command writes one deterministic table: a single
 the full parameter set, and the column names, followed by pure numeric
 rows (CSV, 12 significant digits) or the equivalent JSON document (full
 binary64 round-trip).  No timestamps appear anywhere, so reruns are
-bit-identical.  fig5 and fig6 take their rows finished from one checked generator,
-in a power-of-two unit of energy next to ``T_H`` (``optimize._fluctuation_rows``).
+bit-identical.  fig5 and fig6 print the rows of one generator, which checks fig5's horizon
+too, in a power-of-two unit of energy next to ``T_H`` (``optimize._fluctuation_rows``).
 
 The grammar is argparse's over one table, ``_OPTIONS``: the options of
 every command of ``COMMANDS`` and of ``verify``.  ``_parse`` reads a
@@ -39,13 +39,11 @@ from .optimize import (
     _linspace,
     _logspace,
     _otto_works,
-    fluctuation_curve,
     work_efficiency_curve,
 )
 from .otto import MARKOV, NONMARKOV
 from .verify import run_suites
 
-ENGINE_CODES = {engine: code for code, engine in enumerate(ENGINES)}  # as the rows hold them
 KIND_CODES = {kind: i for i, kind in enumerate(JC_KINDS)}
 
 
@@ -83,10 +81,9 @@ def _run_fig4(p):
 
 def _run_fig5(p):
     grid = _log_grid(p, "omega_lo", "omega_hi")
-    data = fluctuation_curve(p["eta"], p["eta_C"], p["T_H"], p["horizon"], grid)
-    rows = [[ENGINE_CODES[engine], *r] for engine in (NONMARKOV, MARKOV) for r in data[engine]]
-    rows.append([ENGINE_CODES["three_stroke"], *data["three_stroke"]])
-    return ["engine", "omega_H", "W", "variance_over_mean"], rows
+    horizon = p["horizon"]  # checked by the generator, first of its checks
+    rows = _fluctuation_rows(p["eta"], p["eta_C"], p["T_H"], grid, (NONMARKOV, MARKOV), horizon)
+    return ["engine", "omega_H", "W", "variance_over_mean"], list(rows)
 
 
 def _run_fig6(p):

@@ -171,7 +171,7 @@ def swap_map(tr: FockTruncation) -> InducedMap:
 
 
 def _check_jc(J: float, t: float, tr: FockTruncation, kind: str) -> None:
-    if kind not in JC_KINDS:
+    if not isinstance(kind, str) or kind not in JC_KINDS:
         raise InvalidParameterError(f"kind must be one of {JC_KINDS}, got {_shown(kind)}")
     if not type(J) is float is type(t):  # a report calls this once per time point
         _require_real(J=J, t=t)

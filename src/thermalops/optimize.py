@@ -45,7 +45,7 @@ ENGINES = (NONMARKOV, MARKOV, THREE_STROKE_ENGINE)
 SINGLE_CYCLE = "single_cycle"
 INFINITE = "infinite"
 HORIZONS = (SINGLE_CYCLE, INFINITE)
-_PCC = "pcc"  # fig6's statistic, in place of a horizon
+_PCC = object()  # fig6's statistic in place of a horizon: equal to no value a caller passes
 
 
 class ScanSpec(_Checked, namedtuple("ScanSpec", "eta eta_C T_H regime omega_lo omega_hi")):
@@ -68,7 +68,7 @@ class ScanSpec(_Checked, namedtuple("ScanSpec", "eta eta_C T_H regime omega_lo o
             and 0.0 < eta < eta_C < 1.0
             and T_H > (1.0 - eta_C) * T_H > 0.0
             and math.inf > omega_hi > omega_lo > 0.0
-            and regime in REGIMES
+            and type(regime) is str and regime in REGIMES
         ):  # other types, and every failure, go through the named checks
             return self
         _require_real(eta=eta, eta_C=eta_C, T_H=T_H)
@@ -364,7 +364,7 @@ def work_efficiency_curve(
     etas = _real_grid(eta_grid, "eta grid")
     if not etas:  # an entry is checked by ScanSpec or three_stroke_omega_for_eta
         raise InvalidParameterError("eta grid must not be empty")
-    if engine not in ENGINES:
+    if not isinstance(engine, str) or engine not in ENGINES:
         raise InvalidParameterError(f"engine must be one of {ENGINES}, got {_shown(engine)}")
     if engine == THREE_STROKE_ENGINE:
         T_C = (1.0 - eta_C) * T_H
@@ -377,12 +377,12 @@ def work_efficiency_curve(
     return [[eta, maximize_work(ScanSpec(eta, eta_C, T_H, engine, *window)).W_star] for eta in etas]
 
 
-def _fluctuation_point(stat: str, omega_H: float, cycle: tuple, unit: float) -> tuple:
+def _fluctuation_point(stat, omega_H: float, cycle: tuple, unit: float) -> tuple:
     """Work mean over ``unit`` and ``stat`` of a cycle's floats (``maps.Cycle._floats``):
     the PCC (``_PCC``) or the variance-to-mean ratio at a horizon, over ``unit``
     too; a zero mean is named at the caller's gap ``omega_H``, not in ``unit``."""
     terms, work = _cell_sums(cycle, primitive=stat == INFINITE), _cycle_work(*cycle)
-    if stat == _PCC:
+    if stat is _PCC:
         return work / unit, _pcc(*terms)
     _, _, omega, omega_C, _, _, flip = cycle
     quantum = omega if flip else omega - omega_C
@@ -404,27 +404,28 @@ def fluctuation_curve(
 
     Returns, per Otto regime, rows ``[omega_H, W, ratio]`` of floats over the
     gap grid, and the three-stroke point, one such row, under ``"three_stroke"``,
-    at one cycle or in the infinite-cycle scaled limit (``horizon``): the rows
-    of ``_fluctuation_rows``, as fig5 prints them, with the checks of
-    ``work_moments`` or ``scaled_cumulants``.
+    at one cycle or in the infinite-cycle scaled limit (``horizon``), with the
+    checks of ``work_moments`` or ``scaled_cumulants``: fig5's rows as a dict,
+    from ``_fluctuation_rows``, which checks them, the horizon first.
     """
-    if horizon not in HORIZONS:
-        raise InvalidParameterError(f"horizon must be one of {HORIZONS}, got {_shown(horizon)}")
     found = _fluctuation_rows(eta, eta_C, T_H, omega_H_grid, (NONMARKOV, MARKOV), horizon)
     rows = [[w, x, y] for _, w, x, y in found]
     n = len(rows) // 2
     return {NONMARKOV: rows[:n], MARKOV: rows[n:-1], THREE_STROKE_ENGINE: rows[-1]}
 
 
-def _fluctuation_rows(eta, eta_C, T_H, omega_H_grid, regimes: tuple, stat: str):
+def _fluctuation_rows(eta, eta_C, T_H, omega_H_grid, regimes: tuple, stat):
     """The rows of fig5 (``stat`` a horizon) and fig6 (``_PCC``), lazily, as
     ``(engine, omega_H, W, stat)`` in units of ``T_H``, ``engine`` its index in
     ``ENGINES``: each regime's gaps, then the three-stroke point.  The table's
-    parameters are checked once.  Each row's floats (``maps._cycle_floats``) are
-    in the unit ``2**e`` next to ``T_H``, which rescales every float exactly and
-    keeps a variance in energy squared inside binary64 at ``T_H = 1e300``; the
-    largest finite gap must fit in it.  An Otto row's come from ``_otto_scan``,
-    a row at a time, so a row's error comes before a later gap's."""
+    parameters are checked once, ``stat`` first: a horizon, or ``_PCC``, which
+    no horizon a caller gives equals.  Each row's floats (``maps._cycle_floats``)
+    are in the unit ``2**e`` next to ``T_H``, which rescales every float exactly
+    and keeps a variance in energy squared inside binary64 at ``T_H = 1e300``;
+    the largest finite gap must fit in it.  An Otto row's come from
+    ``_otto_scan``, a row at a time, so a row's error comes before a later gap's."""
+    if stat is not _PCC and not (isinstance(stat, str) and stat in HORIZONS):
+        raise InvalidParameterError(f"horizon must be one of {HORIZONS}, got {_shown(stat)}")
     _require_real(eta=eta, eta_C=eta_C)
     if not 0.0 < eta < eta_C < 1.0:
         raise InvalidParameterError("need 0 < eta < eta_C < 1")

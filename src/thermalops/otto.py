@@ -61,18 +61,18 @@ def _coupling_rule(T_H: float, T_C: float, regime: str):
     thermalization at each bath (``markov``), ``1 / (1 + exp(-omega / T))``:
     ``omega / T`` rounds once and, unlike ``1 / T`` at a subnormal ``T``,
     overflows only where ``exp(-omega / T)`` underflows anyway.  The
-    temperatures, before they divide, and the regime are checked here, once;
-    the gaps by the caller."""
+    temperatures, before they divide, and the regime, a ``str``, are checked
+    here, once; the gaps by the caller."""
     if not (type(T_H) is float is type(T_C) and T_H > T_C > 0.0):
         require_descending(T_H=T_H, T_C=T_C)  # other types, and every failure
+    if not isinstance(regime, str) or regime not in REGIMES:  # an array compares item by item
+        raise InvalidParameterError(f"regime must be one of {REGIMES}, got {_shown(regime)}")
     if regime == NONMARKOV:
         return lambda omega_H, omega_C: (1.0, 1.0)
-    if regime == MARKOV:
-        return lambda omega_H, omega_C: (
-            1.0 / (1.0 + math.exp(-omega_H / T_H)),
-            1.0 / (1.0 + math.exp(-omega_C / T_C)),
-        )
-    raise InvalidParameterError(f"regime must be one of {REGIMES}, got {_shown(regime)}")
+    return lambda omega_H, omega_C: (
+        1.0 / (1.0 + math.exp(-omega_H / T_H)),
+        1.0 / (1.0 + math.exp(-omega_C / T_C)),
+    )
 
 
 class EngineConfig(_Checked):

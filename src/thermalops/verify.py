@@ -23,7 +23,7 @@ from collections.abc import Callable, Iterator
 
 from .errors import InvalidParameterError
 from .fcs import enumerate_work_distribution, work_moments
-from .maps import ThermalOpParams, build_map, thermal_population
+from .maps import ThermalOpParams, _shown, build_map, thermal_population
 from .microscopic import (
     INTENSITY_DEPENDENT,
     FockTruncation,
@@ -187,6 +187,6 @@ SUITES: dict[str, Callable[[], list[CheckRecord]]] = {
 
 def run_suites(name: str = "all") -> list[CheckRecord]:
     """Run one named suite, or all of them."""
-    if name != "all" and name not in SUITES:
-        raise InvalidParameterError(f"unknown suite {name!r}; choose from {('all', *SUITES)}")
+    if not isinstance(name, str) or name != "all" and name not in SUITES:
+        raise InvalidParameterError(f"unknown suite {_shown(name)}; choose from {('all', *SUITES)}")
     return [r for key, fn in SUITES.items() if name in ("all", key) for r in fn()]

@@ -14,8 +14,11 @@ where a cycle goes, None or the other engine's config where an engine's
 config goes, a string or None where a population goes, None, a plain
 tuple or a string where a map or its parameters go, and a numeric string,
 None, a one-item list or an ``object()`` where a scan spec, a Fock
-truncation or an induced map goes.  A value past the known-good call is
-appended: ``eto_approximation_report`` takes no list of kinds.
+truncation or an induced map goes.  A string choice (a regime, an engine, a
+horizon, a JC kind or a suite) is given as an array of two floats, as an
+array of its known-good string, which compares item by item, and, for a
+suite, as a list.  A value past the known-good call is appended:
+``eto_approximation_report`` takes no list of kinds.
 
 The probe covers the whole public surface: every callable of
 ``thermalops.__all__`` but the error types and the result records that
@@ -87,6 +90,7 @@ from thermalops import (
 )
 from thermalops.maps import _require_real, require_descending, require_unit_interval
 from thermalops.optimize import otto_config_at, three_stroke_omega_for_eta
+from thermalops.verify import run_suites
 
 HUGE = 10**400
 LONG = 10**5000  # past the 4300 digits that str() and repr() of an int allow
@@ -145,7 +149,25 @@ GOOD = {
     **{fn: (CONFIG,) for fn in OTTO_TAKERS},
     analytic_populations: (CONFIG, "nonmarkov"),
     **{fn: (THREE,) for fn in THREE_TAKERS},
+    run_suites: ("microscopic-eto",),
 }
+CHOICES = (
+    (work_at, "regime"),
+    (ScanSpec, "regime"),
+    (otto_config_at, "regime"),
+    (analytic_populations, "regime"),
+    (work_efficiency_curve, "engine"),
+    (fluctuation_curve, "horizon"),
+    (jc_evolution_map, "kind"),
+    (jc_unitary, "kind"),
+    (run_suites, "name"),
+)
+
+
+def _good(fn, name: str):
+    """The value of the argument ``name`` in ``fn``'s known-good call."""
+    return GOOD[fn][list(inspect.signature(fn).parameters).index(name)]
+
 
 ROWS = [
     *[
@@ -211,11 +233,20 @@ ROWS = [
     (work_at, "regime", LONG),
     (fluctuation_curve, "horizon", LONG),
     (work_efficiency_curve, "engine", LONG),
+    *[
+        (fn, name, value)
+        for fn, name in CHOICES
+        for value in (np.array([1.0, 2.0]), np.array([_good(fn, name)]))
+    ],
+    (run_suites, "name", ["all"]),
+    (run_suites, "name", LONG),
 ]
 
 
 def _row_id(fn, name, value) -> str:
-    if value is HUGE and name.endswith("grid"):
+    if isinstance(value, np.ndarray):  # before the comparisons below, item by item
+        shown = "str-array" if value.dtype.kind == "U" else "float-array"
+    elif value is HUGE and name.endswith("grid"):
         shown = "huge-scalar"  # not iterable
     elif value is LONG or value == -LONG:
         shown = "long"

@@ -17,8 +17,7 @@ import thermalops
 from thermalops import cli, verify
 from thermalops.fcs import pcc_three_stroke_exact
 from thermalops.maps import GibbsStochasticMatrix, _unchecked, build_map
-from thermalops.optimize import otto_config_at
-from thermalops.cli import ENGINE_CODES
+from thermalops.optimize import ENGINES, otto_config_at
 from thermalops.otto import otto_work
 from thermalops.microscopic import (
     STANDARD,
@@ -588,9 +587,9 @@ def json_rows(argv, capsys):
 
 def row_config(command, code, omega_H, **overrides):
     p = {**cli.COMMANDS[command][0], **overrides}
-    if code == ENGINE_CODES["three_stroke"]:
+    if code == ENGINES.index("three_stroke"):
         return three_stroke_config_at(p["eta"], p["eta_C"], p["T_H"])
-    regime = next(name for name, value in ENGINE_CODES.items() if value == code)
+    regime = ENGINES[int(code)]
     return otto_config_at(p["eta"], p["eta_C"], p["T_H"], omega_H, regime)
 
 
@@ -703,7 +702,7 @@ def test_fig6_prints_the_work_and_gap_of_fig5(capsys):
     sets = [arg for kv in SUBNORMAL_FIG for arg in ("--set", kv)]
     fig6 = json_rows(["fig6", *sets], capsys)
     fig5 = json_rows(["fig5", *sets, "--set", "horizon=single_cycle"], capsys)
-    codes = (ENGINE_CODES["nonmarkov"], ENGINE_CODES["three_stroke"])
+    codes = (ENGINES.index("nonmarkov"), ENGINES.index("three_stroke"))
     assert [row[:3] for row in fig6] == [row[:3] for row in fig5 if row[0] in codes]
     assert all(row[2] > 0.0 for row in fig6)
 

@@ -45,7 +45,7 @@ from thermalops import optimize
 import oracles
 from oracles import EPS as _EPS, conditioning, exact_work as exact_otto_work, log_uniform, quiet
 from oracles import three_stroke_config_at
-from thermalops.cli import COMMANDS, ENGINE_CODES, _log_grid, _run_sweep, main
+from thermalops.cli import COMMANDS, _log_grid, _run_sweep, main
 from thermalops.optimize import otto_config_at
 from thermalops.maps import _three_stroke_work
 from thermalops.three_stroke import three_stroke_report
@@ -66,6 +66,12 @@ def test_scan_spec_rejects_bad_scan_inputs(field, value):
         warnings.simplefilter("error")  # no numpy warning on the way
         with pytest.raises(InvalidParameterError):
             ScanSpec(0.3, 0.5, 1.0, "markov", **{field: value})
+
+
+def indexed(names) -> list[str]:
+    """Test ids from each row's input alone, the function it calls and its
+    index, so that restating an expected error renames no test."""
+    return [f"{name}-{i}" for i, name in enumerate(names)]
 
 
 # calls that a float fast path must not take: equal window ends, Decimals,
@@ -131,7 +137,11 @@ FAST_PATH_REJECTS = [
 ]
 
 
-@pytest.mark.parametrize("call, message", FAST_PATH_REJECTS)
+@pytest.mark.parametrize(
+    "call, message",
+    FAST_PATH_REJECTS,
+    ids=indexed(call.__code__.co_names[0] for call, _ in FAST_PATH_REJECTS),
+)
 def test_a_float_fast_path_rejects_what_the_named_checks_reject(call, message):
     with pytest.raises(InvalidParameterError) as info:
         call()
@@ -615,7 +625,7 @@ FIRST_ERRORS = [
 ]
 
 
-@pytest.mark.parametrize("line, message", FIRST_ERRORS)
+@pytest.mark.parametrize("line, message", FIRST_ERRORS, ids=[line for line, _ in FIRST_ERRORS])
 def test_a_bad_scan_request_reports_its_first_error(line, message):
     command, *pairs = line.split()
     code, out, err = cli_call([command, *(a for pair in pairs for a in ("--set", pair))])
@@ -698,7 +708,11 @@ CALL_FIRST_ERRORS = [
 ]
 
 
-@pytest.mark.parametrize("fn, args, message", CALL_FIRST_ERRORS)
+@pytest.mark.parametrize(
+    "fn, args, message",
+    CALL_FIRST_ERRORS,
+    ids=indexed(fn.__name__ for fn, _, _ in CALL_FIRST_ERRORS),
+)
 def test_a_bad_scan_call_raises_its_first_error(fn, args, message):
     with pytest.raises(InvalidParameterError) as info:
         fn(*args)
@@ -797,10 +811,23 @@ CURVE_FIRST_ERRORS = [
         )
         for horizon in optimize.HORIZONS
     ],
+    # fig6's statistic is no horizon a caller can give: not its column's name, not None
+    *[
+        (
+            (0.3, 0.5, 1.0, horizon, [1.0]),
+            InvalidParameterError,
+            f"horizon must be one of ('single_cycle', 'infinite'), got {horizon!r}",
+        )
+        for horizon in ("pcc", None)
+    ],
 ]
 
 
-@pytest.mark.parametrize("args, kind, message", CURVE_FIRST_ERRORS)
+@pytest.mark.parametrize(
+    "args, kind, message",
+    CURVE_FIRST_ERRORS,
+    ids=indexed("fluctuation_curve" for _ in CURVE_FIRST_ERRORS),
+)
 def test_a_bad_fluctuation_call_raises_its_first_error(args, kind, message):
     with pytest.raises(kind) as info:
         fluctuation_curve(*args)
@@ -832,10 +859,13 @@ TABLE_FIRST_ERRORS = [
     ("fig6 omega_lo=5e-324 eta=nan", "need 0 < eta < eta_C < 1"),
     ("fig6 eta_C=1.0 T_H=-1.0", "need 0 < eta < eta_C < 1"),
     ("fig6 points=1 omega_hi=inf", BAD_WINDOW),
+    ("fig5 horizon=pcc", "horizon must be one of ('single_cycle', 'infinite'), got 'pcc'"),
 ]
 
 
-@pytest.mark.parametrize("line, message", TABLE_FIRST_ERRORS)
+@pytest.mark.parametrize(
+    "line, message", TABLE_FIRST_ERRORS, ids=[line for line, _ in TABLE_FIRST_ERRORS]
+)
 def test_a_bad_fluctuation_request_reports_its_first_error(line, message):
     command, *pairs = line.split()
     code, out, err = cli_call([command, *(a for pair in pairs for a in ("--set", pair))])
@@ -1564,14 +1594,15 @@ def cycle_path_fig6(p: dict) -> list:
     eta, eta_C, T_H = p["eta"], p["eta_C"], p["T_H"]
     e = math.frexp(T_H)[1]
     unit = math.ldexp(T_H, -e)
+    otto, three = (optimize.ENGINES.index(engine) for engine in ("nonmarkov", "three_stroke"))
     rows = []
     for omega_H in _log_grid(p, "omega_lo", "omega_hi"):
         c = otto_config_at(eta, eta_C, unit, math.ldexp(omega_H, -e), "nonmarkov").cycle()
-        rows.append([ENGINE_CODES["nonmarkov"], omega_H, c.work() / unit, intercycle_pcc(c, None)])
+        rows.append([otto, omega_H, c.work() / unit, intercycle_pcc(c, None)])
     cfg3 = three_stroke_config_at(eta, eta_C, unit)
     c = cfg3.cycle()
     gap = math.ldexp(cfg3.omega, e)
-    rows.append([ENGINE_CODES["three_stroke"], gap, c.work() / unit, intercycle_pcc(c, None)])
+    rows.append([three, gap, c.work() / unit, intercycle_pcc(c, None)])
     return rows
 
 
