@@ -69,13 +69,8 @@ def _run_fig1(p):
 
 def _run_fig4(p):
     etas = _linspace(p["eta_min"], p["eta_max"], _points(p, 1))
-    curves = {
-        engine: work_efficiency_curve(p["eta_C"], p["T_H"], engine, etas) for engine in ENGINES
-    }
-    rows = [
-        [eta, curves[NONMARKOV][i][1], curves[MARKOV][i][1], curves["three_stroke"][i][1]]
-        for i, eta in enumerate(etas)
-    ]
+    curves = [work_efficiency_curve(p["eta_C"], p["T_H"], engine, etas) for engine in ENGINES]
+    rows = [[eta, *(w for _, w in cells)] for eta, *cells in zip(etas, *curves)]
     return ["eta", "W_nonmarkov", "W_markov", "W_three_stroke"], rows
 
 

@@ -447,15 +447,19 @@ def stationary_population(m: Sequence[Sequence[float]]) -> PopulationVector:
     """Unique fixed point of a 2x2 column-stochastic matrix.
 
     Computed in closed form from the off-diagonal entries,
-    ``p_e = m[e,g] / (m[e,g] + m[g,e])``.  Raises ``InvalidParameterError``
-    for anything but a real 2x2 matrix, a non-finite entry, an entry outside
-    [0, 1] or a column sum off 1 by more than ``STOCHASTIC_TOL``, and
+    ``p_e = m[e,g] / (m[e,g] + m[g,e])`` (``_fixed_point``).  Raises
+    ``InvalidParameterError`` for anything but a real 2x2 matrix, a non-finite
+    entry, an entry outside [0, 1] or a column sum off 1 by more than
+    ``STOCHASTIC_TOL``, checked here and not for a cycle's composed map, and
     ``DegenerateCycleError`` when both off-diagonal entries are 0 and the
     fixed point is not unique.
     """
     entries = _entries_2x2(m)
     if any(x < -STOCHASTIC_TOL or x > 1.0 + STOCHASTIC_TOL for x in entries):
         raise InvalidParameterError(f"matrix entries must lie in [0, 1], got {entries}")
+    cols = (entries[0] + entries[2], entries[1] + entries[3])  # a NaN fails the test
+    if not (abs(cols[0] - 1.0) <= STOCHASTIC_TOL and abs(cols[1] - 1.0) <= STOCHASTIC_TOL):
+        raise InvalidParameterError(f"columns must sum to 1 within {STOCHASTIC_TOL}, got {cols}")
     return PopulationVector.from_raw(_fixed_point(*entries))
 
 
@@ -475,10 +479,8 @@ def _entries_2x2(m) -> list[float]:
 
 
 def _fixed_point(stay_g: float, down: float, up: float, stay_e: float) -> tuple[float, float]:
-    """``stationary_population`` of the row-major entries, as ``(p_g, p_e)``."""
-    cols = (stay_g + up, down + stay_e)  # NaN and inf fail the test below
-    if not (abs(cols[0] - 1.0) <= STOCHASTIC_TOL and abs(cols[1] - 1.0) <= STOCHASTIC_TOL):
-        raise InvalidParameterError(f"columns must sum to 1 within {STOCHASTIC_TOL}, got {cols}")
+    """``(p_g, p_e)`` of the row-major entries, unchecked: the column sums of a
+    cycle map, whose heat maps' defects add up, are ``stationary_population``'s check."""
     rate = up + down
     if rate == 0.0:
         raise DegenerateCycleError("cycle map is the identity; fixed point not unique")
@@ -683,7 +685,9 @@ def eto_vs_thermalization_scan(
     The qubit starts in the thermal state at temperature T1 and a single
     operation at temperature T2 is applied, for each T2 in the grid.
     Returns rows (T2/T1, p_e after ETO, p_e after thermalization) as lists
-    of floats; T1 = 1 sets the unit.
+    of floats; T1 = 1 sets the unit.  With ``q = exp(-omega / T2)`` the ETO sends
+    ``(p_g, p_e)`` to ``p_e' = q p_g``, bit for bit ``apply_map(eto(...))``'s
+    value, and thermalization gives ``q / (1 + q)``.
     """
     _require_real(omega_over_T1=omega_over_T1)
     if omega_over_T1 <= 0.0:
@@ -691,10 +695,9 @@ def eto_vs_thermalization_scan(
     grid = _real_grid(t2_over_t1_grid, "temperature grid")
     if not grid or not all(t2 > 0.0 for t2 in grid):  # NaN fails too
         raise InvalidParameterError("temperature grid entries must be > 0")
-    initial = thermal_population(omega_over_T1, 1.0)
+    p_g = thermal_population(omega_over_T1, 1.0).p_g
     rows = []
     for t2 in grid:
-        beta2 = 1.0 / t2
-        after_eto = apply_map(eto(omega_over_T1, beta2), initial)
-        rows.append([t2, after_eto.p_e, thermal_population(omega_over_T1, beta2).p_e])
+        q = _boltzmann_factor(omega_over_T1, 1.0 / t2)
+        rows.append([t2, q * p_g, q / (1.0 + q)])
     return rows

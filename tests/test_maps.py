@@ -2,6 +2,7 @@ import copy
 import inspect
 import math
 import pickle
+import re
 import struct
 import warnings
 from fractions import Fraction
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 import thermalops
 from thermalops import (
     ConsistencyError,
+    Cycle,
     DegenerateCycleError,
     FockTruncation,
     GibbsStochasticMatrix,
@@ -24,6 +26,7 @@ from thermalops import (
     ScanSpec,
     ThermalOpParams,
     ThreeStrokeConfig,
+    WorkStroke,
     apply_map,
     build_map,
     cumulant_gf,
@@ -32,9 +35,11 @@ from thermalops import (
     eto_vs_thermalization_scan,
     fluctuation_curve,
     full_thermalization_lambda,
+    intercycle_pcc,
     is_markovian,
     jc_evolution_map,
     otto_steady_state,
+    scaled_cumulants,
     stationary_population,
     thermal_population,
     three_stroke_omega_for_eta,
@@ -453,6 +458,39 @@ def test_from_raw_rejects_anything_but_two_reals(raw):
 def test_stationary_population_of_identity_is_degenerate():
     with pytest.raises(DegenerateCycleError):
         stationary_population(np.eye(2))
+
+
+def test_a_caller_matrix_past_the_column_tolerance_is_rejected_by_its_sums():
+    message = "columns must sum to 1 within 1e-12, got (1.000000000002, 1.0)"
+    with pytest.raises(InvalidParameterError, match=re.escape(message)):
+        stationary_population([[0.5 + 2e-12, 0.5], [0.5, 0.5]])
+
+
+@pytest.mark.parametrize("eps", [6e-13, 9e-13])
+@pytest.mark.parametrize("flip", [False, True], ids=["otto", "three-stroke"])
+def test_heat_maps_within_the_column_tolerance_make_a_finite_cycle(eps, flip):
+    # each heat map's columns sum to 1 + eps, within STOCHASTIC_TOL, so both
+    # pass their checks; the cycle map's columns sum to about 1 + 2 eps, past
+    # it, and the cycle still has a steady state, a run and its statistics
+    def heat(omega, beta_omega, lam):
+        q = math.exp(-beta_omega)
+        return GibbsStochasticMatrix(
+            [[1.0 - lam * q + eps, lam], [lam * q, 1.0 - lam + eps]], omega, beta_omega
+        )
+
+    w_H, w_C = (1.0, 1.0) if flip else (1.0, 0.5)
+    hot, cold = heat(w_H, w_H, 0.9), heat(w_C, w_C / 0.25, 0.8)
+    strokes = (hot, WorkStroke(w_H, w_C, flip), cold)
+    cycle = Cycle(strokes if flip else (*strokes, WorkStroke(w_C, w_H)))
+    m00, m01, m10, m11 = cycle.tilted(0.0)
+    assert max(m00 + m10, m01 + m11) - 1.0 > STOCHASTIC_TOL
+    p1 = cycle.steady_state()
+    assert abs(m10 * p1.p_g + m11 * p1.p_e - p1.p_e) <= 2.0 * eps  # fixed within the defect
+    run = cycle.run()
+    assert run[0] == p1 and run[3] == cycle.work() != 0.0
+    stats = work_moments(cycle, p1, 3)
+    values = [*run[1], *run[3:], *stats, *scaled_cumulants(cycle), intercycle_pcc(cycle, p1)]
+    assert all(math.isfinite(x) for x in values)
 
 
 @pytest.mark.parametrize(

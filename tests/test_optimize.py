@@ -569,6 +569,23 @@ def test_every_otto_scan_evaluates_one_work(regime, eta_C, eta_share, T_H, windo
     assert W.hex() == rec.W_star.hex()
 
 
+def test_the_markov_otto_engine_loses_to_the_three_stroke_engine_at_a_high_carnot_efficiency():
+    # the abstract's "both setups are superior to the three-stroke engine"
+    # holds at eta_C = 0.5 (criterion 3's grid), but above eta_C of about
+    # 0.670 the three-stroke work exceeds the Markov Otto maximum at small
+    # eta (README); the ETO Otto engine stays above both
+    def works(eta_C, eta):
+        engines = ("nonmarkov", "markov", "three_stroke")
+        return [work_efficiency_curve(eta_C, 1.0, engine, [eta])[0][1] for engine in engines]
+
+    nonmarkov, markov, three_stroke = works(0.5, 0.05)
+    assert nonmarkov > markov > three_stroke
+    nonmarkov, markov, three_stroke = works(0.9, 0.045)
+    rounded = [round(w, 6) for w in (nonmarkov, markov, three_stroke)]
+    assert rounded == [0.016552, 0.012531, 0.015398]
+    assert nonmarkov > three_stroke > markov
+
+
 # Requests with two or three bad values each, and the first error each
 # reports: a scan checks its parameters in a fixed order.
 FIRST_ERRORS = [

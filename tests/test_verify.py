@@ -1,5 +1,5 @@
 """What makes the verify suites' checks fail: maps corrupted through a
-stand-in for ``verify.build_map``, reports and moments made NaN, and work
+stand-in for ``verify.build_map``, steady cycles and moments made NaN, and work
 kernels moved by 1e-10; the gibbs-fixed-point residuals against their
 array and exact oracles; and the rows the suites draw against
 ``random.Random.uniform``."""
@@ -15,7 +15,6 @@ import pytest
 
 from thermalops import cli, maps, otto, three_stroke, verify
 from thermalops.maps import GibbsStochasticMatrix, ThermalOpParams, build_map, thermal_population
-from thermalops.three_stroke import three_stroke_report
 
 
 def corrupt_maps(monkeypatch, change):
@@ -47,11 +46,13 @@ def test_a_nan_residual_fails_its_check(monkeypatch):
     assert len(records) == 3
     assert all(math.isnan(r.observed) and not r.passed for r in records)
 
-    def nan_work(report):
-        return lambda cfg: report(cfg)._replace(W=math.nan)
+    run = maps.Cycle.run
 
-    monkeypatch.setattr(verify, "otto_cycle_report", nan_work(otto.otto_cycle_report))
-    monkeypatch.setattr(verify, "three_stroke_report", nan_work(three_stroke_report))
+    def nan_work(cycle):  # every steady cycle the suite reads, with a NaN work
+        p1, p2, p3, _, Q_H, Q_C = run(cycle)
+        return p1, p2, p3, math.nan, Q_H, Q_C
+
+    monkeypatch.setattr(maps.Cycle, "run", nan_work)
     records = verify.suite_first_law()
     assert all(math.isnan(r.observed) and not r.passed for r in records)
 
@@ -62,6 +63,13 @@ def test_a_nan_residual_fails_its_check(monkeypatch):
     mean, variance = verify.suite_oracle_equivalence()
     assert math.isnan(mean.observed) and not mean.passed
     assert variance.passed
+
+
+def test_a_residual_at_its_bound_passes_and_one_past_it_fails():
+    # the bound is the largest residual a check allows
+    bound = 1e-12
+    assert verify.CheckRecord("suite", "check", bound, bound).passed
+    assert not verify.CheckRecord("suite", "check", math.nextafter(bound, 1.0), bound).passed
 
 
 def test_gibbs_residuals_match_their_oracles(monkeypatch):
@@ -126,6 +134,20 @@ def test_the_suites_draw_random_uniform_rows(suite, monkeypatch):
     for bounds, row in rows:
         expected = [rng.uniform(lo, hi) for lo, hi in bounds]
         assert [x.hex() for x in row] == [x.hex() for x in expected]
+
+
+def test_three_stroke_draws_keep_the_cycles_at_least_min_bias_from_balance():
+    # the draws are the rows of random.Random(_SEED), in order, whose steady
+    # cycle has |2 p_e2 - 1| >= min_bias; at min_bias 0 every row is kept
+    def bias(draw):
+        return abs(2.0 * draw[1][1].p_e - 1.0)
+
+    rows = list(verify._three_stroke_draws(random.Random(verify._SEED), 200, 0.0))
+    for min_bias in (0.1, bias(rows[0]), 0.5):
+        expected = [draw for draw in rows if bias(draw) >= min_bias]
+        assert 0 < len(expected) < len(rows)
+        rng = random.Random(verify._SEED)
+        assert list(verify._three_stroke_draws(rng, len(expected), min_bias)) == expected
 
 
 def test_gibbs_suite_uses_numpy_only_for_its_draws():

@@ -98,6 +98,14 @@ EQUIVALENT = {
         "if overshoot > 0.0:  # min and max keep a NaN, which the constructor rejects",
         ">  ->  >=",
     ): "from_raw: at an overshoot of 0 the clamp changes no value, and keeps a NaN",
+    (
+        "maps",
+        "if not (abs(cols[0] - 1.0) <= STOCHASTIC_TOL and abs(cols[1] - 1.0) <= STOCHASTIC_TOL):",
+        "<=  ->  <",
+    ): (
+        "stationary_population: a column sum near 1 differs from 1 by a multiple of 2**-53,"
+        " never by the float 1e-12, which has bits to 2**-92"
+    ),
     ("optimize", "if grid[1] < lo or grid[-2] > hi:", "<  ->  <="): (
         "_logspace: an inner point equal to lo is clamped to itself"
     ),
@@ -146,6 +154,31 @@ EQUIVALENT = {
         "_require_regime: a coupling within 1e-12 of the regime's (1, or in [1/2, 1]) differs"
         " from it by a multiple of 2**-54, never by the float 1e-12, which has bits to 2**-92"
     ),
+    ("verify", "lam = 0.0 + (1.0 - 0.0) * rand()", "-  ->  +"): (
+        "suite_gibbs_fixed_point: 1.0 - 0.0 and 1.0 + 0.0 are both 1.0"
+    ),
+    **{
+        ("verify", line, "<=  ->  <"): (
+            "suite_gibbs_fixed_point: an entry of exactly 0 or 1 takes the loop over the"
+            " range residuals, whose values there (-1.0, 0.0 or -0.0) leave the worst at 0.0"
+        )
+        for line in (
+            "in_range = 0.0 <= m00 <= 1.0 and 0.0 <= m01 <= 1.0 and 0.0 <= m10 <= 1.0",
+            "if not (in_range and 0.0 <= m11 <= 1.0):",
+        )
+    },
+    **{
+        ("verify", f"if not {x} <= {worst} and {worst} == {worst}:", "<=  ->  <"): (
+            "a suite's fold: at x equal to the worst it stores the equal value again; only the"
+            " entry residuals can be -0.0, and their loop runs only for a map with a positive"
+            " or NaN residual, which ends as the worst"
+        )
+        for x, worst in (
+            *(("x", f"worst_{name}") for name in ("entry", "cols", "gibbs", "otto", "three")),
+            ("mean", "worst_mean"),
+            ("var", "worst_var"),
+        )
+    },
     ("microscopic", "if not defect <= _STATE_TOL:", "<=  ->  <"): (
         "_column_defect: a column sum within 1e-10 of 1 differs from 1 by a multiple of"
         " 2**-53, never by the float 1e-10, which has bits to 2**-86"
